@@ -11,7 +11,10 @@ from conftest import record_result, run_once
 
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
+
+#: the paper rack's spec; ``.build()`` gives each placement its own Topology.
+TESTBED = topology_for("paper-testbed")
 
 DELTAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
@@ -22,9 +25,11 @@ def test_metron_steering_ablation(benchmark, profiles):
         for delta in DELTAS:
             chains = chains_with_delta([1, 2, 3, 4], delta,
                                        profiles=profiles)
-            plain = heuristic_place(chains, default_testbed(), profiles)
+            plain = heuristic_place(chains, TESTBED.build(), profiles)
             metron = heuristic_place(
-                chains, default_testbed(metron_steering=True), profiles
+                chains,
+                topology_for("paper-testbed", metron_steering=True).build(),
+                profiles,
             )
             rows.append((delta, plain, metron))
         return rows

@@ -13,13 +13,13 @@ from conftest import record_result, run_once
 
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.metacompiler.compiler import MetaCompiler
 
 
 def test_codegen_loc(benchmark, profiles):
     chains = chains_with_delta([1, 2, 3, 4], delta=0.5, profiles=profiles)
-    topology = default_testbed()
+    topology = topology_for("paper-testbed").build()
     placement = heuristic_place(chains, topology, profiles)
     assert placement.feasible
     meta = MetaCompiler(topology=topology, profiles=profiles)

@@ -8,10 +8,11 @@ ways:
   seed commit, run in a subprocess against a throwaway git worktree
   (skipped silently when the commit is not available, e.g. shallow CI
   clones);
-* **per-packet** — ``DeployedRack.inject`` from this tree (which already
-  benefits from the shared flow-classification and parse caches);
+* **per-packet** — ``DeployedRack.run`` from this tree with batches of
+  one (which already benefits from the shared flow-classification and
+  parse caches);
 * **batched** — the :class:`~repro.sim.traffic.TrafficEngine` driving
-  ``DeployedRack.inject_batch``;
+  ``DeployedRack.run``;
 * **vectorized** — the same engine with ``vectorized=True``, driving the
   columnar ``DeployedRack.run_columns`` fast path (structure-of-arrays
   batches, whole-array hop replay).
@@ -38,7 +39,7 @@ from conftest import record_result, run_once
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.metacompiler.compiler import MetaCompiler
 from repro.profiles.defaults import default_profiles
 from repro.sim.runtime import DeployedRack, _chain_packet
@@ -100,7 +101,7 @@ print("pps=%.1f" % (packets / (time.perf_counter() - t0)))
 
 def _deploy():
     profiles = default_profiles()
-    topology = default_testbed(with_smartnic=True)
+    topology = topology_for("paper-testbed", smartnic=True).build()
     chains = chains_from_spec(SPEC, slos=[SLO_BOUNDS])
     placement = heuristic_place(chains, topology, profiles)
     assert placement.feasible, placement.infeasible_reason
@@ -147,11 +148,11 @@ def _measure_serial_pps():
     rack, placement = _deploy()
     cp = placement.chains[0]
     for i in range(WARMUP):
-        rack.inject(cp, _chain_packet(cp.chain, i % FLOWS))
+        rack.run(cp, [_chain_packet(cp.chain, i % FLOWS)])
     pkts = [_chain_packet(cp.chain, i % FLOWS) for i in range(PACKETS)]
     t0 = time.perf_counter()
     for p in pkts:
-        rack.inject(cp, p)
+        rack.run(cp, [p])
     return PACKETS / (time.perf_counter() - t0)
 
 

@@ -81,10 +81,12 @@ def test_figure2_panel(benchmark, panel, profiles):
 
 def test_optimal_matches_lemur(benchmark, profiles):
     """Optimal vs Lemur on the 4-chain panel (coarse δ grid)."""
-    from repro.hw.topology import default_testbed
+    from repro.hw.spec import topology_for
     from repro.core.bruteforce import brute_force_place
     from repro.core.heuristic import heuristic_place
     from repro.experiments.chains import chains_with_delta
+
+    TESTBED = topology_for("paper-testbed")
 
     deltas = (0.5, 1.0, 1.5)
     rows = []
@@ -94,8 +96,8 @@ def test_optimal_matches_lemur(benchmark, profiles):
         for delta in deltas:
             chains = chains_with_delta([1, 2, 3, 4], delta,
                                        profiles=profiles)
-            optimal = brute_force_place(chains, default_testbed(), profiles)
-            lemur = heuristic_place(chains, default_testbed(), profiles)
+            optimal = brute_force_place(chains, TESTBED.build(), profiles)
+            lemur = heuristic_place(chains, TESTBED.build(), profiles)
             out.append((delta, optimal, lemur))
         return out
 

@@ -12,7 +12,10 @@ from conftest import record_result, run_once
 from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
+
+#: the paper rack's spec; ``.build()`` gives each placement its own Topology.
+TESTBED = topology_for("paper-testbed")
 
 LOOSE_US = 45.0
 TIGHT_US = 32.0
@@ -33,7 +36,7 @@ def test_latency_slo_tradeoff(benchmark, profiles):
                 chains_with_delta([1, 4], delta=0.5, profiles=profiles),
                 d_max,
             )
-            out[d_max] = heuristic_place(chains, default_testbed(), profiles)
+            out[d_max] = heuristic_place(chains, TESTBED.build(), profiles)
         return out
 
     results = run_once(benchmark, run)

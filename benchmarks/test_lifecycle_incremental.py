@@ -21,7 +21,7 @@ from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.placer import Placer, PlacementRequest
 from repro.experiments.chains import _CHAIN_SPECS
-from repro.hw.topology import multi_server_testbed
+from repro.hw.spec import topology_for
 from repro.units import gbps
 
 NUM_CHAINS = 12
@@ -45,8 +45,8 @@ def test_incremental_arrival_vs_cold_resolve(benchmark):
         "chain dyn0: Monitor -> IPv4Fwd",
         slos=[SLO(t_min=gbps(0.3), t_max=gbps(2))],
     )
-    placer = Placer(topology=multi_server_testbed(
-        num_servers=NUM_SERVERS, num_stages=NUM_STAGES))
+    placer = Placer(topology=topology_for(
+        "multi-server", servers=NUM_SERVERS, num_stages=NUM_STAGES).build())
     base = placer.solve(PlacementRequest(chains=chains, use_cache=False))
     assert base.placement.feasible
 

@@ -16,7 +16,7 @@ from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
 from repro.core.milp import milp_place
 from repro.hw.platform import Platform
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.units import gbps
 
 N_CHAINS = 8
@@ -42,7 +42,7 @@ def _nats_on_switch(placement):
 
 def test_milp_strands_switch_resources(benchmark, profiles):
     chains = _chains()
-    topo = default_testbed()
+    topo = topology_for("paper-testbed").build()
 
     def run():
         return (

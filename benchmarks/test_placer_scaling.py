@@ -18,7 +18,10 @@ from conftest import record_result, run_once
 from repro.core.bruteforce import brute_force_place
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
+
+#: the paper rack's spec; ``.build()`` gives each placement its own Topology.
+TESTBED = topology_for("paper-testbed")
 
 
 def test_heuristic_speed(benchmark, profiles):
@@ -26,7 +29,7 @@ def test_heuristic_speed(benchmark, profiles):
     chains = chains_with_delta([1, 2, 3, 4], delta=1.0, profiles=profiles)
 
     placement = benchmark(
-        lambda: heuristic_place(chains, default_testbed(), profiles)
+        lambda: heuristic_place(chains, TESTBED.build(), profiles)
     )
     assert placement.feasible
     # interactive: well under the paper's 3.5 s
@@ -38,10 +41,10 @@ def test_bruteforce_vs_heuristic_gap(benchmark, profiles):
 
     def run():
         t0 = time.perf_counter()
-        optimal = brute_force_place(chains, default_testbed(), profiles)
+        optimal = brute_force_place(chains, TESTBED.build(), profiles)
         brute_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        lemur = heuristic_place(chains, default_testbed(), profiles)
+        lemur = heuristic_place(chains, TESTBED.build(), profiles)
         heuristic_seconds = time.perf_counter() - t0
         return optimal, lemur, brute_seconds, heuristic_seconds
 

@@ -17,7 +17,7 @@ from conftest import record_result, run_once
 
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.sim.testbed import TestbedSimulator
 
 ERRORS = (0.0, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10)
@@ -38,7 +38,7 @@ def test_profile_error_sensitivity(benchmark, profiles):
     # δ=1.25 keeps the baseline off a core-count knife edge (δ=1.0 puts
     # a subgroup exactly at a ceil boundary, where any error flips it)
     chains = chains_with_delta([1, 2, 3], delta=1.25, profiles=profiles)
-    topology = default_testbed()
+    topology = topology_for("paper-testbed").build()
     sim = TestbedSimulator(topology=topology, profiles=profiles, seed=5)
 
     def run():

@@ -15,8 +15,11 @@ from conftest import record_result, run_once
 from repro.chain.slo import SLO
 from repro.experiments.chains import base_rate_mbps, nat_stress_chain
 from repro.experiments.figures import stage_constraint_experiment
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.units import gbps
+
+#: the paper rack's spec; ``.build()`` gives each placement its own Topology.
+TESTBED = topology_for("paper-testbed")
 
 
 def test_stage_constraint_experiment(benchmark, profiles):
@@ -55,11 +58,10 @@ def test_hardware_first_alternatives_fail(benchmark, profiles):
 
     def run():
         return {
-            "hw": hw_preferred_place(chains, default_testbed(), profiles),
-            "greedy": greedy_place(chains, default_testbed(), profiles),
-            "minbounce": min_bounce_place(chains, default_testbed(),
-                                          profiles),
-            "sw": sw_preferred_place(chains, default_testbed(), profiles),
+            "hw": hw_preferred_place(chains, TESTBED.build(), profiles),
+            "greedy": greedy_place(chains, TESTBED.build(), profiles),
+            "minbounce": min_bounce_place(chains, TESTBED.build(), profiles),
+            "sw": sw_preferred_place(chains, TESTBED.build(), profiles),
         }
 
     placements = run_once(benchmark, run)

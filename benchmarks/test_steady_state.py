@@ -1,22 +1,19 @@
-"""Steady-state phase latency: persistent worker runtime vs per-run pools.
+"""Steady-state phase latency: persistent worker runtime vs a single process.
 
 A long-running control plane (``repro serve``) replays many *short*
-traffic phases against the same deployed chains — the regime where the
-per-run ``ProcessPoolExecutor`` is dominated by fixed costs it pays
-every phase: pool spawn/teardown, re-pickling the full
-``(topology, artifacts, profiles, placement)`` bundle into every task,
-and a from-scratch rack deploy in every worker. The persistent
-:class:`~repro.runtime.pool.WorkerPool` pays each of those once: workers
-stay alive across phases, artifacts ship by fingerprint at most once per
-worker, and the deployed rack is reset (warm) instead of rebuilt.
+traffic phases against the same deployed chains — the regime where any
+fan-out is dominated by the fixed costs it pays per phase. The persistent
+:class:`~repro.runtime.pool.WorkerPool` pays the heavy ones once: workers
+stay alive across phases, the ``(topology, artifacts, profiles,
+placement)`` bundle ships by fingerprint at most once per worker, and the
+deployed rack is reset (warm) instead of rebuilt.
 
 This benchmark replays ``PHASES`` consecutive short phases through the
-same :class:`~repro.sim.traffic.TrafficEngine` three ways — single
-process (reference), a throwaway pool per phase (``--pool per-run``),
-and the persistent pool (``--pool keep``) — and records per-phase
-latency. Reproduction targets: the persistent pool is >= 5x faster than
-the per-run pool over the whole phase train, with byte-identical
-delivery outcomes phase for phase.
+same :class:`~repro.sim.traffic.TrafficEngine` two ways — single process
+(reference) and sharded over the persistent pool — and records per-phase
+latency, so the table shows what a dispatch still costs at this size.
+The assertions are about sameness, not speed: byte-identical delivery
+outcomes phase for phase, one cold rack build, warm reuse afterwards.
 
 ``STEADY_BENCH_PHASES`` overrides the phase count.
 """
@@ -44,7 +41,7 @@ BATCH = 32
 SHARDS = 2
 
 
-def _phase_train(pool, shards=SHARDS):
+def _phase_train(shards):
     """Replay ``PHASES`` short phases; returns (reports, registry, wall)."""
     shutdown_pool()
     registry = MetricsRegistry()
@@ -52,7 +49,7 @@ def _phase_train(pool, shards=SHARDS):
         TrafficSpec(
             spec_text=SPEC, slos=SLOS, packets_per_chain=PACKETS,
             flows_per_chain=FLOWS, batch_size=BATCH, vectorized=True,
-            shards=shards, pool=pool,
+            shards=shards,
         ),
         registry=registry,
     )
@@ -75,32 +72,25 @@ def _rack_builds(registry):
 
 def test_steady_state_phase_latency(benchmark):
     def run():
-        serial = _phase_train("per-run", shards=1)
-        per_run = _phase_train("per-run")
-        keep = _phase_train("keep")
-        return serial, per_run, keep
+        return _phase_train(shards=1), _phase_train(shards=SHARDS)
 
-    serial, per_run, keep = run_once(benchmark, run)
+    serial, pooled = run_once(benchmark, run)
     serial_reports, _, serial_wall = serial
-    per_run_reports, _, per_run_wall = per_run
-    keep_reports, keep_registry, keep_wall = keep
-    speedup = per_run_wall / keep_wall
-    builds = _rack_builds(keep_registry)
+    pooled_reports, pooled_registry, pooled_wall = pooled
+    builds = _rack_builds(pooled_registry)
 
     lines = [
         "steady-state phase latency — persistent worker runtime vs "
-        "per-run pools",
+        "a single process",
         f"{PHASES} consecutive phases, {len(SLOS)} chains x "
         f"{PACKETS} packets, {SHARDS} shards",
         "",
-        f"{'mode':24s} {'total':>9s} {'per phase':>11s} {'vs per-run':>11s}",
+        f"{'mode':24s} {'total':>9s} {'per phase':>11s} {'vs serial':>11s}",
         f"{'single process':24s} {serial_wall:8.3f}s "
-        f"{1000 * serial_wall / PHASES:9.2f}ms "
-        f"{per_run_wall / serial_wall:10.2f}x",
-        f"{'per-run pool':24s} {per_run_wall:8.3f}s "
-        f"{1000 * per_run_wall / PHASES:9.2f}ms {'1.00x':>11s}",
-        f"{'persistent pool':24s} {keep_wall:8.3f}s "
-        f"{1000 * keep_wall / PHASES:9.2f}ms {speedup:10.2f}x",
+        f"{1000 * serial_wall / PHASES:9.2f}ms {'1.00x':>11s}",
+        f"{'persistent pool':24s} {pooled_wall:8.3f}s "
+        f"{1000 * pooled_wall / PHASES:9.2f}ms "
+        f"{serial_wall / pooled_wall:10.2f}x",
         "",
         "warm rack reuse: "
         + ", ".join(f"{mode}={count}"
@@ -108,12 +98,9 @@ def test_steady_state_phase_latency(benchmark):
     ]
     record_result("steady_state", "\n".join(lines))
 
-    # identical delivery outcomes, phase for phase, across all three modes
-    assert keep_reports == per_run_reports == serial_reports
+    # identical delivery outcomes, phase for phase
+    assert pooled_reports == serial_reports
 
     # the persistent pool deployed cold once, then reused warm racks
     assert builds.get("cold", 0) >= 1
     assert builds.get("warm", 0) >= PHASES - 1
-
-    # reproduction target: >= 5x over the per-run pool on the phase train
-    assert speedup >= 5.0

@@ -19,8 +19,11 @@ from repro.chain.slo import (
     virtual_pipe,
 )
 from repro.core.heuristic import heuristic_place
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.units import gbps
+
+#: the paper rack's spec; ``.build()`` gives each placement its own Topology.
+TESTBED = topology_for("paper-testbed")
 
 CASES = [
     ("bulk", bulk(), SLOUseCase.BULK),
@@ -39,7 +42,7 @@ def test_table1_use_cases(benchmark, profiles):
             chains = chains_from_spec(
                 "chain t1: ACL -> Encrypt -> IPv4Fwd", slos=[slo]
             )
-            placement = heuristic_place(chains, default_testbed(), profiles)
+            placement = heuristic_place(chains, TESTBED.build(), profiles)
             rows.append((name, slo, expected, placement))
         return rows
 

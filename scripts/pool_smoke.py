@@ -2,9 +2,8 @@
 """CI smoke test for the persistent dataplane worker runtime.
 
 Runs the equivalent of ``repro traffic examples/specs/pop.lemur
---vectorized --shards 2 --pool keep`` twice *in one process* — the
-regime the persistent pool exists for — and asserts the warm-rack
-contract:
+--vectorized --shards 2`` twice *in one process* — the regime the
+persistent pool exists for — and asserts the warm-rack contract:
 
 * phase 1 deploys its racks cold (``runtime.rack_builds{mode=cold}``);
 * phase 2 finds them warm (``runtime.rack_builds{mode=warm}``) because
@@ -37,7 +36,6 @@ def run_phase(spec_text: str):
             batch_size=64,
             vectorized=True,
             shards=2,
-            pool="keep",
         ),
         registry=registry,
     )

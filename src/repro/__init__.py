@@ -37,7 +37,7 @@ from repro.hw.spec import (
     available_topologies,
     topology_for,
 )
-from repro.hw.topology import Topology, default_testbed, multi_server_testbed
+from repro.hw.topology import Topology
 from repro.metacompiler.compiler import CompiledArtifacts, MetaCompiler
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.sim.testbed import TestbedSimulator
@@ -72,8 +72,6 @@ __all__ = [
     "MultiRackTopology",
     "available_topologies",
     "topology_for",
-    "default_testbed",
-    "multi_server_testbed",
     "MetaCompiler",
     "CompiledArtifacts",
     "ProfileDatabase",

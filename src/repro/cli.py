@@ -181,13 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="use the columnar fast path "
                                   "(bit-identical to scalar replay)")
     traffic_cmd.add_argument("--shards", type=int, default=1,
-                             help="replay chains across N worker processes "
-                                  "(deterministic metrics merge-back)")
-    traffic_cmd.add_argument("--pool", choices=("keep", "per-run"),
-                             default="keep",
-                             help="worker-pool policy for --shards: 'keep' "
-                                  "reuses the persistent pool with warm "
-                                  "racks, 'per-run' spawns one per run")
+                             help="replay chains across N workers of the "
+                                  "persistent pool (deterministic metrics "
+                                  "merge-back)")
     traffic_cmd.add_argument("--seed", type=int, default=23,
                              help="rack drop-hash seed")
     traffic_cmd.add_argument("--json", action="store_true",
@@ -240,13 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd.add_argument("--seed", type=int, default=23,
                            help="chaos seed (drop hash + timeline)")
     chaos_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="also run N-1 replica processes and require "
-                                "byte-identical reports (determinism check)")
-    chaos_cmd.add_argument("--pool", choices=("keep", "per-run"),
-                           default="keep",
-                           help="worker-pool policy for --jobs replicas: "
-                                "'keep' reuses the persistent pool, "
-                                "'per-run' spawns one per run")
+                           help="also run N-1 replica runs (on the worker "
+                                "pool when N > 2) and require byte-identical "
+                                "reports (determinism check)")
     chaos_cmd.add_argument("--json", action="store_true",
                            help="emit the report as one JSON document")
     chaos_cmd.add_argument("--out", default=None, metavar="FILE",
@@ -293,14 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle_cmd.add_argument("--seed", type=int, default=23,
                                help="lifecycle seed (timeline + rack)")
     lifecycle_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                               help="also run N-1 replica processes and "
-                                    "require byte-identical reports")
-    lifecycle_cmd.add_argument("--pool", choices=("keep", "per-run"),
-                               default="keep",
-                               help="worker-pool policy for --jobs "
-                                    "replicas: 'keep' reuses the "
-                                    "persistent pool, 'per-run' spawns "
-                                    "one per run")
+                               help="also run N-1 replica runs (on the "
+                                    "worker pool when N > 2) and require "
+                                    "byte-identical reports")
     lifecycle_cmd.add_argument("--json", action="store_true",
                                help="emit the report as one JSON document")
     lifecycle_cmd.add_argument("--out", default=None, metavar="FILE",
@@ -338,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--checkpoint-every", type=int, default=8,
                            help="checkpoint the rack every N applied "
                                 "commands (0: only at graceful shutdown)")
-    serve_cmd.add_argument("--pool", choices=("keep", "per-run"),
-                           default="keep",
-                           help="rack execution: 'keep' hosts the live "
-                                "rack in a persistent worker-pool "
-                                "session, 'per-run' keeps it in-process")
     serve_cmd.add_argument("--json", action="store_true",
                            help="emit the final report as JSON at exit")
     serve_cmd.add_argument("--out", default=None, metavar="FILE",
@@ -661,7 +643,6 @@ def cmd_traffic(args) -> int:
         with_openflow=args.openflow,
         servers=args.servers,
         metron=args.metron,
-        pool=args.pool,
         queueing=args.queueing,
         objective=args.objective,
     )
@@ -751,8 +732,7 @@ def cmd_chaos(args) -> int:
     )
     # a fresh registry so the metrics section covers exactly this run
     registry = set_registry(MetricsRegistry())
-    report = run_chaos_checked(spec, jobs=args.jobs, registry=registry,
-                               pool=args.pool)
+    report = run_chaos_checked(spec, jobs=args.jobs, registry=registry)
     from repro.cli_report import emit_report
 
     return emit_report(
@@ -857,8 +837,7 @@ def cmd_lifecycle(args) -> int:
     )
     # a fresh registry so the metrics section covers exactly this run
     registry = set_registry(MetricsRegistry())
-    report = run_lifecycle_checked(spec, jobs=args.jobs, registry=registry,
-                                   pool=args.pool)
+    report = run_lifecycle_checked(spec, jobs=args.jobs, registry=registry)
     return emit_report(
         report,
         out=args.out,
@@ -890,7 +869,6 @@ def cmd_serve(args) -> int:
         with_smartnic=args.smartnic,
         with_openflow=args.openflow,
         servers=args.servers,
-        pool=args.pool,
         queueing=args.queueing,
         objective=args.objective,
     )

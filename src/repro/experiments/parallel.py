@@ -8,10 +8,10 @@ the execution substrate for that shape:
 * :class:`SweepCell` — one picklable cell task;
 * :func:`execute_cell` — the single computation both serial and parallel
   paths share, so results are byte-identical regardless of ``jobs``;
-* :func:`run_cells` — dispatches cells inline or over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, restores deterministic
-  result ordering, and merges per-worker observability registries back
-  into the parent's.
+* :func:`run_cells` — dispatches cells inline or over the persistent
+  :class:`~repro.runtime.pool.WorkerPool`, restores deterministic result
+  ordering, and merges per-worker observability registries back into the
+  parent's.
 
 Each cell deep-copies its topology before solving, so scheme-side
 mutations (failed devices, reserved cores) can never leak between cells —
@@ -24,10 +24,7 @@ from __future__ import annotations
 
 import copy
 import os
-import pickle
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +33,7 @@ from repro.core.placement import Placement
 from repro.hw.topology import Topology
 from repro.obs import get_registry, scoped_registry
 from repro.profiles.defaults import ProfileDatabase
+from repro.runtime.pool import fan_out
 
 
 @dataclass
@@ -76,7 +74,7 @@ def execute_cell(cell: SweepCell) -> "ExperimentResult":
     """Run one grid cell: derive chains, place (via cache), measure.
 
     This is the *only* implementation of a cell — the serial loop and the
-    process pool both call it, which is what guarantees parallel runs
+    worker pool both call it, which is what guarantees parallel runs
     reproduce serial results exactly.
     """
     from repro.experiments.chains import chains_with_delta
@@ -175,52 +173,21 @@ def _cell_worker(cell: SweepCell) -> CellOutcome:
     )
 
 
-def _pickling_ok(cells: Sequence[SweepCell]) -> bool:
-    try:
-        pickle.dumps(list(cells))
-        return True
-    except Exception:
-        return False
-
-
-def _pooled_outcomes(cells: Sequence[SweepCell],
-                     jobs: int) -> List[CellOutcome]:
-    """Dispatch the grid over the persistent worker pool."""
-    from repro.runtime.pool import PoolCall, get_pool
-
-    worker_pool = get_pool(jobs)
-    return worker_pool.dispatch(
-        [PoolCall(_cell_worker, cell) for cell in cells]
-    )
-
-
 def run_cells(
-    cells: Sequence[SweepCell], jobs: int = 1, pool: str = "keep"
+    cells: Sequence[SweepCell], jobs: int = 1
 ) -> List["ExperimentResult"]:
-    """Execute a grid of cells, serially or over a process pool.
+    """Execute a grid of cells, serially or over the worker pool.
 
     Results come back in cell-index order regardless of completion order,
     and per-worker metrics are merged into the parent registry in that
-    same deterministic order. ``pool="keep"`` (the default) reuses the
+    same deterministic order. ``jobs > 1`` fans the cells over the
     process-wide persistent :class:`~repro.runtime.pool.WorkerPool`;
-    ``pool="per-run"`` spawns a throwaway executor. Falls back to serial
-    execution (with a warning) when the grid is not picklable — e.g.
-    lambda schemes or an ad-hoc topology factory.
+    a grid that is not picklable (lambda schemes, an ad-hoc topology
+    factory) or a failed dispatch warns and runs in-process instead.
     """
-    from repro.exceptions import WorkerPoolError
-    from repro.runtime.pool import in_worker
-
     registry = get_registry()
-    if jobs > 1 and len(cells) > 1 and not _pickling_ok(cells):
-        warnings.warn(
-            "sweep grid is not picklable (lambda scheme or topology "
-            "factory?); falling back to serial execution",
-            RuntimeWarning, stacklevel=2,
-        )
-        jobs = 1
-
-    outcomes: List[CellOutcome] = []
-    if jobs <= 1 or len(cells) <= 1 or in_worker():
+    if jobs <= 1:
+        outcomes = []
         for cell in cells:
             result, seconds = _timed_execute(cell)
             outcomes.append(CellOutcome(
@@ -228,23 +195,8 @@ def run_cells(
                 seconds=seconds, worker=os.getpid(),
             ))
     else:
-        if pool == "keep":
-            try:
-                outcomes = _pooled_outcomes(cells, jobs)
-            except WorkerPoolError as exc:
-                warnings.warn(
-                    f"persistent worker pool dispatch failed ({exc}); "
-                    "falling back to a per-run pool",
-                    RuntimeWarning, stacklevel=2,
-                )
-                outcomes = []
-        if not outcomes:
-            workers = min(jobs, os.cpu_count() or 1, len(cells))
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(_cell_worker, cell) for cell in cells
-                ]
-                outcomes = [future.result() for future in futures]
+        outcomes = fan_out(_cell_worker, cells, workers=jobs,
+                           what="sweep grid")
 
     outcomes.sort(key=lambda o: o.index)
     per_worker_seconds: Dict[int, float] = {}

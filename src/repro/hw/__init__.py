@@ -12,7 +12,7 @@ from repro.hw.pisa import PISASwitch, PISAStageResources
 from repro.hw.server import Server, NIC, CPUSocket
 from repro.hw.smartnic import SmartNIC
 from repro.hw.openflow import OpenFlowSwitchModel, OFTableSpec
-from repro.hw.topology import Topology, Link, default_testbed, multi_server_testbed
+from repro.hw.topology import Topology, Link
 from repro.hw.multirack import InterRackLink, MultiRackTopology
 from repro.hw.spec import (
     InterRackLinkSpec,
@@ -36,8 +36,6 @@ __all__ = [
     "OFTableSpec",
     "Topology",
     "Link",
-    "default_testbed",
-    "multi_server_testbed",
     "InterRackLink",
     "MultiRackTopology",
     "InterRackLinkSpec",

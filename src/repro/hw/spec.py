@@ -1,13 +1,10 @@
 """Declarative topology specification: the one way to describe a testbed.
 
-The ad-hoc ``default_testbed()`` / ``multi_server_testbed()`` constructors
-grew a flag per experiment (SmartNIC, OpenFlow ToR, server count, Metron
-steering) and could not express more than one rack. A :class:`TopologySpec`
-states the whole fabric as data — racks, their switch/server/SmartNIC
-shapes, and the inter-rack links — with a JSON round-trip that rejects
-unknown fields (the same wire discipline as ``FaultTimeline`` /
-``LifecycleTimeline``), so a persisted spec rebuilds the *identical*
-topology after a daemon restart.
+A :class:`TopologySpec` states the whole fabric as data — racks, their
+switch/server/SmartNIC shapes, and the inter-rack links — with a JSON
+round-trip that rejects unknown fields (the same wire discipline as
+``FaultTimeline`` / ``LifecycleTimeline``), so a persisted spec rebuilds
+the *identical* topology after a daemon restart.
 
 ``spec.build()`` returns a plain single-rack
 :class:`~repro.hw.topology.Topology` for one rack (byte-compatible with
@@ -256,8 +253,8 @@ class TopologySpec:
     ) -> "TopologySpec":
         """Bridge from the legacy CLI/spec flag vocabulary.
 
-        ``servers > 0`` selects the N×8-core shape (the old
-        ``multi_server_testbed``); otherwise the paper testbed with its
+        ``servers > 0`` selects the N×8-core shape (the ``multi-server``
+        preset); otherwise the paper testbed with its
         option flags. ``racks > 1`` replicates that rack into a star
         fabric.
         """

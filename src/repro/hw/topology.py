@@ -134,71 +134,3 @@ class Topology:
             if s.name not in self.failed_devices
         )
 
-
-# ---------------------------------------------------------------------------
-# deprecated constructors — thin shims over repro.hw.spec.TopologySpec
-# ---------------------------------------------------------------------------
-
-#: shim names that have already warned (each warns exactly once per
-#: process; tests reset via :func:`_reset_topology_deprecations`).
-_WARNED: set = set()
-
-
-def _warn_once(name: str, replacement: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    import warnings
-
-    warnings.warn(
-        f"{name}() is deprecated; build the topology from a declarative "
-        f"spec instead: {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_topology_deprecations() -> None:
-    """Test hook: make every shim warn again."""
-    _WARNED.clear()
-
-
-def default_testbed(
-    num_stages: int = 12,
-    with_smartnic: bool = False,
-    with_openflow: bool = False,
-    metron_steering: bool = False,
-) -> Topology:
-    """Deprecated: the paper's main testbed (Tofino ToR + one 2x8-core
-    BESS server). Use ``topology_for("paper-testbed").build()`` or a
-    :class:`~repro.hw.spec.TopologySpec`; this shim warns once and
-    delegates to the spec builder (device names are unchanged)."""
-    _warn_once(
-        "default_testbed",
-        'repro.hw.spec.topology_for("paper-testbed").build()',
-    )
-    from repro.hw.spec import RackSpec
-
-    return RackSpec(
-        switch="openflow" if with_openflow else "pisa",
-        num_stages=num_stages,
-        smartnic=with_smartnic,
-        metron_steering=metron_steering,
-    ).build()
-
-
-def multi_server_testbed(num_servers: int = 2, num_stages: int = 12) -> Topology:
-    """Deprecated: N single-socket 8-core servers behind the Tofino ToR
-    (Fig. 3a). Use ``topology_for("multi-server", servers=N).build()``;
-    this shim warns once and delegates to the spec builder."""
-    _warn_once(
-        "multi_server_testbed",
-        'repro.hw.spec.topology_for("multi-server", servers=N).build()',
-    )
-    from repro.hw.spec import RackSpec
-
-    return RackSpec(
-        servers=num_servers,
-        server_model="eight-core",
-        num_stages=num_stages,
-    ).build()

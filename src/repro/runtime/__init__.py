@@ -1,8 +1,8 @@
 """Persistent dataplane worker runtime.
 
 One process-wide :class:`WorkerPool` shared by every parallel caller
-(traffic shards, experiment sweeps, chaos/lifecycle replicas, the serve
-daemon), with worker-side warm-rack caching keyed by artifact fingerprint
+(traffic shards, experiment sweeps, chaos/lifecycle replicas, per-rack
+solves), with worker-side warm-rack caching keyed by artifact fingerprint
 and zero-copy shared-memory transport for columnar payloads.
 """
 
@@ -10,6 +10,7 @@ from repro.runtime.pool import (
     PoolCall,
     WorkerPool,
     default_worker_count,
+    fan_out,
     get_pool,
     in_worker,
     shutdown_pool,
@@ -17,12 +18,10 @@ from repro.runtime.pool import (
 from repro.runtime.rackcache import (
     ArtifactBundle,
     PooledShardTask,
-    SessionTask,
     StaleArtifactsError,
     bundle_fingerprint,
     rack_for,
     run_traffic_shard,
-    session_call,
 )
 from repro.runtime.shm import ShmArrays
 
@@ -30,16 +29,15 @@ __all__ = [
     "ArtifactBundle",
     "PoolCall",
     "PooledShardTask",
-    "SessionTask",
     "ShmArrays",
     "StaleArtifactsError",
     "WorkerPool",
     "bundle_fingerprint",
     "default_worker_count",
+    "fan_out",
     "get_pool",
     "in_worker",
     "rack_for",
     "run_traffic_shard",
-    "session_call",
     "shutdown_pool",
 ]

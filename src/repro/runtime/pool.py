@@ -1,19 +1,19 @@
 """The persistent worker pool behind every parallel execution path.
 
-Every parallel caller used to spawn a fresh ``ProcessPoolExecutor`` per
-run — traffic shards, sweep cells, chaos/lifecycle replica cross-checks,
-and the serve daemon's per-command phases each paid pool-spawn plus task
-re-pickling plus a from-scratch rack rebuild in every worker, which is
-exactly the overhead that dominates short, repeated phases under a
-long-running control plane. :class:`WorkerPool` keeps a small set of
-worker *processes* alive for the lifetime of the parent:
+The rule: whatever owns a rack runs it in its own process; work that is
+actually parallel — traffic shards, sweep cells, chaos/lifecycle replica
+cross-checks, per-rack solves — goes to this one pool. Spawning workers
+per run would pay process start plus task re-pickling plus a from-scratch
+rack rebuild in every worker, which is exactly the overhead that dominates
+short, repeated phases. :class:`WorkerPool` keeps a small set of worker
+*processes* alive for the lifetime of the parent:
 
 * **dispatch** is a synchronous fan-out of ``(fn, arg)`` tasks over the
-  workers, with results restored to submission order — the same
-  deterministic-merge contract the per-run pools had;
+  workers, with results restored to submission order, so merges are
+  deterministic;
 * **affinity** pins all tasks that share a key to one worker in FIFO
-  order, which is what lets a serve session keep cumulative rack state
-  in a single worker across commands;
+  order, which is what lets the hierarchical placer keep a rack's
+  placement cache warm in a single worker across solves;
 * **payload planning** (:meth:`plan` + :meth:`needs_payload`) lets
   callers ship a heavy artifact bundle to each worker exactly once and
   send only its fingerprint afterwards — workers cache the bundle and
@@ -48,6 +48,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -400,11 +401,64 @@ def shutdown_pool() -> None:
 
 atexit.register(shutdown_pool)
 
+
+# ---------------------------------------------------------------------------
+# the one fan-out policy
+# ---------------------------------------------------------------------------
+
+
+def warn_serial_fallback(what: str, reason: object) -> None:
+    """The single warning every fan-out caller emits when it cannot use
+    the pool and runs its tasks serially in-process instead."""
+    warnings.warn(
+        f"{what}: {reason}; running serially in-process",
+        RuntimeWarning, stacklevel=3,
+    )
+
+
+def dumps_for_pool(obj: object, what: str) -> bytes:
+    """``pickle.dumps(obj)``, or a :class:`WorkerPoolError` naming ``what``.
+
+    An unpicklable task put on a worker's queue dies in the queue's
+    feeder thread and leaves dispatch waiting forever, so callers pickle
+    up front and treat failure like any other failed dispatch.
+    """
+    try:
+        return pickle.dumps(obj)
+    except Exception as exc:  # noqa: BLE001 — arbitrary reducers run
+        raise WorkerPoolError(f"{what} not picklable") from exc
+
+
+def fan_out(fn: Callable, args: Sequence[object], *, workers: int,
+            what: str) -> List[object]:
+    """``[fn(arg) for arg in args]``, on the persistent pool when it pays.
+
+    One task, or a caller already inside a pool worker (nested pools are
+    forbidden), runs serially. Otherwise the tasks dispatch over
+    ``workers`` pool workers; a task that cannot be pickled or a failed
+    dispatch warns once and runs the same calls serially in-process —
+    callers already guarantee serial ≡ pooled, so the results are the
+    same bytes either way.
+    """
+    if len(args) > 1 and not in_worker():
+        try:
+            dumps_for_pool((fn, list(args)), "tasks are")
+            return get_pool(workers).dispatch(
+                [PoolCall(fn, arg) for arg in args]
+            )
+        except WorkerPoolError as exc:
+            warn_serial_fallback(what, exc)
+    return [fn(arg) for arg in args]
+
+
 __all__ = [
     "PoolCall",
     "WorkerPool",
     "default_worker_count",
+    "dumps_for_pool",
+    "fan_out",
     "get_pool",
     "in_worker",
     "shutdown_pool",
+    "warn_serial_fallback",
 ]

@@ -1,26 +1,16 @@
-"""Worker-side caches: artifact bundles, warm racks, and serve sessions.
+"""Worker-side caches: artifact bundles and warm racks.
 
 Everything in this module below :func:`bundle_fingerprint` executes inside
-a pool worker process (module-level state is per-worker). Two caching
-regimes coexist:
+a pool worker process (module-level state is per-worker).
 
-* **Warm racks** (:func:`rack_for`) — shared, slot-keyed racks for
-  stateless-per-dispatch callers (traffic shards). A cache hit calls
-  :meth:`DeployedRack.reset_state`, so every dispatch observes a
-  just-deployed rack and results stay byte-identical with the per-run
-  pools; a fingerprint change applies :meth:`DeployedRack.redeploy`
-  (per-device delta) before the reset instead of rebuilding the rack
-  object wholesale. ``runtime.rack_builds{mode=cold|warm|delta}`` counts
-  what happened, recorded in the dispatch's scoped registry so the
-  parent's merge sees it.
-
-* **Sessions** (:func:`session_call`) — dedicated, *cumulative* racks for
-  the serve daemon. A session rack mirrors exactly the rack an in-process
-  daemon would own: state persists across phases, redeploys are deltas
-  that preserve stateful-NF state on unchanged devices, fault probes
-  apply in command order, and the rack can be pickled out for a
-  checkpoint and restored after a crash. All ops for one session ride the
-  same pool affinity key, so they execute FIFO on one worker.
+**Warm racks** (:func:`rack_for`) are shared, slot-keyed racks for
+stateless-per-dispatch callers (traffic shards). A cache hit calls
+:meth:`DeployedRack.reset_state`, so every dispatch observes a
+just-deployed rack and results stay byte-identical with a serial replay;
+a fingerprint change applies :meth:`DeployedRack.redeploy` (per-device
+delta) before the reset instead of rebuilding the rack object wholesale.
+``runtime.rack_builds{mode=cold|warm|delta}`` counts what happened,
+recorded in the dispatch's scoped registry so the parent's merge sees it.
 """
 
 from __future__ import annotations
@@ -28,17 +18,16 @@ from __future__ import annotations
 import hashlib
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.exceptions import WorkerPoolError
 from repro.obs import scoped_registry
 from repro.sim.runtime import DeployedRack
 
-#: bounded worker-side caches (racks/bundles/sessions are few but heavy).
+#: bounded worker-side caches (racks/bundles are few but heavy).
 _MAX_BUNDLES = 8
 _MAX_RACKS = 4
-_MAX_SESSIONS = 4
 
 
 class StaleArtifactsError(WorkerPoolError):
@@ -69,7 +58,6 @@ class ArtifactBundle:
 
 _bundles: "OrderedDict[str, tuple]" = OrderedDict()
 _racks: "OrderedDict[tuple, list]" = OrderedDict()
-_sessions: "OrderedDict[str, _Session]" = OrderedDict()
 
 
 def _trim(cache: OrderedDict, limit: int) -> None:
@@ -81,8 +69,7 @@ def resolve_bundle(bundle: ArtifactBundle) -> tuple:
     """The worker's cached unpickled payload for a fingerprint.
 
     Traffic bundles are ``(topology, artifacts, profiles, placement)``;
-    session bundles omit the trailing placement. :func:`rack_for` only
-    touches the leading three elements, so both shapes share the cache.
+    :func:`rack_for` only touches the leading three elements.
     """
     hit = _bundles.get(bundle.fingerprint)
     if hit is not None:
@@ -168,9 +155,9 @@ class PooledShardTask:
 def run_traffic_shard(task: PooledShardTask) -> Tuple[int, list, dict, float]:
     """Pool entry point: replay this shard's chains on a warm rack.
 
-    Same contract as the per-run ``_run_traffic_shard``: ships back
-    ``(shard index, chain rows, registry dump, replay wall)`` so the
-    parent merges observability state in shard-index order.
+    Ships back ``(shard index, chain rows, registry dump, replay wall)``
+    so the parent merges observability state in shard-index order and
+    nothing recorded in a worker is lost to process isolation.
     """
     import time
 
@@ -209,163 +196,12 @@ def run_traffic_shard(task: PooledShardTask) -> Tuple[int, list, dict, float]:
     return task.shard_index, rows, state, wall
 
 
-# ---------------------------------------------------------------------------
-# serve sessions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Session:
-    """One serve daemon's live rack inside this worker."""
-
-    rack: DeployedRack
-    placement: object
-    flows_per_chain: int
-    batch_size: int
-    engine: object = None
-    queueing: str = "none"
-
-
-@dataclass
-class SessionTask:
-    """One serialized operation against a serve session."""
-
-    session: str
-    op: str  # build | restore | redeploy | fault | phase | fetch | drop
-    bundle: Optional[ArtifactBundle] = None
-    placement: object = None
-    artifacts: object = None
-    rack_bytes: Optional[bytes] = None
-    seed: int = 23
-    flows_per_chain: int = 32
-    batch_size: int = 32
-    action: str = ""
-    target: str = ""
-    severity: float = 1.0
-    cursors: Dict[str, int] = field(default_factory=dict)
-    packets_per_chain: int = 0
-    queueing: str = "none"
-
-
-def _session(task: SessionTask) -> "_Session":
-    session = _sessions.get(task.session)
-    if session is None:
-        raise WorkerPoolError(
-            f"unknown serve session {task.session!r} (worker restarted?); "
-            "the daemon must rebuild it from a checkpoint"
-        )
-    _sessions.move_to_end(task.session)
-    return session
-
-
-def _session_engine(session: "_Session"):
-    from repro.sim.traffic import TrafficEngine
-
-    if session.engine is None:
-        session.engine = TrafficEngine(
-            session.rack, session.placement,
-            flows_per_chain=session.flows_per_chain,
-            batch_size=session.batch_size,
-        )
-    session.engine.placement = session.placement
-    return session.engine
-
-
-def session_call(task: SessionTask) -> Tuple[object, Optional[dict]]:
-    """Apply one session op; returns ``(result, registry dump or None)``.
-
-    Ops that touch instruments (build/redeploy/phase) run under a scoped
-    registry whose state the daemon merges back, so pooled serve metrics
-    match the in-process mode counter for counter.
-    """
-    from repro.sim.traffic import configure_rack_queueing
-
-    op = task.op
-    if op == "build":
-        with scoped_registry() as registry:
-            topology, artifacts, profiles = resolve_bundle(task.bundle)
-            rack = DeployedRack(topology, artifacts, profiles,
-                                seed=task.seed, registry=registry)
-            configure_rack_queueing(rack, task.placement, task.queueing)
-            state = registry.dump_state()
-        _sessions[task.session] = _Session(
-            rack=rack, placement=task.placement,
-            flows_per_chain=task.flows_per_chain,
-            batch_size=task.batch_size,
-            queueing=task.queueing,
-        )
-        _trim(_sessions, _MAX_SESSIONS)
-        return rack._next_seq, state
-    if op == "restore":
-        rack = pickle.loads(task.rack_bytes)
-        configure_rack_queueing(rack, task.placement, task.queueing)
-        _sessions[task.session] = _Session(
-            rack=rack, placement=task.placement,
-            flows_per_chain=task.flows_per_chain,
-            batch_size=task.batch_size,
-            queueing=task.queueing,
-        )
-        _trim(_sessions, _MAX_SESSIONS)
-        return rack._next_seq, None
-    if op == "drop":
-        _sessions.pop(task.session, None)
-        return None, None
-
-    session = _session(task)
-    if op == "redeploy":
-        with scoped_registry() as registry:
-            session.rack.rebind_registry(registry)
-            delta = session.rack.redeploy(task.artifacts)
-            # rates changed with the placement: re-derive utilization
-            configure_rack_queueing(
-                session.rack, task.placement, session.queueing
-            )
-            state = registry.dump_state()
-        session.placement = task.placement
-        return delta, state
-    if op == "fault":
-        rack = session.rack
-        if task.action == "fail":
-            rack.set_device_failed(task.target)
-        elif task.action == "recover":
-            rack.set_device_failed(task.target, False)
-        elif task.action == "degrade_link":
-            rack.set_drop_fraction(task.target, task.severity)
-        elif task.action == "restore_link":
-            rack.set_drop_fraction(task.target, 0.0)
-        else:
-            raise WorkerPoolError(
-                f"unknown session fault action {task.action!r}"
-            )
-        return None, None
-    if op == "phase":
-        with scoped_registry() as registry:
-            session.rack.rebind_registry(registry)
-            engine = _session_engine(session)
-            delivered: Dict[str, int] = {}
-            latencies: Dict[str, List[float]] = {}
-            cursors = dict(task.cursors)
-            for cp in session.placement.chains:
-                count, cursors[cp.name], samples = engine.replay_batch(
-                    cp, cursors.get(cp.name, 0), task.packets_per_chain
-                )
-                delivered[cp.name] = count
-                latencies[cp.name] = samples
-            state = registry.dump_state()
-        return (delivered, cursors, session.rack._next_seq, latencies), state
-    if op == "fetch":
-        return pickle.dumps(session.rack), None
-    raise WorkerPoolError(f"unknown session op {op!r}")
-
-
 __all__ = [
     "ArtifactBundle",
     "PooledShardTask",
-    "SessionTask",
     "StaleArtifactsError",
     "bundle_fingerprint",
     "rack_for",
     "resolve_bundle",
     "run_traffic_shard",
-    "session_call",
 ]

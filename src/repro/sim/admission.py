@@ -31,11 +31,8 @@ crash recovery (checkpoint-load + journal replay) is built on.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
-import os
-import pickle
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -204,14 +201,6 @@ class AdmissionDecision:
             ) from exc
 
 
-#: monotonically unique serve-session ids within one parent process.
-_session_ids = itertools.count()
-
-
-def _new_session_id() -> str:
-    return f"core-{os.getpid()}-{next(_session_ids)}"
-
-
 class AdmissionCore:
     """Admit, place incrementally, delta-redeploy, and replay traffic.
 
@@ -219,16 +208,9 @@ class AdmissionCore:
     :meth:`process` (lifecycle events) or :meth:`apply_fault` (day-2
     fault probes); both front-ends are expected to serialize their calls
     — the serve daemon does so with a single rack-owner worker task, the
-    lifecycle engine by being synchronous.
-
-    ``pool="keep"`` moves the rack into the persistent worker runtime: a
-    dedicated serve session (affinity-pinned to one pool worker, FIFO)
-    owns the cumulative rack state, and every rack-touching operation —
-    cold deploy, delta redeploy, fault probes, traffic phases, checkpoint
-    fetch — dispatches through :mod:`repro.runtime`. All control-plane
-    state (active chains, placement, rates, cursors, fault bookkeeping)
-    stays in this object, so decisions, phases, and
-    :meth:`state_digest` are byte-identical across pool modes.
+    lifecycle engine by being synchronous. The rack and its traffic
+    engine live in this object, in the owner's process, so the core
+    pickles whole for serve checkpoints.
     """
 
     def __init__(
@@ -244,7 +226,6 @@ class AdmissionCore:
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
-        pool: str = "per-run",
         queueing: str = "none",
         objective: str = "throughput",
     ):
@@ -268,17 +249,6 @@ class AdmissionCore:
         #: problem fingerprints identically and is served from cache.
         self.cache = cache if cache is not None else PlacementCache()
         self.full_resolve = full_resolve
-        if pool not in ("keep", "per-run"):
-            raise LifecycleError("pool must be 'keep' or 'per-run'")
-        from repro.runtime.pool import in_worker
-        #: nested pools are forbidden: a core living inside a pool worker
-        #: always owns its rack in-process.
-        self.pool = "per-run" if in_worker() else pool
-        self._session_id = _new_session_id()
-        self._rack_seq = 0
-        #: pickled session rack captured by :meth:`prepare_checkpoint`
-        #: (pool mode only) so a checkpointed core still carries the rack.
-        self._rack_bytes: Optional[bytes] = None
 
         self.placer = Placer(
             topology=self.topology,
@@ -302,86 +272,6 @@ class AdmissionCore:
         #: snapshots and the state digest; the rack holds the live state).
         self.fault_state: Dict[str, float] = {}
 
-    # -- pooled session plumbing --------------------------------------------
-
-    def _session_dispatch(self, **fields):
-        """Run one op against this core's worker-side serve session.
-
-        The session rides a pool affinity key, so every op executes FIFO
-        on one worker; registry state recorded worker-side merges back
-        here, keeping pooled metrics equal to in-process metrics.
-        """
-        from repro.runtime.pool import get_pool
-        from repro.runtime.rackcache import SessionTask, session_call
-
-        result, state = get_pool().call(
-            session_call,
-            SessionTask(session=self._session_id, **fields),
-            affinity=self._session_id,
-        )
-        if state is not None:
-            self.obs.merge_state(state)
-        return result
-
-    def _open_session(self, artifacts, placement) -> None:
-        """Cold-deploy the rack inside a pool worker (pool mode)."""
-        from repro.runtime.rackcache import ArtifactBundle, bundle_fingerprint
-
-        payload = pickle.dumps((self.topology, artifacts, self.profiles))
-        seq = self._session_dispatch(
-            op="build",
-            bundle=ArtifactBundle(bundle_fingerprint(payload), payload),
-            placement=placement,
-            seed=self.seed,
-            flows_per_chain=self.flows_per_chain,
-            batch_size=self.batch_size,
-            queueing=self.queueing,
-        )
-        self._rack_seq = int(seq)
-
-    def prepare_checkpoint(self) -> None:
-        """Fetch the session rack so a pickled core still carries it.
-
-        In-process cores checkpoint for free (the rack pickles with the
-        core); a pooled core's rack lives in a worker, so the daemon calls
-        this immediately before pickling.
-        """
-        if self.pool != "keep" or self.placement is None:
-            return
-        self._rack_bytes = self._session_dispatch(op="fetch")
-
-    def reattach(self) -> None:
-        """Rebuild the worker session from checkpointed rack bytes.
-
-        The crash-recovery counterpart of :meth:`prepare_checkpoint`:
-        after unpickling a pooled core, the daemon reattaches it to the
-        (fresh) worker pool before replaying the journal suffix.
-        """
-        if self.pool != "keep" or self.placement is None:
-            return
-        if self._rack_bytes is None:
-            raise LifecycleError(
-                "cannot reattach a pooled admission core without "
-                "checkpointed rack state"
-            )
-        self._session_id = _new_session_id()
-        seq = self._session_dispatch(
-            op="restore",
-            rack_bytes=self._rack_bytes,
-            placement=self.placement,
-            flows_per_chain=self.flows_per_chain,
-            batch_size=self.batch_size,
-            queueing=self.queueing,
-        )
-        self._rack_seq = int(seq)
-
-    @property
-    def rack_seq(self) -> int:
-        """The rack's injection sequence counter, wherever the rack lives."""
-        if self.rack is not None:
-            return getattr(self.rack, "_next_seq", 0)
-        return self._rack_seq
-
     # -- bootstrap ----------------------------------------------------------
 
     def bootstrap(self) -> PlacementReport:
@@ -399,21 +289,16 @@ class AdmissionCore:
         self.placement = initial.placement
         self.rates = dict(initial.placement.rates)
         artifacts = self.metacompiler.compile_placement(initial.placement)
-        if self.pool == "keep":
-            self._open_session(artifacts, initial.placement)
-        else:
-            self.rack = DeployedRack(
-                self.topology, artifacts, self.profiles,
-                seed=self.seed, registry=self.obs,
-            )
-            configure_rack_queueing(
-                self.rack, initial.placement, self.queueing
-            )
-            self.traffic = TrafficEngine(
-                self.rack, initial.placement,
-                flows_per_chain=self.flows_per_chain,
-                batch_size=self.batch_size,
-            )
+        self.rack = DeployedRack(
+            self.topology, artifacts, self.profiles,
+            seed=self.seed, registry=self.obs,
+        )
+        configure_rack_queueing(self.rack, initial.placement, self.queueing)
+        self.traffic = TrafficEngine(
+            self.rack, initial.placement,
+            flows_per_chain=self.flows_per_chain,
+            batch_size=self.batch_size,
+        )
         self.obs.gauge("lifecycle.active_chains").set(len(self.active))
         return initial
 
@@ -481,19 +366,10 @@ class AdmissionCore:
                 seconds=report.seconds,
             )
         artifacts = self.metacompiler.compile_placement(report.placement)
-        if self.pool == "keep":
-            delta = self._session_dispatch(
-                op="redeploy",
-                artifacts=artifacts,
-                placement=report.placement,
-            )
-        else:
-            delta = self.rack.redeploy(artifacts)
-            # rates changed with the placement: re-derive utilization
-            configure_rack_queueing(
-                self.rack, report.placement, self.queueing
-            )
-            self.traffic.placement = report.placement
+        delta = self.rack.redeploy(artifacts)
+        # rates changed with the placement: re-derive utilization
+        configure_rack_queueing(self.rack, report.placement, self.queueing)
+        self.traffic.placement = report.placement
         self.active = proposed
         self.placement = report.placement
         self.rates = dict(report.placement.rates)
@@ -569,25 +445,17 @@ class AdmissionCore:
         self.obs.counter(
             "faults.injected", action=action, target=target
         ).inc()
-        if self.pool == "keep":
-            self._session_dispatch(
-                op="fault", action=action, target=target, severity=severity,
-            )
-        elif action == "fail":
-            self.rack.set_device_failed(target)
-        elif action == "recover":
-            self.rack.set_device_failed(target, False)
-        elif action == "degrade_link":
-            self.rack.set_drop_fraction(target, severity)
-        else:  # restore_link
-            self.rack.set_drop_fraction(target, 0.0)
         if action == "fail":
+            self.rack.set_device_failed(target)
             self.fault_state[f"fail:{target}"] = 1.0
         elif action == "recover":
+            self.rack.set_device_failed(target, False)
             self.fault_state.pop(f"fail:{target}", None)
         elif action == "degrade_link":
+            self.rack.set_drop_fraction(target, severity)
             self.fault_state[f"degrade:{target}"] = severity
         else:  # restore_link
+            self.rack.set_drop_fraction(target, 0.0)
             self.fault_state.pop(f"degrade:{target}", None)
 
     # -- traffic phases ------------------------------------------------------
@@ -606,29 +474,11 @@ class AdmissionCore:
                 for cp in self.placement.chains
             },
         )
-        if self.pool == "keep":
-            delivered_map, cursors, rack_seq, latency_map = (
-                self._session_dispatch(
-                    op="phase",
-                    cursors=dict(self.cursors),
-                    packets_per_chain=packets_per_chain,
+        for cp in self.placement.chains:
+            delivered, self.cursors[cp.name], samples = \
+                self.traffic.replay_batch(
+                    cp, self.cursors.get(cp.name, 0), packets_per_chain
                 )
-            )
-            self.cursors.update(cursors)
-            self._rack_seq = int(rack_seq)
-            deliveries = [
-                (cp, delivered_map[cp.name], latency_map[cp.name])
-                for cp in self.placement.chains
-            ]
-        else:
-            deliveries = []
-            for cp in self.placement.chains:
-                delivered, self.cursors[cp.name], samples = \
-                    self.traffic.replay_batch(
-                        cp, self.cursors.get(cp.name, 0), packets_per_chain
-                    )
-                deliveries.append((cp, delivered, samples))
-        for cp, delivered, samples in deliveries:
             d_max = cp.chain.slo.d_max
             phase.chains.append(ChainTrafficReport(
                 chain_name=cp.name,
@@ -668,7 +518,7 @@ class AdmissionCore:
             ),
             "rates": {k: round(v, 9) for k, v in sorted(self.rates.items())},
             "cursors": dict(sorted(self.cursors.items())),
-            "rack_seq": self.rack_seq,
+            "rack_seq": self.rack._next_seq if self.rack is not None else 0,
             "faults": dict(sorted(self.fault_state.items())),
         }
         canon = json.dumps(payload, sort_keys=True, default=str)

@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +50,7 @@ from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, get_registry, quantile
 from repro.profiles.defaults import ProfileDatabase, default_profiles
+from repro.runtime.pool import fan_out
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack
 from repro.sim.traffic import ChainTrafficReport, TrafficEngine
@@ -1010,29 +1009,22 @@ def run_chaos_checked(
     spec: ChaosSpec,
     jobs: int = 1,
     registry: Optional[MetricsRegistry] = None,
-    pool: str = "keep",
 ) -> ChaosReport:
     """Run a chaos experiment, optionally cross-checking determinism.
 
-    With ``jobs > 1``, ``jobs - 1`` replica runs execute in worker
-    processes from the same spec; every replica's rendered report must be
-    byte-identical to the local run's, or the run fails loudly. The
-    returned report is always the local run's, so output is independent
-    of ``jobs``. ``pool="keep"`` (default) runs replicas on the shared
-    persistent worker pool; ``"per-run"`` spawns a throwaway executor.
+    With ``jobs > 1``, ``jobs - 1`` replica runs execute from the same
+    spec (on the shared persistent worker pool when there is more than
+    one); every replica's rendered report must be byte-identical to the
+    local run's, or the run fails loudly. The returned report is always
+    the local run's, so output is independent of ``jobs``.
     """
     report = run_chaos(spec, registry=registry)
     replicas = max(0, jobs - 1)
     if replicas == 0:
         return report
-    try:
-        pickle.dumps(spec)
-    except Exception:
-        # spec not transportable (e.g. monkeypatched internals in tests):
-        # fall back to the already-computed serial result.
-        return report
     rendered = report.render()
-    renders = _replica_renders(spec, replicas, pool)
+    renders = fan_out(_replica_render, [spec] * replicas,
+                      workers=replicas, what="chaos replicas")
     for index, other in enumerate(renders):
         if other != rendered:
             raise FaultInjectionError(
@@ -1041,34 +1033,3 @@ def run_chaos_checked(
                 "invariant broken"
             )
     return report
-
-
-def _replica_renders(spec: ChaosSpec, replicas: int,
-                     pool: str) -> List[str]:
-    """Render ``replicas`` independent runs of ``spec`` in workers."""
-    import os
-    import warnings
-
-    from repro.exceptions import WorkerPoolError
-    from repro.runtime.pool import PoolCall, get_pool, in_worker
-
-    if in_worker():
-        return [_replica_render(spec) for _ in range(replicas)]
-    if pool == "keep":
-        try:
-            worker_pool = get_pool(replicas)
-            return worker_pool.dispatch(
-                [PoolCall(_replica_render, spec) for _ in range(replicas)]
-            )
-        except WorkerPoolError as exc:
-            warnings.warn(
-                f"persistent worker pool dispatch failed ({exc}); "
-                "falling back to a per-run pool",
-                RuntimeWarning, stacklevel=3,
-            )
-    workers = min(replicas, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        futures = [
-            executor.submit(_replica_render, spec) for _ in range(replicas)
-        ]
-        return [future.result() for future in futures]

@@ -25,9 +25,8 @@ racks:
   quantity (no double charge).
 
 Everything stays deterministic given (chains, fabric, seed, events):
-per-rack cores use in-process racks (``pool="per-run"``), rack order is
-sorted, and link drops reuse the seq-hash discipline via a link-salted
-seed.
+every rack core owns its rack in-process, rack order is sorted, and link
+drops reuse the seq-hash discipline via a link-salted seed.
 """
 
 from __future__ import annotations
@@ -501,8 +500,8 @@ class FabricAdmissionCore:
     checks; this core owns everything cross-rack — the chain→rack
     assignment, inter-rack hop installation, arrival spill, scale-driven
     migration, rack teardown, and the merged phase/digest views.
-    Subordinate cores always run ``pool="per-run"`` (in-process racks),
-    so a fabric core pickles whole for serve checkpoints.
+    Every rack core holds its rack in-process, so a fabric core pickles
+    whole for serve checkpoints.
     """
 
     def __init__(
@@ -518,7 +517,6 @@ class FabricAdmissionCore:
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
-        pool: str = "per-run",
         queueing: str = "none",
         objective: str = "throughput",
     ):
@@ -533,8 +531,6 @@ class FabricAdmissionCore:
                 "admission needs at least one initial chain "
                 "(an empty rack has nothing to deploy)"
             )
-        if pool not in ("keep", "per-run"):
-            raise LifecycleError("pool must be 'keep' or 'per-run'")
         self.initial_chains = list(initial_chains)
         self.fabric = topology
         self.topology = topology
@@ -608,17 +604,17 @@ class FabricAdmissionCore:
             registry=self.obs,
             cache=self.cache,
             full_resolve=self.full_resolve,
-            pool="per-run",
             queueing=self.queueing,
             objective=self.objective,
         )
 
     @staticmethod
     def _placement_devices(placement) -> Tuple[str, ...]:
-        devices = set()
-        for cp in placement.chains:
-            devices.update(cp.assignment.values())
-        return tuple(sorted(devices))
+        return tuple(sorted({
+            assigned.device
+            for cp in placement.chains
+            for assigned in cp.assignment.values()
+        }))
 
     def _teardown_rack(self, rack: str) -> Tuple[str, ...]:
         """Drop a rack core entirely (its last chain left)."""
@@ -1019,20 +1015,6 @@ class FabricAdmissionCore:
                 ))
         merged.chains.sort(key=lambda row: row.chain_name)
         return merged
-
-    # -- durability ----------------------------------------------------------
-
-    def prepare_checkpoint(self) -> None:
-        """Fan the checkpoint fetch across rack cores (the serve daemon's
-        pickling contract — per-run rack cores carry their racks inline,
-        so this is cheap, but the surface must match ``AdmissionCore``)."""
-        for rack in sorted(self.cores):
-            self.cores[rack].prepare_checkpoint()
-
-    def reattach(self) -> None:
-        """Crash-recovery counterpart of :meth:`prepare_checkpoint`."""
-        for rack in sorted(self.cores):
-            self.cores[rack].reattach()
 
     # -- state identity ------------------------------------------------------
 

@@ -39,9 +39,7 @@ and ``rack.redeploy.devices{action=...}`` from the delta redeploy.
 from __future__ import annotations
 
 import json
-import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +51,7 @@ from repro.hw.spec import TopologySpec
 from repro.hw.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.profiles.defaults import ProfileDatabase
+from repro.runtime.pool import fan_out
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
     AdmissionDecision,
@@ -624,27 +623,23 @@ def run_lifecycle_checked(
     spec: LifecycleSpec,
     jobs: int = 1,
     registry: Optional[MetricsRegistry] = None,
-    pool: str = "keep",
 ) -> LifecycleReport:
     """Run a lifecycle experiment, optionally cross-checking determinism.
 
-    With ``jobs > 1``, ``jobs - 1`` replica runs execute in worker
-    processes from the same spec; every replica's rendered report must be
-    byte-identical to the local run's, or the run fails loudly. The
-    returned report is always the local run's, so output is independent
-    of ``jobs``. ``pool="keep"`` (default) runs replicas on the shared
-    persistent worker pool; ``"per-run"`` spawns a throwaway executor.
+    With ``jobs > 1``, ``jobs - 1`` replica runs execute from the same
+    spec (on the shared persistent worker pool when there is more than
+    one); every replica's rendered report must be byte-identical to the
+    local run's, or the run fails loudly. The returned report is always
+    the local run's, so output is independent of ``jobs``.
     """
     report = run_lifecycle(spec, registry=registry)
     replicas = max(0, jobs - 1)
     if replicas == 0:
         return report
-    try:
-        pickle.dumps(spec)
-    except Exception:
-        return report
     rendered = report.render()
-    for index, other in enumerate(_replica_renders(spec, replicas, pool)):
+    renders = fan_out(_replica_render, [spec] * replicas,
+                      workers=replicas, what="lifecycle replicas")
+    for index, other in enumerate(renders):
         if other != rendered:
             raise LifecycleError(
                 f"lifecycle replica {index} diverged from the local "
@@ -652,37 +647,6 @@ def run_lifecycle_checked(
                 "invariant broken"
             )
     return report
-
-
-def _replica_renders(spec: LifecycleSpec, replicas: int,
-                     pool: str) -> List[str]:
-    """Render ``replicas`` independent runs of ``spec`` in workers."""
-    import os
-    import warnings
-
-    from repro.exceptions import WorkerPoolError
-    from repro.runtime.pool import PoolCall, get_pool, in_worker
-
-    if in_worker():
-        return [_replica_render(spec) for _ in range(replicas)]
-    if pool == "keep":
-        try:
-            worker_pool = get_pool(replicas)
-            return worker_pool.dispatch(
-                [PoolCall(_replica_render, spec) for _ in range(replicas)]
-            )
-        except WorkerPoolError as exc:
-            warnings.warn(
-                f"persistent worker pool dispatch failed ({exc}); "
-                "falling back to a per-run pool",
-                RuntimeWarning, stacklevel=3,
-            )
-    workers = min(replicas, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        futures = [
-            executor.submit(_replica_render, spec) for _ in range(replicas)
-        ]
-        return [future.result() for future in futures]
 
 
 # re-exported so report consumers need one import; keeps the SLO slack

@@ -849,19 +849,6 @@ device_fingerprints`) decide what happens to each device:
             results.get(packet.metadata.seq) for packet, _ in entries
         ])
 
-    # -- legacy entry points (thin delegates, kept for one release) ----------------
-
-    def inject(self, chain_placement: ChainPlacement, packet: Packet
-               ) -> Optional[Packet]:
-        """Run one packet through its chain: :meth:`run` with a batch of
-        one. Returns the packet on egress, ``None`` if dropped anywhere."""
-        return self.run(chain_placement, [packet]).outputs[0]
-
-    def inject_batch(self, chain_placement: ChainPlacement,
-                     packets: List[Packet]) -> List[Optional[Packet]]:
-        """Batched injection: see :meth:`run` (this returns its outputs)."""
-        return self.run(chain_placement, packets).outputs
-
     # -- columnar (vectorized) event loop ------------------------------------------
 
     def run_columns(self, chain_placement: ChainPlacement,
@@ -1569,7 +1556,7 @@ device_fingerprints`) decide what happens to each device:
                    ) -> None:
         """Advance one same-service-path run of packets to completion.
 
-        Mirrors :meth:`inject`'s event loop hop for hop, with per-block
+        Mirrors :meth:`run`'s event loop hop for hop, with per-block
         device dispatch and per-block counter flushes. If survivors of a
         hop ever diverge in (spi, si), the block re-splits into consecutive
         same-coordinate runs and recurses, preserving the ordering
@@ -1900,7 +1887,7 @@ device_fingerprints`) decide what happens to each device:
 
         Alongside the total, the metadata fields carry the breakdown:
         ``exec_us`` / ``bounce_us`` / ``switch_us`` and (when provided by
-        :meth:`inject`) the per-hop ``hops`` records.
+        :meth:`run`) the per-hop ``hops`` records.
         """
         meta = packet.metadata
         queue_factor = self._queue_factor
@@ -1975,7 +1962,7 @@ device_fingerprints`) decide what happens to each device:
             hop_exec_sums: Dict[Tuple[int, str], float] = {}
             for index in range(packets_per_chain):
                 packet = _chain_packet(cp.chain, index)
-                out = self.inject(cp, packet)
+                out = self.run(cp, [packet]).outputs[0]
                 if out is None:
                     dropped += 1
                     continue

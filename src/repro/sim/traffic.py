@@ -22,11 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,12 +35,15 @@ from repro.core.rates import device_utilization
 from repro.exceptions import PlacementError, TrafficError, WorkerPoolError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
-from repro.hw.topology import Topology
-from repro.metacompiler.compiler import CompiledArtifacts, MetaCompiler
+from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, quantile, scoped_registry
-from repro.profiles.defaults import ProfileDatabase, default_profiles
-from repro.runtime.pool import in_worker
+from repro.obs import MetricsRegistry, quantile
+from repro.profiles.defaults import default_profiles
+from repro.runtime.pool import (
+    dumps_for_pool,
+    in_worker,
+    warn_serial_fallback,
+)
 from repro.sim.columns import PacketColumns
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
@@ -286,10 +285,6 @@ class TrafficSpec:
     queueing: str = "none"
     #: placement objective (``throughput`` or ``tail_latency``).
     objective: str = "throughput"
-    #: worker-pool policy for sharded replay: ``"keep"`` reuses the
-    #: process-wide persistent pool (warm racks, shm transport),
-    #: ``"per-run"`` spawns a throwaway executor per run.
-    pool: str = "keep"
 
     def build_topology(self):
         """Build the (single- or multi-rack) topology this spec names."""
@@ -307,56 +302,6 @@ class TrafficSpec:
                                 error=TrafficError)
 
 
-@dataclass
-class _ShardTask:
-    """One worker's share of a sharded replay (must be picklable)."""
-
-    shard_index: int
-    chain_names: List[str]
-    packets_per_chain: int
-    topology: Topology
-    artifacts: CompiledArtifacts
-    profiles: ProfileDatabase
-    placement: Placement
-    seed: int
-    flows_per_chain: int
-    batch_size: int
-    vectorized: bool
-    queueing: str = "none"
-
-
-def _run_traffic_shard(task: _ShardTask) -> Tuple[int, list, dict, float]:
-    """Pool entry point: rebuild the rack from its compiled artifacts under
-    a fresh scoped registry and replay this shard's chains.
-
-    Ships back ``(shard index, chain rows, registry dump, replay wall)``;
-    the parent merges the observability state in shard-index order so
-    nothing recorded in a worker is lost to process isolation (the same
-    contract as :mod:`repro.experiments.parallel`).
-    """
-    with scoped_registry() as registry:
-        rack = DeployedRack(
-            task.topology, task.artifacts, task.profiles,
-            seed=task.seed, registry=registry,
-        )
-        configure_rack_queueing(rack, task.placement, task.queueing)
-        engine = TrafficEngine(
-            rack, task.placement,
-            flows_per_chain=task.flows_per_chain,
-            batch_size=task.batch_size,
-            vectorized=task.vectorized,
-        )
-        started = time.perf_counter()
-        rows = [
-            engine._run_chain(cp, task.packets_per_chain)
-            for cp in task.placement.chains
-            if cp.name in task.chain_names
-        ]
-        wall = time.perf_counter() - started
-        state = registry.dump_state()
-    return task.shard_index, rows, state, wall
-
-
 class TrafficEngine:
     """Replay synthesized flow sets through a deployed rack in batches.
 
@@ -365,32 +310,28 @@ class TrafficEngine:
     per injection instead of per-packet clones — bit-identical outcomes,
     an order of magnitude more packets per second.
 
-    ``shards=N`` replays chains over ``N`` worker processes (round-robin
-    by chain), each rebuilding the rack from the same compiled artifacts
-    and seed; per-worker metrics merge back deterministically. Delivery
-    outcomes are shard-count invariant; walls and pps reflect the
-    parallelism.
+    ``shards=N`` replays chains over ``N`` workers of the persistent pool
+    (round-robin by chain), each on a warm rack built from the same
+    compiled artifacts and seed; per-worker metrics merge back
+    deterministically. Delivery outcomes are shard-count invariant; walls
+    and pps reflect the parallelism.
     """
 
     def __init__(self, rack: DeployedRack, placement: Placement, *,
                  flows_per_chain: int = 64, batch_size: int = 64,
-                 vectorized: bool = False, shards: int = 1,
-                 pool: str = "keep"):
+                 vectorized: bool = False, shards: int = 1):
         if flows_per_chain < 1:
             raise ValueError("flows_per_chain must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if pool not in ("keep", "per-run"):
-            raise ValueError("pool must be 'keep' or 'per-run'")
         self.rack = rack
         self.placement = placement
         self.flows_per_chain = flows_per_chain
         self.batch_size = batch_size
         self.vectorized = vectorized
         self.shards = shards
-        self.pool = pool
         #: chain name -> (chain object, synthesized flow templates); the
         #: chain object guards against a redeployed chain of the same name.
         self._flows: Dict[str, tuple] = {}
@@ -432,8 +373,7 @@ class TrafficEngine:
                    flows_per_chain=spec.flows_per_chain,
                    batch_size=spec.batch_size,
                    vectorized=spec.vectorized,
-                   shards=spec.shards,
-                   pool=spec.pool)
+                   shards=spec.shards)
 
     def synthesize_flows(self, cp: ChainPlacement) -> List[Packet]:
         """One template packet per flow, all inside the chain's aggregate.
@@ -614,7 +554,9 @@ class TrafficEngine:
             old is new for old, new in zip(cached[0], parts)
         ):
             return cached[1], cached[2]
-        payload = pickle.dumps(parts)
+        payload = dumps_for_pool(
+            parts, "shard bundle (ad-hoc topology or profiles?) is"
+        )
         fingerprint = bundle_fingerprint(payload)
         self._bundle_cache = (parts, payload, fingerprint)
         return payload, fingerprint
@@ -622,78 +564,22 @@ class TrafficEngine:
     def _run_sharded(self, selected: List[ChainPlacement],
                      packets_per_chain: int
                      ) -> Tuple[List[ChainTrafficReport], List[float]]:
-        """Round-robin the chains over worker processes and merge back."""
-        shard_names: List[List[str]] = [[] for _ in range(self.shards)]
-        for index, cp in enumerate(selected):
-            shard_names[index % self.shards].append(cp.name)
-        shard_names = [names for names in shard_names if names]
-        rack = self.rack
-        if self.pool == "keep" and not in_worker():
+        """Round-robin the chains over pool workers and merge back.
+
+        Inside a pool worker, with an unpicklable bundle, or when the
+        dispatch fails, the chains replay serially in-process instead —
+        the same rows, since serial ≡ sharded is the tested invariant.
+        """
+        if not in_worker():
             try:
-                payload, fingerprint = self._pooled_bundle()
-            except Exception:
-                warnings.warn(
-                    "traffic shard tasks are not picklable (ad-hoc "
-                    "topology or profiles?); falling back to "
-                    "single-process replay",
-                    RuntimeWarning, stacklevel=3,
-                )
-                return (
-                    [self._run_chain(cp, packets_per_chain)
-                     for cp in selected],
-                    [],
-                )
-            try:
-                outcomes = self._dispatch_pooled(
-                    shard_names, packets_per_chain, payload, fingerprint
-                )
+                outcomes = self._dispatch_pooled(selected, packets_per_chain)
                 return self._merge_shards(outcomes, selected)
             except WorkerPoolError as exc:
-                warnings.warn(
-                    f"persistent worker pool dispatch failed ({exc}); "
-                    "falling back to a per-run pool",
-                    RuntimeWarning, stacklevel=3,
-                )
-        tasks = [
-            _ShardTask(
-                shard_index=index,
-                chain_names=names,
-                packets_per_chain=packets_per_chain,
-                topology=rack.topology,
-                artifacts=rack.artifacts,
-                profiles=rack.profiles,
-                placement=self.placement,
-                seed=rack.seed,
-                flows_per_chain=self.flows_per_chain,
-                batch_size=self.batch_size,
-                vectorized=self.vectorized,
-                queueing=rack.queueing.kind,
-            )
-            for index, names in enumerate(shard_names)
-        ]
-        try:
-            pickle.dumps(tasks)
-        except Exception:
-            warnings.warn(
-                "traffic shard tasks are not picklable (ad-hoc topology or "
-                "profiles?); falling back to single-process replay",
-                RuntimeWarning, stacklevel=3,
-            )
-            return (
-                [self._run_chain(cp, packets_per_chain) for cp in selected],
-                [],
-            )
-        max_workers = min(len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_traffic_shard, task) for task in tasks
-            ]
-            outcomes = [future.result() for future in futures]
-        return self._merge_shards(outcomes, selected)
+                warn_serial_fallback("traffic shards", exc)
+        return [self._run_chain(cp, packets_per_chain) for cp in selected], []
 
-    def _dispatch_pooled(self, shard_names: List[List[str]],
-                         packets_per_chain: int,
-                         payload: bytes, fingerprint: str) -> List[tuple]:
+    def _dispatch_pooled(self, selected: List[ChainPlacement],
+                         packets_per_chain: int) -> List[tuple]:
         """Fan the shards over the persistent pool.
 
         Artifacts ship by fingerprint: the pickled
@@ -713,6 +599,11 @@ class TrafficEngine:
         )
         from repro.runtime.shm import ShmArrays
 
+        shard_names: List[List[str]] = [[] for _ in range(self.shards)]
+        for index, cp in enumerate(selected):
+            shard_names[index % self.shards].append(cp.name)
+        shard_names = [names for names in shard_names if names]
+        payload, fingerprint = self._pooled_bundle()
         rack = self.rack
         worker_pool = get_pool(len(shard_names))
         workers = worker_pool.plan(len(shard_names))

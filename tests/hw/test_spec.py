@@ -176,33 +176,3 @@ class TestPresets:
         assert topo.switch.name == "tofino0"
         assert [s.name for s in topo.servers] == ["server0"]
 
-
-class TestLegacyShims:
-    def test_default_testbed_warns_once(self):
-        from repro.hw import topology as legacy
-
-        legacy._reset_topology_deprecations()
-        with pytest.warns(DeprecationWarning, match="default_testbed"):
-            shimmed = legacy.default_testbed()
-        # second call is silent (warn-once)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            legacy.default_testbed()
-        # the shim delegates to the spec builder: identical shape
-        fresh = topology_for("paper-testbed").build()
-        assert shimmed.switch.name == fresh.switch.name
-        assert [s.name for s in shimmed.servers] == \
-            [s.name for s in fresh.servers]
-        legacy._reset_topology_deprecations()
-
-    def test_multi_server_testbed_warns_and_delegates(self):
-        from repro.hw import topology as legacy
-
-        legacy._reset_topology_deprecations()
-        with pytest.warns(DeprecationWarning, match="multi_server_testbed"):
-            shimmed = legacy.multi_server_testbed(3)
-        fresh = topology_for("multi-server", servers=3).build()
-        assert [s.name for s in shimmed.servers] == \
-            [s.name for s in fresh.servers]
-        legacy._reset_topology_deprecations()

@@ -9,7 +9,8 @@ from repro.hw.platform import Platform
 from repro.hw.server import CPUSocket, NIC, Server, eight_core_server, \
     paper_nf_server
 from repro.hw.smartnic import SmartNIC
-from repro.hw.topology import Topology, default_testbed, multi_server_testbed
+from repro.hw.spec import topology_for
+from repro.hw.topology import Topology
 
 
 class TestServer:
@@ -57,23 +58,23 @@ class TestPISASwitch:
 
 class TestTopology:
     def test_default_testbed(self):
-        topo = default_testbed()
+        topo = topology_for("paper-testbed").build()
         assert topo.switch.platform is Platform.PISA
         assert len(topo.servers) == 1
         assert len(topo.links) == 1
         assert topo.links[0].capacity_mbps == pytest.approx(40_000)
 
     def test_smartnic_testbed(self):
-        topo = default_testbed(with_smartnic=True)
+        topo = topology_for("paper-testbed", smartnic=True).build()
         assert len(topo.smartnics) == 1
         assert topo.smartnic("agilio0").host_server == "server0"
 
     def test_openflow_testbed(self):
-        topo = default_testbed(with_openflow=True)
+        topo = topology_for("paper-testbed", switch="openflow").build()
         assert isinstance(topo.switch, OpenFlowSwitchModel)
 
     def test_multi_server(self):
-        topo = multi_server_testbed(2)
+        topo = topology_for("multi-server", servers=2).build()
         assert len(topo.servers) == 2
         assert topo.total_server_cores() == 14
 
@@ -89,7 +90,7 @@ class TestTopology:
                      smartnics=[SmartNIC(host_server="ghost")])
 
     def test_device_lookup(self):
-        topo = default_testbed(with_smartnic=True)
+        topo = topology_for("paper-testbed", smartnic=True).build()
         assert topo.device("tofino0").platform is Platform.PISA
         assert topo.device("server0").platform is Platform.SERVER
         assert topo.device("agilio0").platform is Platform.SMARTNIC
@@ -97,14 +98,14 @@ class TestTopology:
             topo.device("ghost")
 
     def test_failure_marking(self):
-        topo = default_testbed(with_smartnic=True)
+        topo = topology_for("paper-testbed", smartnic=True).build()
         topo.mark_failed("agilio0")
         assert topo.devices_for(Platform.SMARTNIC) == []
         with pytest.raises(TopologyError):
             topo.mark_failed("ghost")
 
     def test_failed_server_excluded_from_cores(self):
-        topo = multi_server_testbed(2)
+        topo = topology_for("multi-server", servers=2).build()
         before = topo.total_server_cores()
         topo.mark_failed("server1")
         assert topo.total_server_cores() == before - 7

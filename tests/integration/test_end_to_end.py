@@ -55,7 +55,7 @@ class TestFigureOneFlow:
         cp = placement.chains[0]
         from repro.sim.runtime import _chain_packet
         pkt = _chain_packet(cp.chain, 0)
-        out = rack.inject(cp, pkt)
+        out = rack.run(cp, [pkt]).outputs[0]
         assert out is not None
         # map module names back to NF classes, in execution order
         trail_classes = []
@@ -77,7 +77,7 @@ class TestFigureOneFlow:
         rack = DeployedRack(topology, artifacts, profiles)
         cp = placement.chains[0]
         from repro.sim.runtime import _chain_packet
-        out = rack.inject(cp, _chain_packet(cp.chain, 1))
+        out = rack.run(cp, [_chain_packet(cp.chain, 1)]).outputs[0]
         assert out is not None
         assert out.nsh is None  # no NSH leaks out of the ISP
 
@@ -129,7 +129,7 @@ class TestCrossComponentInvariants:
         for _ in range(4):
             pkt = Packet.build(src_ip="10.5.5.5", dst_ip="10.0.0.1",
                                src_port=4242, payload=b"flowdata")
-            out = rack.inject(cp, pkt)
+            out = rack.run(cp, [pkt]).outputs[0]
             assert out is not None
             encrypt_module = next(
                 name for name in out.metadata.processed_by

@@ -9,6 +9,7 @@ acknowledged command prefix through the same deterministic core.
 
 import pytest
 
+from repro.exceptions import ServeError
 from repro.hw.spec import topology_for
 from repro.serve import Arrive, Depart, InjectFault, Scale, ServeConfig
 
@@ -83,6 +84,20 @@ def test_recovery_is_invisible_midstream(make_config, drive, tmp_path):
 def test_fresh_state_dir_is_not_recovered(config, drive, tmp_path):
     daemon, _ = drive(config, tmp_path / "state", [])
     assert daemon.recovered is False
+
+
+def test_checkpoint_without_an_in_process_rack_is_refused(config, drive,
+                                                          tmp_path):
+    """What a daemon that hosted its rack in a worker-pool session wrote:
+    the pickled core carries no rack. Recovery names the cause up front
+    instead of failing on the first command."""
+    daemon, _ = drive(config, tmp_path / "state", COMMANDS[:2])
+    state = daemon.checkpoints.load()
+    state["core"].rack = None
+    state["core"].traffic = None
+    daemon.checkpoints.save(state)
+    with pytest.raises(ServeError, match="no in-process rack"):
+        drive(config, tmp_path / "state", [])
 
 
 # -- multi-rack fabric ------------------------------------------------------

@@ -136,6 +136,22 @@ class TestConfig:
         with pytest.raises(ServeError, match="different configuration"):
             drive(make_config(seed=99), tmp_path / "state", [])
 
+    def test_legacy_pool_key_is_accepted_and_dropped(self, config, drive,
+                                                     tmp_path):
+        """A ``config.json`` written while the daemon still had a rack
+        execution mode verifies on restart; only the two values that
+        option ever took are tolerated."""
+        payload = json.loads(config.to_json())
+        for mode in ("keep", "per-run"):
+            assert ServeConfig.from_dict({**payload, "pool": mode}) == config
+        with pytest.raises(ServeError, match="pool='turbo'"):
+            ServeConfig.from_dict({**payload, "pool": "turbo"})
+        drive(config, tmp_path / "state", [])
+        stored = tmp_path / "state" / "config.json"
+        stored.write_text(json.dumps({**payload, "pool": "keep"}))
+        daemon, _ = drive(config, tmp_path / "state", [])
+        assert daemon.recovered is True
+
     def test_validate_bounds(self, make_config):
         with pytest.raises(ServeError):
             make_config(packets_per_phase=0).validate()

@@ -78,16 +78,18 @@ def test_batch_matches_serial(label, spec, topo_kwargs, slo, seed):
     serial_rack, serial_cp, serial_registry = _deploy(
         spec, topo_kwargs, slo, seed)
     serial_out = [
-        serial_rack.inject(serial_cp, _chain_packet(serial_cp.chain, i))
+        serial_rack.run(
+            serial_cp, [_chain_packet(serial_cp.chain, i)]
+        ).outputs[0]
         for i in range(n_packets)
     ]
 
     batch_rack, batch_cp, batch_registry = _deploy(
         spec, topo_kwargs, slo, seed)
-    batch_out = batch_rack.inject_batch(
+    batch_out = batch_rack.run(
         batch_cp,
         [_chain_packet(batch_cp.chain, i) for i in range(n_packets)],
-    )
+    ).outputs
 
     assert len(batch_out) == n_packets
     for index, (a, b) in enumerate(zip(serial_out, batch_out)):
@@ -119,9 +121,9 @@ def test_batch_in_two_halves_matches_one_batch():
 
     packets_a = [_chain_packet(cp_a.chain, i) for i in range(32)]
     packets_b = [_chain_packet(cp_b.chain, i) for i in range(32)]
-    whole = rack_a.inject_batch(cp_a, packets_a)
-    halves = (rack_b.inject_batch(cp_b, packets_b[:16])
-              + rack_b.inject_batch(cp_b, packets_b[16:]))
+    whole = rack_a.run(cp_a, packets_a).outputs
+    halves = (rack_b.run(cp_b, packets_b[:16]).outputs
+              + rack_b.run(cp_b, packets_b[16:]).outputs)
 
     for a, b in zip(whole, halves):
         assert (a is None) == (b is None)
@@ -137,7 +139,7 @@ def test_empty_batch_is_noop():
         spec, {"with_smartnic": True},
         SLO(t_min=gbps(1), t_max=gbps(39)), seed=23)
     before = registry.dump_state()
-    assert rack.inject_batch(cp, []) == []
+    assert rack.run(cp, []).outputs == []
     assert registry.dump_state() == before
 
 
@@ -187,10 +189,10 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         scalar_rack.set_device_failed(_target_device(scalar_rack))
         vector_rack.set_device_failed(_target_device(vector_rack))
 
-    scalar_out = scalar_rack.inject_batch(
+    scalar_out = scalar_rack.run(
         scalar_cp,
         [_chain_packet(scalar_cp.chain, i % n_flows) for i in range(n_packets)],
-    )
+    ).outputs
     flows = [_chain_packet(vector_cp.chain, i) for i in range(n_flows)]
     columns = PacketColumns.for_flows(
         flows, [i % n_flows for i in range(n_packets)])
@@ -288,10 +290,10 @@ def test_columnar_interleaves_with_scalar():
     flows_a = [_chain_packet(cp_a.chain, i) for i in range(4)]
     flows_b = [_chain_packet(cp_b.chain, i) for i in range(4)]
     sig = [i % 4 for i in range(24)]
-    mixed = rack_a.inject_batch(cp_a, [flows_a[s].copy() for s in sig])
+    mixed = rack_a.run(cp_a, [flows_a[s].copy() for s in sig]).outputs
     mixed += rack_a.run_columns(
         cp_a, PacketColumns.for_flows(flows_a, sig)).materialize()
-    scalar = rack_b.inject_batch(cp_b, [flows_b[s].copy() for s in sig * 2])
+    scalar = rack_b.run(cp_b, [flows_b[s].copy() for s in sig * 2]).outputs
 
     for a, b in zip(mixed, scalar):
         assert (a is None) == (b is None)
@@ -308,7 +310,7 @@ def test_flow_cache_hits_on_repeated_flows():
         SLO(t_min=gbps(1), t_max=gbps(39)), seed=23)
     # 4 distinct flows replayed 8 times each
     packets = [_chain_packet(cp.chain, i % 4) for i in range(32)]
-    rack.inject_batch(cp, packets)
+    rack.run(cp, packets)
     hits = registry.counter_value("rack.flow_cache.lookups", result="hit")
     misses = registry.counter_value("rack.flow_cache.lookups", result="miss")
     assert misses == 4

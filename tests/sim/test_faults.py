@@ -117,14 +117,14 @@ class TestRackFaultHooks:
         rack, placement, registry = _deploy(self.SPEC, self.SLOS)
         (cp,) = placement.chains
         rack.set_device_failed("server0")
-        outputs = rack.inject_batch(
-            cp, [_chain_packet(cp.chain, i) for i in range(16)])
+        outputs = rack.run(
+            cp, [_chain_packet(cp.chain, i) for i in range(16)]).outputs
         assert all(out is None for out in outputs)
         assert registry.counter_value(
             "rack.packets.dropped", chain="a", reason="device_failed") == 16
         rack.set_device_failed("server0", failed=False)
-        outputs = rack.inject_batch(
-            cp, [_chain_packet(cp.chain, i) for i in range(16)])
+        outputs = rack.run(
+            cp, [_chain_packet(cp.chain, i) for i in range(16)]).outputs
         assert all(out is not None for out in outputs)
 
     def test_cannot_fail_the_switch(self):
@@ -144,8 +144,8 @@ class TestRackFaultHooks:
         (cp,) = placement.chains
         rack.set_drop_fraction("server0", 0.5)
         outcomes = [
-            rack.inject_batch(
-                cp, [_chain_packet(cp.chain, i) for i in range(256)])
+            rack.run(
+                cp, [_chain_packet(cp.chain, i) for i in range(256)]).outputs
             for _ in range(1)
         ][0]
         delivered = sum(1 for out in outcomes if out is not None)
@@ -156,8 +156,8 @@ class TestRackFaultHooks:
         other, placement2, _ = _deploy(self.SPEC, self.SLOS)
         (cp2,) = placement2.chains
         other.set_drop_fraction("server0", 0.5)
-        repeat = other.inject_batch(
-            cp2, [_chain_packet(cp2.chain, i) for i in range(256)])
+        repeat = other.run(
+            cp2, [_chain_packet(cp2.chain, i) for i in range(256)]).outputs
         assert [out is None for out in outcomes] == \
             [out is None for out in repeat]
 
@@ -165,8 +165,8 @@ class TestRackFaultHooks:
         reseeded, placement3, _ = _deploy(self.SPEC, self.SLOS, seed=29)
         (cp3,) = placement3.chains
         reseeded.set_drop_fraction("server0", 0.5)
-        shifted = reseeded.inject_batch(
-            cp3, [_chain_packet(cp3.chain, i) for i in range(256)])
+        shifted = reseeded.run(
+            cp3, [_chain_packet(cp3.chain, i) for i in range(256)]).outputs
         assert [out is None for out in outcomes] != \
             [out is None for out in shifted]
 
@@ -176,9 +176,9 @@ class TestRackFaultHooks:
         (cp_a,), (cp_b,) = placement_a.chains, placement_b.chains
         rack_a.set_drop_fraction("server0", 0.3)
         rack_b.set_drop_fraction("server0", 0.3)
-        batch = rack_a.inject_batch(
-            cp_a, [_chain_packet(cp_a.chain, i) for i in range(64)])
-        scalar = [rack_b.inject(cp_b, _chain_packet(cp_b.chain, i))
+        batch = rack_a.run(
+            cp_a, [_chain_packet(cp_a.chain, i) for i in range(64)]).outputs
+        scalar = [rack_b.run(cp_b, [_chain_packet(cp_b.chain, i)]).outputs[0]
                   for i in range(64)]
         assert [out is None for out in batch] == \
             [out is None for out in scalar]
@@ -189,8 +189,8 @@ class TestRackFaultHooks:
         rack.set_device_failed("server0")
         rack.set_drop_fraction("server0", 0.9)
         rack.clear_faults()
-        outputs = rack.inject_batch(
-            cp, [_chain_packet(cp.chain, i) for i in range(32)])
+        outputs = rack.run(
+            cp, [_chain_packet(cp.chain, i) for i in range(32)]).outputs
         assert all(out is not None for out in outputs)
 
 

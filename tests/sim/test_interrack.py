@@ -254,18 +254,59 @@ class TestFabricLifecycle:
         assert core.assignment["c1"] == "r1"
         assert core.obs.counter_value("lifecycle.migrations") == 1
 
+    def _spill_into_empty_rack(self, core):
+        """Arrive 4 Gbps chains until the ingress is full and one lands
+        on the satellite rack, which hosted nothing before it."""
+        assert set(core.cores) == {"r0"}
+        for index in range(len(core.active), 12):
+            name = f"c{index}"
+            decision = core.process(self._arrive(name, at=index))
+            assert decision.accepted, decision.reason
+            if core.assignment[name] == "r1":
+                return name, decision
+        pytest.fail("the ingress never filled up")
+
+    @staticmethod
+    def _assert_rack_devices(devices, rack):
+        assert devices and devices == tuple(sorted(devices))
+        assert all(
+            isinstance(device, str) and device.startswith(f"{rack}.")
+            for device in devices
+        )
+
+    def test_first_chain_into_empty_rack(self):
+        core = self._core(2)  # both chains fit the ingress; r1 is empty
+        _name, decision = self._spill_into_empty_rack(core)
+        assert decision.mode == "full"
+        self._assert_rack_devices(decision.rebuilt, "r1")
+        assert set(core.cores) == {"r0", "r1"}
+
     def test_last_depart_tears_down_rack(self):
-        core = self._core(2)  # both chains fit the ingress
-        decision = core.process(self._arrive("c6"))
-        rack = core.assignment["c6"]
+        core = self._core(2)
+        name, _decision = self._spill_into_empty_rack(core)
         departed = core.process(ChainEvent(
-            at=2, action="depart", chain="c6",
+            at=20, action="depart", chain=name,
         ))
         assert departed.accepted
-        if rack != "r0":
-            assert departed.mode == "teardown"
-            assert rack not in core.cores
-        assert "c6" not in core.assignment
+        assert departed.mode == "teardown"
+        self._assert_rack_devices(departed.removed, "r1")
+        assert "r1" not in core.cores
+        assert name not in core.assignment
+        assert core.obs.counter_value("lifecycle.rack_teardowns") == 1
+
+    def test_scale_migrates_into_empty_rack(self):
+        """A scale-up the ingress cannot absorb next to its other chain
+        moves the chain to r1, cold-bootstrapping that rack's core."""
+        core = self._core(2)
+        assert set(core.cores) == {"r0"}
+        decision = core.process(ChainEvent(
+            at=1, action="scale", chain="c1", t_min_mbps=30000.0,
+        ))
+        assert decision.accepted, decision.reason
+        assert decision.mode == "migrate:r0->r1"
+        self._assert_rack_devices(decision.rebuilt, "r1")
+        assert core.assignment["c1"] == "r1"
+        assert set(core.cores) == {"r0", "r1"}
 
     def test_phase_rows_restore_end_to_end_budget(self):
         core = self._core()

@@ -34,7 +34,7 @@ class TestLatencyStamping:
         rack, placement = deploy("chain a: ACL -> Encrypt -> IPv4Fwd",
                                  profiles)
         cp = placement.chains[0]
-        out = rack.inject(cp, _chain_packet(cp.chain, 0))
+        out = rack.run(cp, [_chain_packet(cp.chain, 0)]).outputs[0]
         assert out is not None
         latency = out.metadata.fields["latency_us"]
         assert latency > 0
@@ -48,7 +48,7 @@ class TestLatencyStamping:
         )
         cp = placement.chains[0]
         for index in range(8):
-            out = rack.inject(cp, _chain_packet(cp.chain, index))
+            out = rack.run(cp, [_chain_packet(cp.chain, index)]).outputs[0]
             assert out is not None
             measured = out.metadata.fields["latency_us"]
             assert measured <= cp.latency_us * 1.02
@@ -60,14 +60,14 @@ class TestLatencyStamping:
             "chain a: Encrypt -> ACL -> Dedup -> IPv4Fwd", profiles
         )
         cp1, cp2 = placement1.chains[0], placement2.chains[0]
-        out1 = rack1.inject(cp1, _chain_packet(cp1.chain, 0))
-        out2 = rack2.inject(cp2, _chain_packet(cp2.chain, 0))
+        out1 = rack1.run(cp1, [_chain_packet(cp1.chain, 0)]).outputs[0]
+        out2 = rack2.run(cp2, [_chain_packet(cp2.chain, 0)]).outputs[0]
         assert out2.metadata.fields["latency_us"] > \
             out1.metadata.fields["latency_us"]
 
     def test_all_switch_chain_is_fast(self, profiles):
         rack, placement = deploy("chain a: ACL -> NAT -> IPv4Fwd", profiles)
         cp = placement.chains[0]
-        out = rack.inject(cp, _chain_packet(cp.chain, 0))
+        out = rack.run(cp, [_chain_packet(cp.chain, 0)]).outputs[0]
         # one switch pass, no bounces: transit only
         assert out.metadata.fields["latency_us"] < 2.0

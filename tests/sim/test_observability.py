@@ -61,7 +61,7 @@ class TestPerDeviceLatencyAttribution:
         }
         assert Platform.SMARTNIC in assignment_platforms
         assert Platform.SERVER in assignment_platforms
-        out = rack.inject(cp, _chain_packet(cp.chain, 0))
+        out = rack.run(cp, [_chain_packet(cp.chain, 0)]).outputs[0]
         assert out is not None
         return rack, out
 

@@ -94,8 +94,8 @@ _SLO = SLO(t_min=gbps(0.5), t_max=gbps(30))
 
 
 def _latencies(rack, cp, n=24):
-    out = rack.inject_batch(
-        cp, [_chain_packet(cp.chain, i % 4) for i in range(n)])
+    out = rack.run(
+        cp, [_chain_packet(cp.chain, i % 4) for i in range(n)]).outputs
     return [p.metadata.fields["latency_us"] for p in out if p is not None]
 
 
@@ -141,8 +141,8 @@ def test_queue_component_is_exec_times_factor():
     rack.configure_queueing(
         QueueingModel(kind="mm1"), {name: rho for name in devices})
     factor = QueueingModel(kind="mm1").delay_factor(rho)
-    out = rack.inject_batch(
-        cp, [_chain_packet(cp.chain, i % 4) for i in range(16)])
+    out = rack.run(
+        cp, [_chain_packet(cp.chain, i % 4) for i in range(16)]).outputs
     for packet in out:
         if packet is None:
             continue

@@ -70,7 +70,7 @@ class TestStatefulOnSwitch:
         for _ in range(3):
             pkt = Packet.build(src_ip="10.3.3.3", dst_ip="10.0.0.2",
                                src_port=999)
-            outs.append(rack.inject(cp, pkt))
+            outs.append(rack.run(cp, [pkt]).outputs[0])
         ports = {out.udp.src_port for out in outs}
         assert len(ports) == 1  # same flow, same translation
 
@@ -85,7 +85,7 @@ class TestPacketConservation:
         )
         cp = placement.chains[0]
         for index in range(12):
-            out = rack.inject(cp, _chain_packet(cp.chain, index))
+            out = rack.run(cp, [_chain_packet(cp.chain, index)]).outputs[0]
             assert out is not None  # exactly one, not a list
 
     def test_payload_integrity_through_encrypt_decrypt(self, profiles):
@@ -96,7 +96,7 @@ class TestPacketConservation:
         cp = placement.chains[0]
         pkt = _chain_packet(cp.chain, 0)
         original_payload = pkt.payload
-        out = rack.inject(cp, pkt)
+        out = rack.run(cp, [pkt]).outputs[0]
         assert out is not None
         assert out.payload == original_payload
 
@@ -109,7 +109,7 @@ class TestPacketConservation:
         cp = placement.chains[0]
         pkt = _chain_packet(cp.chain, 0)
         assert pkt.vlan is None
-        out = rack.inject(cp, pkt)
+        out = rack.run(cp, [pkt]).outputs[0]
         assert out is not None
         assert out.vlan is None  # pushed then popped
         trail = out.metadata.processed_by
