@@ -10,9 +10,13 @@ here the kill is a genuine ``SIGKILL`` against a separate interpreter.
 
 Run from the repo root:
 
-    PYTHONPATH=src python scripts/serve_smoke.py
+    PYTHONPATH=src python scripts/serve_smoke.py [--metrics-out FILE]
+
+``--metrics-out`` saves the reference daemon's ``/v1/metrics`` snapshot
+(per-layer timers of every command it served) before it shuts down.
 """
 
+import argparse
 import json
 import os
 import signal
@@ -96,12 +100,17 @@ def shutdown(proc, base):
     return out
 
 
-def run_uninterrupted(root: str, spec_path: str) -> dict:
+def run_uninterrupted(root: str, spec_path: str, metrics_out=None) -> dict:
     print("== reference run (uninterrupted) ==")
     state = os.path.join(root, "reference")
     proc, base = start_daemon(state, spec_path)
     drive(proc, base, COMMANDS)
     _, report = request(base + "/v1/report")
+    if metrics_out:
+        _, metrics = request(base + "/v1/metrics")
+        with open(metrics_out, "w") as fh:
+            json.dump(metrics, fh, indent=2, sort_keys=True)
+        print(f"  metrics snapshot -> {metrics_out}")
     shutdown(proc, base)
     return report
 
@@ -128,12 +137,16 @@ def run_crashed(root: str, spec_path: str) -> dict:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--metrics-out", metavar="FILE",
+                        help="write the reference daemon's /v1/metrics here")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as root:
         spec_path = os.path.join(root, "chains.lemur")
         with open(spec_path, "w") as fh:
             fh.write(SPEC)
 
-        reference = run_uninterrupted(root, spec_path)
+        reference = run_uninterrupted(root, spec_path, args.metrics_out)
         recovered = run_crashed(root, spec_path)
 
         ref_doc = json.dumps(reference, sort_keys=True)

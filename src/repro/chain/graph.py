@@ -70,11 +70,25 @@ class LinearChain:
 class NFGraph:
     """A validated NF DAG for a single chain."""
 
+    #: Memo of this graph's placement-cache digest, written by
+    #: :mod:`repro.core.cache` and dropped by every mutator (``add_node``
+    #: and ``add_edge`` are the only ones: nothing edits nodes, params or
+    #: edges after lowering). A class default, so graphs unpickled from
+    #: older checkpoints have the slot too.
+    _digest: Optional[str] = None
+
     def __init__(self, name: str = "chain"):
         self.name = name
         self.nodes: Dict[str, NFNode] = {}
         self.edges: List[NFEdge] = []
         self._next_id = itertools.count()
+
+    def __getstate__(self) -> dict:
+        # the memo is cheap to rebuild and would otherwise ride along in
+        # every pickled placement
+        state = self.__dict__.copy()
+        state.pop("_digest", None)
+        return state
 
     # -- construction -------------------------------------------------------
 
@@ -89,6 +103,7 @@ class NFGraph:
             params=dict(invocation.params),
         )
         self.nodes[node_id] = node
+        self._digest = None
         return node
 
     def add_edge(
@@ -102,6 +117,7 @@ class NFGraph:
             raise GraphError(f"edge references unknown node: {src} -> {dst}")
         edge = NFEdge(src=src, dst=dst, condition=condition, fraction=fraction)
         self.edges.append(edge)
+        self._digest = None
         return edge
 
     @classmethod

@@ -2,16 +2,29 @@
 
 The evaluation grid — Figure 2 panels, ablations, reserve re-solves,
 failure replans — repeatedly solves placement problems over near-identical
-inputs. This module memoizes :class:`~repro.core.placement.Placement`
-results keyed by a *canonical fingerprint* of the full problem statement:
-chains (graphs, params, SLOs), topology state (devices, reserved cores,
-failed devices), profile database (including injected error), strategy
-name, and packet size. Any input that can change the answer is part of the
-key, so a hit is always safe to reuse.
+inputs, and the online admission core re-asks a problem whenever a
+rejected request is retried. This module memoizes
+:class:`~repro.core.placement.Placement` results keyed by a *fingerprint*
+of the full problem statement: chains (graphs, params, SLOs), topology
+state (devices, reserved cores, failed devices), profile database
+(including injected error), strategy name, and packet size. Any input
+that can change the answer is part of the key, so a hit is always safe to
+reuse.
 
-Entries are stored and returned as deep copies: callers may freely mutate
-a returned placement (rate re-splits, core rebalancing) without corrupting
-the cache, and cached entries never alias the solver's working state.
+Keys are taken in one walk over the inputs (:func:`placement_fingerprint`)
+that writes an unambiguous text encoding of every public value straight
+into a hasher. The walk of one chain's :class:`~repro.chain.graph.NFGraph`
+— by far the largest part — is memoized *on the graph*: graphs are shared
+by ``with_slo`` copies and survive across admission commands, so a command
+re-hashes only the graph it introduced plus the small SLO / topology /
+profile state. ``NFGraph.add_node``/``add_edge`` (the only mutators) drop
+the memo.
+
+Entries are stored as one compressed ``pickle.dumps`` blob each and every
+hit is a fresh ``pickle.loads``: callers may freely mutate a returned placement
+(rate re-splits, core rebalancing) without corrupting the cache, cached
+entries never alias the solver's working state, and a serve checkpoint
+copies the blobs as opaque bytes instead of re-walking every placement.
 
 A process-wide default cache backs the sweep engine; tests swap it with
 :func:`scoped_cache`. Forked sweep workers inherit the parent's populated
@@ -20,14 +33,16 @@ cache for free, so warm parallel runs hit too.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import hashlib
+import pickle
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.chain.graph import NFGraph
 from repro.core.placement import Placement
 from repro.obs import get_registry
 
@@ -35,42 +50,93 @@ from repro.obs import get_registry
 #: several full evaluation runs warm while bounding memory.
 DEFAULT_MAX_ENTRIES = 1024
 
+_SCALARS = (bool, int, float, str, bytes)
 
-def canonical(obj) -> object:
-    """Reduce ``obj`` to a deterministic, hashable-repr structure.
+
+def _encode(obj, out: List[str]) -> None:
+    """Append a deterministic, unambiguous text encoding of ``obj``.
 
     Handles the model types placement inputs are built from: dataclasses
     (field order is declaration order), dicts/sets (sorted), sequences,
     enums, callables (by qualified name), and plain objects (public
     ``__dict__``, sorted). Private attributes are skipped so incidental
-    state (e.g. ``NFGraph._next_id``) never perturbs the key.
+    state (e.g. ``NFGraph._next_id``) never perturbs the key. Scalars are
+    written as their ``repr``, so ``1``, ``1.0`` and ``True`` stay apart.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if isinstance(obj, dict):
-        return ("dict", tuple(
-            (str(k), canonical(v))
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        ))
-    if isinstance(obj, (set, frozenset)):
-        return ("set", tuple(sorted((canonical(v) for v in obj), key=repr)))
-    if isinstance(obj, (list, tuple)):
-        return ("seq", tuple(canonical(v) for v in obj))
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (type(obj).__name__, tuple(
-            (f.name, canonical(getattr(obj, f.name)))
-            for f in dataclasses.fields(obj)
-        ))
-    if callable(obj):
-        return ("fn", getattr(obj, "__module__", ""),
-                getattr(obj, "__qualname__", repr(type(obj))))
-    state = getattr(obj, "__dict__", None)
-    if state is not None:
-        public = {k: v for k, v in state.items() if not k.startswith("_")}
-        return (type(obj).__name__, canonical(public))
-    return ("repr", repr(obj))
+    if obj is None or isinstance(obj, _SCALARS):
+        out.append(repr(obj))
+    elif isinstance(obj, enum.Enum):
+        out.append(repr(f"{type(obj).__name__}.{obj.name}"))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for key, value in sorted(obj.items(), key=lambda kv: str(kv[0])):
+            out.append(repr(str(key)))
+            out.append(":")
+            _encode(value, out)
+            out.append(",")
+        out.append("}")
+    elif isinstance(obj, (set, frozenset)):
+        members = []
+        for value in obj:
+            member: List[str] = []
+            _encode(value, member)
+            members.append("".join(member))
+        out.append("<")
+        out.append(",".join(sorted(members)))
+        out.append(">")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for value in obj:
+            _encode(value, out)
+            out.append(",")
+        out.append("]")
+    elif isinstance(obj, NFGraph):
+        out.append("NFGraph#")
+        out.append(_graph_digest(obj))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out.append(type(obj).__name__)
+        out.append("(")
+        for f in dataclasses.fields(obj):
+            out.append(f.name)
+            out.append("=")
+            _encode(getattr(obj, f.name), out)
+            out.append(",")
+        out.append(")")
+    elif callable(obj):
+        out.append("fn(")
+        out.append(repr(getattr(obj, "__module__", "")))
+        out.append(",")
+        out.append(repr(getattr(obj, "__qualname__", repr(type(obj)))))
+        out.append(")")
+    elif getattr(obj, "__dict__", None) is not None:
+        out.append(type(obj).__name__)
+        _encode_public_state(obj, out)
+    else:
+        out.append("repr(")
+        out.append(repr(repr(obj)))
+        out.append(")")
+
+
+def _encode_public_state(obj, out: List[str]) -> None:
+    _encode(
+        {k: v for k, v in obj.__dict__.items() if not k.startswith("_")},
+        out,
+    )
+
+
+def _sha256(pieces: List[str]) -> str:
+    return hashlib.sha256("".join(pieces).encode()).hexdigest()
+
+
+def _graph_digest(graph: NFGraph) -> str:
+    """Digest of a graph's name, nodes and edges, memoized on the graph
+    until its next ``add_node``/``add_edge``."""
+    digest = graph._digest
+    if digest is None:
+        pieces: List[str] = []
+        _encode_public_state(graph, pieces)
+        digest = graph._digest = _sha256(pieces)
+    return digest
 
 
 def placement_fingerprint(
@@ -81,21 +147,20 @@ def placement_fingerprint(
     packet_bits: int,
     extra: Tuple = (),
 ) -> str:
-    """Canonical key of one placement problem (sha256 hex digest).
+    """Key of one placement problem (sha256 hex digest).
 
-    ``extra`` admits solver knobs beyond the standard five inputs (e.g.
-    the Placer's rate objective) without widening the signature.
+    Two problems get the same key exactly when every public value of
+    their inputs encodes identically. ``extra`` admits solver knobs
+    beyond the standard five inputs (e.g. the Placer's rate objective)
+    without widening the signature.
     """
-    payload = canonical((
-        "placement/v1",
-        tuple(canonical(c) for c in chains),
-        canonical(topology),
-        canonical(profiles),
-        str(strategy),
-        int(packet_bits),
-        canonical(extra),
-    ))
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    with get_registry().timer("placement_cache.fingerprint.seconds"):
+        pieces = ["placement/v2"]
+        for part in (list(chains), topology, profiles, str(strategy),
+                     int(packet_bits), extra):
+            pieces.append(";")
+            _encode(part, pieces)
+        return _sha256(pieces)
 
 
 def warm_start_key(base: Placement) -> str:
@@ -107,21 +172,25 @@ def warm_start_key(base: Placement) -> str:
     matter; rates and derived estimates are recomputed and deliberately
     excluded, keeping the key stable across LP re-splits.
     """
-    payload = canonical(tuple(
-        (
-            cp.name,
-            canonical(cp.assignment),
-            tuple(sorted(
-                (sg.sg_id, sg.server, sg.cores) for sg in cp.subgroups
-            )),
-        )
-        for cp in sorted(base.chains, key=lambda cp: cp.name)
-    ))
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    pieces: List[str] = []
+    for cp in sorted(base.chains, key=lambda cp: cp.name):
+        _encode(cp.name, pieces)
+        _encode(cp.assignment, pieces)
+        _encode(sorted((sg.sg_id, sg.server, sg.cores)
+                       for sg in cp.subgroups), pieces)
+    return _sha256(pieces)
+
+
+def _dump(placement: Placement) -> bytes:
+    # level 1: a placement pickle is mostly repeated class and field
+    # names, so the cheapest setting already shrinks it ~2.5x
+    return zlib.compress(
+        pickle.dumps(placement, pickle.HIGHEST_PROTOCOL), 1)
 
 
 class PlacementCache:
-    """LRU memo of fingerprint -> Placement with copy-on-read semantics."""
+    """LRU memo of fingerprint -> pickled Placement; every hit unpickles
+    a fresh copy."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
                  enabled: bool = True):
@@ -129,13 +198,22 @@ class PlacementCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[str, Placement]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before entries were serialized hold
+        # Placement objects; pickle those so get() can load them.
+        self.__dict__.update(state)
+        for key, entry in self._entries.items():
+            if not isinstance(entry, bytes):
+                self._entries[key] = _dump(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, key: str) -> Optional[Placement]:
-        """Deep copy of the cached placement, or None (counts hit/miss)."""
+        """A fresh copy of the cached placement, or None (counts
+        hit/miss)."""
         if not self.enabled:
             return None
         entry = self._entries.get(key)
@@ -147,12 +225,12 @@ class PlacementCache:
         self._entries.move_to_end(key)
         self.hits += 1
         registry.counter("placement_cache.lookups", result="hit").inc()
-        return copy.deepcopy(entry)
+        return pickle.loads(zlib.decompress(entry))
 
     def put(self, key: str, placement: Placement) -> None:
         if not self.enabled:
             return
-        self._entries[key] = copy.deepcopy(placement)
+        self._entries[key] = _dump(placement)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

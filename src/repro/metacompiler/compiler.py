@@ -12,6 +12,8 @@ compile, mirroring Figure 1's flow.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -127,10 +129,15 @@ class CompiledArtifacts:
         return written
 
 
+@functools.lru_cache(maxsize=None)
+def _class_source_lines(cls: type) -> int:
+    """Source lines of one NF module class: a constant of the source
+    tree, so it is read and counted once per class per process."""
+    return count_lines(inspect.getsource(cls))
+
+
 def _manual_module_lines(script: BessScriptIR) -> int:
     """Source lines of the hand-written NF implementations a script uses."""
-    import inspect
-
     from repro.bess.modules import MODULE_CLASSES
 
     classes = set()
@@ -139,10 +146,7 @@ def _manual_module_lines(script: BessScriptIR) -> int:
             cls = MODULE_CLASSES.get(spec.nf_class)
             if cls is not None:
                 classes.add(cls)
-    total = 0
-    for cls in classes:
-        total += count_lines(inspect.getsource(cls))
-    return total
+    return sum(_class_source_lines(cls) for cls in classes)
 
 
 class MetaCompiler:

@@ -46,7 +46,7 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.hw.spec import TopologySpec
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.serve.commands import (
     STATUS_APPLIED,
     STATUS_ERROR,
@@ -399,6 +399,9 @@ class ServeDaemon:
         self.commands: List[dict] = []
         self.decisions: List[AdmissionDecision] = []
         self.phases: List[PhaseReport] = []
+        #: packets injected over all of ``phases`` (the next phase's
+        #: ``start_packet``), kept as a running total.
+        self._injected = 0
         self.recovered = False
         self._replaying = False
 
@@ -441,11 +444,20 @@ class ServeDaemon:
             queueing=self.config.queueing,
             objective=self.config.objective,
         )
-        self.core.bootstrap()
-        self.phases.append(self.core.run_phase(
-            "initial", self.config.packets_per_phase,
-            index=0, start_packet=0,
-        ))
+        # the solver, cache and compiler report to the process-default
+        # registry: for the duration make that the daemon's own, the one
+        # /v1/metrics serves (likewise around core.process below)
+        with scoped_registry(self.registry):
+            self.core.bootstrap()
+        self._run_phase("initial")
+
+    def _run_phase(self, label: str) -> None:
+        phase = self.core.run_phase(
+            label, self.config.packets_per_phase,
+            index=len(self.phases), start_packet=self._injected,
+        )
+        self._injected += sum(row.injected for row in phase.chains)
+        self.phases.append(phase)
 
     def _recover_or_bootstrap(self) -> None:
         checkpoint = self.checkpoints.load()
@@ -456,6 +468,7 @@ class ServeDaemon:
             self.commands = list(checkpoint["commands"])
             self.decisions = list(checkpoint["decisions"])
             self.phases = list(checkpoint["phases"])
+            self._injected = self.report().total_injected
             if isinstance(self.core, AdmissionCore) \
                     and self.core.rack is None:
                 raise ServeError(
@@ -574,7 +587,8 @@ class ServeDaemon:
                 )
             status = STATUS_APPLIED
         else:
-            decision = self.core.process(command.to_event(at=seq))
+            with scoped_registry(self.registry):
+                decision = self.core.process(command.to_event(at=seq))
             status = STATUS_APPLIED if decision.accepted \
                 else STATUS_REJECTED
         # rejections consume a sequence number and are journaled too:
@@ -585,14 +599,7 @@ class ServeDaemon:
         self.commands.append(record)
         if decision is not None:
             self.decisions.append(decision)
-        self.phases.append(self.core.run_phase(
-            f"s{seq}:{command.describe()}",
-            self.config.packets_per_phase,
-            index=len(self.phases),
-            start_packet=sum(
-                row.injected for ph in self.phases for row in ph.chains
-            ),
-        ))
+        self._run_phase(f"s{seq}:{command.describe()}")
         if not self._replaying:
             self.journal.append(seq, record["command"])
             every = self.config.checkpoint_every
@@ -608,13 +615,17 @@ class ServeDaemon:
     def checkpoint(self) -> None:
         """Pickle the full daemon state (core incl. rack + registry,
         report history) atomically."""
-        self.checkpoints.save({
-            "seq": self.seq,
-            "core": self.core,
-            "commands": list(self.commands),
-            "decisions": list(self.decisions),
-            "phases": list(self.phases),
-        })
+        with self.registry.timer("serve.checkpoint.seconds"):
+            self.checkpoints.save({
+                "seq": self.seq,
+                "core": self.core,
+                "commands": list(self.commands),
+                "decisions": list(self.decisions),
+                "phases": list(self.phases),
+            })
+        self.registry.gauge("serve.checkpoint.bytes").set(
+            self.checkpoints.path.stat().st_size
+        )
 
     # -- introspection -------------------------------------------------------
 

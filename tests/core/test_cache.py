@@ -1,14 +1,24 @@
 """Placement cache: key stability, hit/miss semantics, isolation."""
 
+import collections
+import dataclasses
+import enum
+import hashlib
+import pickle
+
 import pytest
 
+from repro.chain.ast import NFInvocation
+from repro.chain.graph import chains_from_spec
+from repro.chain.slo import SLO
+from repro.chain.vocabulary import default_vocabulary
 from repro.core.cache import (
     PlacementCache,
-    canonical,
     get_cache,
     placement_fingerprint,
     scoped_cache,
     set_cache,
+    warm_start_key,
 )
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
@@ -29,11 +39,61 @@ def chains(profiles):
 
 
 def fingerprint(chains, profiles, topology=None, strategy="Lemur",
-                packet_bits=DEFAULT_PACKET_BITS):
+                packet_bits=DEFAULT_PACKET_BITS, extra=()):
     return placement_fingerprint(
         chains, topology or topology_for("paper-testbed").build(), profiles,
-        strategy, packet_bits,
+        strategy, packet_bits, extra=extra,
     )
+
+
+def _reference_canonical(obj):
+    """The two-pass tuple-tree canonicalisation the one-pass key replaced,
+    kept as the oracle: keys must separate exactly the problems whose
+    reference payloads differ."""
+    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if isinstance(obj, dict):
+        return ("dict", tuple(
+            (str(k), _reference_canonical(v))
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        ))
+    if isinstance(obj, (set, frozenset)):
+        return ("set", tuple(sorted(
+            (_reference_canonical(v) for v in obj), key=repr)))
+    if isinstance(obj, (list, tuple)):
+        return ("seq", tuple(_reference_canonical(v) for v in obj))
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (type(obj).__name__, tuple(
+            (f.name, _reference_canonical(getattr(obj, f.name)))
+            for f in dataclasses.fields(obj)
+        ))
+    if callable(obj):
+        return ("fn", getattr(obj, "__module__", ""),
+                getattr(obj, "__qualname__", repr(type(obj))))
+    state = getattr(obj, "__dict__", None)
+    if state is not None:
+        public = {k: v for k, v in state.items() if not k.startswith("_")}
+        return (type(obj).__name__, _reference_canonical(public))
+    return ("repr", repr(obj))
+
+
+def _reference_key(chains, topology, profiles, strategy, packet_bits,
+                   extra=()):
+    payload = _reference_canonical((
+        "placement/v1",
+        tuple(_reference_canonical(c) for c in chains),
+        _reference_canonical(topology),
+        _reference_canonical(profiles),
+        str(strategy),
+        int(packet_bits),
+        _reference_canonical(extra),
+    ))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+PARAM_SPEC = "chain a: ACL(rules={rules}) -> Encrypt -> IPv4Fwd\n"
 
 
 class TestFingerprintStability:
@@ -80,7 +140,7 @@ class TestFingerprintStability:
         assert fingerprint(chains, profiles) != \
             fingerprint(chains, profiles.with_error(-0.05))
 
-    def test_private_attributes_ignored(self):
+    def test_private_attributes_ignored(self, profiles, chains):
         class Thing:
             def __init__(self):
                 self.value = 1
@@ -88,7 +148,126 @@ class TestFingerprintStability:
 
         a, b = Thing(), Thing()
         b._scratch = object()
-        assert canonical(a) == canonical(b)
+        assert fingerprint(chains, profiles, extra=(a,)) == \
+            fingerprint(chains, profiles, extra=(b,))
+        b.value = 2
+        assert fingerprint(chains, profiles, extra=(a,)) != \
+            fingerprint(chains, profiles, extra=(b,))
+
+    def test_slo_changes_key(self, profiles, chains):
+        rescaled = [chains[0].with_slo(SLO(t_min=1.0, t_max=2.0)), chains[1]]
+        assert fingerprint(chains, profiles) != fingerprint(rescaled, profiles)
+        bounded = [chains[0].with_slo(
+            dataclasses.replace(chains[0].slo, d_max=50.0)), chains[1]]
+        assert fingerprint(chains, profiles) != fingerprint(bounded, profiles)
+
+    def test_params_change_key(self, profiles):
+        small = chains_from_spec(PARAM_SPEC.format(rules=64))
+        large = chains_from_spec(PARAM_SPEC.format(rules=128))
+        assert fingerprint(small, profiles) != fingerprint(large, profiles)
+
+    def test_extra_changes_key(self, profiles, chains):
+        base = fingerprint(chains, profiles, extra=("objective", "a"))
+        assert base != fingerprint(chains, profiles)
+        assert base != fingerprint(chains, profiles, extra=("objective", "b"))
+        # scalars keep their type: 1, 1.0 and True are different knobs
+        keys = {fingerprint(chains, profiles, extra=(v,))
+                for v in (1, 1.0, True, "1")}
+        assert len(keys) == 4
+
+    def test_independently_parsed_identical_specs_collide(self, profiles):
+        a = chains_from_spec(PARAM_SPEC.format(rules=64))
+        b = chains_from_spec(PARAM_SPEC.format(rules=64))
+        assert a[0].graph is not b[0].graph
+        assert fingerprint(a, profiles) == fingerprint(b, profiles)
+
+    def test_with_slo_copies_share_a_graph_but_not_a_key(self, profiles):
+        (chain,) = chains_from_spec(PARAM_SPEC.format(rules=64))
+        first = fingerprint([chain], profiles)
+        copy = chain.with_slo(SLO(t_min=500.0, t_max=900.0))
+        assert copy.graph is chain.graph
+        assert fingerprint([copy], profiles) != first
+        assert fingerprint([chain], profiles) == first
+
+    def test_graph_mutation_after_fingerprinting_changes_key(self, profiles):
+        (chain,) = chains_from_spec(PARAM_SPEC.format(rules=64))
+        keys = [fingerprint([chain], profiles)]
+        graph = chain.graph
+        tail = graph.exit_nodes()[0]
+        node = graph.add_node(NFInvocation(nf_class="Monitor"),
+                              default_vocabulary())
+        keys.append(fingerprint([chain], profiles))
+        graph.add_edge(tail, node.node_id)
+        keys.append(fingerprint([chain], profiles))
+        assert len(set(keys)) == 3
+        # and the mutated graph still collides with an identical fresh one
+        (fresh,) = chains_from_spec(
+            "chain a: ACL(rules=64) -> Encrypt -> IPv4Fwd -> Monitor\n")
+        assert keys[-1] == fingerprint([fresh], profiles)
+
+    def test_graph_memo_does_not_ride_in_pickles(self, profiles):
+        (chain,) = chains_from_spec(PARAM_SPEC.format(rules=64))
+        bare = pickle.dumps(chain)
+        key = fingerprint([chain], profiles)
+        assert pickle.dumps(chain) == bare
+        assert fingerprint([pickle.loads(bare)], profiles) == key
+
+    def test_keys_separate_exactly_what_the_reference_separated(
+            self, profiles):
+        """The hit/miss sequence of every run is unchanged: over a grid of
+        problem variants, two keys are equal iff the reference payloads
+        (the replaced two-pass canonicalisation) were equal."""
+        def chains_for(rules, t_min):
+            (chain,) = chains_from_spec(PARAM_SPEC.format(rules=rules))
+            return [chain.with_slo(SLO(t_min=t_min, t_max=9000.0))]
+
+        failed = topology_for("paper-testbed").build()
+        failed.mark_failed("server0")
+        reserved = topology_for("paper-testbed").build()
+        reserved.servers[0].reserved_cores += 1
+        plain = topology_for("paper-testbed").build
+        bits = DEFAULT_PACKET_BITS
+        problems = [
+            (chains_for(64, 100.0), plain(), profiles, "lemur", bits, ()),
+            (chains_for(64, 100.0), plain(), default_profiles(), "lemur",
+             bits, ()),                                    # equal to #0
+            (chains_for(64, 100), plain(), profiles, "lemur", bits, ()),
+            (chains_for(64, 200.0), plain(), profiles, "lemur", bits, ()),
+            (chains_for(128, 100.0), plain(), profiles, "lemur", bits, ()),
+            (chains_for(64, 100.0), failed, profiles, "lemur", bits, ()),
+            (chains_for(64, 100.0), reserved, profiles, "lemur", bits, ()),
+            (chains_for(64, 100.0), plain(), profiles.with_error(-0.05),
+             "lemur", bits, ()),
+            (chains_for(64, 100.0), plain(), profiles, "greedy", bits, ()),
+            (chains_for(64, 100.0), plain(), profiles, "lemur", 2048, ()),
+            (chains_for(64, 100.0), plain(), profiles, "lemur", bits,
+             ("objective", "throughput")),
+            (chains_for(64, 100.0), plain(), profiles, "lemur", bits,
+             ("objective", "throughput")),                 # equal to #10
+            (chains_for(64, 100.0) + chains_for(64, 100.0), plain(),
+             profiles, "lemur", bits, ()),
+        ]
+        new = [placement_fingerprint(*p[:5], extra=p[5]) for p in problems]
+        old = [_reference_key(*p[:5], extra=p[5]) for p in problems]
+        assert new[0] == new[1] and new[10] == new[11]
+        assert new[0] != new[2]    # an int floor is not a float floor
+        for i in range(len(problems)):
+            for j in range(len(problems)):
+                assert (new[i] == new[j]) == (old[i] == old[j]), (i, j)
+
+
+class TestWarmStartKey:
+    def test_tracks_decisions_not_rates(self, profiles, chains):
+        topology = topology_for("paper-testbed").build()
+        placement = heuristic_place(chains, topology, profiles)
+        key = warm_start_key(placement)
+        assert len(key) == 64
+        placement.rates = {name: 0.0 for name in placement.rates}
+        placement.chains.reverse()
+        assert warm_start_key(placement) == key
+        sg = next(sg for cp in placement.chains for sg in cp.subgroups)
+        sg.cores += 1
+        assert warm_start_key(placement) != key
 
 
 class TestCacheSemantics:
@@ -121,6 +300,59 @@ class TestCacheSemantics:
         cache.put("k", placement)
         placement.rates["chain2"] = -1.0
         assert cache.get("k").rates["chain2"] != -1.0
+
+    def test_nested_mutation_never_reaches_the_store(self, profiles, chains):
+        """Isolation goes all the way down: subgroups, assignments and the
+        chain graphs of a stored entry are private to the cache."""
+        cache = PlacementCache()
+        placement = heuristic_place(
+            chains, topology_for("paper-testbed").build(), profiles)
+        cores = [sg.cores for cp in placement.chains for sg in cp.subgroups]
+        assert cores
+        cache.put("k", placement)
+        for victim in (placement, cache.get("k")):
+            for cp in victim.chains:
+                cp.assignment.clear()
+                for sg in cp.subgroups:
+                    sg.cores += 7
+            victim.chains.pop()
+            victim.feasible = not victim.feasible
+        stored = cache.get("k")
+        assert stored.feasible
+        assert len(stored.chains) == len(chains)
+        assert [sg.cores for cp in stored.chains
+                for sg in cp.subgroups] == cores
+        assert all(cp.assignment for cp in stored.chains)
+        assert stored.chains[0].chain.graph is not chains[0].graph
+
+    def test_entries_pickle_as_opaque_bytes(self, profiles, chains):
+        cache = PlacementCache()
+        placement = heuristic_place(
+            chains, topology_for("paper-testbed").build(), profiles)
+        cache.put("k", placement)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert all(isinstance(e, bytes) for e in clone._entries.values())
+        assert clone.get("k").rates == placement.rates
+        assert clone.stats()["hits"] == 1
+
+    def test_legacy_object_entries_are_converted_on_unpickle(
+            self, profiles, chains):
+        """A cache pickled before entries were serialized holds Placement
+        objects; it must load and hit, with the same isolation."""
+        placement = heuristic_place(
+            chains, topology_for("paper-testbed").build(), profiles)
+        legacy = PlacementCache.__new__(PlacementCache)
+        legacy.__dict__.update(
+            max_entries=8, enabled=True, hits=3, misses=4,
+            _entries=collections.OrderedDict(k=placement),
+        )
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert (restored.hits, restored.misses, len(restored)) == (3, 4, 1)
+        hit = restored.get("k")
+        assert hit is not placement
+        assert hit.rates == placement.rates and hit.feasible
+        hit.rates.clear()
+        assert restored.get("k").rates == placement.rates
 
     def test_lru_eviction(self):
         from repro.core.placement import Placement

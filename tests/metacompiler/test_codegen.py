@@ -201,6 +201,43 @@ class TestCodegenStats:
         assert artifacts.stats.auto_fraction > 1 / 3
         assert artifacts.stats.steering_fraction_of_auto > 0.5
 
+    def test_module_sources_are_read_once_per_class(self, profiles,
+                                                    monkeypatch):
+        """The manual-NF line count is a constant of the source tree: the
+        first compile reads each placed module class once, later compiles
+        read nothing and report the same stats."""
+        import inspect
+
+        from repro.experiments.chains import chains_with_delta
+        from repro.metacompiler import compiler
+
+        reads = []
+        real = inspect.getsource
+
+        def counting(obj):
+            reads.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+        compiler._class_source_lines.cache_clear()
+        chains = chains_with_delta([1, 2, 3, 4], delta=0.5)
+        topology = topology_for("paper-testbed").build()
+        placement = heuristic_place(chains, topology, profiles)
+        meta = MetaCompiler(topology=topology, profiles=profiles)
+
+        first = meta.compile_placement(placement).stats
+        assert reads and len(reads) == len(set(reads))
+        expected = first.manual_nf_lines
+        assert expected > sum(count_lines(real(cls)) for cls in reads) > 0
+        seen = len(reads)
+
+        # a fresh compiler shares the per-process memo
+        again = MetaCompiler(topology=topology, profiles=profiles)
+        for stats in (meta.compile_placement(placement).stats,
+                      again.compile_placement(placement).stats):
+            assert len(reads) == seen
+            assert stats == first
+
 
 class TestMetaCompilerAPI:
     def test_compile_spec_front_door(self, profiles):

@@ -60,6 +60,14 @@ def test_recovered_report_is_byte_identical(make_config, drive, tmp_path,
     # `recovered` is excluded from the serialized report: byte-identical
     assert report.to_json() == reference.to_json()
     assert report.render() == reference.render()
+    # the injected-packet running total was rebuilt, not restarted: every
+    # phase (the first post-recovery one included) starts where the
+    # uninterrupted run's did
+    assert [ph.start_packet for ph in report.phases] == \
+        [ph.start_packet for ph in reference.phases]
+    assert report.phases[-1].start_packet == sum(
+        row.injected for ph in report.phases[:-1] for row in ph.chains
+    )
 
 
 def test_recovery_is_invisible_midstream(make_config, drive, tmp_path):
@@ -79,6 +87,67 @@ def test_recovery_is_invisible_midstream(make_config, drive, tmp_path):
     assert recovered.report().to_json() == ref_daemon.report().to_json()
     # the replayed rejection is part of the recovered report
     assert recovered.report().rejected == 1
+
+
+#: asks for more than the rack's line rate: the solver (not a static
+#: check) rejects it, so the problem and its answer enter the cache
+OVERSIZE = Arrive(chain="dyn1", spec="chain dyn1: ACL -> IPv4Fwd",
+                  t_min_mbps=150000.0, t_max_mbps=200000.0)
+
+
+@pytest.mark.parametrize("checkpoint_every", [2, 0],
+                         ids=["checkpointed", "journal-only"])
+def test_retried_rejection_hits_the_cache_across_a_kill(
+        make_config, drive, tmp_path, checkpoint_every):
+    """A rejected arrive retried verbatim re-asks a solved problem. The
+    retry must report ``cache_hit=True`` whether or not a kill sat in
+    between — ``cache_hit`` is part of the report, which is why the cache
+    rides in the checkpoint (and is rebuilt by journal replay)."""
+    config = make_config(checkpoint_every=checkpoint_every)
+    commands = [COMMANDS[0], OVERSIZE, OVERSIZE, COMMANDS[1]]
+
+    reference, ref_outcomes = drive(config, tmp_path / "reference", commands)
+    drive(config, tmp_path / "crashed", commands[:2], crash=True)
+    has_checkpoint = (tmp_path / "crashed" / "checkpoint.pkl").exists()
+    assert has_checkpoint == bool(checkpoint_every)
+    recovered, remaining = drive(config, tmp_path / "crashed", commands[2:])
+
+    first, retry = ref_outcomes[1].decision, ref_outcomes[2].decision
+    assert not first.accepted and not first.cache_hit
+    assert not retry.accepted and retry.cache_hit
+    assert retry.reason == first.reason
+    assert remaining[0].decision.as_dict() == retry.as_dict()
+    assert remaining[0].decision.cache_hit is True
+    assert recovered.report().to_json() == reference.report().to_json()
+    assert recovered.core.cache.stats() == reference.core.cache.stats()
+
+
+def test_checkpoint_with_object_valued_cache_entries_still_loads(
+        config, drive, tmp_path):
+    """What the daemon wrote before cache entries were serialized: the
+    pickled ``PlacementCache`` maps keys to ``Placement`` objects. Such a
+    checkpoint must restore, and its entries must still hit."""
+    import pickle
+    import zlib
+
+    commands = [COMMANDS[0], OVERSIZE]
+    reference, ref_outcomes = drive(
+        config, tmp_path / "reference", commands + [OVERSIZE]
+    )
+    daemon, _ = drive(config, tmp_path / "state", commands)
+    state = daemon.checkpoints.load()
+    entries = state["core"].cache._entries
+    assert entries
+    for key, blob in entries.items():
+        entries[key] = pickle.loads(zlib.decompress(blob))
+    daemon.checkpoints.save(state)
+
+    recovered, (retry,) = drive(config, tmp_path / "state", [OVERSIZE])
+    assert all(isinstance(entry, bytes)
+               for entry in recovered.core.cache._entries.values())
+    assert retry.decision.cache_hit is True
+    assert retry.decision.as_dict() == ref_outcomes[2].decision.as_dict()
+    assert recovered.report().to_json() == reference.report().to_json()
 
 
 def test_fresh_state_dir_is_not_recovered(config, drive, tmp_path):
