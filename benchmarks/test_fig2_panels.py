@@ -21,7 +21,7 @@ import pytest
 
 from conftest import record_result, run_once
 
-from repro.experiments.runner import run_delta_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
 
 PANELS = {
@@ -41,8 +41,8 @@ def test_figure2_panel(benchmark, panel, profiles):
 
     sweep = run_once(
         benchmark,
-        lambda: run_delta_sweep(indices, deltas=DELTAS,
-                                schemes=FAST_SCHEMES, profiles=profiles),
+        lambda: run_sweep(SweepSpec(indices, deltas=DELTAS,
+                                    schemes=FAST_SCHEMES, profiles=profiles)),
     )
     record_result(panel, sweep.print_table())
 

@@ -13,7 +13,7 @@ feasibility band; and Lemur's maximum marginal lead exceeds 50% of the
 
 from conftest import record_result, run_once
 
-from repro.experiments.runner import run_delta_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
 from repro.units import gbps
 
@@ -25,8 +25,8 @@ FAST_SCHEMES = {k: v for k, v in SCHEMES.items() if k != "Optimal"}
 def test_summary(benchmark, profiles):
     def run():
         return [
-            run_delta_sweep(panel, deltas=DELTAS, schemes=FAST_SCHEMES,
-                            profiles=profiles, measure=False)
+            run_sweep(SweepSpec(panel, deltas=DELTAS, schemes=FAST_SCHEMES,
+                                profiles=profiles, measure=False))
             for panel in PANELS
         ]
 

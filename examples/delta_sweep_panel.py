@@ -9,7 +9,7 @@ paper's bars encode. The full sweeps live in ``benchmarks/``.
 Run: ``python examples/delta_sweep_panel.py``
 """
 
-from repro.experiments.runner import run_delta_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
 
 
@@ -17,11 +17,11 @@ def main() -> None:
     # Optimal is excluded here to keep the example snappy; the benchmark
     # harness runs it.
     schemes = {k: v for k, v in SCHEMES.items() if k != "Optimal"}
-    sweep = run_delta_sweep(
+    sweep = run_sweep(SweepSpec(
         chain_indices=[1, 2, 3],
         deltas=(0.5, 1.0, 1.5, 2.0),
         schemes=schemes,
-    )
+    ))
     print(sweep.print_table())
     print()
     for scheme in schemes:

@@ -33,17 +33,21 @@ from repro.hw.spec import topology_for
 from repro.obs import MetricsRegistry
 from repro.sim.admission import ChainEvent
 from repro.sim.interrack import FabricAdmissionCore
+from repro.sim.lifecycle import LifecycleSpec
 
 RTT_US = 100.0  # two-rack preset: 2 x 50 µs one-way
 
 
-def _chains(n, t_min=4000.0):
-    spec = "\n".join(
+def _spec_text(n):
+    return "\n".join(
         f"chain c{i}: ACL(rules=64) -> Encrypt -> IPv4Fwd" for i in range(n)
     )
+
+
+def _chains(n, t_min=4000.0):
     return chains_from_spec(
-        spec, slos=[SLO(t_min=t_min, t_max=9000.0, d_max=400.0)
-                    for _ in range(n)]
+        _spec_text(n), slos=[SLO(t_min=t_min, t_max=9000.0, d_max=400.0)
+                             for _ in range(n)]
     )
 
 
@@ -71,8 +75,13 @@ def main() -> int:
     failures = 0
     registry = MetricsRegistry()
     core = FabricAdmissionCore(
-        _chains(6), topology=topology_for("two-rack").build(),
-        flows_per_chain=8, batch_size=16, seed=7, registry=registry,
+        LifecycleSpec(
+            spec_text=_spec_text(6),
+            slos=((4000.0, 9000.0, 400.0),) * 6,
+            topology=topology_for("two-rack"),
+            flows_per_chain=8, batch_size=16, seed=7,
+        ),
+        registry=registry,
     )
     core.bootstrap()
     failures += check(

@@ -28,7 +28,7 @@ from repro.core.placer import (
     PlacementRequest,
     available_strategies,
 )
-from repro.experiments.runner import SweepSpec, run_delta_sweep, run_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.hw.multirack import InterRackLink, MultiRackTopology
 from repro.hw.platform import Platform
 from repro.hw.spec import (
@@ -61,7 +61,6 @@ __all__ = [
     "PlacementReport",
     "PlacementCache",
     "SweepSpec",
-    "run_delta_sweep",
     "run_sweep",
     "available_strategies",
     "Platform",

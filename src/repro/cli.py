@@ -351,45 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _topology_spec(args) -> Optional[TopologySpec]:
-    """The declarative topology a command selected, or None for the
-    legacy single-rack flag bridge (which the run specs keep carrying)."""
-    if getattr(args, "topology", None) and getattr(args, "preset", None):
+def _topology_spec(args) -> TopologySpec:
+    """The one topology a command names: ``--topology FILE``, else
+    ``--preset NAME``, else the rack the legacy flags describe."""
+    if args.topology and args.preset:
         raise TopologyError(
             "--topology and --preset both name a topology; pick one"
         )
-    if getattr(args, "topology", None):
+    if args.topology:
         return TopologySpec.parse_json(_read_spec(args.topology))
-    if getattr(args, "preset", None):
+    if args.preset:
         return topology_for(args.preset)
-    if getattr(args, "racks", 0) and args.racks > 1:
-        return TopologySpec.from_flags(
-            with_smartnic=args.smartnic,
-            with_openflow=args.openflow,
-            servers=args.servers,
-            metron=args.metron,
-            racks=args.racks,
-        )
-    return None
-
-
-def _topology(args):
-    """Build the selected topology (single- or multi-rack)."""
-    spec = _topology_spec(args)
-    if spec is None:
-        spec = TopologySpec.from_flags(
-            with_smartnic=args.smartnic,
-            with_openflow=args.openflow,
-            servers=args.servers,
-            metron=args.metron,
-        )
-    return spec.build()
+    return TopologySpec.from_flags(
+        with_smartnic=args.smartnic,
+        with_openflow=args.openflow,
+        servers=args.servers,
+        metron=args.metron,
+        racks=args.racks,
+    )
 
 
 def _single_rack_topology(args, command: str):
-    """Like :func:`_topology` but for subcommands that drive exactly one
+    """The built topology, for subcommands that drive exactly one
     rack's compiled artifacts."""
-    topology = _topology(args)
+    topology = _topology_spec(args).build()
     if isinstance(topology, MultiRackTopology):
         raise TopologyError(
             f"'{command}' drives one rack; use place/traffic/chaos/"
@@ -427,7 +412,7 @@ def _load_chains(args):
 
 def cmd_place(args) -> int:
     chains = _load_chains(args)
-    topology = _topology(args)
+    topology = _topology_spec(args).build()
     config = PlacerConfig(
         strategy=args.strategy,
         rate_objective="max_min" if args.fair else "marginal",
@@ -639,10 +624,6 @@ def cmd_traffic(args) -> int:
         shards=args.shards,
         seed=args.seed,
         strategy=args.strategy,
-        with_smartnic=args.smartnic,
-        with_openflow=args.openflow,
-        servers=args.servers,
-        metron=args.metron,
         queueing=args.queueing,
         objective=args.objective,
     )
@@ -723,10 +704,6 @@ def cmd_chaos(args) -> int:
         ),
         seed=args.seed,
         strategy=args.strategy,
-        with_smartnic=args.smartnic,
-        with_openflow=args.openflow,
-        servers=args.servers,
-        metron=args.metron,
         queueing=args.queueing,
         objective=args.objective,
     )
@@ -829,9 +806,6 @@ def cmd_lifecycle(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
         full_resolve=args.full_resolve,
-        with_smartnic=args.smartnic,
-        with_openflow=args.openflow,
-        servers=args.servers,
         queueing=args.queueing,
         objective=args.objective,
     )
@@ -866,9 +840,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
         checkpoint_every=args.checkpoint_every,
-        with_smartnic=args.smartnic,
-        with_openflow=args.openflow,
-        servers=args.servers,
         queueing=args.queueing,
         objective=args.objective,
     )

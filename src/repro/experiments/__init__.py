@@ -12,7 +12,6 @@ from repro.experiments.runner import (
     DeltaSweepResult,
     ExperimentResult,
     SweepSpec,
-    run_delta_sweep,
     run_sweep,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "run_cells",
-    "run_delta_sweep",
     "run_sweep",
 ]

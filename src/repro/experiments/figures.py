@@ -20,7 +20,6 @@ from repro.experiments.chains import (
 from repro.experiments.runner import (
     DeltaSweepResult,
     SweepSpec,
-    run_delta_sweep,
     run_sweep,
 )
 from repro.experiments.schemes import ABLATIONS, SCHEMES

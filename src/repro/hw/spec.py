@@ -251,7 +251,8 @@ class TopologySpec:
         metron: bool = False,
         racks: int = 0,
     ) -> "TopologySpec":
-        """Bridge from the legacy CLI/spec flag vocabulary.
+        """Translate the CLI's rack flags (``--smartnic``, ``--openflow``,
+        ``--servers``, ``--metron``, ``--racks``) into a spec.
 
         ``servers > 0`` selects the N×8-core shape (the ``multi-server``
         preset); otherwise the paper testbed with its

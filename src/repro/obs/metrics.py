@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 LabelKey = Tuple[Tuple[str, str], ...]
 
 #: retained samples per histogram; beyond this, count/sum/min/max stay
-#: exact but percentiles reflect the first SAMPLE_CAP observations.
+#: exact but quantiles reflect the first SAMPLE_CAP observations.
 SAMPLE_CAP = 4096
 
 
@@ -36,7 +36,7 @@ def quantile(samples, q: float) -> float:
     Implements ``numpy.quantile``'s default "linear" method without
     requiring the input to be an array: sort, locate the virtual index
     ``q * (n - 1)``, interpolate between the flanking order statistics.
-    Empty input yields 0.0 (mirrors :meth:`Histogram.percentile`).
+    Empty input yields 0.0.
     """
     ordered = sorted(samples)
     if not ordered:
@@ -157,16 +157,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """q-th percentile (0..100) over the retained samples."""
-        if not self._samples:
-            return 0.0
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q}")
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(round(q / 100 * (len(ordered) - 1))))
-        return ordered[index]
-
     def quantile(self, q: float) -> float:
         """Linearly interpolated q-quantile (0..1) over retained samples.
 
@@ -175,7 +165,7 @@ class Histogram:
         interpolate between the two neighbouring order statistics. The
         guard's windowed-p99 check uses this, so two samples straddling
         the SLO bound yield the interpolated value rather than snapping
-        to whichever side ``percentile``'s nearest-rank rounding picks.
+        to either side. Empty histograms yield 0.0.
         """
         if not 0 <= q <= 1:
             raise ValueError(f"quantile out of range: {q}")
@@ -188,9 +178,9 @@ class Histogram:
             "min": self.min or 0.0,
             "max": self.max or 0.0,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
         }
 
     def merge(self, count: int, total: float, minimum: Optional[float],
@@ -282,9 +272,6 @@ class _NullHistogram:
 
     def merge(self, count, total, minimum, maximum, samples) -> None:
         pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
 
     def quantile(self, q: float) -> float:
         return 0.0

@@ -35,9 +35,8 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, List, Optional, Tuple, Union
 
-from repro.chain.graph import NFChain, chains_with_slos
 from repro.exceptions import (
     CommandError,
     FaultInjectionError,
@@ -62,6 +61,7 @@ from repro.serve.journal import CheckpointStore, Journal
 from repro.sim.admission import AdmissionCore, AdmissionDecision
 from repro.sim.faults import PhaseReport
 from repro.sim.interrack import make_admission_core
+from repro.sim.traffic import RunSpec
 
 _QueueItem = Optional[Tuple[Command, "asyncio.Future[CommandOutcome]"]]
 
@@ -72,88 +72,41 @@ _QueueItem = Optional[Tuple[Command, "asyncio.Future[CommandOutcome]"]]
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(RunSpec):
     """A fully-stated daemon configuration (the recovery contract).
 
     Everything that shapes the deterministic state evolution lives here;
-    (config, applied-command sequence) fully determines the rack. The
-    config is persisted alongside the journal and verified on restart.
+    (config, applied-command sequence) fully determines the rack — replay
+    on another topology would rebuild a different fabric, under another
+    queueing model it would stamp different latencies. The config is
+    persisted alongside the journal and verified on restart. ``slos``
+    covers the initial chains.
     """
 
-    spec_text: str
-    #: one (t_min_mbps, t_max_mbps[, d_max_us]) tuple per initial chain.
-    slos: Tuple[Tuple[float, ...], ...]
-    #: declarative topology; when set it wins over the legacy flags
-    #: below (which remain as the ``TopologySpec.from_flags`` bridge).
-    #: Part of the recovery contract: the spec is persisted verbatim in
-    #: ``config.json`` so a restarted daemon rebuilds the same fabric.
-    topology: Optional[TopologySpec] = None
     packets_per_phase: int = 64
-    flows_per_chain: int = 32
-    batch_size: int = 32
-    seed: int = 23
-    strategy: str = "lemur"
     #: checkpoint every N applied commands; 0 disables periodic
     #: checkpoints (recovery then replays the full journal).
     checkpoint_every: int = 8
-    with_smartnic: bool = False
-    with_openflow: bool = False
-    servers: int = 0
-    #: queueing delay model stamped on every forwarded packet
-    #: (see :class:`repro.sim.measurement.QueueingModel`). Part of the
-    #: recovery contract: replay under a different model would stamp
-    #: different latencies.
-    queueing: str = "none"
-    #: placement objective ("throughput" or "tail_latency").
-    objective: str = "throughput"
+
+    _error: ClassVar[type] = ServeError
 
     def validate(self) -> None:
         if self.packets_per_phase < 1:
             raise ServeError("packets_per_phase must be >= 1")
         if self.checkpoint_every < 0:
             raise ServeError("checkpoint_every must be >= 0")
-        from repro.core.placer import PLACEMENT_OBJECTIVES
-        from repro.sim.measurement import QUEUEING_MODELS
-        if self.queueing not in QUEUEING_MODELS:
-            raise ServeError(
-                f"queueing must be one of {sorted(QUEUEING_MODELS)}"
-            )
-        if self.objective not in PLACEMENT_OBJECTIVES:
-            raise ServeError(
-                f"objective must be one of {sorted(PLACEMENT_OBJECTIVES)}"
-            )
-
-    def build_topology(self):
-        """Build the (single- or multi-rack) topology this config names."""
-        spec = self.topology if self.topology is not None else \
-            TopologySpec.from_flags(
-                with_smartnic=self.with_smartnic,
-                with_openflow=self.with_openflow,
-                servers=self.servers,
-            )
-        return spec.build()
-
-    def build_chains(self) -> List[NFChain]:
-        return chains_with_slos(self.spec_text, self.slos,
-                                error=ServeError)
 
     def as_dict(self) -> dict:
         return {
             "spec_text": self.spec_text,
             "slos": [list(bounds) for bounds in self.slos],
-            "topology": (
-                self.topology.as_dict()
-                if self.topology is not None else None
-            ),
+            "topology": self.topology.as_dict(),
             "packets_per_phase": self.packets_per_phase,
             "flows_per_chain": self.flows_per_chain,
             "batch_size": self.batch_size,
             "seed": self.seed,
             "strategy": self.strategy,
             "checkpoint_every": self.checkpoint_every,
-            "with_smartnic": self.with_smartnic,
-            "with_openflow": self.with_openflow,
-            "servers": self.servers,
             "queueing": self.queueing,
             "objective": self.objective,
         }
@@ -164,8 +117,13 @@ class ServeConfig:
     _FIELDS = frozenset({
         "spec_text", "slos", "topology", "packets_per_phase",
         "flows_per_chain", "batch_size", "seed", "strategy",
-        "checkpoint_every", "with_smartnic", "with_openflow", "servers",
-        "queueing", "objective",
+        "checkpoint_every", "queueing", "objective",
+    })
+    #: keys a ``config.json`` written before the config named its rack
+    #: as a :class:`TopologySpec` may carry; folded into one on load so
+    #: an existing state dir still verifies on restart.
+    _LEGACY_RACK_FLAGS = frozenset({
+        "with_smartnic", "with_openflow", "servers",
     })
     #: values of the ``pool`` key that configs written before racks always
     #: ran in their owner's process may carry; accepted and dropped so an
@@ -180,7 +138,8 @@ class ServeConfig:
                 f"serve config must be an object, "
                 f"got {type(payload).__name__}"
             )
-        unknown = set(payload) - cls._FIELDS - {"pool"}
+        unknown = set(payload) - cls._FIELDS - cls._LEGACY_RACK_FLAGS \
+            - {"pool"}
         if unknown:
             raise ServeError(
                 f"serve config carries unknown fields {sorted(unknown)}"
@@ -190,27 +149,29 @@ class ServeConfig:
                 f"legacy serve config field pool={payload['pool']!r} "
                 f"must be one of {list(cls._LEGACY_POOL)}"
             )
-        topology = payload.get("topology")
         try:
+            topology = payload.get("topology")
+            if topology is not None:
+                topology = TopologySpec.from_dict(topology)
+            else:
+                topology = TopologySpec.from_flags(
+                    with_smartnic=bool(payload.get("with_smartnic", False)),
+                    with_openflow=bool(payload.get("with_openflow", False)),
+                    servers=int(payload.get("servers", 0)),
+                )
             return cls(
                 spec_text=str(payload["spec_text"]),
                 slos=tuple(
                     tuple(float(x) for x in bounds)
                     for bounds in payload["slos"]
                 ),
-                topology=(
-                    TopologySpec.from_dict(topology)
-                    if topology is not None else None
-                ),
+                topology=topology,
                 packets_per_phase=int(payload.get("packets_per_phase", 64)),
                 flows_per_chain=int(payload.get("flows_per_chain", 32)),
                 batch_size=int(payload.get("batch_size", 32)),
                 seed=int(payload.get("seed", 23)),
                 strategy=str(payload.get("strategy", "lemur")),
                 checkpoint_every=int(payload.get("checkpoint_every", 8)),
-                with_smartnic=bool(payload.get("with_smartnic", False)),
-                with_openflow=bool(payload.get("with_openflow", False)),
-                servers=int(payload.get("servers", 0)),
                 queueing=str(payload.get("queueing", "none")),
                 objective=str(payload.get("objective", "throughput")),
             )
@@ -434,15 +395,7 @@ class ServeDaemon:
         fabric topology gets a :class:`FabricAdmissionCore`, same
         surface)."""
         self.core = make_admission_core(
-            self.config.build_chains(),
-            topology=self.config.build_topology(),
-            strategy=self.config.strategy,
-            flows_per_chain=self.config.flows_per_chain,
-            batch_size=self.config.batch_size,
-            seed=self.config.seed,
-            registry=self.registry,
-            queueing=self.config.queueing,
-            objective=self.config.objective,
+            self.config, registry=self.registry
         )
         # the solver, cache and compiler report to the process-default
         # registry: for the duration make that the daemon's own, the one

@@ -50,16 +50,15 @@ from repro.exceptions import (
     LifecycleError,
     PlacementError,
 )
-from repro.hw.spec import topology_for
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, get_registry, quantile
-from repro.profiles.defaults import ProfileDatabase, default_profiles
+from repro.profiles.defaults import default_profiles
 from repro.sim.faults import PhaseReport
-from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack
 from repro.sim.traffic import (
     ChainTrafficReport,
+    RunSpec,
     TrafficEngine,
     configure_rack_queueing,
 )
@@ -201,6 +200,14 @@ class AdmissionDecision:
             ) from exc
 
 
+#: the run settings a core kept as loose attributes before it held its
+#: spec — the shape of checkpoints written by earlier daemons.
+_LOOSE_SETTINGS = (
+    "strategy", "flows_per_chain", "batch_size", "seed", "queueing",
+    "objective",
+)
+
+
 class AdmissionCore:
     """Admit, place incrementally, delta-redeploy, and replay traffic.
 
@@ -215,45 +222,41 @@ class AdmissionCore:
 
     def __init__(
         self,
-        initial_chains: Sequence[NFChain],
+        spec: RunSpec,
         *,
+        chains: Optional[Sequence[NFChain]] = None,
         topology: Optional[Topology] = None,
-        profiles: Optional[ProfileDatabase] = None,
-        strategy: str = "lemur",
-        flows_per_chain: int = 32,
-        batch_size: int = 32,
-        seed: int = 23,
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
-        queueing: str = "none",
-        objective: str = "throughput",
     ):
+        """Own ``spec``'s rack. A fabric core builds one of these per
+        occupied rack and hands each what a spec cannot say: that rack's
+        ``chains`` and built ``topology``."""
+        initial_chains = spec.build_chains() if chains is None else chains
         if not initial_chains:
             raise LifecycleError(
                 "admission needs at least one initial chain "
                 "(an empty rack has nothing to deploy)"
             )
+        self.spec = spec
         self.initial_chains = list(initial_chains)
-        self.topology = topology or topology_for("paper-testbed").build()
-        self.profiles = profiles or default_profiles()
-        self.strategy = strategy
-        self.flows_per_chain = flows_per_chain
-        self.batch_size = batch_size
-        #: validated eagerly so a typo fails at construction, not mid-run.
-        self.queueing = QueueingModel(queueing).kind
-        self.objective = objective
-        self.seed = seed
+        self.topology = (
+            spec.build_topology() if topology is None else topology
+        )
+        self.profiles = default_profiles()
         self.obs = registry if registry is not None else get_registry()
         #: warm-start memo: a repeated (active set, base pattern) admission
         #: problem fingerprints identically and is served from cache.
         self.cache = cache if cache is not None else PlacementCache()
+        #: re-solve every event from scratch instead of warm-starting
+        #: from the running placement.
         self.full_resolve = full_resolve
 
         self.placer = Placer(
             topology=self.topology,
             profiles=self.profiles,
-            config=PlacerConfig(strategy=strategy),
+            config=PlacerConfig(strategy=spec.strategy),
             cache=self.cache,
         )
         self.metacompiler = MetaCompiler(
@@ -272,13 +275,26 @@ class AdmissionCore:
         #: snapshots and the state digest; the rack holds the live state).
         self.fault_state: Dict[str, float] = {}
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle (shared with the fabric core). A checkpoint written
+        before cores held their spec carries the run settings as loose
+        attributes: fold them into a bare :class:`RunSpec`, all a restored
+        core reads — its chains and topology are already built."""
+        if "spec" not in state:
+            state = dict(state)
+            state["spec"] = RunSpec(
+                spec_text="", slos=(),
+                **{name: state.pop(name) for name in _LOOSE_SETTINGS},
+            )
+        self.__dict__.update(state)
+
     # -- bootstrap ----------------------------------------------------------
 
     def bootstrap(self) -> PlacementReport:
         """Solve and deploy the initial chain set (a full, cold solve)."""
         initial = self.placer.solve(PlacementRequest(
-            chains=self.initial_chains, strategy=self.strategy,
-            objective=self.objective,
+            chains=self.initial_chains, strategy=self.spec.strategy,
+            objective=self.spec.objective,
         ))
         if not initial.placement.feasible:
             raise PlacementError(
@@ -291,13 +307,15 @@ class AdmissionCore:
         artifacts = self.metacompiler.compile_placement(initial.placement)
         self.rack = DeployedRack(
             self.topology, artifacts, self.profiles,
-            seed=self.seed, registry=self.obs,
+            seed=self.spec.seed, registry=self.obs,
         )
-        configure_rack_queueing(self.rack, initial.placement, self.queueing)
+        configure_rack_queueing(
+            self.rack, initial.placement, self.spec.queueing
+        )
         self.traffic = TrafficEngine(
             self.rack, initial.placement,
-            flows_per_chain=self.flows_per_chain,
-            batch_size=self.batch_size,
+            flows_per_chain=self.spec.flows_per_chain,
+            batch_size=self.spec.batch_size,
         )
         self.obs.gauge("lifecycle.active_chains").set(len(self.active))
         return initial
@@ -345,9 +363,9 @@ class AdmissionCore:
         try:
             report = self.placer.solve(PlacementRequest(
                 chains=proposed,
-                strategy=self.strategy,
+                strategy=self.spec.strategy,
                 base_placement=base,
-                objective=self.objective,
+                objective=self.spec.objective,
             ))
         except PlacementError as exc:
             return AdmissionDecision(
@@ -368,7 +386,9 @@ class AdmissionCore:
         artifacts = self.metacompiler.compile_placement(report.placement)
         delta = self.rack.redeploy(artifacts)
         # rates changed with the placement: re-derive utilization
-        configure_rack_queueing(self.rack, report.placement, self.queueing)
+        configure_rack_queueing(
+            self.rack, report.placement, self.spec.queueing
+        )
         self.traffic.placement = report.placement
         self.active = proposed
         self.placement = report.placement
@@ -482,7 +502,7 @@ class AdmissionCore:
             d_max = cp.chain.slo.d_max
             phase.chains.append(ChainTrafficReport(
                 chain_name=cp.name,
-                flows=self.flows_per_chain,
+                flows=self.spec.flows_per_chain,
                 injected=packets_per_chain,
                 delivered=delivered,
                 dropped=packets_per_chain - delivered,

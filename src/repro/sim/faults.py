@@ -35,25 +35,24 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.chain.graph import NFChain, chains_with_slos
+from repro.chain.graph import NFChain
 from repro.core.cache import PlacementCache
 from repro.core.lp import solve_rates
 from repro.core.placer import Placer, PlacerConfig, PlacementRequest
 from repro.core.rates import device_utilization, server_offered_load
 from repro.exceptions import FaultInjectionError, PlacementError
 from repro.hw.multirack import MultiRackTopology
-from repro.hw.spec import TopologySpec, topology_for
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, get_registry, quantile
-from repro.profiles.defaults import ProfileDatabase, default_profiles
+from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import fan_out
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack
-from repro.sim.traffic import ChainTrafficReport, TrafficEngine
+from repro.sim.traffic import ChainTrafficReport, RunSpec, TrafficEngine
 from repro.units import SLO_RTOL
 
 #: actions a timeline event may carry; ``severity`` means the fraction of
@@ -292,50 +291,20 @@ class GuardConfig:
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(RunSpec):
     """A fully-stated, picklable chaos experiment.
 
     Workers rebuild the topology, chains, placer, and rack from this spec
-    alone, which is what makes replica determinism checks possible.
+    alone, which is what makes replica determinism checks possible. The
+    spec's seed wins over the timeline's, so one knob controls the whole
+    run (timeline synthesis and the rack's drop hash).
     """
 
-    spec_text: str
-    #: one (t_min_mbps, t_max_mbps[, d_max_us]) tuple per chain in spec
-    #: order; the delay bound defaults to unbounded when omitted.
-    slos: Tuple[Tuple[float, ...], ...]
-    #: declarative topology; when set it wins over the legacy flags
-    #: below (which remain as the ``TopologySpec.from_flags`` bridge).
-    topology: Optional[TopologySpec] = None
     timeline: FaultTimeline = field(default_factory=FaultTimeline)
     packets_per_chain: int = 512
-    flows_per_chain: int = 32
-    batch_size: int = 32
     guard: GuardConfig = field(default_factory=GuardConfig)
-    seed: int = 23
-    strategy: str = "lemur"
-    with_smartnic: bool = False
-    with_openflow: bool = False
-    servers: int = 0
-    metron: bool = False
-    #: queueing-delay model the deployed rack stamps (``none`` or ``mm1``).
-    queueing: str = "none"
-    #: placement objective (``throughput`` or ``tail_latency``).
-    objective: str = "throughput"
 
-    def build_topology(self):
-        """Build the (single- or multi-rack) topology this spec names."""
-        spec = self.topology if self.topology is not None else \
-            TopologySpec.from_flags(
-                with_smartnic=self.with_smartnic,
-                with_openflow=self.with_openflow,
-                servers=self.servers,
-                metron=self.metron,
-            )
-        return spec.build()
-
-    def build_chains(self) -> List[NFChain]:
-        return chains_with_slos(self.spec_text, self.slos,
-                                error=FaultInjectionError)
+    _error: ClassVar[type] = FaultInjectionError
 
 
 # ---------------------------------------------------------------------------
@@ -511,49 +480,42 @@ class ChaosEngine:
 
     def __init__(
         self,
-        chains: Sequence[NFChain],
-        timeline: FaultTimeline,
+        spec: ChaosSpec,
         *,
+        chains: Optional[Sequence[NFChain]] = None,
+        timeline: Optional[FaultTimeline] = None,
         topology: Optional[Topology] = None,
-        profiles: Optional[ProfileDatabase] = None,
-        guard: Optional[GuardConfig] = None,
-        strategy: str = "lemur",
-        flows_per_chain: int = 32,
-        batch_size: int = 32,
-        seed: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
-        queueing: str = "none",
-        objective: str = "throughput",
     ):
-        self.chains = list(chains)
-        self.timeline = timeline
-        self.topology = topology or topology_for("paper-testbed").build()
+        """Guard ``spec``'s run. A fabric run builds one engine per rack
+        and hands each its slice — that rack's ``chains``, ``timeline``
+        events and ``topology`` — which a spec cannot say."""
+        self.spec = spec
+        self.chains = list(
+            spec.build_chains() if chains is None else chains
+        )
+        self.timeline = spec.timeline if timeline is None else timeline
+        self.topology = (
+            spec.build_topology() if topology is None else topology
+        )
         if isinstance(self.topology, MultiRackTopology):
             raise FaultInjectionError(
                 "ChaosEngine guards one rack; drive a fabric through "
                 "run_chaos (which stitches racks via "
                 "repro.sim.interrack.run_fabric_chaos)"
             )
-        self.profiles = profiles or default_profiles()
-        self.guard = guard or GuardConfig()
-        self.strategy = strategy
-        self.flows_per_chain = flows_per_chain
-        self.batch_size = batch_size
-        #: validated eagerly so a typo fails at construction, not mid-run.
-        self.queueing = QueueingModel(queueing).kind
-        self.objective = objective
-        self.seed = timeline.seed if seed is None else seed
+        self.profiles = default_profiles()
         self.obs = registry if registry is not None else get_registry()
         #: placement memo shared across replans: identical failure states
         #: fingerprint identically, so repeated failures replan warm.
         self.cache = cache if cache is not None else PlacementCache()
-        timeline.validate(self.topology)
+        self.timeline.validate(self.topology)
 
         self.placer = Placer(
             topology=self.topology,
             profiles=self.profiles,
-            config=PlacerConfig(strategy=strategy),
+            config=PlacerConfig(strategy=spec.strategy),
             cache=self.cache,
         )
 
@@ -570,36 +532,6 @@ class ChaosEngine:
         self.traffic: Optional[TrafficEngine] = None
         self.rates: Dict[str, float] = {}
 
-    @classmethod
-    def from_spec(
-        cls,
-        spec: "ChaosSpec",
-        *,
-        registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
-    ) -> "ChaosEngine":
-        """Build an engine from a fully-stated :class:`ChaosSpec`.
-
-        The spec's seed wins over the timeline's, so one knob controls
-        the whole run (timeline synthesis and the rack's drop hash).
-        """
-        timeline = replace(spec.timeline, seed=spec.seed) \
-            if spec.timeline.seed != spec.seed else spec.timeline
-        return cls(
-            spec.build_chains(),
-            timeline,
-            topology=spec.build_topology(),
-            guard=spec.guard,
-            strategy=spec.strategy,
-            flows_per_chain=spec.flows_per_chain,
-            batch_size=spec.batch_size,
-            seed=spec.seed,
-            registry=registry,
-            cache=cache,
-            queueing=spec.queueing,
-            objective=spec.objective,
-        )
-
     # -- deploy / redeploy ----------------------------------------------------
 
     def _deploy(self, placement) -> None:
@@ -608,7 +540,7 @@ class ChaosEngine:
         ).compile_placement(placement)
         rack = DeployedRack(
             self.topology, artifacts, self.profiles,
-            seed=self.seed, registry=self.obs,
+            seed=self.spec.seed, registry=self.obs,
         )
         self.placement = placement
         self.rack = rack
@@ -616,8 +548,8 @@ class ChaosEngine:
         if self.traffic is None:
             self.traffic = TrafficEngine(
                 rack, placement,
-                flows_per_chain=self.flows_per_chain,
-                batch_size=self.batch_size,
+                flows_per_chain=self.spec.flows_per_chain,
+                batch_size=self.spec.batch_size,
             )
         else:
             self.traffic.rack = rack
@@ -630,7 +562,7 @@ class ChaosEngine:
         re-install the queueing model — called after every rate change
         (deploy, shed, replan) so shedding genuinely lowers the stamped
         queue delay, closing the latency guard's control loop."""
-        model = QueueingModel(self.queueing)
+        model = QueueingModel(self.spec.queueing)
         utilization = None
         if model.enabled:
             utilization = device_utilization(
@@ -749,9 +681,9 @@ class ChaosEngine:
                 try:
                     report = self.placer.solve(PlacementRequest(
                         chains=self.chains,
-                        strategy=self.strategy,
+                        strategy=self.spec.strategy,
                         failed_devices=tuple(sorted(self.downed)),
-                        objective=self.objective,
+                        objective=self.spec.objective,
                     ))
                 except PlacementError:
                     # no surviving substrate can even host the NFs — the
@@ -776,12 +708,15 @@ class ChaosEngine:
 
     # -- the run loop -----------------------------------------------------------
 
-    def run(self, packets_per_chain: int = 512) -> ChaosReport:
+    def run(self) -> ChaosReport:
+        packets_per_chain = self.spec.packets_per_chain
+        batch_size = self.spec.batch_size
+        guard = self.spec.guard
         if packets_per_chain < 1:
             raise FaultInjectionError("packets_per_chain must be >= 1")
         initial = self.placer.solve(PlacementRequest(
-            chains=self.chains, strategy=self.strategy,
-            objective=self.objective,
+            chains=self.chains, strategy=self.spec.strategy,
+            objective=self.spec.objective,
         ))
         if not initial.placement.feasible:
             raise PlacementError(
@@ -790,7 +725,7 @@ class ChaosEngine:
             )
         self._deploy(initial.placement)
 
-        report = ChaosReport(seed=self.timeline.seed)
+        report = ChaosReport(seed=self.spec.seed)
         pending = self.timeline.sorted_events()
         cursors: Dict[str, int] = {}
         remaining: Dict[str, int] = {}
@@ -830,7 +765,7 @@ class ChaosEngine:
                 d_max = cp.chain.slo.d_max
                 phase.chains.append(ChainTrafficReport(
                     chain_name=name,
-                    flows=self.flows_per_chain,
+                    flows=self.spec.flows_per_chain,
                     injected=injected,
                     delivered=delivered,
                     dropped=injected - delivered,
@@ -848,7 +783,7 @@ class ChaosEngine:
             # one round: every chain injects up to one batch
             for cp in self.placement.chains:
                 name = cp.name
-                count = min(self.batch_size, remaining[name])
+                count = min(batch_size, remaining[name])
                 if count <= 0:
                     continue
                 delivered, cursors[name], samples = (
@@ -885,26 +820,26 @@ class ChaosEngine:
                 name = cp.name
                 slo = cp.chain.slo
                 injected = seg_injected[name]
-                if injected < self.guard.window_packets:
+                if injected < guard.window_packets:
                     continue
                 rate_bad = False
                 if slo.t_min > 0.0:
                     fraction = seg_delivered[name] / injected
                     delivered_mbps = self.rates.get(name, 0.0) * fraction
                     rate_bad = delivered_mbps < (
-                        slo.t_min * self.guard.threshold * (1.0 - _SLO_RTOL)
+                        slo.t_min * guard.threshold * (1.0 - _SLO_RTOL)
                     )
                 # tail-latency violation: windowed quantile vs d_max —
                 # a rate-compliant chain can still be out of SLO here
                 latency_bad = False
-                if (self.guard.latency_quantile > 0.0
+                if (guard.latency_quantile > 0.0
                         and not math.isinf(slo.d_max)):
                     window = seg_latencies[name][
-                        -self.guard.window_packets:
+                        -guard.window_packets:
                     ]
                     if window:
                         tail = quantile(
-                            window, self.guard.latency_quantile
+                            window, guard.latency_quantile
                         )
                         latency_bad = tail > slo.d_max * (1.0 + _SLO_RTOL)
                 if latency_bad:
@@ -922,13 +857,13 @@ class ChaosEngine:
                 self.obs.counter("slo.violations", chain=name).inc()
             self.obs.gauge("guard.chains_in_violation").set(len(violated))
 
-            if mode == "normal" and self.guard.degrade_first:
+            if mode == "normal" and guard.degrade_first:
                 close_phase(phase)
                 self._shed_to_minimums()
                 report.degradations += 1
                 mode = "degraded"
                 phase = open_phase("degraded")
-            elif report.replans < self.guard.max_replans:
+            elif report.replans < guard.max_replans:
                 close_phase(phase)
                 ok, cache_hit = self._replan()
                 report.replans += 1
@@ -996,8 +931,7 @@ def run_chaos(
         from repro.sim.interrack import run_fabric_chaos
 
         return run_fabric_chaos(spec, topology, registry=registry)
-    engine = ChaosEngine.from_spec(spec, registry=registry, cache=cache)
-    return engine.run(packets_per_chain=spec.packets_per_chain)
+    return ChaosEngine(spec, registry=registry, cache=cache).run()
 
 
 def _replica_render(spec: ChaosSpec) -> str:

@@ -55,7 +55,7 @@ from repro.exceptions import (
 from repro.hw.multirack import MultiRackTopology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, get_registry
-from repro.profiles.defaults import ProfileDatabase, default_profiles
+from repro.profiles.defaults import default_profiles
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
     AdmissionCore,
@@ -71,6 +71,7 @@ from repro.sim.faults import (
 )
 from repro.sim.runtime import DeployedRack
 from repro.sim.traffic import (
+    RunSpec,
     TrafficEngine,
     TrafficReport,
     TrafficSpec,
@@ -266,11 +267,11 @@ class _StitchedChaosEngine(ChaosEngine):
     """A per-rack chaos engine that reinstalls its inter-rack hops on
     every (re)deploy, so stitching survives guard replans."""
 
-    def __init__(self, *args, fabric_remote=None, fabric_drops=None,
-                 **kwargs):
-        self._fabric_remote = dict(fabric_remote or {})
-        self._fabric_drops = dict(fabric_drops or {})
-        super().__init__(*args, **kwargs)
+    def __init__(self, spec: ChaosSpec, *, fabric_remote, fabric_drops,
+                 **rack_slice):
+        self._fabric_remote = dict(fabric_remote)
+        self._fabric_drops = dict(fabric_drops)
+        super().__init__(spec, **rack_slice)
 
     def _deploy(self, placement) -> None:
         super()._deploy(placement)
@@ -413,25 +414,15 @@ def run_fabric_chaos(
         timeline = FaultTimeline(
             events=tuple(events_by_rack.get(rack, ())), seed=spec.seed,
         )
-        engine = _StitchedChaosEngine(
-            by_rack[rack],
-            timeline,
+        report.racks[rack] = _StitchedChaosEngine(
+            spec,
             fabric_remote=remote,
             fabric_drops=drops,
+            chains=by_rack[rack],
+            timeline=timeline,
             topology=fabric.rack(rack),
-            profiles=profiles,
-            guard=spec.guard,
-            strategy=spec.strategy,
-            flows_per_chain=spec.flows_per_chain,
-            batch_size=spec.batch_size,
-            seed=spec.seed,
             registry=registry,
-            queueing=spec.queueing,
-            objective=spec.objective,
-        )
-        report.racks[rack] = engine.run(
-            packets_per_chain=spec.packets_per_chain
-        )
+        ).run()
     return report
 
 
@@ -504,49 +495,38 @@ class FabricAdmissionCore:
     whole for serve checkpoints.
     """
 
+    __setstate__ = AdmissionCore.__setstate__
+
     def __init__(
         self,
-        initial_chains: Sequence[NFChain],
+        spec: RunSpec,
         *,
-        topology: MultiRackTopology,
-        profiles: Optional[ProfileDatabase] = None,
-        strategy: str = "lemur",
-        flows_per_chain: int = 32,
-        batch_size: int = 32,
-        seed: int = 23,
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
-        queueing: str = "none",
-        objective: str = "throughput",
     ):
+        topology = spec.build_topology()
         if not isinstance(topology, MultiRackTopology):
             raise LifecycleError(
                 "FabricAdmissionCore needs a MultiRackTopology "
                 f"(got {type(topology).__name__}); use AdmissionCore "
                 "for a single rack"
             )
+        initial_chains = spec.build_chains()
         if not initial_chains:
             raise LifecycleError(
                 "admission needs at least one initial chain "
                 "(an empty rack has nothing to deploy)"
             )
-        self.initial_chains = list(initial_chains)
+        self.spec = spec
+        self.initial_chains = initial_chains
         self.fabric = topology
         self.topology = topology
-        self.profiles = profiles or default_profiles()
-        self.strategy = strategy
-        self.flows_per_chain = flows_per_chain
-        self.batch_size = batch_size
-        self.seed = seed
         self.obs = registry if registry is not None else get_registry()
         #: shared across rack cores — placement fingerprints include the
         #: (per-rack) topology, so entries can never collide across racks.
         self.cache = cache if cache is not None else PlacementCache()
         self.full_resolve = full_resolve
-        self.queueing = queueing
-        self.objective = objective
-        self.config = PlacerConfig(strategy=strategy)
 
         #: ingress→rack routes for every rack, fixed by the fabric.
         self.routes: Dict[str, RackRoute] = fabric_routes(self.fabric)
@@ -594,18 +574,12 @@ class FabricAdmissionCore:
     def _new_core(self, rack: str,
                   chains: List[NFChain]) -> AdmissionCore:
         return AdmissionCore(
-            chains,
+            self.spec,
+            chains=chains,
             topology=self.fabric.rack(rack),
-            profiles=self.profiles,
-            strategy=self.strategy,
-            flows_per_chain=self.flows_per_chain,
-            batch_size=self.batch_size,
-            seed=self.seed,
             registry=self.obs,
             cache=self.cache,
             full_resolve=self.full_resolve,
-            queueing=self.queueing,
-            objective=self.objective,
         )
 
     @staticmethod
@@ -698,8 +672,10 @@ class FabricAdmissionCore:
             partition = partition_chains(
                 self.initial_chains,
                 self.fabric,
-                self.profiles,
-                packet_bits=self.config.packet_bits,
+                default_profiles(),
+                packet_bits=PlacerConfig(
+                    strategy=self.spec.strategy
+                ).packet_bits,
             )
         except PartitionError as exc:
             raise PlacementError(
@@ -1040,23 +1016,13 @@ class FabricAdmissionCore:
 # ---------------------------------------------------------------------------
 
 
-def make_admission_core(
-    initial_chains: Sequence[NFChain],
-    *,
-    topology=None,
-    **kwargs,
-):
-    """The one switch both front-ends use: a fabric topology gets a
-    :class:`FabricAdmissionCore`, anything else the single-rack core. A
-    one-rack fabric degenerates to its rack (no partitioning, no hops)."""
-    if isinstance(topology, MultiRackTopology):
-        if len(topology.racks) == 1:
-            topology = topology.rack(topology.ingress)
-        else:
-            return FabricAdmissionCore(
-                initial_chains, topology=topology, **kwargs
-            )
-    return AdmissionCore(initial_chains, topology=topology, **kwargs)
+def make_admission_core(spec: RunSpec, **kwargs):
+    """The one switch both front-ends use: a spec naming a fabric gets a
+    :class:`FabricAdmissionCore`, one naming a single rack the
+    single-rack core."""
+    if spec.topology.is_multi_rack:
+        return FabricAdmissionCore(spec, **kwargs)
+    return AdmissionCore(spec, **kwargs)
 
 
 __all__ = [

@@ -40,17 +40,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
-from repro.chain.graph import NFChain, chains_from_spec, chains_with_slos
+from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.cache import PlacementCache
 from repro.exceptions import LifecycleError, SpecError
-from repro.hw.spec import TopologySpec
-from repro.hw.topology import Topology
 from repro.obs import MetricsRegistry
-from repro.profiles.defaults import ProfileDatabase
 from repro.runtime.pool import fan_out
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
@@ -59,8 +56,7 @@ from repro.sim.admission import (
 )
 from repro.sim.faults import _SLO_RTOL, PhaseReport
 from repro.sim.interrack import make_admission_core
-from repro.sim.runtime import DeployedRack
-from repro.sim.traffic import TrafficEngine
+from repro.sim.traffic import RunSpec
 
 #: within a tick, departures free capacity before admissions consume it.
 _ACTION_ORDER = {"depart": 0, "scale": 1, "arrive": 2}
@@ -283,51 +279,23 @@ class LifecycleTimeline:
 
 
 @dataclass(frozen=True)
-class LifecycleSpec:
+class LifecycleSpec(RunSpec):
     """A fully-stated, picklable lifecycle experiment.
 
     Workers rebuild everything from this spec alone, enabling the same
-    replica determinism check the chaos engine runs.
+    replica determinism check the chaos engine runs. ``slos`` covers the
+    initial chains; the spec's seed wins over the timeline's, so one knob
+    controls the whole run (timeline synthesis and the rack's drop hash).
     """
 
-    spec_text: str
-    #: one (t_min_mbps, t_max_mbps[, d_max_us]) tuple per initial chain.
-    slos: Tuple[Tuple[float, ...], ...]
-    #: declarative topology; when set it wins over the legacy flags
-    #: below (which remain as the ``TopologySpec.from_flags`` bridge).
-    topology: Optional[TopologySpec] = None
     timeline: LifecycleTimeline = field(default_factory=LifecycleTimeline)
     packets_per_phase: int = 256
-    flows_per_chain: int = 32
-    batch_size: int = 32
-    seed: int = 23
-    strategy: str = "lemur"
     #: re-solve every event from scratch instead of warm-starting from the
     #: current placement (the experiment baseline the incremental path is
     #: compared against).
     full_resolve: bool = False
-    with_smartnic: bool = False
-    with_openflow: bool = False
-    servers: int = 0
-    #: queueing delay model stamped on every forwarded packet
-    #: (see :class:`repro.sim.measurement.QueueingModel`).
-    queueing: str = "none"
-    #: placement objective ("throughput" or "tail_latency").
-    objective: str = "throughput"
 
-    def build_topology(self):
-        """Build the (single- or multi-rack) topology this spec names."""
-        spec = self.topology if self.topology is not None else \
-            TopologySpec.from_flags(
-                with_smartnic=self.with_smartnic,
-                with_openflow=self.with_openflow,
-                servers=self.servers,
-            )
-        return spec.build()
-
-    def build_chains(self) -> List[NFChain]:
-        return chains_with_slos(self.spec_text, self.slos,
-                                error=LifecycleError)
+    _error: ClassVar[type] = LifecycleError
 
 
 # ---------------------------------------------------------------------------
@@ -468,119 +436,36 @@ class LifecycleEngine:
 
     def __init__(
         self,
-        chains: Sequence[NFChain],
-        timeline: LifecycleTimeline,
-        *,
-        topology: Optional[Topology] = None,
-        profiles: Optional[ProfileDatabase] = None,
-        strategy: str = "lemur",
-        flows_per_chain: int = 32,
-        batch_size: int = 32,
-        seed: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
-        full_resolve: bool = False,
-        queueing: str = "none",
-        objective: str = "throughput",
-    ):
-        self.timeline = timeline
-        timeline.validate()
-        #: a fabric topology gets the multi-rack core, anything else the
-        #: single-rack one — the engine drives both identically.
-        self.core = make_admission_core(
-            chains,
-            topology=topology,
-            profiles=profiles,
-            strategy=strategy,
-            flows_per_chain=flows_per_chain,
-            batch_size=batch_size,
-            seed=timeline.seed if seed is None else seed,
-            registry=registry,
-            cache=cache,
-            full_resolve=full_resolve,
-            queueing=queueing,
-            objective=objective,
-        )
-
-    @classmethod
-    def from_spec(
-        cls,
         spec: LifecycleSpec,
         *,
         registry: Optional[MetricsRegistry] = None,
         cache: Optional[PlacementCache] = None,
-    ) -> "LifecycleEngine":
-        """Build an engine from a fully-stated :class:`LifecycleSpec`.
-
-        The spec's seed wins over the timeline's, so one knob controls
-        the whole run (timeline synthesis and the rack's drop hash).
-        """
-        timeline = replace(spec.timeline, seed=spec.seed) \
-            if spec.timeline.seed != spec.seed else spec.timeline
-        return cls(
-            spec.build_chains(),
-            timeline,
-            topology=spec.build_topology(),
-            strategy=spec.strategy,
-            flows_per_chain=spec.flows_per_chain,
-            batch_size=spec.batch_size,
-            seed=spec.seed,
-            registry=registry,
-            cache=cache,
+    ):
+        self.spec = spec
+        spec.timeline.validate()
+        #: a fabric topology gets the multi-rack core, anything else the
+        #: single-rack one — the engine drives both identically.
+        self.core = make_admission_core(
+            spec, registry=registry, cache=cache,
             full_resolve=spec.full_resolve,
-            queueing=spec.queueing,
-            objective=spec.objective,
         )
-
-    # read-only views onto the core's state, kept for callers that
-    # introspect a finished engine (tests, benchmarks, experiments)
-    @property
-    def initial_chains(self) -> List[NFChain]:
-        return self.core.initial_chains
-
-    @property
-    def topology(self) -> Topology:
-        return self.core.topology
-
-    @property
-    def active(self) -> List[NFChain]:
-        return self.core.active
-
-    @property
-    def placement(self):
-        return self.core.placement
-
-    @property
-    def rack(self) -> Optional[DeployedRack]:
-        return self.core.rack
-
-    @property
-    def traffic(self) -> Optional[TrafficEngine]:
-        return self.core.traffic
-
-    @property
-    def rates(self) -> Dict[str, float]:
-        return self.core.rates
-
-    @property
-    def cache(self) -> PlacementCache:
-        return self.core.cache
 
     # -- the run loop -----------------------------------------------------------
 
-    def run(self, packets_per_phase: int = 256) -> LifecycleReport:
+    def run(self) -> LifecycleReport:
+        packets_per_phase = self.spec.packets_per_phase
         if packets_per_phase < 1:
             raise LifecycleError("packets_per_phase must be >= 1")
         core = self.core
         core.bootstrap()
 
-        report = LifecycleReport(seed=self.timeline.seed)
+        report = LifecycleReport(seed=self.spec.seed)
         report.phases.append(core.run_phase(
             "initial", packets_per_phase,
             index=0, start_packet=0,
         ))
 
-        pending = self.timeline.sorted_events()
+        pending = self.spec.timeline.sorted_events()
         while pending:
             tick = pending[0].at
             fired: List[ChainEvent] = []
@@ -610,8 +495,7 @@ def run_lifecycle(
     cache: Optional[PlacementCache] = None,
 ) -> LifecycleReport:
     """Run one lifecycle experiment from a fully-stated spec."""
-    engine = LifecycleEngine.from_spec(spec, registry=registry, cache=cache)
-    return engine.run(packets_per_phase=spec.packets_per_phase)
+    return LifecycleEngine(spec, registry=registry, cache=cache).run()
 
 
 def _replica_render(spec: LifecycleSpec) -> str:

@@ -1713,7 +1713,7 @@ device_fingerprints`) decide what happens to each device:
     def _run_switch_hop_batch(self, cp: ChainPlacement, hop,
                               packets: List[Packet], spi: int
                               ) -> List[Optional[Packet]]:
-        """Batched :meth:`_run_switch_hop`; returns one entry per input
+        """Run one switch hop over a batch; returns one entry per input
         (the packet, or ``None`` where the switch dropped it)."""
         if self.of_runtime is not None:
             vid = self._of_vid[(spi, hop.entry_si)]
@@ -1792,7 +1792,8 @@ device_fingerprints`) decide what happens to each device:
     def _finish_batch(self, cp: ChainPlacement, packets: List[Packet],
                       excursions: int, switch_passes: int,
                       hop_records: Dict[int, List[dict]]) -> None:
-        """Batched :meth:`_finish` using pre-resolved instruments."""
+        """Stamp each delivered packet's end-to-end latency and record
+        its components, using pre-resolved instruments."""
         inst = self._chain_instruments(cp.name)
         inst["delivered"].inc(len(packets))
         latency_h = inst["latency"]

@@ -24,15 +24,25 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chain.graph import NFChain, chains_with_slos
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.placer import Placer, PlacerConfig, PlacementRequest
+from repro.core.placer import (
+    PLACEMENT_OBJECTIVES,
+    Placer,
+    PlacerConfig,
+    PlacementRequest,
+)
 from repro.core.rates import device_utilization
-from repro.exceptions import PlacementError, TrafficError, WorkerPoolError
+from repro.exceptions import (
+    GraphError,
+    PlacementError,
+    TrafficError,
+    WorkerPoolError,
+)
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
@@ -45,7 +55,7 @@ from repro.runtime.pool import (
     warn_serial_fallback,
 )
 from repro.sim.columns import PacketColumns
-from repro.sim.measurement import QueueingModel
+from repro.sim.measurement import QUEUEING_MODELS, QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
 from repro.units import SIM_PACKET_BITS, SLO_RTOL
 
@@ -254,52 +264,68 @@ class TrafficReport:
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
-    """A fully-stated, picklable traffic replay.
+class RunSpec:
+    """What every fully-stated run shares: chains, SLOs, the rack, and
+    the placement/replay settings.
 
-    The same shape as :class:`~repro.sim.faults.ChaosSpec` and
-    :class:`~repro.sim.lifecycle.LifecycleSpec`: everything needed to
-    rebuild the topology, chains, placement, and rack lives in the spec,
-    so :func:`run_traffic` is a pure function of it.
+    :class:`TrafficSpec`, :class:`~repro.sim.faults.ChaosSpec`,
+    :class:`~repro.sim.lifecycle.LifecycleSpec` and
+    :class:`~repro.serve.daemon.ServeConfig` subclass this with only
+    their own fields. Everything needed to rebuild the topology, chains,
+    placement, and rack lives in the spec, so the engines are pure
+    functions of it and worker processes rebuild the identical run.
     """
 
     spec_text: str
     #: one (t_min_mbps, t_max_mbps[, d_max_us]) tuple per chain in spec
     #: order; the delay bound defaults to unbounded when omitted.
     slos: Tuple[Tuple[float, ...], ...]
-    #: declarative topology; when set it wins over the legacy flags
-    #: below (which remain as the ``TopologySpec.from_flags`` bridge).
-    topology: Optional[TopologySpec] = None
-    packets_per_chain: int = 2048
-    flows_per_chain: int = 64
-    batch_size: int = 64
-    vectorized: bool = False
-    shards: int = 1
+    #: the rack or fabric, as data (default: the paper testbed).
+    topology: TopologySpec = TopologySpec()
+    flows_per_chain: int = 32
+    batch_size: int = 32
     seed: int = 23
     strategy: str = "lemur"
-    with_smartnic: bool = False
-    with_openflow: bool = False
-    servers: int = 0
-    metron: bool = False
     #: queueing-delay model the deployed rack stamps (``none`` or ``mm1``).
     queueing: str = "none"
     #: placement objective (``throughput`` or ``tail_latency``).
     objective: str = "throughput"
 
+    #: the exception family this spec's validation raises in.
+    _error: ClassVar[type] = GraphError
+
+    def __post_init__(self) -> None:
+        # eagerly, so a typo fails at construction, not mid-run
+        if self.queueing not in QUEUEING_MODELS:
+            raise self._error(
+                f"queueing must be one of {sorted(QUEUEING_MODELS)}"
+            )
+        if self.objective not in PLACEMENT_OBJECTIVES:
+            raise self._error(
+                f"objective must be one of {sorted(PLACEMENT_OBJECTIVES)}"
+            )
+
     def build_topology(self):
         """Build the (single- or multi-rack) topology this spec names."""
-        spec = self.topology if self.topology is not None else \
-            TopologySpec.from_flags(
-                with_smartnic=self.with_smartnic,
-                with_openflow=self.with_openflow,
-                servers=self.servers,
-                metron=self.metron,
-            )
-        return spec.build()
+        return self.topology.build()
 
     def build_chains(self) -> List[NFChain]:
         return chains_with_slos(self.spec_text, self.slos,
-                                error=TrafficError)
+                                error=self._error)
+
+
+@dataclass(frozen=True)
+class TrafficSpec(RunSpec):
+    """A fully-stated, picklable traffic replay: :func:`run_traffic` is
+    a pure function of it."""
+
+    packets_per_chain: int = 2048
+    flows_per_chain: int = 64
+    batch_size: int = 64
+    vectorized: bool = False
+    shards: int = 1
+
+    _error: ClassVar[type] = TrafficError
 
 
 class TrafficEngine:
@@ -415,6 +441,38 @@ class TrafficEngine:
             if packet is not None
         ]
 
+    def _inject(self, cp: ChainPlacement, flows: List[Packet], base: int,
+                size: int, sig: Optional[Sequence[int]] = None
+                ) -> Tuple[int, List[float], float]:
+        """Push one batch through the rack: packets ``base .. base+size``
+        of the flow cycle (packet ``i`` belongs to flow ``i % flows``).
+
+        Returns ``(delivered, latency_samples, rack_wall_seconds)``. Only
+        rack work is timed: packet clones and the signature column are
+        built before the clock starts, the delivered packets' latency
+        stamps (µs) are collected after it stops. ``sig`` optionally
+        supplies the columnar signature column precomputed.
+        """
+        n_flows = len(flows)
+        if self.vectorized:
+            if sig is None:
+                sig = [(base + offset) % n_flows for offset in range(size)]
+            started = time.perf_counter()
+            result = self.rack.run_columns(
+                cp, PacketColumns.for_flows(flows, sig)
+            )
+            wall = time.perf_counter() - started
+            return result.delivered, self._columnar_latencies(result), wall
+        batch = [
+            flows[(base + offset) % n_flows].copy()
+            for offset in range(size)
+        ]
+        started = time.perf_counter()
+        scalar_result = self.rack.run(cp, batch)
+        wall = time.perf_counter() - started
+        return (scalar_result.delivered,
+                self._scalar_latencies(scalar_result), wall)
+
     def replay_batch(self, cp: ChainPlacement, cursor: int,
                      count: int) -> Tuple[int, int, List[float]]:
         """Inject ``count`` packets of ``cp``'s flow cycle from ``cursor``.
@@ -428,28 +486,16 @@ class TrafficEngine:
         windowed-quantile input.
         """
         flows = self.synthesize_flows(cp)
-        n_flows = len(flows)
         delivered = 0
         injected = 0
         latencies: List[float] = []
         while injected < count:
             size = min(self.batch_size, count - injected)
-            base = cursor + injected
-            if self.vectorized:
-                sig = [(base + offset) % n_flows for offset in range(size)]
-                result = self.rack.run_columns(
-                    cp, PacketColumns.for_flows(flows, sig)
-                )
-                delivered += result.delivered
-                latencies.extend(self._columnar_latencies(result))
-            else:
-                batch = [
-                    flows[(base + offset) % n_flows].copy()
-                    for offset in range(size)
-                ]
-                scalar_result = self.rack.run(cp, batch)
-                delivered += scalar_result.delivered
-                latencies.extend(self._scalar_latencies(scalar_result))
+            got, samples, _wall = self._inject(
+                cp, flows, cursor + injected, size
+            )
+            delivered += got
+            latencies.extend(samples)
             injected += size
         return delivered, cursor + injected, latencies
 
@@ -486,43 +532,22 @@ class TrafficEngine:
         construction, so outcomes do not depend on the transport.
         """
         flows = self.synthesize_flows(cp)
-        n_flows = len(flows)
         if sig_schedule is not None and len(sig_schedule) < packets_per_chain:
             sig_schedule = None
-        run_columns = self.rack.run_columns
-        run = self.rack.run
         delivered = 0
         injected = 0
         wall = 0.0
         latencies: List[float] = []
         while injected < packets_per_chain:
             size = min(self.batch_size, packets_per_chain - injected)
-            # cycle the flow set: packet i belongs to flow i % flows
-            if self.vectorized:
-                if sig_schedule is not None:
-                    sig = sig_schedule[injected:injected + size]
-                else:
-                    sig = [
-                        (injected + offset) % n_flows
-                        for offset in range(size)
-                    ]
-                started = time.perf_counter()
-                columns = PacketColumns.for_flows(flows, sig)
-                result = run_columns(cp, columns)
-                delivered += result.delivered
-                wall += time.perf_counter() - started
-                # quantile bookkeeping stays outside the timed region
-                latencies.extend(self._columnar_latencies(result))
-            else:
-                batch = [
-                    flows[(injected + offset) % n_flows].copy()
-                    for offset in range(size)
-                ]
-                started = time.perf_counter()
-                scalar_result = run(cp, batch)
-                delivered += scalar_result.delivered
-                wall += time.perf_counter() - started
-                latencies.extend(self._scalar_latencies(scalar_result))
+            sig = None if sig_schedule is None \
+                else sig_schedule[injected:injected + size]
+            got, samples, spent = self._inject(
+                cp, flows, injected, size, sig
+            )
+            delivered += got
+            wall += spent
+            latencies.extend(samples)
             injected += size
         d_max = cp.chain.slo.d_max
         return ChainTrafficReport(

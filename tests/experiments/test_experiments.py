@@ -9,7 +9,7 @@ from repro.experiments.chains import (
     chains_with_delta,
     nat_stress_chain,
 )
-from repro.experiments.runner import run_delta_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES, run_scheme, scheme_names
 from repro.exceptions import SpecError
 from repro.hw.spec import topology_for
@@ -85,9 +85,10 @@ class TestRunner:
     def test_mini_sweep_structure(self, profiles):
         schemes = {k: v for k, v in SCHEMES.items()
                    if k in ("Lemur", "SW Preferred")}
-        sweep = run_delta_sweep([2, 3], deltas=(0.5, 1.5),
-                                schemes=schemes, profiles=profiles,
-                                measure=False)
+        sweep = run_sweep(SweepSpec(
+            [2, 3], deltas=(0.5, 1.5), schemes=schemes, profiles=profiles,
+            measure=False,
+        ))
         assert len(sweep.results) == 4
         lemur = sweep.for_scheme("Lemur")
         assert all(r.feasible for r in lemur)
@@ -95,8 +96,10 @@ class TestRunner:
 
     def test_measured_mode_populates(self, profiles):
         schemes = {"Lemur": SCHEMES["Lemur"]}
-        sweep = run_delta_sweep([2], deltas=(0.5,), schemes=schemes,
-                                profiles=profiles, measure=True)
+        sweep = run_sweep(SweepSpec(
+            [2], deltas=(0.5,), schemes=schemes, profiles=profiles,
+            measure=True,
+        ))
         (cell,) = sweep.results
         assert cell.measured_mbps > 0
         assert cell.measured_mbps == pytest.approx(cell.predicted_mbps,
@@ -105,14 +108,18 @@ class TestRunner:
     def test_marginal_lead_metric(self, profiles):
         schemes = {k: v for k, v in SCHEMES.items()
                    if k in ("Lemur", "SW Preferred")}
-        sweep = run_delta_sweep([2, 3], deltas=(0.5,), schemes=schemes,
-                                profiles=profiles, measure=False)
+        sweep = run_sweep(SweepSpec(
+            [2, 3], deltas=(0.5,), schemes=schemes, profiles=profiles,
+            measure=False,
+        ))
         assert sweep.max_marginal_lead_mbps("Lemur") > 0
 
     def test_table_rendering(self, profiles):
         schemes = {"Lemur": SCHEMES["Lemur"]}
-        sweep = run_delta_sweep([2], deltas=(0.5,), schemes=schemes,
-                                profiles=profiles, measure=False)
+        sweep = run_sweep(SweepSpec(
+            [2], deltas=(0.5,), schemes=schemes, profiles=profiles,
+            measure=False,
+        ))
         text = sweep.print_table()
         assert "Lemur" in text and "δ=0.5" in text
 

@@ -8,7 +8,6 @@ from repro.core.cache import PlacementCache, scoped_cache
 from repro.experiments.runner import (
     DEFAULT_DELTAS,
     SweepSpec,
-    run_delta_sweep,
     run_sweep,
 )
 from repro.experiments.schemes import SCHEMES
@@ -34,18 +33,6 @@ def spec(profiles):
 
 
 class TestSweepSpec:
-    def test_spec_and_shim_agree(self, spec, profiles):
-        via_spec = run_sweep(spec)
-        via_shim = run_delta_sweep(
-            (2, 3), deltas=(0.5, 1.0), schemes=FAST,
-            profiles=profiles, measure=False, cache=False,
-        )
-        assert via_spec.results == via_shim.results
-        assert via_spec.chain_indices == via_shim.chain_indices
-
-    def test_run_delta_sweep_accepts_spec(self, spec):
-        assert run_delta_sweep(spec).results == run_sweep(spec).results
-
     def test_default_deltas_are_figure2(self):
         assert SweepSpec(chain_indices=(1,)).deltas == DEFAULT_DELTAS
 
@@ -107,9 +94,10 @@ class TestTopologyIsolation:
     def test_caller_topology_never_mutated(self, profiles):
         topology = topology_for("paper-testbed").build()
         before_reserved = [s.reserved_cores for s in topology.servers]
-        run_delta_sweep((2, 3), deltas=(0.5, 1.0), schemes=FAST,
-                        topology=topology, profiles=profiles,
-                        measure=False, cache=False)
+        run_sweep(SweepSpec(
+            (2, 3), deltas=(0.5, 1.0), schemes=FAST, topology=topology,
+            profiles=profiles, measure=False, cache=False,
+        ))
         assert topology.failed_devices == set()
         assert [s.reserved_cores for s in topology.servers] == before_reserved
 
@@ -125,11 +113,11 @@ class TestTopologyIsolation:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unpicklable-scheme fallback
-            run_delta_sweep((2,), deltas=(0.5, 1.0, 1.5),
-                            schemes={"Vandal": vandal},
-                            topology=topology_for("multi-server").build(),
-                            profiles=profiles,
-                            measure=False, cache=False, jobs=1)
+            run_sweep(SweepSpec(
+                (2,), deltas=(0.5, 1.0, 1.5), schemes={"Vandal": vandal},
+                topology=topology_for("multi-server").build(),
+                profiles=profiles, measure=False, cache=False, jobs=1,
+            ))
         # every cell started from a pristine copy: no failures carried over
         assert calls == [[], [], []]
 

@@ -10,6 +10,7 @@ and across ``--jobs`` settings.
 
 import pytest
 
+from repro.hw.spec import topology_for
 from repro.obs import MetricsRegistry
 from repro.sim.faults import (
     ChaosSpec,
@@ -37,7 +38,7 @@ def _fig2_spec(**overrides):
         flows_per_chain=16,
         batch_size=32,
         guard=GuardConfig(window_packets=64),
-        with_smartnic=True,
+        topology=topology_for("paper-smartnic"),
     )
     base.update(overrides)
     return ChaosSpec(**base)

@@ -62,11 +62,11 @@ class TestHistogram:
         h = registry.histogram("lat")
         for value in range(101):
             h.observe(float(value))
-        assert h.percentile(50) == 50.0
-        assert h.percentile(0) == 0.0
-        assert h.percentile(100) == 100.0
+        assert h.quantile(0.5) == 50.0
+        assert h.quantile(0) == 0.0
+        assert h.quantile(1) == 100.0
         with pytest.raises(ValueError):
-            h.percentile(101)
+            h.quantile(1.01)
 
     def test_sample_cap_keeps_exact_aggregates(self):
         registry = MetricsRegistry()
@@ -197,9 +197,9 @@ class TestQuantile:
         hist = registry.histogram("rack.latency_us", chain="a")
         for value in (10.0, 20.0, 30.0, 40.0):
             hist.observe(value)
-        # the interpolating quantile vs the nearest-rank percentile the
-        # summary surface keeps for backwards compatibility
+        # the summary's p-columns are the same interpolating quantile
         assert hist.quantile(0.5) == pytest.approx(25.0)
         summary = hist.summary()
-        assert summary["p95"] == 40.0
+        assert summary["p95"] == pytest.approx(hist.quantile(0.95))
+        assert summary["p95"] == pytest.approx(38.5)
         assert summary["p50"] <= summary["p95"] <= summary["p99"]

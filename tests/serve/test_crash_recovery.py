@@ -150,6 +150,39 @@ def test_checkpoint_with_object_valued_cache_entries_still_loads(
     assert recovered.report().to_json() == reference.report().to_json()
 
 
+def test_state_dir_from_before_cores_held_their_spec_recovers(
+        config, drive, tmp_path):
+    """What the daemon wrote while specs carried rack flags and cores
+    re-listed the run settings: a ``config.json`` with ``topology: null``
+    plus ``with_smartnic``/``with_openflow``/``servers``, and a pickled
+    core with loose ``strategy``/``seed``/... attributes and no spec. It
+    must verify, restore, and finish byte-identical."""
+    import json
+
+    reference, _ = drive(config, tmp_path / "reference", COMMANDS)
+    daemon, _ = drive(config, tmp_path / "state", COMMANDS[:3], crash=True)
+
+    stored = tmp_path / "state" / "config.json"
+    payload = json.loads(stored.read_text())
+    stored.write_text(json.dumps({
+        **payload, "topology": None,
+        "with_smartnic": False, "with_openflow": False, "servers": 0,
+    }))
+    state = daemon.checkpoints.load()
+    assert state["seq"] == 2
+    core = state["core"]
+    spec = core.__dict__.pop("spec")
+    for name in ("strategy", "flows_per_chain", "batch_size", "seed",
+                 "queueing", "objective"):
+        setattr(core, name, getattr(spec, name))
+    daemon.checkpoints.save(state)
+
+    recovered, _ = drive(config, tmp_path / "state", COMMANDS[3:])
+    assert recovered.recovered is True
+    assert recovered.core.spec.seed == config.seed
+    assert recovered.report().to_json() == reference.report().to_json()
+
+
 def test_fresh_state_dir_is_not_recovered(config, drive, tmp_path):
     daemon, _ = drive(config, tmp_path / "state", [])
     assert daemon.recovered is False

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.exceptions import ServeError
+from repro.hw.spec import topology_for
 from repro.serve import (
     Arrive,
     Depart,
@@ -179,6 +180,24 @@ class TestConfig:
         stored.write_text(json.dumps({**payload, "pool": "keep"}))
         daemon, _ = drive(config, tmp_path / "state", [])
         assert daemon.recovered is True
+
+    def test_legacy_rack_flags_fold_into_the_topology(self, make_config):
+        """A ``config.json`` written before the config named its rack as
+        a ``TopologySpec``: ``topology: null`` plus the rack flags."""
+        config = make_config(topology=topology_for("paper-smartnic"))
+        payload = json.loads(config.to_json())
+        assert not {"with_smartnic", "with_openflow", "servers"} & set(payload)
+        legacy = {"with_smartnic": True, "with_openflow": False, "servers": 0}
+        assert ServeConfig.from_dict(
+            {**payload, "topology": None, **legacy}
+        ) == config
+        # a non-null topology wins over the flags, as it did
+        assert ServeConfig.from_dict(
+            {**payload, "with_openflow": True, "servers": 2}
+        ) == config
+        assert ServeConfig.from_dict(
+            {**payload, "topology": None, "servers": 2}
+        ).topology == topology_for("multi-server")
 
     def test_validate_bounds(self, make_config):
         with pytest.raises(ServeError):

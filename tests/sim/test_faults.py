@@ -205,7 +205,7 @@ def _smartnic_spec(**overrides):
         flows_per_chain=16,
         batch_size=32,
         guard=GuardConfig(window_packets=64),
-        with_smartnic=True,
+        topology=topology_for("paper-smartnic"),
     )
     base.update(overrides)
     return ChaosSpec(**base)
@@ -325,16 +325,16 @@ class TestChaosEngine:
             _smartnic_spec(slos=()).build_chains()
 
     def test_engine_validates_timeline_against_topology(self):
-        chains = chains_from_spec(
-            "chain a: ACL -> IPv4Fwd",
-            slos=[SLO(t_min=gbps(1), t_max=gbps(10))],
+        spec = ChaosSpec(
+            spec_text="chain a: ACL -> IPv4Fwd",
+            slos=((gbps(1), gbps(10)),),
+            timeline=FaultTimeline(events=(
+                FaultEvent(at_packet=1, action="fail", target="agilio0"),
+            )),
         )
-        timeline = FaultTimeline(events=(
-            FaultEvent(at_packet=1, action="fail", target="agilio0"),
-        ))
         with pytest.raises(Exception):
             # no SmartNIC in the default testbed
-            ChaosEngine(chains, timeline, topology=topology_for("paper-testbed").build())
+            ChaosEngine(spec)
 
     def test_chaos_uses_placement_cache_across_engines(self):
         cache = PlacementCache()

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.chain.graph import chains_from_spec
-from repro.chain.slo import SLO
 from repro.exceptions import (
     FaultInjectionError,
     LifecycleError,
     TopologyError,
 )
-from repro.hw.multirack import MultiRackTopology
-from repro.hw.spec import topology_for
+from repro.hw.spec import TopologySpec, topology_for
 from repro.obs import MetricsRegistry
 from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline
@@ -20,6 +17,7 @@ from repro.sim.interrack import (
     run_fabric_chaos,
     run_fabric_traffic,
 )
+from repro.sim.lifecycle import LifecycleSpec
 from repro.sim.traffic import TrafficSpec
 
 SPEC6 = "\n".join(
@@ -28,13 +26,16 @@ SPEC6 = "\n".join(
 SLOS6 = tuple((4000.0, 9000.0, 400.0) for _ in range(6))
 
 
-def _chains(n, t_min=4000.0):
-    spec = "\n".join(
-        f"chain c{i}: ACL(rules=64) -> Encrypt -> IPv4Fwd" for i in range(n)
-    )
-    return chains_from_spec(
-        spec, slos=[SLO(t_min=t_min, t_max=9000.0, d_max=400.0)
-                    for _ in range(n)]
+def _run_spec(n, topology=topology_for("two-rack")):
+    """``n`` copies of the 4 Gbps / 400 µs chain on ``topology``."""
+    return LifecycleSpec(
+        spec_text="\n".join(
+            f"chain c{i}: ACL(rules=64) -> Encrypt -> IPv4Fwd"
+            for i in range(n)
+        ),
+        slos=tuple((4000.0, 9000.0, 400.0) for _ in range(n)),
+        topology=topology,
+        flows_per_chain=8, batch_size=16, seed=7,
     )
 
 
@@ -154,43 +155,27 @@ class TestFabricChaos:
 
 class TestAdmissionFactory:
     def test_fabric_topology_gets_fabric_core(self):
-        core = make_admission_core(
-            _chains(2), topology=topology_for("two-rack").build(), seed=7,
-        )
+        core = make_admission_core(_run_spec(2))
         assert isinstance(core, FabricAdmissionCore)
 
     def test_plain_topology_gets_single_rack_core(self):
-        core = make_admission_core(
-            _chains(1), topology=topology_for("paper-testbed").build(),
-            seed=7,
-        )
+        core = make_admission_core(_run_spec(1, topology_for("paper-testbed")))
         assert isinstance(core, AdmissionCore)
 
     def test_one_rack_fabric_degenerates(self):
-        rack = topology_for("paper-testbed").build()
-        fabric = MultiRackTopology(racks={"r0": rack}, links=[],
-                                   ingress="r0")
-        core = make_admission_core(_chains(1), topology=fabric, seed=7)
+        # a one-rack star has no links: it is its rack, not a fabric
+        core = make_admission_core(_run_spec(1, TopologySpec.star(1)))
         assert isinstance(core, AdmissionCore)
         assert not isinstance(core, FabricAdmissionCore)
 
     def test_fabric_core_requires_fabric(self):
         with pytest.raises(LifecycleError, match="MultiRackTopology"):
-            FabricAdmissionCore(
-                _chains(1),
-                topology=topology_for("paper-testbed").build(),
-            )
+            FabricAdmissionCore(_run_spec(1, topology_for("paper-testbed")))
 
 
 class TestFabricLifecycle:
-    def _core(self, n=6, **kwargs):
-        defaults = dict(
-            topology=topology_for("two-rack").build(),
-            flows_per_chain=8, batch_size=16, seed=7,
-            registry=MetricsRegistry(),
-        )
-        defaults.update(kwargs)
-        core = FabricAdmissionCore(_chains(n), **defaults)
+    def _core(self, n=6):
+        core = FabricAdmissionCore(_run_spec(n), registry=MetricsRegistry())
         core.bootstrap()
         return core
 

@@ -325,7 +325,7 @@ class TestEngineValidation:
         from repro.sim.lifecycle import LifecycleEngine
 
         with pytest.raises(LifecycleError, match="initial chain"):
-            LifecycleEngine([], LifecycleTimeline())
+            LifecycleEngine(LifecycleSpec(spec_text="", slos=()))
 
     def test_cannot_depart_last_chain(self):
         spec = LifecycleSpec(

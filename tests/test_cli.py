@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.exceptions import ReproError
+from repro.hw.spec import TopologySpec, topology_for
 
 
 @pytest.fixture()
@@ -207,3 +209,42 @@ class TestExitCodes:
         assert not violated.ok
         assert emit_report(violated) == 2
         assert "VIOLATED" in capsys.readouterr().out
+
+
+class TestTopologyFlags:
+    """Every run subcommand states its rack once, as the TopologySpec the
+    CLI's one translator builds from the flags."""
+
+    #: where each subcommand hands its finished spec
+    ENTRY = {
+        "traffic": "repro.sim.traffic.run_traffic",
+        "chaos": "repro.sim.faults.run_chaos_checked",
+        "lifecycle": "repro.sim.lifecycle.run_lifecycle_checked",
+        "serve": "repro.serve.run_server",
+    }
+    FLAGS = {
+        "--smartnic": TopologySpec.from_flags(with_smartnic=True),
+        "--openflow": TopologySpec.from_flags(with_openflow=True),
+        "--servers 2": TopologySpec.from_flags(servers=2),
+        "--metron": TopologySpec.from_flags(metron=True),
+        "--racks 2": TopologySpec.from_flags(racks=2),
+        "--preset two-rack": topology_for("two-rack"),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(FLAGS))
+    @pytest.mark.parametrize("command", sorted(ENTRY))
+    def test_spec_carries_the_flagged_topology(
+            self, command, flags, spec_file, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(spec, *args, **kwargs):
+            seen.append(spec)
+            raise ReproError("captured before anything runs")
+
+        monkeypatch.setattr(self.ENTRY[command], capture)
+        argv = [command, spec_file, *flags.split()]
+        if command == "serve":
+            argv += ["--state-dir", str(tmp_path / "state")]
+        assert main(argv) == 1
+        (spec,) = seen
+        assert spec.topology == self.FLAGS[flags]
