@@ -50,7 +50,7 @@ def _measure(racks):
     fabric = TopologySpec.star(racks).build()
     started = time.perf_counter()
     hier = MultiRackPlacer(fabric=fabric).solve(
-        PlacementRequest.multi_rack(chains=chains, jobs=1)
+        PlacementRequest.multi_rack(chains=chains)
     )
     hier_seconds = time.perf_counter() - started
 

@@ -3,31 +3,31 @@
 
 Runs the equivalent of ``repro traffic examples/specs/pop.lemur
 --vectorized --shards 2`` twice *in one process* — the regime the
-persistent pool exists for — and asserts the warm-rack contract:
+persistent pool exists for — and asserts what the pool promises:
 
-* phase 1 deploys its racks cold (``runtime.rack_builds{mode=cold}``);
-* phase 2 finds them warm (``runtime.rack_builds{mode=warm}``) because
-  the pool, its workers, and their cached racks survived the first run;
-* both phases report byte-identical delivery outcomes.
+* both sharded phases run on the same live workers: one
+  ``runtime.tasks`` task per shard per phase, ``runtime.pool.restarts``
+  stays 0;
+* both phases report exactly what the serial replay reports, byte for
+  byte.
 
 Run from the repo root:
 
     PYTHONPATH=src python scripts/pool_smoke.py
 """
 
-import json
 import sys
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.runtime.pool import shutdown_pool
 from repro.sim.traffic import TrafficSpec, run_traffic
 
 SPEC_PATH = "examples/specs/pop.lemur"
+SHARDS = 2
 
 
-def run_phase(spec_text: str):
-    registry = MetricsRegistry()
-    report = run_traffic(
+def run_phase(spec_text: str, shards: int) -> str:
+    return run_traffic(
         TrafficSpec(
             spec_text=spec_text,
             slos=((1.0, 20.0), (1.0, 20.0)),
@@ -35,48 +35,43 @@ def run_phase(spec_text: str):
             flows_per_chain=16,
             batch_size=64,
             vectorized=True,
-            shards=2,
+            shards=shards,
         ),
-        registry=registry,
-    )
-    builds = {
-        counter["labels"]["mode"]: counter["value"]
-        for counter in registry.snapshot()["counters"]
-        if counter["name"] == "runtime.rack_builds"
-    }
-    return report.to_json(), builds
+        registry=MetricsRegistry(),
+    ).to_json()
 
 
 def main() -> int:
     with open(SPEC_PATH) as fh:
         spec_text = fh.read()
 
+    serial = run_phase(spec_text, 1)
     shutdown_pool()
     try:
-        first, first_builds = run_phase(spec_text)
-        print(f"phase 1 rack builds: {first_builds}")
-        second, second_builds = run_phase(spec_text)
-        print(f"phase 2 rack builds: {second_builds}")
+        # the pool records into the process-default registry
+        with scoped_registry() as default:
+            phases = [run_phase(spec_text, SHARDS) for _ in range(2)]
+            tasks = default.counter_value("runtime.tasks", kind="_run_shard")
+            restarts = default.counter_value("runtime.pool.restarts")
     finally:
         shutdown_pool()
+    print(f"shard tasks: {tasks}, worker restarts: {restarts}")
 
-    if first_builds.get("cold", 0) < 1:
-        print("FAIL: phase 1 never deployed a rack cold "
-              "(did the pooled path fall back?)")
+    if tasks != SHARDS * len(phases):
+        print(f"FAIL: expected {SHARDS * len(phases)} shard tasks (one per "
+              "shard per phase) — did the pooled path fall back?")
         return 1
-    if second_builds.get("warm", 0) < 1:
-        print("FAIL: phase 2 reports no warm rack hit — the persistent "
-              "pool did not reuse phase 1's racks")
+    if restarts != 0:
+        print("FAIL: the second phase did not reuse the first phase's "
+              "live workers")
         return 1
-    if second_builds.get("cold", 0) != 0:
-        print("FAIL: phase 2 deployed a rack cold; expected warm reuse "
-              f"only, got {second_builds}")
-        return 1
-    if json.dumps(first, sort_keys=True) != json.dumps(second,
-                                                       sort_keys=True):
-        print("FAIL: phases disagree on delivery outcomes")
-        return 1
-    print("OK: second phase reused warm racks with identical reports")
+    for index, sharded in enumerate(phases, 1):
+        if sharded != serial:
+            print(f"FAIL: sharded phase {index} differs from the serial "
+                  "report")
+            return 1
+    print("OK: two sharded phases on the same workers, both byte-identical "
+          "to the serial report")
     return 0
 
 

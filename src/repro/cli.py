@@ -181,9 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="use the columnar fast path "
                                   "(bit-identical to scalar replay)")
     traffic_cmd.add_argument("--shards", type=int, default=1,
-                             help="replay chains across N workers of the "
-                                  "persistent pool (deterministic metrics "
-                                  "merge-back)")
+                             help="replay one rack's chains across N "
+                                  "workers of the persistent pool "
+                                  "(deterministic metrics merge-back); "
+                                  "a fabric replays its racks serially "
+                                  "and does not read it")
     traffic_cmd.add_argument("--seed", type=int, default=23,
                              help="rack drop-hash seed")
     traffic_cmd.add_argument("--json", action="store_true",

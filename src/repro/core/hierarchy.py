@@ -9,10 +9,11 @@
 2. **Per-rack solve** — the ordinary ``Placer.solve`` runs over each
    rack's chain subset. Remote chains are handed down with their
    ``d_max`` already shrunk by the fabric RTT, so the per-rack latency
-   guard still protects the *end-to-end* SLO. With ``jobs > 1`` the
-   rack solves fan out over the persistent worker pool (affinity keeps
-   each rack on one worker so its placement cache stays warm); results
-   are byte-identical to the serial path.
+   guard still protects the *end-to-end* SLO. The rack solves run
+   serially against the placer's own per-rack caches: the win is the
+   decomposition into ~10 ms sub-problems, and a pool hand-off per
+   rack measured slower than solving them in turn
+   (``docs/performance.md``).
 3. **Link post-pass** — assigned rates of remote chains are summed per
    inter-rack link; overloads shed marginal rate (never below the
    ``t_min`` floor) deterministically so the fabric cannot promise more
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.chain.slo import SLO
 from repro.core.cache import PlacementCache
@@ -115,40 +116,6 @@ class MultiRackReport:
     seconds: float
     strategy: str
     mode: str = "hierarchical"
-    rack_solve: str = "serial"  # "serial" or "pool"
-    jobs: int = 1
-
-
-# ---------------------------------------------------------------------------
-# worker-pool fan-out task (module level: must pickle under fork/spawn)
-# ---------------------------------------------------------------------------
-
-#: per-rack placement caches that persist inside a pool worker across
-#: dispatch waves — affinity routing sends the same rack to the same
-#: worker, so repeated fabric solves hit a warm cache there too.
-_WORKER_CACHES: Dict[str, PlacementCache] = {}
-
-
-def _solve_rack_task(arg: dict) -> Tuple[str, PlacementReport]:
-    rack = arg["rack"]
-    cache = None
-    if arg["use_cache"]:
-        cache = _WORKER_CACHES.setdefault(rack, PlacementCache())
-    placer = Placer(
-        topology=arg["topology"],
-        profiles=arg["profiles"],
-        config=arg["config"],
-        cache=cache,
-    )
-    report = placer.solve(
-        PlacementRequest(
-            chains=arg["chains"],
-            strategy=arg["strategy"],
-            objective=arg["objective"],
-            use_cache=arg["use_cache"],
-        )
-    )
-    return rack, report
 
 
 @dataclass
@@ -158,7 +125,7 @@ class MultiRackPlacer:
     Holds one placement cache per rack, so incremental fabric workloads
     (lifecycle replays, chaos replans) reuse warm per-rack solves.
     ``solve`` accepts any :class:`PlacementRequest`; one without
-    ``multi_rack`` options gets the defaults (serial, no pins).
+    ``multi_rack`` options gets the defaults (no pins).
     """
 
     fabric: MultiRackTopology
@@ -210,7 +177,6 @@ class MultiRackPlacer:
                 placement=placement,
                 seconds=time.perf_counter() - started,
                 strategy=strategy,
-                jobs=opts.jobs,
             )
 
         remote = partition.remote_chains(fabric.ingress)
@@ -230,9 +196,17 @@ class MultiRackPlacer:
             rack_chains.setdefault(rack, []).append(handed)
 
         racks = sorted(rack_chains)
-        reports, rack_solve = self._solve_racks(
-            racks, rack_chains, request, opts
-        )
+        reports = {
+            rack: self.placer_for(rack).solve(
+                PlacementRequest(
+                    chains=rack_chains[rack],
+                    strategy=request.strategy,
+                    objective=request.objective,
+                    use_cache=request.use_cache,
+                )
+            )
+            for rack in racks
+        }
 
         placement = MultiRackPlacement(
             partition=partition,
@@ -259,55 +233,7 @@ class MultiRackPlacer:
             placement=placement,
             seconds=seconds,
             strategy=strategy,
-            rack_solve=rack_solve,
-            jobs=opts.jobs,
         )
-
-    # -- stage 2: per-rack solves (serial or pooled) ----------------------
-
-    def _solve_racks(self, racks, rack_chains, request, opts):
-        use_pool = opts.jobs > 1 and len(racks) > 1
-        if use_pool:
-            try:
-                from repro.runtime.pool import PoolCall, get_pool, in_worker
-
-                if in_worker():
-                    use_pool = False
-            except Exception:  # pragma: no cover - pool always importable
-                use_pool = False
-        if use_pool:
-            calls = [
-                PoolCall(
-                    _solve_rack_task,
-                    {
-                        "rack": rack,
-                        "topology": self.fabric.rack(rack),
-                        "profiles": self.profiles,
-                        "config": self.config,
-                        "chains": rack_chains[rack],
-                        "strategy": request.strategy,
-                        "objective": request.objective,
-                        "use_cache": request.use_cache,
-                    },
-                    affinity=rack,
-                )
-                for rack in racks
-            ]
-            pool = get_pool(min(opts.jobs, len(racks)))
-            results = pool.dispatch(calls)
-            return {rack: report for rack, report in results}, "pool"
-
-        reports = {}
-        for rack in racks:
-            reports[rack] = self.placer_for(rack).solve(
-                PlacementRequest(
-                    chains=rack_chains[rack],
-                    strategy=request.strategy,
-                    objective=request.objective,
-                    use_cache=request.use_cache,
-                )
-            )
-        return reports, "serial"
 
     # -- stage 3: inter-rack link capacity post-pass ----------------------
 

@@ -100,15 +100,13 @@ def available_strategies() -> List[str]:
 class MultiRackOptions:
     """Hierarchical-solve options a multi-rack request carries.
 
-    ``jobs`` fans the per-rack solves over the persistent worker pool
-    (1 = serial; results are byte-identical either way). ``rack_pins``
-    forces chains onto named racks (``(("chain", "rack"), ...)``) — the
-    lifecycle engine pins already-admitted chains to their home rack so
-    a re-solve never silently migrates them. ``ingress`` overrides the
-    fabric's ingress rack for latency budgeting.
+    ``rack_pins`` forces chains onto named racks
+    (``(("chain", "rack"), ...)``) — the lifecycle engine pins
+    already-admitted chains to their home rack so a re-solve never
+    silently migrates them. ``ingress`` overrides the fabric's ingress
+    rack for latency budgeting.
     """
 
-    jobs: int = 1
     rack_pins: Tuple[Tuple[str, str], ...] = ()
     ingress: Optional[str] = None
 
@@ -193,15 +191,12 @@ class PlacementRequest:
                 raise PlacementError(
                     "base_placement must be feasible to warm-start a solve"
                 )
-        if self.multi_rack is not None and self.multi_rack.jobs < 1:
-            raise PlacementError("multi_rack jobs must be >= 1")
 
 
 def _multi_rack_request(
     cls,
     chains: Sequence[NFChain],
     *,
-    jobs: int = 1,
     rack_pins: Optional[Dict[str, str]] = None,
     ingress: Optional[str] = None,
     strategy: Optional[str] = None,
@@ -211,7 +206,6 @@ def _multi_rack_request(
     """A hierarchical (partition-then-place) request for a
     :class:`~repro.core.hierarchy.MultiRackPlacer`."""
     options = MultiRackOptions(
-        jobs=jobs,
         rack_pins=tuple(sorted((rack_pins or {}).items())),
         ingress=ingress,
     )
@@ -224,7 +218,7 @@ def _multi_rack_request(
 # Attached after class creation: the dataclass machinery has already
 # captured the ``multi_rack`` *field* default (None) into ``__init__``,
 # so the class attribute is free to carry the alternate constructor of
-# the same name (``PlacementRequest.multi_rack(chains, jobs=4)``).
+# the same name (``PlacementRequest.multi_rack(chains, ingress="r1")``).
 PlacementRequest.multi_rack = classmethod(_multi_rack_request)
 
 

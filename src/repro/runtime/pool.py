@@ -2,39 +2,30 @@
 
 The rule: whatever owns a rack runs it in its own process; work that is
 actually parallel — traffic shards, sweep cells, chaos/lifecycle replica
-cross-checks, per-rack solves — goes to this one pool. Spawning workers
-per run would pay process start plus task re-pickling plus a from-scratch
-rack rebuild in every worker, which is exactly the overhead that dominates
-short, repeated phases. :class:`WorkerPool` keeps a small set of worker
-*processes* alive for the lifetime of the parent:
-
-* **dispatch** is a synchronous fan-out of ``(fn, arg)`` tasks over the
-  workers, with results restored to submission order, so merges are
-  deterministic;
-* **affinity** pins all tasks that share a key to one worker in FIFO
-  order, which is what lets the hierarchical placer keep a rack's
-  placement cache warm in a single worker across solves;
-* **payload planning** (:meth:`plan` + :meth:`needs_payload`) lets
-  callers ship a heavy artifact bundle to each worker exactly once and
-  send only its fingerprint afterwards — workers cache the bundle and
-  the deployed rack (see :mod:`repro.runtime.rackcache`).
+cross-checks — goes to this one pool through :func:`fan_out`. Spawning
+workers per run would pay process start in every run, which dominates
+short, repeated phases, so :class:`WorkerPool` keeps a small set of
+worker *processes* alive for the lifetime of the parent. **Dispatch** is
+a synchronous fan-out of ``(fn, arg)`` tasks, round-robin over the
+workers in submission order, with results restored to submission order
+so merges are deterministic. A task carries everything it needs: workers
+hold no state between tasks, so a respawned worker is as good as the one
+it replaces. (Where fan-out pays at all — a serial replay worth ≈0.15 s
+or more — is measured in ``docs/performance.md``.)
 
 Workers are daemonic, survive across dispatches, watch for parent death
 (a SIGKILLed parent cannot close them down gracefully), and are respawned
-transparently if one dies — respawn clears the parent's shipped-payload
-bookkeeping so the fingerprint protocol stays sound. Results travel over
-a dedicated pipe per worker rather than one shared queue: a shared queue
-guards its pipe with a cross-process semaphore, and a worker killed in
-the instant between writing a result and releasing that semaphore would
-poison the queue for every respawned worker (POSIX semaphores are not
-released on process death). One writer per pipe needs no lock, and a
-dead worker's pipe EOFs, which doubles as instant death detection.
+transparently if one dies. Results travel over a dedicated pipe per
+worker rather than one shared queue: a shared queue guards its pipe with
+a cross-process semaphore, and a worker killed in the instant between
+writing a result and releasing that semaphore would poison the queue for
+every respawned worker (POSIX semaphores are not released on process
+death). One writer per pipe needs no lock, and a dead worker's pipe
+EOFs, which doubles as instant death detection.
 
 Parent-side observability: ``runtime.workers`` gauge,
 ``runtime.tasks{kind}`` counter, ``runtime.dispatch.seconds{kind}``
-latency histogram, ``runtime.pool.restarts`` counter. Worker-side rack
-cache counters (``runtime.rack_builds{mode}``) ride back inside each
-task's registry dump where the caller merges state.
+latency histogram, ``runtime.pool.restarts`` counter.
 """
 
 from __future__ import annotations
@@ -50,10 +41,10 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import WorkerPoolError
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry
 
 #: how long a worker sleeps on an empty queue before re-checking that its
 #: parent is still alive (seconds).
@@ -125,11 +116,6 @@ class PoolCall:
 
     fn: Callable
     arg: object
-    #: tasks sharing an affinity key run on one worker, in FIFO order.
-    affinity: Optional[str] = None
-    #: explicit worker index (from :meth:`WorkerPool.plan`); overrides
-    #: affinity and round-robin.
-    worker: Optional[int] = None
 
 
 class _RemoteTaskError(Exception):
@@ -154,9 +140,6 @@ class WorkerPool:
         self._procs: List[object] = []
         self._rr = 0
         self._next_job = 0
-        self._affinity: Dict[str, int] = {}
-        #: worker index -> artifact fingerprints already shipped there.
-        self._shipped: Dict[int, Set[str]] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -188,7 +171,6 @@ class WorkerPool:
             self._result_conns.append(recv_conn)
             self._task_qs.append(task_q)
             self._procs.append(proc)
-        self._shipped[index] = set()
 
     @staticmethod
     def _close_conn(conn) -> None:
@@ -227,49 +209,7 @@ class WorkerPool:
         self._procs.clear()
         self._task_qs.clear()
         self._result_conns.clear()
-        self._shipped.clear()
         get_registry().gauge("runtime.workers").set(0)
-
-    # -- payload planning ----------------------------------------------------
-
-    def plan(self, count: int,
-             affinity: Optional[str] = None) -> List[int]:
-        """Worker indices the next ``count`` tasks would land on.
-
-        With ``affinity`` every slot is the pinned worker; otherwise the
-        assignment is round-robin from the current cursor. Dispatch the
-        planned calls with explicit ``worker=`` to make the plan binding.
-        """
-        with self._lock:
-            self._ensure_workers()
-            if affinity is not None:
-                return [self._pin(affinity)] * count
-            start = self._rr
-            self._rr += count
-            return [(start + i) % self.max_workers for i in range(count)]
-
-    def _pin(self, affinity: str) -> int:
-        """The worker an affinity key is (or becomes) pinned to."""
-        pinned = self._affinity.get(affinity)
-        if pinned is None:
-            pinned = self._rr % self.max_workers
-            self._rr += 1
-            self._affinity[affinity] = pinned
-        return pinned
-
-    def needs_payload(self, worker: int, fingerprint: str) -> bool:
-        """True when ``worker`` has not yet been shipped ``fingerprint``.
-
-        Marks it shipped optimistically; on a worker restart the shipped
-        set is cleared, and the worker-side cache raises a typed stale
-        error the caller resolves by re-dispatching with the payload.
-        """
-        with self._lock:
-            shipped = self._shipped.setdefault(worker, set())
-            if fingerprint in shipped:
-                return False
-            shipped.add(fingerprint)
-            return True
 
     # -- dispatch ------------------------------------------------------------
 
@@ -278,11 +218,10 @@ class WorkerPool:
                  timeout: Optional[float] = None) -> List[object]:
         """Run ``calls`` across the workers; results in submission order.
 
-        Tasks with the same affinity key (or the same explicit worker)
-        execute sequentially in submission order on one worker; the rest
-        spread round-robin. With ``return_exceptions`` worker-side errors
-        come back as :class:`WorkerPoolError` instances in the result
-        slots instead of raising on the first failure.
+        Tasks spread round-robin over the workers in submission order.
+        With ``return_exceptions`` worker-side errors come back as
+        :class:`WorkerPoolError` instances in the result slots instead
+        of raising on the first failure.
         """
         if not calls:
             return []
@@ -293,13 +232,8 @@ class WorkerPool:
             self._ensure_workers()
             jobs: Dict[int, int] = {}  # job id -> result slot
             for slot, call in enumerate(calls):
-                if call.worker is not None:
-                    index = call.worker % len(self._procs)
-                elif call.affinity is not None:
-                    index = self._pin(call.affinity)
-                else:
-                    index = self._rr % self.max_workers
-                    self._rr += 1
+                index = self._rr % self.max_workers
+                self._rr += 1
                 job_id = self._next_job
                 self._next_job += 1
                 jobs[job_id] = slot
@@ -357,10 +291,9 @@ class WorkerPool:
                     results[jobs[job_id]] = error
         return results
 
-    def call(self, fn: Callable, arg: object, *,
-             affinity: Optional[str] = None) -> object:
+    def call(self, fn: Callable, arg: object) -> object:
         """Dispatch a single task and return its result (or raise)."""
-        return self.dispatch([PoolCall(fn, arg, affinity=affinity)])[0]
+        return self.dispatch([PoolCall(fn, arg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +384,39 @@ def fan_out(fn: Callable, args: Sequence[object], *, workers: int,
     return [fn(arg) for arg in args]
 
 
+def _replica_render(task) -> str:
+    """Worker entry: run a full replica with isolated instrumentation."""
+    run, spec = task
+    return run(spec, registry=MetricsRegistry()).render()
+
+
+def run_checked(run: Callable, spec: object, *, jobs: int,
+                registry: Optional[MetricsRegistry], what: str,
+                error: type):
+    """``run(spec, registry=registry)``, cross-checking determinism.
+
+    With ``jobs > 1``, ``jobs - 1`` replica runs execute from the same
+    spec (fanned out when there is more than one); every replica's
+    rendered report must be byte-identical to the local run's, or
+    ``error`` is raised. The returned report is always the local run's,
+    so output is independent of ``jobs``.
+    """
+    report = run(spec, registry=registry)
+    replicas = max(0, jobs - 1)
+    if replicas:
+        rendered = report.render()
+        renders = fan_out(_replica_render, [(run, spec)] * replicas,
+                          workers=replicas, what=f"{what} replicas")
+        for index, other in enumerate(renders):
+            if other != rendered:
+                raise error(
+                    f"{what} replica {index} diverged from the local run "
+                    "with the same seed and timeline — determinism "
+                    "invariant broken"
+                )
+    return report
+
+
 __all__ = [
     "PoolCall",
     "WorkerPool",
@@ -459,6 +425,7 @@ __all__ = [
     "fan_out",
     "get_pool",
     "in_worker",
+    "run_checked",
     "shutdown_pool",
     "warn_serial_fallback",
 ]

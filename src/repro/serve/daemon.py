@@ -59,7 +59,7 @@ from repro.serve.commands import (
 )
 from repro.serve.journal import CheckpointStore, Journal
 from repro.sim.admission import AdmissionCore, AdmissionDecision
-from repro.sim.faults import PhaseReport
+from repro.sim.faults import PhaseReport, phase_table
 from repro.sim.interrack import make_admission_core
 from repro.sim.traffic import RunSpec
 
@@ -249,25 +249,7 @@ class ServeReport:
                     "index": ph.index,
                     "label": ph.label,
                     "compliant": ph.compliant,
-                    "chains": [
-                        {
-                            "chain": row.chain_name,
-                            "injected": row.injected,
-                            "delivered": row.delivered,
-                            "assigned_mbps": round(row.assigned_mbps, 6),
-                            "delivered_mbps": round(row.delivered_mbps, 6),
-                            "t_min_mbps": round(
-                                ph.t_mins.get(row.chain_name, 0.0), 6
-                            ),
-                            "latency_p50_us": round(row.latency_p50_us, 6),
-                            "latency_p95_us": round(row.latency_p95_us, 6),
-                            "latency_p99_us": round(row.latency_p99_us, 6),
-                            "latency_slo_us": round(row.latency_slo_us, 6),
-                            "latency_slo_met": row.latency_slo_met,
-                            "slo_met": ph.slo_met(row),
-                        }
-                        for row in ph.chains
-                    ],
+                    "chains": ph.chain_rows(),
                 }
                 for ph in self.phases
             ],
@@ -297,29 +279,7 @@ class ServeReport:
                     )
         else:
             lines.append("commands: none")
-        lines.append(
-            f"{'phase':<34} {'chain':<12} {'injected':>8} "
-            f"{'delivered':>9} {'assigned':>10} {'delivered':>10} "
-            f"{'t_min':>9} {'p99':>10} {'d_max':>10} {'slo':>9}"
-        )
-        lines.append(
-            f"{'':<34} {'':<12} {'':>8} {'':>9} "
-            f"{'Mbps':>10} {'Mbps':>10} {'Mbps':>9} "
-            f"{'µs':>10} {'µs':>10} {'':>9}"
-        )
-        for ph in self.phases:
-            label = f"{ph.index}:{ph.label}"
-            for row in ph.chains:
-                d_max = (f"{row.latency_slo_us:>10.1f}"
-                         if row.latency_slo_us > 0 else f"{'—':>10}")
-                lines.append(
-                    f"{label:<34} {row.chain_name:<12} "
-                    f"{row.injected:>8} {row.delivered:>9} "
-                    f"{row.assigned_mbps:>10.2f} {row.delivered_mbps:>10.2f} "
-                    f"{ph.t_mins.get(row.chain_name, 0.0):>9.2f} "
-                    f"{row.latency_p99_us:>10.1f} {d_max} "
-                    f"{'ok' if ph.slo_met(row) else 'VIOLATED':>9}"
-                )
+        lines.extend(phase_table(self.phases))
         lines.append(
             f"totals: commands={len(self.commands)} "
             f"accepted={self.accepted} rejected={self.rejected} "

@@ -49,7 +49,7 @@ from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, get_registry, quantile
 from repro.profiles.defaults import default_profiles
-from repro.runtime.pool import fan_out
+from repro.runtime.pool import run_checked
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack
 from repro.sim.traffic import ChainTrafficReport, RunSpec, TrafficEngine
@@ -339,6 +339,54 @@ class PhaseReport:
     def compliant(self) -> bool:
         return all(self.slo_met(row) for row in self.chains)
 
+    def chain_rows(self) -> List[dict]:
+        """The per-chain JSON rows of this phase, as the chaos, lifecycle
+        and serve reports all emit them."""
+        return [
+            {
+                "chain": row.chain_name,
+                "injected": row.injected,
+                "delivered": row.delivered,
+                "assigned_mbps": round(row.assigned_mbps, 6),
+                "delivered_mbps": round(row.delivered_mbps, 6),
+                "t_min_mbps": round(self.t_mins.get(row.chain_name, 0.0), 6),
+                "latency_p50_us": round(row.latency_p50_us, 6),
+                "latency_p95_us": round(row.latency_p95_us, 6),
+                "latency_p99_us": round(row.latency_p99_us, 6),
+                "latency_slo_us": round(row.latency_slo_us, 6),
+                "latency_slo_met": row.latency_slo_met,
+                "slo_met": self.slo_met(row),
+            }
+            for row in self.chains
+        ]
+
+
+def phase_table(phases: Sequence[PhaseReport]) -> List[str]:
+    """The per-phase, per-chain SLO table of the lifecycle and serve
+    reports (the chaos table adds a ``mode`` column and stays its own)."""
+    lines = [
+        f"{'phase':<34} {'chain':<12} {'injected':>8} "
+        f"{'delivered':>9} {'assigned':>10} {'delivered':>10} "
+        f"{'t_min':>9} {'p99':>10} {'d_max':>10} {'slo':>9}",
+        f"{'':<34} {'':<12} {'':>8} {'':>9} "
+        f"{'Mbps':>10} {'Mbps':>10} {'Mbps':>9} "
+        f"{'µs':>10} {'µs':>10} {'':>9}",
+    ]
+    for ph in phases:
+        label = f"{ph.index}:{ph.label}"
+        for row in ph.chains:
+            d_max = (f"{row.latency_slo_us:>10.1f}"
+                     if row.latency_slo_us > 0 else f"{'—':>10}")
+            lines.append(
+                f"{label:<34} {row.chain_name:<12} "
+                f"{row.injected:>8} {row.delivered:>9} "
+                f"{row.assigned_mbps:>10.2f} {row.delivered_mbps:>10.2f} "
+                f"{ph.t_mins.get(row.chain_name, 0.0):>9.2f} "
+                f"{row.latency_p99_us:>10.1f} {d_max} "
+                f"{'ok' if ph.slo_met(row) else 'VIOLATED':>9}"
+            )
+    return lines
+
 
 @dataclass
 class ChaosReport:
@@ -399,25 +447,7 @@ class ChaosReport:
                     "mode": ph.mode,
                     "start_packet": ph.start_packet,
                     "compliant": ph.compliant,
-                    "chains": [
-                        {
-                            "chain": row.chain_name,
-                            "injected": row.injected,
-                            "delivered": row.delivered,
-                            "assigned_mbps": round(row.assigned_mbps, 6),
-                            "delivered_mbps": round(row.delivered_mbps, 6),
-                            "t_min_mbps": round(
-                                ph.t_mins.get(row.chain_name, 0.0), 6
-                            ),
-                            "latency_p50_us": round(row.latency_p50_us, 6),
-                            "latency_p95_us": round(row.latency_p95_us, 6),
-                            "latency_p99_us": round(row.latency_p99_us, 6),
-                            "latency_slo_us": round(row.latency_slo_us, 6),
-                            "latency_slo_met": row.latency_slo_met,
-                            "slo_met": ph.slo_met(row),
-                        }
-                        for row in ph.chains
-                    ],
+                    "chains": ph.chain_rows(),
                 }
                 for ph in self.phases
             ],
@@ -934,11 +964,6 @@ def run_chaos(
     return ChaosEngine(spec, registry=registry, cache=cache).run()
 
 
-def _replica_render(spec: ChaosSpec) -> str:
-    """Worker entry: run a full replica with isolated instrumentation."""
-    return run_chaos(spec, registry=MetricsRegistry()).render()
-
-
 def run_chaos_checked(
     spec: ChaosSpec,
     jobs: int = 1,
@@ -946,24 +971,9 @@ def run_chaos_checked(
 ) -> ChaosReport:
     """Run a chaos experiment, optionally cross-checking determinism.
 
-    With ``jobs > 1``, ``jobs - 1`` replica runs execute from the same
-    spec (on the shared persistent worker pool when there is more than
-    one); every replica's rendered report must be byte-identical to the
-    local run's, or the run fails loudly. The returned report is always
-    the local run's, so output is independent of ``jobs``.
+    See :func:`repro.runtime.pool.run_checked`: ``jobs - 1`` replicas of
+    the same spec must render byte-identically to the local run, or a
+    :class:`FaultInjectionError` is raised.
     """
-    report = run_chaos(spec, registry=registry)
-    replicas = max(0, jobs - 1)
-    if replicas == 0:
-        return report
-    rendered = report.render()
-    renders = fan_out(_replica_render, [spec] * replicas,
-                      workers=replicas, what="chaos replicas")
-    for index, other in enumerate(renders):
-        if other != rendered:
-            raise FaultInjectionError(
-                f"chaos replica {index} diverged from the local run "
-                "with the same seed and timeline — determinism "
-                "invariant broken"
-            )
-    return report
+    return run_checked(run_chaos, spec, jobs=jobs, registry=registry,
+                       what="chaos", error=FaultInjectionError)

@@ -197,9 +197,10 @@ def run_fabric_traffic(
     """Place hierarchically, deploy one rack per partition, stitch
     remote chains over the inter-rack links, and replay every chain.
 
-    Racks replay serially in sorted order so outcomes are independent of
-    ``spec.shards`` (which instead fans the per-rack *solves* out over
-    the worker pool).
+    Racks replay serially in sorted order, each in this process:
+    ``spec.shards`` is not read here (it shards the chains of *one*
+    rack, and a stitched rack carries inter-rack hops its artifacts do
+    not record).
     """
     chains = spec.build_chains()
     profiles = default_profiles()
@@ -207,7 +208,7 @@ def run_fabric_traffic(
         fabric, profiles, PlacerConfig(strategy=spec.strategy)
     )
     solve = placer.solve(PlacementRequest.multi_rack(
-        chains, jobs=spec.shards, objective=spec.objective,
+        chains, objective=spec.objective,
     ))
     placement = solve.placement
     if not placement.feasible:

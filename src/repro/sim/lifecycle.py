@@ -48,13 +48,13 @@ from repro.chain.slo import SLO
 from repro.core.cache import PlacementCache
 from repro.exceptions import LifecycleError, SpecError
 from repro.obs import MetricsRegistry
-from repro.runtime.pool import fan_out
+from repro.runtime.pool import run_checked
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
     AdmissionDecision,
     ChainEvent,
 )
-from repro.sim.faults import _SLO_RTOL, PhaseReport
+from repro.sim.faults import _SLO_RTOL, PhaseReport, phase_table
 from repro.sim.interrack import make_admission_core
 from repro.sim.traffic import RunSpec
 
@@ -352,25 +352,7 @@ class LifecycleReport:
                     "label": ph.label,
                     "mode": ph.mode,
                     "compliant": ph.compliant,
-                    "chains": [
-                        {
-                            "chain": row.chain_name,
-                            "injected": row.injected,
-                            "delivered": row.delivered,
-                            "assigned_mbps": round(row.assigned_mbps, 6),
-                            "delivered_mbps": round(row.delivered_mbps, 6),
-                            "t_min_mbps": round(
-                                ph.t_mins.get(row.chain_name, 0.0), 6
-                            ),
-                            "latency_p50_us": round(row.latency_p50_us, 6),
-                            "latency_p95_us": round(row.latency_p95_us, 6),
-                            "latency_p99_us": round(row.latency_p99_us, 6),
-                            "latency_slo_us": round(row.latency_slo_us, 6),
-                            "latency_slo_met": row.latency_slo_met,
-                            "slo_met": ph.slo_met(row),
-                        }
-                        for row in ph.chains
-                    ],
+                    "chains": ph.chain_rows(),
                 }
                 for ph in self.phases
             ],
@@ -388,29 +370,7 @@ class LifecycleReport:
             lines.extend(f"  {d.describe()}" for d in self.decisions)
         else:
             lines.append("events: none")
-        lines.append(
-            f"{'phase':<34} {'chain':<12} {'injected':>8} "
-            f"{'delivered':>9} {'assigned':>10} {'delivered':>10} "
-            f"{'t_min':>9} {'p99':>10} {'d_max':>10} {'slo':>9}"
-        )
-        lines.append(
-            f"{'':<34} {'':<12} {'':>8} {'':>9} "
-            f"{'Mbps':>10} {'Mbps':>10} {'Mbps':>9} "
-            f"{'µs':>10} {'µs':>10} {'':>9}"
-        )
-        for ph in self.phases:
-            label = f"{ph.index}:{ph.label}"
-            for row in ph.chains:
-                d_max = (f"{row.latency_slo_us:>10.1f}"
-                         if row.latency_slo_us > 0 else f"{'—':>10}")
-                lines.append(
-                    f"{label:<34} {row.chain_name:<12} "
-                    f"{row.injected:>8} {row.delivered:>9} "
-                    f"{row.assigned_mbps:>10.2f} {row.delivered_mbps:>10.2f} "
-                    f"{ph.t_mins.get(row.chain_name, 0.0):>9.2f} "
-                    f"{row.latency_p99_us:>10.1f} {d_max} "
-                    f"{'ok' if ph.slo_met(row) else 'VIOLATED':>9}"
-                )
+        lines.extend(phase_table(self.phases))
         lines.append(
             f"totals: events={len(self.decisions)} "
             f"accepted={self.accepted} rejected={self.rejected} "
@@ -498,11 +458,6 @@ def run_lifecycle(
     return LifecycleEngine(spec, registry=registry, cache=cache).run()
 
 
-def _replica_render(spec: LifecycleSpec) -> str:
-    """Worker entry: run a full replica with isolated instrumentation."""
-    return run_lifecycle(spec, registry=MetricsRegistry()).render()
-
-
 def run_lifecycle_checked(
     spec: LifecycleSpec,
     jobs: int = 1,
@@ -510,27 +465,12 @@ def run_lifecycle_checked(
 ) -> LifecycleReport:
     """Run a lifecycle experiment, optionally cross-checking determinism.
 
-    With ``jobs > 1``, ``jobs - 1`` replica runs execute from the same
-    spec (on the shared persistent worker pool when there is more than
-    one); every replica's rendered report must be byte-identical to the
-    local run's, or the run fails loudly. The returned report is always
-    the local run's, so output is independent of ``jobs``.
+    See :func:`repro.runtime.pool.run_checked`: ``jobs - 1`` replicas of
+    the same spec must render byte-identically to the local run, or a
+    :class:`LifecycleError` is raised.
     """
-    report = run_lifecycle(spec, registry=registry)
-    replicas = max(0, jobs - 1)
-    if replicas == 0:
-        return report
-    rendered = report.render()
-    renders = fan_out(_replica_render, [spec] * replicas,
-                      workers=replicas, what="lifecycle replicas")
-    for index, other in enumerate(renders):
-        if other != rendered:
-            raise LifecycleError(
-                f"lifecycle replica {index} diverged from the local "
-                "run with the same seed and timeline — determinism "
-                "invariant broken"
-            )
-    return report
+    return run_checked(run_lifecycle, spec, jobs=jobs, registry=registry,
+                       what="lifecycle", error=LifecycleError)
 
 
 # re-exported so report consumers need one import; keeps the SLO slack

@@ -423,64 +423,6 @@ device_fingerprints`) decide what happens to each device:
             removed=sorted(removed),
         )
 
-    def rebind_registry(self, registry: MetricsRegistry) -> None:
-        """Point every pre-resolved instrument at ``registry``.
-
-        The persistent worker runtime reuses one rack across dispatches,
-        but each dispatch records into its own scoped registry (whose
-        state is shipped back and merged by the parent) — so the cached
-        counter objects resolved at deploy time must be re-resolved
-        against the new registry.
-        """
-        self.obs = registry
-        self._flow_cache_hit = registry.counter(
-            "rack.flow_cache.lookups", result="hit"
-        )
-        self._flow_cache_miss = registry.counter(
-            "rack.flow_cache.lookups", result="miss"
-        )
-        self._dev_counters = {}
-        self._ensure_dev_counters(
-            [self.topology.switch.name, *self.servers, *self.nics]
-        )
-        self._chain_inst = {}
-        self._drop_counters = {}
-
-    def reset_state(self,
-                    registry: Optional[MetricsRegistry] = None) -> None:
-        """Restore the rack to its just-deployed condition.
-
-        The warm-rack contract of :mod:`repro.runtime` is that a cached
-        rack dispatched again behaves **byte-identically** to a rack
-        freshly built from the same artifacts — reports *and* merged
-        metrics. Device runtimes are therefore re-instantiated from the
-        installed artifacts (fresh stateful-NF tables, re-seeded RNG
-        streams, zeroed module counters) — deterministic by construction
-        because it is the same code path as a cold deploy — while
-        everything derived purely from the artifacts (routing tables, hop
-        indexes, OF vid maps, route-safety memos) is kept. The injection
-        sequence, fault state, flow-classification memo, and columnar
-        probe cache (which holds references to the old module objects)
-        are cleared.
-        """
-        for name, ir in self.artifacts.bess.items():
-            self.servers[name] = self._build_server(name, ir)
-        for name, (program, nf_specs) in self.artifacts.ebpf.items():
-            self.nics[name] = self._build_nic(name, program, nf_specs)
-        if self.of_runtime is not None:
-            self.of_runtime = self._build_of_switch(self.artifacts)
-        self._switch_modules.clear()
-        self._hop_probes.clear()
-        self._flow_paths.clear()
-        self._next_seq = 0
-        self._fault_failed.clear()
-        self._fault_loss.clear()
-        # queueing factors reset to the cold-deploy identity; engines that
-        # enable queueing re-apply it right after taking the warm rack
-        self.queueing = QueueingModel()
-        self._queue_factor = {}
-        self.rebind_registry(registry if registry is not None else self.obs)
-
     # -- fault injection ---------------------------------------------------------
 
     def set_device_failed(self, device: str, failed: bool = True) -> None:
@@ -556,6 +498,14 @@ device_fingerprints`) decide what happens to each device:
 
     def clear_interrack_hops(self) -> None:
         self._interrack.clear()
+
+    @property
+    def artifact_determined(self) -> bool:
+        """True while no device fault, drop fraction or inter-rack hop is
+        installed — the rack state a rebuild from ``(topology, artifacts,
+        profiles)`` in a pool worker cannot reproduce, so the condition
+        under which a sharded replay may fan out."""
+        return not (self._fault_failed or self._fault_loss or self._interrack)
 
     def _link_drop(self, hop: _InterRackHop, seq: int) -> bool:
         """Same hash as :meth:`_fault_reason`, salted with the link seed

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +48,11 @@ from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, quantile
+from repro.obs import MetricsRegistry, quantile, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import (
     dumps_for_pool,
+    fan_out,
     in_worker,
     warn_serial_fallback,
 )
@@ -317,7 +319,12 @@ class RunSpec:
 @dataclass(frozen=True)
 class TrafficSpec(RunSpec):
     """A fully-stated, picklable traffic replay: :func:`run_traffic` is
-    a pure function of it."""
+    a pure function of it.
+
+    ``shards`` means one thing: the chains of one rack replayed across
+    that many pool workers. A multi-rack spec replays its racks serially
+    and leaves it unused.
+    """
 
     packets_per_chain: int = 2048
     flows_per_chain: int = 64
@@ -337,10 +344,12 @@ class TrafficEngine:
     an order of magnitude more packets per second.
 
     ``shards=N`` replays chains over ``N`` workers of the persistent pool
-    (round-robin by chain), each on a warm rack built from the same
-    compiled artifacts and seed; per-worker metrics merge back
-    deterministically. Delivery outcomes are shard-count invariant; walls
-    and pps reflect the parallelism.
+    (round-robin by chain), each on a rack built from the same compiled
+    artifacts and seed; per-worker metrics merge back deterministically.
+    Delivery outcomes are shard-count invariant; walls and pps reflect
+    the parallelism. A rack carrying state its artifacts do not record
+    (a device fault, a drop fraction, an inter-rack hop) replays serially
+    whatever ``shards`` says — a worker's rebuilt rack would not have it.
     """
 
     def __init__(self, rack: DeployedRack, placement: Placement, *,
@@ -361,9 +370,6 @@ class TrafficEngine:
         #: chain name -> (chain object, synthesized flow templates); the
         #: chain object guards against a redeployed chain of the same name.
         self._flows: Dict[str, tuple] = {}
-        #: identity-keyed (parts, payload, fingerprint) memo for
-        #: :meth:`_pooled_bundle`.
-        self._bundle_cache: Optional[tuple] = None
 
     @classmethod
     def from_spec(cls, spec: TrafficSpec, *,
@@ -442,21 +448,18 @@ class TrafficEngine:
         ]
 
     def _inject(self, cp: ChainPlacement, flows: List[Packet], base: int,
-                size: int, sig: Optional[Sequence[int]] = None
-                ) -> Tuple[int, List[float], float]:
+                size: int) -> Tuple[int, List[float], float]:
         """Push one batch through the rack: packets ``base .. base+size``
         of the flow cycle (packet ``i`` belongs to flow ``i % flows``).
 
         Returns ``(delivered, latency_samples, rack_wall_seconds)``. Only
         rack work is timed: packet clones and the signature column are
         built before the clock starts, the delivered packets' latency
-        stamps (µs) are collected after it stops. ``sig`` optionally
-        supplies the columnar signature column precomputed.
+        stamps (µs) are collected after it stops.
         """
         n_flows = len(flows)
         if self.vectorized:
-            if sig is None:
-                sig = [(base + offset) % n_flows for offset in range(size)]
+            sig = np.arange(base, base + size, dtype=np.int64) % n_flows
             started = time.perf_counter()
             result = self.rack.run_columns(
                 cp, PacketColumns.for_flows(flows, sig)
@@ -508,7 +511,8 @@ class TrafficEngine:
         ]
         report = TrafficReport()
         started = time.perf_counter()
-        if self.shards > 1 and len(selected) > 1:
+        if (self.shards > 1 and len(selected) > 1
+                and self.rack.artifact_determined and not in_worker()):
             report.chains, report.shard_walls = self._run_sharded(
                 selected, packets_per_chain
             )
@@ -519,32 +523,17 @@ class TrafficEngine:
         report.run_wall_seconds = time.perf_counter() - started
         return report
 
-    def _run_chain(self, cp: ChainPlacement, packets_per_chain: int,
-                   sig_schedule: Optional[Sequence[int]] = None
-                   ) -> ChainTrafficReport:
-        """Replay one chain; only rack work lands in the timed region.
-
-        ``sig_schedule`` optionally supplies the precomputed flow-cycle
-        signature column (``i % flows_per_chain`` for packet ``i``) as an
-        array — the pooled sharded path passes a zero-copy view over a
-        shared-memory segment so workers skip rebuilding it per batch.
-        The values are identical to the inline computation by
-        construction, so outcomes do not depend on the transport.
-        """
+    def _run_chain(self, cp: ChainPlacement,
+                   packets_per_chain: int) -> ChainTrafficReport:
+        """Replay one chain; only rack work lands in the timed region."""
         flows = self.synthesize_flows(cp)
-        if sig_schedule is not None and len(sig_schedule) < packets_per_chain:
-            sig_schedule = None
         delivered = 0
         injected = 0
         wall = 0.0
         latencies: List[float] = []
         while injected < packets_per_chain:
             size = min(self.batch_size, packets_per_chain - injected)
-            sig = None if sig_schedule is None \
-                else sig_schedule[injected:injected + size]
-            got, samples, spent = self._inject(
-                cp, flows, injected, size, sig
-            )
+            got, samples, spent = self._inject(cp, flows, injected, size)
             delivered += got
             wall += spent
             latencies.extend(samples)
@@ -565,140 +554,97 @@ class TrafficEngine:
             latency_slo_us=0.0 if math.isinf(d_max) else d_max,
         )
 
-    def _pooled_bundle(self) -> Tuple[bytes, str]:
-        """The pickled ``(topology, artifacts, profiles, placement)``
-        bundle plus its fingerprint, cached while those exact objects are
-        still installed (a redeploy swaps them, invalidating by identity
-        — the cache holds strong references, so ids cannot be reused)."""
-        from repro.runtime.rackcache import bundle_fingerprint
-
-        parts = (self.rack.topology, self.rack.artifacts,
-                 self.rack.profiles, self.placement)
-        cached = self._bundle_cache
-        if cached is not None and all(
-            old is new for old, new in zip(cached[0], parts)
-        ):
-            return cached[1], cached[2]
-        payload = dumps_for_pool(
-            parts, "shard bundle (ad-hoc topology or profiles?) is"
-        )
-        fingerprint = bundle_fingerprint(payload)
-        self._bundle_cache = (parts, payload, fingerprint)
-        return payload, fingerprint
-
     def _run_sharded(self, selected: List[ChainPlacement],
                      packets_per_chain: int
                      ) -> Tuple[List[ChainTrafficReport], List[float]]:
         """Round-robin the chains over pool workers and merge back.
 
-        Inside a pool worker, with an unpicklable bundle, or when the
-        dispatch fails, the chains replay serially in-process instead —
-        the same rows, since serial ≡ sharded is the tested invariant.
+        Ship–build–replay: the ``(topology, artifacts, profiles,
+        placement)`` bundle is pickled once here; every shard task
+        carries those bytes, and its worker unpickles them, builds a
+        rack, replays its chains and returns rows plus its registry
+        dump. A bundle that cannot be pickled, like a failed dispatch
+        inside :func:`~repro.runtime.pool.fan_out`, warns once and
+        replays in-process — the same rows, since serial ≡ sharded is
+        the tested invariant.
         """
-        if not in_worker():
-            try:
-                outcomes = self._dispatch_pooled(selected, packets_per_chain)
-                return self._merge_shards(outcomes, selected)
-            except WorkerPoolError as exc:
-                warn_serial_fallback("traffic shards", exc)
-        return [self._run_chain(cp, packets_per_chain) for cp in selected], []
-
-    def _dispatch_pooled(self, selected: List[ChainPlacement],
-                         packets_per_chain: int) -> List[tuple]:
-        """Fan the shards over the persistent pool.
-
-        Artifacts ship by fingerprint: the pickled
-        ``(topology, artifacts, profiles, placement)`` bundle travels to
-        each worker at most once, afterwards only its sha256 rides in the
-        task and the worker reuses (or delta-redeploys) its cached warm
-        rack. A worker that lost its cache (respawn) answers with a typed
-        stale error and the shard is re-dispatched once with the payload
-        attached. The vectorized flow-signature schedule crosses over
-        shared memory (inline below the shm size threshold).
-        """
-        from repro.runtime.pool import PoolCall, get_pool
-        from repro.runtime.rackcache import (
-            ArtifactBundle,
-            PooledShardTask,
-            run_traffic_shard,
-        )
-        from repro.runtime.shm import ShmArrays
-
-        shard_names: List[List[str]] = [[] for _ in range(self.shards)]
-        for index, cp in enumerate(selected):
-            shard_names[index % self.shards].append(cp.name)
-        shard_names = [names for names in shard_names if names]
-        payload, fingerprint = self._pooled_bundle()
         rack = self.rack
-        worker_pool = get_pool(len(shard_names))
-        workers = worker_pool.plan(len(shard_names))
-        shm = None
-        if self.vectorized:
-            schedule = (
-                np.arange(packets_per_chain, dtype=np.int64)
-                % self.flows_per_chain
-            )
-            shm = ShmArrays.pack({"sig": schedule})
         try:
-            calls = []
-            for index, (names, worker) in enumerate(
-                zip(shard_names, workers)
-            ):
-                ship = worker_pool.needs_payload(worker, fingerprint)
-                calls.append(PoolCall(
-                    run_traffic_shard,
-                    PooledShardTask(
-                        shard_index=index,
-                        chain_names=names,
-                        packets_per_chain=packets_per_chain,
-                        bundle=ArtifactBundle(
-                            fingerprint, payload if ship else None
-                        ),
-                        seed=rack.seed,
-                        flows_per_chain=self.flows_per_chain,
-                        batch_size=self.batch_size,
-                        vectorized=self.vectorized,
-                        sig_shm=shm,
-                        queueing=rack.queueing.kind,
-                    ),
-                    worker=worker,
-                ))
-            outcomes = worker_pool.dispatch(calls, return_exceptions=True)
-            retries = []
-            for slot, outcome in enumerate(outcomes):
-                if not isinstance(outcome, WorkerPoolError):
-                    continue
-                remote = getattr(outcome, "remote_type", "")
-                if remote != "StaleArtifactsError":
-                    raise outcome
-                call = calls[slot]
-                call.arg.bundle = ArtifactBundle(fingerprint, payload)
-                retries.append((slot, call))
-            if retries:
-                redone = worker_pool.dispatch(
-                    [call for _slot, call in retries]
-                )
-                for (slot, _call), outcome in zip(retries, redone):
-                    outcomes[slot] = outcome
-        finally:
-            if shm is not None:
-                shm.release()
-        return outcomes
-
-    def _merge_shards(self, outcomes: List[tuple],
-                      selected: List[ChainPlacement]
-                      ) -> Tuple[List[ChainTrafficReport], List[float]]:
-        # deterministic merge-back: shard-index order, then placement order
-        outcomes = sorted(outcomes, key=lambda outcome: outcome[0])
-        registry = self.rack.obs
+            bundle = dumps_for_pool(
+                (rack.topology, rack.artifacts, rack.profiles,
+                 self.placement),
+                "shard bundle (ad-hoc topology or profiles?) is",
+            )
+        except WorkerPoolError as exc:
+            warn_serial_fallback("traffic shards", exc)
+            return [self._run_chain(cp, packets_per_chain)
+                    for cp in selected], []
+        tasks = [
+            _ShardTask(
+                bundle=bundle,
+                chain_names=[cp.name for cp in selected[shard::self.shards]],
+                packets_per_chain=packets_per_chain,
+                seed=rack.seed,
+                queueing=rack.queueing.kind,
+                flows_per_chain=self.flows_per_chain,
+                batch_size=self.batch_size,
+                vectorized=self.vectorized,
+            )
+            for shard in range(min(self.shards, len(selected)))
+        ]
+        outcomes = fan_out(_run_shard, tasks, workers=len(tasks),
+                           what="traffic shards")
+        # deterministic merge-back: shard order, then placement order
         rows_by_name: Dict[str, ChainTrafficReport] = {}
         shard_walls: List[float] = []
-        for _index, rows, state, shard_wall in outcomes:
-            registry.merge_state(state)
+        for rows, state, shard_wall in outcomes:
+            rack.obs.merge_state(state)
             shard_walls.append(shard_wall)
             for row in rows:
                 rows_by_name[row.chain_name] = row
         return [rows_by_name[cp.name] for cp in selected], shard_walls
+
+
+@dataclass
+class _ShardTask:
+    """One worker's share of a sharded replay."""
+
+    #: the pickled ``(topology, artifacts, profiles, placement)`` tuple,
+    #: serialized once per run and shared by every task of it.
+    bundle: bytes
+    chain_names: List[str]
+    packets_per_chain: int
+    seed: int
+    queueing: str
+    flows_per_chain: int
+    batch_size: int
+    vectorized: bool
+
+
+def _run_shard(task: _ShardTask) -> Tuple[list, dict, float]:
+    """Pool entry point: build a rack from the bundle, replay this
+    shard's chains, return ``(chain rows, registry dump, replay wall)`` —
+    the dump is how everything the worker's rack recorded reaches the
+    parent's registry."""
+    topology, artifacts, profiles, placement = pickle.loads(task.bundle)
+    with scoped_registry() as registry:
+        rack = DeployedRack(topology, artifacts, profiles, seed=task.seed,
+                            registry=registry)
+        configure_rack_queueing(rack, placement, task.queueing)
+        engine = TrafficEngine(
+            rack, placement,
+            flows_per_chain=task.flows_per_chain,
+            batch_size=task.batch_size,
+            vectorized=task.vectorized,
+        )
+        started = time.perf_counter()
+        rows = [
+            engine._run_chain(cp, task.packets_per_chain)
+            for cp in placement.chains
+            if cp.name in task.chain_names
+        ]
+        wall = time.perf_counter() - started
+        return rows, registry.dump_state(), wall
 
 
 def run_traffic(

@@ -100,13 +100,9 @@ class TestRequestValidation:
         with pytest.raises(PlacementError, match="feasible"):
             PlacementRequest(chains=simple_chains, base_placement=dead)
 
-    def test_multi_rack_jobs_must_be_positive(self, simple_chains):
-        with pytest.raises(PlacementError, match="jobs"):
-            PlacementRequest.multi_rack(chains=simple_chains, jobs=0)
-
     def test_multi_rack_constructor_sorts_pins(self, simple_chains):
         request = PlacementRequest.multi_rack(
-            chains=simple_chains, jobs=2,
+            chains=simple_chains,
             rack_pins={"beta": "r1", "alpha": "r0"},
         )
         assert request.multi_rack.rack_pins == \

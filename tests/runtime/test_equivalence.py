@@ -1,11 +1,13 @@
-"""Pool-reuse equivalence: the persistent runtime must be invisible.
+"""Pool equivalence: the persistent runtime must be invisible.
 
 The contract for the worker runtime: a sharded traffic replay produces a
-byte-identical :class:`~repro.sim.traffic.TrafficReport` whether it runs
-(a) serially or (b) on the persistent pool reused across consecutive
-phases — (c) a redeploy (artifact fingerprint change) must invalidate or
-delta-update the warm rack, never reuse it stale — and (d) every fan-out
-caller whose pool dispatch fails warns and returns the serial result.
+byte-identical :class:`~repro.sim.traffic.TrafficReport` — and the same
+rack metrics in the parent's registry — whether it runs (a) serially or
+(b) on the persistent pool reused across consecutive phases; (c) changed
+artifacts between phases are never answered from an earlier phase's
+rack; (d) a rack carrying fault or inter-rack state replays serially
+whatever ``shards`` says; and (e) every fan-out caller whose pool
+dispatch fails warns and returns the serial result.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.exceptions import WorkerPoolError
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.runtime.pool import WorkerPool, get_pool, shutdown_pool
 from repro.sim.faults import (
     ChaosSpec,
@@ -27,7 +29,7 @@ from repro.sim.lifecycle import (
     LifecycleTimeline,
     run_lifecycle_checked,
 )
-from repro.sim.traffic import TrafficSpec, run_traffic
+from repro.sim.traffic import TrafficEngine, TrafficSpec, run_traffic
 
 SPEC_A = "\n".join([
     "chain c1: ACL -> NAT",
@@ -38,7 +40,7 @@ SPEC_A = "\n".join([
 SLOS_A = ((100.0, 200.0),) * 4
 
 #: same chain names and count, different bodies — compiles to different
-#: artifacts, so the bundle fingerprint changes.
+#: artifacts.
 SPEC_B = "\n".join([
     "chain c1: ACL -> Encrypt -> IPv4Fwd",
     "chain c2: NAT -> Monitor",
@@ -69,34 +71,47 @@ def _replay(spec_text, slos, *, shards, vectorized=True):
     return report.to_json(), registry
 
 
-def _rack_builds(registry):
-    return {
-        c["labels"]["mode"]: c["value"]
-        for c in registry.snapshot()["counters"]
-        if c["name"] == "runtime.rack_builds"
-    }
+def _pool_counters(default):
+    """(tasks sent to ``_run_shard``, worker restarts) on ``default``,
+    the process registry the pool records into."""
+    return (default.counter_value("runtime.tasks", kind="_run_shard"),
+            default.counter_value("runtime.pool.restarts"))
 
 
 def test_serial_and_persistent_pool_agree():
-    serial, serial_reg = _replay(SPEC_A, SLOS_A, shards=1)
-    persistent, keep_reg = _replay(SPEC_A, SLOS_A, shards=2)
+    with scoped_registry() as default:
+        serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
+        # a serial replay never dispatches
+        assert _pool_counters(default) == (0, 0)
+        persistent, _ = _replay(SPEC_A, SLOS_A, shards=2)
+        assert _pool_counters(default) == (2, 0)
     assert serial == persistent
-    # a serial replay never touches the warm-rack cache
-    assert _rack_builds(serial_reg) == {}
-    # the persistent pool deployed at least one rack cold
-    assert _rack_builds(keep_reg).get("cold", 0) >= 1
 
 
 def test_persistent_pool_reused_across_three_phases():
     serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
-    reports, warm_total = [], 0
-    for _phase in range(3):
-        report, registry = _replay(SPEC_A, SLOS_A, shards=2)
-        reports.append(report)
-        warm_total += _rack_builds(registry).get("warm", 0)
+    with scoped_registry() as default:
+        reports = [_replay(SPEC_A, SLOS_A, shards=2)[0] for _ in range(3)]
+        # one task per shard per phase, all on the workers phase 1 started
+        assert _pool_counters(default) == (6, 0)
     assert all(report == serial for report in reports)
-    # later phases must have found warm racks (same artifact fingerprint)
-    assert warm_total >= 2
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_pooled_dispatch_merges_worker_metrics_like_serial(vectorized):
+    """Rows aside, a worker ships back only its registry dump: merged
+    into the parent registry it must read exactly as the serial run
+    recorded it."""
+    def rack_counters(registry):
+        return [
+            entry for entry in registry.dump_state()["counters"]
+            if entry[0].startswith(("rack.packets.", "rack.device."))
+        ]
+
+    _, serial_reg = _replay(SPEC_A, SLOS_A, shards=1, vectorized=vectorized)
+    _, pooled_reg = _replay(SPEC_A, SLOS_A, shards=2, vectorized=vectorized)
+    assert rack_counters(serial_reg)
+    assert rack_counters(pooled_reg) == rack_counters(serial_reg)
 
 
 def test_scalar_path_agrees_too():
@@ -106,30 +121,21 @@ def test_scalar_path_agrees_too():
 
 
 def test_redeploy_invalidates_warm_rack():
-    # warm the pool's racks on spec A ...
+    """Changed artifacts between phases (same chain names, different
+    bodies): the workers that replayed spec A must replay spec B from
+    B's artifacts, and A again after that."""
     _replay(SPEC_A, SLOS_A, shards=2)
-    # ... then replay spec B (different artifacts, same chain names):
-    # the cached rack must be delta-redeployed, not reused stale
-    pooled_b, registry_b = _replay(SPEC_B, SLOS_B, shards=2)
+    pooled_b, _ = _replay(SPEC_B, SLOS_B, shards=2)
     serial_b, _ = _replay(SPEC_B, SLOS_B, shards=1)
     assert pooled_b == serial_b
-    builds = _rack_builds(registry_b)
-    # every worker's cached A-rack had to be rebuilt or delta-updated;
-    # warm hits may still appear when a later shard reuses a slot the
-    # same replay already brought up to date (e.g. one worker, two
-    # shards), but never before a delta/cold build on that worker.
-    assert builds.get("delta", 0) + builds.get("cold", 0) >= 1
-    # and switching back also refuses the stale rack
-    pooled_a, registry_a = _replay(SPEC_A, SLOS_A, shards=2)
+    pooled_a, _ = _replay(SPEC_A, SLOS_A, shards=2)
     serial_a, _ = _replay(SPEC_A, SLOS_A, shards=1)
     assert pooled_a == serial_a
-    builds_a = _rack_builds(registry_a)
-    assert builds_a.get("delta", 0) + builds_a.get("cold", 0) >= 1
 
 
 def test_killed_workers_recover():
-    """Respawned workers (lost caches, cleared shipped-set) still produce
-    identical reports — the payload simply ships again."""
+    """Respawned workers still produce identical reports — every task
+    carries its bundle, so a fresh worker is as good as the old one."""
     serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
     first, _ = _replay(SPEC_A, SLOS_A, shards=2)
     pool = get_pool()
@@ -140,34 +146,31 @@ def test_killed_workers_recover():
     assert first == second == serial
 
 
-def test_stale_artifact_retry_reships_payload():
-    """When the parent wrongly believes a worker caches the bundle (e.g.
-    a restart raced the bookkeeping), the worker's typed stale error must
-    trigger a single payload re-ship, not a failed run."""
-    import pickle
+# -- rack state the artifacts do not record: replay serially ------------------
 
-    from repro.runtime.rackcache import bundle_fingerprint
-    from repro.sim.traffic import TrafficEngine
 
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
-    registry = MetricsRegistry()
-    engine = TrafficEngine.from_spec(
-        TrafficSpec(
-            spec_text=SPEC_A, slos=SLOS_A,
-            packets_per_chain=192, flows_per_chain=16, batch_size=32,
-            vectorized=True, shards=2,
-        ),
-        registry=registry,
-    )
-    rack = engine.rack
-    payload = pickle.dumps((rack.topology, rack.artifacts, rack.profiles,
-                            engine.placement))
-    fingerprint = bundle_fingerprint(payload)
-    pool = get_pool(2)
-    for worker in range(pool.max_workers):
-        pool.needs_payload(worker, fingerprint)  # lie: mark as shipped
-    report = engine.run(packets_per_chain=192)
-    assert report.to_json() == serial
+@pytest.mark.parametrize("install", [
+    lambda rack: rack.set_drop_fraction("server0", 0.5),
+    lambda rack: rack.set_device_failed("server0"),
+    lambda rack: rack.set_interrack_hop("c1", "r0~r1", 50.0,
+                                        drop_fraction=0.25),
+], ids=["drop_fraction", "failed_device", "interrack_hop"])
+def test_fault_and_interrack_state_is_shard_count_invariant(install):
+    """Workers rebuild the rack from artifacts alone, so a live rack's
+    fault or inter-rack state must keep the replay in-process."""
+    reports = []
+    for shards in (1, 2):
+        engine = TrafficEngine.from_spec(
+            TrafficSpec(spec_text=SPEC_A, slos=SLOS_A, flows_per_chain=16,
+                        batch_size=32, shards=shards),
+            registry=MetricsRegistry(),
+        )
+        install(engine.rack)
+        reports.append(engine.run(192))
+    serial, sharded = reports
+    assert serial.delivered < serial.injected
+    assert sharded.to_json() == serial.to_json()
+    assert sharded.shard_walls == []
 
 
 # -- failed dispatch: every fan-out caller falls back to serial --------------

@@ -84,6 +84,21 @@ class TestFabricTraffic:
         a.pop("run_wall_seconds", None), b.pop("run_wall_seconds", None)
         assert a == b
 
+    def test_shards_is_unused_on_a_fabric(self):
+        """``shards`` shards one rack's chains; a fabric replays its
+        racks serially, so the report is the same bytes and no pool
+        worker is ever started."""
+        from repro.runtime import pool
+        from repro.sim.traffic import run_traffic
+
+        pool.shutdown_pool()
+        serial = run_traffic(_traffic_spec(shards=1),
+                             registry=MetricsRegistry())
+        sharded = run_traffic(_traffic_spec(shards=2),
+                              registry=MetricsRegistry())
+        assert sharded.to_json() == serial.to_json()
+        assert pool._shared_pool is None
+
     def test_report_surfaces_route_and_mode(self):
         report = run_fabric_traffic(
             _traffic_spec(), topology_for("two-rack").build(),

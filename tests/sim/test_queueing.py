@@ -152,12 +152,3 @@ def test_queue_component_is_exec_times_factor():
         assert fields["latency_us"] == pytest.approx(
             fields["exec_us"] + fields["queue_us"]
             + fields["bounce_us"] + fields["switch_us"])
-
-
-def test_reset_state_clears_queueing():
-    rack, cp, _ = _deploy(_SPEC, _SLO)
-    rack.configure_queueing(
-        QueueingModel(kind="mm1"), {name: 0.8 for name in rack.servers})
-    rack.reset_state()
-    fresh_rack, fresh_cp, _ = _deploy(_SPEC, _SLO)
-    assert _latencies(rack, cp) == _latencies(fresh_rack, fresh_cp)
