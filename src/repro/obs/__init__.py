@@ -36,6 +36,7 @@ from repro.obs.metrics import (
     NULL_TIMER,
     Timer,
     quantile,
+    quantiles,
 )
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "render_json",
     "render_text",
     "quantile",
+    "quantiles",
 ]
 
 

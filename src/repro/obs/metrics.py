@@ -19,6 +19,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 LabelKey = Tuple[Tuple[str, str], ...]
 
 #: retained samples per histogram; beyond this, count/sum/min/max stay
@@ -30,24 +32,34 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def quantile(samples, q: float) -> float:
-    """Linearly interpolated q-quantile (0..1) of a sample sequence.
+def quantiles(samples, qs) -> List[float]:
+    """Linearly interpolated q-quantiles (each 0..1) of a sample sequence,
+    all from one sort.
 
-    Implements ``numpy.quantile``'s default "linear" method without
-    requiring the input to be an array: sort, locate the virtual index
-    ``q * (n - 1)``, interpolate between the flanking order statistics.
-    Empty input yields 0.0.
+    Implements ``numpy.quantile``'s default "linear" method: sort, locate
+    the virtual index ``q * (n - 1)``, interpolate between the flanking
+    order statistics. Empty input yields 0.0 for every ``q``.
     """
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    if not 0 <= q <= 1:
-        raise ValueError(f"quantile out of range: {q}")
-    virtual = q * (len(ordered) - 1)
-    lo = int(virtual)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = virtual - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    for q in qs:
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile out of range: {q}")
+    ordered = np.sort(np.asarray(samples, dtype=np.float64))
+    last = len(ordered) - 1
+    if last < 0:
+        return [0.0 for _ in qs]
+    out = []
+    for q in qs:
+        virtual = q * last
+        lo = int(virtual)
+        frac = virtual - lo
+        out.append(float(ordered[lo] * (1.0 - frac)
+                         + ordered[min(lo + 1, last)] * frac))
+    return out
+
+
+def quantile(samples, q: float) -> float:
+    """One :func:`quantiles` value."""
+    return quantiles(samples, (q,))[0]
 
 
 class Counter:
@@ -131,12 +143,6 @@ class Histogram:
         n = len(values)
         if n == 0:
             return
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            for value in values:
-                self.observe(float(value))
-            return
         arr = np.asarray(values, dtype=np.float64)
         self.count += n
         acc = np.empty(n + 1, dtype=np.float64)
@@ -167,20 +173,19 @@ class Histogram:
         the SLO bound yield the interpolated value rather than snapping
         to either side. Empty histograms yield 0.0.
         """
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
         return quantile(self._samples, q)
 
     def summary(self) -> Dict[str, float]:
+        p50, p95, p99 = quantiles(self._samples, (0.50, 0.95, 0.99))
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min or 0.0,
             "max": self.max or 0.0,
             "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
     def merge(self, count: int, total: float, minimum: Optional[float],

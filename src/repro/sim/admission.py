@@ -52,7 +52,7 @@ from repro.exceptions import (
 )
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, quantile
+from repro.obs import MetricsRegistry, get_registry, quantiles
 from repro.profiles.defaults import default_profiles
 from repro.sim.faults import PhaseReport
 from repro.sim.runtime import DeployedRack
@@ -500,6 +500,7 @@ class AdmissionCore:
                     cp, self.cursors.get(cp.name, 0), packets_per_chain
                 )
             d_max = cp.chain.slo.d_max
+            p50, p95, p99 = quantiles(samples, (0.50, 0.95, 0.99))
             phase.chains.append(ChainTrafficReport(
                 chain_name=cp.name,
                 flows=self.spec.flows_per_chain,
@@ -508,9 +509,9 @@ class AdmissionCore:
                 dropped=packets_per_chain - delivered,
                 wall_seconds=0.0,
                 assigned_mbps=self.rates.get(cp.name, 0.0),
-                latency_p50_us=quantile(samples, 0.50),
-                latency_p95_us=quantile(samples, 0.95),
-                latency_p99_us=quantile(samples, 0.99),
+                latency_p50_us=p50,
+                latency_p95_us=p95,
+                latency_p99_us=p99,
                 latency_slo_us=0.0 if math.isinf(d_max) else d_max,
             ))
         return phase

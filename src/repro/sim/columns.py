@@ -3,15 +3,25 @@
 The scalar dataplane moves :class:`~repro.net.packet.Packet` objects one
 attribute at a time; at high volume the Python object walk dominates. A
 :class:`PacketColumns` batch instead keeps **one frozen template packet per
-flow signature** plus numpy arrays for everything that is per-packet: the
-flow signature, injection sequence, cycle charges (total and per device),
-NSH ``(spi, si)`` labels, and per-hop cycle/latency columns. Because every
-packet of a signature is byte-identical, a service-path hop only has to be
-*probed* once per (device, coordinates, template-bytes) — the runtime runs
-one clone through the real platform runtime, records the per-module counter
-deltas and the transformed output template, and then replays the effect
-across the whole column arithmetically (see
+distinct flow signature** plus numpy arrays for everything that is
+per-packet: the flow signature and its dense per-batch id, injection
+sequence, cycle charges (total and per device), NSH ``(spi, si)`` labels,
+and per-hop cycle/latency columns. Because every packet of a signature is
+byte-identical, a service-path hop only has to be *probed* once per
+(device, coordinates, template-bytes) — the runtime runs one clone through
+the real platform runtime, records the per-module counter deltas and the
+transformed output template, and then replays the effect across the whole
+column arithmetically (see
 :meth:`repro.sim.runtime.DeployedRack.run_columns`).
+
+The dense id column is what keeps a batch O(packets) in numpy and
+O(distinct signatures) in Python: :meth:`PacketColumns.resolve` runs the
+batch's only ``np.unique`` over the signature column and keeps the inverse
+as ``sid``; ``slice``/``compress`` carry it along, so a hop gets its live
+signatures and their multiplicities from one ``np.bincount(sid)`` and turns
+per-signature probe attributes into per-packet columns with
+:meth:`PacketColumns.spread` — nothing walks ``sig`` in Python and nothing
+is sized by the flow table.
 
 Divergent, stateful, or payload-mutating NFs fall back transparently:
 :meth:`materialize_packets` rebuilds real ``Packet`` objects mid-flight and
@@ -61,11 +71,16 @@ class HopColumn:
 class PacketColumns:
     """A batch of packets in structure-of-arrays form.
 
-    ``templates`` maps flow signature -> the *current* frozen template
-    packet for that flow (replaced wholesale as hops transform it; never
-    mutated in place). The arrays are aligned per packet:
+    ``usig`` holds the batch's distinct flow signatures in ascending order
+    and ``templates[k]`` the *current* frozen template packet of signature
+    ``usig[k]`` (replaced wholesale as hops transform it; never mutated in
+    place) — only signatures present in the batch are held. These three are
+    filled in by :meth:`resolve`. The arrays are aligned per packet:
 
     * ``sig``: flow signature of each packet (``int64``)
+    * ``sid``: dense signature id of each packet (``usig[sid] == sig``);
+      ids are per batch, so a sub-block keeps its parent's numbering and
+      may leave some ids unused
     * ``seq``: rack injection sequence (``int64``; assigned by the rack)
     * ``spi`` / ``si``: current NSH service-path labels (``int64``)
     * ``cycles``: total cycles charged so far (``int64``)
@@ -74,14 +89,20 @@ class PacketColumns:
     * ``hops``: one :class:`HopColumn` per completed hop
     """
 
-    __slots__ = ("templates", "sig", "seq", "spi", "si", "cycles",
-                 "device_order", "device_cycles", "hops")
+    __slots__ = ("templates", "usig", "sig", "sid", "seq", "spi", "si",
+                 "cycles", "device_order", "device_cycles", "hops", "_by_sig")
 
-    def __init__(self, templates: Dict[int, Packet], sig: np.ndarray,
+    def __init__(self, templates, sig: Sequence[int],
                  seq: Optional[np.ndarray] = None):
-        n = len(sig)
-        self.templates = templates
+        """``templates`` is anything indexable by signature (a dict, or a
+        flow list when signatures are flow indexes); it is only read, and
+        only for the signatures present, when the batch is resolved."""
         self.sig = np.asarray(sig, dtype=np.int64)
+        n = len(self.sig)
+        self._by_sig = templates
+        self.templates: Optional[List[Packet]] = None
+        self.usig: Optional[np.ndarray] = None
+        self.sid: Optional[np.ndarray] = None
         self.seq = (seq if seq is not None
                     else np.zeros(n, dtype=np.int64))
         self.spi = np.zeros(n, dtype=np.int64)
@@ -91,46 +112,40 @@ class PacketColumns:
         self.device_cycles: Dict[str, np.ndarray] = {}
         self.hops: List[HopColumn] = []
 
+    def resolve(self) -> None:
+        """Resolve the signature column — the batch's one ``np.unique`` —
+        into ``usig``, ``sid`` and ``templates``. Idempotent;
+        :meth:`DeployedRack.run_columns` does it on entry."""
+        if self.sid is None:
+            self.usig, self.sid = np.unique(self.sig, return_inverse=True)
+            self.templates = [self._by_sig[s] for s in self.usig.tolist()]
+            self._by_sig = None
+
     @classmethod
     def for_flows(cls, flows: Sequence[Packet],
                   sig: Sequence[int]) -> "PacketColumns":
         """Batch ``len(sig)`` packets over a flow-template set: packet ``i``
         is (virtually) a clone of ``flows[sig[i]]``."""
-        templates = {index: packet for index, packet in enumerate(flows)}
-        return cls(templates, np.asarray(sig, dtype=np.int64))
+        return cls(flows, sig)
 
     def __len__(self) -> int:
         return len(self.sig)
 
-    # -- derived columns (gathered from the current templates) -------------
-
-    def _gather(self, fn, dtype) -> np.ndarray:
-        values = {s: fn(t) for s, t in self.templates.items()}
-        return np.asarray([values[int(s)] for s in self.sig], dtype=dtype)
-
-    def lengths(self) -> np.ndarray:
-        """Current wire length of each packet."""
-        return self._gather(len, np.int64)
-
-    def ttls(self) -> np.ndarray:
-        """Current IPv4 TTL of each packet (0 where not IPv4)."""
-        return self._gather(
-            lambda t: t.ipv4.ttl if t.ipv4 is not None else 0, np.int64)
-
-    def flow_digests(self) -> np.ndarray:
-        """CRC32 flow digest of each packet."""
-        return self._gather(lambda t: t.flow_digest(), np.uint64)
-
-    def flow_keys(self) -> np.ndarray:
-        """Packed 13-byte flow keys (empty bytes where not IPv4)."""
-        return self._gather(
-            lambda t: t.flow_key_bytes() or b"", np.dtype("S13"))
-
     # -- restructuring ------------------------------------------------------
 
+    def spread(self, live: List[int], values: list,
+               dtype=np.int64) -> np.ndarray:
+        """Per-packet column from one value per live signature id (every
+        packet's id must be in ``live``)."""
+        if len(set(values)) == 1:
+            return np.full(len(self.sid), values[0], dtype=dtype)
+        table = np.zeros(len(self.templates), dtype=dtype)
+        table[live] = values
+        return table[self.sid]
+
     def slice(self, start: int, end: int) -> "PacketColumns":
-        """A consecutive sub-block (templates are shared copy-on-write:
-        the dict is copied, the frozen packets are not)."""
+        """A consecutive sub-block (the template list is copied so each
+        block evolves its own; the frozen packets are shared)."""
         return self._rebuild(slice(start, end))
 
     def compress(self, mask: np.ndarray) -> "PacketColumns":
@@ -138,8 +153,13 @@ class PacketColumns:
         return self._rebuild(mask)
 
     def _rebuild(self, index) -> "PacketColumns":
-        out = PacketColumns(dict(self.templates), self.sig[index],
-                            self.seq[index])
+        out = PacketColumns.__new__(PacketColumns)
+        out._by_sig = None
+        out.templates = self.templates.copy()
+        out.usig = self.usig
+        out.sig = self.sig[index]
+        out.sid = self.sid[index]
+        out.seq = self.seq[index]
         out.spi = self.spi[index]
         out.si = self.si[index]
         out.cycles = self.cycles[index]
@@ -164,25 +184,30 @@ class PacketColumns:
     def materialize_packets(self, chain_id: Optional[str] = None):
         """Rebuild real ``Packet`` objects (plus their per-hop records) so
         the scalar block loop can take over mid-flight."""
+        self.resolve()
         packets: List[Packet] = []
         hop_records: Dict[int, List[dict]] = {}
-        for i in range(len(self.sig)):
-            packet = self.templates[int(self.sig[i])].copy()
+        seqs = self.seq.tolist()
+        cycles = self.cycles.tolist()
+        by_device = [(device, self.device_cycles[device].tolist())
+                     for device in self.device_order]
+        hops = [(hop.device, hop.platform, hop.cycles.tolist(),
+                 hop.exec_us.tolist()) for hop in self.hops]
+        for i, k in enumerate(self.sid.tolist()):
+            packet = self.templates[k].copy()
             meta = packet.metadata
-            meta.seq = int(self.seq[i])
+            meta.seq = seqs[i]
             if chain_id is not None:
                 meta.chain_id = chain_id
-            meta.cycles_consumed = int(self.cycles[i])
+            meta.cycles_consumed = cycles[i]
             meta.cycles_by_device = {
-                device: int(self.device_cycles[device][i])
-                for device in self.device_order
-                if self.device_cycles[device][i]
+                device: charged[i] for device, charged in by_device
+                if charged[i]
             }
-            hop_records[meta.seq] = [
-                {"device": hop.device, "platform": hop.platform,
-                 "cycles": int(hop.cycles[i]),
-                 "exec_us": float(hop.exec_us[i])}
-                for hop in self.hops
+            hop_records[seqs[i]] = [
+                {"device": device, "platform": platform,
+                 "cycles": hop_cycles[i], "exec_us": exec_us[i]}
+                for device, platform, hop_cycles, exec_us in hops
             ]
             packets.append(packet)
         return packets, hop_records
@@ -242,9 +267,10 @@ class ColumnarRunResult:
             outputs[seq - self.seq_base] = packet
         for block in self.blocks:
             cols = block.columns
-            for i in range(len(cols)):
-                seq = int(cols.seq[i])
-                packet = cols.templates[int(cols.sig[i])].copy()
+            seqs = cols.seq.tolist()
+            for i, k in enumerate(cols.sid.tolist()):
+                seq = seqs[i]
+                packet = cols.templates[k].copy()
                 meta = packet.metadata
                 meta.seq = seq
                 meta.chain_id = self.chain_id

@@ -17,7 +17,8 @@ aggregates into :class:`~repro.sim.measurement.PacketTraceResult`.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -106,6 +107,26 @@ class _ServerRuntime:
     port_out: PortOut
 
 
+@dataclass(eq=False)
+class _EffectClass:
+    """The counter effect of one probed hop traversal, interned per rack.
+
+    Probes that charged the same modules, runtime counters and flow rules
+    by the same amounts share one instance (identity is the class), so a
+    column replay multiplies once per class, not once per signature.
+    """
+
+    #: (module, rx, tx, dropped, cycles) counter deltas, one probe's worth
+    module_deltas: tuple = ()
+    #: modules that drew one RNG cost sample for the probe packet — the
+    #: column replay must draw once per member packet in arrival order
+    rng_modules: tuple = ()
+    #: (rx, tx, drops, cycles_charged) runtime-level deltas (OF/NIC)
+    runtime_deltas: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    #: (FlowRule, match-time packet length) pairs the OF pipeline matched
+    of_rules: tuple = ()
+
+
 @dataclass
 class _HopProbe:
     """One probed (device, coordinates, template-bytes) hop outcome.
@@ -113,7 +134,7 @@ class _HopProbe:
     The columnar dataplane runs a single clone of a flow's template through
     the real platform runtime, then undoes every counter the run charged.
     What remains is this record: the transformed output template, the next
-    service-path coordinates, and the counter deltas to replay — multiplied
+    service-path coordinates, and the counter effect to replay — multiplied
     by however many packets of that signature traverse the hop.
     """
 
@@ -124,15 +145,8 @@ class _HopProbe:
     #: fixed per-packet ``cycles_consumed`` delta (infra charges like NSH
     #: encap/decap; RNG-sampled NF costs are replayed per packet instead)
     pkt_cycles: int = 0
-    #: (module, rx, tx, dropped, cycles) counter deltas, one probe's worth
-    module_deltas: List[tuple] = field(default_factory=list)
-    #: modules that drew one RNG cost sample for the probe packet — the
-    #: column replay must draw once per member packet in arrival order
-    rng_modules: List[object] = field(default_factory=list)
-    #: (rx, tx, drops, cycles_charged) runtime-level deltas (OF/NIC)
-    runtime_deltas: Tuple[int, int, int, int] = (0, 0, 0, 0)
-    #: (FlowRule, match-time packet length) pairs the OF pipeline matched
-    of_rules: List[tuple] = field(default_factory=list)
+    #: interned by :meth:`DeployedRack._remember_probe`
+    effect: Optional[_EffectClass] = None
 
 
 @dataclass
@@ -213,6 +227,8 @@ class DeployedRack:
         #: columnar probe memo: (kind, device, spi, si, template bytes) ->
         #: :class:`_HopProbe`; cleared whenever routing changes.
         self._hop_probes: Dict[tuple, _HopProbe] = {}
+        #: effect content (modules and rules by identity) -> its class
+        self._effect_classes: Dict[tuple, _EffectClass] = {}
         #: (server, spi, si) -> is every pipeline module reachable at those
         #: coordinates vector-safe? (static closure walk, memoized)
         self._route_safety: Dict[tuple, bool] = {}
@@ -322,6 +338,7 @@ class DeployedRack:
         # columnar memos bind probe outcomes to the installed programs and
         # routes; any artifact change invalidates them wholesale
         self._hop_probes.clear()
+        self._effect_classes.clear()
         self._route_safety.clear()
 
         #: (spi, entry_si) -> VLAN vid for OF switch hops; replaces the old
@@ -814,6 +831,12 @@ device_fingerprints`) decide what happens to each device:
         Anything the probe model cannot express (stateful NFs, multi-emit
         pipelines, classification-cache pressure) falls back to the scalar
         block loop via :meth:`PacketColumns.materialize_packets`.
+
+        Python work is per distinct signature, never per packet: the batch
+        is resolved once into a dense signature-id column (``columns.sid``),
+        each hop reads its live ids and their multiplicities off one
+        ``np.bincount`` of it, and probes that share a counter effect
+        replay as one :class:`_EffectClass`.
         """
         name = chain_placement.name
         n = len(columns)
@@ -821,15 +844,14 @@ device_fingerprints`) decide what happens to each device:
         result = ColumnarRunResult(chain_id=name, count=n, seq_base=seq_base)
         if n == 0:
             return result
-        uniq, first_pos = np.unique(columns.sig, return_index=True)
-        usigs = [int(s) for s in uniq]
+        columns.resolve()
+        templates = columns.templates
         dirty = any(
-            columns.templates[s].metadata.cycles_consumed
-            or columns.templates[s].metadata.cycles_by_device
-            or columns.templates[s].metadata.drop_flag
-            for s in usigs
+            t.metadata.cycles_consumed or t.metadata.cycles_by_device
+            or t.metadata.drop_flag
+            for t in templates
         )
-        if dirty or len(self._flow_paths) + len(usigs) >= _FLOW_CACHE_MAX:
+        if dirty or len(self._flow_paths) + len(templates) >= _FLOW_CACHE_MAX:
             # pre-charged templates and a classification cache about to
             # clear mid-batch are scalar-path territory: replicate exactly
             packets, _records = columns.materialize_packets()
@@ -839,15 +861,21 @@ device_fingerprints`) decide what happens to each device:
                 for i, packet in enumerate(scalar_run.outputs)
             }
             return result
-        path_of: Dict[int, ServicePath] = {}
-        for pos in np.argsort(first_pos).tolist():
-            sig = usigs[pos]
-            path_of[sig] = self.classify(
-                chain_placement, columns.templates[sig]
-            )
+        # one service path per distinct flow (the cache cannot clear inside
+        # this batch, so the order of these lookups is unobservable)
+        paths: List[ServicePath] = []
+        path_ids: Dict[int, int] = {}
+        pid_of_id: List[int] = []
+        for template in templates:
+            path = self.classify(chain_placement, template)
+            pid = path_ids.get(id(path))
+            if pid is None:
+                pid = path_ids[id(path)] = len(paths)
+                paths.append(path)
+            pid_of_id.append(pid)
         # classify() counted one hit-or-miss per distinct flow; the other
         # packets of each flow are cache hits by definition
-        clones = n - len(usigs)
+        clones = n - len(templates)
         if clones:
             self._flow_cache_hit.inc(clones)
         columns.seq = np.arange(seq_base, seq_base + n, dtype=np.int64)
@@ -863,23 +891,14 @@ device_fingerprints`) decide what happens to each device:
 
         # partition into maximal consecutive same-service-path runs, as the
         # scalar loop does, so module state/RNG evolve in injection order
-        paths: List[ServicePath] = []
-        path_ids: Dict[int, int] = {}
-        pid_of_sig: Dict[int, int] = {}
-        for sig in usigs:
-            path = path_of[sig]
-            pid = path_ids.get(id(path))
-            if pid is None:
-                pid = path_ids[id(path)] = len(paths)
-                paths.append(path)
-            pid_of_sig[sig] = pid
-        pid_uniq = np.asarray([pid_of_sig[s] for s in usigs])
-        pid_arr = pid_uniq[np.searchsorted(uniq, columns.sig)]
-        change = np.flatnonzero(pid_arr[1:] != pid_arr[:-1]) + 1
-        bounds = [0, *change.tolist(), n]
+        bounds = [0, n]
+        if len(paths) > 1:
+            pid_arr = np.asarray(pid_of_id)[columns.sid]
+            change = np.flatnonzero(pid_arr[1:] != pid_arr[:-1]) + 1
+            bounds[1:1] = change.tolist()
         single = len(bounds) == 2
         for b0, b1 in zip(bounds, bounds[1:]):
-            path = paths[int(pid_arr[b0])]
+            path = paths[pid_of_id[columns.sid[b0]]]
             block = columns if single else columns.slice(b0, b1)
             self._run_block_columns(
                 chain_placement, block, path.spi,
@@ -899,6 +918,7 @@ device_fingerprints`) decide what happens to each device:
         """
         name = cp.name
         switch_name = self.topology.switch.name
+        n_ids = len(cols.templates)
         while budget > 0:
             budget -= 1
             path = self.paths_by_spi.get(spi)
@@ -913,46 +933,118 @@ device_fingerprints`) decide what happens to each device:
             hop_index = self._hop_index_for(path, si)
             hop = path.hops[hop_index]
             nxt = path.hop_after(hop_index)
+            # live signature ids in ascending order (the probe order) and
+            # how many packets carry each
+            counts = np.bincount(cols.sid, minlength=n_ids)
+            live = np.flatnonzero(counts).tolist()
 
-            if hop.device == switch_name:
-                probes = self._probe_column_switch(cp, hop, cols, spi, si)
-                if probes is None:
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
+            on_switch = hop.device == switch_name
+            if on_switch:
+                runtime = self.of_runtime
+                if runtime is not None:
+                    probe_sig = partial(self._probe_of_sig, hop, spi, si)
+                    reason = "openflow_rule"
+                    vectorizable = True
+                else:
+                    probe_sig = partial(self._probe_pisa_sig, cp, hop, spi,
+                                        si)
+                    reason = "switch_nf"
+                    vectorizable = all(
+                        self._switch_module(cp, nid).vector_safe
+                        for nid in hop.node_ids
                     )
-                    return
-                uniq, inv = np.unique(cols.sig, return_inverse=True)
-                usigs = [int(s) for s in uniq]
-                in_c, out_c, _ = self._dev_counters[hop.device]
-                in_c.inc(len(cols))
-                self._replay_probes(probes, usigs, np.bincount(inv),
-                                    runtime=self.of_runtime)
-                surv = np.asarray(
-                    [probes[s].survived for s in usigs], dtype=bool
-                )[inv]
-                dropped = len(cols) - int(surv.sum())
-                if dropped:
-                    reason = ("openflow_rule" if self.of_runtime is not None
-                              else "switch_nf")
+            elif hop.platform == Platform.SERVER.value:
+                runtime = None
+                server_rt = self.servers.get(hop.device)
+                probe_sig = partial(self._probe_server_sig, server_rt,
+                                    hop.device, spi, si)
+                reason = "server_pipeline"
+                vectorizable = (
+                    server_rt is not None
+                    and self._server_route_safe(hop.device, spi, si)
+                )
+            elif hop.platform == Platform.SMARTNIC.value:
+                runtime = self.nics.get(hop.device)
+                probe_sig = partial(self._probe_nic_sig, runtime,
+                                    hop.device, spi, si)
+                reason = "nic_program"
+                vectorizable = (runtime is not None
+                                and runtime.program is not None)
+                if vectorizable:
+                    entry = runtime.route_entry(spi, si)
+                    vectorizable = entry is None or entry[0].vector_safe
+            else:
+                raise DataplaneError(
+                    f"unexpected hop platform {hop.platform}"
+                )
+            # float-order corner: revisiting a device would interleave with
+            # earlier charges in cycles_by_device insertion order; rare
+            # enough to take the scalar path
+            probes: List[_HopProbe] = []  # aligned with ``live``
+            if vectorizable and hop.device not in cols.device_cycles:
+                for k in live:
+                    probe = probe_sig(cols.templates[k])
+                    if probe is None:
+                        break
+                    probes.append(probe)
+            if len(probes) < len(live):
+                self._fallback_block_columns(
+                    cp, cols, spi, si, excursions, switch_passes,
+                    result, budget + 1,
+                )
+                return
+
+            if not on_switch:
+                excursions += 1
+                switch_passes += 1
+                if hop.device in self._fault_failed:
                     for counter in self._drop_counter_pair(
-                        name, hop.device, reason
+                        name, hop.device, "device_failed"
                     ):
-                        counter.inc(dropped)
-                    cols = cols.compress(surv)
-                out_c.inc(len(cols))
-                if not len(cols):
+                        counter.inc(len(cols))
                     return
-                live_sigs = {int(s) for s in cols.sig}
-                for sig in live_sigs:
-                    cols.templates[sig] = probes[sig].template
-                if any(probes[s].pkt_cycles for s in live_sigs):
-                    u2, i2 = np.unique(cols.sig, return_inverse=True)
-                    charged = np.asarray(
-                        [probes[int(s)].pkt_cycles for s in u2],
-                        dtype=np.int64,
-                    )[i2]
-                    cols.cycles = cols.cycles + charged
+                loss = self._fault_loss.get(hop.device)
+                drop = (vector_fault_mask(cols.seq, self.seed, loss)
+                        if loss else None)
+                if drop is not None and drop.any():
+                    for counter in self._drop_counter_pair(
+                        name, hop.device, "link_degraded"
+                    ):
+                        counter.inc(int(drop.sum()))
+                    cols = cols.compress(~drop)
+                    if not len(cols):
+                        return
+                    counts = np.bincount(cols.sid, minlength=n_ids)
+                    probes = [p for k, p in zip(live, probes) if counts[k]]
+                    live = np.flatnonzero(counts).tolist()
+
+            in_c, out_c, _ = self._dev_counters[hop.device]
+            in_c.inc(len(cols))
+            charged = cols.spread(live, [p.pkt_cycles for p in probes])
+            drawn = self._replay_effects(cols, live, probes, counts, runtime)
+            if drawn is not None:
+                charged = charged + drawn
+            survived = [p.survived for p in probes]
+            dropped = not all(survived)
+            if dropped:
+                surv = cols.spread(live, survived, bool)
+                charged = charged[surv]
+                for counter in self._drop_counter_pair(
+                    name, hop.device, reason
+                ):
+                    counter.inc(len(cols) - len(charged))
+                live = [k for k, p in zip(live, probes) if p.survived]
+                probes = [p for p in probes if p.survived]
+            out_c.inc(len(charged))
+            if not len(charged):
+                return
+            if dropped:
+                cols = cols.compress(surv)
+            for k, probe in zip(live, probes):
+                cols.templates[k] = probe.template
+            cols.cycles = cols.cycles + charged
+            if on_switch:
+                # switch cycles ride on the packet but on no device clock
                 cols.hops.append(HopColumn(
                     hop.device, hop.platform,
                     np.zeros(len(cols), dtype=np.int64),
@@ -964,137 +1056,22 @@ device_fingerprints`) decide what happens to each device:
                     return
                 spi, si = path.spi, nxt.entry_si
                 continue
-
-            # -- server / SmartNIC hop ------------------------------------
-            # float-order corner: revisiting a device would interleave with
-            # earlier charges in cycles_by_device insertion order; rare
-            # enough to take the scalar path
-            revisit = hop.device in cols.device_cycles
-            if hop.platform == Platform.SERVER.value:
-                server_rt = self.servers.get(hop.device)
-                if (revisit or server_rt is None
-                        or not self._server_route_safe(hop.device, spi, si)):
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                reason = "server_pipeline"
-                runtime = None
-            elif hop.platform == Platform.SMARTNIC.value:
-                runtime = self.nics.get(hop.device)
-                loaded = runtime is not None and runtime.program is not None
-                entry = runtime.route_entry(spi, si) if loaded else None
-                if (revisit or not loaded
-                        or (entry is not None
-                            and not entry[0].vector_safe)):
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                reason = "nic_program"
-            else:
-                raise DataplaneError(
-                    f"unexpected hop platform {hop.platform}"
-                )
-
-            probes = {}
-            for sig in {int(s) for s in cols.sig}:
-                if runtime is None:
-                    probe = self._probe_server_sig(
-                        server_rt, hop.device, spi, si, cols.templates[sig]
-                    )
-                else:
-                    probe = self._probe_nic_sig(
-                        runtime, hop.device, spi, si, cols.templates[sig]
-                    )
-                if probe is None:
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                probes[sig] = probe
-
-            excursions += 1
-            switch_passes += 1
-            if self._fault_failed or self._fault_loss:
-                if hop.device in self._fault_failed:
-                    for counter in self._drop_counter_pair(
-                        name, hop.device, "device_failed"
-                    ):
-                        counter.inc(len(cols))
-                    return
-                loss = self._fault_loss.get(hop.device)
-                if loss:
-                    drop = vector_fault_mask(cols.seq, self.seed, loss)
-                    ndrop = int(drop.sum())
-                    if ndrop:
-                        for counter in self._drop_counter_pair(
-                            name, hop.device, "link_degraded"
-                        ):
-                            counter.inc(ndrop)
-                        cols = cols.compress(~drop)
-                        if not len(cols):
-                            return
-
-            in_c, out_c, _ = self._dev_counters[hop.device]
-            in_c.inc(len(cols))
-            uniq, inv = np.unique(cols.sig, return_inverse=True)
-            usigs = [int(s) for s in uniq]
-            self._replay_probes(probes, usigs, np.bincount(inv),
-                                runtime=runtime)
-            charged = np.asarray(
-                [probes[s].pkt_cycles for s in usigs], dtype=np.int64
-            )[inv]
-            if any(probes[s].rng_modules for s in usigs):
-                charged = charged + self._replay_rng(
-                    probes, [int(s) for s in cols.sig]
-                )
-            surv = np.asarray(
-                [probes[s].survived for s in usigs], dtype=bool
-            )[inv]
-            n_surv = int(surv.sum())
-            dropped = len(cols) - n_surv
-            if dropped:
-                for counter in self._drop_counter_pair(
-                    name, hop.device, reason
-                ):
-                    counter.inc(dropped)
-            charged_surv = charged[surv] if dropped else charged
-            total = int(charged_surv.sum())
+            total = int(charged.sum())
             if total:
                 self._cycles_counter(hop.device).inc(total)
-            out_c.inc(n_surv)
-            if not n_surv:
-                return
-            if dropped:
-                cols = cols.compress(surv)
-            cols.cycles = cols.cycles + charged_surv
-            cols.charge_device(hop.device, charged_surv)
+            cols.charge_device(hop.device, charged)
             freq = self.device_freq(hop.device)
             cols.hops.append(HopColumn(
-                hop.device, hop.platform, charged_surv,
-                charged_surv / freq * 1e6,
+                hop.device, hop.platform, charged, charged / freq * 1e6,
             ))
-            u2, i2 = np.unique(cols.sig, return_inverse=True)
-            usigs2 = [int(s) for s in u2]
-            for sig in usigs2:
-                cols.templates[sig] = probes[sig].template
-            nspi = np.asarray(
-                [probes[s].next_spi for s in usigs2], dtype=np.int64
-            )[i2]
-            nsi = np.asarray(
-                [probes[s].next_si for s in usigs2], dtype=np.int64
-            )[i2]
-            if len(usigs2) == 1 or bool(
-                np.all((nspi == nspi[0]) & (nsi == nsi[0]))
-            ):
-                spi, si = int(nspi[0]), int(nsi[0])
+            coords = {(p.next_spi, p.next_si) for p in probes}
+            if len(coords) == 1:
+                (spi, si), = coords
                 continue
             # Divergent next coordinates: recurse on consecutive
             # same-coordinate runs, as the scalar loop does.
+            nspi = cols.spread(live, [p.next_spi for p in probes])
+            nsi = cols.spread(live, [p.next_si for p in probes])
             change = np.flatnonzero(
                 (nspi[1:] != nspi[:-1]) | (nsi[1:] != nsi[:-1])
             ) + 1
@@ -1118,33 +1095,13 @@ device_fingerprints`) decide what happens to each device:
         self._run_block(cp, packets, spi, si, excursions, switch_passes,
                         result.scalar, budget, hop_records)
 
-    def _replay_probes(self, probes: Dict[int, _HopProbe],
-                       usigs: List[int], counts: np.ndarray,
-                       runtime=None) -> None:
-        """Replay probe counter deltas across the column: one signature's
-        probe effect, multiplied by its packet multiplicity."""
-        for sig, k in zip(usigs, counts.tolist()):
-            probe = probes[sig]
-            for m, rx_d, tx_d, dr_d, cy_d in probe.module_deltas:
-                m.rx_packets += rx_d * k
-                m.tx_packets += tx_d * k
-                m.dropped_packets += dr_d * k
-                m.cycles_charged += cy_d * k
-            if runtime is not None:
-                rx_d, tx_d, dr_d, cy_d = probe.runtime_deltas
-                runtime.rx += rx_d * k
-                runtime.tx += tx_d * k
-                runtime.drops += dr_d * k
-                if cy_d:
-                    runtime.cycles_charged += cy_d * k
-            for rule, match_len in probe.of_rules:
-                rule.packets += k
-                rule.bytes += match_len * k
+    def _replay_effects(self, cols: PacketColumns, live: List[int],
+                        probes: List[_HopProbe], counts: np.ndarray,
+                        runtime=None) -> Optional[np.ndarray]:
+        """Replay the probed counter effects across the column: each effect
+        class once, multiplied by the packets of its member signatures.
 
-    def _replay_rng(self, probes: Dict[int, _HopProbe],
-                    sig_list: List[int]) -> np.ndarray:
-        """Per-packet RNG cost draws, replayed in block arrival order.
-
+        Returns the per-packet RNG cost draws (None when no module draws).
         Each module's stream must advance exactly as under scalar
         injection: one ``uniform(low, worst)`` draw per packet that reaches
         it, in the order the packets arrive. ``low + (worst - low) * r``
@@ -1152,56 +1109,77 @@ device_fingerprints`) decide what happens to each device:
         ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
         arithmetic matches the scalar expression exactly.
         """
-        extra = np.zeros(len(sig_list), dtype=np.int64)
-        plan: Dict[int, List[int]] = {}
-        owners: Dict[int, object] = {}
-        for i, sig in enumerate(sig_list):
-            for module in probes[sig].rng_modules:
-                key = id(module)
-                members = plan.get(key)
-                if members is None:
-                    members = plan[key] = []
-                    owners[key] = module
-                members.append(i)
-        for key, members in plan.items():
-            module = owners[key]
+        classes: Dict[_EffectClass, list] = {}
+        for k, probe, count in zip(live, probes, counts[live].tolist()):
+            effect = probe.effect
+            members = classes.get(effect)
+            if members is None:
+                members = classes[effect] = [0, []]
+            members[0] += count
+            members[1].append(k)
+        draws: Dict[int, tuple] = {}
+        for effect, (k, ids) in classes.items():
+            for m, rx_d, tx_d, dr_d, cy_d in effect.module_deltas:
+                m.rx_packets += rx_d * k
+                m.tx_packets += tx_d * k
+                m.dropped_packets += dr_d * k
+                m.cycles_charged += cy_d * k
+            if runtime is not None:
+                rx_d, tx_d, dr_d, cy_d = effect.runtime_deltas
+                runtime.rx += rx_d * k
+                runtime.tx += tx_d * k
+                runtime.drops += dr_d * k
+                if cy_d:
+                    runtime.cycles_charged += cy_d * k
+            for rule, match_len in effect.of_rules:
+                rule.packets += k
+                rule.bytes += match_len * k
+            for module in effect.rng_modules:
+                draws.setdefault(id(module), (module, []))[1].extend(ids)
+        if not draws:
+            return None
+        extra = np.zeros(len(cols), dtype=np.int64)
+        for module, ids in draws.values():
+            if len(ids) == len(live):
+                members = slice(None)
+                n_draws = len(cols)
+            else:
+                drawing = np.zeros(len(cols.templates), dtype=bool)
+                drawing[ids] = True
+                members = np.flatnonzero(drawing[cols.sid])
+                n_draws = len(members)
             low, worst = module._cost_bounds()
             span = worst - low
             rand = module._rng.random
-            draws = np.asarray([rand() for _ in members], dtype=np.float64)
-            charged = (low + span * draws).astype(np.int64)
+            charged = (low + span * np.asarray(
+                [rand() for _ in range(n_draws)], dtype=np.float64
+            )).astype(np.int64)
             module.cycles_charged += int(charged.sum())
-            extra[np.asarray(members, dtype=np.intp)] += charged
+            extra[members] += charged
         return extra
 
     # -- columnar hop probes -------------------------------------------------------
 
-    def _remember_probe(self, key: tuple, probe: _HopProbe) -> _HopProbe:
+    def _remember_probe(self, key: tuple, probe: _HopProbe, module_deltas=(),
+                        rng_modules=(), runtime_deltas=(0, 0, 0, 0),
+                        of_rules=()) -> _HopProbe:
+        """Memoize ``probe`` with its counter effect interned: modules and
+        rules key by identity, so equal effects share one class."""
+        effect_key = (
+            tuple((id(m), *deltas) for m, *deltas in module_deltas),
+            tuple(id(m) for m in rng_modules), runtime_deltas,
+            tuple((id(rule), length) for rule, length in of_rules),
+        )
+        probe.effect = self._effect_classes.get(effect_key)
+        if probe.effect is None:
+            probe.effect = self._effect_classes[effect_key] = _EffectClass(
+                tuple(module_deltas), tuple(rng_modules), runtime_deltas,
+                tuple(of_rules),
+            )
         if len(self._hop_probes) >= _FLOW_CACHE_MAX:
             self._hop_probes.clear()
         self._hop_probes[key] = probe
         return probe
-
-    def _probe_column_switch(self, cp: ChainPlacement, hop,
-                             cols: PacketColumns, spi: int, si: int
-                             ) -> Optional[Dict[int, _HopProbe]]:
-        """Probe a switch hop for every signature in the column, or None
-        when any part of it is not vectorizable."""
-        if self.of_runtime is None:
-            for nid in hop.node_ids:
-                if not self._switch_module(cp, nid).vector_safe:
-                    return None
-        probes: Dict[int, _HopProbe] = {}
-        for sig in {int(s) for s in cols.sig}:
-            template = cols.templates[sig]
-            if self.of_runtime is not None:
-                probe = self._probe_of_sig(hop, spi, si, template)
-            else:
-                probe = self._probe_pisa_sig(cp, hop, spi, si, template)
-            if probe is None:
-                return None
-            probes[sig] = probe
-        return probes
 
     def _probe_of_sig(self, hop, spi: int, si: int,
                       template: Packet) -> Optional[_HopProbe]:
@@ -1237,9 +1215,9 @@ device_fingerprints`) decide what happens to each device:
             out = of_result.packet
             out.pop_vlan()
             probe = _HopProbe(survived=True, template=_freeze_template(out))
-        probe.runtime_deltas = runtime_deltas
-        probe.of_rules = list(trace)
-        return self._remember_probe(key, probe)
+        return self._remember_probe(key, probe,
+                                    runtime_deltas=runtime_deltas,
+                                    of_rules=trace)
 
     def _probe_pisa_sig(self, cp: ChainPlacement, hop, spi: int, si: int,
                         template: Packet) -> Optional[_HopProbe]:
@@ -1280,8 +1258,7 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        probe.module_deltas = module_deltas
-        return self._remember_probe(key, probe)
+        return self._remember_probe(key, probe, module_deltas)
 
     def _probe_server_sig(self, server_rt: _ServerRuntime, server: str,
                           spi: int, si: int,
@@ -1349,9 +1326,7 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        probe.module_deltas = module_deltas
-        probe.rng_modules = rng_modules
-        return self._remember_probe(key, probe)
+        return self._remember_probe(key, probe, module_deltas, rng_modules)
 
     def _probe_nic_sig(self, runtime: SmartNICRuntime, nic: str, spi: int,
                        si: int, template: Packet) -> Optional[_HopProbe]:
@@ -1398,9 +1373,8 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        probe.module_deltas = module_deltas
-        probe.runtime_deltas = runtime_deltas
-        return self._remember_probe(key, probe)
+        return self._remember_probe(key, probe, module_deltas,
+                                    runtime_deltas=runtime_deltas)
 
     def _server_route_safe(self, server: str, spi: int, si: int) -> bool:
         """Can a (server, coordinates) hop be probe-replayed?

@@ -48,7 +48,7 @@ from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, quantile, scoped_registry
+from repro.obs import MetricsRegistry, quantiles, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import (
     dumps_for_pool,
@@ -539,6 +539,7 @@ class TrafficEngine:
             latencies.extend(samples)
             injected += size
         d_max = cp.chain.slo.d_max
+        p50, p95, p99 = quantiles(latencies, (0.50, 0.95, 0.99))
         return ChainTrafficReport(
             chain_name=cp.name,
             flows=min(self.flows_per_chain, packets_per_chain),
@@ -548,9 +549,9 @@ class TrafficEngine:
             wall_seconds=wall,
             assigned_mbps=self.placement.rates.get(cp.name, 0.0),
             t_min_mbps=cp.chain.slo.t_min,
-            latency_p50_us=quantile(latencies, 0.50),
-            latency_p95_us=quantile(latencies, 0.95),
-            latency_p99_us=quantile(latencies, 0.99),
+            latency_p50_us=p50,
+            latency_p95_us=p95,
+            latency_p99_us=p99,
             latency_slo_us=0.0 if math.isinf(d_max) else d_max,
         )
 

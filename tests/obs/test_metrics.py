@@ -192,6 +192,60 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], -0.1)
 
+    def test_out_of_range_raises_on_empty_input_too(self):
+        from repro.obs import quantile, quantiles
+
+        with pytest.raises(ValueError):
+            quantile([], 2.0)
+        with pytest.raises(ValueError):
+            quantiles([], (0.5, 2.0))
+        with pytest.raises(ValueError):
+            MetricsRegistry().histogram("empty").quantile(-0.5)
+
+    def test_quantiles_sort_once_equals_three_quantile_calls(self):
+        """``quantiles`` is what every report row and ``summary()`` call:
+        bit-identical to the sort-per-call pure-Python definition (kept
+        here as the oracle), and numpy-``linear`` to rounding."""
+        import random
+
+        import numpy as np
+
+        from repro.obs import quantile, quantiles
+
+        def reference(samples, q):
+            ordered = sorted(samples)
+            virtual = q * (len(ordered) - 1)
+            lo = int(virtual)
+            hi = min(lo + 1, len(ordered) - 1)
+            frac = virtual - lo
+            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+        rng = random.Random(11)
+        qs = (0.50, 0.95, 0.99)
+        for size in (1, 2, 3, 16, 100, 101, 4096, 5000):
+            samples = [rng.uniform(0.0, 500.0) for _ in range(size)]
+            samples += samples[: size // 3]  # ties
+            got = quantiles(samples, qs)
+            assert got == [reference(samples, q) for q in qs]
+            assert got == [quantile(samples, q) for q in qs]
+            assert all(type(value) is float for value in got)
+            assert got == pytest.approx(
+                [float(np.quantile(samples, q)) for q in qs], rel=1e-12)
+        assert quantiles([], qs) == [0.0, 0.0, 0.0]
+        assert quantiles([4, 1, 3], (0.0, 0.5, 1.0)) == [1.0, 3.0, 4.0]
+
+    def test_summary_uses_the_same_quantiles(self):
+        from repro.obs import quantiles
+
+        registry = MetricsRegistry()
+        hist = registry.histogram("rack.latency_us", chain="b")
+        values = [float((i * 7919) % 1013) for i in range(SAMPLE_CAP + 50)]
+        for value in values:
+            hist.observe(value)
+        summary = hist.summary()
+        assert [summary["p50"], summary["p95"], summary["p99"]] == quantiles(
+            values[:SAMPLE_CAP], (0.50, 0.95, 0.99))
+
     def test_histogram_quantile_and_p95_summary(self):
         registry = MetricsRegistry()
         hist = registry.histogram("rack.latency_us", chain="a")

@@ -9,8 +9,12 @@ seeds and all three platforms (server pipelines, SmartNIC program,
 OpenFlow rules).
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.runtime as runtime_module
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
@@ -159,11 +163,42 @@ def _queueing_utilization(rack):
             for i, name in enumerate(devices)}
 
 
+class _NoIter(np.ndarray):
+    """A column nothing may walk packet by packet in Python: numpy
+    indexing, ``bincount`` and ``tolist`` still work, ``for``/``set``/
+    ``list`` over it raise."""
+
+    def __iter__(self):
+        raise AssertionError("per-packet Python walk of a signature column")
+
+
+def _rng_states(rack):
+    """Every cost-sampling RNG stream on the rack, by module identity."""
+    modules = {}
+    for name, server in rack.servers.items():
+        for module in server.pipeline.modules.values():
+            modules[(name, module.name)] = module
+    for name, nic in rack.nics.items():
+        for index, module in nic._nf_modules.items():
+            modules[(name, index)] = module
+    for nid, module in rack._switch_modules.items():
+        modules[("switch", nid)] = module
+    return {key: module._rng.getstate() for key, module in modules.items()}
+
+
 def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
-                        fault=None, queueing=False, interrack=False):
+                        batches=None, fault=None, queueing=False,
+                        interrack=False):
     """Drive identical racks through the scalar batch path and the
-    columnar path and assert bit-identity on every observable surface."""
-    n_packets = n_flows * reps
+    columnar path and assert bit-identity on every observable surface.
+
+    ``batches`` is a sequence of batch sizes injected back to back on the
+    same pair of racks (default: one batch of ``n_flows * reps``); packet
+    ``i`` of the whole stream belongs to flow ``i % n_flows``, so later
+    batches replay memoized probes and effect classes.
+    """
+    if batches is None:
+        batches = [n_flows * reps]
     scalar_rack, scalar_cp, scalar_registry = _deploy(
         spec, topo_kwargs, slo, seed)
     vector_rack, vector_cp, vector_registry = _deploy(
@@ -189,27 +224,36 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         scalar_rack.set_device_failed(_target_device(scalar_rack))
         vector_rack.set_device_failed(_target_device(vector_rack))
 
-    scalar_out = scalar_rack.run(
-        scalar_cp,
-        [_chain_packet(scalar_cp.chain, i % n_flows) for i in range(n_packets)],
-    ).outputs
     flows = [_chain_packet(vector_cp.chain, i) for i in range(n_flows)]
-    columns = PacketColumns.for_flows(
-        flows, [i % n_flows for i in range(n_packets)])
-    vector_out = vector_rack.run_columns(vector_cp, columns).materialize()
+    base = 0
+    for n_packets in batches:
+        sig = [i % n_flows for i in range(base, base + n_packets)]
+        base += n_packets
+        scalar_out = scalar_rack.run(
+            scalar_cp, [_chain_packet(scalar_cp.chain, s) for s in sig],
+        ).outputs
+        columns = PacketColumns.for_flows(flows, sig)
+        # the signature columns must never be walked in Python
+        columns.resolve()
+        columns.sig = columns.sig.view(_NoIter)
+        columns.sid = columns.sid.view(_NoIter)
+        vector_out = vector_rack.run_columns(vector_cp, columns).materialize()
 
-    assert len(vector_out) == n_packets
-    for index, (a, b) in enumerate(zip(scalar_out, vector_out)):
-        assert (a is None) == (b is None), f"packet {index} outcome differs"
-        if a is None:
-            continue
-        assert a.data == b.data, f"packet {index} bytes differ"
-        assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
-        assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
-        assert a.metadata.processed_by == b.metadata.processed_by
-        assert dict(a.metadata.fields) == dict(b.metadata.fields)
+        assert len(vector_out) == n_packets
+        for index, (a, b) in enumerate(zip(scalar_out, vector_out)):
+            assert (a is None) == (b is None), \
+                f"packet {index} outcome differs"
+            if a is None:
+                continue
+            assert a.data == b.data, f"packet {index} bytes differ"
+            assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
+            assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
+            assert a.metadata.processed_by == b.metadata.processed_by
+            assert dict(a.metadata.fields) == dict(b.metadata.fields)
     assert scalar_registry.dump_state() == vector_registry.dump_state()
     assert scalar_rack.device_stats() == vector_rack.device_stats()
+    assert _rng_states(scalar_rack) == _rng_states(vector_rack)
+    return scalar_rack, vector_rack
 
 
 @pytest.mark.parametrize("seed", [7, 23, 101])
@@ -315,3 +359,110 @@ def test_flow_cache_hits_on_repeated_flows():
     misses = registry.counter_value("rack.flow_cache.lookups", result="miss")
     assert misses == 4
     assert hits == 28
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    seed=st.sampled_from([7, 23, 101]),
+    n_flows=st.integers(1, 300),
+    batches=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+    fault=st.sampled_from([None, None, "loss", "failed"]),
+    queueing=st.booleans(),
+    interrack=st.booleans(),
+)
+def test_columnar_matches_scalar_property(scenario, seed, n_flows, batches,
+                                          fault, queueing, interrack):
+    """Any flow count and any sequence of batch sizes on one rack —
+    batch < flows (one packet per signature), batch >> flows, later batches
+    replaying memoized probes and effect classes, the branchy and stateful
+    chains' 1-3-packet blocks, divergent next coordinates and mid-flight
+    fallback, faults and the inter-rack hop: outputs, registry, device
+    stats and every module's RNG stream equal the scalar rack's."""
+    _label, spec, topo_kwargs, slo = scenario
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed, n_flows=n_flows,
+                        batches=batches, fault=fault, queueing=queueing,
+                        interrack=interrack)
+
+
+@pytest.mark.parametrize(
+    "label,spec,topo_kwargs,slo",
+    SCENARIOS[2:],
+    ids=[s[0] for s in SCENARIOS[2:]],
+)
+def test_probe_memo_clearing_mid_run_matches_scalar(monkeypatch, label, spec,
+                                                    topo_kwargs, slo):
+    """With the probe memo capped below the 21 probes a 7-flow batch needs
+    on these three-hop paths, it clears mid-batch, every batch. Signatures
+    are probed in ascending order, so which probes survive a clear is
+    deterministic, and re-probing is side-effect free — the run still
+    equals the scalar loop."""
+    monkeypatch.setattr(runtime_module, "_FLOW_CACHE_MAX", 16)
+    remember = runtime_module.DeployedRack._remember_probe
+    clears = []
+
+    def counting_remember(self, key, probe, *args, **kwargs):
+        before = len(self._hop_probes)
+        remember(self, key, probe, *args, **kwargs)
+        if len(self._hop_probes) <= before:
+            clears.append(key)
+        return probe
+
+    monkeypatch.setattr(runtime_module.DeployedRack, "_remember_probe",
+                        counting_remember)
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, n_flows=7,
+                        batches=[40, 9, 40])
+    assert len(clears) >= 3, "the capped memo never cleared mid-run"
+
+
+def test_signature_columns_are_never_walked_in_python():
+    """The equivalence driver hands ``run_columns`` signature columns whose
+    ``__iter__`` raises; make sure that guard is live (so a set- or
+    list-comprehension over ``cols.sig`` cannot come back unnoticed) and
+    that batch < flows, batch == flows and batch >> flows all pass it on
+    the three columnar platforms."""
+    guarded = np.arange(4).view(_NoIter)
+    with pytest.raises(AssertionError):
+        {int(s) for s in guarded}
+    assert guarded.tolist() == [0, 1, 2, 3]
+    assert np.bincount(guarded).tolist() == [1, 1, 1, 1]
+    for label, spec, topo_kwargs, slo in SCENARIOS:
+        if label == "server-stateful":
+            continue
+        _scalar_vs_columnar(spec, topo_kwargs, slo, seed=7, n_flows=24,
+                            batches=[5, 24, 200])
+
+
+def test_columns_resolve_only_the_signatures_present():
+    """A batch is sized by its packets and its distinct signatures, never
+    by the flow table: ``for_flows`` keeps the table by reference, and
+    resolving reads exactly the templates of the signatures present."""
+    reads = []
+
+    class FlowTable(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    flows = FlowTable(f"flow-{i}" for i in range(4096))
+    columns = PacketColumns.for_flows(flows, [9, 5, 9, 4000, 5, 9])
+    assert reads == [] and columns.sid is None
+    columns.resolve()
+    columns.resolve()  # idempotent
+    assert reads == [5, 9, 4000]
+    assert columns.usig.tolist() == [5, 9, 4000]
+    assert columns.sid.tolist() == [1, 0, 1, 2, 0, 1]
+    assert columns.templates == ["flow-5", "flow-9", "flow-4000"]
+    assert np.bincount(columns.sid, minlength=3).tolist() == [2, 3, 1]
+
+    # a sub-block keeps the batch's id numbering and its own template list
+    block = columns.slice(2, 5)
+    assert block.sig.tolist() == [9, 4000, 5]
+    assert block.sid.tolist() == [1, 2, 0]
+    block.templates[1] = "rewritten"
+    assert columns.templates[1] == "flow-9"
+    kept = columns.compress(columns.sig != 9)
+    assert np.bincount(kept.sid, minlength=3).tolist() == [2, 0, 1]
+    # per-signature values spread to per-packet columns by id
+    assert kept.spread([0, 2], [7, 11]).tolist() == [7, 11, 7]
+    assert kept.spread([0, 2], [True, True], bool).tolist() == [True] * 3
