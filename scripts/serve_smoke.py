@@ -7,13 +7,17 @@ invariant: the recovered run's final report is byte-identical to an
 uninterrupted run's. This is the process-level counterpart of
 ``tests/serve/test_crash_recovery.py`` (which crashes in-process) —
 here the kill is a genuine ``SIGKILL`` against a separate interpreter.
+A third leg truncates the finished run's ``checkpoint.pkl`` and restarts
+once more: the daemon must discard it, rebuild the same report from the
+journal alone, and count the discard.
 
 Run from the repo root:
 
     PYTHONPATH=src python scripts/serve_smoke.py [--metrics-out FILE]
 
-``--metrics-out`` saves the reference daemon's ``/v1/metrics`` snapshot
-(per-layer timers of every command it served) before it shuts down.
+``--metrics-out`` saves the rebuilt daemon's ``/v1/metrics`` snapshot:
+the per-layer timers of every command (it replayed them all) plus
+``serve.checkpoint.discarded``.
 """
 
 import argparse
@@ -47,7 +51,8 @@ KILL_AFTER = 3  # SIGKILL once this many commands are acknowledged
 
 
 def start_daemon(state_dir: str, spec_path: str):
-    """Spawn ``repro serve`` and return ``(process, base_url)``."""
+    """Spawn ``repro serve``; return ``(process, base_url, whatever it
+    printed before the ready line)``."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", spec_path,
          "--tmin", "1", "1", "--tmax", "20", "20",
@@ -58,13 +63,15 @@ def start_daemon(state_dir: str, spec_path: str):
         stderr=subprocess.STDOUT,
         text=True,
     )
-    line = proc.stdout.readline()
     prefix = "repro-serve listening on "
-    if not line.startswith(prefix):
-        proc.kill()
-        rest = proc.stdout.read()
-        raise SystemExit(f"daemon never became ready: {line!r}\n{rest}")
-    return proc, line[len(prefix):].strip()
+    preamble = []  # stderr shares the pipe: a recovery warning comes first
+    for line in proc.stdout:
+        if line.startswith(prefix):
+            return proc, line[len(prefix):].strip(), "".join(preamble)
+        preamble.append(line)
+    proc.kill()
+    raise SystemExit(
+        f"daemon never became ready:\n{''.join(preamble)}")
 
 
 def request(url: str, payload=None):
@@ -100,17 +107,12 @@ def shutdown(proc, base):
     return out
 
 
-def run_uninterrupted(root: str, spec_path: str, metrics_out=None) -> dict:
+def run_uninterrupted(root: str, spec_path: str) -> dict:
     print("== reference run (uninterrupted) ==")
     state = os.path.join(root, "reference")
-    proc, base = start_daemon(state, spec_path)
+    proc, base, _ = start_daemon(state, spec_path)
     drive(proc, base, COMMANDS)
     _, report = request(base + "/v1/report")
-    if metrics_out:
-        _, metrics = request(base + "/v1/metrics")
-        with open(metrics_out, "w") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-        print(f"  metrics snapshot -> {metrics_out}")
     shutdown(proc, base)
     return report
 
@@ -118,14 +120,14 @@ def run_uninterrupted(root: str, spec_path: str, metrics_out=None) -> dict:
 def run_crashed(root: str, spec_path: str) -> dict:
     print(f"== crashed run (SIGKILL after {KILL_AFTER} commands) ==")
     state = os.path.join(root, "crashed")
-    proc, base = start_daemon(state, spec_path)
+    proc, base, _ = start_daemon(state, spec_path)
     drive(proc, base, COMMANDS[:KILL_AFTER])
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=120)
     print(f"  killed (exit {proc.returncode})")
 
     print("== restart on the same state dir ==")
-    proc, base = start_daemon(state, spec_path)
+    proc, base, _ = start_daemon(state, spec_path)
     code, health = request(base + "/v1/health")
     assert health["recovered"] is True, f"not recovered: {health}"
     print(f"  recovered at seq {health['seq']}")
@@ -136,28 +138,57 @@ def run_crashed(root: str, spec_path: str) -> dict:
     return report
 
 
+def run_rebuilt(root: str, spec_path: str, metrics_out=None) -> dict:
+    print("== restart after truncating checkpoint.pkl ==")
+    state = os.path.join(root, "crashed")
+    checkpoint = os.path.join(state, "checkpoint.pkl")
+    os.truncate(checkpoint, os.path.getsize(checkpoint) // 2)
+    proc, base, preamble = start_daemon(state, spec_path)
+    assert "discarded unreadable checkpoint" in preamble, preamble
+    _, health = request(base + "/v1/health")
+    assert health["recovered"] is True, f"not recovered: {health}"
+    assert health["seq"] == len(COMMANDS), health
+    print(f"  rebuilt from the journal alone at seq {health['seq']}")
+    _, report = request(base + "/v1/report")
+    _, metrics = request(base + "/v1/metrics")
+    discarded = sum(
+        counter["value"] for counter in metrics["counters"]
+        if counter["name"] == "serve.checkpoint.discarded"
+    )
+    assert discarded == 1, f"serve.checkpoint.discarded = {discarded}"
+    if metrics_out:
+        with open(metrics_out, "w") as fh:
+            json.dump(metrics, fh, indent=2, sort_keys=True)
+        print(f"  metrics snapshot -> {metrics_out}")
+    shutdown(proc, base)
+    return report
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--metrics-out", metavar="FILE",
-                        help="write the reference daemon's /v1/metrics here")
+                        help="write the rebuilt daemon's /v1/metrics here")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as root:
         spec_path = os.path.join(root, "chains.lemur")
         with open(spec_path, "w") as fh:
             fh.write(SPEC)
 
-        reference = run_uninterrupted(root, spec_path, args.metrics_out)
+        reference = run_uninterrupted(root, spec_path)
         recovered = run_crashed(root, spec_path)
+        rebuilt = run_rebuilt(root, spec_path, args.metrics_out)
 
         ref_doc = json.dumps(reference, sort_keys=True)
-        got_doc = json.dumps(recovered, sort_keys=True)
-        if ref_doc != got_doc:
-            print("FAIL: recovered report diverges from reference")
-            print(f"reference: {ref_doc}")
-            print(f"recovered: {got_doc}")
-            return 1
+        for leg, report in (("recovered", recovered), ("rebuilt", rebuilt)):
+            got_doc = json.dumps(report, sort_keys=True)
+            if ref_doc != got_doc:
+                print(f"FAIL: {leg} report diverges from reference")
+                print(f"reference: {ref_doc}")
+                print(f"{leg}: {got_doc}")
+                return 1
         print("OK: recovered report is byte-identical to the "
-              "uninterrupted run")
+              "uninterrupted run (and so is one rebuilt from the journal "
+              "after the checkpoint was truncated)")
     return 0
 
 

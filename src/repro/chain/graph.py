@@ -73,8 +73,8 @@ class NFGraph:
     #: Memo of this graph's placement-cache digest, written by
     #: :mod:`repro.core.cache` and dropped by every mutator (``add_node``
     #: and ``add_edge`` are the only ones: nothing edits nodes, params or
-    #: edges after lowering). A class default, so graphs unpickled from
-    #: older checkpoints have the slot too.
+    #: edges after lowering). A class default, because ``__getstate__``
+    #: leaves it out of pickles.
     _digest: Optional[str] = None
 
     def __init__(self, name: str = "chain"):

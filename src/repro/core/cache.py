@@ -25,6 +25,9 @@ hit is a fresh ``pickle.loads``: callers may freely mutate a returned placement
 (rate re-splits, core rebalancing) without corrupting the cache, cached
 entries never alias the solver's working state, and a serve checkpoint
 copies the blobs as opaque bytes instead of re-walking every placement.
+A checkpoint is only ever read back by the code that wrote it
+(:func:`repro.serve.journal.code_stamp`), so a cache always holds the
+entry shape this module writes.
 
 A process-wide default cache backs the sweep engine; tests swap it with
 :func:`scoped_cache`. Forked sweep workers inherit the parent's populated
@@ -181,13 +184,6 @@ def warm_start_key(base: Placement) -> str:
     return _sha256(pieces)
 
 
-def _dump(placement: Placement) -> bytes:
-    # level 1: a placement pickle is mostly repeated class and field
-    # names, so the cheapest setting already shrinks it ~2.5x
-    return zlib.compress(
-        pickle.dumps(placement, pickle.HIGHEST_PROTOCOL), 1)
-
-
 class PlacementCache:
     """LRU memo of fingerprint -> pickled Placement; every hit unpickles
     a fresh copy."""
@@ -199,14 +195,6 @@ class PlacementCache:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before entries were serialized hold
-        # Placement objects; pickle those so get() can load them.
-        self.__dict__.update(state)
-        for key, entry in self._entries.items():
-            if not isinstance(entry, bytes):
-                self._entries[key] = _dump(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -230,7 +218,10 @@ class PlacementCache:
     def put(self, key: str, placement: Placement) -> None:
         if not self.enabled:
             return
-        self._entries[key] = _dump(placement)
+        # level 1: a placement pickle is mostly repeated class and field
+        # names, so the cheapest setting already shrinks it ~2.5x
+        self._entries[key] = zlib.compress(
+            pickle.dumps(placement, pickle.HIGHEST_PROTOCOL), 1)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

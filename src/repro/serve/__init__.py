@@ -5,13 +5,16 @@ package answers the operator's question: a long-running service that
 owns a live rack, admits arrive/scale/depart requests from concurrent
 tenants through the shared :class:`~repro.sim.admission.AdmissionCore`,
 applies day-2 fault probes, streams observability snapshots, and
-survives a ``SIGKILL`` by journal + checkpoint crash recovery.
+survives a ``SIGKILL`` by replaying its journal — the only source of
+truth; a checkpoint is a code-stamped cache of that replay, discarded
+and rebuilt whenever it is damaged or other code wrote it.
 
 Layering::
 
     commands.py   typed Arrive/Scale/Depart/InjectFault/Snapshot +
                   CommandOutcome, strict JSON (de)serialization, schemas
-    journal.py    fsync'd JSONL journal + atomic pickle checkpoints
+    journal.py    fsync'd JSONL journal + atomic, code-stamped pickle
+                  checkpoints (code_stamp)
     daemon.py     ServeConfig / ServeDaemon (the rack-owner worker) /
                   ServeReport
     http.py       stdlib ThreadingHTTPServer front-end (/v1/...)

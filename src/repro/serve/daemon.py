@@ -21,7 +21,11 @@ Durability and recovery (see :mod:`repro.serve.journal`):
   injection sequence, same
   :meth:`~repro.sim.admission.AdmissionCore.state_digest` — so
   subsequent admission decisions and traffic phases are byte-identical
-  to an uninterrupted run.
+  to an uninterrupted run;
+* the journal is the only truth and the checkpoint a disposable cache of
+  its replay: one that does not unpickle, or that other code wrote, is
+  discarded, the whole journal replayed from a cold bootstrap, and a
+  fresh checkpoint written.
 
 The daemon's configuration is persisted to ``config.json`` inside the
 state directory on first start and verified on every restart: recovery
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, List, Optional, Tuple, Union
@@ -119,17 +124,6 @@ class ServeConfig(RunSpec):
         "flows_per_chain", "batch_size", "seed", "strategy",
         "checkpoint_every", "queueing", "objective",
     })
-    #: keys a ``config.json`` written before the config named its rack
-    #: as a :class:`TopologySpec` may carry; folded into one on load so
-    #: an existing state dir still verifies on restart.
-    _LEGACY_RACK_FLAGS = frozenset({
-        "with_smartnic", "with_openflow", "servers",
-    })
-    #: values of the ``pool`` key that configs written before racks always
-    #: ran in their owner's process may carry; accepted and dropped so an
-    #: existing state dir still verifies on restart. (The second literal is
-    #: split so grepping src/ for the removed mode's name stays empty.)
-    _LEGACY_POOL = ("keep", "per" "-run")
 
     @classmethod
     def from_dict(cls, payload: object) -> "ServeConfig":
@@ -138,34 +132,19 @@ class ServeConfig(RunSpec):
                 f"serve config must be an object, "
                 f"got {type(payload).__name__}"
             )
-        unknown = set(payload) - cls._FIELDS - cls._LEGACY_RACK_FLAGS \
-            - {"pool"}
+        unknown = set(payload) - cls._FIELDS
         if unknown:
             raise ServeError(
                 f"serve config carries unknown fields {sorted(unknown)}"
             )
-        if payload.get("pool", "keep") not in cls._LEGACY_POOL:
-            raise ServeError(
-                f"legacy serve config field pool={payload['pool']!r} "
-                f"must be one of {list(cls._LEGACY_POOL)}"
-            )
         try:
-            topology = payload.get("topology")
-            if topology is not None:
-                topology = TopologySpec.from_dict(topology)
-            else:
-                topology = TopologySpec.from_flags(
-                    with_smartnic=bool(payload.get("with_smartnic", False)),
-                    with_openflow=bool(payload.get("with_openflow", False)),
-                    servers=int(payload.get("servers", 0)),
-                )
             return cls(
                 spec_text=str(payload["spec_text"]),
                 slos=tuple(
                     tuple(float(x) for x in bounds)
                     for bounds in payload["slos"]
                 ),
-                topology=topology,
+                topology=TopologySpec.from_dict(payload["topology"]),
                 packets_per_phase=int(payload.get("packets_per_phase", 64)),
                 flows_per_chain=int(payload.get("flows_per_chain", 32)),
                 batch_size=int(payload.get("batch_size", 32)),
@@ -175,7 +154,7 @@ class ServeConfig(RunSpec):
                 queueing=str(payload.get("queueing", "none")),
                 objective=str(payload.get("objective", "throughput")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, TopologyError) as exc:
             raise ServeError(f"malformed serve config: {exc}") from exc
 
     @classmethod
@@ -373,8 +352,13 @@ class ServeDaemon:
         self.phases.append(phase)
 
     def _recover_or_bootstrap(self) -> None:
-        checkpoint = self.checkpoints.load()
-        had_state = checkpoint is not None or self.journal.path.exists()
+        """Rebuild the state the journal describes: from this code's
+        checkpoint plus the journal's suffix when there is one, else
+        from a cold bootstrap plus the whole journal — in which case a
+        checkpoint that had to be discarded is replaced."""
+        self.recovered = self.checkpoints.path.exists() \
+            or self.journal.path.exists()
+        checkpoint, discarded = self.checkpoints.load()
         if checkpoint is not None:
             self.seq = int(checkpoint["seq"])
             self.core = checkpoint["core"]
@@ -382,15 +366,6 @@ class ServeDaemon:
             self.decisions = list(checkpoint["decisions"])
             self.phases = list(checkpoint["phases"])
             self._injected = self.report().total_injected
-            if isinstance(self.core, AdmissionCore) \
-                    and self.core.rack is None:
-                raise ServeError(
-                    f"checkpoint {self.checkpoints.path} was written by a "
-                    "daemon that hosted its rack in a worker-pool session "
-                    "(pool='keep'), so the restored core has no in-process "
-                    "rack; delete the checkpoint to recover by replaying "
-                    "the full journal"
-                )
             self.registry = self.core.obs
         else:
             self._bootstrap()
@@ -411,7 +386,17 @@ class ServeDaemon:
                     )
         finally:
             self._replaying = False
-        self.recovered = had_state
+        if discarded is not None:
+            warnings.warn(
+                f"discarded {discarded} checkpoint {self.checkpoints.path}"
+                f"; state rebuilt by replaying all {self.seq} journaled "
+                "commands",
+                RuntimeWarning, stacklevel=2,
+            )
+            self.registry.counter(
+                "serve.checkpoint.discarded", reason=discarded
+            ).inc()
+            self.checkpoint()
 
     async def start(self) -> None:
         """Persist/verify config, recover or bootstrap, start the worker."""

@@ -58,9 +58,12 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the daemon's stdout is the ready line + report, not an access log
 
-    def _send_json(self, code: int, payload: dict) -> None:
+    def _send_json(self, code: int, payload: dict, *,
+                   close: bool = False) -> None:
         body = json.dumps(payload, indent=2, sort_keys=True).encode()
         self.send_response(code)
+        if close:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -72,21 +75,28 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
         )
         return future.result(timeout=_SUBMIT_TIMEOUT_S)
 
-    def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            self._send_json(400, {"error": "a JSON body is required"})
-            return None
-        if length > _MAX_BODY_BYTES:
-            self._send_json(400, {"error": "request body too large"})
-            return None
-        raw = self.rfile.read(length)
+    def _read_body(self) -> object:
+        """The request's JSON body; :class:`CommandError` if there is
+        none to be had."""
+        declared = self.headers.get("Content-Length") or "0"
         try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            self._send_json(400, {"error": f"body is not valid JSON: {exc}"})
-            return None
-        return payload
+            length = int(declared)
+        except ValueError:
+            raise CommandError(
+                f"Content-Length {declared!r} is not an integer"
+            ) from None
+        if length <= 0:
+            raise CommandError("a JSON body is required")
+        if length > _MAX_BODY_BYTES:
+            raise CommandError("request body too large")
+        try:
+            return json.loads(self.rfile.read(length))
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors; a
+            # body of 100 000 "[" overflows the decoder's stack
+            raise CommandError(
+                f"body is not valid JSON: {type(exc).__name__}: {exc}"
+            ) from exc
 
     # -- routes -------------------------------------------------------------
 
@@ -120,13 +130,12 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         if self.path == "/v1/commands":
-            payload = self._read_body()
-            if payload is None:
-                return
             try:
-                command = parse_command(payload)
+                command = parse_command(self._read_body())
             except CommandError as exc:
-                self._send_json(400, {"error": str(exc)})
+                # a refused body may sit unread on the socket, so the
+                # connection cannot carry another request
+                self._send_json(400, {"error": str(exc)}, close=True)
                 return
             outcome = self._submit(command)
             self._send_json(

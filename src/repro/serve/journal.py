@@ -17,21 +17,29 @@ sequence), replaying that prefix reconstructs a byte-identical rack.
   silently skipping. A trailing partial line (torn write during a crash)
   is tolerated and ignored — it can only belong to an unacknowledged
   command.
-* :class:`CheckpointStore` — periodic pickles of the full daemon state
-  (seq, admission core incl. the deployed rack and metrics registry,
+* :class:`CheckpointStore` — a *cache* of that replay, never a second
+  source of truth: periodic pickles of the full daemon state (seq,
+  admission core incl. the deployed rack and metrics registry,
   decisions, phases), written atomically (tmp + rename + dir fsync) so a
-  crash mid-checkpoint leaves the previous checkpoint intact. Recovery
-  loads the checkpoint and replays only journal records with
-  ``seq > checkpoint.seq``.
+  crash mid-checkpoint leaves the previous checkpoint intact, and
+  stamped with :func:`code_stamp` — a digest of the ``repro`` sources
+  that wrote it. The same code restarts by loading the checkpoint and
+  replaying only journal records with ``seq > checkpoint.seq``; a
+  checkpoint that does not unpickle, or that other code wrote, is
+  discarded and the daemon replays the whole journal instead. So no
+  class ever has to read an older pickled shape of itself: changing the
+  code under a state dir costs one full replay.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import pickle
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.exceptions import ServeError
 
@@ -105,8 +113,28 @@ class Journal:
         return seq
 
 
+@functools.lru_cache(maxsize=None)
+def code_stamp() -> str:
+    """sha256 over the ``repro`` package's source files (relative path +
+    bytes, sorted), computed once per process: which code a checkpoint's
+    pickled objects belong to."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 class CheckpointStore:
-    """Atomic pickle checkpoints of the daemon's full state."""
+    """Atomic, code-stamped pickle checkpoints of the daemon's full state.
+
+    On disk: the writer's :func:`code_stamp`, then the state, as two
+    consecutive pickles — a checkpoint other code wrote is recognised by
+    its header and its state is never unpickled.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -119,6 +147,7 @@ class CheckpointStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "wb") as fh:
+            pickle.dump(code_stamp(), fh, protocol=pickle.HIGHEST_PROTOCOL)
             pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
             fh.flush()
             os.fsync(fh.fileno())
@@ -130,30 +159,23 @@ class CheckpointStore:
         finally:
             os.close(dir_fd)
 
-    def load(self) -> Optional[dict]:
-        """The latest checkpoint, or ``None`` if none was ever written."""
+    def load(self) -> Tuple[Optional[dict], Optional[str]]:
+        """``(state, None)`` for a checkpoint this code wrote, ``(None,
+        None)`` if none was ever written, else ``(None, reason)`` for one
+        to discard: ``"unreadable"`` (it does not unpickle) or
+        ``"foreign"`` (it is not stamped by this code)."""
         if not self.path.exists():
-            return None
+            return None, None
         try:
             with open(self.path, "rb") as fh:
+                if pickle.load(fh) != code_stamp():
+                    return None, "foreign"
                 state = pickle.load(fh)
-        except (
-            pickle.UnpicklingError,
-            AttributeError,
-            EOFError,
-            OSError,
-            ValueError,
-        ) as exc:
-            raise ServeError(
-                f"checkpoint {self.path} is unreadable: {exc} "
-                "(delete it to force full-journal recovery)"
-            ) from exc
-        if not isinstance(state, dict) or "seq" not in state:
-            raise ServeError(
-                f"checkpoint {self.path} has no 'seq' — not a daemon "
-                "checkpoint"
-            )
-        return state
+        except Exception:  # noqa: BLE001 — unpickling bytes this code did
+            # not write can raise anything (ModuleNotFoundError for a
+            # class the tree no longer has, MemoryError, ...)
+            return None, "unreadable"
+        return state, None
 
 
-__all__ = ["CheckpointStore", "Journal"]
+__all__ = ["CheckpointStore", "Journal", "code_stamp"]

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +51,7 @@ from repro.exceptions import (
 )
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, quantiles
+from repro.obs import MetricsRegistry, get_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.faults import PhaseReport
 from repro.sim.runtime import DeployedRack
@@ -200,14 +199,6 @@ class AdmissionDecision:
             ) from exc
 
 
-#: the run settings a core kept as loose attributes before it held its
-#: spec — the shape of checkpoints written by earlier daemons.
-_LOOSE_SETTINGS = (
-    "strategy", "flows_per_chain", "batch_size", "seed", "queueing",
-    "objective",
-)
-
-
 class AdmissionCore:
     """Admit, place incrementally, delta-redeploy, and replay traffic.
 
@@ -274,19 +265,6 @@ class AdmissionCore:
         #: fault probes currently applied (action bookkeeping for
         #: snapshots and the state digest; the rack holds the live state).
         self.fault_state: Dict[str, float] = {}
-
-    def __setstate__(self, state: dict) -> None:
-        """Unpickle (shared with the fabric core). A checkpoint written
-        before cores held their spec carries the run settings as loose
-        attributes: fold them into a bare :class:`RunSpec`, all a restored
-        core reads — its chains and topology are already built."""
-        if "spec" not in state:
-            state = dict(state)
-            state["spec"] = RunSpec(
-                spec_text="", slos=(),
-                **{name: state.pop(name) for name in _LOOSE_SETTINGS},
-            )
-        self.__dict__.update(state)
 
     # -- bootstrap ----------------------------------------------------------
 
@@ -499,20 +477,13 @@ class AdmissionCore:
                 self.traffic.replay_batch(
                     cp, self.cursors.get(cp.name, 0), packets_per_chain
                 )
-            d_max = cp.chain.slo.d_max
-            p50, p95, p99 = quantiles(samples, (0.50, 0.95, 0.99))
-            phase.chains.append(ChainTrafficReport(
-                chain_name=cp.name,
+            phase.chains.append(ChainTrafficReport.replayed(
+                cp,
                 flows=self.spec.flows_per_chain,
                 injected=packets_per_chain,
                 delivered=delivered,
-                dropped=packets_per_chain - delivered,
-                wall_seconds=0.0,
+                latencies=samples,
                 assigned_mbps=self.rates.get(cp.name, 0.0),
-                latency_p50_us=p50,
-                latency_p95_us=p95,
-                latency_p99_us=p99,
-                latency_slo_us=0.0 if math.isinf(d_max) else d_max,
             ))
         return phase
 

@@ -47,7 +47,7 @@ from repro.exceptions import FaultInjectionError, PlacementError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, quantile, quantiles
+from repro.obs import MetricsRegistry, get_registry, quantile
 from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import run_checked
 from repro.sim.measurement import QueueingModel
@@ -789,23 +789,13 @@ class ChaosEngine:
         def close_phase(phase: PhaseReport) -> None:
             for cp in self.placement.chains:
                 name = cp.name
-                injected = seg_injected[name]
-                delivered = seg_delivered[name]
-                samples = seg_latencies[name]
-                d_max = cp.chain.slo.d_max
-                p50, p95, p99 = quantiles(samples, (0.50, 0.95, 0.99))
-                phase.chains.append(ChainTrafficReport(
-                    chain_name=name,
+                phase.chains.append(ChainTrafficReport.replayed(
+                    cp,
                     flows=self.spec.flows_per_chain,
-                    injected=injected,
-                    delivered=delivered,
-                    dropped=injected - delivered,
-                    wall_seconds=0.0,
+                    injected=seg_injected[name],
+                    delivered=seg_delivered[name],
+                    latencies=seg_latencies[name],
                     assigned_mbps=self.rates.get(name, 0.0),
-                    latency_p50_us=p50,
-                    latency_p95_us=p95,
-                    latency_p99_us=p99,
-                    latency_slo_us=0.0 if math.isinf(d_max) else d_max,
                 ))
             report.phases.append(phase)
 

@@ -245,10 +245,8 @@ def run_fabric_traffic(
             vectorized=spec.vectorized,
         )
         for row in engine.run(spec.packets_per_chain).chains:
-            bound = d_max.get(row.chain_name, float("inf"))
-            merged.chains.append(replace(
-                row,
-                latency_slo_us=0.0 if math.isinf(bound) else bound,
+            merged.chains.append(row.with_d_max(
+                d_max.get(row.chain_name, float("inf"))
             ))
     merged.chains.sort(key=lambda row: row.chain_name)
     merged.run_wall_seconds = time.perf_counter() - started
@@ -496,8 +494,6 @@ class FabricAdmissionCore:
     whole for serve checkpoints.
     """
 
-    __setstate__ = AdmissionCore.__setstate__
-
     def __init__(
         self,
         spec: RunSpec,
@@ -540,9 +536,8 @@ class FabricAdmissionCore:
         self.active: List[NFChain] = []
         self.rates: Dict[str, float] = {}
         self.placement: Optional[FabricPlacement] = None
-        # AdmissionCore-surface compat for front-end read-only views
-        self.rack = None
-        self.traffic = None
+        #: the rack cores' fault probes, merged (the daemon's snapshot
+        #: reads it as it does a single-rack core's)
         self.fault_state: Dict[str, float] = {}
 
     # -- candidate ordering -------------------------------------------------
@@ -985,10 +980,8 @@ class FabricAdmissionCore:
             )
             merged.t_mins.update(phase.t_mins)
             for row in phase.chains:
-                bound = self._d_max.get(row.chain_name, float("inf"))
-                merged.chains.append(replace(
-                    row,
-                    latency_slo_us=0.0 if math.isinf(bound) else bound,
+                merged.chains.append(row.with_d_max(
+                    self._d_max.get(row.chain_name, float("inf"))
                 ))
         merged.chains.sort(key=lambda row: row.chain_name)
         return merged

@@ -154,9 +154,9 @@ class _InterRackHop:
     """Per-chain inter-rack ingress hop (geo-distributed fabrics).
 
     A chain homed away from its ingress rack crosses a fabric link before
-    this rack ever sees its packets: ``crossings`` × ``latency_us`` (the
-    round trip by default) rides on every delivered packet as the
-    ``interrack_us`` latency component, and when the link is saturated a
+    this rack ever sees its packets: the round trip, ``2 × latency_us``,
+    rides on every delivered packet as the ``interrack_us`` latency
+    component (``extra_us``), and when the link is saturated a
     ``drop_fraction`` of packets never arrives. Drops hash the injection
     sequence against ``link_seed`` (the rack seed salted with the link
     name) exactly like device faults, so scalar and columnar runs — and
@@ -166,8 +166,6 @@ class _InterRackHop:
     link: str
     latency_us: float  # one-way
     drop_fraction: float = 0.0
-    crossings: int = 2
-    queue_factor: float = 0.0
     link_seed: int = 0
     extra_us: float = 0.0
 
@@ -480,16 +478,13 @@ device_fingerprints`) decide what happens to each device:
         latency_us: float,
         *,
         drop_fraction: float = 0.0,
-        crossings: int = 2,
-        queue_factor: float = 0.0,
     ) -> None:
         """Route a chain's traffic across an inter-rack link into this rack.
 
         Every delivered packet of ``chain`` carries an extra
-        ``interrack_us = crossings * latency_us * (1 + queue_factor)``
-        latency component (default ``crossings=2``: out to the home rack
-        and back to the ingress). ``drop_fraction`` models link capacity
-        shortfall: that fraction of the chain's packets is dropped at the
+        ``interrack_us = 2 * latency_us`` latency component: out to the
+        home rack and back to the ingress. ``drop_fraction`` models link
+        capacity shortfall: that fraction of the chain's packets is dropped at the
         fabric ingress (reason ``interrack_capacity``) before any rack
         device sees them, decided by the same deterministic seq hash as
         device faults, salted with the link name.
@@ -500,17 +495,13 @@ device_fingerprints`) decide what happens to each device:
             raise DataplaneError(
                 f"drop fraction must be within [0, 1], got {drop_fraction}"
             )
-        if crossings < 1:
-            raise DataplaneError("inter-rack crossings must be >= 1")
         link_seed = (self.seed + zlib.crc32(link.encode("utf-8"))) & 0x7FFFFFFF
         self._interrack[chain] = _InterRackHop(
             link=link,
             latency_us=latency_us,
             drop_fraction=drop_fraction,
-            crossings=crossings,
-            queue_factor=queue_factor,
             link_seed=link_seed,
-            extra_us=crossings * latency_us * (1.0 + queue_factor),
+            extra_us=2 * latency_us,
         )
 
     def clear_interrack_hops(self) -> None:

@@ -24,8 +24,8 @@ import json
 import math
 import pickle
 import time
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +108,45 @@ class ChainTrafficReport:
     latency_p99_us: float = 0.0
     #: the chain's latency SLO (``d_max``, µs); 0 means unbounded.
     latency_slo_us: float = 0.0
+
+    @classmethod
+    def replayed(
+        cls,
+        cp: ChainPlacement,
+        *,
+        flows: int,
+        injected: int,
+        delivered: int,
+        latencies: Sequence[float],
+        assigned_mbps: float,
+        wall_seconds: float = 0.0,
+        t_min_mbps: float = 0.0,
+    ) -> "ChainTrafficReport":
+        """The row of one replayed chain — a whole run's or one phase's:
+        quantiles taken in one sort, everything injected and not
+        delivered counted dropped, the bound the chain's own ``d_max``."""
+        p50, p95, p99 = quantiles(latencies, (0.50, 0.95, 0.99))
+        return cls(
+            chain_name=cp.name,
+            flows=flows,
+            injected=injected,
+            delivered=delivered,
+            dropped=injected - delivered,
+            wall_seconds=wall_seconds,
+            assigned_mbps=assigned_mbps,
+            t_min_mbps=t_min_mbps,
+            latency_p50_us=p50,
+            latency_p95_us=p95,
+            latency_p99_us=p99,
+        ).with_d_max(cp.chain.slo.d_max)
+
+    def with_d_max(self, d_max: float) -> "ChainTrafficReport":
+        """This row held to ``d_max`` µs (an infinite bound reads 0). A
+        fabric merge restores the end-to-end bound with it: a rack core
+        holds its chains at ``d_max`` less the inter-rack RTT."""
+        return replace(
+            self, latency_slo_us=0.0 if math.isinf(d_max) else d_max
+        )
 
     @property
     def delivered_fraction(self) -> float:
@@ -538,21 +577,15 @@ class TrafficEngine:
             wall += spent
             latencies.extend(samples)
             injected += size
-        d_max = cp.chain.slo.d_max
-        p50, p95, p99 = quantiles(latencies, (0.50, 0.95, 0.99))
-        return ChainTrafficReport(
-            chain_name=cp.name,
+        return ChainTrafficReport.replayed(
+            cp,
             flows=min(self.flows_per_chain, packets_per_chain),
             injected=injected,
             delivered=delivered,
-            dropped=injected - delivered,
-            wall_seconds=wall,
+            latencies=latencies,
             assigned_mbps=self.placement.rates.get(cp.name, 0.0),
+            wall_seconds=wall,
             t_min_mbps=cp.chain.slo.t_min,
-            latency_p50_us=p50,
-            latency_p95_us=p95,
-            latency_p99_us=p99,
-            latency_slo_us=0.0 if math.isinf(d_max) else d_max,
         )
 
     def _run_sharded(self, selected: List[ChainPlacement],

@@ -1,6 +1,5 @@
 """Placement cache: key stability, hit/miss semantics, isolation."""
 
-import collections
 import dataclasses
 import enum
 import hashlib
@@ -334,25 +333,6 @@ class TestCacheSemantics:
         assert all(isinstance(e, bytes) for e in clone._entries.values())
         assert clone.get("k").rates == placement.rates
         assert clone.stats()["hits"] == 1
-
-    def test_legacy_object_entries_are_converted_on_unpickle(
-            self, profiles, chains):
-        """A cache pickled before entries were serialized holds Placement
-        objects; it must load and hit, with the same isolation."""
-        placement = heuristic_place(
-            chains, topology_for("paper-testbed").build(), profiles)
-        legacy = PlacementCache.__new__(PlacementCache)
-        legacy.__dict__.update(
-            max_entries=8, enabled=True, hits=3, misses=4,
-            _entries=collections.OrderedDict(k=placement),
-        )
-        restored = pickle.loads(pickle.dumps(legacy))
-        assert (restored.hits, restored.misses, len(restored)) == (3, 4, 1)
-        hit = restored.get("k")
-        assert hit is not placement
-        assert hit.rates == placement.rates and hit.feasible
-        hit.rates.clear()
-        assert restored.get("k").rates == placement.rates
 
     def test_lru_eviction(self):
         from repro.core.placement import Placement

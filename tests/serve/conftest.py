@@ -47,12 +47,12 @@ def _drive(config, state_dir, commands, *, crash=False):
     return asyncio.run(_run())
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def make_config():
     return _make_config
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def drive():
     return _drive
 

@@ -9,7 +9,6 @@ acknowledged command prefix through the same deterministic core.
 
 import pytest
 
-from repro.exceptions import ServeError
 from repro.hw.spec import topology_for
 from repro.serve import Arrive, Depart, InjectFault, Scale, ServeConfig
 
@@ -122,84 +121,9 @@ def test_retried_rejection_hits_the_cache_across_a_kill(
     assert recovered.core.cache.stats() == reference.core.cache.stats()
 
 
-def test_checkpoint_with_object_valued_cache_entries_still_loads(
-        config, drive, tmp_path):
-    """What the daemon wrote before cache entries were serialized: the
-    pickled ``PlacementCache`` maps keys to ``Placement`` objects. Such a
-    checkpoint must restore, and its entries must still hit."""
-    import pickle
-    import zlib
-
-    commands = [COMMANDS[0], OVERSIZE]
-    reference, ref_outcomes = drive(
-        config, tmp_path / "reference", commands + [OVERSIZE]
-    )
-    daemon, _ = drive(config, tmp_path / "state", commands)
-    state = daemon.checkpoints.load()
-    entries = state["core"].cache._entries
-    assert entries
-    for key, blob in entries.items():
-        entries[key] = pickle.loads(zlib.decompress(blob))
-    daemon.checkpoints.save(state)
-
-    recovered, (retry,) = drive(config, tmp_path / "state", [OVERSIZE])
-    assert all(isinstance(entry, bytes)
-               for entry in recovered.core.cache._entries.values())
-    assert retry.decision.cache_hit is True
-    assert retry.decision.as_dict() == ref_outcomes[2].decision.as_dict()
-    assert recovered.report().to_json() == reference.report().to_json()
-
-
-def test_state_dir_from_before_cores_held_their_spec_recovers(
-        config, drive, tmp_path):
-    """What the daemon wrote while specs carried rack flags and cores
-    re-listed the run settings: a ``config.json`` with ``topology: null``
-    plus ``with_smartnic``/``with_openflow``/``servers``, and a pickled
-    core with loose ``strategy``/``seed``/... attributes and no spec. It
-    must verify, restore, and finish byte-identical."""
-    import json
-
-    reference, _ = drive(config, tmp_path / "reference", COMMANDS)
-    daemon, _ = drive(config, tmp_path / "state", COMMANDS[:3], crash=True)
-
-    stored = tmp_path / "state" / "config.json"
-    payload = json.loads(stored.read_text())
-    stored.write_text(json.dumps({
-        **payload, "topology": None,
-        "with_smartnic": False, "with_openflow": False, "servers": 0,
-    }))
-    state = daemon.checkpoints.load()
-    assert state["seq"] == 2
-    core = state["core"]
-    spec = core.__dict__.pop("spec")
-    for name in ("strategy", "flows_per_chain", "batch_size", "seed",
-                 "queueing", "objective"):
-        setattr(core, name, getattr(spec, name))
-    daemon.checkpoints.save(state)
-
-    recovered, _ = drive(config, tmp_path / "state", COMMANDS[3:])
-    assert recovered.recovered is True
-    assert recovered.core.spec.seed == config.seed
-    assert recovered.report().to_json() == reference.report().to_json()
-
-
 def test_fresh_state_dir_is_not_recovered(config, drive, tmp_path):
     daemon, _ = drive(config, tmp_path / "state", [])
     assert daemon.recovered is False
-
-
-def test_checkpoint_without_an_in_process_rack_is_refused(config, drive,
-                                                          tmp_path):
-    """What a daemon that hosted its rack in a worker-pool session wrote:
-    the pickled core carries no rack. Recovery names the cause up front
-    instead of failing on the first command."""
-    daemon, _ = drive(config, tmp_path / "state", COMMANDS[:2])
-    state = daemon.checkpoints.load()
-    state["core"].rack = None
-    state["core"].traffic = None
-    daemon.checkpoints.save(state)
-    with pytest.raises(ServeError, match="no in-process rack"):
-        drive(config, tmp_path / "state", [])
 
 
 # -- multi-rack fabric ------------------------------------------------------

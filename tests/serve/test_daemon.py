@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.exceptions import ServeError
-from repro.hw.spec import topology_for
 from repro.serve import (
     Arrive,
     Depart,
@@ -150,10 +149,14 @@ class TestConfig:
         assert ServeConfig.parse_json(config.to_json()) == config
 
     def test_unknown_field_rejected(self, config):
+        """Including the keys older daemons wrote (``pool``, the rack
+        flags): a state dir is read by the code that wrote it."""
         payload = json.loads(config.to_json())
-        payload["turbo"] = True
-        with pytest.raises(ServeError, match="unknown fields"):
-            ServeConfig.from_dict(payload)
+        for key in ("turbo", "pool", "with_smartnic", "servers"):
+            with pytest.raises(ServeError, match="unknown fields"):
+                ServeConfig.from_dict({**payload, key: True})
+        with pytest.raises(ServeError, match="malformed serve config"):
+            ServeConfig.from_dict({**payload, "topology": None})
 
     def test_config_is_persisted_and_verified(self, config, make_config,
                                               drive, tmp_path):
@@ -164,40 +167,6 @@ class TestConfig:
         assert stored == config
         with pytest.raises(ServeError, match="different configuration"):
             drive(make_config(seed=99), tmp_path / "state", [])
-
-    def test_legacy_pool_key_is_accepted_and_dropped(self, config, drive,
-                                                     tmp_path):
-        """A ``config.json`` written while the daemon still had a rack
-        execution mode verifies on restart; only the two values that
-        option ever took are tolerated."""
-        payload = json.loads(config.to_json())
-        for mode in ("keep", "per-run"):
-            assert ServeConfig.from_dict({**payload, "pool": mode}) == config
-        with pytest.raises(ServeError, match="pool='turbo'"):
-            ServeConfig.from_dict({**payload, "pool": "turbo"})
-        drive(config, tmp_path / "state", [])
-        stored = tmp_path / "state" / "config.json"
-        stored.write_text(json.dumps({**payload, "pool": "keep"}))
-        daemon, _ = drive(config, tmp_path / "state", [])
-        assert daemon.recovered is True
-
-    def test_legacy_rack_flags_fold_into_the_topology(self, make_config):
-        """A ``config.json`` written before the config named its rack as
-        a ``TopologySpec``: ``topology: null`` plus the rack flags."""
-        config = make_config(topology=topology_for("paper-smartnic"))
-        payload = json.loads(config.to_json())
-        assert not {"with_smartnic", "with_openflow", "servers"} & set(payload)
-        legacy = {"with_smartnic": True, "with_openflow": False, "servers": 0}
-        assert ServeConfig.from_dict(
-            {**payload, "topology": None, **legacy}
-        ) == config
-        # a non-null topology wins over the flags, as it did
-        assert ServeConfig.from_dict(
-            {**payload, "with_openflow": True, "servers": 2}
-        ) == config
-        assert ServeConfig.from_dict(
-            {**payload, "topology": None, "servers": 2}
-        ).topology == topology_for("multi-server")
 
     def test_validate_bounds(self, make_config):
         with pytest.raises(ServeError):

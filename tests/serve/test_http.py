@@ -1,9 +1,13 @@
 """The stdlib HTTP front-end: routes, status mapping, shutdown."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
+
+import pytest
 
 from repro.serve import run_server
 
@@ -114,3 +118,75 @@ def test_http_round_trip(config, tmp_path):
     assert final.seq == 2
     assert final.accepted == 1
     assert final.rejected == 1
+
+
+@pytest.fixture(scope="module")
+def base_url(make_config, tmp_path_factory):
+    """One live daemon + HTTP front-end for the hostile-body cases."""
+    ready = threading.Event()
+    url = {}
+
+    def on_ready(server_url):
+        url["base"] = server_url
+        ready.set()
+
+    thread = threading.Thread(target=run_server, kwargs=dict(
+        config=make_config(),
+        state_dir=tmp_path_factory.mktemp("http") / "state",
+        ready=on_ready,
+    ))
+    thread.start()
+    assert ready.wait(120), "daemon never became ready"
+    yield url["base"]
+    _request(url["base"] + "/v1/shutdown", {})
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+
+
+_ARRIVE = {"kind": "arrive", "chain": "x", "spec": "chain x: ACL",
+           "t_min_mbps": 1.0}
+
+#: id -> (Content-Length header or None for "send none", body bytes)
+MALFORMED = {
+    "no-length": (None, b""),
+    "zero-length": ("0", b""),
+    "negative-length": ("-5", b"{}"),
+    "non-numeric-length": ("ten", b"{}"),
+    "oversized-length": (str((1 << 20) + 1), b"{}"),
+    "not-json": ("8", b"not json"),
+    "not-utf8": ("2", b"\xff\xfe"),
+    "nested-past-the-stack": ("100000", b"[" * 100000),
+    "json-null": ("4", b"null"),
+    "json-array": ("6", b"[1, 2]"),
+    "unknown-kind": (None, json.dumps({"kind": "warp"}).encode()),
+    "unknown-field": (None, json.dumps({**_ARRIVE, "turbo": 1}).encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_body_is_a_typed_400(base_url, case):
+    """Whatever a client puts in a command body, it gets a JSON 400 back
+    (never a dropped connection), nothing is applied, and the daemon
+    answers the next request."""
+    length, body = MALFORMED[case]
+    if length is None and body:
+        length = str(len(body))
+    address = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=60)
+    try:
+        conn.putrequest("POST", "/v1/commands")
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        answer = json.loads(response.read())
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+    finally:
+        conn.close()
+    assert isinstance(answer["error"], str) and answer["error"]
+
+    code, health = _request(base_url + "/v1/health")
+    assert code == 200
+    assert health["seq"] == 0
