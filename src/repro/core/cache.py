@@ -12,13 +12,11 @@ that can change the answer is part of the key, so a hit is always safe to
 reuse.
 
 Keys are taken in one walk over the inputs (:func:`placement_fingerprint`)
-that writes an unambiguous text encoding of every public value straight
-into a hasher. The walk of one chain's :class:`~repro.chain.graph.NFGraph`
-— by far the largest part — is memoized *on the graph*: graphs are shared
-by ``with_slo`` copies and survive across admission commands, so a command
-re-hashes only the graph it introduced plus the small SLO / topology /
-profile state. ``NFGraph.add_node``/``add_edge`` (the only mutators) drop
-the memo.
+that writes :func:`repro.chain.digest.encode`'s text encoding of every
+public value straight into a hasher; each chain's graph contributes its
+memoized :func:`~repro.chain.digest.graph_digest`, so a command re-hashes
+only the graph it introduced plus the small SLO / topology / profile
+state.
 
 Entries are stored as one compressed ``pickle.dumps`` blob each and every
 hit is a fresh ``pickle.loads``: callers may freely mutate a returned placement
@@ -36,110 +34,19 @@ cache for free, so warm parallel runs hit too.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import hashlib
 import pickle
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.chain.graph import NFGraph
+from repro.chain.digest import encode, sha256_hex
 from repro.core.placement import Placement
 from repro.obs import get_registry
 
 #: Default retention bound; the Fig-2 grid is ~200 cells, so 1024 keeps
 #: several full evaluation runs warm while bounding memory.
 DEFAULT_MAX_ENTRIES = 1024
-
-_SCALARS = (bool, int, float, str, bytes)
-
-
-def _encode(obj, out: List[str]) -> None:
-    """Append a deterministic, unambiguous text encoding of ``obj``.
-
-    Handles the model types placement inputs are built from: dataclasses
-    (field order is declaration order), dicts/sets (sorted), sequences,
-    enums, callables (by qualified name), and plain objects (public
-    ``__dict__``, sorted). Private attributes are skipped so incidental
-    state (e.g. ``NFGraph._next_id``) never perturbs the key. Scalars are
-    written as their ``repr``, so ``1``, ``1.0`` and ``True`` stay apart.
-    """
-    if obj is None or isinstance(obj, _SCALARS):
-        out.append(repr(obj))
-    elif isinstance(obj, enum.Enum):
-        out.append(repr(f"{type(obj).__name__}.{obj.name}"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for key, value in sorted(obj.items(), key=lambda kv: str(kv[0])):
-            out.append(repr(str(key)))
-            out.append(":")
-            _encode(value, out)
-            out.append(",")
-        out.append("}")
-    elif isinstance(obj, (set, frozenset)):
-        members = []
-        for value in obj:
-            member: List[str] = []
-            _encode(value, member)
-            members.append("".join(member))
-        out.append("<")
-        out.append(",".join(sorted(members)))
-        out.append(">")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for value in obj:
-            _encode(value, out)
-            out.append(",")
-        out.append("]")
-    elif isinstance(obj, NFGraph):
-        out.append("NFGraph#")
-        out.append(_graph_digest(obj))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out.append(type(obj).__name__)
-        out.append("(")
-        for f in dataclasses.fields(obj):
-            out.append(f.name)
-            out.append("=")
-            _encode(getattr(obj, f.name), out)
-            out.append(",")
-        out.append(")")
-    elif callable(obj):
-        out.append("fn(")
-        out.append(repr(getattr(obj, "__module__", "")))
-        out.append(",")
-        out.append(repr(getattr(obj, "__qualname__", repr(type(obj)))))
-        out.append(")")
-    elif getattr(obj, "__dict__", None) is not None:
-        out.append(type(obj).__name__)
-        _encode_public_state(obj, out)
-    else:
-        out.append("repr(")
-        out.append(repr(repr(obj)))
-        out.append(")")
-
-
-def _encode_public_state(obj, out: List[str]) -> None:
-    _encode(
-        {k: v for k, v in obj.__dict__.items() if not k.startswith("_")},
-        out,
-    )
-
-
-def _sha256(pieces: List[str]) -> str:
-    return hashlib.sha256("".join(pieces).encode()).hexdigest()
-
-
-def _graph_digest(graph: NFGraph) -> str:
-    """Digest of a graph's name, nodes and edges, memoized on the graph
-    until its next ``add_node``/``add_edge``."""
-    digest = graph._digest
-    if digest is None:
-        pieces: List[str] = []
-        _encode_public_state(graph, pieces)
-        digest = graph._digest = _sha256(pieces)
-    return digest
 
 
 def placement_fingerprint(
@@ -162,8 +69,8 @@ def placement_fingerprint(
         for part in (list(chains), topology, profiles, str(strategy),
                      int(packet_bits), extra):
             pieces.append(";")
-            _encode(part, pieces)
-        return _sha256(pieces)
+            encode(part, pieces)
+        return sha256_hex(pieces)
 
 
 def warm_start_key(base: Placement) -> str:
@@ -177,11 +84,11 @@ def warm_start_key(base: Placement) -> str:
     """
     pieces: List[str] = []
     for cp in sorted(base.chains, key=lambda cp: cp.name):
-        _encode(cp.name, pieces)
-        _encode(cp.assignment, pieces)
-        _encode(sorted((sg.sg_id, sg.server, sg.cores)
+        encode(cp.name, pieces)
+        encode(cp.assignment, pieces)
+        encode(sorted((sg.sg_id, sg.server, sg.cores)
                        for sg in cp.subgroups), pieces)
-    return _sha256(pieces)
+    return sha256_hex(pieces)
 
 
 class PlacementCache:

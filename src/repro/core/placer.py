@@ -18,10 +18,11 @@ rate LP is re-solved over the combined chain set.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain
@@ -96,6 +97,14 @@ def available_strategies() -> List[str]:
     return sorted(_STRATEGIES)
 
 
+@functools.lru_cache(maxsize=None)
+def _takes_context(fn: Callable[..., Placement]) -> bool:
+    """Does this strategy compile its candidates against a pinned switch
+    program (``context_pairs``)? A constant of the function, so it is
+    inspected once per process, not once per solve."""
+    return "context_pairs" in inspect.signature(fn).parameters
+
+
 @dataclass(frozen=True)
 class MultiRackOptions:
     """Hierarchical-solve options a multi-rack request carries.
@@ -136,10 +145,12 @@ class PlacementRequest:
                         device)
     ``use_cache``       consult the Placer's placement cache before solving
     ``base_placement``  warm-start: chains present in the base keep their
-                        pattern and cores, only the delta is placed, and
-                        the rate LP re-runs over the combined set (the
-                        lifecycle arrival/scale/departure path); must be
-                        feasible
+                        pattern and per-chain analysis, only the delta is
+                        placed, and the rate LP re-runs over the combined
+                        set (the lifecycle arrival/scale/departure path);
+                        must be feasible and an answer of this Placer
+                        (same topology and profiles — its analysis is
+                        carried forward, not recomputed)
     ``objective``       overrides the config's placement objective
                         (``throughput`` or ``tail_latency``)
     ``multi_rack``      hierarchical-solve options; only
@@ -430,8 +441,7 @@ class Placer:
             meet_tmin,
         )
         from repro.core.pipeline import switch_fit
-        from repro.core.rates import analyze_chain, server_core_usage
-        from repro.core.subgroups import form_subgroups
+        from repro.core.rates import estimate_chain_rate, server_core_usage
 
         packet_bits = self.config.packet_bits
         base_by_name = {cp.name: cp for cp in base.chains}
@@ -439,15 +449,28 @@ class Placer:
         delta_chains: List[NFChain] = []
         for chain in request.chains:
             prior = base_by_name.get(chain.name)
-            if prior is None or not chain.graph.same_structure(
-                    prior.chain.graph):
+            if prior is None or not (
+                    chain.graph is prior.chain.graph
+                    or chain.graph.same_structure(prior.chain.graph)):
                 delta_chains.append(chain)
                 continue
-            subgroups = form_subgroups(chain, prior.assignment, self.profiles)
-            pinned_cps.append(analyze_chain(
-                chain, dict(prior.assignment), subgroups,
-                self.topology, self.profiles, packet_bits,
-            ))
+            # Same graph, same assignment: the subgroups and every derived
+            # quantity (NIC caps, server visits, bounces, latency) are
+            # what form_subgroups + analyze_chain would rebuild — none of
+            # them reads the SLO, the one thing that may have changed —
+            # so carry them forward at one core per subgroup and refresh
+            # only the rate estimate, which does depend on cores.
+            pinned = replace(
+                prior, chain=chain,
+                assignment=dict(prior.assignment),
+                subgroups=[replace(sg, cores=1) for sg in prior.subgroups],
+                nic_caps=dict(prior.nic_caps),
+                server_visits=dict(prior.server_visits),
+            )
+            pinned.estimated_rate = estimate_chain_rate(
+                pinned, self.topology, packet_bits
+            )
+            pinned_cps.append(pinned)
 
         def reject(reason: Optional[str],
                    extra: Sequence[ChainPlacement] = ()) -> Tuple[
@@ -482,8 +505,7 @@ class Placer:
             usage = server_core_usage(pinned_cps)
             saved = {s.name: s.reserved_cores for s in self.topology.servers}
             extra: Dict[str, object] = {}
-            if pinned_cps and "context_pairs" in inspect.signature(
-                    fn).parameters:
+            if pinned_cps and _takes_context(fn):
                 extra["context_pairs"] = [
                     (cp.chain.graph, cp.switch_node_ids())
                     for cp in pinned_cps

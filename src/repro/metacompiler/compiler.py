@@ -15,9 +15,10 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chain.graph import NFChain, chains_from_spec
+from repro.chain.digest import graph_digest
+from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.placement import Placement
 from repro.exceptions import CompileError
@@ -30,7 +31,11 @@ from repro.metacompiler.codestats import CodegenStats, count_lines
 from repro.metacompiler.ebpfgen import generate_ebpf
 from repro.metacompiler.nsh import ServicePath, assign_service_paths
 from repro.metacompiler.ofgen import generate_openflow, render_rules
-from repro.metacompiler.p4gen import P4GenResult, generate_p4
+from repro.metacompiler.p4gen import (
+    P4GenResult,
+    render_chain_p4,
+    render_p4,
+)
 from repro.metacompiler.routing import RoutingPlan, synthesize_routing
 from repro.obs import get_registry
 from repro.p4c.compiler import PISACompiler
@@ -150,7 +155,16 @@ def _manual_module_lines(script: BessScriptIR) -> int:
 
 
 class MetaCompiler:
-    """Generates and stitches cross-platform NF chain execution code."""
+    """Generates and stitches cross-platform NF chain execution code.
+
+    Code is generated per *unit* — the ToR's P4 program, one BESS script
+    per server, one XDP program per SmartNIC — and a unit is regenerated
+    only when something its generator reads changed since the previous
+    :meth:`compile_placement`: an admission command that moves only LP
+    rates regenerates nothing, an arrival regenerates the server it lands
+    on plus the switch. The routing plan is always resynthesized (it is
+    what the comparison reads).
+    """
 
     def __init__(
         self,
@@ -159,14 +173,44 @@ class MetaCompiler:
     ):
         self.topology = topology or topology_for("paper-testbed").build()
         self.profiles = profiles or default_profiles()
+        #: (platform, device) -> (generator inputs, generated unit) of the
+        #: previous compile_placement; see :meth:`_unit`.
+        self._units: Dict[Tuple[str, str], tuple] = {}
+
+    def __getstate__(self) -> dict:
+        # the units are cheap to regenerate and would otherwise put a
+        # second copy of the artifacts' inputs in every serve checkpoint
+        state = self.__dict__.copy()
+        state["_units"] = {}
+        return state
+
+    def _unit(self, previous: Dict[Tuple[str, str], tuple], platform: str,
+              device: str, inputs: tuple, generate: Callable[[], object]):
+        """``device``'s generated unit: the previous call's when
+        ``inputs`` — everything its generator reads — compare equal,
+        else ``generate()``. Generated artifacts are never mutated after
+        the fact (the runtime instantiates them, it does not edit them),
+        so consecutive artifact sets may share one."""
+        held = previous.get((platform, device))
+        if held is not None and held[0] == inputs:
+            unit, result = held[1], "reused"
+        else:
+            unit, result = generate(), "rendered"
+        self._units[(platform, device)] = (inputs, unit)
+        get_registry().counter(
+            "metacompiler.codegen.units", platform=platform, result=result
+        ).inc()
+        return unit
 
     def compile_placement(self, placement: Placement) -> CompiledArtifacts:
         """Generate all per-platform code for a placement.
 
         Per-platform codegen wall-clock lands in the observability
         registry under ``metacompiler.codegen.seconds{platform=...}``,
-        generated-line totals under ``metacompiler.codegen.lines``, and
-        PISA stage usage under the ``metacompiler.p4.stages`` histogram.
+        generated-line totals under ``metacompiler.codegen.lines``,
+        reused vs regenerated units under ``metacompiler.codegen.units``
+        and PISA stage usage under the ``metacompiler.p4.stages``
+        histogram.
         """
         if not placement.feasible:
             raise CompileError(
@@ -186,20 +230,45 @@ class MetaCompiler:
         )
         artifacts = CompiledArtifacts(routing=plan)
         stats = artifacts.stats
+        previous, self._units = self._units, {}
+        digests = [graph_digest(cp.chain.graph) for cp in chain_placements]
 
         switch = self.topology.switch
         if switch.platform is Platform.PISA:
             with registry.timer("metacompiler.codegen.seconds",
                                 platform="p4"):
+                switch_ids = [
+                    frozenset(cp.switch_node_ids()) for cp in chain_placements
+                ]
                 compiler = PISACompiler(switch)  # type: ignore[arg-type]
-                artifacts.p4 = generate_p4(chain_placements, plan, compiler)
+                program = compiler.compile([
+                    (cp.chain.graph, ids)
+                    for cp, ids in zip(chain_placements, switch_ids)
+                ])
+                lowered = {table.name: table for table in program.dag.tables}
+                chains_p4 = [
+                    self._unit(
+                        previous, "p4_chain", cp.name, (digest, ids),
+                        lambda: render_chain_p4(cp, [
+                            lowered[name]
+                            for name in program.chain_tables[cp.name]
+                        ]),
+                    )
+                    for digest, cp, ids
+                    in zip(digests, chain_placements, switch_ids)
+                ]
+                # the memoized program object stands for its content key:
+                # same object, same chains on the same switch nodes
+                artifacts.p4 = self._unit(
+                    previous, "p4", switch.name, (program, plan.steering),
+                    lambda: render_p4(program, plan, chains_p4),
+                )
             stats.auto_steering_lines += artifacts.p4.steering_lines
             stats.auto_nf_glue_lines += artifacts.p4.nf_lines
             stats.add_platform("p4", artifacts.p4.total_lines)
-            for source in artifacts.p4.nf_sources.values():
-                stats.manual_nf_lines += count_lines(source)
+            stats.manual_nf_lines += sum(c.manual_lines for c in chains_p4)
             registry.histogram("metacompiler.p4.stages").observe(
-                artifacts.p4.compile_result.stage_count
+                program.stage_count
             )
         elif isinstance(switch, OpenFlowSwitchModel):
             with registry.timer("metacompiler.codegen.seconds",
@@ -221,37 +290,56 @@ class MetaCompiler:
             for server in self.topology.servers:
                 if server.name in self.topology.failed_devices:
                     continue
-                has_work = any(
-                    sg.server == server.name
-                    for cp in chain_placements for sg in cp.subgroups
-                )
-                if not has_work:
+                name = server.name
+                hosted = [
+                    (digest, cp.chain.slo.t_max, sg.sg_id, sg.node_ids,
+                     sg.cores)
+                    for digest, cp in zip(digests, chain_placements)
+                    for sg in cp.subgroups if sg.server == name
+                ]
+                if not hosted:
                     continue
-                script = generate_bess(server.name, chain_placements, plan)
-                artifacts.bess[server.name] = script
-                text = script.render()
-                lines = count_lines(text)
+
+                def generate_bess_unit() -> tuple:
+                    script = generate_bess(name, chain_placements, plan)
+                    # the NF module implementations themselves are manual
+                    # code (the paper's 1396 lines of C++ BESS modules):
+                    # count each placed NF class's implementation source
+                    # once
+                    return (script, count_lines(script.render()),
+                            _manual_module_lines(script))
+
+                artifacts.bess[name], lines, manual = self._unit(
+                    previous, "bess", name,
+                    (hosted, plan.entries_for(name)), generate_bess_unit,
+                )
                 stats.auto_steering_lines += lines
                 stats.add_platform("bess", lines)
-                # the NF module implementations themselves are manual code
-                # (the paper's 1396 lines of C++ BESS modules): count each
-                # placed NF class's implementation source once
-                stats.manual_nf_lines += _manual_module_lines(script)
+                stats.manual_nf_lines += manual
 
         with registry.timer("metacompiler.codegen.seconds", platform="ebpf"):
             for nic in self.topology.smartnics:
-                if not plan.entries_for(nic.name):
+                name = nic.name
+                entries = plan.entries_for(name)
+                if not entries:
                     continue
-                program, nf_specs = generate_ebpf(
-                    nic.name, chain_placements, plan
+                hosted = [
+                    (digest, nid)
+                    for digest, cp in zip(digests, chain_placements)
+                    for nid, assign in cp.assignment.items()
+                    if assign.platform is Platform.SMARTNIC
+                    and assign.device == name
+                ]
+                artifacts.ebpf[name] = xdp, _nf_specs = self._unit(
+                    previous, "ebpf", name, (hosted, entries),
+                    lambda: generate_ebpf(name, chain_placements, plan),
                 )
-                artifacts.ebpf[nic.name] = (program, nf_specs)
-                lines = count_lines(program.source)
+                lines = count_lines(xdp.source)
                 stats.auto_steering_lines += count_lines(
-                    program.sections[0].source
+                    xdp.sections[0].source
                 )
                 stats.auto_nf_glue_lines += lines - count_lines(
-                    program.sections[0].source
+                    xdp.sections[0].source
                 )
                 stats.add_platform("ebpf", lines)
 

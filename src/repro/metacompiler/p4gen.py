@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.placement import ChainPlacement
-from repro.exceptions import P4CompileError
+from repro.metacompiler.codestats import count_lines
 from repro.metacompiler.routing import RoutingPlan
-from repro.p4c.compiler import CompileResult, PISACompiler
+from repro.p4c.compiler import CompileResult
 from repro.p4c.ir import HEADER_LIBRARY, MatchType, P4Table, ParseTree
 
 
@@ -48,24 +48,65 @@ def _is_steering_table(name: str) -> bool:
     return any(marker in name for marker in _STEERING_TABLE_MARKERS)
 
 
-def generate_p4(
-    chain_placements: Sequence[ChainPlacement],
+@dataclass(frozen=True)
+class ChainP4:
+    """One chain's share of the generated P4, a function of the chain's
+    graph and which of its nodes sit on the switch: the declaration of
+    each of its tables (``table name -> (accounting kind, text)``) and
+    the standalone extended-P4 source of each of its switch NFs with
+    their manual line count."""
+
+    tables: Dict[str, Tuple[str, str]]
+    nf_sources: Dict[str, str]
+    manual_lines: int
+
+
+def _table_section(table: P4Table) -> Tuple[str, str]:
+    kind = "steering" if _is_steering_table(table.name) else "nf"
+    return kind, _render_table(table)
+
+
+def render_chain_p4(
+    cp: ChainPlacement, tables: Sequence[P4Table]
+) -> ChainP4:
+    """Render ``cp``'s tables (as the compiler lowered them) and its
+    switch NFs' standalone sources (§4.2)."""
+    from repro.p4c.nflib import make_p4_nf
+
+    sources: Dict[str, str] = {}
+    for nid in sorted(cp.switch_node_ids()):
+        node = cp.chain.graph.nodes[nid]
+        instance = nid.replace(".", "_")
+        p4nf = make_p4_nf(node.nf_class, instance, node.params)
+        sources[instance] = render_standalone_nf(p4nf)
+    return ChainP4(
+        tables={table.name: _table_section(table) for table in tables},
+        nf_sources=sources,
+        manual_lines=sum(count_lines(text) for text in sources.values()),
+    )
+
+
+def render_p4(
+    result: CompileResult,
     plan: RoutingPlan,
-    compiler: PISACompiler,
+    chains: Sequence[ChainP4],
 ) -> P4GenResult:
-    """Compile + render the unified P4 program for the ToR."""
-    pairs = [
-        (cp.chain.graph, cp.switch_node_ids()) for cp in chain_placements
-    ]
-    result = compiler.compile(pairs)
+    """Render ``result`` as one P4 program with ``plan``'s steering
+    entries, from its chains' rendered shares (in chain order) plus what
+    only the whole program determines: headers, parser, the steering
+    table and the stage-ordered control block."""
+    rendered: Dict[str, Tuple[str, str]] = {}
+    nf_sources: Dict[str, str] = {}
+    for chain in chains:
+        rendered.update(chain.tables)
+        nf_sources.update(chain.nf_sources)
 
     sections: List[Tuple[str, str]] = []  # (kind, text)
     sections.append(("steering", _render_headers(result.parser)))
     sections.append(("steering", _render_parser(result.parser)))
 
     for table in result.dag.tables:
-        kind = "steering" if _is_steering_table(table.name) else "nf"
-        sections.append((kind, _render_table(table)))
+        sections.append(rendered.get(table.name) or _table_section(table))
 
     sections.append(("steering", _render_steering_entries(plan)))
     sections.append(("steering", _render_control(result)))
@@ -77,8 +118,6 @@ def generate_p4(
         len(text.splitlines()) for kind, text in sections if kind == "nf"
     )
     program_text = "\n".join(text for _kind, text in sections)
-
-    nf_sources = _render_standalone_nfs(chain_placements)
 
     return P4GenResult(
         program_text=program_text,
@@ -191,22 +230,6 @@ def _render_control(result: CompileResult) -> str:
     lines.append("}")
     lines.append("")
     return "\n".join(lines)
-
-
-def _render_standalone_nfs(
-    chain_placements: Sequence[ChainPlacement],
-) -> Dict[str, str]:
-    """Emit each placed P4 NF as a standalone extended-P4 source (§4.2)."""
-    from repro.p4c.nflib import make_p4_nf
-
-    sources: Dict[str, str] = {}
-    for cp in chain_placements:
-        for nid in sorted(cp.switch_node_ids()):
-            node = cp.chain.graph.nodes[nid]
-            instance = nid.replace(".", "_")
-            p4nf = make_p4_nf(node.nf_class, instance, node.params)
-            sources[instance] = render_standalone_nf(p4nf)
-    return sources
 
 
 def render_standalone_nf(p4nf) -> str:

@@ -75,6 +75,18 @@ def _interned_nsh(spi: int, si: int) -> NSHHeader:
     return header
 
 
+#: Parse-cache slots whose header objects dataplane modules edit in place
+#: before ``commit()`` (``nsh`` is absent: see ``_interned_nsh``).
+_EDITABLE_HEADERS = ("eth", "vlan", "ipv4", "tcp", "udp")
+
+
+def _fresh(header):
+    """A field-for-field copy of one header object (all fields scalar)."""
+    clone = object.__new__(type(header))
+    clone.__dict__.update(header.__dict__)
+    return clone
+
+
 class Packet:
     """A packet: raw bytes + parsed header cache + metadata.
 
@@ -439,8 +451,19 @@ class Packet:
         return vlan
 
     def copy(self) -> "Packet":
-        """Deep-copy the packet (bytes and metadata)."""
+        """Deep-copy the packet (bytes, metadata and — when this packet
+        is already parsed — the parse cache, so a clone of a parsed
+        template does not parse the same bytes again). The clone gets its
+        own header objects: editing one and ``commit()`` never shows
+        through to this packet."""
         clone = Packet(bytes(self._data))
+        parsed = self._parsed
+        if parsed is not None:
+            clone._parsed = carried = dict(parsed)
+            for slot in _EDITABLE_HEADERS:
+                header = carried[slot]
+                if header is not None:
+                    carried[slot] = _fresh(header)
         meta = self.metadata
         clone.metadata = PacketMetadata(
             drop_flag=meta.drop_flag,

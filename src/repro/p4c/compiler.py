@@ -17,23 +17,37 @@ the switch, the compiler:
    and reports fit against the switch's stage budget.
 
 The Placer treats this as the authoritative feasibility check — exactly how
-Lemur uses the Tofino compiler.
+Lemur uses the Tofino compiler — and, like Lemur, rations what it costs:
+steps 1–4 are per chain and depend on nothing but that chain (its graph
+and which of its nodes sit on the switch), so each chain lowers once into
+an immutable :class:`ChainFragment`; step 5 depends only on the ordered
+fragments and the switch's stage budget, so the packed
+:class:`CompileResult` is memoized on exactly that. Both live in one
+bounded process-wide LRU keyed by content (:func:`graph_digest`, never
+object identity), which every caller of :meth:`PISACompiler.compile`
+shares: within one admission command the heuristic's baseline probe, its
+candidate evaluation, the stage check and the meta-compiler ask for the
+same program and pack it once, and across commands only the chain that
+changed is lowered again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.chain.digest import graph_digest
 from repro.chain.graph import NFGraph
 from repro.exceptions import P4CompileError
 from repro.hw.pisa import PISASwitch
+from repro.obs import get_registry
 from repro.p4c import nflib
 from repro.p4c.dependency import exclusive_table_pairs, infer_dependencies
 from repro.p4c.ir import P4NF, P4Table, ParseTree, TableDAG
 from repro.p4c.parser_merge import merge_into
 from repro.p4c.pipeline_tree import (
-    SubgroupDAG,
     TreeNode,
     build_subgroup_dag,
     dag_to_tree,
@@ -45,15 +59,25 @@ from repro.p4c.stage_alloc import (
     allocate_naive,
 )
 
+STRATEGIES = ("compiler", "conservative", "naive")
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class CompileResult:
-    """Outcome of compiling a set of chains onto the switch."""
+    """Outcome of compiling a set of chains onto the switch.
+
+    One instance is shared by every caller that asks for the same program
+    (see the module docstring), so it is immutable all the way down: the
+    DAG and parser are frozen, stages and ``chain_tables`` values are
+    tuples. Treat ``chain_tables`` itself as read-only. Results compare
+    by identity: the memo returns one object per program, so "same
+    object" is the cheap, exact test for "same program".
+    """
 
     allocation: StageAllocation
     parser: ParseTree
     dag: TableDAG
-    chain_tables: Dict[str, List[str]] = field(default_factory=dict)
+    chain_tables: Dict[str, Tuple[str, ...]]
     uses_nsh: bool = False
 
     @property
@@ -63,6 +87,73 @@ class CompileResult:
     @property
     def stage_count(self) -> int:
         return self.allocation.stage_count
+
+
+@dataclass(frozen=True)
+class ChainFragment:
+    """One chain's switch-resident part, lowered (steps 1–4).
+
+    Self-contained: everything :meth:`PISACompiler.compile` takes from a
+    chain, none of it dependent on the other chains of the program.
+    ``tables`` is DAG insertion order, ``scope`` the serialized program
+    order (they differ only under ``naive``, whose per-NF check precedes
+    the NF it guards), ``parse_trees`` the NF-local parsers in the order
+    they merge into the unified one.
+    """
+
+    tables: Tuple[P4Table, ...] = ()
+    scope: Tuple[str, ...] = ()
+    edges: Tuple[Tuple[str, str], ...] = ()
+    partitions: Tuple[Tuple[FrozenSet[str], ...], ...] = ()
+    nf_groups: Tuple[Tuple[str, ...], ...] = ()
+    parse_trees: Tuple[ParseTree, ...] = ()
+    uses_nsh: bool = False
+
+
+class _CompileMemo:
+    """The process-wide LRU of compile units: chain fragments and packed
+    programs (or the :class:`P4CompileError` a program raises), keyed by
+    content. Entries are immutable and never pickled — nothing reachable
+    from a placement, rack or admission core points here."""
+
+    CAPACITY = 128
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, unit: str, key: tuple):
+        with self._lock:
+            entry = self._entries.get((unit, key))
+            if entry is not None:
+                self._entries.move_to_end((unit, key))
+        get_registry().counter(
+            "p4c.compile.lookups", unit=unit,
+            result="miss" if entry is None else "hit",
+        ).inc()
+        return entry
+
+    def put(self, unit: str, key: tuple, entry: object) -> None:
+        with self._lock:
+            self._entries[(unit, key)] = entry
+            while len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_memo = _CompileMemo()
+
+
+def clear_compile_memo() -> None:
+    """Forget every memoized fragment and program (tests that compare a
+    warm compile against a cold one)."""
+    _memo.clear()
 
 
 def _sanitize(node_id: str) -> str:
@@ -90,49 +181,84 @@ class PISACompiler:
 
         ``chain_assignments`` pairs each chain graph with the node ids
         placed on this switch. ``strategy`` selects the stage allocator:
-        ``compiler`` (default), ``conservative``, or ``naive``.
+        ``compiler`` (default), ``conservative``, or ``naive``. The
+        result is shared with every other caller asking for the same
+        program and must not be mutated; a program that cannot compile
+        raises the same :class:`P4CompileError` every time it is asked
+        for, without being lowered again.
         """
+        if strategy not in STRATEGIES:
+            raise P4CompileError(f"unknown allocation strategy {strategy!r}")
+        chains = [
+            (graph, frozenset(switch_ids))
+            for graph, switch_ids in chain_assignments
+        ]
+        resources = self.switch.stage_resources
+        key = (
+            self.switch.num_stages, resources.table_slots,
+            resources.sram_kb, resources.tcam_kb, strategy,
+            tuple((graph_digest(graph), ids) for graph, ids in chains),
+        )
+        entry = _memo.get("program", key)
+        if entry is None:
+            try:
+                entry = self._assemble(chains, strategy)
+            except P4CompileError as exc:
+                entry = exc
+            _memo.put("program", key, entry)
+        if isinstance(entry, P4CompileError):
+            # a fresh exception per raise: the memoized one would grow a
+            # traceback (and pin its frames) every time it was re-raised
+            raise type(entry)(*entry.args)
+        return entry
+
+    def fits(self, chain_assignments: Sequence[Tuple[NFGraph, Set[str]]]) -> bool:
+        """Feasibility check used by the Placer's iterative search."""
+        try:
+            return self.compile(chain_assignments).fits
+        except P4CompileError:
+            return False
+
+    # -- program assembly + stage packing -----------------------------------
+
+    def _assemble(
+        self,
+        chains: Sequence[Tuple[NFGraph, FrozenSet[str]]],
+        strategy: str,
+    ) -> CompileResult:
         dag = TableDAG()
         parser = ParseTree()
-        ordered_scope: List[str] = []
+        steering = nflib.steering_table()
+        dag.add_table(steering)
+        ordered_scope: List[str] = [steering.name]
+        nf_groups: List[Sequence[str]] = [[steering.name]]
         # Each partition is a list of table-name sets that are pairwise
         # mutually exclusive (sibling arms of one branch block, or distinct
         # chains). Exclusivity never crosses partitions.
-        exclusive_partitions: List[List[Set[str]]] = []
-        nf_groups: List[List[str]] = []
-        chain_tables: Dict[str, List[str]] = {}
+        exclusive_partitions: List[Sequence[FrozenSet[str]]] = []
+        chain_tables: Dict[str, Tuple[str, ...]] = {}
+        per_chain_table_sets: List[FrozenSet[str]] = []
         uses_nsh = False
 
-        steering = nflib.steering_table()
-        dag.add_table(steering)
-        ordered_scope.append(steering.name)
-        nf_groups.append([steering.name])
-
-        per_chain_table_sets: List[Set[str]] = []
-
-        for graph, switch_ids in chain_assignments:
-            switch_ids = set(switch_ids)
-            if not switch_ids:
-                chain_tables[graph.name] = []
-                per_chain_table_sets.append(set())
-                continue
-            chain_guard = f"meta.chain_{_sanitize(graph.name)}"
-            spans_platforms = switch_ids != set(graph.nodes)
-            uses_nsh = uses_nsh or spans_platforms
-            names = self._compile_chain(
-                graph=graph,
-                switch_ids=switch_ids,
-                chain_guard=chain_guard,
-                spans_platforms=spans_platforms,
-                dag=dag,
-                parser=parser,
-                ordered_scope=ordered_scope,
-                exclusive_partitions=exclusive_partitions,
-                nf_groups=nf_groups,
-                strategy=strategy,
-            )
+        for graph, switch_ids in chains:
+            fragment = _fragment(graph, switch_ids, strategy)
+            for tree in fragment.parse_trees:
+                merge_into(parser, tree)
+            if fragment.uses_nsh:
+                # Returning packets carry NSH; the unified parser must
+                # accept it.
+                parser.headers.add("nsh")
+                uses_nsh = True
+            for table in fragment.tables:
+                dag.add_table(table)
+            for before, after in fragment.edges:
+                dag.add_edge(before, after)
+            ordered_scope.extend(fragment.scope)
+            nf_groups.extend(fragment.nf_groups)
+            exclusive_partitions.extend(fragment.partitions)
+            names = tuple(table.name for table in fragment.tables)
             chain_tables[graph.name] = names
-            per_chain_table_sets.append(set(names))
+            per_chain_table_sets.append(frozenset(names))
 
         # Chains process disjoint traffic aggregates: every cross-chain
         # table pair is mutually exclusive (optimization (d) applied at
@@ -142,191 +268,194 @@ class PISACompiler:
         for partition in exclusive_partitions:
             exclusive_pairs |= exclusive_table_pairs(partition)
 
+        resources = self.switch.stage_resources
+        stages = self.switch.num_stages
         if strategy == "naive":
             allocation = allocate_naive(
-                dag,
-                serialized_order=ordered_scope,
-                resources=self.switch.stage_resources,
-                available_stages=self.switch.num_stages,
+                dag, serialized_order=ordered_scope,
+                resources=resources, available_stages=stages,
             )
         else:
             infer_dependencies(dag, ordered_scope, exclusive_pairs)
             if strategy == "conservative":
                 allocation = allocate_conservative(
-                    dag,
-                    nf_groups=nf_groups,
-                    resources=self.switch.stage_resources,
-                    available_stages=self.switch.num_stages,
-                )
-            elif strategy == "compiler":
-                allocation = allocate_compiler(
-                    dag,
-                    resources=self.switch.stage_resources,
-                    available_stages=self.switch.num_stages,
+                    dag, nf_groups=nf_groups,
+                    resources=resources, available_stages=stages,
                 )
             else:
-                raise P4CompileError(f"unknown allocation strategy {strategy!r}")
+                allocation = allocate_compiler(
+                    dag, resources=resources, available_stages=stages,
+                )
 
         return CompileResult(
             allocation=allocation,
-            parser=parser,
-            dag=dag,
+            parser=parser.freeze(),
+            dag=dag.freeze(),
             chain_tables=chain_tables,
             uses_nsh=uses_nsh,
         )
 
-    def fits(self, chain_assignments: Sequence[Tuple[NFGraph, Set[str]]]) -> bool:
-        """Feasibility check used by the Placer's iterative search."""
-        try:
-            return self.compile(chain_assignments).fits
-        except P4CompileError:
-            return False
 
-    # -- per-chain lowering ---------------------------------------------------
+# -- per-chain lowering --------------------------------------------------------
 
-    def _compile_chain(
-        self,
-        graph: NFGraph,
-        switch_ids: Set[str],
-        chain_guard: str,
-        spans_platforms: bool,
-        dag: TableDAG,
-        parser: ParseTree,
-        ordered_scope: List[str],
-        exclusive_partitions: List[List[Set[str]]],
-        nf_groups: List[List[str]],
-        strategy: str,
-    ) -> List[str]:
-        sg_dag = build_subgroup_dag(graph, sorted(switch_ids))
-        tree = dag_to_tree(sg_dag)
-        if tree is None:
-            return []
+def _fragment(
+    graph: NFGraph, switch_ids: FrozenSet[str], strategy: str
+) -> ChainFragment:
+    """``graph``'s lowered switch part, from the memo when this content
+    (graph digest — which covers the chain's name, so a different body
+    under a reused name is a different key — node set, strategy) was
+    lowered before."""
+    if not switch_ids:
+        return ChainFragment()
+    key = (graph_digest(graph), switch_ids, strategy)
+    fragment = _memo.get("fragment", key)
+    if fragment is None:
+        fragment = _lower_chain(graph, switch_ids, strategy)
+        _memo.put("fragment", key, fragment)
+    return fragment
 
-        # Instantiate P4 NFs and merge their parsers.
-        p4nfs: Dict[str, P4NF] = {}
-        for node_id in sorted(switch_ids):
-            node = graph.nodes[node_id]
-            p4nf = nflib.make_p4_nf(node.nf_class, _sanitize(node_id), node.params)
-            merge_into(parser, p4nf.parse_tree)
-            p4nfs[node_id] = p4nf
-        if spans_platforms:
-            # Returning packets carry NSH; the unified parser must accept it.
-            parser.headers.add("nsh")
 
-        nf_to_tables: Dict[str, List[str]] = {
-            nf_id: [t.name for t in p4nfs[nf_id].dag.tables] for nf_id in p4nfs
-        }
+def _lower_chain(
+    graph: NFGraph, switch_ids: FrozenSet[str], strategy: str
+) -> ChainFragment:
+    sg_dag = build_subgroup_dag(graph, sorted(switch_ids))
+    tree = dag_to_tree(sg_dag)
+    spans_platforms = switch_ids != set(graph.nodes)
+    if tree is None:
+        return ChainFragment(uses_nsh=spans_platforms)
+    chain_guard = f"meta.chain_{_sanitize(graph.name)}"
 
-        # Per-arm guards: tables inside a branch arm are predicated on the
-        # splitting table's decision metadata, and sibling arms are mutually
-        # exclusive (so the allocator may pack them into shared stages).
-        guards: Dict[str, Set[str]] = {nid: {chain_guard} for nid in switch_ids}
-        split_tables: Dict[str, P4Table] = {}  # branching sg -> split table
-        tree_index = _index_tree(tree)
+    # Instantiate P4 NFs; their parsers merge in this order.
+    p4nfs: Dict[str, P4NF] = {}
+    for node_id in sorted(switch_ids):
+        node = graph.nodes[node_id]
+        p4nfs[node_id] = nflib.make_p4_nf(
+            node.nf_class, _sanitize(node_id), node.params
+        )
 
-        for sg_id in sg_dag.branching_nodes():
-            split_name = f"{_sanitize(sg_id)}_split"
-            n_arms = len(sg_dag.successors(sg_id))
-            split = nflib.branch_split_table(split_name, n_arms)
-            split = _augment_reads(split, {chain_guard})
-            branch_guard = f"meta.branch_{_sanitize(sg_id)}"
-            split = replace(split, writes=frozenset(split.writes | {branch_guard}))
-            split_tables[sg_id] = split
-            node = tree_index[sg_id]
-            arm_table_groups: List[Set[str]] = []
-            for child in node.children:
-                if child.is_merge:
+    nf_to_tables: Dict[str, List[str]] = {
+        nf_id: [t.name for t in p4nfs[nf_id].dag.tables] for nf_id in p4nfs
+    }
+
+    # Per-arm guards: tables inside a branch arm are predicated on the
+    # splitting table's decision metadata, and sibling arms are mutually
+    # exclusive (so the allocator may pack them into shared stages).
+    guards: Dict[str, Set[str]] = {nid: {chain_guard} for nid in switch_ids}
+    split_tables: Dict[str, P4Table] = {}  # branching sg -> split table
+    tree_index = _index_tree(tree)
+    partitions: List[Tuple[FrozenSet[str], ...]] = []
+
+    for sg_id in sg_dag.branching_nodes():
+        split_name = f"{_sanitize(sg_id)}_split"
+        n_arms = len(sg_dag.successors(sg_id))
+        split = nflib.branch_split_table(split_name, n_arms)
+        split = _augment_reads(split, {chain_guard})
+        branch_guard = f"meta.branch_{_sanitize(sg_id)}"
+        split = replace(split, writes=frozenset(split.writes | {branch_guard}))
+        split_tables[sg_id] = split
+        node = tree_index[sg_id]
+        arm_table_groups: List[FrozenSet[str]] = []
+        for child in node.children:
+            if child.is_merge:
+                continue
+            arm_tables: Set[str] = set()
+            for desc in child.preorder():
+                if desc.is_merge:
                     continue
-                tables: Set[str] = set()
-                for desc in child.preorder():
-                    if desc.is_merge:
-                        continue
-                    for nf_id in desc.subgroup.nf_node_ids:
-                        guards[nf_id].add(branch_guard)
-                        tables.update(nf_to_tables[nf_id])
-                if tables:
-                    arm_table_groups.append(tables)
-            if len(arm_table_groups) >= 2:
-                exclusive_partitions.append(arm_table_groups)
+                for nf_id in desc.subgroup.nf_node_ids:
+                    guards[nf_id].add(branch_guard)
+                    arm_tables.update(nf_to_tables[nf_id])
+            if arm_tables:
+                arm_table_groups.append(frozenset(arm_tables))
+        if len(arm_table_groups) >= 2:
+            partitions.append(tuple(arm_table_groups))
 
-        # Emit tables in preorder: per subgroup, member NFs in order; the
-        # split table rides right after its branching subgroup.
-        emitted: List[str] = []
-        for node in tree.preorder():
-            sg = node.subgroup
-            for nf_id in sg.nf_node_ids:
-                p4nf = p4nfs[nf_id]
-                group: List[str] = []
-                for table in p4nf.dag.tables:
-                    table = _augment_reads(table, guards[nf_id])
-                    dag.add_table(table)
-                    ordered_scope.append(table.name)
-                    emitted.append(table.name)
-                    group.append(table.name)
-                for a, b in p4nf.dag.edges:
-                    dag.add_edge(a, b)
-                nf_groups.append(group)
-                if strategy == "naive":
-                    check = P4Table(
-                        name=f"{_sanitize(nf_id)}_check",
-                        size=16,
-                        entry_bits=16,
-                        reads=frozenset({chain_guard}),
-                        writes=frozenset(),
-                    )
-                    dag.add_table(check)
-                    # checks precede the NF in the serialized order
-                    index = ordered_scope.index(group[0])
-                    ordered_scope.insert(index, check.name)
-                    emitted.append(check.name)
-            split = split_tables.get(sg.sg_id)
-            if split is not None:
-                dag.add_table(split)
-                ordered_scope.append(split.name)
-                emitted.append(split.name)
-                nf_groups.append([split.name])
+    # Emit tables in preorder: per subgroup, member NFs in order; the
+    # split table rides right after its branching subgroup.
+    tables: List[P4Table] = []
+    scope: List[str] = []
+    edges: List[Tuple[str, str]] = []
+    nf_groups: List[Tuple[str, ...]] = []
 
-        # NSH encap/decap (optimization (a): only when spanning platforms;
-        # optimization (b): one SI-update/encap table per service path).
-        if spans_platforms:
-            encap = nflib.nsh_encap_table(f"{_sanitize(graph.name)}_nsh_encap")
-            encap = _augment_reads(encap, {chain_guard})
-            dag.add_table(encap)
-            ordered_scope.append(encap.name)
-            emitted.append(encap.name)
-            nf_groups.append([encap.name])
-            # the encap happens after the last switch NF before each bounce:
-            for nf_id in self._bounce_exit_nodes(graph, switch_ids):
-                for table_name in nf_to_tables[nf_id]:
-                    dag.add_edge(table_name, encap.name)
+    def emit(table: P4Table) -> None:
+        tables.append(table)
+        scope.append(table.name)
+        nf_groups.append((table.name,))
 
-            # Decap runs on the *return* pass, right after the steering
-            # table recognizes a packet coming back from a server
-            # (optimization (c): resume steering lives in the first stage).
-            # Within a single pipeline traversal encap and decap never both
-            # apply to a packet, so they are mutually exclusive and the
-            # encap→decap NSH-field dependency must not serialize them.
-            decap = nflib.nsh_decap_table(f"{_sanitize(graph.name)}_nsh_decap")
-            decap = _augment_reads(decap, {chain_guard})
-            dag.add_table(decap)
-            ordered_scope.append(decap.name)
-            emitted.append(decap.name)
-            nf_groups.append([decap.name])
-            dag.add_edge("lemur_steering", decap.name)
-            exclusive_partitions.append([{encap.name}, {decap.name}])
+    for node in tree.preorder():
+        sg = node.subgroup
+        for nf_id in sg.nf_node_ids:
+            p4nf = p4nfs[nf_id]
+            group = [
+                _augment_reads(table, guards[nf_id])
+                for table in p4nf.dag.tables
+            ]
+            tables.extend(group)
+            if strategy == "naive":
+                # checks precede the NF in the serialized order
+                check = P4Table(
+                    name=f"{_sanitize(nf_id)}_check",
+                    size=16,
+                    entry_bits=16,
+                    reads=frozenset({chain_guard}),
+                    writes=frozenset(),
+                )
+                tables.append(check)
+                scope.append(check.name)
+            scope.extend(table.name for table in group)
+            edges.extend(p4nf.dag.edges)
+            nf_groups.append(tuple(table.name for table in group))
+        split = split_tables.get(sg.sg_id)
+        if split is not None:
+            emit(split)
 
-        return emitted
+    # NSH encap/decap (optimization (a): only when spanning platforms;
+    # optimization (b): one SI-update/encap table per service path).
+    if spans_platforms:
+        encap = nflib.nsh_encap_table(f"{_sanitize(graph.name)}_nsh_encap")
+        encap = _augment_reads(encap, {chain_guard})
+        emit(encap)
+        # the encap happens after the last switch NF before each bounce:
+        for nf_id in _bounce_exit_nodes(graph, switch_ids):
+            for table_name in nf_to_tables[nf_id]:
+                edges.append((table_name, encap.name))
 
-    @staticmethod
-    def _bounce_exit_nodes(graph: NFGraph, switch_ids: Set[str]) -> List[str]:
-        """Switch nodes whose successor leaves the switch (bounce points)."""
-        out = []
-        for nid in switch_ids:
-            for edge in graph.out_edges(nid):
-                if edge.dst not in switch_ids:
-                    out.append(nid)
-                    break
-        return out
+        # Decap runs on the *return* pass, right after the steering
+        # table recognizes a packet coming back from a server
+        # (optimization (c): resume steering lives in the first stage).
+        # Within a single pipeline traversal encap and decap never both
+        # apply to a packet, so they are mutually exclusive and the
+        # encap→decap NSH-field dependency must not serialize them.
+        decap = nflib.nsh_decap_table(f"{_sanitize(graph.name)}_nsh_decap")
+        decap = _augment_reads(decap, {chain_guard})
+        emit(decap)
+        edges.append(("lemur_steering", decap.name))
+        partitions.append(
+            (frozenset({encap.name}), frozenset({decap.name}))
+        )
+
+    return ChainFragment(
+        tables=tuple(tables),
+        scope=tuple(scope),
+        edges=tuple(edges),
+        partitions=tuple(partitions),
+        nf_groups=tuple(nf_groups),
+        parse_trees=tuple(
+            p4nfs[node_id].parse_tree for node_id in sorted(switch_ids)
+        ),
+        uses_nsh=spans_platforms,
+    )
+
+
+def _bounce_exit_nodes(graph: NFGraph, switch_ids: FrozenSet[str]) -> List[str]:
+    """Switch nodes whose successor leaves the switch (bounce points)."""
+    out = []
+    for nid in switch_ids:
+        for edge in graph.out_edges(nid):
+            if edge.dst not in switch_ids:
+                out.append(nid)
+                break
+    return out
 
 
 class ContextCompiler(PISACompiler):
@@ -338,7 +467,8 @@ class ContextCompiler(PISACompiler):
     candidate is to compile it *together with* the pinned program.
     Wrapping the compiler makes every existing call site (baseline
     search, candidate evaluation, switch-fit verification)
-    context-aware without changing their signatures.
+    context-aware without changing their signatures. The pinned chains'
+    fragments come from the shared memo, so only the delta is lowered.
     """
 
     def __init__(
@@ -348,29 +478,15 @@ class ContextCompiler(PISACompiler):
     ):
         super().__init__(switch)
         self.context = list(context)
-        # One incremental search compiles the same delta configuration
-        # more than once (baseline fit probes, candidate evaluation,
-        # final verification) and every compile re-lowers the whole
-        # context — memoize by delta configuration. Keyed on graph
-        # identity: graphs outlive this per-solve compiler.
-        self._memo: Dict[Tuple, CompileResult] = {}
 
     def compile(
         self,
         chain_assignments: Sequence[Tuple[NFGraph, Set[str]]],
         strategy: str = "compiler",
     ) -> CompileResult:
-        key = (
-            tuple((id(g), frozenset(ids)) for g, ids in chain_assignments),
-            strategy,
+        return super().compile(
+            self.context + list(chain_assignments), strategy
         )
-        result = self._memo.get(key)
-        if result is None:
-            result = super().compile(
-                self.context + list(chain_assignments), strategy
-            )
-            self._memo[key] = result
-        return result
 
 
 def _index_tree(tree: TreeNode) -> Dict[str, TreeNode]:

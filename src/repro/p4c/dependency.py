@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
+from repro.exceptions import P4CompileError
 from repro.p4c.ir import P4Table, TableDAG
 
 
@@ -43,13 +44,20 @@ def infer_dependencies(
     which case the compiler may pack them together (§4.2 optimization (d)).
     """
     exclusive_pairs = exclusive_pairs or set()
-    for i, j in combinations(range(len(ordered_scope)), 2):
-        a_name, b_name = ordered_scope[i], ordered_scope[j]
-        if (a_name, b_name) in exclusive_pairs or (b_name, a_name) in exclusive_pairs:
-            continue
-        a, b = dag.table(a_name), dag.table(b_name)
-        if data_dependent(a, b):
-            dag.add_edge(a_name, b_name)
+    tables = [dag.table(name) for name in ordered_scope]
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            if (a.name, b.name) in exclusive_pairs \
+                    or (b.name, a.name) in exclusive_pairs:
+                continue
+            if data_dependent(a, b):
+                if a.name == b.name:
+                    raise P4CompileError(
+                        f"self-dependency on table {a.name!r}"
+                    )
+                # both names were just resolved through the DAG, so this
+                # is add_edge without its per-call scan of every table
+                dag.edges.add((a.name, b.name))
 
 
 def chain_dependencies(dag: TableDAG, ordered_scope: Sequence[str]) -> None:

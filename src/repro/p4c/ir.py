@@ -107,6 +107,14 @@ class ParseTree:
         tree.transitions = dict(self.transitions)
         return tree
 
+    def freeze(self) -> "ParseTree":
+        """Make the header set immutable, for a tree shared between
+        callers (a memoized compile): both mutators touch ``headers``
+        first, so a later ``add_transition``/``merge_into`` on it raises
+        instead of changing what the other holders see."""
+        self.headers = frozenset(self.headers)
+        return self
+
 
 def ethernet_ipv4_tree(l4: bool = True) -> ParseTree:
     """The common Ethernet→IPv4(→TCP/UDP) parse tree most NFs need."""
@@ -193,14 +201,16 @@ class TableDAG:
 
     def topological_order(self) -> List[str]:
         in_degree = {t.name: 0 for t in self.tables}
-        for _a, b in self.edges:
+        successors: Dict[str, List[str]] = {name: [] for name in in_degree}
+        for a, b in self.edges:
             in_degree[b] += 1
+            successors[a].append(b)
         ready = sorted(name for name, deg in in_degree.items() if deg == 0)
         order: List[str] = []
         while ready:
             name = ready.pop(0)
             order.append(name)
-            for succ in sorted(self.successors(name)):
+            for succ in sorted(successors[name]):
                 in_degree[succ] -= 1
                 if in_degree[succ] == 0:
                     ready.append(succ)
@@ -216,6 +226,18 @@ class TableDAG:
             preds = self.predecessors(name)
             level[name] = 1 + max((level[p] for p in preds), default=0)
         return max(level.values(), default=0)
+
+    def freeze(self) -> "TableDAG":
+        """Swap the containers for immutable ones, for a DAG shared
+        between callers (a memoized compile): a later ``add_table``/
+        ``add_edge``/``merge`` on it raises instead of changing what the
+        other holders see."""
+        self.tables = tuple(self.tables)
+        self.edges = frozenset(self.edges)
+        self.exclusive_groups = tuple(
+            frozenset(group) for group in self.exclusive_groups
+        )
+        return self
 
     def merge(self, other: "TableDAG") -> None:
         """Union another DAG in (used when unifying chains on one switch)."""

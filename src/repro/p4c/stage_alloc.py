@@ -17,21 +17,30 @@ Three allocators model the three regimes the paper contrasts (§5.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import P4CompileError
 from repro.hw.pisa import PISAStageResources
 from repro.p4c.ir import P4Table, TableDAG
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageAllocation:
-    """Result of packing a pipeline: table names per stage."""
+    """Result of packing a pipeline: table names per stage.
 
-    stages: List[List[str]] = field(default_factory=list)
+    Immutable (a memoized compile hands the same allocation to every
+    caller); ``stages`` is normalized to a tuple of tuples.
+    """
+
+    stages: Tuple[Tuple[str, ...], ...] = ()
     available_stages: int = 12
     strategy: str = "compiler"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "stages", tuple(tuple(stage) for stage in self.stages)
+        )
 
     @property
     def stage_count(self) -> int:
@@ -94,9 +103,20 @@ def allocate_compiler(
     resources = resources or PISAStageResources()
     _check_single_stage_fit(dag, resources)
 
-    remaining_depth = _remaining_depths(dag)
+    by_name = {t.name: t for t in dag.tables}
+    preds: Dict[str, List[str]] = {name: [] for name in by_name}
+    succs: Dict[str, List[str]] = {name: [] for name in by_name}
+    for before, after in dag.edges:
+        preds[after].append(before)
+        succs[before].append(after)
+    remaining_depth = _remaining_depths(dag, succs)
+    # ready-list priority: deepest remaining chain, then largest, then name
+    priority = {
+        name: (-remaining_depth[name], -(t.sram_kb + t.tcam_kb), name)
+        for name, t in by_name.items()
+    }
     placed_stage: Dict[str, int] = {}
-    unplaced = {t.name for t in dag.tables}
+    unplaced: Set[str] = set(by_name)
     stages: List[List[str]] = []
 
     while unplaced:
@@ -104,21 +124,15 @@ def allocate_compiler(
         ready = [
             name for name in unplaced
             if all(placed_stage.get(p, stage_index) < stage_index
-                   for p in dag.predecessors(name))
+                   for p in preds[name])
         ]
         if not ready:
             raise P4CompileError("stage allocation stuck: cyclic dependencies?")
-        ready.sort(
-            key=lambda name: (
-                -remaining_depth[name],
-                -(dag.table(name).sram_kb + dag.table(name).tcam_kb),
-                name,
-            )
-        )
+        ready.sort(key=priority.__getitem__)
         stage_bin = _StageBin(resources)
         placed_any = False
         for name in ready:
-            if stage_bin.try_add(dag.table(name)):
+            if stage_bin.try_add(by_name[name]):
                 placed_stage[name] = stage_index
                 unplaced.discard(name)
                 placed_any = True
@@ -188,10 +202,11 @@ def allocate_naive(
                            strategy="naive")
 
 
-def _remaining_depths(dag: TableDAG) -> Dict[str, int]:
+def _remaining_depths(
+    dag: TableDAG, succs: Dict[str, List[str]]
+) -> Dict[str, int]:
     """Longest chain below each table (scheduling priority)."""
     depth: Dict[str, int] = {}
     for name in reversed(dag.topological_order()):
-        succs = dag.successors(name)
-        depth[name] = 1 + max((depth[s] for s in succs), default=0)
+        depth[name] = 1 + max((depth[s] for s in succs[name]), default=0)
     return depth

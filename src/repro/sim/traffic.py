@@ -410,6 +410,13 @@ class TrafficEngine:
         #: chain object guards against a redeployed chain of the same name.
         self._flows: Dict[str, tuple] = {}
 
+    def __getstate__(self) -> dict:
+        # the templates (and the parse each carries) are a memo of a pure
+        # function of the chain: a serve checkpoint does not store them
+        state = self.__dict__.copy()
+        state["_flows"] = {}
+        return state
+
     @classmethod
     def from_spec(cls, spec: TrafficSpec, *,
                   registry: Optional[MetricsRegistry] = None
@@ -463,6 +470,10 @@ class TrafficEngine:
             _chain_packet(cp.chain, index)
             for index in range(self.flows_per_chain)
         ]
+        for template in flows:
+            # parse (and hash) each template once, here: every replayed
+            # clone inherits the parse instead of redoing it
+            template.flow_digest()
         self._flows[cp.name] = (cp.chain, flows)
         return flows
 

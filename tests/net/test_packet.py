@@ -116,3 +116,64 @@ class TestCopy:
         clone = pkt.copy()
         assert clone.metadata.spi == 4
         assert clone.metadata.fields == {"k": 1}
+
+    @pytest.mark.parametrize("build", [
+        dict(proto=PROTO_UDP),
+        dict(proto=PROTO_TCP),
+        dict(proto=PROTO_UDP, vlan=77),
+    ], ids=["udp", "tcp", "vlan"])
+    def test_clone_of_a_parsed_template_carries_its_own_parse(self, build):
+        """A parsed template hands its clone the parse (no second parse of
+        the same bytes), but never its header objects: editing a clone's
+        header and committing leaves the template's bytes, parse and flow
+        identity alone."""
+        template = Packet.build(src_ip="10.0.0.1", dst_ip="10.0.0.2",
+                                src_port=1234, dst_port=80, **build)
+        digest = template.flow_digest()  # parses and hashes the template
+        before = template.data
+        parsed = {slot: getattr(template, slot)
+                  for slot in ("eth", "vlan", "ipv4", "tcp", "udp")}
+
+        clone = template.copy()
+        assert clone._parsed is not None  # carried, not re-derived
+        assert clone.flow_digest() == digest
+        for slot, header in parsed.items():
+            if header is None:
+                assert getattr(clone, slot) is None
+            else:
+                assert getattr(clone, slot) == header
+                assert getattr(clone, slot) is not header
+
+        # what rewrite.py does: edit in place, then commit
+        clone.eth.dst = "02:aa:bb:cc:dd:ee"
+        clone.ipv4.src = "192.0.2.1"
+        (clone.tcp or clone.udp).src_port = 4242
+        if clone.vlan is not None:
+            clone.vlan.vid = 99
+        clone.commit()
+
+        assert template.data == before
+        for slot, header in parsed.items():
+            assert getattr(template, slot) is header
+        assert template.eth.dst == "02:00:00:00:00:02"
+        assert template.ipv4.src == "10.0.0.1"
+        assert template.flow_digest() == digest
+        # the clone's bytes are the edit, exactly as a cold parse reads it
+        assert clone.ipv4.src == Packet(clone.data).ipv4.src == "192.0.2.1"
+        assert clone.flow_digest() == Packet(clone.data).flow_digest()
+        assert clone.flow_digest() != digest
+
+    def test_clone_of_an_nsh_template_shares_only_the_nsh_header(self):
+        template = Packet.build()
+        template.push_nsh(7, 250)
+        assert template.nsh.spi == 7  # parsed
+        clone = template.copy()
+        assert clone.nsh is template.nsh  # read-only everywhere: shared
+        assert clone.eth is not template.eth
+        assert clone.pop_nsh().si == 250
+        assert template.nsh.si == 250 and template.data[:8] != clone.data[:8]
+
+    def test_clone_of_an_unparsed_packet_stays_unparsed(self):
+        clone = Packet(Packet.build().data).copy()
+        assert clone._parsed is None
+        assert clone.ipv4.dst == "10.0.0.2"

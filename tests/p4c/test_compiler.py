@@ -134,7 +134,7 @@ class TestMisc:
     def test_empty_assignment(self):
         chain = chains_from_spec("chain c: ACL -> IPv4Fwd")[0]
         result = PISACompiler().compile([(chain.graph, set())])
-        assert result.chain_tables["c"] == []
+        assert result.chain_tables["c"] == ()
         # steering table only
         assert result.stage_count == 1
 

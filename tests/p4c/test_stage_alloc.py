@@ -128,7 +128,7 @@ class TestNaive:
         dag.add_table(small_table("a"))
         dag.add_table(small_table("b"))
         alloc = allocate_naive(dag, serialized_order=["b", "a"])
-        assert alloc.stages == [["b"], ["a"]]
+        assert alloc.stages == (("b",), ("a",))
 
 
 class TestStageOf:
