@@ -47,7 +47,7 @@ def _phase_train(shards):
     engine = TrafficEngine.from_spec(
         TrafficSpec(
             spec_text=SPEC, slos=SLOS, packets_per_chain=PACKETS,
-            flows_per_chain=FLOWS, batch_size=BATCH, vectorized=True,
+            flows_per_chain=FLOWS, batch_size=BATCH,
             shards=shards,
         ),
         registry=MetricsRegistry(),

@@ -2,7 +2,7 @@
 """CI smoke test for the persistent dataplane worker runtime.
 
 Runs the equivalent of ``repro traffic examples/specs/pop.lemur
---vectorized --shards 2`` twice *in one process* — the regime the
+--batch 64 --shards 2`` twice *in one process* — the regime the
 persistent pool exists for — and asserts what the pool promises:
 
 * both sharded phases run on the same live workers: one
@@ -34,7 +34,6 @@ def run_phase(spec_text: str, shards: int) -> str:
             packets_per_chain=256,
             flows_per_chain=16,
             batch_size=64,
-            vectorized=True,
             shards=shards,
         ),
         registry=MetricsRegistry(),

@@ -176,10 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     traffic_cmd.add_argument("--flows", type=int, default=64,
                              help="distinct flows synthesized per chain")
     traffic_cmd.add_argument("--batch", type=int, default=64,
-                             help="packets per injected batch")
-    traffic_cmd.add_argument("--vectorized", action="store_true",
-                             help="use the columnar fast path "
-                                  "(bit-identical to scalar replay)")
+                             help="packets per injected batch (large ones "
+                                  "run columnar, small scalar: same report)")
     traffic_cmd.add_argument("--shards", type=int, default=1,
                              help="replay one rack's chains across N "
                                   "workers of the persistent pool "
@@ -622,7 +620,6 @@ def cmd_traffic(args) -> int:
         packets_per_chain=args.packets,
         flows_per_chain=args.flows,
         batch_size=args.batch,
-        vectorized=args.vectorized,
         shards=args.shards,
         seed=args.seed,
         strategy=args.strategy,

@@ -246,6 +246,9 @@ class ColumnarRunResult:
     #: scalar fallback bridge.
     scalar: Dict[int, Optional[Packet]] = field(default_factory=dict)
     blocks: List[_FinishedBlock] = field(default_factory=list)
+    #: a hop the probe model cannot express sent a block to the scalar loop
+    #: (the whole-batch bridge on entry, a state of the rack, does not count)
+    structural_fallback: bool = False
 
     @property
     def delivered(self) -> int:

@@ -548,6 +548,10 @@ class ChaosEngine:
             config=PlacerConfig(strategy=spec.strategy),
             cache=self.cache,
         )
+        #: one for the run, so a replan regenerates only the changed units
+        self.metacompiler = MetaCompiler(
+            topology=self.topology, profiles=self.profiles
+        )
 
         # mutable run state
         self.downed: set = set()
@@ -565,9 +569,7 @@ class ChaosEngine:
     # -- deploy / redeploy ----------------------------------------------------
 
     def _deploy(self, placement) -> None:
-        artifacts = MetaCompiler(
-            topology=self.topology, profiles=self.profiles
-        ).compile_placement(placement)
+        artifacts = self.metacompiler.compile_placement(placement)
         rack = DeployedRack(
             self.topology, artifacts, self.profiles,
             seed=self.spec.seed, registry=self.obs,

@@ -242,7 +242,6 @@ def run_fabric_traffic(
             deployed, per_rack,
             flows_per_chain=spec.flows_per_chain,
             batch_size=spec.batch_size,
-            vectorized=spec.vectorized,
         )
         for row in engine.run(spec.packets_per_chain).chains:
             merged.chains.append(row.with_d_max(

@@ -1082,6 +1082,7 @@ device_fingerprints`) decide what happens to each device:
                                 budget: int) -> None:
         """Materialize the column and let the scalar block loop take over
         mid-flight (state so far — cycles, hop records — comes along)."""
+        result.structural_fallback = True
         packets, hop_records = cols.materialize_packets(chain_id=cp.name)
         self._run_block(cp, packets, spi, si, excursions, switch_passes,
                         result.scalar, budget, hop_records)

@@ -2,12 +2,12 @@
 
 The :class:`TrafficEngine` synthesizes a per-chain flow set inside each
 chain's traffic aggregate, replays ``packets_per_chain`` packets over those
-flows through :meth:`DeployedRack.run` (or the columnar
-:meth:`DeployedRack.run_columns` when ``vectorized=True``), and reports
-what the deployed rack achieved: simulator packets/second, delivery
-fraction, and the delivered rate against the LP's per-chain rate
-assignment (``Placement.rates``) — the same quantity Figure 2's measured
-bars are drawn from.
+flows through :meth:`DeployedRack.run` or its bit-identical columnar twin
+:meth:`DeployedRack.run_columns` (the engine picks per batch, see
+:data:`COLUMNAR_MIN_BATCH`), and reports what the deployed rack achieved:
+simulator packets/second, delivery fraction, and the delivered rate
+against the LP's per-chain rate assignment (``Placement.rates``) — the
+same quantity Figure 2's measured bars are drawn from.
 
 Measurement discipline: flow templates are synthesized **once** per chain
 (:meth:`TrafficEngine.synthesize_flows`) and cheap clones cycle through
@@ -65,6 +65,12 @@ from repro.units import SIM_PACKET_BITS, SLO_RTOL
 #: of truth in :mod:`repro.units`, which also sizes the synthesized
 #: packets' ``total_bytes`` in :func:`repro.sim.runtime._chain_packet`.
 PACKET_BITS = SIM_PACKET_BITS
+
+#: smallest batch the columnar loop takes: the smallest measured size at
+#: which a batch on a cold rack (nothing probed yet: every phase after a
+#: redeploy) costs no more columnar than scalar — below it the probes
+#: outweigh the walk they save. docs/performance.md, "Which loop runs".
+COLUMNAR_MIN_BATCH = 64
 
 
 def configure_rack_queueing(rack: DeployedRack, placement: Placement,
@@ -368,7 +374,6 @@ class TrafficSpec(RunSpec):
     packets_per_chain: int = 2048
     flows_per_chain: int = 64
     batch_size: int = 64
-    vectorized: bool = False
     shards: int = 1
 
     _error: ClassVar[type] = TrafficError
@@ -377,10 +382,11 @@ class TrafficSpec(RunSpec):
 class TrafficEngine:
     """Replay synthesized flow sets through a deployed rack in batches.
 
-    ``vectorized=True`` switches injection to the columnar fast path
-    (:meth:`DeployedRack.run_columns`): one :class:`PacketColumns` batch
-    per injection instead of per-packet clones — bit-identical outcomes,
-    an order of magnitude more packets per second.
+    Each batch takes one of the rack's two bit-identical loops: the
+    columnar :meth:`DeployedRack.run_columns` from
+    :data:`COLUMNAR_MIN_BATCH` packets up — unless the chain's last
+    columnar batch fell back structurally, when every batch would — else
+    the scalar :meth:`DeployedRack.run`.
 
     ``shards=N`` replays chains over ``N`` workers of the persistent pool
     (round-robin by chain), each on a rack built from the same compiled
@@ -393,7 +399,7 @@ class TrafficEngine:
 
     def __init__(self, rack: DeployedRack, placement: Placement, *,
                  flows_per_chain: int = 64, batch_size: int = 64,
-                 vectorized: bool = False, shards: int = 1):
+                 shards: int = 1):
         if flows_per_chain < 1:
             raise ValueError("flows_per_chain must be >= 1")
         if batch_size < 1:
@@ -404,9 +410,9 @@ class TrafficEngine:
         self.placement = placement
         self.flows_per_chain = flows_per_chain
         self.batch_size = batch_size
-        self.vectorized = vectorized
         self.shards = shards
-        #: chain name -> (chain object, synthesized flow templates); the
+        #: chain name -> (chain object, synthesized flow templates, whether
+        #: the chain's last columnar batch fell back structurally); the
         #: chain object guards against a redeployed chain of the same name.
         self._flows: Dict[str, tuple] = {}
 
@@ -450,7 +456,6 @@ class TrafficEngine:
         return cls(rack, placement,
                    flows_per_chain=spec.flows_per_chain,
                    batch_size=spec.batch_size,
-                   vectorized=spec.vectorized,
                    shards=spec.shards)
 
     def synthesize_flows(self, cp: ChainPlacement) -> List[Packet]:
@@ -474,57 +479,74 @@ class TrafficEngine:
             # parse (and hash) each template once, here: every replayed
             # clone inherits the parse instead of redoing it
             template.flow_digest()
-        self._flows[cp.name] = (cp.chain, flows)
+        self._flows[cp.name] = (cp.chain, flows, False)
         return flows
-
-    @staticmethod
-    def _columnar_latencies(result) -> List[float]:
-        """Delivered-packet latency stamps (µs) from a columnar result."""
-        samples: List[float] = []
-        for block in result.blocks:
-            samples.extend(block.latency_us.tolist())
-        for packet in result.scalar.values():
-            if packet is not None:
-                samples.append(packet.metadata.fields["latency_us"])
-        return samples
-
-    @staticmethod
-    def _scalar_latencies(result) -> List[float]:
-        """Delivered-packet latency stamps (µs) from a scalar result."""
-        return [
-            packet.metadata.fields["latency_us"]
-            for packet in result.outputs
-            if packet is not None
-        ]
 
     def _inject(self, cp: ChainPlacement, flows: List[Packet], base: int,
                 size: int) -> Tuple[int, List[float], float]:
         """Push one batch through the rack: packets ``base .. base+size``
         of the flow cycle (packet ``i`` belongs to flow ``i % flows``).
 
-        Returns ``(delivered, latency_samples, rack_wall_seconds)``. Only
-        rack work is timed: packet clones and the signature column are
-        built before the clock starts, the delivered packets' latency
-        stamps (µs) are collected after it stops.
+        Returns ``(delivered, latency_samples, rack_wall_seconds)`` — the
+        delivered packets' latency stamps (µs) in injection order,
+        whichever loop ran. Only rack work is timed: packet clones and the
+        signature column are built before the clock starts, the samples
+        are collected after it stops.
         """
         n_flows = len(flows)
-        if self.vectorized:
+        _chain, _templates, fell_back = self._flows[cp.name]
+        columnar = size >= COLUMNAR_MIN_BATCH and not fell_back
+        self.rack.obs.counter(
+            "traffic.batches", loop="columnar" if columnar else "scalar"
+        ).inc()
+        if columnar:
             sig = np.arange(base, base + size, dtype=np.int64) % n_flows
             started = time.perf_counter()
             result = self.rack.run_columns(
                 cp, PacketColumns.for_flows(flows, sig)
             )
             wall = time.perf_counter() - started
-            return result.delivered, self._columnar_latencies(result), wall
+            if result.structural_fallback:
+                self._flows[cp.name] = (cp.chain, flows, True)
+            # finished blocks and packets that took the scalar bridge
+            # interleave: each stamp lands at its injection position
+            stamps = np.full(size, np.nan)
+            for block in result.blocks:
+                stamps[block.columns.seq - result.seq_base] = block.latency_us
+            for seq, packet in result.scalar.items():
+                if packet is not None:
+                    stamp = packet.metadata.fields["latency_us"]
+                    stamps[seq - result.seq_base] = stamp
+            return result.delivered, stamps[~np.isnan(stamps)].tolist(), wall
         batch = [
             flows[(base + offset) % n_flows].copy()
             for offset in range(size)
         ]
         started = time.perf_counter()
-        scalar_result = self.rack.run(cp, batch)
+        outputs = self.rack.run(cp, batch).outputs
         wall = time.perf_counter() - started
-        return (scalar_result.delivered,
-                self._scalar_latencies(scalar_result), wall)
+        samples = [
+            packet.metadata.fields["latency_us"]
+            for packet in outputs if packet is not None
+        ]
+        return len(samples), samples, wall
+
+    def _replay(self, cp: ChainPlacement, start: int,
+                count: int) -> Tuple[int, List[float], float]:
+        """Inject packets ``start .. start+count`` of ``cp``'s flow cycle
+        in batches; ``_inject``'s triple summed over them."""
+        flows = self.synthesize_flows(cp)
+        delivered = 0
+        wall = 0.0
+        latencies: List[float] = []
+        for base in range(start, start + count, self.batch_size):
+            got, samples, spent = self._inject(
+                cp, flows, base, min(self.batch_size, start + count - base)
+            )
+            delivered += got
+            wall += spent
+            latencies.extend(samples)
+        return delivered, latencies, wall
 
     def replay_batch(self, cp: ChainPlacement, cursor: int,
                      count: int) -> Tuple[int, int, List[float]]:
@@ -538,19 +560,8 @@ class TrafficEngine:
         delivered packets' stamped end-to-end latencies (µs), the guard's
         windowed-quantile input.
         """
-        flows = self.synthesize_flows(cp)
-        delivered = 0
-        injected = 0
-        latencies: List[float] = []
-        while injected < count:
-            size = min(self.batch_size, count - injected)
-            got, samples, _wall = self._inject(
-                cp, flows, cursor + injected, size
-            )
-            delivered += got
-            latencies.extend(samples)
-            injected += size
-        return delivered, cursor + injected, latencies
+        delivered, latencies, _wall = self._replay(cp, cursor, count)
+        return delivered, cursor + count, latencies
 
     def run(self, packets_per_chain: int = 1024,
             chain_names: Optional[List[str]] = None) -> TrafficReport:
@@ -576,22 +587,11 @@ class TrafficEngine:
     def _run_chain(self, cp: ChainPlacement,
                    packets_per_chain: int) -> ChainTrafficReport:
         """Replay one chain; only rack work lands in the timed region."""
-        flows = self.synthesize_flows(cp)
-        delivered = 0
-        injected = 0
-        wall = 0.0
-        latencies: List[float] = []
-        while injected < packets_per_chain:
-            size = min(self.batch_size, packets_per_chain - injected)
-            got, samples, spent = self._inject(cp, flows, injected, size)
-            delivered += got
-            wall += spent
-            latencies.extend(samples)
-            injected += size
+        delivered, latencies, wall = self._replay(cp, 0, packets_per_chain)
         return ChainTrafficReport.replayed(
             cp,
             flows=min(self.flows_per_chain, packets_per_chain),
-            injected=injected,
+            injected=packets_per_chain,
             delivered=delivered,
             latencies=latencies,
             assigned_mbps=self.placement.rates.get(cp.name, 0.0),
@@ -633,7 +633,6 @@ class TrafficEngine:
                 queueing=rack.queueing.kind,
                 flows_per_chain=self.flows_per_chain,
                 batch_size=self.batch_size,
-                vectorized=self.vectorized,
             )
             for shard in range(min(self.shards, len(selected)))
         ]
@@ -663,7 +662,6 @@ class _ShardTask:
     queueing: str
     flows_per_chain: int
     batch_size: int
-    vectorized: bool
 
 
 def _run_shard(task: _ShardTask) -> Tuple[list, dict, float]:
@@ -680,7 +678,6 @@ def _run_shard(task: _ShardTask) -> Tuple[list, dict, float]:
             rack, placement,
             flows_per_chain=task.flows_per_chain,
             batch_size=task.batch_size,
-            vectorized=task.vectorized,
         )
         started = time.perf_counter()
         rows = [

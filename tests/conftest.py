@@ -41,3 +41,40 @@ def branched_chain():
         "[ACL -> Encrypt @ 0.5, default: Monitor] -> IPv4Fwd"
     )
     return chains_from_spec(spec, slos=[SLO(t_min=gbps(0.5))])[0]
+
+
+@pytest.fixture()
+def pin_loop(monkeypatch):
+    """Pin the traffic engine's loop selection for this test: every batch
+    ``"scalar"`` or every batch ``"columnar"`` (a chain whose columnar
+    batch falls back structurally still moves to the scalar loop)."""
+    import repro.sim.traffic as traffic
+
+    def pin(loop: str) -> None:
+        monkeypatch.setattr(
+            traffic, "COLUMNAR_MIN_BATCH",
+            {"scalar": 10**9, "columnar": 1}[loop],
+        )
+    return pin
+
+
+@pytest.fixture(scope="session")
+def loop_blind():
+    """``registry.dump_state()`` minus ``traffic.batches{loop}`` — the one
+    registry difference allowed between the two dataplane loops."""
+    def strip(state: dict) -> dict:
+        return {
+            **state,
+            "counters": [entry for entry in state["counters"]
+                         if entry[0] != "traffic.batches"],
+        }
+    return strip
+
+
+@pytest.fixture(scope="session")
+def loop_counts():
+    """``(scalar, columnar)`` batches a registry saw the engine inject."""
+    def counts(registry) -> tuple:
+        return (registry.counter_value("traffic.batches", loop="scalar"),
+                registry.counter_value("traffic.batches", loop="columnar"))
+    return counts

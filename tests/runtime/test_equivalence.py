@@ -29,7 +29,12 @@ from repro.sim.lifecycle import (
     LifecycleTimeline,
     run_lifecycle_checked,
 )
-from repro.sim.traffic import TrafficEngine, TrafficSpec, run_traffic
+from repro.sim.traffic import (
+    COLUMNAR_MIN_BATCH,
+    TrafficEngine,
+    TrafficSpec,
+    run_traffic,
+)
 
 SPEC_A = "\n".join([
     "chain c1: ACL -> NAT",
@@ -58,13 +63,18 @@ def fresh_pool():
     shutdown_pool()
 
 
-def _replay(spec_text, slos, *, shards, vectorized=True):
+#: batch sizes on either side of the engine's loop selection (workers
+#: import their own ``repro``, so only the batch size can pick their loop)
+BATCHES = {"columnar": COLUMNAR_MIN_BATCH, "scalar": COLUMNAR_MIN_BATCH // 2}
+
+
+def _replay(spec_text, slos, *, shards, loop="columnar"):
     registry = MetricsRegistry()
     report = run_traffic(
         TrafficSpec(
             spec_text=spec_text, slos=slos,
-            packets_per_chain=192, flows_per_chain=16, batch_size=32,
-            vectorized=vectorized, shards=shards,
+            packets_per_chain=192, flows_per_chain=16,
+            batch_size=BATCHES[loop], shards=shards,
         ),
         registry=registry,
     )
@@ -97,26 +107,31 @@ def test_persistent_pool_reused_across_three_phases():
     assert all(report == serial for report in reports)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_pooled_dispatch_merges_worker_metrics_like_serial(vectorized):
+@pytest.mark.parametrize("loop", ["columnar", "scalar"])
+def test_pooled_dispatch_merges_worker_metrics_like_serial(loop):
     """Rows aside, a worker ships back only its registry dump: merged
     into the parent registry it must read exactly as the serial run
-    recorded it."""
+    recorded it — the loop each batch took included."""
     def rack_counters(registry):
         return [
             entry for entry in registry.dump_state()["counters"]
-            if entry[0].startswith(("rack.packets.", "rack.device."))
+            if entry[0].startswith(
+                ("rack.packets.", "rack.device.", "traffic.batches")
+            )
         ]
 
-    _, serial_reg = _replay(SPEC_A, SLOS_A, shards=1, vectorized=vectorized)
-    _, pooled_reg = _replay(SPEC_A, SLOS_A, shards=2, vectorized=vectorized)
+    _, serial_reg = _replay(SPEC_A, SLOS_A, shards=1, loop=loop)
+    _, pooled_reg = _replay(SPEC_A, SLOS_A, shards=2, loop=loop)
     assert rack_counters(serial_reg)
     assert rack_counters(pooled_reg) == rack_counters(serial_reg)
+    took_columnar = serial_reg.counter_value("traffic.batches",
+                                             loop="columnar")
+    assert bool(took_columnar) == (loop == "columnar")
 
 
 def test_scalar_path_agrees_too():
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, vectorized=False)
-    persistent, _ = _replay(SPEC_A, SLOS_A, shards=2, vectorized=False)
+    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, loop="scalar")
+    persistent, _ = _replay(SPEC_A, SLOS_A, shards=2, loop="scalar")
     assert serial == persistent
 
 

@@ -187,3 +187,45 @@ def test_fabric_recovery_is_byte_identical(make_config, drive, tmp_path,
         assert got.digest == ref.digest
     assert recovered.core.state_digest() == reference.core.state_digest()
     assert recovered.report().to_json() == reference.report().to_json()
+
+
+# -- the dataplane loop is invisible to recovery ------------------------------
+
+
+def test_recovery_is_loop_invariant(make_config, drive, tmp_path, pin_loop):
+    """At a batch size the columnar loop takes, a SIGKILL→recover cycle —
+    from the checkpoint and from the journal alone — ends in the digests
+    and report of the uninterrupted run, and all of it is the same with
+    the loop selection pinned either way. (The engine's fallback history
+    is not checkpointed: a recovered daemon re-learns it in one batch.)"""
+    from repro.sim.traffic import COLUMNAR_MIN_BATCH
+
+    seen = {}
+    for loop in ("scalar", "columnar"):
+        pin_loop(loop)
+        for label, checkpoint_every in (("checkpointed", 2), ("journal", 0)):
+            config = make_config(
+                batch_size=COLUMNAR_MIN_BATCH,
+                packets_per_phase=2 * COLUMNAR_MIN_BATCH + 3,
+                checkpoint_every=checkpoint_every,
+            )
+            state = tmp_path / f"{loop}-{label}"
+            reference, ref_outcomes = drive(config, state / "ref", COMMANDS)
+            drive(config, state / "crashed", COMMANDS[:3], crash=True)
+            recovered, remaining = drive(
+                config, state / "crashed", COMMANDS[3:]
+            )
+            assert recovered.recovered is True
+            assert [o.digest for o in remaining] == \
+                [o.digest for o in ref_outcomes[3:]]
+            assert recovered.report().to_json() == reference.report().to_json()
+            seen[loop, label] = (
+                [o.digest for o in ref_outcomes],
+                recovered.core.state_digest(),
+                recovered.report().to_json(),
+            )
+            batches = reference.core.obs.counter_value(
+                "traffic.batches", loop="columnar"
+            )
+            assert bool(batches) == (loop == "columnar")
+    assert len({repr(value) for value in seen.values()}) == 1

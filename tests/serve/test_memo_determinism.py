@@ -132,7 +132,7 @@ def test_pickled_core_carries_no_memo_entries(make_config, drive, tmp_path):
     # the memos are populated ...
     assert core.metacompiler._units and core.traffic._flows
     assert any(packet._parsed is not None
-               for _chain, flows in core.traffic._flows.values()
+               for _chain, flows, _fell_back in core.traffic._flows.values()
                for packet in flows)
     blob = pickle.dumps(core)
     # ... and none of it is in the pickle

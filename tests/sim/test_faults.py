@@ -11,7 +11,7 @@ from repro.core.heuristic import heuristic_place
 from repro.exceptions import DataplaneError, FaultInjectionError
 from repro.hw.spec import TopologySpec, topology_for
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.faults import (
     ChaosEngine,
@@ -234,6 +234,31 @@ class TestChaosEngine:
         assert registry.counter_value("replan.count") == 1
         assert registry.counter_value("guard.degradations") == 1
         assert registry.gauge_value("guard.degraded_mode") == 0
+
+    def test_replan_reuses_the_codegen_units(self):
+        """One compiler lives as long as the engine, so a replan
+        regenerates only the units the new placement changed — and what
+        it deploys is digest-equal to a from-scratch compile."""
+        spec = _smartnic_spec(
+            spec_text=("chain c: BPF -> FastEncrypt -> IPv4Fwd\n"
+                       "chain d: Encrypt -> IPv4Fwd"),
+            slos=((gbps(1), gbps(39)), (gbps(1), gbps(10))),
+        )
+        engine = ChaosEngine(spec, registry=MetricsRegistry())
+        with scoped_registry() as default:  # codegen counts land here
+            report = engine.run()
+            reused = default.counter_value(
+                "metacompiler.codegen.units", platform="p4_chain",
+                result="reused",
+            )
+        assert report.replans == 1
+        assert reused >= 1  # chain d never left the switch and server
+        switch = engine.topology.switch.name
+        scratch = MetaCompiler(
+            topology=engine.topology, profiles=engine.profiles
+        ).compile_placement(engine.placement)
+        assert (engine.rack.artifacts.device_fingerprints(switch)
+                == scratch.device_fingerprints(switch))
 
     def test_no_degrade_first_replans_directly(self):
         spec = _smartnic_spec(

@@ -10,8 +10,12 @@ from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
 from repro.profiles.defaults import default_profiles
 from repro.sim.runtime import DeployedRack
-from repro.sim.traffic import TrafficEngine
+from repro.sim.traffic import COLUMNAR_MIN_BATCH, TrafficEngine
 from repro.units import gbps
+
+#: batch sizes on either side of the engine's loop selection
+SCALAR_BATCH = COLUMNAR_MIN_BATCH // 2
+COLUMNAR_BATCH = COLUMNAR_MIN_BATCH
 
 
 def _deploy(spec, slos, **topo_kwargs):
@@ -112,36 +116,43 @@ def _delivery_key(report):
     ]
 
 
-def test_vectorized_matches_scalar():
-    """``vectorized=True`` swaps in the columnar fast path; delivery
-    outcomes and the whole metrics registry stay bit-identical."""
+def test_vectorized_matches_scalar(loop_blind, loop_counts):
+    """A batch at or above ``COLUMNAR_MIN_BATCH`` takes the columnar fast
+    path; delivery outcomes and the whole metrics registry (the loop
+    counter aside) stay bit-identical to the scalar loop's."""
     spec = "chain a: Encrypt -> IPv4Fwd\nchain b: ACL -> IPv4Fwd"
     slos = [SLO(t_min=gbps(1), t_max=gbps(20))] * 2
     rack_s, placement_s, reg_s = _deploy(spec, slos)
     rack_v, placement_v, reg_v = _deploy(spec, slos)
+    packets = 4 * COLUMNAR_BATCH
     scalar = TrafficEngine(rack_s, placement_s, flows_per_chain=8,
-                           batch_size=32).run(packets_per_chain=128)
+                           batch_size=SCALAR_BATCH
+                           ).run(packets_per_chain=packets)
     vector = TrafficEngine(rack_v, placement_v, flows_per_chain=8,
-                           batch_size=32, vectorized=True
-                           ).run(packets_per_chain=128)
+                           batch_size=COLUMNAR_BATCH
+                           ).run(packets_per_chain=packets)
+    assert loop_counts(reg_s) == (16, 0)
+    assert loop_counts(reg_v) == (0, 8)
     assert _delivery_key(scalar) == _delivery_key(vector)
-    assert reg_s.dump_state() == reg_v.dump_state()
+    assert loop_blind(reg_s.dump_state()) == loop_blind(reg_v.dump_state())
 
 
-def test_replay_batch_vectorized_matches_scalar():
+def test_replay_batch_vectorized_matches_scalar(loop_blind, loop_counts):
     rack_s, placement_s, reg_s = _deploy(
         "chain a: Encrypt -> IPv4Fwd", [SLO(t_min=gbps(1), t_max=gbps(20))])
     rack_v, placement_v, reg_v = _deploy(
         "chain a: Encrypt -> IPv4Fwd", [SLO(t_min=gbps(1), t_max=gbps(20))])
     scalar = TrafficEngine(rack_s, placement_s, flows_per_chain=8,
-                           batch_size=16)
+                           batch_size=SCALAR_BATCH)
     vector = TrafficEngine(rack_v, placement_v, flows_per_chain=8,
-                           batch_size=16, vectorized=True)
+                           batch_size=COLUMNAR_BATCH)
     cursor_s = cursor_v = 0
     delivered_s = delivered_v = 0
     samples_s = []
     samples_v = []
-    for count in (40, 24, 8):
+    # the selection reads the size of each injected batch, so the second
+    # and third calls' tails (< COLUMNAR_BATCH) take the scalar loop
+    for count in (2 * COLUMNAR_BATCH, COLUMNAR_BATCH + 8, 8):
         d, cursor_s, lat = scalar.replay_batch(placement_s.chains[0],
                                                cursor_s, count)
         delivered_s += d
@@ -150,10 +161,12 @@ def test_replay_batch_vectorized_matches_scalar():
                                                cursor_v, count)
         delivered_v += d
         samples_v.extend(lat)
+    assert loop_counts(reg_v) == (2, 3)
+    assert loop_counts(reg_s)[1] == 0
     assert (delivered_s, cursor_s) == (delivered_v, cursor_v)
-    assert sorted(samples_s) == sorted(samples_v)
+    assert samples_s == samples_v
     assert len(samples_s) == delivered_s
-    assert reg_s.dump_state() == reg_v.dump_state()
+    assert loop_blind(reg_s.dump_state()) == loop_blind(reg_v.dump_state())
 
 
 def test_flow_templates_synthesized_once():
@@ -211,12 +224,12 @@ def test_sharded_run_is_delivery_invariant(shards):
 
     rack_1, placement_1, _ = _deploy(spec, slos)
     serial = TrafficEngine(rack_1, placement_1, flows_per_chain=8,
-                           batch_size=32, vectorized=True
+                           batch_size=COLUMNAR_BATCH
                            ).run(packets_per_chain=128)
 
     rack_n, placement_n, reg_n = _deploy(spec, slos)
     sharded = TrafficEngine(rack_n, placement_n, flows_per_chain=8,
-                            batch_size=32, vectorized=True, shards=shards
+                            batch_size=COLUMNAR_BATCH, shards=shards
                             ).run(packets_per_chain=128)
 
     assert _delivery_key(serial) == _delivery_key(sharded)
@@ -260,8 +273,8 @@ def test_traffic_cli_vectorized_sharded(tmp_path, capsys):
     spec.write_text("chain a: Encrypt -> IPv4Fwd\nchain b: ACL -> IPv4Fwd\n")
     code = main([
         "traffic", str(spec), "--tmin", "1", "--tmax", "20",
-        "--packets", "64", "--flows", "8", "--batch", "16",
-        "--vectorized", "--shards", "2",
+        "--packets", "64", "--flows", "8",
+        "--batch", str(COLUMNAR_BATCH), "--shards", "2",
     ])
     out = capsys.readouterr().out
     assert code == 0
