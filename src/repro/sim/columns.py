@@ -4,22 +4,24 @@ The scalar dataplane moves :class:`~repro.net.packet.Packet` objects one
 attribute at a time; at high volume the Python object walk dominates. A
 :class:`PacketColumns` batch instead keeps **one frozen template packet per
 distinct flow signature** plus numpy arrays for everything that is
-per-packet: the flow signature and its dense per-batch id, injection
-sequence, cycle charges (total and per device), NSH ``(spi, si)`` labels,
-and per-hop cycle/latency columns. Because every packet of a signature is
-byte-identical, a service-path hop only has to be *probed* once per
-(device, coordinates, template-bytes) — the runtime runs one clone through
-the real platform runtime, records the per-module counter deltas and the
-transformed output template, and then replays the effect across the whole
-column arithmetically (see
-:meth:`repro.sim.runtime.DeployedRack.run_columns`).
+per-packet: the flow signature and its dense per-batch id, the route class,
+injection sequence, cycle charges (total and per device) and per-hop
+cycle/latency columns. Because every packet of a signature is
+byte-identical, the rack resolves a flow's route **once**: each hop is
+*probed* with one clone through the real platform runtime, the outcomes
+are kept as the flow's *route trace*, and flows whose traces agree on every
+hop share a *route class* (see
+:meth:`repro.sim.runtime.DeployedRack.run_columns`). A batch then replays
+hop by hop **per class** — counter deltas times the class's population,
+one table-take for the per-packet cycle column.
 
-The dense id column is what keeps a batch O(packets) in numpy and
-O(distinct signatures) in Python: :meth:`PacketColumns.resolve` runs the
-batch's only ``np.unique`` over the signature column and keeps the inverse
-as ``sid``; ``slice``/``compress`` carry it along, so a hop gets its live
-signatures and their multiplicities from one ``np.bincount(sid)`` and turns
-per-signature probe attributes into per-packet columns with
+Two dense id columns keep a batch O(packets) in numpy and O(route classes)
+in Python: :meth:`PacketColumns.resolve` runs the batch's only
+``np.unique`` over the signature column and keeps the inverse as ``sid``
+(what a delivered packet's bytes are read through), the rack maps it to the
+class column ``cid``, and ``slice``/``compress`` carry both along. A hop
+gets its live classes and their populations from one ``np.bincount(cid)``
+and turns per-class attributes into per-packet columns with
 :meth:`PacketColumns.spread` — nothing walks ``sig`` in Python and nothing
 is sized by the flow table.
 
@@ -35,6 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.metacompiler.nsh import ServicePath
 from repro.net.packet import Packet
 
 
@@ -68,29 +71,77 @@ class HopColumn:
                          self.cycles[index], self.exec_us[index])
 
 
+@dataclass(eq=False)
+class _RouteClass:
+    """The flows of one service path whose traces agree so far, hop for
+    hop, on ``(effect class, pkt_cycles, survived, next coordinates)``;
+    a column block replays per class, and identity is the class.
+
+    ``steps[d]`` is one member's probe at hop ``d`` standing for them all
+    (all but its ``template`` is common), or None where the members cannot
+    be replayed through that hop. The class is *open* at hop
+    ``len(steps)``: a block that gets there probes each member and moves
+    its trace to the :meth:`after` class, which interns the agreement.
+    """
+
+    path: ServicePath
+    steps: tuple = ()
+    children: dict = field(default_factory=dict)
+
+    def after(self, probe) -> "_RouteClass":
+        """The class of the members that make ``probe`` of the next hop
+        (None: they cannot be replayed through it)."""
+        key = probe and (id(probe.effect), probe.pkt_cycles, probe.survived,
+                         probe.next_spi, probe.next_si)
+        child = self.children.get(key)
+        if child is None:
+            child = self.children[key] = _RouteClass(
+                self.path, self.steps + (probe,)
+            )
+        return child
+
+
+class _RouteTrace:
+    """One (chain, flow template)'s resolved route: its class, and
+    ``templates[d]``, what the first ``d`` hops made of the template.
+    ``templates[0]`` is the flow template itself — the memo keys on its
+    identity, and this reference keeps that identity from being reused."""
+
+    __slots__ = ("route", "templates")
+
+    def __init__(self, route: _RouteClass, template: Packet):
+        self.route = route
+        self.templates = [template]
+
+
 class PacketColumns:
     """A batch of packets in structure-of-arrays form.
 
     ``usig`` holds the batch's distinct flow signatures in ascending order
-    and ``templates[k]`` the *current* frozen template packet of signature
-    ``usig[k]`` (replaced wholesale as hops transform it; never mutated in
-    place) — only signatures present in the batch are held. These three are
-    filled in by :meth:`resolve`. The arrays are aligned per packet:
+    and ``templates[k]`` the frozen template packet of signature
+    ``usig[k]`` — only signatures present in the batch are held. These
+    three are filled in by :meth:`resolve`. The rack adds ``traces[k]``,
+    the signature's route trace, and ``classes``, the batch's route classes
+    (both shared by every sub-block); while hops replay, what a signature's
+    template has become lives in its trace, and :meth:`settle` reads it
+    back into ``templates``. The arrays are aligned per packet:
 
     * ``sig``: flow signature of each packet (``int64``)
     * ``sid``: dense signature id of each packet (``usig[sid] == sig``);
       ids are per batch, so a sub-block keeps its parent's numbering and
       may leave some ids unused
+    * ``cid``: route class of each packet, an index into ``classes``
+      (assigned by the rack)
     * ``seq``: rack injection sequence (``int64``; assigned by the rack)
-    * ``spi`` / ``si``: current NSH service-path labels (``int64``)
     * ``cycles``: total cycles charged so far (``int64``)
     * ``device_cycles``: device name -> per-packet cycles on that device's
       clock, in first-charge order (``device_order``)
     * ``hops``: one :class:`HopColumn` per completed hop
     """
 
-    __slots__ = ("templates", "usig", "sig", "sid", "seq", "spi", "si",
-                 "cycles", "device_order", "device_cycles", "hops", "_by_sig")
+    __slots__ = ("templates", "usig", "sig", "sid", "cid", "seq", "cycles",
+                 "device_order", "device_cycles", "hops", "traces", "classes",
+                 "_by_sig")
 
     def __init__(self, templates, sig: Sequence[int],
                  seq: Optional[np.ndarray] = None):
@@ -103,10 +154,11 @@ class PacketColumns:
         self.templates: Optional[List[Packet]] = None
         self.usig: Optional[np.ndarray] = None
         self.sid: Optional[np.ndarray] = None
+        self.cid: Optional[np.ndarray] = None
+        self.traces: Optional[list] = None
+        self.classes: Optional[list] = None
         self.seq = (seq if seq is not None
                     else np.zeros(n, dtype=np.int64))
-        self.spi = np.zeros(n, dtype=np.int64)
-        self.si = np.zeros(n, dtype=np.int64)
         self.cycles = np.zeros(n, dtype=np.int64)
         self.device_order: List[str] = []
         self.device_cycles: Dict[str, np.ndarray] = {}
@@ -135,17 +187,38 @@ class PacketColumns:
 
     def spread(self, live: List[int], values: list,
                dtype=np.int64) -> np.ndarray:
-        """Per-packet column from one value per live signature id (every
-        packet's id must be in ``live``)."""
+        """Per-packet column from one value per live route class (``live``
+        ascending; every packet's class must be in it)."""
         if len(set(values)) == 1:
-            return np.full(len(self.sid), values[0], dtype=dtype)
-        table = np.zeros(len(self.templates), dtype=dtype)
+            return np.full(len(self.cid), values[0], dtype=dtype)
+        table = np.zeros(live[-1] + 1, dtype=dtype)
         table[live] = values
-        return table[self.sid]
+        return table[self.cid]
+
+    def census(self):
+        """``(counts, live, steps)``: packets per route class, the classes
+        that have any (ascending), and each one's step at the hop the block
+        is at. IndexError where a live class is still open there."""
+        counts = np.bincount(self.cid)
+        live = counts.nonzero()[0].tolist()
+        depth = len(self.hops)
+        return counts, live, [self.classes[c].steps[depth] for c in live]
+
+    def settle(self) -> None:
+        """Read back into ``templates`` what each signature's trace made of
+        its template over the hops replayed so far (a signature none of
+        whose packets got this far reads whatever its trace ends on).
+        Needed only where packets are rebuilt, so left to those who do."""
+        if self.traces is not None:
+            depth = len(self.hops)
+            self.templates = [
+                trace.templates[min(depth, len(trace.templates) - 1)]
+                for trace in self.traces
+            ]
 
     def slice(self, start: int, end: int) -> "PacketColumns":
         """A consecutive sub-block (the template list is copied so each
-        block evolves its own; the frozen packets are shared)."""
+        block settles its own; the frozen packets are shared)."""
         return self._rebuild(slice(start, end))
 
     def compress(self, mask: np.ndarray) -> "PacketColumns":
@@ -156,12 +229,13 @@ class PacketColumns:
         out = PacketColumns.__new__(PacketColumns)
         out._by_sig = None
         out.templates = self.templates.copy()
+        out.traces = self.traces
+        out.classes = self.classes
         out.usig = self.usig
         out.sig = self.sig[index]
         out.sid = self.sid[index]
+        out.cid = None if self.cid is None else self.cid[index]
         out.seq = self.seq[index]
-        out.spi = self.spi[index]
-        out.si = self.si[index]
         out.cycles = self.cycles[index]
         out.device_order = list(self.device_order)
         out.device_cycles = {
@@ -185,6 +259,7 @@ class PacketColumns:
         """Rebuild real ``Packet`` objects (plus their per-hop records) so
         the scalar block loop can take over mid-flight."""
         self.resolve()
+        self.settle()
         packets: List[Packet] = []
         hop_records: Dict[int, List[dict]] = {}
         seqs = self.seq.tolist()
@@ -270,6 +345,7 @@ class ColumnarRunResult:
             outputs[seq - self.seq_base] = packet
         for block in self.blocks:
             cols = block.columns
+            cols.settle()
             seqs = cols.seq.tolist()
             for i, k in enumerate(cols.sid.tolist()):
                 seq = seqs[i]

@@ -19,12 +19,13 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bess.module import Pipeline
-from repro.bess.modules import make_nf_module
+from repro.bess.modules import MODULE_CLASSES, make_nf_module
 from repro.bess.nsh_modules import PortInc, PortOut, SubgroupDemux
 from repro.bess.pipeline import build_bess_pipeline
 from repro.chain.graph import NFChain
@@ -46,6 +47,8 @@ from repro.sim.columns import (
     HopColumn,
     PacketColumns,
     _FinishedBlock,
+    _RouteClass,
+    _RouteTrace,
     vector_fault_mask,
 )
 from repro.sim.measurement import HopStat, PacketTraceResult, QueueingModel
@@ -127,7 +130,7 @@ class _EffectClass:
     of_rules: tuple = ()
 
 
-@dataclass
+@dataclass(eq=False)
 class _HopProbe:
     """One probed (device, coordinates, template-bytes) hop outcome.
 
@@ -147,6 +150,31 @@ class _HopProbe:
     pkt_cycles: int = 0
     #: interned by :meth:`DeployedRack._remember_probe`
     effect: Optional[_EffectClass] = None
+
+
+@dataclass(eq=False)
+class _HopPlan:
+    """What a ``(spi, si)`` hop is to every flow that reaches it, resolved
+    when a column block first arrives there."""
+
+    device: str
+    platform: str
+    on_switch: bool
+    #: the OF/NIC runtime whose own counters a replay charges (else None)
+    runtime: object
+    #: drop reason of the flows the hop does not let through
+    reason: str
+    #: the platform's probe primitive for this hop, as ``(method name,
+    #: leading arguments)`` — no reference back to the rack; None where the
+    #: hop cannot be probe-replayed and blocks go to the scalar loop
+    probe: Optional[Tuple[str, tuple]]
+    #: probe memo key, less the template bytes
+    key: tuple
+    #: an on-switch hop continues on its path at this SI (None: it ends)
+    exit_si: Optional[int]
+    freq: float
+    #: the device's (packets_in, packets_out, cycles) counters
+    counters: tuple
 
 
 @dataclass
@@ -222,7 +250,7 @@ class DeployedRack:
         #: functional modules for switch-placed NFs, keyed by node id
         self._switch_modules: Dict[str, object] = {}
 
-        #: columnar probe memo: (kind, device, spi, si, template bytes) ->
+        #: columnar probe memo: (device, spi, si, template bytes) ->
         #: :class:`_HopProbe`; cleared whenever routing changes.
         self._hop_probes: Dict[tuple, _HopProbe] = {}
         #: effect content (modules and rules by identity) -> its class
@@ -230,6 +258,15 @@ class DeployedRack:
         #: (server, spi, si) -> is every pipeline module reachable at those
         #: coordinates vector-safe? (static closure walk, memoized)
         self._route_safety: Dict[tuple, bool] = {}
+        #: (spi, si) -> :class:`_HopPlan`
+        self._hop_plans: Dict[Tuple[int, int], _HopPlan] = {}
+        #: spi -> the open :class:`_RouteClass` every flow of the path
+        #: starts in
+        self._route_roots: Dict[int, _RouteClass] = {}
+        #: (chain name, ``id(template)``) -> :class:`_RouteTrace`. Every
+        #: traced flow is in ``_flow_paths`` (they clear together), so a
+        #: trace hit is a classification hit.
+        self._route_traces: Dict[Tuple[str, int], _RouteTrace] = {}
 
         #: monotonic per-rack injection sequence (stamped into packet
         #: metadata; batched device runtimes use it to map emitted packets
@@ -281,6 +318,13 @@ class DeployedRack:
         self._drop_counters: Dict[tuple, tuple] = {}
 
         self._install_routing(artifacts)
+
+    def __getstate__(self) -> dict:
+        # traces key on template identity, and they and the plans are memos
+        # of the installed routing: a checkpoint stores none of them
+        state = self.__dict__.copy()
+        state.update(_hop_plans={}, _route_roots={}, _route_traces={})
+        return state
 
     # -- device builders & delta redeploy ----------------------------------------
 
@@ -338,6 +382,9 @@ class DeployedRack:
         self._hop_probes.clear()
         self._effect_classes.clear()
         self._route_safety.clear()
+        self._hop_plans.clear()
+        self._route_roots.clear()
+        self._route_traces.clear()
 
         #: (spi, entry_si) -> VLAN vid for OF switch hops; replaces the old
         #: O(paths × hops) ``_of_coordinates`` scan per switch pass with a
@@ -618,9 +665,6 @@ device_fingerprints`) decide what happens to each device:
     def device_freq(self, device: str) -> float:
         return self._freq_by_device.get(device, self._fallback_freq)
 
-    def _count_device(self, counter: str, device: str, n: int = 1) -> None:
-        self.obs.counter(f"rack.device.{counter}", device=device).inc(n)
-
     def _chain_instruments(self, chain: str) -> dict:
         """Chain-scoped instruments, resolved once per chain name."""
         inst = self._chain_inst.get(chain)
@@ -684,12 +728,7 @@ device_fingerprints`) decide what happens to each device:
         (``rack.flow_cache.lookups{result=hit|miss}``, mirroring the
         placement-cache idiom).
         """
-        vlan = packet.vlan
-        key = (
-            chain_placement.name,
-            vlan.vid if vlan is not None else None,
-            packet.flow_key_bytes(),
-        )
+        key = self._flow_key(chain_placement.name, packet)
         path = self._flow_paths.get(key)
         if path is not None:
             self._flow_cache_hit.inc()
@@ -698,8 +737,15 @@ device_fingerprints`) decide what happens to each device:
         path = self._classify_walk(chain_placement, packet)
         if len(self._flow_paths) >= _FLOW_CACHE_MAX:
             self._flow_paths.clear()
+            self._route_traces.clear()
         self._flow_paths[key] = path
         return path
+
+    @staticmethod
+    def _flow_key(chain: str, packet: Packet) -> tuple:
+        vlan = packet.vlan
+        return (chain, vlan.vid if vlan is not None else None,
+                packet.flow_key_bytes())
 
     def _classify_walk(self, chain_placement: ChainPlacement, packet: Packet
                        ) -> ServicePath:
@@ -813,21 +859,27 @@ device_fingerprints`) decide what happens to each device:
                     columns: PacketColumns) -> ColumnarRunResult:
         """Columnar counterpart of :meth:`run` — the vectorized fast path.
 
-        ``columns`` is consumed: its sequence/label arrays are assigned in
-        place. Counter-for-counter and bit-for-bit equivalent to cloning
-        the templates and calling :meth:`run`: each hop through vector-safe
-        code is *probed* once per (device, coordinates, template bytes) —
-        one real clone through the platform runtime — and the observed
-        effect is replayed across the whole column arithmetically.
-        Anything the probe model cannot express (stateful NFs, multi-emit
-        pipelines, classification-cache pressure) falls back to the scalar
-        block loop via :meth:`PacketColumns.materialize_packets`.
+        ``columns`` is consumed: its sequence and class arrays are assigned
+        in place. Counter-for-counter and bit-for-bit equivalent to cloning
+        the templates and calling :meth:`run`, in three steps:
 
-        Python work is per distinct signature, never per packet: the batch
-        is resolved once into a dense signature-id column (``columns.sid``),
-        each hop reads its live ids and their multiplicities off one
-        ``np.bincount`` of it, and probes that share a counter effect
-        replay as one :class:`_EffectClass`.
+        * **trace** — a flow template the rack has not seen is classified
+          and given a :class:`_RouteTrace`; the first block to carry it to
+          a hop *probes* it there (one real clone through the platform
+          runtime, counters undone) and the trace keeps the outcome;
+        * **class** — traces that agree on every hop share a
+          :class:`_RouteClass`, interned hop by hop;
+        * **replay** — a batch looks its signatures' traces up once and
+          each block replays each hop per class: counter deltas times the
+          class's population, one table-take for the cycle column, RNG
+          draws per member packet in arrival order, fault and loss state
+          read at that moment.
+
+        So a warm batch costs Python per route class and hop, never per
+        signature or packet. Anything the probe model cannot express
+        (stateful NFs, multi-emit pipelines, classification-cache pressure)
+        falls back to the scalar block loop via
+        :meth:`PacketColumns.materialize_packets`.
         """
         name = chain_placement.name
         n = len(columns)
@@ -837,38 +889,48 @@ device_fingerprints`) decide what happens to each device:
             return result
         columns.resolve()
         templates = columns.templates
-        dirty = any(
-            t.metadata.cycles_consumed or t.metadata.cycles_by_device
-            or t.metadata.drop_flag
-            for t in templates
-        )
-        if dirty or len(self._flow_paths) + len(templates) >= _FLOW_CACHE_MAX:
-            # pre-charged templates and a classification cache about to
-            # clear mid-batch are scalar-path territory: replicate exactly
-            packets, _records = columns.materialize_packets()
-            scalar_run = self.run(chain_placement, packets)
-            result.scalar = {
-                seq_base + i: packet
-                for i, packet in enumerate(scalar_run.outputs)
-            }
-            return result
-        # one service path per distinct flow (the cache cannot clear inside
-        # this batch, so the order of these lookups is unobservable)
-        paths: List[ServicePath] = []
-        path_ids: Dict[int, int] = {}
-        pid_of_id: List[int] = []
-        for template in templates:
-            path = self.classify(chain_placement, template)
-            pid = path_ids.get(id(path))
-            if pid is None:
-                pid = path_ids[id(path)] = len(paths)
-                paths.append(path)
-            pid_of_id.append(pid)
-        # classify() counted one hit-or-miss per distinct flow; the other
-        # packets of each flow are cache hits by definition
-        clones = n - len(templates)
-        if clones:
-            self._flow_cache_hit.inc(clones)
+        traces = list(map(
+            self._route_traces.get, zip(repeat(name), map(id, templates))
+        ))
+        untraced = [k for k, trace in enumerate(traces) if trace is None] \
+            if None in traces else ()
+        if untraced:
+            fresh = [templates[k] for k in untraced]
+            dirty = any(
+                t.metadata.cycles_consumed or t.metadata.cycles_by_device
+                or t.metadata.drop_flag
+                for t in fresh
+            )
+            if dirty or len(self._flow_paths) + len(
+                {self._flow_key(name, t) for t in fresh}
+                - self._flow_paths.keys()
+            ) >= _FLOW_CACHE_MAX:
+                # pre-charged templates and a classification cache about to
+                # clear mid-batch are scalar-path territory: replicate exactly
+                packets, _records = columns.materialize_packets()
+                scalar_run = self.run(chain_placement, packets)
+                result.scalar = {
+                    seq_base + i: packet
+                    for i, packet in enumerate(scalar_run.outputs)
+                }
+                return result
+            # the cache cannot clear inside this batch, so classifying once
+            # per new flow, in this order, is unobservable
+            for k, template in zip(untraced, fresh):
+                traces[k] = self._trace_flow(chain_placement, template)
+        # every other packet is a classification hit: its flow is traced,
+        # or is a new one's clone
+        self._flow_cache_hit.inc(n - len(untraced))
+        columns.traces = traces
+        routes = [trace.route for trace in traces]
+        classes = columns.classes = list(dict.fromkeys(routes))
+        if len(classes) == 1:
+            columns.cid = np.zeros(n, dtype=np.intp)
+        else:
+            index = {route: c for c, route in enumerate(classes)}
+            columns.cid = np.fromiter(
+                map(index.__getitem__, routes), np.intp, len(routes)
+            )[columns.sid]
         columns.seq = np.arange(seq_base, seq_base + n, dtype=np.int64)
         self._next_seq = seq_base + n
         self._chain_instruments(name)["injected"].inc(n)
@@ -883,13 +945,14 @@ device_fingerprints`) decide what happens to each device:
         # partition into maximal consecutive same-service-path runs, as the
         # scalar loop does, so module state/RNG evolve in injection order
         bounds = [0, n]
-        if len(paths) > 1:
-            pid_arr = np.asarray(pid_of_id)[columns.sid]
-            change = np.flatnonzero(pid_arr[1:] != pid_arr[:-1]) + 1
+        spis = [route.path.spi for route in classes]
+        if len(set(spis)) > 1:
+            spi_arr = np.asarray(spis)[columns.cid]
+            change = np.flatnonzero(spi_arr[1:] != spi_arr[:-1]) + 1
             bounds[1:1] = change.tolist()
         single = len(bounds) == 2
         for b0, b1 in zip(bounds, bounds[1:]):
-            path = paths[pid_of_id[columns.sid[b0]]]
+            path = classes[columns.cid[b0]].path
             block = columns if single else columns.slice(b0, b1)
             self._run_block_columns(
                 chain_placement, block, path.spi,
@@ -897,19 +960,116 @@ device_fingerprints`) decide what happens to each device:
             )
         return result
 
+    def _trace_flow(self, cp: ChainPlacement, template: Packet) -> _RouteTrace:
+        """Classify a flow template the rack has not traced and start its
+        trace in its service path's root class."""
+        path = self.classify(cp, template)
+        root = self._route_roots.get(path.spi) \
+            or self._route_roots.setdefault(path.spi, _RouteClass(path))
+        if len(self._route_traces) >= _FLOW_CACHE_MAX:
+            self._route_traces.clear()
+        trace = self._route_traces[(cp.name, id(template))] = _RouteTrace(
+            root, template
+        )
+        return trace
+
+    def _plan_hop(self, cp: ChainPlacement, path: ServicePath,
+                  si: int) -> _HopPlan:
+        """Resolve the hop entered at ``si`` into its :class:`_HopPlan`."""
+        spi = path.spi
+        hop_index = self._hop_index_for(path, si)
+        hop = path.hops[hop_index]
+        nxt = path.hop_after(hop_index)
+        device = hop.device
+        on_switch = device == self.topology.switch.name
+        runtime = probe = None
+        if on_switch:
+            if self.of_runtime is not None:
+                runtime = self.of_runtime
+                reason = "openflow_rule"
+                probe = ("_probe_of_sig", (spi, si))
+            else:
+                reason = "switch_nf"
+                # read off the NF classes: an instance is only made when a
+                # packet reaches it, in either loop
+                nodes = cp.chain.graph.nodes
+                if all(getattr(MODULE_CLASSES.get(nodes[nid].nf_class),
+                               "vector_safe", False)
+                       for nid in hop.node_ids):
+                    probe = ("_probe_pisa_sig", (cp, hop))
+        elif hop.platform == Platform.SERVER.value:
+            reason = "server_pipeline"
+            server_rt = self.servers.get(device)
+            if server_rt is not None \
+                    and self._server_route_safe(device, spi, si):
+                probe = ("_probe_server_sig", (server_rt, spi, si))
+        elif hop.platform == Platform.SMARTNIC.value:
+            reason = "nic_program"
+            runtime = self.nics.get(device)
+            if runtime is not None and runtime.program is not None:
+                entry = runtime.route_entry(spi, si)
+                if entry is None or entry[0].vector_safe:
+                    probe = ("_probe_nic_sig", (runtime, spi, si))
+        else:
+            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+        plan = self._hop_plans[(spi, si)] = _HopPlan(
+            device=device, platform=hop.platform, on_switch=on_switch,
+            runtime=runtime, reason=reason, probe=probe,
+            key=(device, spi, si),
+            exit_si=nxt.entry_si if on_switch and nxt is not None else None,
+            freq=self.device_freq(device),
+            counters=self._dev_counters.get(device),
+        )
+        return plan
+
+    def _trace_hop(self, cols: PacketColumns, plan: _HopPlan) -> None:
+        """Some flow of the block is at this hop for the first time: probe
+        each such flow here (one clone through the platform runtime, every
+        counter it charged undone), move its trace to the class the outcome
+        puts it in, and renumber the block's class column."""
+        depth = len(cols.hops)
+        classes = cols.classes
+        # float-order corner: revisiting a device would interleave with
+        # earlier charges in cycles_by_device insertion order; rare enough
+        # to take the scalar path
+        probe_sig = None
+        if plan.probe and plan.device not in cols.device_cycles:
+            probe_sig = partial(getattr(self, plan.probe[0]), *plan.probe[1])
+        table = np.zeros(len(cols.traces), dtype=np.intp)
+        for k in np.flatnonzero(np.bincount(cols.sid)).tolist():
+            trace = cols.traces[k]
+            if len(trace.route.steps) == depth:
+                probe = None
+                if probe_sig is not None:
+                    key = (*plan.key, trace.templates[depth].data)
+                    probe = self._hop_probes.get(key)
+                    if probe is None:
+                        probe = probe_sig(trace.templates[depth])
+                        if probe is not None:
+                            if len(self._hop_probes) >= _FLOW_CACHE_MAX:
+                                self._hop_probes.clear()
+                            self._hop_probes[key] = probe
+                trace.route = trace.route.after(probe)
+                if probe is not None and probe.survived:
+                    trace.templates.append(probe.template)
+            if trace.route not in classes:
+                classes.append(trace.route)
+            table[k] = classes.index(trace.route)
+        cols.cid = table[cols.sid]
+
     def _run_block_columns(self, cp: ChainPlacement, cols: PacketColumns,
                            spi: int, si: int, excursions: int,
                            switch_passes: int, result: ColumnarRunResult,
                            budget: int) -> None:
-        """Columnar :meth:`_run_block`: the same hop loop, whole-column ops.
+        """Columnar :meth:`_run_block`: the same hop loop, whole-column ops,
+        Python per live route class.
 
-        Probes run *before* any counter or fault-state side effect, so a
-        non-vectorizable discovery can still hand the block to the scalar
-        loop at the top of the current hop with nothing double-counted.
+        A hop some flow has not been traced through is probed *before* any
+        counter or fault-state side effect, so a non-vectorizable discovery
+        can still hand the block to the scalar loop at the top of the
+        current hop with nothing double-counted.
         """
         name = cp.name
-        switch_name = self.topology.switch.name
-        n_ids = len(cols.templates)
         while budget > 0:
             budget -= 1
             path = self.paths_by_spi.get(spi)
@@ -919,141 +1079,87 @@ device_fingerprints`) decide what happens to each device:
                 self._finish_columns(cp, cols, excursions, switch_passes,
                                      result)
                 return
-            cols.spi.fill(spi)
-            cols.si.fill(si)
-            hop_index = self._hop_index_for(path, si)
-            hop = path.hops[hop_index]
-            nxt = path.hop_after(hop_index)
-            # live signature ids in ascending order (the probe order) and
-            # how many packets carry each
-            counts = np.bincount(cols.sid, minlength=n_ids)
-            live = np.flatnonzero(counts).tolist()
-
-            on_switch = hop.device == switch_name
-            if on_switch:
-                runtime = self.of_runtime
-                if runtime is not None:
-                    probe_sig = partial(self._probe_of_sig, hop, spi, si)
-                    reason = "openflow_rule"
-                    vectorizable = True
-                else:
-                    probe_sig = partial(self._probe_pisa_sig, cp, hop, spi,
-                                        si)
-                    reason = "switch_nf"
-                    vectorizable = all(
-                        self._switch_module(cp, nid).vector_safe
-                        for nid in hop.node_ids
-                    )
-            elif hop.platform == Platform.SERVER.value:
-                runtime = None
-                server_rt = self.servers.get(hop.device)
-                probe_sig = partial(self._probe_server_sig, server_rt,
-                                    hop.device, spi, si)
-                reason = "server_pipeline"
-                vectorizable = (
-                    server_rt is not None
-                    and self._server_route_safe(hop.device, spi, si)
-                )
-            elif hop.platform == Platform.SMARTNIC.value:
-                runtime = self.nics.get(hop.device)
-                probe_sig = partial(self._probe_nic_sig, runtime,
-                                    hop.device, spi, si)
-                reason = "nic_program"
-                vectorizable = (runtime is not None
-                                and runtime.program is not None)
-                if vectorizable:
-                    entry = runtime.route_entry(spi, si)
-                    vectorizable = entry is None or entry[0].vector_safe
-            else:
-                raise DataplaneError(
-                    f"unexpected hop platform {hop.platform}"
-                )
-            # float-order corner: revisiting a device would interleave with
-            # earlier charges in cycles_by_device insertion order; rare
-            # enough to take the scalar path
-            probes: List[_HopProbe] = []  # aligned with ``live``
-            if vectorizable and hop.device not in cols.device_cycles:
-                for k in live:
-                    probe = probe_sig(cols.templates[k])
-                    if probe is None:
-                        break
-                    probes.append(probe)
-            if len(probes) < len(live):
+            plan = self._hop_plans.get((spi, si)) \
+                or self._plan_hop(cp, path, si)
+            # live classes in ascending order, how many packets are in
+            # each, and each one's outcome at this hop
+            try:
+                counts, live, probes = cols.census()
+            except IndexError:
+                self._trace_hop(cols, plan)
+                counts, live, probes = cols.census()
+            if None in probes:
                 self._fallback_block_columns(
                     cp, cols, spi, si, excursions, switch_passes,
                     result, budget + 1,
                 )
                 return
 
-            if not on_switch:
+            if not plan.on_switch:
                 excursions += 1
                 switch_passes += 1
-                if hop.device in self._fault_failed:
+                if plan.device in self._fault_failed:
                     for counter in self._drop_counter_pair(
-                        name, hop.device, "device_failed"
+                        name, plan.device, "device_failed"
                     ):
                         counter.inc(len(cols))
                     return
-                loss = self._fault_loss.get(hop.device)
+                loss = self._fault_loss.get(plan.device)
                 drop = (vector_fault_mask(cols.seq, self.seed, loss)
                         if loss else None)
                 if drop is not None and drop.any():
                     for counter in self._drop_counter_pair(
-                        name, hop.device, "link_degraded"
+                        name, plan.device, "link_degraded"
                     ):
                         counter.inc(int(drop.sum()))
                     cols = cols.compress(~drop)
                     if not len(cols):
                         return
-                    counts = np.bincount(cols.sid, minlength=n_ids)
-                    probes = [p for k, p in zip(live, probes) if counts[k]]
-                    live = np.flatnonzero(counts).tolist()
+                    counts, live, probes = cols.census()
 
-            in_c, out_c, _ = self._dev_counters[hop.device]
+            in_c, out_c, cycles_c = plan.counters
             in_c.inc(len(cols))
             charged = cols.spread(live, [p.pkt_cycles for p in probes])
-            drawn = self._replay_effects(cols, live, probes, counts, runtime)
+            drawn = self._replay_effects(cols, live, probes, counts,
+                                         plan.runtime)
             if drawn is not None:
                 charged = charged + drawn
             survived = [p.survived for p in probes]
-            dropped = not all(survived)
-            if dropped:
+            if not all(survived):
                 surv = cols.spread(live, survived, bool)
                 charged = charged[surv]
                 for counter in self._drop_counter_pair(
-                    name, hop.device, reason
+                    name, plan.device, plan.reason
                 ):
                     counter.inc(len(cols) - len(charged))
-                live = [k for k, p in zip(live, probes) if p.survived]
+                live = [c for c, p in zip(live, probes) if p.survived]
                 probes = [p for p in probes if p.survived]
+                if live:
+                    cols = cols.compress(surv)
             out_c.inc(len(charged))
-            if not len(charged):
+            if not live:
                 return
-            if dropped:
-                cols = cols.compress(surv)
-            for k, probe in zip(live, probes):
-                cols.templates[k] = probe.template
             cols.cycles = cols.cycles + charged
-            if on_switch:
+            if plan.on_switch:
                 # switch cycles ride on the packet but on no device clock
                 cols.hops.append(HopColumn(
-                    hop.device, hop.platform,
+                    plan.device, plan.platform,
                     np.zeros(len(cols), dtype=np.int64),
                     np.zeros(len(cols), dtype=np.float64),
                 ))
-                if nxt is None:
+                if plan.exit_si is None:
                     self._finish_columns(cp, cols, excursions,
                                          switch_passes, result)
                     return
-                spi, si = path.spi, nxt.entry_si
+                si = plan.exit_si
                 continue
             total = int(charged.sum())
             if total:
-                self._cycles_counter(hop.device).inc(total)
-            cols.charge_device(hop.device, charged)
-            freq = self.device_freq(hop.device)
+                cycles_c.inc(total)
+            cols.charge_device(plan.device, charged)
             cols.hops.append(HopColumn(
-                hop.device, hop.platform, charged, charged / freq * 1e6,
+                plan.device, plan.platform, charged,
+                charged / plan.freq * 1e6,
             ))
             coords = {(p.next_spi, p.next_si) for p in probes}
             if len(coords) == 1:
@@ -1090,8 +1196,8 @@ device_fingerprints`) decide what happens to each device:
     def _replay_effects(self, cols: PacketColumns, live: List[int],
                         probes: List[_HopProbe], counts: np.ndarray,
                         runtime=None) -> Optional[np.ndarray]:
-        """Replay the probed counter effects across the column: each effect
-        class once, multiplied by the packets of its member signatures.
+        """Replay each live class's counter effect across the column,
+        multiplied by the class's packets.
 
         Returns the per-packet RNG cost draws (None when no module draws).
         Each module's stream must advance exactly as under scalar
@@ -1101,16 +1207,9 @@ device_fingerprints`) decide what happens to each device:
         ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
         arithmetic matches the scalar expression exactly.
         """
-        classes: Dict[_EffectClass, list] = {}
-        for k, probe, count in zip(live, probes, counts[live].tolist()):
-            effect = probe.effect
-            members = classes.get(effect)
-            if members is None:
-                members = classes[effect] = [0, []]
-            members[0] += count
-            members[1].append(k)
         draws: Dict[int, tuple] = {}
-        for effect, (k, ids) in classes.items():
+        for c, probe, k in zip(live, probes, counts[live].tolist()):
+            effect = probe.effect
             for m, rx_d, tx_d, dr_d, cy_d in effect.module_deltas:
                 m.rx_packets += rx_d * k
                 m.tx_packets += tx_d * k
@@ -1127,36 +1226,43 @@ device_fingerprints`) decide what happens to each device:
                 rule.packets += k
                 rule.bytes += match_len * k
             for module in effect.rng_modules:
-                draws.setdefault(id(module), (module, []))[1].extend(ids)
+                draws.setdefault(id(module), (module, []))[1].append(c)
         if not draws:
             return None
-        extra = np.zeros(len(cols), dtype=np.int64)
+        # packets grouped by class, each group still in arrival order
+        order = np.argsort(cols.cid, kind="stable")
+        ends = np.cumsum(counts).tolist()
+        members, lows, spans, rolls = [], [], [], []
         for module, ids in draws.values():
-            if len(ids) == len(live):
-                members = slice(None)
-                n_draws = len(cols)
-            else:
-                drawing = np.zeros(len(cols.templates), dtype=bool)
-                drawing[ids] = True
-                members = np.flatnonzero(drawing[cols.sid])
-                n_draws = len(members)
+            groups = [order[ends[c] - counts[c]:ends[c]] for c in ids]
+            member = groups[0] if len(groups) == 1 \
+                else np.sort(np.concatenate(groups))
             low, worst = module._cost_bounds()
-            span = worst - low
             rand = module._rng.random
-            charged = (low + span * np.asarray(
-                [rand() for _ in range(n_draws)], dtype=np.float64
-            )).astype(np.int64)
-            module.cycles_charged += int(charged.sum())
-            extra[members] += charged
-        return extra
+            rolls.extend([rand() for _ in range(len(member))])
+            members.append(member)
+            lows.append(low)
+            spans.append(worst - low)
+        sizes = [len(member) for member in members]
+        charged = (np.repeat(lows, sizes) + np.repeat(spans, sizes)
+                   * np.asarray(rolls, dtype=np.float64)).astype(np.int64)
+        starts = np.cumsum([0, *sizes[:-1]])
+        for (module, _ids), total in zip(
+            draws.values(), np.add.reduceat(charged, starts).tolist()
+        ):
+            module.cycles_charged += total
+        # a packet that passed two drawing modules is charged both draws
+        # (sums of cycle counts are exact in float64)
+        return np.bincount(np.concatenate(members), weights=charged,
+                           minlength=len(cols)).astype(np.int64)
 
     # -- columnar hop probes -------------------------------------------------------
 
-    def _remember_probe(self, key: tuple, probe: _HopProbe, module_deltas=(),
-                        rng_modules=(), runtime_deltas=(0, 0, 0, 0),
-                        of_rules=()) -> _HopProbe:
-        """Memoize ``probe`` with its counter effect interned: modules and
-        rules key by identity, so equal effects share one class."""
+    def _with_effect(self, probe: _HopProbe, module_deltas=(),
+                     rng_modules=(), runtime_deltas=(0, 0, 0, 0),
+                     of_rules=()) -> _HopProbe:
+        """``probe`` with its counter effect interned: modules and rules
+        key by identity, so equal effects share one class."""
         effect_key = (
             tuple((id(m), *deltas) for m, *deltas in module_deltas),
             tuple(id(m) for m in rng_modules), runtime_deltas,
@@ -1168,17 +1274,10 @@ device_fingerprints`) decide what happens to each device:
                 tuple(module_deltas), tuple(rng_modules), runtime_deltas,
                 tuple(of_rules),
             )
-        if len(self._hop_probes) >= _FLOW_CACHE_MAX:
-            self._hop_probes.clear()
-        self._hop_probes[key] = probe
         return probe
 
-    def _probe_of_sig(self, hop, spi: int, si: int,
+    def _probe_of_sig(self, spi: int, si: int,
                       template: Packet) -> Optional[_HopProbe]:
-        key = ("of", hop.device, spi, si, template.data)
-        probe = self._hop_probes.get(key)
-        if probe is not None:
-            return probe
         of = self.of_runtime
         vid = self._of_vid[(spi, si)]
         clone = template.copy()
@@ -1207,26 +1306,20 @@ device_fingerprints`) decide what happens to each device:
             out = of_result.packet
             out.pop_vlan()
             probe = _HopProbe(survived=True, template=_freeze_template(out))
-        return self._remember_probe(key, probe,
-                                    runtime_deltas=runtime_deltas,
-                                    of_rules=trace)
+        return self._with_effect(probe, runtime_deltas=runtime_deltas,
+                                 of_rules=trace)
 
-    def _probe_pisa_sig(self, cp: ChainPlacement, hop, spi: int, si: int,
+    def _probe_pisa_sig(self, cp: ChainPlacement, hop,
                         template: Packet) -> Optional[_HopProbe]:
-        key = ("sw", hop.device, spi, si, template.data)
-        probe = self._hop_probes.get(key)
-        if probe is not None:
-            return probe
-        modules = [self._switch_module(cp, nid) for nid in hop.node_ids]
-        snaps = [
-            (m.rx_packets, m.tx_packets, m.dropped_packets, m.cycles_charged)
-            for m in modules
-        ]
-        clone = template.copy()
-        live = [clone]
-        for module in modules:
+        modules, snaps = [], []
+        live = [template.copy()]
+        for nid in hop.node_ids:
             if not live:
                 break
+            module = self._switch_module(cp, nid)
+            modules.append(module)
+            snaps.append((module.rx_packets, module.tx_packets,
+                          module.dropped_packets, module.cycles_charged))
             live = [pkt for _gate, pkt in module.receive_batch(live)]
         module_deltas = []
         for module, snap in zip(modules, snaps):
@@ -1250,15 +1343,10 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        return self._remember_probe(key, probe, module_deltas)
+        return self._with_effect(probe, module_deltas)
 
-    def _probe_server_sig(self, server_rt: _ServerRuntime, server: str,
-                          spi: int, si: int,
+    def _probe_server_sig(self, server_rt: _ServerRuntime, spi: int, si: int,
                           template: Packet) -> Optional[_HopProbe]:
-        key = ("srv", server, spi, si, template.data)
-        probe = self._hop_probes.get(key)
-        if probe is not None:
-            return probe
         modules = list(server_rt.pipeline.modules.values())
         snaps = [
             (m.rx_packets, m.tx_packets, m.dropped_packets,
@@ -1318,14 +1406,10 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        return self._remember_probe(key, probe, module_deltas, rng_modules)
+        return self._with_effect(probe, module_deltas, rng_modules)
 
-    def _probe_nic_sig(self, runtime: SmartNICRuntime, nic: str, spi: int,
-                       si: int, template: Packet) -> Optional[_HopProbe]:
-        key = ("nic", nic, spi, si, template.data)
-        probe = self._hop_probes.get(key)
-        if probe is not None:
-            return probe
+    def _probe_nic_sig(self, runtime: SmartNICRuntime, spi: int, si: int,
+                       template: Packet) -> Optional[_HopProbe]:
         entry = runtime.route_entry(spi, si)
         module = entry[0] if entry is not None else None
         msnap = None
@@ -1365,8 +1449,8 @@ device_fingerprints`) decide what happens to each device:
                               pkt_cycles=pkt_cycles)
         else:
             probe = _HopProbe(survived=False)
-        return self._remember_probe(key, probe, module_deltas,
-                                    runtime_deltas=runtime_deltas)
+        return self._with_effect(probe, module_deltas,
+                                 runtime_deltas=runtime_deltas)
 
     def _server_route_safe(self, server: str, spi: int, si: int) -> bool:
         """Can a (server, coordinates) hop be probe-replayed?
@@ -1752,7 +1836,7 @@ device_fingerprints`) decide what happens to each device:
 
     def _attribute_hop(self, hop, out: Packet, before_total: int,
                        before_attr: Dict[str, int],
-                       cycle_sink: Optional[Dict[str, int]] = None) -> dict:
+                       cycle_sink: Dict[str, int]) -> dict:
         """Charge the hop's cycle delta to its device and build the
         per-hop record.
 
@@ -1761,8 +1845,8 @@ device_fingerprints`) decide what happens to each device:
         remainder (BESS modules charge ``cycles_consumed`` only) belongs
         to the device the hop ran on.
 
-        ``cycle_sink`` (batch path) accumulates per-device cycle counter
-        increments for one flush per batch instead of one per packet.
+        ``cycle_sink`` accumulates per-device cycle counter increments
+        for one flush per batch instead of one per packet.
         """
         meta = out.metadata
         total_delta = meta.cycles_consumed - before_total
@@ -1779,10 +1863,7 @@ device_fingerprints`) decide what happens to each device:
             delta = cycles - before_attr.get(device, 0)
             if delta:
                 exec_us += delta / self.device_freq(device) * 1e6
-                if cycle_sink is None:
-                    self._count_device("cycles", device, delta)
-                else:
-                    cycle_sink[device] = cycle_sink.get(device, 0) + delta
+                cycle_sink[device] = cycle_sink.get(device, 0) + delta
         return {
             "device": hop.device, "platform": hop.platform,
             "cycles": total_delta, "exec_us": exec_us,

@@ -9,6 +9,8 @@ seeds and all three platforms (server pipelines, SmartNIC program,
 OpenFlow rules).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,21 +56,45 @@ SCENARIOS = [
         {"with_openflow": True},
         SLO(t_min=gbps(0.1), t_max=gbps(9)),
     ),
+    # several route classes in one batch: the server demux spreads the flows
+    # over its Encrypt instances, and the ACL on the ToR drops three source
+    # addresses after the server hop
+    (
+        "server-multiclass",
+        "chain m: Encrypt -> ACL(rules=[{'src_ip': '10.1.0.0/30', "
+        "'drop': True}]) -> IPv4Fwd",
+        {},
+        SLO(t_min=gbps(6), t_max=gbps(30)),
+    ),
+    # ...and on two service paths, one of which never leaves the switch
+    (
+        "branchy-multiclass",
+        "chain m: BPF -> [Encrypt -> ACL(rules=[{'src_ip': '10.1.0.0/30', "
+        "'drop': True}]) -> IPv4Fwd, Tunnel -> IPv4Fwd]",
+        {},
+        SLO(t_min=gbps(3), t_max=gbps(30)),
+    ),
 ]
 
 
-def _deploy(spec, topo_kwargs, slo, seed):
+def _compile(spec, topo_kwargs, slo):
+    """``(topology, artifacts, chain placements)``; every chain of ``spec``
+    gets ``slo``."""
     profiles = default_profiles()
     topology = TopologySpec.from_flags(**topo_kwargs).build()
-    chains = chains_from_spec(spec, slos=[slo])
+    chains = chains_from_spec(spec, slos=[slo] * spec.count("chain "))
     placement = heuristic_place(chains, topology, profiles)
     assert placement.feasible, placement.infeasible_reason
     meta = MetaCompiler(topology=topology, profiles=profiles)
-    artifacts = meta.compile_placement(placement)
+    return topology, meta.compile_placement(placement), placement.chains
+
+
+def _deploy(spec, topo_kwargs, slo, seed):
+    topology, artifacts, chains = _compile(spec, topo_kwargs, slo)
     registry = MetricsRegistry()
-    rack = DeployedRack(topology, artifacts, profiles, seed=seed,
+    rack = DeployedRack(topology, artifacts, default_profiles(), seed=seed,
                         registry=registry)
-    return rack, placement.chains[0], registry
+    return rack, chains[0], registry
 
 
 @pytest.mark.parametrize("seed", [7, 23, 101])
@@ -186,23 +212,87 @@ def _rng_states(rack):
     return {key: module._rng.getstate() for key, module in modules.items()}
 
 
+def _flow(chain, index, variants=1):
+    """Flow ``index``'s packet. With ``variants`` > 1, that many consecutive
+    indexes share a 5-tuple and differ only in their payload."""
+    packet = _chain_packet(chain, index // variants)
+    if index % variants:
+        packet.payload = bytes([index % variants]) * len(packet.payload)
+    return packet
+
+
+#: what can happen to a rack between two batches, once its flows are
+#: traced: ``(spec, topo_kwargs, slo, rack, cp) -> (rack, cp)``
+def _redeploy_same(spec, topo_kwargs, slo, rack, cp):
+    # every device reused: module state and RNG streams carry over
+    result = rack.redeploy(rack.artifacts)
+    assert not result.rebuilt
+    return rack, cp
+
+
+def _redeploy_rescaled(spec, topo_kwargs, slo, rack, cp):
+    # a lower t_min changes instance counts, so programs are rebuilt
+    relaxed = SLO(t_min=slo.t_min / 2, t_max=slo.t_max)
+    _topology, artifacts, chains = _compile(spec, topo_kwargs, relaxed)
+    rack.redeploy(artifacts)
+    return rack, chains[0]
+
+
+def _pickled(spec, topo_kwargs, slo, rack, cp):
+    restored = pickle.loads(pickle.dumps(rack))
+    # traces key on template identity: none may survive the round trip
+    assert not (restored._route_traces or restored._route_roots
+                or restored._hop_plans)
+    return restored, cp
+
+
+def _in_place(apply):
+    """A rack method call as a between-batches change."""
+    def change(spec, topo_kwargs, slo, rack, cp):
+        apply(rack, cp)
+        return rack, cp
+    return change
+
+
+BETWEEN = {
+    "redeploy-same": _redeploy_same,
+    "redeploy-rescaled": _redeploy_rescaled,
+    "pickled": _pickled,
+    "fail": _in_place(
+        lambda rack, cp: rack.set_device_failed(_target_device(rack))),
+    "recover": _in_place(
+        lambda rack, cp: rack.set_device_failed(_target_device(rack), False)),
+    "loss": _in_place(
+        lambda rack, cp: rack.set_drop_fraction(_target_device(rack), 0.35)),
+    "interrack": _in_place(
+        lambda rack, cp: rack.set_interrack_hop(
+            cp.name, "r0~r1", 50.0, drop_fraction=0.25)),
+    "queueing": _in_place(
+        lambda rack, cp: rack.configure_queueing(
+            QueueingModel(kind="mm1"), _queueing_utilization(rack))),
+}
+
+
 def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
                         batches=None, fault=None, queueing=False,
-                        interrack=False):
+                        interrack=False, variants=1, between=(),
+                        prepare=None):
     """Drive identical racks through the scalar batch path and the
     columnar path and assert bit-identity on every observable surface.
 
     ``batches`` is a sequence of batch sizes injected back to back on the
     same pair of racks (default: one batch of ``n_flows * reps``); packet
     ``i`` of the whole stream belongs to flow ``i % n_flows``, so later
-    batches replay memoized probes and effect classes.
+    batches replay traced routes. ``between[j]`` names the :data:`BETWEEN`
+    change both racks undergo after batch ``j``; ``prepare`` sees the
+    columnar rack before any traffic.
     """
     if batches is None:
         batches = [n_flows * reps]
-    scalar_rack, scalar_cp, scalar_registry = _deploy(
-        spec, topo_kwargs, slo, seed)
-    vector_rack, vector_cp, vector_registry = _deploy(
-        spec, topo_kwargs, slo, seed)
+    scalar_rack, scalar_cp, _registry = _deploy(spec, topo_kwargs, slo, seed)
+    vector_rack, vector_cp, _registry = _deploy(spec, topo_kwargs, slo, seed)
+    if prepare is not None:
+        prepare(vector_rack)
     if interrack:
         # the chain is homed off the fabric ingress: every packet crosses
         # an inter-rack link (stamped RTT) and a quarter are shed at the
@@ -224,13 +314,16 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         scalar_rack.set_device_failed(_target_device(scalar_rack))
         vector_rack.set_device_failed(_target_device(vector_rack))
 
-    flows = [_chain_packet(vector_cp.chain, i) for i in range(n_flows)]
+    # the columnar side keeps its templates for the whole run, as the
+    # traffic engine does: a change between batches must not leave a stale
+    # trace behind any of them
+    flows = [_flow(vector_cp.chain, i, variants) for i in range(n_flows)]
     base = 0
-    for n_packets in batches:
+    for index, n_packets in enumerate(batches):
         sig = [i % n_flows for i in range(base, base + n_packets)]
         base += n_packets
         scalar_out = scalar_rack.run(
-            scalar_cp, [_chain_packet(scalar_cp.chain, s) for s in sig],
+            scalar_cp, [_flow(scalar_cp.chain, s, variants) for s in sig],
         ).outputs
         columns = PacketColumns.for_flows(flows, sig)
         # the signature columns must never be walked in Python
@@ -240,17 +333,23 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         vector_out = vector_rack.run_columns(vector_cp, columns).materialize()
 
         assert len(vector_out) == n_packets
-        for index, (a, b) in enumerate(zip(scalar_out, vector_out)):
+        for position, (a, b) in enumerate(zip(scalar_out, vector_out)):
             assert (a is None) == (b is None), \
-                f"packet {index} outcome differs"
+                f"packet {position} outcome differs"
             if a is None:
                 continue
-            assert a.data == b.data, f"packet {index} bytes differ"
+            assert a.data == b.data, f"packet {position} bytes differ"
             assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
             assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
             assert a.metadata.processed_by == b.metadata.processed_by
             assert dict(a.metadata.fields) == dict(b.metadata.fields)
-    assert scalar_registry.dump_state() == vector_registry.dump_state()
+        if index < len(between):
+            change = BETWEEN[between[index]]
+            scalar_rack, scalar_cp = change(
+                spec, topo_kwargs, slo, scalar_rack, scalar_cp)
+            vector_rack, vector_cp = change(
+                spec, topo_kwargs, slo, vector_rack, vector_cp)
+    assert scalar_rack.obs.dump_state() == vector_rack.obs.dump_state()
     assert scalar_rack.device_stats() == vector_rack.device_stats()
     assert _rng_states(scalar_rack) == _rng_states(vector_rack)
     return scalar_rack, vector_rack
@@ -361,7 +460,7 @@ def test_flow_cache_hits_on_repeated_flows():
     assert hits == 28
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     scenario=st.sampled_from(SCENARIOS),
     seed=st.sampled_from([7, 23, 101]),
@@ -370,19 +469,59 @@ def test_flow_cache_hits_on_repeated_flows():
     fault=st.sampled_from([None, None, "loss", "failed"]),
     queueing=st.booleans(),
     interrack=st.booleans(),
+    variants=st.integers(1, 3),
+    between=st.lists(st.sampled_from(sorted(BETWEEN)), max_size=3),
 )
 def test_columnar_matches_scalar_property(scenario, seed, n_flows, batches,
-                                          fault, queueing, interrack):
+                                          fault, queueing, interrack,
+                                          variants, between):
     """Any flow count and any sequence of batch sizes on one rack —
     batch < flows (one packet per signature), batch >> flows, later batches
-    replaying memoized probes and effect classes, the branchy and stateful
-    chains' 1-3-packet blocks, divergent next coordinates and mid-flight
-    fallback, faults and the inter-rack hop: outputs, registry, device
-    stats and every module's RNG stream equal the scalar rack's."""
+    replaying traced routes, several route classes in a batch (demux
+    instances, an ACL dropping some flows mid-route, two service paths),
+    the branchy and stateful chains' 1-3-packet blocks, divergent next
+    coordinates and mid-flight fallback, templates that share a 5-tuple and
+    differ in payload, faults and the inter-rack hop, and the rack changing
+    under its traces between batches (redeploys that reuse or rebuild
+    devices, faults set and cleared, an inter-rack hop, queueing, a pickle
+    round trip): outputs, registry, device stats and every module's RNG
+    stream equal the scalar rack's."""
     _label, spec, topo_kwargs, slo = scenario
     _scalar_vs_columnar(spec, topo_kwargs, slo, seed, n_flows=n_flows,
                         batches=batches, fault=fault, queueing=queueing,
-                        interrack=interrack)
+                        interrack=interrack, variants=variants,
+                        between=between)
+
+
+@pytest.mark.parametrize("change", sorted(BETWEEN))
+@pytest.mark.parametrize(
+    "label,spec,topo_kwargs,slo",
+    SCENARIOS[2:],
+    ids=[s[0] for s in SCENARIOS[2:]],
+)
+def test_traces_follow_the_rack_between_batches(label, spec, topo_kwargs,
+                                                slo, change):
+    """Every flow is traced by the first batch; then the rack changes, and
+    the second and third batches must replay what the scalar loop does on
+    the changed rack — fault state and queueing are read at replay time,
+    a redeploy or a restore starts the traces over."""
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, n_flows=12,
+                        variants=2, batches=[48, 30, 48],
+                        between=[change, "recover"])
+
+
+class _Memo(dict):
+    """A rack memo that reports each time it is cleared while holding
+    something."""
+
+    def __init__(self, cleared, name):
+        super().__init__()
+        self._report = lambda: cleared.append(name)
+
+    def clear(self):
+        if self:
+            self._report()
+        super().clear()
 
 
 @pytest.mark.parametrize(
@@ -392,27 +531,53 @@ def test_columnar_matches_scalar_property(scenario, seed, n_flows, batches,
 )
 def test_probe_memo_clearing_mid_run_matches_scalar(monkeypatch, label, spec,
                                                     topo_kwargs, slo):
-    """With the probe memo capped below the 21 probes a 7-flow batch needs
-    on these three-hop paths, it clears mid-batch, every batch. Signatures
-    are probed in ascending order, so which probes survive a clear is
-    deterministic, and re-probing is side-effect free — the run still
-    equals the scalar loop."""
+    """With the memos capped at 16, the 21 templates of a batch (7 flows in
+    3 payload variants each, so the 7 classified flows stay under the cap)
+    need more traces, and several times more probes, than fit: both memos
+    clear mid-batch, a later batch finds some of its flows untraced and
+    some of their probes gone. Signatures are traced in ascending order, so
+    what survives a clear is deterministic, re-probing is side-effect free,
+    and a batch holds on to the traces it resolved — the run still equals
+    the scalar loop."""
     monkeypatch.setattr(runtime_module, "_FLOW_CACHE_MAX", 16)
-    remember = runtime_module.DeployedRack._remember_probe
-    clears = []
+    cleared = []
 
-    def counting_remember(self, key, probe, *args, **kwargs):
-        before = len(self._hop_probes)
-        remember(self, key, probe, *args, **kwargs)
-        if len(self._hop_probes) <= before:
-            clears.append(key)
-        return probe
+    def cap(rack):
+        rack._hop_probes = _Memo(cleared, "probes")
+        rack._route_traces = _Memo(cleared, "traces")
 
-    monkeypatch.setattr(runtime_module.DeployedRack, "_remember_probe",
-                        counting_remember)
-    _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, n_flows=7,
-                        batches=[40, 9, 40])
-    assert len(clears) >= 3, "the capped memo never cleared mid-run"
+    _scalar, vector_rack = _scalar_vs_columnar(
+        spec, topo_kwargs, slo, seed=23, n_flows=21, variants=3,
+        batches=[40, 9, 40], prepare=cap)
+    assert cleared.count("probes") >= 3, "the probe memo never cleared"
+    assert cleared.count("traces") >= 2, "the trace memo never cleared"
+    assert len(vector_rack._flow_paths) == 7
+
+
+def test_nearly_full_flow_cache_does_not_turn_batches_scalar(monkeypatch):
+    """Regression: the bridge guard added *every* flow of the batch to the
+    classification memo's size, already-classified ones included, so a memo
+    within one batch of its cap bridged every batch to the scalar loop from
+    then on — while the engine went on counting them columnar. Only flows
+    the batch would add count: two chains of 128 flows fill 256 of 300
+    slots, and every later 64-flow batch still replays in columns."""
+    monkeypatch.setattr(runtime_module, "_FLOW_CACHE_MAX", 300)
+    topology, artifacts, chains = _compile(
+        "chain a: Encrypt -> IPv4Fwd\nchain b: ACL -> Encrypt -> IPv4Fwd\n",
+        {}, SLO(t_min=gbps(0.5), t_max=gbps(30)))
+    rack = DeployedRack(topology, artifacts, default_profiles(), seed=23,
+                        registry=MetricsRegistry())
+    flows = {cp.name: [_chain_packet(cp.chain, i) for i in range(128)]
+             for cp in chains}
+    bridged = []
+    for _pass in range(2):
+        for cp in chains:
+            for base in (0, 64):
+                result = rack.run_columns(cp, PacketColumns.for_flows(
+                    flows[cp.name], list(range(base, base + 64))))
+                bridged.append(len(result.scalar))
+    assert len(rack._flow_paths) == 256
+    assert bridged == [0] * 8
 
 
 def test_signature_columns_are_never_walked_in_python():
@@ -461,8 +626,12 @@ def test_columns_resolve_only_the_signatures_present():
     assert block.sid.tolist() == [1, 2, 0]
     block.templates[1] = "rewritten"
     assert columns.templates[1] == "flow-9"
+    # the class column the rack assigns rides along with the ids (here:
+    # every signature its own class)
+    columns.cid = columns.sid
     kept = columns.compress(columns.sig != 9)
     assert np.bincount(kept.sid, minlength=3).tolist() == [2, 0, 1]
-    # per-signature values spread to per-packet columns by id
+    assert kept.cid.tolist() == kept.sid.tolist()
+    # per-class values spread to per-packet columns by class id
     assert kept.spread([0, 2], [7, 11]).tolist() == [7, 11, 7]
     assert kept.spread([0, 2], [True, True], bool).tolist() == [True] * 3

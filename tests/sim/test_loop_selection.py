@@ -43,7 +43,13 @@ STATEFUL = ("BPF -> NAT -> IPv4Fwd",)
 #: one arm stateful, two vector-safe: a columnar batch finishes some
 #: packets in blocks and bridges the rest to the scalar loop
 BRANCHING = ("BPF -> [NAT -> IPv4Fwd, Encrypt -> IPv4Fwd, Tunnel -> IPv4Fwd]",)
-MENU = VECTOR_SAFE + STATEFUL + BRANCHING
+#: several route classes in one columnar batch: the ToR's ACL drops three
+#: source addresses after the server hop
+MULTICLASS = (
+    "Encrypt -> ACL(rules=[{'src_ip': '10.1.0.0/30', 'drop': True}]) "
+    "-> IPv4Fwd",
+)
+MENU = VECTOR_SAFE + STATEFUL + BRANCHING + MULTICLASS
 
 PINS = {"scalar": 10**9, "columnar": 1, "selected": COLUMNAR_MIN_BATCH}
 
@@ -157,20 +163,28 @@ def test_samples_leave_a_mixed_batch_in_injection_order(pin_loop,
 # -- the selection never changes a result -----------------------------------
 
 
-def _observe(bodies, pin, *, flows, batch, counts, seed, fault, loop_blind):
-    """Everything a run shows, with the loop selection pinned to ``pin``."""
+def _observe(bodies, pin, *, flows, batch, counts, seed, fault, late,
+             loop_blind):
+    """Everything a run shows, with the loop selection pinned to ``pin``.
+    ``late`` installs the fault after the ``replay_batch`` calls, under
+    routes the columnar loop has already traced."""
     with mock.patch.object(traffic_module, "COLUMNAR_MIN_BATCH", pin):
         engine, registry = _engine(bodies, flows_per_chain=flows,
                                    batch_size=batch, seed=seed)
         rack = engine.rack
         server = rack.topology.servers[0].name
-        if fault == "loss":
-            rack.set_drop_fraction(server, 0.35)
-        elif fault == "failed":
-            rack.set_device_failed(server)
-        elif fault == "interrack":
-            rack.set_interrack_hop(engine.placement.chains[0].name,
-                                   "r0~r1", 50.0, drop_fraction=0.25)
+
+        def install_fault():
+            if fault == "loss":
+                rack.set_drop_fraction(server, 0.35)
+            elif fault == "failed":
+                rack.set_device_failed(server)
+            elif fault == "interrack":
+                rack.set_interrack_hop(engine.placement.chains[0].name,
+                                       "r0~r1", 50.0, drop_fraction=0.25)
+
+        if not late:
+            install_fault()
         # the calls come first: a chain's first columnar batch is the one
         # that can mix finished blocks with bridged packets
         calls = []
@@ -181,12 +195,14 @@ def _observe(bodies, pin, *, flows, batch, counts, seed, fault, loop_blind):
                     cp, cursors[cp.name], count
                 )
                 calls.append((cp.name, delivered, samples))
+        if late:
+            install_fault()
         report = engine.run(packets_per_chain=counts[0]).as_dict()
     return (report, calls, loop_blind(registry.dump_state()),
             rack.device_stats(), _rng_states(rack))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     bodies=st.lists(st.sampled_from(MENU), min_size=1, max_size=3),
     flows=st.integers(1, 128),
@@ -199,17 +215,19 @@ def _observe(bodies, pin, *, flows, batch, counts, seed, fault, loop_blind):
                     min_size=1, max_size=3),
     seed=st.sampled_from([7, 23, 101]),
     fault=st.sampled_from([None, None, "loss", "failed", "interrack"]),
+    late=st.booleans(),
 )
 def test_selection_never_changes_a_result(loop_blind, bodies, flows, batch,
-                                          counts, seed, fault):
-    """Vector-safe, stateful and branching chains side by side, 1-128
-    flows, batches straddling the constant, faults and an inter-rack hop:
-    the report, each ``replay_batch`` call's sample order, every registry
+                                          counts, seed, fault, late):
+    """Vector-safe, stateful, branching and multi-class chains side by
+    side, 1-128 flows, batches straddling the constant, faults and an
+    inter-rack hop from the start or under already-traced routes: the
+    report, each ``replay_batch`` call's sample order, every registry
     instrument but the loop counter, device bookkeeping and every RNG
     stream are the same whichever loop each batch took."""
     seen = [
         _observe(bodies, pin, flows=flows, batch=batch, counts=counts,
-                 seed=seed, fault=fault, loop_blind=loop_blind)
+                 seed=seed, fault=fault, late=late, loop_blind=loop_blind)
         for pin in PINS.values()
     ]
     assert seen[0] == seen[1] == seen[2]
