@@ -7,6 +7,10 @@ invariant: the recovered run's final report is byte-identical to an
 uninterrupted run's. This is the process-level counterpart of
 ``tests/serve/test_crash_recovery.py`` (which crashes in-process) —
 here the kill is a genuine ``SIGKILL`` against a separate interpreter.
+The kill is made to look like one mid-append — a partial line is left at
+the journal's tail — and a second kill follows one command later: the
+restart must cut the torn tail off (``serve.journal.repaired``) before
+it journals, or that command's record merges into it and is lost.
 A third leg truncates the finished run's ``checkpoint.pkl`` and restarts
 once more: the daemon must discard it, rebuild the same report from the
 journal alone, and count the discard.
@@ -48,6 +52,8 @@ COMMANDS = [
 ]
 
 KILL_AFTER = 3  # SIGKILL once this many commands are acknowledged
+#: what a SIGKILL between write() and fsync() can leave behind
+TORN_TAIL = '{"command": {"action": "restore_link", "kind": "inject_fa'
 
 
 def start_daemon(state_dir: str, spec_path: str):
@@ -117,22 +123,50 @@ def run_uninterrupted(root: str, spec_path: str) -> dict:
     return report
 
 
-def run_crashed(root: str, spec_path: str) -> dict:
-    print(f"== crashed run (SIGKILL after {KILL_AFTER} commands) ==")
-    state = os.path.join(root, "crashed")
-    proc, base, _ = start_daemon(state, spec_path)
-    drive(proc, base, COMMANDS[:KILL_AFTER])
+def counter_total(metrics: dict, name: str) -> float:
+    return sum(
+        counter["value"] for counter in metrics["counters"]
+        if counter["name"] == name
+    )
+
+
+def kill(proc) -> None:
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=120)
     print(f"  killed (exit {proc.returncode})")
 
-    print("== restart on the same state dir ==")
+
+def restart(state: str, spec_path: str, seq: int):
     proc, base, _ = start_daemon(state, spec_path)
-    code, health = request(base + "/v1/health")
+    _, health = request(base + "/v1/health")
     assert health["recovered"] is True, f"not recovered: {health}"
     print(f"  recovered at seq {health['seq']}")
-    assert health["seq"] == KILL_AFTER, health
-    drive(proc, base, COMMANDS[KILL_AFTER:])
+    assert health["seq"] == seq, health
+    return proc, base
+
+
+def run_crashed(root: str, spec_path: str) -> dict:
+    print(f"== crashed run (SIGKILL after {KILL_AFTER} commands, "
+          "mid-append) ==")
+    state = os.path.join(root, "crashed")
+    proc, base, _ = start_daemon(state, spec_path)
+    drive(proc, base, COMMANDS[:KILL_AFTER])
+    kill(proc)
+    with open(os.path.join(state, "journal.jsonl"), "a") as fh:
+        fh.write(TORN_TAIL)
+
+    print("== restart on the torn journal, one command, SIGKILL again ==")
+    proc, base = restart(state, spec_path, KILL_AFTER)
+    _, metrics = request(base + "/v1/metrics")
+    repaired = counter_total(metrics, "serve.journal.repaired")
+    assert repaired == 1, f"serve.journal.repaired = {repaired}"
+    drive(proc, base, COMMANDS[KILL_AFTER:KILL_AFTER + 1])
+    kill(proc)
+
+    print("== restart on the same state dir ==")
+    # the command acknowledged after the repair is still there
+    proc, base = restart(state, spec_path, KILL_AFTER + 1)
+    drive(proc, base, COMMANDS[KILL_AFTER + 1:])
     _, report = request(base + "/v1/report")
     shutdown(proc, base)
     return report
@@ -151,10 +185,7 @@ def run_rebuilt(root: str, spec_path: str, metrics_out=None) -> dict:
     print(f"  rebuilt from the journal alone at seq {health['seq']}")
     _, report = request(base + "/v1/report")
     _, metrics = request(base + "/v1/metrics")
-    discarded = sum(
-        counter["value"] for counter in metrics["counters"]
-        if counter["name"] == "serve.checkpoint.discarded"
-    )
+    discarded = counter_total(metrics, "serve.checkpoint.discarded")
     assert discarded == 1, f"serve.checkpoint.discarded = {discarded}"
     if metrics_out:
         with open(metrics_out, "w") as fh:
@@ -188,7 +219,8 @@ def main() -> int:
                 return 1
         print("OK: recovered report is byte-identical to the "
               "uninterrupted run (and so is one rebuilt from the journal "
-              "after the checkpoint was truncated)")
+              "after the checkpoint was truncated); the torn journal tail "
+              "cost no acknowledged command")
     return 0
 
 

@@ -9,7 +9,11 @@ throughput Σ(r_i − t_min_i) subject to:
   — each switch↔server bounce of chain i consumes NIC bandwidth once per
   direction, which is how the LP accounts for the cost of bounces.
 
-Solved with scipy's HiGHS backend.
+Solved with scipy's HiGHS backend — when something binds. An instance
+whose every chain fits at its cap inside every row has that as its only
+optimum, so :func:`solve_rates` answers it without the solver
+(``lp.presolved``), and ``scipy.optimize`` is imported by the first
+solve that needs it rather than by the package.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.placement import ChainPlacement
 from repro.hw.topology import Topology
@@ -28,10 +31,14 @@ from repro.profiles.defaults import DEMUX_LB_CYCLES
 from repro.units import DEFAULT_PACKET_BITS
 
 
-def _record_solve(objective: str, result) -> None:
-    """Count one LP solve and its simplex/IPM iterations in the registry."""
+def _record_solve(objective: str, result=None) -> None:
+    """Count one answered LP and its simplex/IPM iterations in the
+    registry; ``result`` is ``None`` when the presolve answered it and
+    the solver never ran."""
     registry = get_registry()
     registry.counter("lp.solves", objective=objective).inc()
+    if result is None:
+        registry.counter("lp.presolved", objective=objective).inc()
     iterations = getattr(result, "nit", 0) or 0
     registry.counter("lp.iterations", objective=objective).inc(
         int(iterations)
@@ -175,21 +182,36 @@ def solve_rates(
     a_ub = np.vstack(rows) if rows else None
     b_ub = np.array(caps) if rows else None
 
-    result = linprog(
-        c=-np.ones(n),  # maximize Σ r_i  (t_min offsets are constant)
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
-    _record_solve("marginal", result)
-    if not result.success:
-        return RateSolution(
-            feasible=False,
-            reason=f"rate LP infeasible: {result.message}",
-        )
+    # Presolve: maximising Σ r_i under r_i ≤ upper_i has one optimum
+    # when every chain fits at its cap inside every row — the caps
+    # themselves, which is what HiGHS returns. Only an instance where
+    # something binds (or a cap is not finite) needs the solver.
+    if (
+        np.isfinite(upper).all()
+        and (lower <= upper).all()
+        and (a_ub is None or (a_ub @ upper <= b_ub).all())
+    ):
+        _record_solve("marginal")
+        assigned = upper
+    else:
+        from scipy.optimize import linprog
 
-    rates = {cp.name: float(r) for cp, r in zip(placements, result.x)}
+        result = linprog(
+            c=-np.ones(n),  # maximize Σ r_i  (t_min offsets are constant)
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=list(zip(lower, upper)),
+            method="highs",
+        )
+        _record_solve("marginal", result)
+        if not result.success:
+            return RateSolution(
+                feasible=False,
+                reason=f"rate LP infeasible: {result.message}",
+            )
+        assigned = result.x
+
+    rates = {cp.name: float(r) for cp, r in zip(placements, assigned)}
     objective_mbps = sum(
         rates[cp.name] - cp.chain.slo.t_min for cp in placements
     )
@@ -214,6 +236,7 @@ def solve_rates_max_min(
     """
     if not placements:
         return RateSolution(feasible=True)
+    from scipy.optimize import linprog
 
     n = len(placements)
     port_rate = getattr(topology.switch, "port_rate_mbps", math.inf)

@@ -17,6 +17,7 @@ meta-compiler, dataplane) naturally aggregate into one surface.
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -119,7 +120,10 @@ class Histogram:
         self.total: float = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._samples: List[float] = []
+        #: retained observations as C doubles — an ``int`` observation
+        #: comes back as a ``float``; a checkpoint pickles one buffer
+        #: per histogram instead of one object per sample.
+        self._samples = array("d")
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -157,7 +161,7 @@ class Histogram:
             self.max = hi
         room = SAMPLE_CAP - len(self._samples)
         if room > 0:
-            self._samples.extend(arr[:room].tolist())
+            self._samples.frombytes(arr[:room].tobytes())
 
     @property
     def mean(self) -> float:
@@ -400,7 +404,7 @@ class MetricsRegistry:
             ],
             "histograms": [
                 [h.name, list(h.labels), h.count, h.total, h.min, h.max,
-                 list(h._samples)]
+                 h._samples.tolist()]
                 for h in sorted(self._histograms.values(),
                                 key=lambda h: (h.name, h.labels))
             ],

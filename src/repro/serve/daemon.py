@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,6 +300,11 @@ class ServeDaemon:
         self.commands: List[dict] = []
         self.decisions: List[AdmissionDecision] = []
         self.phases: List[PhaseReport] = []
+        #: the same append-only history as a checkpoint stores it: one
+        #: pickle per phase of ``(record, decision, phase)``, made when
+        #: the phase is appended, so a checkpoint writes history as
+        #: bytes instead of re-pickling a list that only ever grows.
+        self._history: List[bytes] = []
         #: packets injected over all of ``phases`` (the next phase's
         #: ``start_packet``), kept as a running total.
         self._injected = 0
@@ -343,11 +349,34 @@ class ServeDaemon:
             self.core.bootstrap()
         self._run_phase("initial")
 
-    def _run_phase(self, label: str) -> None:
+    def _run_phase(
+        self,
+        label: str,
+        record: Optional[dict] = None,
+        decision: Optional[AdmissionDecision] = None,
+    ) -> None:
+        """Run one traffic phase and append it — with the command and
+        decision that caused it, if any — to the report history."""
         phase = self.core.run_phase(
             label, self.config.packets_per_phase,
             index=len(self.phases), start_packet=self._injected,
         )
+        self._remember(record, decision, phase)
+        self._history.append(pickle.dumps(
+            (record, decision, phase), protocol=pickle.HIGHEST_PROTOCOL
+        ))
+
+    def _remember(
+        self,
+        record: Optional[dict],
+        decision: Optional[AdmissionDecision],
+        phase: PhaseReport,
+    ) -> None:
+        """Append one history step (a fresh one, or a checkpoint's)."""
+        if record is not None:
+            self.commands.append(record)
+        if decision is not None:
+            self.decisions.append(decision)
         self._injected += sum(row.injected for row in phase.chains)
         self.phases.append(phase)
 
@@ -358,17 +387,21 @@ class ServeDaemon:
         checkpoint that had to be discarded is replaced."""
         self.recovered = self.checkpoints.path.exists() \
             or self.journal.path.exists()
+        # before anything can be appended: a torn tail left in place
+        # would swallow the next acknowledged command
+        repaired = self.journal.repair()
         checkpoint, discarded = self.checkpoints.load()
         if checkpoint is not None:
             self.seq = int(checkpoint["seq"])
             self.core = checkpoint["core"]
-            self.commands = list(checkpoint["commands"])
-            self.decisions = list(checkpoint["decisions"])
-            self.phases = list(checkpoint["phases"])
-            self._injected = self.report().total_injected
+            self._history = list(checkpoint["history"])
+            for blob in self._history:
+                self._remember(*pickle.loads(blob))
             self.registry = self.core.obs
         else:
             self._bootstrap()
+        if repaired:
+            self.registry.counter("serve.journal.repaired").inc()
         # replay the journal suffix through the deterministic core
         self._replaying = True
         try:
@@ -401,6 +434,9 @@ class ServeDaemon:
     async def start(self) -> None:
         """Persist/verify config, recover or bootstrap, start the worker."""
         self._loop = asyncio.get_running_loop()
+        # load the LP solver before the daemon announces itself, so no
+        # command pays the import (the first binding LP otherwise would)
+        import scipy.optimize  # noqa: F401
         self._persist_or_verify_config()
         self._recover_or_bootstrap()
         self._queue = asyncio.Queue()
@@ -494,10 +530,7 @@ class ServeDaemon:
         # invariant reproduces.
         self.seq = seq
         record = {"seq": seq, "command": command.as_dict()}
-        self.commands.append(record)
-        if decision is not None:
-            self.decisions.append(decision)
-        self._run_phase(f"s{seq}:{command.describe()}")
+        self._run_phase(f"s{seq}:{command.describe()}", record, decision)
         if not self._replaying:
             self.journal.append(seq, record["command"])
             every = self.config.checkpoint_every
@@ -512,14 +545,12 @@ class ServeDaemon:
 
     def checkpoint(self) -> None:
         """Pickle the full daemon state (core incl. rack + registry,
-        report history) atomically."""
+        report history as its ready-made blobs) atomically."""
         with self.registry.timer("serve.checkpoint.seconds"):
             self.checkpoints.save({
                 "seq": self.seq,
                 "core": self.core,
-                "commands": list(self.commands),
-                "decisions": list(self.decisions),
-                "phases": list(self.phases),
+                "history": self._history,
             })
         self.registry.gauge("serve.checkpoint.bytes").set(
             self.checkpoints.path.stat().st_size

@@ -14,16 +14,18 @@ sequence), replaying that prefix reconstructs a byte-identical rack.
   command: ``{"seq": N, "command": {...}}`` with sorted keys. Records
   are strictly sequenced; a gap or out-of-order seq on read means the
   file was tampered with or torn, and recovery fails loudly rather than
-  silently skipping. A trailing partial line (torn write during a crash)
-  is tolerated and ignored — it can only belong to an unacknowledged
-  command.
+  silently skipping. A trailing partial line (torn write during a crash:
+  bytes after the last newline) is ignored by readers — it can only
+  belong to an unacknowledged command — and cut off by
+  :meth:`Journal.repair` before a recovered daemon appends again.
 * :class:`CheckpointStore` — a *cache* of that replay, never a second
   source of truth: periodic pickles of the full daemon state (seq,
-  admission core incl. the deployed rack and metrics registry,
-  decisions, phases), written atomically (tmp + rename + dir fsync) so a
-  crash mid-checkpoint leaves the previous checkpoint intact, and
-  stamped with :func:`code_stamp` — a digest of the ``repro`` sources
-  that wrote it. The same code restarts by loading the checkpoint and
+  admission core incl. the deployed rack and metrics registry, and the
+  report history as one ready-made pickle per command), written
+  atomically (tmp + rename + dir fsync) so a crash mid-checkpoint
+  leaves the previous checkpoint intact, and stamped with
+  :func:`code_stamp` — a digest of the ``repro`` sources that wrote it.
+  The same code restarts by loading the checkpoint and
   replaying only journal records with ``seq > checkpoint.seq``; a
   checkpoint that does not unpickle, or that other code wrote, is
   discarded and the daemon replays the whole journal instead. So no
@@ -64,16 +66,17 @@ class Journal:
     def records(self, after: int = 0) -> Iterator[dict]:
         """Yield journal records with ``seq > after``, in order.
 
-        Raises :class:`~repro.exceptions.ServeError` on malformed or
-        out-of-sequence records; tolerates exactly one torn trailing
-        line (the signature of a crash mid-append).
+        A record is a newline-terminated line. Raises
+        :class:`~repro.exceptions.ServeError` on malformed or
+        out-of-sequence records; bytes after the last newline are a torn
+        tail (the signature of a crash mid-append) and are ignored —
+        they belong to a command that was never acknowledged, so
+        dropping them preserves the acked ⇒ recovered invariant.
         """
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        complete, newline, _torn = self.path.read_bytes().rpartition(b"\n")
+        lines = complete.split(b"\n") if newline else []
         expected = None
         for index, line in enumerate(lines):
             try:
@@ -84,11 +87,6 @@ class Journal:
                     raise ValueError("command is not an object")
             except (json.JSONDecodeError, KeyError, TypeError,
                     ValueError) as exc:
-                if index == len(lines) - 1:
-                    # torn trailing write from a crash mid-append: the
-                    # command was never acknowledged, so dropping it
-                    # preserves the acked ⇒ recovered invariant.
-                    return
                 raise ServeError(
                     f"journal {self.path} record {index + 1} is "
                     f"malformed: {exc}"
@@ -101,6 +99,27 @@ class Journal:
             expected = seq + 1
             if seq > after:
                 yield record
+
+    def repair(self) -> bool:
+        """Cut a torn tail off the file; return whether there was one.
+
+        :meth:`records` only ignores the tail. Left in place, the next
+        :meth:`append` would land on the same line, and that merged line
+        — an *acknowledged* command — would be what the restart after
+        drops, then what every later restart calls malformed. Recovery
+        therefore repairs before it appends anything.
+        """
+        if not self.path.exists():
+            return False
+        with open(self.path, "r+b") as fh:
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            if keep == len(data):
+                return False
+            fh.truncate(keep)
+            fh.flush()
+            os.fsync(fh.fileno())
+        return True
 
     def replay(self, after: int = 0) -> List[dict]:
         return list(self.records(after=after))

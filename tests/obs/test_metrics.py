@@ -1,6 +1,7 @@
 """Unit tests for the observability core (``repro.obs``)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -75,6 +76,52 @@ class TestHistogram:
             h.observe(float(value))
         assert h.count == SAMPLE_CAP + 100
         assert h.max == float(SAMPLE_CAP + 99)
+
+
+    def test_samples_are_c_doubles_through_dump_merge_and_pickle(self):
+        """Retained samples live in an ``array('d')``: an ``int``
+        observation comes back as a ``float`` (aggregates keep their
+        type), ``dump_state`` still hands out plain lists, and
+        observe / observe_many / merge fill it the same way."""
+        registry = MetricsRegistry()
+        stages = registry.histogram("metacompiler.p4.stages")
+        stages.observe(2)
+        stages.observe_many([3, 5])
+        lat = registry.histogram("lat", chain="a")
+        lat.observe_many([0.25, 1.5, 0.75])
+
+        state = registry.dump_state()
+        name, labels, count, total, low, high, samples = \
+            state["histograms"][1]
+        assert (name, count, total, low, high) == \
+            ("metacompiler.p4.stages", 3, 10, 2, 5)
+        assert samples == [2.0, 3.0, 5.0]
+        assert [type(s) for s in samples] == [float] * 3
+        assert type(samples) is list
+        json.dumps(state)  # the shard transport's requirement
+
+        merged = MetricsRegistry()
+        merged.merge_state(state)
+        merged.merge_state(state)
+        assert merged.histogram("lat", chain="a").count == 6
+        assert merged.dump_state()["histograms"][0][6] == \
+            [0.25, 1.5, 0.75] * 2
+
+        thawed = pickle.loads(pickle.dumps(registry))
+        assert thawed.dump_state() == state
+        assert thawed.histogram("lat", chain="a").quantile(0.5) == 0.75
+
+    def test_sample_cap_holds_for_every_way_in(self):
+        registry = MetricsRegistry()
+        h = registry.histogram("big")
+        h.observe_many([1.0] * (SAMPLE_CAP - 2))
+        h.merge(3, 6.0, 2.0, 2.0, [2.0, 2.0, 2.0])
+        h.observe(3.0)
+        h.observe_many([4.0, 4.0])
+        assert h.count == SAMPLE_CAP + 4
+        samples = registry.dump_state()["histograms"][0][6]
+        assert len(samples) == SAMPLE_CAP
+        assert samples[-2:] == [2.0, 2.0]
 
 
 class TestTimer:

@@ -128,6 +128,36 @@ def test_unusable_checkpoint_is_rebuilt_from_the_journal(
     assert discarded is None and native["seq"] == len(commands)
 
 
+def test_history_rides_in_the_checkpoint_as_one_blob_per_phase(
+        make_config, drive, tmp_path):
+    """``commands``/``decisions``/``phases`` only ever grow, so each
+    step is pickled once, when appended, and every checkpoint writes the
+    blobs; a recovered daemon's history is the pre-kill one, object for
+    object (``decision.seconds`` included: unpickled, not replayed)."""
+    state = tmp_path / "state"
+    crashed, _ = drive(make_config(), state, RACK_COMMANDS, crash=True)
+
+    on_disk, discarded = CheckpointStore(state / "checkpoint.pkl").load()
+    assert discarded is None and set(on_disk) == {"seq", "core", "history"}
+    assert on_disk["seq"] == len(RACK_COMMANDS)  # a checkpoint boundary
+    blobs = on_disk["history"]
+    assert len(blobs) == len(crashed.phases) == len(RACK_COMMANDS) + 1
+    assert all(type(blob) is bytes for blob in blobs)
+    record, decision, phase = pickle.loads(blobs[0])
+    assert record is None and decision is None and phase.label == "initial"
+
+    recovered, _ = drive(make_config(), state, [])
+    assert recovered.commands == crashed.commands
+    assert recovered.decisions == crashed.decisions
+    assert recovered.phases == crashed.phases
+    assert recovered._history == blobs
+    assert recovered.report().to_json() == crashed.report().to_json()
+    assert recovered.report().render() == crashed.report().render()
+    assert recovered.phases[-1].start_packet + sum(
+        row.injected for row in recovered.phases[-1].chains
+    ) == recovered._injected == crashed._injected
+
+
 def test_discard_writes_a_native_checkpoint_before_serving(
         scenarios, drive, tmp_path):
     """The rebuild is paid once: the restart that discarded writes a

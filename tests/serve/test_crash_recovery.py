@@ -88,6 +88,35 @@ def test_recovery_is_invisible_midstream(make_config, drive, tmp_path):
     assert recovered.report().rejected == 1
 
 
+@pytest.mark.parametrize("checkpoint_every", [2, 0],
+                         ids=["checkpointed", "journal-only"])
+def test_torn_journal_tail_costs_no_acknowledged_command(
+        make_config, drive, tmp_path, checkpoint_every):
+    """A kill mid-append leaves a partial last line. The restart must cut
+    it off before it journals anything: appended to, it swallows the
+    next acknowledged command (gone after one more restart) and then
+    makes the state dir unreadable."""
+    config = make_config(checkpoint_every=checkpoint_every)
+    reference, ref_outcomes = drive(config, tmp_path / "reference", COMMANDS)
+
+    state = tmp_path / "crashed"
+    drive(config, state, COMMANDS[:2], crash=True)
+    with open(state / "journal.jsonl", "a") as fh:
+        fh.write('{"command": {"action": "degrade_link", "kind": "fa')
+    repaired, middle = drive(config, state, COMMANDS[2:4], crash=True)
+    assert repaired.registry.counter_value("serve.journal.repaired") == 1
+    assert [o.seq for o in middle] == [3, 4]
+    recovered, last = drive(config, state, COMMANDS[4:])
+
+    for ref, got in zip(ref_outcomes[2:], middle + last):
+        assert (got.seq, got.status, got.digest) == \
+            (ref.seq, ref.status, ref.digest)
+    assert recovered.seq == reference.seq == len(COMMANDS)
+    assert recovered.core.state_digest() == reference.core.state_digest()
+    assert recovered.report().to_json() == reference.report().to_json()
+    assert recovered.report().render() == reference.report().render()
+
+
 #: asks for more than the rack's line rate: the solver (not a static
 #: check) rejects it, so the problem and its answer enter the cache
 OVERSIZE = Arrive(chain="dyn1", spec="chain dyn1: ACL -> IPv4Fwd",

@@ -2,9 +2,15 @@
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ServeError
 from repro.serve import (
     Arrive,
@@ -142,6 +148,38 @@ class TestMutations:
         assert broken.status == STATUS_ERROR
         assert "AttributeError" in broken.error
         assert snap.status == STATUS_APPLIED
+
+
+def test_a_started_daemon_has_the_lp_solver_loaded(tmp_path):
+    """``repro`` imports ``scipy.optimize`` on the first LP that binds;
+    the daemon loads it in ``start()``, before it announces itself, so
+    no command pays the import. (A fresh interpreter: this one has long
+    loaded it.)"""
+    script = textwrap.dedent("""
+        import asyncio, sys
+        from repro.serve import ServeConfig, ServeDaemon
+
+        config = ServeConfig(
+            spec_text="chain a: ACL -> IPv4Fwd\\n", slos=((1000.0, 20000.0),),
+            packets_per_phase=8, flows_per_chain=4, batch_size=8,
+        )
+
+        async def main():
+            daemon = ServeDaemon(config, sys.argv[1])
+            assert "scipy.optimize" not in sys.modules
+            await daemon.start()
+            assert "scipy.optimize" in sys.modules
+            await daemon.stop(checkpoint=False)
+
+        asyncio.run(main())
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "state")],
+        env={**os.environ,
+             "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestConfig:

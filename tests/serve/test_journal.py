@@ -38,6 +38,59 @@ class TestJournal:
             fh.write('{"seq": 2, "comm')  # crash mid-append
         assert [r["seq"] for r in journal.replay()] == [1]
 
+    def test_torn_tail_is_cut_before_the_next_append(self, journal):
+        """Left in place, the tail merges with the next append: that
+        acknowledged record is dropped by the restart after, and the
+        one after that makes the journal unreadable for good."""
+        journal.append(1, {"kind": "depart", "chain": "a"})
+        journal.append(2, {"kind": "depart", "chain": "b"})
+        with open(journal.path, "a") as fh:
+            fh.write('{"command": {"kind": "depart"}, "se')
+        assert journal.repair() is True
+        assert journal.path.read_bytes().endswith(b'"seq": 2}\n')
+        assert journal.repair() is False  # nothing left to cut
+        for seq in (3, 4):
+            journal.append(seq, {"kind": "depart", "chain": f"c{seq}"})
+            assert [r["seq"] for r in journal.replay()] == \
+                list(range(1, seq + 1))
+
+    def test_tail_is_whatever_follows_the_last_newline(self, journal):
+        """Even a whole record: its newline never reached the disk, so
+        it was never acknowledged, and an append would land on its line."""
+        journal.append(1, {"kind": "depart", "chain": "a"})
+        with open(journal.path, "a") as fh:
+            fh.write('{"command": {"kind": "depart"}, "seq": 2}')
+        assert [r["seq"] for r in journal.replay()] == [1]
+        assert journal.repair() is True
+        assert [r["seq"] for r in journal.replay()] == [1]
+
+    def test_repair_leaves_a_clean_or_missing_journal_alone(self, journal):
+        assert journal.repair() is False
+        assert not journal.path.exists()
+        journal.append(1, {"kind": "depart", "chain": "a"})
+        before = journal.path.read_bytes()
+        assert journal.repair() is False
+        assert journal.path.read_bytes() == before
+
+    def test_a_journal_that_is_only_a_torn_tail_repairs_to_empty(
+            self, journal):
+        journal.path.write_text('{"seq": 1, "comm')
+        assert journal.replay() == []
+        assert journal.repair() is True
+        assert journal.path.read_bytes() == b""
+        journal.append(1, {"kind": "depart", "chain": "a"})
+        assert journal.head_seq() == 1
+
+    def test_malformed_complete_last_line_fails_loudly(self, journal):
+        """A newline-terminated line is a record, not a torn write —
+        e.g. what the merge above used to leave behind."""
+        journal.append(1, {"kind": "depart", "chain": "a"})
+        with open(journal.path, "a") as fh:
+            fh.write('{"command": {}, "se{"seq": 2, "command": {}}\n')
+        with pytest.raises(ServeError, match="record 2 is malformed"):
+            journal.replay()
+        assert journal.repair() is False
+
     def test_malformed_interior_record_fails_loudly(self, journal):
         journal.append(1, {"kind": "depart", "chain": "a"})
         with open(journal.path, "a") as fh:
