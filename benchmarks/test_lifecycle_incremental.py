@@ -47,17 +47,17 @@ def test_incremental_arrival_vs_cold_resolve(benchmark):
     )
     placer = Placer(topology=topology_for(
         "multi-server", servers=NUM_SERVERS, num_stages=NUM_STAGES).build())
-    base = placer.solve(PlacementRequest(chains=chains, use_cache=False))
+    base = placer.solve(PlacementRequest(chains=chains))
     assert base.placement.feasible
 
     def run():
         grown = list(chains) + [arrival]
         t0 = time.perf_counter()
         incremental = placer.solve(PlacementRequest(
-            chains=grown, base_placement=base.placement, use_cache=False))
+            chains=grown, base_placement=base.placement))
         incremental_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        cold = placer.solve(PlacementRequest(chains=grown, use_cache=False))
+        cold = placer.solve(PlacementRequest(chains=grown))
         cold_seconds = time.perf_counter() - t0
         return incremental, cold, incremental_seconds, cold_seconds
 

@@ -30,7 +30,6 @@ def _panel_spec(**overrides):
         deltas=(0.5, 1.0, 1.5, 2.0),
         schemes=FAST_SCHEMES,
         measure=False,
-        cache=False,
     )
     base.update(overrides)
     return SweepSpec(**base)
@@ -39,8 +38,14 @@ def _panel_spec(**overrides):
 def test_parallel_rows_byte_identical(benchmark, profiles):
     """jobs=4 must reproduce the serial rows exactly, in order."""
     spec = _panel_spec(profiles=profiles)
-    serial = run_sweep(spec)
-    parallel = run_once(benchmark, lambda: run_sweep(spec.with_jobs(4)))
+
+    def cold_parallel():
+        with scoped_cache():  # workers forked here inherit no serial row
+            return run_sweep(spec.with_jobs(4))
+
+    with scoped_cache():
+        serial = run_sweep(spec)
+    parallel = run_once(benchmark, cold_parallel)
     assert parallel.results == serial.results
     assert [
         (r.scheme, r.delta) for r in parallel.results
@@ -49,7 +54,7 @@ def test_parallel_rows_byte_identical(benchmark, profiles):
 
 def test_warm_cache_halves_panel_wall_clock(benchmark, profiles):
     """A warm placement cache must cut a repeated panel's time >= 2x."""
-    spec = _panel_spec(profiles=profiles, cache=True)
+    spec = _panel_spec(profiles=profiles)
 
     def cold_then_warm():
         with scoped_cache(PlacementCache()) as cache:

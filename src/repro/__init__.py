@@ -19,7 +19,6 @@ from repro.chain.graph import NFChain, NFGraph, chains_from_spec
 from repro.chain.parser import parse_spec
 from repro.chain.slo import SLO, SLOUseCase
 from repro.chain.vocabulary import Vocabulary, default_vocabulary
-from repro.core.cache import PlacementCache
 from repro.core.placement import Placement
 from repro.core.placer import (
     Placer,
@@ -59,7 +58,6 @@ __all__ = [
     "PlacerConfig",
     "PlacementRequest",
     "PlacementReport",
-    "PlacementCache",
     "SweepSpec",
     "run_sweep",
     "available_strategies",

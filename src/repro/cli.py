@@ -340,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="fan (scheme, δ) cells over N worker "
                                 "processes (default: serial)")
-    sweep_cmd.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="memoize placements by problem fingerprint "
-                                "(--no-cache disables)")
 
     profile_cmd = sub.add_parser("profile",
                                  help="print Table 4 profiling statistics")
@@ -866,7 +862,6 @@ def cmd_sweep(args) -> int:
         schemes=schemes,
         measure=not args.no_measure,
         jobs=args.jobs,
-        cache=args.cache,
     )
     # Counters merged back from pool workers land in this registry, so
     # the hit/miss line is accurate in both serial and parallel mode.
@@ -877,9 +872,8 @@ def cmd_sweep(args) -> int:
         misses = registry.counter_value(
             "placement_cache.lookups", result="miss")
     print(sweep.print_table())
-    if args.cache:
-        print(f"placement cache: {hits:.0f} hits / {misses:.0f} misses "
-              f"across {len(spec.cells())} cells")
+    print(f"placement cache: {hits:.0f} hits / {misses:.0f} misses "
+          f"across {len(spec.cells())} cells")
     return 0
 
 

@@ -22,13 +22,6 @@ from repro.core.placement import (
     Placement,
     Subgroup,
 )
-from repro.core.cache import (
-    PlacementCache,
-    get_cache,
-    placement_fingerprint,
-    scoped_cache,
-    set_cache,
-)
 from repro.core.placer import (
     Placer,
     PlacerConfig,
@@ -53,11 +46,6 @@ __all__ = [
     "PlacerConfig",
     "PlacementRequest",
     "PlacementReport",
-    "PlacementCache",
-    "placement_fingerprint",
-    "get_cache",
-    "set_cache",
-    "scoped_cache",
     "brute_force_place",
     "heuristic_place",
     "hw_preferred_place",

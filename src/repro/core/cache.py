@@ -1,9 +1,13 @@
 """Placement memoization (the sweep engine's warm path).
 
-The evaluation grid — Figure 2 panels, ablations, reserve re-solves,
-failure replans — repeatedly solves placement problems over near-identical
-inputs, and the online admission core re-asks a problem whenever a
-rejected request is retried. This module memoizes
+The evaluation grid — Figure 2 panels, ablations, the δ sweep — solves
+the same placement problems again whenever a figure is re-run in one
+process; :func:`repro.experiments.parallel.execute_cell` is this
+module's only user. The online paths (``Placer.solve``, the admission
+cores, chaos replans, the serve daemon) do not memoize: their problem —
+active chains, running placement, topology state — changes with every
+command, and a key never repeated there (0 hits in 656 lookups,
+``docs/performance.md``). This module memoizes
 :class:`~repro.core.placement.Placement` results keyed by a *fingerprint*
 of the full problem statement: chains (graphs, params, SLOs), topology
 state (devices, reserved cores, failed devices), profile database
@@ -14,31 +18,25 @@ reuse.
 Keys are taken in one walk over the inputs (:func:`placement_fingerprint`)
 that writes :func:`repro.chain.digest.encode`'s text encoding of every
 public value straight into a hasher; each chain's graph contributes its
-memoized :func:`~repro.chain.digest.graph_digest`, so a command re-hashes
-only the graph it introduced plus the small SLO / topology / profile
-state.
+:func:`~repro.chain.digest.graph_digest`, walked once per graph object.
 
-Entries are stored as one compressed ``pickle.dumps`` blob each and every
-hit is a fresh ``pickle.loads``: callers may freely mutate a returned placement
-(rate re-splits, core rebalancing) without corrupting the cache, cached
-entries never alias the solver's working state, and a serve checkpoint
-copies the blobs as opaque bytes instead of re-walking every placement.
-A checkpoint is only ever read back by the code that wrote it
-(:func:`repro.serve.journal.code_stamp`), so a cache always holds the
-entry shape this module writes.
+Entries are stored as one ``pickle.dumps`` blob each and every hit is a
+fresh ``pickle.loads``: callers may freely mutate a returned placement
+(rate re-splits, core rebalancing) without corrupting the cache, and cached
+entries never alias the solver's working state.
 
-A process-wide default cache backs the sweep engine; tests swap it with
-:func:`scoped_cache`. Forked sweep workers inherit the parent's populated
-cache for free, so warm parallel runs hit too.
+One process-wide cache backs the sweep engine; a test or benchmark that
+wants a cold solve takes a fresh one with :func:`scoped_cache`. Forked
+sweep workers inherit the parent's populated cache for free, so warm
+parallel runs hit too.
 """
 
 from __future__ import annotations
 
 import pickle
-import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.chain.digest import encode, sha256_hex
 from repro.core.placement import Placement
@@ -61,8 +59,8 @@ def placement_fingerprint(
 
     Two problems get the same key exactly when every public value of
     their inputs encodes identically. ``extra`` admits solver knobs
-    beyond the standard five inputs (e.g. the Placer's rate objective)
-    without widening the signature.
+    beyond the standard five inputs (e.g. a rate objective) without
+    widening the signature.
     """
     with get_registry().timer("placement_cache.fingerprint.seconds"):
         pieces = ["placement/v2"]
@@ -73,32 +71,12 @@ def placement_fingerprint(
         return sha256_hex(pieces)
 
 
-def warm_start_key(base: Placement) -> str:
-    """Digest of a placement's decided pattern + cores (sha256 hex).
-
-    An incremental solve's answer depends on which assignments it pins, so
-    the warm-start base joins the fingerprint via this key. Only the
-    *decisions* (chain name, NF→device assignment, per-subgroup cores)
-    matter; rates and derived estimates are recomputed and deliberately
-    excluded, keeping the key stable across LP re-splits.
-    """
-    pieces: List[str] = []
-    for cp in sorted(base.chains, key=lambda cp: cp.name):
-        encode(cp.name, pieces)
-        encode(cp.assignment, pieces)
-        encode(sorted((sg.sg_id, sg.server, sg.cores)
-                       for sg in cp.subgroups), pieces)
-    return sha256_hex(pieces)
-
-
 class PlacementCache:
     """LRU memo of fingerprint -> pickled Placement; every hit unpickles
     a fresh copy."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 enabled: bool = True):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.max_entries = max_entries
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
@@ -109,8 +87,6 @@ class PlacementCache:
     def get(self, key: str) -> Optional[Placement]:
         """A fresh copy of the cached placement, or None (counts
         hit/miss)."""
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         registry = get_registry()
         if entry is None:
@@ -120,24 +96,15 @@ class PlacementCache:
         self._entries.move_to_end(key)
         self.hits += 1
         registry.counter("placement_cache.lookups", result="hit").inc()
-        return pickle.loads(zlib.decompress(entry))
+        return pickle.loads(entry)
 
     def put(self, key: str, placement: Placement) -> None:
-        if not self.enabled:
-            return
-        # level 1: a placement pickle is mostly repeated class and field
-        # names, so the cheapest setting already shrinks it ~2.5x
-        self._entries[key] = zlib.compress(
-            pickle.dumps(placement, pickle.HIGHEST_PROTOCOL), 1)
+        self._entries[key] = pickle.dumps(
+            placement, pickle.HIGHEST_PROTOCOL)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             get_registry().counter("placement_cache.evictions").inc()
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
     def stats(self) -> Dict[str, float]:
         lookups = self.hits + self.misses
@@ -161,18 +128,12 @@ def get_cache() -> PlacementCache:
     return _cache
 
 
-def set_cache(cache: Optional[PlacementCache] = None) -> PlacementCache:
-    """Install (and return) a new default cache; None means a fresh one."""
-    global _cache
-    _cache = cache if cache is not None else PlacementCache()
-    return _cache
-
-
 @contextmanager
 def scoped_cache(
     cache: Optional[PlacementCache] = None,
 ) -> Iterator[PlacementCache]:
-    """Temporarily swap the default cache (test/benchmark isolation)."""
+    """Temporarily swap the default cache (test/benchmark isolation; a
+    fresh one is how a cold sweep is asked for)."""
     global _cache
     previous = _cache
     _cache = cache if cache is not None else PlacementCache()
@@ -180,3 +141,11 @@ def scoped_cache(
         yield _cache
     finally:
         _cache = previous
+
+
+__all__ = [
+    "PlacementCache",
+    "get_cache",
+    "placement_fingerprint",
+    "scoped_cache",
+]

@@ -10,10 +10,9 @@
    rack's chain subset. Remote chains are handed down with their
    ``d_max`` already shrunk by the fabric RTT, so the per-rack latency
    guard still protects the *end-to-end* SLO. The rack solves run
-   serially against the placer's own per-rack caches: the win is the
-   decomposition into ~10 ms sub-problems, and a pool hand-off per
-   rack measured slower than solving them in turn
-   (``docs/performance.md``).
+   serially: the win is the decomposition into ~10 ms sub-problems,
+   and a pool hand-off per rack measured slower than solving them in
+   turn (``docs/performance.md``).
 3. **Link post-pass** — assigned rates of remote chains are summed per
    inter-rack link; overloads shed marginal rate (never below the
    ``t_min`` floor) deterministically so the fabric cannot promise more
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.chain.slo import SLO
-from repro.core.cache import PlacementCache
 from repro.core.partition import PartitionResult, RackRoute, partition_chains
 from repro.core.placement import ChainPlacement
 from repro.core.placer import (
@@ -122,8 +120,6 @@ class MultiRackReport:
 class MultiRackPlacer:
     """Partition-then-place over a :class:`MultiRackTopology`.
 
-    Holds one placement cache per rack, so incremental fabric workloads
-    (lifecycle replays, chaos replans) reuse warm per-rack solves.
     ``solve`` accepts any :class:`PlacementRequest`; one without
     ``multi_rack`` options gets the defaults (no pins).
     """
@@ -131,16 +127,6 @@ class MultiRackPlacer:
     fabric: MultiRackTopology
     profiles: ProfileDatabase = field(default_factory=default_profiles)
     config: PlacerConfig = field(default_factory=PlacerConfig)
-    caches: Dict[str, PlacementCache] = field(default_factory=dict)
-
-    def placer_for(self, rack: str) -> Placer:
-        cache = self.caches.setdefault(rack, PlacementCache())
-        return Placer(
-            topology=self.fabric.rack(rack),
-            profiles=self.profiles,
-            config=self.config,
-            cache=cache,
-        )
 
     # -- the hierarchical solve -------------------------------------------
 
@@ -197,12 +183,15 @@ class MultiRackPlacer:
 
         racks = sorted(rack_chains)
         reports = {
-            rack: self.placer_for(rack).solve(
+            rack: Placer(
+                topology=self.fabric.rack(rack),
+                profiles=self.profiles,
+                config=self.config,
+            ).solve(
                 PlacementRequest(
                     chains=rack_chains[rack],
                     strategy=request.strategy,
                     objective=request.objective,
-                    use_cache=request.use_cache,
                 )
             )
             for rack in racks

@@ -3,8 +3,8 @@
 :class:`Placer` bundles the topology, profile database, and configuration;
 :meth:`Placer.solve` takes a :class:`PlacementRequest` (strategy, failover
 reserve, failed devices, optional warm-start placement) and returns a
-:class:`PlacementReport` (placement, wall-clock seconds, solve mode, cache
-provenance). Extensions from the paper's discussion section are provided:
+:class:`PlacementReport` (placement, wall-clock seconds, solve mode).
+Extensions from the paper's discussion section are provided:
 failure replanning (§7) and precomputed placements for time-varying SLOs
 (§7).
 
@@ -35,11 +35,6 @@ from repro.core.baselines import (
     sw_preferred_place,
 )
 from repro.core.bruteforce import brute_force_place
-from repro.core.cache import (
-    PlacementCache,
-    placement_fingerprint,
-    warm_start_key,
-)
 from repro.core.heuristic import heuristic_place
 from repro.core.placement import ChainPlacement, Placement
 from repro.exceptions import PlacementError
@@ -143,7 +138,6 @@ class PlacementRequest:
                         ``base_placement`` (replan after failure is a full
                         re-solve — pinned assignments may sit on the dead
                         device)
-    ``use_cache``       consult the Placer's placement cache before solving
     ``base_placement``  warm-start: chains present in the base keep their
                         pattern and per-chain analysis, only the delta is
                         placed, and the rate LP re-runs over the combined
@@ -165,7 +159,6 @@ class PlacementRequest:
     strategy: Optional[str] = None
     reserve_cores: int = 0
     failed_devices: Sequence[str] = ()
-    use_cache: bool = True
     base_placement: Optional[Placement] = None
     objective: Optional[str] = None
     multi_rack: Optional[MultiRackOptions] = None
@@ -212,7 +205,6 @@ def _multi_rack_request(
     ingress: Optional[str] = None,
     strategy: Optional[str] = None,
     objective: Optional[str] = None,
-    use_cache: bool = True,
 ) -> "PlacementRequest":
     """A hierarchical (partition-then-place) request for a
     :class:`~repro.core.hierarchy.MultiRackPlacer`."""
@@ -222,7 +214,7 @@ def _multi_rack_request(
     )
     return cls(
         chains=chains, strategy=strategy, objective=objective,
-        use_cache=use_cache, multi_rack=options,
+        multi_rack=options,
     )
 
 
@@ -235,7 +227,7 @@ PlacementRequest.multi_rack = classmethod(_multi_rack_request)
 
 @dataclass
 class PlacementReport:
-    """What one solve produced: result, wall clock, cache provenance.
+    """What one solve produced: result, wall clock, solve mode.
 
     ``mode`` records which path ran (``full`` or ``incremental``);
     ``pinned_chains``/``placed_chains`` break the incremental path down.
@@ -244,8 +236,6 @@ class PlacementReport:
     placement: Placement
     seconds: float
     strategy: str
-    cache_hit: bool = False
-    fingerprint: Optional[str] = None
     mode: str = "full"
     pinned_chains: int = 0
     placed_chains: int = 0
@@ -258,10 +248,6 @@ class Placer:
     >>> placer = Placer()
     >>> report = placer.solve(PlacementRequest(chains))   # doctest: +SKIP
     >>> report.placement.feasible                         # doctest: +SKIP
-
-    ``cache`` (optional) memoizes solves by problem fingerprint — repeated
-    requests over identical inputs (sweeps, replans, reserve re-solves)
-    return the cached placement with ``cache_hit=True`` in the report.
     """
 
     topology: Topology = field(
@@ -269,16 +255,15 @@ class Placer:
     )
     profiles: ProfileDatabase = field(default_factory=default_profiles)
     config: PlacerConfig = field(default_factory=PlacerConfig)
-    cache: Optional[PlacementCache] = None
 
     def solve(self, request: PlacementRequest) -> PlacementReport:
         """Solve one placement request; the single placement entry point.
 
         Applies the request's failure/reserve adjustments to the topology
         for the duration of the solve (state added by this call is rolled
-        back afterwards), consults the cache when enabled, runs the
-        selected strategy — incrementally when the request carries a
-        ``base_placement`` — and reports wall-clock plus provenance.
+        back afterwards), runs the selected strategy — incrementally
+        when the request carries a ``base_placement`` — and reports
+        wall-clock plus solve mode.
         """
         if request.multi_rack is not None:
             raise PlacementError(
@@ -314,8 +299,6 @@ class Placer:
         start = time.perf_counter()
         added_failures: List[str] = []
         originals = {s.name: s.reserved_cores for s in self.topology.servers}
-        cache_hit = False
-        fingerprint: Optional[str] = None
         pinned = placed = 0
         try:
             for device in request.failed_devices:
@@ -332,70 +315,46 @@ class Placer:
                             f"reserve of {request.reserve_cores} cores leaves "
                             f"server {server.name} with no allocatable cores"
                         )
-            cache = self.cache if request.use_cache else None
-            if cache is not None:
-                # The fingerprint is taken *after* the failure/reserve
-                # adjustments, so those scenario knobs are part of the key.
-                # The chain set itself is always part of the key, so the
-                # active chains at each lifecycle step partition the cache;
-                # a warm start additionally keys on the base's pattern.
-                extra: Tuple = (
-                    "rate_objective", self.config.rate_objective,
-                    "objective", objective,
-                )
+            with registry.timer("placer.solve.seconds",
+                                strategy=name, mode=mode):
                 if base is not None:
-                    extra += ("warm_start", warm_start_key(base))
-                fingerprint = placement_fingerprint(
-                    request.chains, self.topology, self.profiles,
-                    name, self.config.packet_bits, extra=extra,
-                )
-                cached = cache.get(fingerprint)
-                if cached is not None:
-                    placement = cached
-                    cache_hit = True
-            if not cache_hit:
-                with registry.timer("placer.solve.seconds",
-                                    strategy=name, mode=mode):
-                    if base is not None:
-                        placement, pinned, placed = self._solve_incremental(
-                            request, base, name, fn
-                        )
-                    else:
-                        with registry.timer("placer.place.seconds",
-                                            strategy=name):
-                            placement = fn(
-                                list(request.chains), self.topology,
-                                self.profiles,
-                                packet_bits=self.config.packet_bits,
-                            )
-                    if placement.feasible and (
-                            self.config.rate_objective != "marginal"
-                            or utilization_cap is not None):
-                        # Rate assignment is a policy over the decided
-                        # configuration: re-split the burst headroom under
-                        # the configured objective (and, for tail_latency,
-                        # the utilization cap).
-                        from repro.core.lp import solve_rates
-
-                        solution = solve_rates(
-                            placement.chains, self.topology,
-                            objective=self.config.rate_objective,
-                            utilization_cap=utilization_cap,
+                    placement, pinned, placed = self._solve_incremental(
+                        request, base, name, fn
+                    )
+                else:
+                    with registry.timer("placer.place.seconds",
+                                        strategy=name):
+                        placement = fn(
+                            list(request.chains), self.topology,
+                            self.profiles,
                             packet_bits=self.config.packet_bits,
                         )
-                        if solution.feasible:
-                            placement.rates = solution.rates
-                            placement.objective_mbps = solution.objective_mbps
-                        elif utilization_cap is not None:
-                            # The t_min floors alone exceed the cap — the
-                            # rack cannot hold the tail SLO at any rate
-                            # split; surface the LP's binding reason.
-                            placement.feasible = False
-                            placement.infeasible_reason = solution.reason
-                    if placement.feasible and utilization_cap is not None:
-                        self._enforce_tail_slos(placement)
-                if cache is not None:
-                    cache.put(fingerprint, placement)
+                if placement.feasible and (
+                        self.config.rate_objective != "marginal"
+                        or utilization_cap is not None):
+                    # Rate assignment is a policy over the decided
+                    # configuration: re-split the burst headroom under
+                    # the configured objective (and, for tail_latency,
+                    # the utilization cap).
+                    from repro.core.lp import solve_rates
+
+                    solution = solve_rates(
+                        placement.chains, self.topology,
+                        objective=self.config.rate_objective,
+                        utilization_cap=utilization_cap,
+                        packet_bits=self.config.packet_bits,
+                    )
+                    if solution.feasible:
+                        placement.rates = solution.rates
+                        placement.objective_mbps = solution.objective_mbps
+                    elif utilization_cap is not None:
+                        # The t_min floors alone exceed the cap — the
+                        # rack cannot hold the tail SLO at any rate
+                        # split; surface the LP's binding reason.
+                        placement.feasible = False
+                        placement.infeasible_reason = solution.reason
+                if placement.feasible and utilization_cap is not None:
+                    self._enforce_tail_slos(placement)
         finally:
             for device in added_failures:
                 self.topology.failed_devices.discard(device)
@@ -409,8 +368,6 @@ class Placer:
             placement=placement,
             seconds=time.perf_counter() - start,
             strategy=name,
-            cache_hit=cache_hit,
-            fingerprint=fingerprint,
             mode=mode,
             pinned_chains=pinned,
             placed_chains=placed,

@@ -36,7 +36,6 @@ def figure2_panel(
     topology_factory: Optional[Callable[[], Topology]] = None,
     measure: bool = True,
     jobs: int = 1,
-    cache: bool = True,
 ) -> DeltaSweepResult:
     """One Figure 2(a-e) panel: all six schemes over the δ sweep."""
     return run_sweep(SweepSpec(
@@ -46,7 +45,6 @@ def figure2_panel(
         topology_factory=topology_factory,
         measure=measure,
         jobs=jobs,
-        cache=cache,
     ))
 
 
@@ -55,12 +53,11 @@ def figure2f_ablations(
     deltas: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
     measure: bool = True,
     jobs: int = 1,
-    cache: bool = True,
 ) -> DeltaSweepResult:
     """Figure 2f: Lemur vs No-Profiling vs No-Core-Allocation."""
     return run_sweep(SweepSpec(
         chain_indices=chain_indices, deltas=deltas, schemes=ABLATIONS,
-        measure=measure, jobs=jobs, cache=cache,
+        measure=measure, jobs=jobs,
     ))
 
 

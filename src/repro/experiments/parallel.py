@@ -16,8 +16,7 @@ the execution substrate for that shape:
 Each cell deep-copies its topology before solving, so scheme-side
 mutations (failed devices, reserved cores) can never leak between cells —
 in either execution mode. Placement results are memoized through
-:mod:`repro.core.cache` when the cell enables it; forked workers inherit
-the parent's warm cache.
+:mod:`repro.core.cache`; forked workers inherit the parent's warm cache.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class SweepCell:
     packet_bits: int
     measure: bool = True
     measure_seed: int = 23
-    use_cache: bool = True
 
 
 @dataclass
@@ -88,22 +86,16 @@ def execute_cell(cell: SweepCell) -> "ExperimentResult":
     )
     aggregate_tmin = sum(c.slo.t_min for c in chains)
 
-    placement: Optional[Placement] = None
-    if cell.use_cache:
-        cache = get_cache()
-        key = placement_fingerprint(
-            chains, topology, cell.profiles, cell.scheme, cell.packet_bits,
-        )
-        placement = cache.get(key)
-        if placement is None:
-            placement = cell.place_fn(
-                chains, topology, cell.profiles, packet_bits=cell.packet_bits,
-            )
-            cache.put(key, placement)
-    else:
+    cache = get_cache()
+    key = placement_fingerprint(
+        chains, topology, cell.profiles, cell.scheme, cell.packet_bits,
+    )
+    placement = cache.get(key)
+    if placement is None:
         placement = cell.place_fn(
             chains, topology, cell.profiles, packet_bits=cell.packet_bits,
         )
+        cache.put(key, placement)
 
     result = ExperimentResult(
         scheme=cell.scheme,

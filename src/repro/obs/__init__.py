@@ -20,9 +20,10 @@ then return shared no-op objects, making the overhead a single empty call).
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.obs.export import render_json, render_text
 from repro.obs.metrics import (
@@ -52,6 +53,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "scoped_registry",
+    "with_own_registry",
     "render_json",
     "render_text",
     "quantile",
@@ -92,3 +94,15 @@ def scoped_registry(
         yield _registry
     finally:
         _registry = previous
+
+
+def with_own_registry(method: Callable) -> Callable:
+    """Run a method of an object that holds a registry as ``self.obs``
+    with that registry as the default one, so the layers it calls
+    (placer, LP, compilers — they record into :func:`get_registry`)
+    report where the object itself does."""
+    @functools.wraps(method)
+    def scoped(self, *args, **kwargs):
+        with scoped_registry(self.obs):
+            return method(self, *args, **kwargs)
+    return scoped

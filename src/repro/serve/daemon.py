@@ -51,7 +51,7 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.hw.spec import TopologySpec
-from repro.obs import MetricsRegistry, scoped_registry
+from repro.obs import MetricsRegistry
 from repro.serve.commands import (
     STATUS_APPLIED,
     STATUS_ERROR,
@@ -342,11 +342,7 @@ class ServeDaemon:
         self.core = make_admission_core(
             self.config, registry=self.registry
         )
-        # the solver, cache and compiler report to the process-default
-        # registry: for the duration make that the daemon's own, the one
-        # /v1/metrics serves (likewise around core.process below)
-        with scoped_registry(self.registry):
-            self.core.bootstrap()
+        self.core.bootstrap()
         self._run_phase("initial")
 
     def _run_phase(
@@ -521,8 +517,7 @@ class ServeDaemon:
                 )
             status = STATUS_APPLIED
         else:
-            with scoped_registry(self.registry):
-                decision = self.core.process(command.to_event(at=seq))
+            decision = self.core.process(command.to_event(at=seq))
             status = STATUS_APPLIED if decision.accepted \
                 else STATUS_REJECTED
         # rejections consume a sequence number and are journaled too:

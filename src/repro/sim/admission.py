@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain, chains_from_spec
 from repro.chain.slo import SLO
-from repro.core.cache import PlacementCache
 from repro.core.placer import (
     Placer,
     PlacerConfig,
@@ -51,7 +50,7 @@ from repro.exceptions import (
 )
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import MetricsRegistry, get_registry, with_own_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.faults import PhaseReport
 from repro.sim.runtime import DeployedRack
@@ -116,7 +115,6 @@ class AdmissionDecision:
     mode: str = "full"
     pinned: int = 0
     placed: int = 0
-    cache_hit: bool = False
     #: per-device delta-redeploy actions (empty on rejection).
     rebuilt: Tuple[str, ...] = ()
     reused: Tuple[str, ...] = ()
@@ -130,8 +128,6 @@ class AdmissionDecision:
         solve = f"{self.mode}"
         if self.mode == "incremental":
             solve += f" pinned={self.pinned} placed={self.placed}"
-        if self.cache_hit:
-            solve += " warm"
         redeploy = ""
         if self.accepted:
             redeploy = (
@@ -155,16 +151,17 @@ class AdmissionDecision:
             "mode": self.mode,
             "pinned": self.pinned,
             "placed": self.placed,
-            "cache_hit": self.cache_hit,
             "rebuilt": list(self.rebuilt),
             "reused": list(self.reused),
             "removed": list(self.removed),
         }
 
-    _FIELDS = frozenset({
-        "tick", "action", "chain", "accepted", "reason", "mode",
-        "pinned", "placed", "cache_hit", "rebuilt", "reused", "removed",
-    })
+    #: wire field -> its exact JSON type (a list is a list of str)
+    _WIRE = {
+        "tick": int, "action": str, "chain": str, "accepted": bool,
+        "reason": str, "mode": str, "pinned": int, "placed": int,
+        "rebuilt": list, "reused": list, "removed": list,
+    }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AdmissionDecision":
@@ -172,28 +169,28 @@ class AdmissionDecision:
             raise LifecycleError(
                 f"admission decision must be an object, got {payload!r}"
             )
-        unknown = set(payload) - cls._FIELDS
+        unknown = set(payload) - set(cls._WIRE)
         if unknown:
             raise LifecycleError(
                 f"admission decision carries unknown fields "
                 f"{sorted(unknown)}"
             )
+        for name, value in payload.items():
+            kind = cls._WIRE[name]
+            # exact types: a JSON true is not a count, "false" not a bool
+            if type(value) is not kind or (kind is list and not all(
+                    type(device) is str for device in value)):
+                raise LifecycleError(
+                    f"malformed admission decision: {name} must be "
+                    f"{'a list of str' if kind is list else kind.__name__}"
+                    f", got {value!r}"
+                )
         try:
-            return cls(
-                tick=int(payload["tick"]),
-                action=str(payload["action"]),
-                chain=str(payload["chain"]),
-                accepted=bool(payload["accepted"]),
-                reason=str(payload.get("reason", "")),
-                mode=str(payload.get("mode", "full")),
-                pinned=int(payload.get("pinned", 0)),
-                placed=int(payload.get("placed", 0)),
-                cache_hit=bool(payload.get("cache_hit", False)),
-                rebuilt=tuple(payload.get("rebuilt", ())),
-                reused=tuple(payload.get("reused", ())),
-                removed=tuple(payload.get("removed", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{
+                name: tuple(value) if type(value) is list else value
+                for name, value in payload.items()
+            })
+        except TypeError as exc:  # a required field is missing
             raise LifecycleError(
                 f"malformed admission decision: {exc}"
             ) from exc
@@ -218,7 +215,6 @@ class AdmissionCore:
         chains: Optional[Sequence[NFChain]] = None,
         topology: Optional[Topology] = None,
         registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
     ):
         """Own ``spec``'s rack. A fabric core builds one of these per
@@ -237,9 +233,6 @@ class AdmissionCore:
         )
         self.profiles = default_profiles()
         self.obs = registry if registry is not None else get_registry()
-        #: warm-start memo: a repeated (active set, base pattern) admission
-        #: problem fingerprints identically and is served from cache.
-        self.cache = cache if cache is not None else PlacementCache()
         #: re-solve every event from scratch instead of warm-starting
         #: from the running placement.
         self.full_resolve = full_resolve
@@ -248,7 +241,6 @@ class AdmissionCore:
             topology=self.topology,
             profiles=self.profiles,
             config=PlacerConfig(strategy=spec.strategy),
-            cache=self.cache,
         )
         self.metacompiler = MetaCompiler(
             topology=self.topology, profiles=self.profiles
@@ -268,6 +260,7 @@ class AdmissionCore:
 
     # -- bootstrap ----------------------------------------------------------
 
+    @with_own_registry
     def bootstrap(self) -> PlacementReport:
         """Solve and deploy the initial chain set (a full, cold solve)."""
         initial = self.placer.solve(PlacementRequest(
@@ -358,7 +351,6 @@ class AdmissionCore:
                 mode=report.mode,
                 pinned=report.pinned_chains,
                 placed=report.placed_chains,
-                cache_hit=report.cache_hit,
                 seconds=report.seconds,
             )
         artifacts = self.metacompiler.compile_placement(report.placement)
@@ -377,13 +369,13 @@ class AdmissionCore:
             mode=report.mode,
             pinned=report.pinned_chains,
             placed=report.placed_chains,
-            cache_hit=report.cache_hit,
             rebuilt=tuple(delta.rebuilt),
             reused=tuple(delta.reused),
             removed=tuple(delta.removed),
             seconds=report.seconds,
         )
 
+    @with_own_registry
     def process(self, event: ChainEvent) -> AdmissionDecision:
         """Propose + admit one event, with admission observability."""
         if event.action not in LIFECYCLE_ACTIONS:
@@ -414,6 +406,7 @@ class AdmissionCore:
 
     # -- day-2 fault probes --------------------------------------------------
 
+    @with_own_registry
     def apply_fault(self, action: str, target: str,
                     severity: float = 1.0) -> None:
         """Apply one fault probe to the live rack (serve's ``InjectFault``).

@@ -16,18 +16,16 @@ the loop the related work treats as first-class (online scaling/recovery):
   configurable packet window; on violation the guard first sheds marginal
   rate down to SLO minimums (re-solving the rate LP on the surviving
   placement), and if the violation persists it auto-replans through
-  :meth:`Placer.solve` with the failed devices excluded (the placement
-  cache keys on the failure state, so repeated identical failures are
-  warm) and live-redeploys the new rack, replaying the remaining traffic.
+  :meth:`Placer.solve` with the failed devices excluded and
+  live-redeploys the new rack, replaying the remaining traffic.
 * :class:`ChaosReport` — a per-phase SLO compliance table whose rendering
   is byte-identical across repeated runs and ``--jobs`` settings; phases
   are delimited by fault events and guard reactions.
 
 Guard observability (exported through ``repro.obs``): ``slo.violations``
 (per chain), ``guard.degradations``, ``replan.count`` /
-``replan.cache_hits`` / ``replan.infeasible``, the ``replan.latency_seconds``
-histogram, and the ``guard.degraded_mode`` / ``guard.chains_in_violation``
-gauges.
+``replan.infeasible``, the ``replan.latency_seconds`` histogram, and the
+``guard.degraded_mode`` / ``guard.chains_in_violation`` gauges.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain
-from repro.core.cache import PlacementCache
 from repro.core.lp import solve_rates
 from repro.core.placer import Placer, PlacerConfig, PlacementRequest
 from repro.core.rates import device_utilization, server_offered_load
@@ -47,7 +44,12 @@ from repro.exceptions import FaultInjectionError, PlacementError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, quantile
+from repro.obs import (
+    MetricsRegistry,
+    get_registry,
+    quantile,
+    with_own_registry,
+)
 from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import run_checked
 from repro.sim.measurement import QueueingModel
@@ -401,7 +403,6 @@ class ChaosReport:
     latency_violations: int = 0
     degradations: int = 0
     replans: int = 0
-    replan_cache_hits: int = 0
     infeasible_replans: int = 0
 
     @property
@@ -436,7 +437,6 @@ class ChaosReport:
             "latency_violations": self.latency_violations,
             "degradations": self.degradations,
             "replans": self.replans,
-            "replan_cache_hits": self.replan_cache_hits,
             "infeasible_replans": self.infeasible_replans,
             "total_injected": self.total_injected,
             "total_delivered": self.total_delivered,
@@ -494,8 +494,7 @@ class ChaosReport:
             f"violations={self.violations} "
             f"(latency {self.latency_violations}) "
             f"degradations={self.degradations} replans={self.replans} "
-            f"(cache hits {self.replan_cache_hits}, "
-            f"infeasible {self.infeasible_replans})"
+            f"(infeasible {self.infeasible_replans})"
         )
         return "\n".join(lines)
 
@@ -516,7 +515,6 @@ class ChaosEngine:
         timeline: Optional[FaultTimeline] = None,
         topology: Optional[Topology] = None,
         registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
     ):
         """Guard ``spec``'s run. A fabric run builds one engine per rack
         and hands each its slice — that rack's ``chains``, ``timeline``
@@ -537,16 +535,12 @@ class ChaosEngine:
             )
         self.profiles = default_profiles()
         self.obs = registry if registry is not None else get_registry()
-        #: placement memo shared across replans: identical failure states
-        #: fingerprint identically, so repeated failures replan warm.
-        self.cache = cache if cache is not None else PlacementCache()
         self.timeline.validate(self.topology)
 
         self.placer = Placer(
             topology=self.topology,
             profiles=self.profiles,
             config=PlacerConfig(strategy=spec.strategy),
-            cache=self.cache,
         )
         #: one for the run, so a replan regenerates only the changed units
         self.metacompiler = MetaCompiler(
@@ -689,17 +683,16 @@ class ChaosEngine:
         self._refresh_faults()
         self._refresh_queueing()
 
-    def _replan(self) -> Tuple[bool, bool]:
+    def _replan(self) -> bool:
         """Full auto-replan: re-solve placement without the failed devices
         and live-redeploy.
 
-        Returns ``(feasible, cache_hit)`` — infeasible means no placement
-        survives the current failure set and the guard is out of moves.
+        Returns whether a placement survives the current failure set —
+        if not, the guard is out of moves.
 
         Lost cores are modeled as extra per-server reservations for the
         duration of the solve, so the new placement allocates around the
-        dead cores (and the reservation state is part of the cache
-        fingerprint, keeping warm hits scenario-correct).
+        dead cores.
         """
         originals: Dict[str, int] = {}
         try:
@@ -723,23 +716,22 @@ class ChaosEngine:
                     # infeasible replan, not a crash
                     self.obs.counter("replan.count").inc()
                     self.obs.counter("replan.infeasible").inc()
-                    return False, False
+                    return False
         finally:
             for name, reserved in originals.items():
                 self.topology.server(name).reserved_cores = reserved
         self.obs.counter("replan.count").inc()
-        if report.cache_hit:
-            self.obs.counter("replan.cache_hits").inc()
         if not report.placement.feasible:
             self.obs.counter("replan.infeasible").inc()
-            return False, report.cache_hit
+            return False
         self._stale_cores.clear()
         self._deploy(report.placement)
         self.obs.gauge("guard.degraded_mode").set(0)
-        return True, report.cache_hit
+        return True
 
     # -- the run loop -----------------------------------------------------------
 
+    @with_own_registry
     def run(self) -> ChaosReport:
         packets_per_chain = self.spec.packets_per_chain
         batch_size = self.spec.batch_size
@@ -888,10 +880,8 @@ class ChaosEngine:
                 phase = open_phase("degraded")
             elif report.replans < guard.max_replans:
                 close_phase(phase)
-                ok, cache_hit = self._replan()
+                ok = self._replan()
                 report.replans += 1
-                if cache_hit:
-                    report.replan_cache_hits += 1
                 if ok:
                     mode = "normal"
                     self.obs.gauge("guard.chains_in_violation").set(0)
@@ -939,7 +929,6 @@ class ChaosEngine:
 def run_chaos(
     spec: ChaosSpec,
     registry: Optional[MetricsRegistry] = None,
-    cache: Optional[PlacementCache] = None,
 ):
     """Run one chaos experiment from a fully-stated spec.
 
@@ -954,7 +943,7 @@ def run_chaos(
         from repro.sim.interrack import run_fabric_chaos
 
         return run_fabric_chaos(spec, topology, registry=registry)
-    return ChaosEngine(spec, registry=registry, cache=cache).run()
+    return ChaosEngine(spec, registry=registry).run()
 
 
 def run_chaos_checked(

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain, chains_from_spec
 from repro.chain.slo import SLO
-from repro.core.cache import PlacementCache
 from repro.core.hierarchy import MultiRackPlacer, MultiRackReport
 from repro.core.partition import RackRoute, fabric_routes, partition_chains
 from repro.core.placement import ChainPlacement, Placement
@@ -54,7 +53,7 @@ from repro.exceptions import (
 )
 from repro.hw.multirack import MultiRackTopology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import MetricsRegistry, get_registry, with_own_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
@@ -498,7 +497,6 @@ class FabricAdmissionCore:
         spec: RunSpec,
         *,
         registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
         full_resolve: bool = False,
     ):
         topology = spec.build_topology()
@@ -519,9 +517,6 @@ class FabricAdmissionCore:
         self.fabric = topology
         self.topology = topology
         self.obs = registry if registry is not None else get_registry()
-        #: shared across rack cores — placement fingerprints include the
-        #: (per-rack) topology, so entries can never collide across racks.
-        self.cache = cache if cache is not None else PlacementCache()
         self.full_resolve = full_resolve
 
         #: ingress→rack routes for every rack, fixed by the fabric.
@@ -573,7 +568,6 @@ class FabricAdmissionCore:
             chains=chains,
             topology=self.fabric.rack(rack),
             registry=self.obs,
-            cache=self.cache,
             full_resolve=self.full_resolve,
         )
 
@@ -660,6 +654,7 @@ class FabricAdmissionCore:
 
     # -- bootstrap ----------------------------------------------------------
 
+    @with_own_registry
     def bootstrap(self) -> FabricPlacement:
         """Partition the initial chains, then cold-bootstrap one core
         per occupied rack (sorted order, so deterministic)."""
@@ -699,6 +694,7 @@ class FabricAdmissionCore:
 
     # -- admission ----------------------------------------------------------
 
+    @with_own_registry
     def process(self, event: ChainEvent) -> AdmissionDecision:
         if event.action not in LIFECYCLE_ACTIONS:
             raise LifecycleError(
@@ -793,7 +789,6 @@ class FabricAdmissionCore:
             tick=event.at, action="arrive", chain=event.chain,
             accepted=True, mode="full",
             placed=len(report.placement.chains),
-            cache_hit=report.cache_hit,
             rebuilt=self._placement_devices(report.placement),
             seconds=report.seconds,
         )
@@ -936,7 +931,6 @@ class FabricAdmissionCore:
                 tick=event.at, action="scale", chain=event.chain,
                 accepted=True, mode=f"migrate:{home}->{rack}",
                 placed=arrive.placed,
-                cache_hit=arrive.cache_hit,
                 rebuilt=arrive.rebuilt,
                 reused=arrive.reused,
                 removed=removed,

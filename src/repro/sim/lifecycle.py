@@ -45,7 +45,6 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
-from repro.core.cache import PlacementCache
 from repro.exceptions import LifecycleError, SpecError
 from repro.obs import MetricsRegistry
 from repro.runtime.pool import run_checked
@@ -399,15 +398,13 @@ class LifecycleEngine:
         spec: LifecycleSpec,
         *,
         registry: Optional[MetricsRegistry] = None,
-        cache: Optional[PlacementCache] = None,
     ):
         self.spec = spec
         spec.timeline.validate()
         #: a fabric topology gets the multi-rack core, anything else the
         #: single-rack one — the engine drives both identically.
         self.core = make_admission_core(
-            spec, registry=registry, cache=cache,
-            full_resolve=spec.full_resolve,
+            spec, registry=registry, full_resolve=spec.full_resolve,
         )
 
     # -- the run loop -----------------------------------------------------------
@@ -452,10 +449,9 @@ class LifecycleEngine:
 def run_lifecycle(
     spec: LifecycleSpec,
     registry: Optional[MetricsRegistry] = None,
-    cache: Optional[PlacementCache] = None,
 ) -> LifecycleReport:
     """Run one lifecycle experiment from a fully-stated spec."""
-    return LifecycleEngine(spec, registry=registry, cache=cache).run()
+    return LifecycleEngine(spec, registry=registry).run()
 
 
 def run_lifecycle_checked(

@@ -302,10 +302,10 @@ class DeployedRack:
         # Counter objects are resolved once per device here instead of a
         # dict-labelled registry lookup per packet per hop.
         obs = self.obs
-        self._flow_cache_hit = obs.counter(
+        self._flow_hits = obs.counter(
             "rack.flow_cache.lookups", result="hit"
         )
-        self._flow_cache_miss = obs.counter(
+        self._flow_misses = obs.counter(
             "rack.flow_cache.lookups", result="miss"
         )
         self._dev_counters: Dict[str, tuple] = {}
@@ -731,9 +731,9 @@ device_fingerprints`) decide what happens to each device:
         key = self._flow_key(chain_placement.name, packet)
         path = self._flow_paths.get(key)
         if path is not None:
-            self._flow_cache_hit.inc()
+            self._flow_hits.inc()
             return path
-        self._flow_cache_miss.inc()
+        self._flow_misses.inc()
         path = self._classify_walk(chain_placement, packet)
         if len(self._flow_paths) >= _FLOW_CACHE_MAX:
             self._flow_paths.clear()
@@ -920,7 +920,7 @@ device_fingerprints`) decide what happens to each device:
                 traces[k] = self._trace_flow(chain_placement, template)
         # every other packet is a classification hit: its flow is traced,
         # or is a new one's clone
-        self._flow_cache_hit.inc(n - len(untraced))
+        self._flow_hits.inc(n - len(untraced))
         columns.traces = traces
         routes = [trace.route for trace in traces]
         classes = columns.classes = list(dict.fromkeys(routes))

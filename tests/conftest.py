@@ -61,12 +61,19 @@ def pin_loop(monkeypatch):
 @pytest.fixture(scope="session")
 def loop_blind():
     """``registry.dump_state()`` minus ``traffic.batches{loop}`` — the one
-    registry difference allowed between the two dataplane loops."""
+    registry difference allowed between the two dataplane loops — and
+    minus what differs between any two runs of one spec: the control
+    plane's wall-clock timers and the process-wide P4 compile memo's
+    hit/miss split (an engine's registry receives those too)."""
     def strip(state: dict) -> dict:
         return {
             **state,
-            "counters": [entry for entry in state["counters"]
-                         if entry[0] != "traffic.batches"],
+            "counters": [
+                entry for entry in state["counters"]
+                if entry[0] not in ("traffic.batches", "p4c.compile.lookups")
+            ],
+            "histograms": [entry for entry in state["histograms"]
+                           if not entry[0].endswith(".seconds")],
         }
     return strip
 

@@ -16,8 +16,6 @@ from repro.core.cache import (
     get_cache,
     placement_fingerprint,
     scoped_cache,
-    set_cache,
-    warm_start_key,
 )
 from repro.core.heuristic import heuristic_place
 from repro.experiments.chains import chains_with_delta
@@ -255,20 +253,6 @@ class TestFingerprintStability:
                 assert (new[i] == new[j]) == (old[i] == old[j]), (i, j)
 
 
-class TestWarmStartKey:
-    def test_tracks_decisions_not_rates(self, profiles, chains):
-        topology = topology_for("paper-testbed").build()
-        placement = heuristic_place(chains, topology, profiles)
-        key = warm_start_key(placement)
-        assert len(key) == 64
-        placement.rates = {name: 0.0 for name in placement.rates}
-        placement.chains.reverse()
-        assert warm_start_key(placement) == key
-        sg = next(sg for cp in placement.chains for sg in cp.subgroups)
-        sg.cores += 1
-        assert warm_start_key(placement) != key
-
-
 class TestCacheSemantics:
     def test_miss_then_hit(self, profiles, chains):
         cache = PlacementCache()
@@ -344,14 +328,6 @@ class TestCacheSemantics:
         assert cache.get("a") is None      # evicted (oldest)
         assert cache.get("c") is not None
 
-    def test_disabled_cache_never_hits(self, profiles, chains):
-        from repro.core.placement import Placement
-
-        cache = PlacementCache(enabled=False)
-        cache.put("k", Placement(chains=[]))
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
     def test_obs_counters(self, profiles, chains):
         cache = PlacementCache()
         with scoped_registry() as registry:
@@ -367,36 +343,27 @@ class TestCacheSemantics:
 
 class TestFailureStateIsolation:
     """A device failure must change the fingerprint: the cache may never
-    serve a pre-failure placement to a post-failure solve."""
+    serve a pre-failure placement to a post-failure problem."""
 
     def test_failed_device_never_served_stale(self, profiles, chains):
-        from repro.core.placer import Placer, PlacementRequest
+        healthy = topology_for("paper-smartnic").build()
+        failed = topology_for("paper-smartnic").build()
+        failed.mark_failed("agilio0")
+        healthy_key = fingerprint(chains, profiles, topology=healthy)
+        failed_key = fingerprint(chains, profiles, topology=failed)
+        assert healthy_key != failed_key
 
-        topology = topology_for("paper-smartnic").build()
         cache = PlacementCache()
-        placer = Placer(topology=topology, profiles=profiles, cache=cache)
-
-        healthy = placer.solve(PlacementRequest(chains=chains))
-        assert not healthy.cache_hit
-
-        failed = placer.solve(PlacementRequest(
-            chains=chains, failed_devices=("agilio0",)))
-        # different problem, different fingerprint: a miss, not a stale hit
-        assert not failed.cache_hit
-        assert failed.fingerprint != healthy.fingerprint
-        # the post-failure placement avoids the dead device entirely
-        for cp in failed.placement.chains:
+        cache.put(healthy_key, heuristic_place(chains, healthy, profiles))
+        # a different problem: a miss, not a stale hit
+        assert cache.get(failed_key) is None
+        cache.put(failed_key, heuristic_place(chains, failed, profiles))
+        for cp in cache.get(failed_key).chains:
             assert all(a.device != "agilio0"
                        for a in cp.assignment.values())
-
-        # repeating each scenario hits its own entry
-        assert placer.solve(PlacementRequest(chains=chains)).cache_hit
-        repeat = placer.solve(PlacementRequest(
-            chains=chains, failed_devices=("agilio0",)))
-        assert repeat.cache_hit
-        for cp in repeat.placement.chains:
-            assert all(a.device != "agilio0"
-                       for a in cp.assignment.values())
+        # recovery restores the healthy key
+        failed.failed_devices.discard("agilio0")
+        assert fingerprint(chains, profiles, topology=failed) == healthy_key
 
 
 class TestGlobalCache:
@@ -406,12 +373,3 @@ class TestGlobalCache:
             assert get_cache() is inner
             assert inner is not outer
         assert get_cache() is outer
-
-    def test_set_cache_installs(self):
-        previous = get_cache()
-        try:
-            mine = PlacementCache()
-            assert set_cache(mine) is mine
-            assert get_cache() is mine
-        finally:
-            set_cache(previous)

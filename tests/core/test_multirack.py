@@ -142,16 +142,24 @@ class TestLinkCapacityPostPass:
         assert "capacity exhausted" in report.placement.infeasible_reason
 
 
-class TestPerRackCaches:
-    def test_repeat_solve_hits_per_rack_cache(self, profiles):
+class TestRepeatSolve:
+    @pytest.mark.parametrize("pins", [None, {"c0": "r0", "c1": "r1"}],
+                             ids=["partitioned", "one-rack-per-chain"])
+    def test_repeat_solve_is_identical(self, profiles, pins):
         placer = MultiRackPlacer(
             fabric=topology_for("two-rack").build(), profiles=profiles,
         )
-        chains = _chains(6)
-        first = placer.solve(PlacementRequest.multi_rack(chains=chains))
-        again = placer.solve(PlacementRequest.multi_rack(chains=chains))
-        assert first.placement.describe() == again.placement.describe()
-        assert all(r.cache_hit for r in again.placement.reports.values())
+        chains = _chains(2 if pins else 6)
+        first, again = (
+            placer.solve(PlacementRequest.multi_rack(
+                chains=chains, rack_pins=pins,
+            )).placement
+            for _ in range(2)
+        )
+        assert first.feasible
+        assert sorted(first.reports) == ["r0", "r1"]
+        assert again.describe() == first.describe()
+        assert again.rates == first.rates
 
 
 class TestRequestSurface:

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.cache import PlacementCache
-from repro.core.placer import (
-    Placer,
-    PlacerConfig,
-    PlacementReport,
-    PlacementRequest,
-)
+from repro.core.cache import placement_fingerprint
+from repro.core.placer import Placer, PlacementReport, PlacementRequest
 from repro.exceptions import PlacementError
 from repro.hw.spec import topology_for
 
@@ -20,8 +15,6 @@ class TestSolve:
         assert report.placement.feasible
         assert report.strategy == "lemur"
         assert report.seconds > 0
-        assert report.cache_hit is False
-        assert report.fingerprint is None  # no cache attached
 
     def test_solve_strategy_override(self, simple_chains):
         report = Placer().solve(
@@ -78,48 +71,61 @@ class TestSolve:
         assert [s.reserved_cores for s in placer.topology.servers] == before
 
 
+def _key(placer, chains, extra=()):
+    """The sweep memo's key for ``chains`` on the placer's rack as it
+    stands (``Placer.solve`` itself memoizes nothing)."""
+    return placement_fingerprint(
+        chains, placer.topology, placer.profiles,
+        placer.config.strategy, placer.config.packet_bits, extra=extra,
+    )
+
+
 class TestSolveCaching:
-    def test_repeat_solve_hits_cache(self, simple_chains):
-        placer = Placer(cache=PlacementCache())
+    """What made a memoized placement safe to reuse: a repeated solve is
+    the same answer, and every scenario knob moves the sweep memo's key."""
+
+    def test_repeat_solve_is_identical(self, simple_chains):
+        placer = Placer()
         first = placer.solve(PlacementRequest(chains=simple_chains))
         second = placer.solve(PlacementRequest(chains=simple_chains))
-        assert first.cache_hit is False
-        assert second.cache_hit is True
-        assert first.fingerprint == second.fingerprint
+        assert second.placement is not first.placement
+        assert second.placement.describe() == first.placement.describe()
         assert second.placement.rates == first.placement.rates
-
-    def test_request_can_bypass_cache(self, simple_chains):
-        placer = Placer(cache=PlacementCache())
-        placer.solve(PlacementRequest(chains=simple_chains))
-        fresh = placer.solve(PlacementRequest(
-            chains=simple_chains, use_cache=False,
-        ))
-        assert fresh.cache_hit is False
-        assert fresh.fingerprint is None
+        warm = [
+            placer.solve(PlacementRequest(
+                chains=simple_chains, base_placement=first.placement,
+            )).placement
+            for _ in range(2)
+        ]
+        assert warm[1].describe() == warm[0].describe()
+        assert warm[1].rates == warm[0].rates
 
     def test_scenario_knobs_partition_the_key(self, simple_chains):
-        placer = Placer(topology=topology_for("paper-smartnic").build(),
-                        cache=PlacementCache())
-        plain = placer.solve(PlacementRequest(chains=simple_chains))
-        failed = placer.solve(PlacementRequest(
+        placer = Placer(topology=topology_for("paper-smartnic").build())
+        plain = _key(placer, simple_chains)
+        placer.solve(PlacementRequest(
             chains=simple_chains, failed_devices=("agilio0",),
         ))
-        reserved = placer.solve(PlacementRequest(
+        placer.solve(PlacementRequest(
             chains=simple_chains, reserve_cores=2,
         ))
-        keys = {plain.fingerprint, failed.fingerprint, reserved.fingerprint}
-        assert len(keys) == 3
-        assert not failed.cache_hit and not reserved.cache_hit
+        # a request's knobs are rolled back after its solve, the key too
+        assert _key(placer, simple_chains) == plain
+        placer.topology.mark_failed("agilio0")
+        failed = _key(placer, simple_chains)
+        placer.topology.failed_devices.discard("agilio0")
+        for server in placer.topology.servers:
+            server.reserved_cores += 2
+        reserved = _key(placer, simple_chains)
+        assert len({plain, failed, reserved}) == 3
 
     def test_rate_objective_in_key(self, simple_chains):
-        cache = PlacementCache()
-        marginal = Placer(cache=cache)
-        fair = Placer(cache=cache,
-                      config=PlacerConfig(rate_objective="max_min"))
-        a = marginal.solve(PlacementRequest(chains=simple_chains))
-        b = fair.solve(PlacementRequest(chains=simple_chains))
-        assert a.fingerprint != b.fingerprint
-        assert not b.cache_hit
+        placer = Placer()
+        keys = {
+            _key(placer, simple_chains, extra=("rate_objective", objective))
+            for objective in ("marginal", "max_min")
+        }
+        assert len(keys) == 2
 
 
 class TestIncrementalSolve:
@@ -198,20 +204,6 @@ class TestIncrementalSolve:
         assert report.mode == "full"
         assert report.pinned_chains == 0 and report.placed_chains == 0
 
-    def test_warm_start_partitions_cache_key(self, simple_chains):
-        placer = Placer(cache=PlacementCache())
-        base = placer.solve(PlacementRequest(chains=simple_chains))
-        warm = placer.solve(PlacementRequest(
-            chains=simple_chains, base_placement=base.placement,
-        ))
-        assert warm.fingerprint != base.fingerprint
-        assert not warm.cache_hit
-        again = placer.solve(PlacementRequest(
-            chains=simple_chains, base_placement=base.placement,
-        ))
-        assert again.cache_hit
-        assert again.fingerprint == warm.fingerprint
-
 
 class TestTailLatencyObjective:
     def _chain(self, d_max=float("inf")):
@@ -256,13 +248,10 @@ class TestTailLatencyObjective:
             tight.placement.infeasible_reason
 
     def test_objective_partitions_cache_key(self, simple_chains):
-        placer = Placer(cache=PlacementCache())
-        first = placer.solve(PlacementRequest(chains=simple_chains))
-        tail = placer.solve(PlacementRequest(
-            chains=simple_chains, objective="tail_latency"))
-        again = placer.solve(PlacementRequest(chains=simple_chains))
-        assert first.cache_hit is False
-        assert tail.cache_hit is False
-        assert tail.fingerprint != first.fingerprint
-        assert again.cache_hit is True
-        assert again.fingerprint == first.fingerprint
+        placer = Placer()
+        keys = [
+            _key(placer, simple_chains, extra=("objective", objective))
+            for objective in ("throughput", "tail_latency", "throughput")
+        ]
+        assert keys[0] != keys[1]
+        assert keys[2] == keys[0]

@@ -14,6 +14,7 @@ from repro.experiments.schemes import SCHEMES
 from repro.hw.spec import topology_for
 from repro.obs import scoped_registry
 from repro.profiles.defaults import default_profiles
+from repro.runtime.pool import shutdown_pool
 
 FAST = {k: v for k, v in SCHEMES.items()
         if k in ("Lemur", "SW Preferred", "Greedy")}
@@ -24,11 +25,19 @@ def profiles():
     return default_profiles()
 
 
+@pytest.fixture(autouse=True)
+def cold_cache():
+    """The sweep always memoizes: every test starts from an empty memo,
+    so its first pass over a grid really solves."""
+    with scoped_cache() as cache:
+        yield cache
+
+
 @pytest.fixture()
 def spec(profiles):
     return SweepSpec(
         chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=FAST,
-        profiles=profiles, measure=False, cache=False,
+        profiles=profiles, measure=False,
     )
 
 
@@ -47,17 +56,20 @@ class TestSweepSpec:
 class TestParallelEquivalence:
     def test_parallel_rows_identical_to_serial(self, spec):
         serial = run_sweep(spec)
-        parallel = run_sweep(spec.with_jobs(2))
+        with scoped_cache():  # workers forked here inherit no serial row
+            parallel = run_sweep(spec.with_jobs(2))
         assert serial.results == parallel.results  # same rows, same order
 
     def test_parallel_measured_rows_identical(self, profiles):
         measured = SweepSpec(
             chain_indices=(2,), deltas=(0.5,),
             schemes={"Lemur": SCHEMES["Lemur"]},
-            profiles=profiles, measure=True, cache=False,
+            profiles=profiles, measure=True,
         )
-        assert run_sweep(measured).results == \
-            run_sweep(measured.with_jobs(2)).results
+        serial = run_sweep(measured)
+        with scoped_cache():
+            assert run_sweep(measured.with_jobs(2)).results \
+                == serial.results
 
     def test_unpicklable_scheme_falls_back_to_serial(self, profiles):
         lambda_schemes = {
@@ -67,13 +79,16 @@ class TestParallelEquivalence:
         }
         spec = SweepSpec(
             chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=lambda_schemes,
-            profiles=profiles, measure=False, cache=False, jobs=2,
+            profiles=profiles, measure=False, jobs=2,
         )
         with pytest.warns(RuntimeWarning, match="not picklable"):
             sweep = run_sweep(spec)
         assert len(sweep.results) == 2
 
     def test_worker_metrics_merge_back(self, spec):
+        # live workers remember the cells they have solved: fork new ones
+        # (under this test's empty memo) so every cell is solved again
+        shutdown_pool()
         with scoped_registry() as registry:
             run_sweep(spec.with_jobs(2))
             cells = sum(
@@ -96,7 +111,7 @@ class TestTopologyIsolation:
         before_reserved = [s.reserved_cores for s in topology.servers]
         run_sweep(SweepSpec(
             (2, 3), deltas=(0.5, 1.0), schemes=FAST, topology=topology,
-            profiles=profiles, measure=False, cache=False,
+            profiles=profiles, measure=False,
         ))
         assert topology.failed_devices == set()
         assert [s.reserved_cores for s in topology.servers] == before_reserved
@@ -116,7 +131,7 @@ class TestTopologyIsolation:
             run_sweep(SweepSpec(
                 (2,), deltas=(0.5, 1.0, 1.5), schemes={"Vandal": vandal},
                 topology=topology_for("multi-server").build(),
-                profiles=profiles, measure=False, cache=False, jobs=1,
+                profiles=profiles, measure=False, jobs=1,
             ))
         # every cell started from a pristine copy: no failures carried over
         assert calls == [[], [], []]
@@ -126,7 +141,7 @@ class TestSweepCaching:
     def test_warm_rerun_hits_and_matches(self, profiles):
         spec = SweepSpec(
             chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=FAST,
-            profiles=profiles, measure=False, cache=True,
+            profiles=profiles, measure=False,
         )
         with scoped_cache(PlacementCache()) as cache:
             cold = run_sweep(spec)
@@ -140,7 +155,7 @@ class TestSweepCaching:
         spec = SweepSpec(
             chain_indices=(2,), deltas=(0.5,),
             schemes={"Lemur": SCHEMES["Lemur"]},
-            profiles=profiles, measure=True, cache=True,
+            profiles=profiles, measure=True,
         )
         with scoped_cache(PlacementCache()) as cache:
             cold = run_sweep(spec)
@@ -151,7 +166,7 @@ class TestSweepCaching:
     def test_distinct_cells_never_collide(self, profiles):
         spec = SweepSpec(
             chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=FAST,
-            profiles=profiles, measure=False, cache=True,
+            profiles=profiles, measure=False,
         )
         with scoped_cache(PlacementCache()) as cache:
             run_sweep(spec)

@@ -12,6 +12,7 @@ dispatch fails warns and returns the serial result.
 
 import pytest
 
+from repro.core.cache import scoped_cache
 from repro.exceptions import WorkerPoolError
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
@@ -198,10 +199,11 @@ def _traffic(parallel):
 def _sweep(parallel):
     spec = SweepSpec(
         chain_indices=(2, 3), deltas=(0.5, 1.0),
-        schemes={"Lemur": SCHEMES["Lemur"]}, measure=False, cache=False,
+        schemes={"Lemur": SCHEMES["Lemur"]}, measure=False,
         jobs=2 if parallel else 1,
     )
-    return run_sweep(spec).results
+    with scoped_cache():  # a cold solve: the fallback must really run
+        return run_sweep(spec).results
 
 
 def _chaos(parallel):

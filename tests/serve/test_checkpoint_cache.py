@@ -10,6 +10,7 @@ rack and fabric, and demands the uninterrupted run's report and digest.
 
 import os
 import pickle
+import pickletools
 import random
 import shutil
 import subprocess
@@ -156,6 +157,35 @@ def test_history_rides_in_the_checkpoint_as_one_blob_per_phase(
     assert recovered.phases[-1].start_packet + sum(
         row.injected for row in recovered.phases[-1].chains
     ) == recovered._injected == crashed._injected
+
+
+def test_checkpoint_carries_no_placement_memo(make_config, drive, tmp_path):
+    """The placement memo is the sweep engine's: nothing of
+    ``repro.core.cache`` rides in a daemon's checkpoint, however many
+    commands it has solved."""
+    commands = []
+    for i in range(10):
+        commands += [
+            Arrive(chain=f"dyn{i}", spec=f"chain dyn{i}: ACL -> IPv4Fwd",
+                   t_min_mbps=500.0, t_max_mbps=4000.0),
+            Depart(chain=f"dyn{i}"),
+        ]
+    state = tmp_path / "state"
+    daemon, _ = drive(make_config(), state, commands)
+    assert daemon.seq == len(commands) >= 20
+
+    def names(pickled: bytes):
+        # protocol 4+ pushes module and class names as plain strings
+        # ahead of STACK_GLOBAL, so every string argument is a candidate
+        return {arg for _, arg, _ in pickletools.genops(pickled)
+                if isinstance(arg, str)}
+
+    _, state_bytes = _split((state / "checkpoint.pkl").read_bytes())
+    seen = names(state_bytes)
+    for blob in pickle.loads(state_bytes)["history"]:
+        seen |= names(blob)
+    assert "repro.sim.admission" in seen    # the walk does see globals
+    assert not [name for name in seen if name.startswith("repro.core.cache")]
 
 
 def test_discard_writes_a_native_checkpoint_before_serving(

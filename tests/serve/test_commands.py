@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import CommandError
+from repro.exceptions import CommandError, LifecycleError
 from repro.serve.commands import (
     MUTATING_KINDS,
     STATUS_APPLIED,
@@ -118,6 +118,43 @@ class TestOutcome:
             CommandOutcome.from_dict(
                 {"seq": 1, "kind": "depart", "status": "maybe"}
             )
+
+    DECISION = {
+        "tick": 3, "action": "arrive", "chain": "dyn0", "accepted": False,
+        "reason": "no cores", "mode": "incremental", "pinned": 2,
+        "placed": 1, "rebuilt": ["tor"], "reused": ["server0"],
+        "removed": [],
+    }
+
+    def test_decision_round_trips_through_json(self):
+        import json
+
+        outcome = CommandOutcome.from_dict(json.loads(json.dumps({
+            "seq": 3, "kind": "arrive", "status": "rejected",
+            "decision": self.DECISION,
+        })))
+        assert outcome.decision.as_dict() == self.DECISION
+        assert outcome.decision.accepted is False
+        assert outcome.decision.rebuilt == ("tor",)
+
+    @pytest.mark.parametrize("field, value", [
+        ("accepted", "false"),      # bool("false") is True
+        ("accepted", 0),
+        ("tick", True),
+        ("tick", "3"),
+        ("pinned", 2.9),            # int(2.9) is 2
+        ("placed", None),
+        ("rebuilt", "abc"),         # tuple("abc") is ('a', 'b', 'c')
+        ("reused", [1, 2]),
+        ("removed", {"tor": 1}),
+        ("cache_hit", False),       # gone from the wire: an unknown field
+    ])
+    def test_mistyped_decision_field_rejected(self, field, value):
+        with pytest.raises(LifecycleError, match=field):
+            CommandOutcome.from_dict({
+                "seq": 3, "kind": "arrive", "status": "rejected",
+                "decision": {**self.DECISION, field: value},
+            })
 
     def test_http_status_mapping(self):
         assert CommandOutcome.http_status("applied") == 200

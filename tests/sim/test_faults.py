@@ -6,7 +6,6 @@ import pytest
 
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
-from repro.core.cache import PlacementCache
 from repro.core.heuristic import heuristic_place
 from repro.exceptions import DataplaneError, FaultInjectionError
 from repro.hw.spec import TopologySpec, topology_for
@@ -244,13 +243,13 @@ class TestChaosEngine:
                        "chain d: Encrypt -> IPv4Fwd"),
             slos=((gbps(1), gbps(39)), (gbps(1), gbps(10))),
         )
-        engine = ChaosEngine(spec, registry=MetricsRegistry())
-        with scoped_registry() as default:  # codegen counts land here
-            report = engine.run()
-            reused = default.counter_value(
-                "metacompiler.codegen.units", platform="p4_chain",
-                result="reused",
-            )
+        registry = MetricsRegistry()
+        engine = ChaosEngine(spec, registry=registry)
+        report = engine.run()
+        reused = registry.counter_value(
+            "metacompiler.codegen.units", platform="p4_chain",
+            result="reused",
+        )
         assert report.replans == 1
         assert reused >= 1  # chain d never left the switch and server
         switch = engine.topology.switch.name
@@ -259,6 +258,20 @@ class TestChaosEngine:
         ).compile_placement(engine.placement)
         assert (engine.rack.artifacts.device_fingerprints(switch)
                 == scratch.device_fingerprints(switch))
+
+    def test_every_layer_reports_to_the_given_registry(self):
+        """The initial solve and the replan record where the engine does,
+        not in whatever registry is the process default."""
+        mine = MetricsRegistry()
+        with scoped_registry() as ambient:
+            report = run_chaos(_smartnic_spec(), registry=mine)
+        assert report.replans == 1
+        # the initial solve and the replan
+        assert mine.counter_value("lp.solves", objective="marginal") >= 2
+        assert mine.counter_value(
+            "placer.placements", strategy="lemur", feasible="true") == 2
+        assert not list(ambient.counters())
+        assert not list(ambient.histograms())
 
     def test_no_degrade_first_replans_directly(self):
         spec = _smartnic_spec(
@@ -320,6 +333,9 @@ class TestChaosEngine:
     def test_report_is_deterministic(self):
         a = run_chaos(_smartnic_spec())
         b = run_chaos(_smartnic_spec())
+        # the second engine replans the same failure again, from nothing
+        assert a.replans == b.replans >= 1
+        assert b.phases[-1].compliant
         assert a.render() == b.render()
         assert a.to_json() == b.to_json()
 
@@ -361,18 +377,6 @@ class TestChaosEngine:
             # no SmartNIC in the default testbed
             ChaosEngine(spec)
 
-    def test_chaos_uses_placement_cache_across_engines(self):
-        cache = PlacementCache()
-        first = run_chaos(_smartnic_spec(), cache=cache)
-        assert first.replan_cache_hits == 0
-        second = run_chaos(_smartnic_spec(), cache=cache)
-        # identical failure state fingerprints identically: warm replan
-        assert second.replan_cache_hits == 1
-        # the warm replan reproduces the cold run's traffic outcome exactly
-        assert [ph.label for ph in second.phases] == \
-            [ph.label for ph in first.phases]
-        assert second.total_delivered == first.total_delivered
-        assert second.phases[-1].compliant
 
 
 class TestChaosCLI:

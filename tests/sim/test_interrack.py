@@ -8,7 +8,7 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.hw.spec import TopologySpec, topology_for
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline
 from repro.sim.interrack import (
@@ -208,6 +208,21 @@ class TestFabricLifecycle:
         for name in ("c6", "c7"):
             decision = core.process(self._arrive(name))
             assert decision.accepted and core.assignment[name] == "r0"
+
+    def test_every_layer_reports_to_the_given_registry(self):
+        """Partitioner, per-rack solves and LP record where the fabric
+        core does, not in whatever registry is the process default."""
+        with scoped_registry() as ambient:
+            core = self._core()
+            assert core.process(self._arrive("c6")).accepted
+        assert core.obs.counter_value(
+            "lp.solves", objective="marginal") >= 1
+        assert core.obs.counter_value(
+            "placer.placements", strategy="lemur", feasible="true") >= 1
+        assert any(h.name == "partition.seconds"
+                   for h in core.obs.histograms())
+        assert not list(ambient.counters())
+        assert not list(ambient.histograms())
 
     def test_bootstrap_spills_overflow(self):
         core = self._core()

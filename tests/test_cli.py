@@ -138,6 +138,14 @@ class TestSweepProfile:
         out = capsys.readouterr().out
         assert code == 0
         assert "Lemur" in out
+        # the sweep always memoizes and always says what that bought
+        assert "placement cache: " in out
+        assert " across 5 cells" in out
+
+    @pytest.mark.parametrize("flag", ["--no-cache", "--cache"])
+    def test_sweep_has_no_cache_switch(self, flag, capsys):
+        assert main(["sweep", "1", flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_profile(self, capsys):
         code = main(["profile", "--runs", "20"])
