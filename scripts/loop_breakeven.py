@@ -2,8 +2,10 @@
 """Measure where the columnar dataplane loop starts to pay.
 
 Prints the two tables behind ``repro.sim.traffic.COLUMNAR_MIN_BATCH``
-(``docs/performance.md``, "Which loop runs"). Both time one traffic phase
-— one batch per chain — with the selection pinned to the scalar loop and
+(``docs/performance.md``, "Which loop runs") and the one behind the
+crossover inside ``repro.sim.runtime._unit_draws``. The first two time
+one traffic phase — one batch per chain — with the selection pinned to
+the scalar loop and
 to the columnar loop, on a freshly deployed rack (*cold*: no hop probe, no
 classified or traced flow — what every phase after a redeploy sees) and
 again on the same rack (*warm*). Flow templates are synthesized before the
@@ -13,18 +15,26 @@ clock starts, as they are for a chain that survives a redeploy.
   ``serve_churn`` and ``nic_fastpath`` workloads: where the loops cross;
 * one signature a batch against one signature a packet, at batch 64 and
   4096 on the ``nic_fastpath`` rack: what a distinct signature costs
-  (``flowscale_smallbatch``'s regime), as µs per extra signature.
+  (``flowscale_smallbatch``'s regime), as µs per extra signature;
+* ``n`` cost draws from one ``random.Random``, ``n`` = 8 to 4096, by the
+  per-draw loop and by one bulk ``getrandbits`` call, both ending in the
+  float64 array the rack consumes: where ``_unit_draws`` should switch,
+  beside where it does.
 
     PYTHONPATH=src python scripts/loop_breakeven.py [--repeats N]
 """
 
 import argparse
+import random
 import statistics
 import time
+
+import numpy as np
 
 import repro.sim.traffic as traffic
 from repro.hw.spec import topology_for
 from repro.obs import MetricsRegistry
+from repro.sim.runtime import _unit_draws
 from repro.sim.traffic import TrafficEngine, TrafficSpec
 
 RACKS = {
@@ -44,6 +54,7 @@ BATCHES = (8, 16, 32, 64, 128)
 #: one flow and with as many flows as packets
 SIGNATURE_BATCHES = (("nic_fastpath", 64), ("nic_fastpath", 4096))
 PINS = {"scalar": 10**9, "columnar": 1}
+DRAWS = (8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 4096)
 
 
 def cells():
@@ -91,6 +102,65 @@ def measure(repeats: int) -> dict:
             for key, values in samples.items()}
 
 
+def loop_draws(rng: random.Random, n: int) -> np.ndarray:
+    rand = rng.random
+    return np.asarray([rand() for _ in range(n)])
+
+
+def bulk_draws(rng: random.Random, n: int) -> np.ndarray:
+    """``_unit_draws``'s bulk branch, at any ``n``."""
+    words = np.frombuffer(
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8"
+    )
+    return (((words & 0xFFFFFFE0) << 21) + (words >> 38)) \
+        * (1.0 / 9007199254740992.0)
+
+
+def measure_draws(repeats: int) -> dict:
+    """(n, "loop" | "bulk") -> median µs per call; the two alternate
+    inside every repeat."""
+    top = max(DRAWS)
+    ours, theirs = random.Random("draws"), random.Random("draws")
+    if bulk_draws(ours, top).tolist() \
+            != np.asarray(_unit_draws(theirs, top)).tolist() \
+            or ours.getstate() != theirs.getstate():
+        raise SystemExit("bulk_draws no longer mirrors _unit_draws")
+    samples: dict = {}
+    for repeat in range(repeats + 1):
+        for n in DRAWS:
+            calls = max(8, top // n)
+            for how, draw in (("loop", loop_draws), ("bulk", bulk_draws)):
+                started = time.perf_counter()
+                for _ in range(calls):
+                    draw(ours, n)
+                spent = (time.perf_counter() - started) / calls * 1e6
+                if repeat:
+                    samples.setdefault((n, how), []).append(spent)
+    return {key: statistics.median(values)
+            for key, values in samples.items()}
+
+
+class _CountingRandom(random.Random):
+    """Notes whether a caller took the bulk route."""
+
+    bulk = False
+
+    def getrandbits(self, k):
+        self.bulk = True
+        return super().getrandbits(k)
+
+
+def helper_crossover() -> int:
+    """The smallest ``n`` at which ``_unit_draws`` makes its one bulk
+    call, found from outside."""
+    for n in range(1, 2 * max(DRAWS)):
+        rng = _CountingRandom(n)
+        _unit_draws(rng, n)
+        if rng.bulk:
+            return n
+    raise SystemExit("_unit_draws never draws in bulk")
+
+
 def row(ms: dict, rack: str, batch: int, flows: int) -> str:
     return (f"| {ms[rack, batch, flows, 'scalar', 'cold']:.2f} "
             f"| {ms[rack, batch, flows, 'columnar', 'cold']:.2f} "
@@ -107,6 +177,7 @@ def main() -> int:
         ms = measure(args.repeats)
     finally:
         traffic.COLUMNAR_MIN_BATCH = default
+    us = measure_draws(args.repeats)
     print(f"median of {args.repeats} phases, ms per phase "
           f"(COLUMNAR_MIN_BATCH = {default})")
     print("| rack | batch | cold scalar | cold columnar | warm scalar "
@@ -136,6 +207,17 @@ def main() -> int:
             for phase in ("cold", "warm") for loop in PINS
         )
         print(f"| `{rack}` | {batch} | µs/signature {per_signature}|")
+    print()
+    switch = helper_crossover()
+    lost = [n for n in DRAWS if us[n, "bulk"] >= us[n, "loop"]]
+    wins_from = next((n for n in DRAWS if n > max(lost, default=0)), None)
+    print(f"µs for n cost draws as a float64 array; bulk wins from "
+          f"n = {wins_from} up here, _unit_draws switches at n = {switch}")
+    print("| n | per-draw loop | one getrandbits call | _unit_draws takes |")
+    print("|---:|---:|---:|---|")
+    for n in DRAWS:
+        print(f"| {n} | {us[n, 'loop']:.1f} | {us[n, 'bulk']:.1f} "
+              f"| {'bulk' if n >= switch else 'loop'} |")
     return 0
 
 

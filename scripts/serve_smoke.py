@@ -13,7 +13,10 @@ restart must cut the torn tail off (``serve.journal.repaired``) before
 it journals, or that command's record merges into it and is lost.
 A third leg truncates the finished run's ``checkpoint.pkl`` and restarts
 once more: the daemon must discard it, rebuild the same report from the
-journal alone, and count the discard.
+journal alone, and count the discard. The reference leg also times 20
+keep-alive ``GET /v1/health`` round trips through a stock
+``http.client`` connection: a median above 20 ms means responses are
+being held by Nagle and the client's delayed ACK again.
 
 Run from the repo root:
 
@@ -25,13 +28,17 @@ the per-layer timers of every command (it replayed them all) plus
 """
 
 import argparse
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 SPEC = (
@@ -113,11 +120,36 @@ def shutdown(proc, base):
     return out
 
 
+def keep_alive_rtt_ms(base: str, trips: int = 20) -> float:
+    """Median round trip of ``GET /v1/health`` on one untuned keep-alive
+    connection (no TCP_NODELAY, no TCP_QUICKACK)."""
+    address = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=120)
+    spent = []
+    try:
+        for _ in range(trips):
+            started = time.perf_counter()
+            conn.request("GET", "/v1/health")
+            conn.getresponse().read()
+            spent.append((time.perf_counter() - started) * 1e3)
+    finally:
+        conn.close()
+    return statistics.median(spent)
+
+
 def run_uninterrupted(root: str, spec_path: str) -> dict:
     print("== reference run (uninterrupted) ==")
     state = os.path.join(root, "reference")
     proc, base, _ = start_daemon(state, spec_path)
     drive(proc, base, COMMANDS)
+    rtt = keep_alive_rtt_ms(base)
+    print(f"  keep-alive GET /v1/health: median {rtt:.2f} ms of 20")
+    if rtt > 20.0:
+        proc.kill()
+        raise SystemExit(
+            f"FAIL: a stock keep-alive client waits {rtt:.1f} ms per "
+            "response (Nagle + delayed ACK?)")
     _, report = request(base + "/v1/report")
     shutdown(proc, base)
     return report

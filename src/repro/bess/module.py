@@ -9,6 +9,7 @@ core's schedule slot).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -74,6 +75,20 @@ class Module:
         #: cost is a pure function of (nf_class, params, numa_same), so it is
         #: resolved once and reused for every packet.
         self._cost_cache: Optional[Tuple[ProfileDatabase, Tuple[float, float]]] = None
+
+    def __getstate__(self) -> dict:
+        # the Mersenne state is 625 words: packed bytes, not 625 pickled
+        # ints for each of a rack's hundred-odd modules
+        state = self.__dict__.copy()
+        version, words, gauss_next = self._rng.getstate()
+        state["_rng"] = (version, array("I", words).tobytes(), gauss_next)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        version, packed, gauss_next = state.pop("_rng")
+        self.__dict__.update(state)
+        self._rng = random.Random(0)  # any seed: the state is replaced
+        self._rng.setstate((version, tuple(array("I", packed)), gauss_next))
 
     # -- wiring -------------------------------------------------------------
 

@@ -378,6 +378,15 @@ class MetricsRegistry:
         entry = self._gauges.get((name, _label_key(labels)))
         return entry.value if entry is not None else 0
 
+    def drop_series(self, **labels) -> None:
+        """Forget every instrument carrying all of ``labels`` (a departed
+        chain's ``chain=<name>`` series). Whoever cached one of them must
+        forget it too, or it keeps counting into an orphan."""
+        wanted = set(_label_key(labels))
+        for table in (self._counters, self._gauges, self._histograms):
+            for key in [key for key in table if wanted.issubset(key[1])]:
+                del table[key]
+
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()

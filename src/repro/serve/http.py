@@ -52,6 +52,9 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
     loop: asyncio.AbstractEventLoop
 
     protocol_version = "HTTP/1.1"
+    #: headers and body are two writes: with Nagle on, the body waits for
+    #: the ACK of the headers, which a keep-alive client delays ≈ 40 ms
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

@@ -360,6 +360,8 @@ class AdmissionCore:
             self.rack, report.placement, self.spec.queueing
         )
         self.traffic.placement = report.placement
+        if event.action == "depart":
+            self.rack.forget_chain(event.chain)
         self.active = proposed
         self.placement = report.placement
         self.rates = dict(report.placement.rates)

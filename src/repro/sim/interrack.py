@@ -582,6 +582,8 @@ class FabricAdmissionCore:
     def _teardown_rack(self, rack: str) -> Tuple[str, ...]:
         """Drop a rack core entirely (its last chain left)."""
         core = self.cores.pop(rack)
+        for chain in core.active:
+            core.rack.forget_chain(chain.name)
         self.obs.counter("lifecycle.rack_teardowns").inc()
         return self._placement_devices(core.placement)
 

@@ -16,6 +16,7 @@ aggregates into :class:`~repro.sim.measurement.PacketTraceResult`.
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -60,6 +61,28 @@ _MAX_EVENTS = 1000
 #: cache (simple and allocation-free — a rack outliving 64k flows is a
 #: soak test, not a correctness concern).
 _FLOW_CACHE_MAX = 65536
+
+
+def _unit_draws(rng: random.Random, n: int):
+    """The next ``n`` values of ``rng.random()``, leaving ``rng`` exactly
+    where ``n`` calls would.
+
+    ``random()`` takes two successive 32-bit Mersenne outputs ``a``, ``b``
+    and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
+    ``getrandbits(64 * n)`` emits the same ``2n`` outputs, first one
+    lowest, so a little-endian 64-bit word holds one draw: ``a`` below,
+    ``b`` above. One C call instead of ``n`` — but with ≈ 5 µs of fixed
+    cost, so short runs keep the per-draw loop (the third table of
+    ``scripts/loop_breakeven.py`` has the crossover).
+    """
+    if n < 128:
+        rand = rng.random
+        return [rand() for _ in range(n)]
+    words = np.frombuffer(
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8"
+    )
+    return (((words & 0xFFFFFFE0) << 21) + (words >> 38)) \
+        * (1.0 / 9007199254740992.0)
 
 
 @dataclass
@@ -695,6 +718,15 @@ device_fingerprints`) decide what happens to each device:
             }
         return inst
 
+    def forget_chain(self, chain: str) -> None:
+        """A departed chain's series leave the registry, and the handles
+        cached here with them: a long-lived rack neither keeps nor
+        checkpoints instruments nothing will touch again."""
+        self._chain_inst.pop(chain, None)
+        for key in [key for key in self._drop_counters if key[0] == chain]:
+            del self._drop_counters[key]
+        self.obs.drop_series(chain=chain)
+
     def _drop_counter_pair(self, chain: str, device: str, reason: str
                            ) -> tuple:
         key = (chain, device, reason)
@@ -1238,14 +1270,13 @@ device_fingerprints`) decide what happens to each device:
             member = groups[0] if len(groups) == 1 \
                 else np.sort(np.concatenate(groups))
             low, worst = module._cost_bounds()
-            rand = module._rng.random
-            rolls.extend([rand() for _ in range(len(member))])
+            rolls.append(_unit_draws(module._rng, len(member)))
             members.append(member)
             lows.append(low)
             spans.append(worst - low)
         sizes = [len(member) for member in members]
         charged = (np.repeat(lows, sizes) + np.repeat(spans, sizes)
-                   * np.asarray(rolls, dtype=np.float64)).astype(np.int64)
+                   * np.concatenate(rolls)).astype(np.int64)
         starts = np.cumsum([0, *sizes[:-1]])
         for (module, _ids), total in zip(
             draws.values(), np.add.reduceat(charged, starts).tolist()

@@ -483,15 +483,16 @@ class TrafficEngine:
         return flows
 
     def _inject(self, cp: ChainPlacement, flows: List[Packet], base: int,
-                size: int) -> Tuple[int, List[float], float]:
+                size: int) -> Tuple[int, Sequence[float], float]:
         """Push one batch through the rack: packets ``base .. base+size``
         of the flow cycle (packet ``i`` belongs to flow ``i % flows``).
 
         Returns ``(delivered, latency_samples, rack_wall_seconds)`` — the
         delivered packets' latency stamps (µs) in injection order,
-        whichever loop ran. Only rack work is timed: packet clones and the
-        signature column are built before the clock starts, the samples
-        are collected after it stops.
+        whichever loop ran: a float64 array from the columnar loop, a
+        list from the scalar one. Only rack work is timed: packet clones
+        and the signature column are built before the clock starts, the
+        samples are collected after it stops.
         """
         n_flows = len(flows)
         _chain, _templates, fell_back = self._flows[cp.name]
@@ -517,7 +518,9 @@ class TrafficEngine:
                 if packet is not None:
                     stamp = packet.metadata.fields["latency_us"]
                     stamps[seq - result.seq_base] = stamp
-            return result.delivered, stamps[~np.isnan(stamps)].tolist(), wall
+            if result.delivered < size:
+                stamps = stamps[~np.isnan(stamps)]
+            return result.delivered, stamps, wall
         batch = [
             flows[(base + offset) % n_flows].copy()
             for offset in range(size)
@@ -532,21 +535,22 @@ class TrafficEngine:
         return len(samples), samples, wall
 
     def _replay(self, cp: ChainPlacement, start: int,
-                count: int) -> Tuple[int, List[float], float]:
+                count: int) -> Tuple[int, np.ndarray, float]:
         """Inject packets ``start .. start+count`` of ``cp``'s flow cycle
-        in batches; ``_inject``'s triple summed over them."""
+        in batches; ``_inject``'s triple summed over them, the samples
+        joined into one float64 array."""
         flows = self.synthesize_flows(cp)
         delivered = 0
         wall = 0.0
-        latencies: List[float] = []
+        parts = [np.empty(0)]  # float64 whatever follows, even nothing
         for base in range(start, start + count, self.batch_size):
             got, samples, spent = self._inject(
                 cp, flows, base, min(self.batch_size, start + count - base)
             )
             delivered += got
             wall += spent
-            latencies.extend(samples)
-        return delivered, latencies, wall
+            parts.append(samples)
+        return delivered, np.concatenate(parts), wall
 
     def replay_batch(self, cp: ChainPlacement, cursor: int,
                      count: int) -> Tuple[int, int, List[float]]:
@@ -561,7 +565,7 @@ class TrafficEngine:
         windowed-quantile input.
         """
         delivered, latencies, _wall = self._replay(cp, cursor, count)
-        return delivered, cursor + count, latencies
+        return delivered, cursor + count, latencies.tolist()
 
     def run(self, packets_per_chain: int = 1024,
             chain_names: Optional[List[str]] = None) -> TrafficReport:

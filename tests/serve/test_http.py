@@ -2,7 +2,9 @@
 
 import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -190,3 +192,24 @@ def test_malformed_body_is_a_typed_400(base_url, case):
     code, health = _request(base_url + "/v1/health")
     assert code == 200
     assert health["seq"] == 0
+
+
+def test_keep_alive_round_trips_are_not_held_by_nagle(base_url):
+    """A stock keep-alive client (no TCP_NODELAY, no TCP_QUICKACK) gets
+    each answer at once: header and body used to leave as two segments on
+    a Nagle socket, and the second waited ≈ 40 ms for a delayed ACK."""
+    address = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=60)
+    spent = []
+    try:
+        for _ in range(20):
+            started = time.perf_counter()
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            response.read()
+            spent.append((time.perf_counter() - started) * 1e3)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(spent) < 20.0, spent

@@ -276,7 +276,7 @@ BETWEEN = {
 def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
                         batches=None, fault=None, queueing=False,
                         interrack=False, variants=1, between=(),
-                        prepare=None):
+                        prepare=None, per_packet=False):
     """Drive identical racks through the scalar batch path and the
     columnar path and assert bit-identity on every observable surface.
 
@@ -285,7 +285,8 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
     ``i`` of the whole stream belongs to flow ``i % n_flows``, so later
     batches replay traced routes. ``between[j]`` names the :data:`BETWEEN`
     change both racks undergo after batch ``j``; ``prepare`` sees the
-    columnar rack before any traffic.
+    columnar rack before any traffic. ``per_packet`` makes the scalar side
+    the oracle itself: one ``run`` call per packet.
     """
     if batches is None:
         batches = [n_flows * reps]
@@ -322,9 +323,12 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
     for index, n_packets in enumerate(batches):
         sig = [i % n_flows for i in range(base, base + n_packets)]
         base += n_packets
-        scalar_out = scalar_rack.run(
-            scalar_cp, [_flow(scalar_cp.chain, s, variants) for s in sig],
-        ).outputs
+        packets = [_flow(scalar_cp.chain, s, variants) for s in sig]
+        if per_packet:
+            scalar_out = [scalar_rack.run(scalar_cp, [packet]).outputs[0]
+                          for packet in packets]
+        else:
+            scalar_out = scalar_rack.run(scalar_cp, packets).outputs
         columns = PacketColumns.for_flows(flows, sig)
         # the signature columns must never be walked in Python
         columns.resolve()
@@ -421,6 +425,29 @@ def test_columnar_matches_scalar_interrack_with_queueing():
     _label, spec, topo_kwargs, slo = SCENARIOS[1]
     _scalar_vs_columnar(spec, topo_kwargs, slo, seed=7,
                         interrack=True, queueing=True)
+
+
+@pytest.mark.parametrize("label", ["openflow", "server-multiclass"])
+def test_long_and_short_draw_runs_match_per_packet_run(monkeypatch, label):
+    """64 flows × 4096 packets, then 64 × 64, on one rack: a module's run
+    of cost draws is long enough for one bulk call in places and short
+    enough for the per-draw loop in others (the multiclass server spreads
+    its flows unevenly over Encrypt instances, so one 4096-packet batch
+    holds runs of 64 and of 512). Against per-packet ``run``: outputs,
+    registry dump, device stats and every module's RNG state."""
+    _label, spec, topo_kwargs, slo = next(
+        s for s in SCENARIOS if s[0] == label)
+    drawn = []
+    real = runtime_module._unit_draws
+
+    def spy(rng, n):
+        drawn.append(real(rng, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(runtime_module, "_unit_draws", spy)
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, n_flows=64,
+                        batches=[64 * 64, 64], per_packet=True)
+    assert {type(rolls) for rolls in drawn} == {list, np.ndarray}
 
 
 def test_columnar_interleaves_with_scalar():

@@ -1,5 +1,9 @@
 """TrafficEngine: high-volume replay through the batched fast path."""
 
+import hashlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.chain.graph import chains_from_spec
@@ -169,6 +173,29 @@ def test_replay_batch_vectorized_matches_scalar(loop_blind, loop_counts):
     assert loop_blind(reg_s.dump_state()) == loop_blind(reg_v.dump_state())
 
 
+def test_latency_stamps_stay_an_array_until_the_quantile():
+    """An all-columnar chain's stamps reach the report as one float64
+    array, never a Python float per packet; ``replay_batch`` keeps its
+    list contract for the chaos guard's trailing window and for phases."""
+    rack, placement, _ = _deploy(
+        "chain a: Encrypt -> IPv4Fwd", [SLO(t_min=gbps(1), t_max=gbps(20))])
+    engine = TrafficEngine(rack, placement, flows_per_chain=8,
+                           batch_size=COLUMNAR_BATCH)
+    cp = placement.chains[0]
+    engine.synthesize_flows(cp)
+    delivered, stamps, _wall = engine._replay(cp, 0, 3 * COLUMNAR_BATCH)
+    assert isinstance(stamps, np.ndarray) and stamps.dtype == np.float64
+    assert stamps.shape == (delivered,) == (3 * COLUMNAR_BATCH,)
+    delivered, cursor, samples = engine.replay_batch(
+        cp, 3 * COLUMNAR_BATCH, COLUMNAR_BATCH + SCALAR_BATCH)
+    assert type(samples) is list and len(samples) == delivered
+    assert all(type(sample) is float for sample in samples)
+    assert cursor == 4 * COLUMNAR_BATCH + SCALAR_BATCH
+    # nothing to replay is still an array, and an empty list
+    assert engine._replay(cp, cursor, 0)[1].shape == (0,)
+    assert engine.replay_batch(cp, cursor, 0) == (0, cursor, [])
+
+
 def test_flow_templates_synthesized_once():
     """Satellite fix: flow synthesis happens once per chain; replay cycles
     clones of the memoized templates and never mutates them."""
@@ -280,3 +307,25 @@ def test_traffic_cli_vectorized_sharded(tmp_path, capsys):
     assert code == 0
     assert "total" in out
     assert "shards: 2" in out
+
+
+#: md5 of `repro traffic examples/specs/pop.lemur --tmin 1 1 --tmax 20 20
+#: --packets 8192 --flows 32 --batch N --json` (CI's throughput-smoke
+#: recipe) at the commit before latency stamps stayed arrays and cost
+#: draws went bulk: neither may move a report byte, on either loop
+_THROUGHPUT_SMOKE_MD5 = "10f6557d53b0a6ab2e1756d8e006ce2f"
+_POP_SPEC = Path(__file__).resolve().parents[2] / "examples/specs/pop.lemur"
+
+
+@pytest.mark.parametrize("batch", [8, 4096])
+def test_throughput_smoke_report_bytes_are_pinned(batch, capsys):
+    from repro.cli import main
+
+    code = main([
+        "traffic", str(_POP_SPEC), "--tmin", "1", "1",
+        "--tmax", "20", "20", "--packets", "8192", "--flows", "32",
+        "--batch", str(batch), "--json",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == _THROUGHPUT_SMOKE_MD5
