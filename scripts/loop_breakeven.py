@@ -2,8 +2,9 @@
 """Measure where the columnar dataplane loop starts to pay.
 
 Prints the two tables behind ``repro.sim.traffic.COLUMNAR_MIN_BATCH``
-(``docs/performance.md``, "Which loop runs") and the one behind the
-crossover inside ``repro.sim.runtime._unit_draws``. The first two time
+(``docs/performance.md``, "Which loop runs"), the one behind the
+crossover inside ``repro.sim.runtime._unit_draws``, and one for the
+scalar loop's schedule on branchy chains. The first two time
 one traffic phase — one batch per chain — with the selection pinned to
 the scalar loop and
 to the columnar loop, on a freshly deployed rack (*cold*: no hop probe, no
@@ -19,7 +20,12 @@ clock starts, as they are for a chain that survives a redeploy.
 * ``n`` cost draws from one ``random.Random``, ``n`` = 8 to 4096, by the
   per-draw loop and by one bulk ``getrandbits`` call, both ending in the
   float64 array the rack consumes: where ``_unit_draws`` should switch,
-  beside where it does.
+  beside where it does;
+* scalar ``run`` on each Table-2 chain (chains 1-4 at delta = 0.5 on the
+  paper testbed, 64 flows: the ``table2_stateful`` rack), batch 8 to
+  4096, as µs per packet with the flows interleaved across the arms
+  against the same packets grouped by service path: the schedule merges
+  paths node by node, so the two should match at every size.
 
     PYTHONPATH=src python scripts/loop_breakeven.py [--repeats N]
 """
@@ -32,9 +38,13 @@ import time
 import numpy as np
 
 import repro.sim.traffic as traffic
+from repro.core.heuristic import heuristic_place
+from repro.experiments.chains import chains_with_delta
 from repro.hw.spec import topology_for
+from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
-from repro.sim.runtime import _unit_draws
+from repro.profiles.defaults import default_profiles
+from repro.sim.runtime import DeployedRack, _chain_packet, _unit_draws
 from repro.sim.traffic import TrafficEngine, TrafficSpec
 
 RACKS = {
@@ -55,6 +65,10 @@ BATCHES = (8, 16, 32, 64, 128)
 SIGNATURE_BATCHES = (("nic_fastpath", 64), ("nic_fastpath", 4096))
 PINS = {"scalar": 10**9, "columnar": 1}
 DRAWS = (8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 4096)
+ORDER_BATCHES = (8, 64, 512, 4096)
+#: packets per sample of the path-order table (at least one batch)
+ORDER_PACKETS = 1024
+ORDER_FLOWS = 64
 
 
 def cells():
@@ -161,6 +175,50 @@ def helper_crossover() -> int:
     raise SystemExit("_unit_draws never draws in bulk")
 
 
+def measure_order(repeats: int) -> dict:
+    """(chain, batch, "interleaved" | "grouped") -> median µs per packet
+    of scalar ``run`` on a warm Table-2 rack. A sample injects
+    ``max(batch, ORDER_PACKETS)`` packets cycling the chain's flows; the
+    grouped sample is the same batches with each one's packets stably
+    sorted by service path. The two orders alternate inside every repeat,
+    on the same rack."""
+    profiles = default_profiles()
+    topology = topology_for("paper-testbed").build()
+    placement = heuristic_place(chains_with_delta([1, 2, 3, 4], 0.5),
+                                topology, profiles)
+    artifacts = MetaCompiler(
+        topology=topology, profiles=profiles
+    ).compile_placement(placement)
+    rack = DeployedRack(topology, artifacts, profiles,
+                        registry=MetricsRegistry())
+    orders = {}
+    for cp in placement.chains:
+        flows = [_chain_packet(cp.chain, i) for i in range(ORDER_FLOWS)]
+        spi = [rack.classify(cp, flow).spi for flow in flows]
+        for batch in ORDER_BATCHES:
+            count = max(batch, ORDER_PACKETS)
+            batches = [[i % ORDER_FLOWS for i in range(base, base + batch)]
+                       for base in range(0, count, batch)]
+            orders[cp.name, batch, "interleaved"] = (cp, flows, batches)
+            orders[cp.name, batch, "grouped"] = (cp, flows, [
+                sorted(sig, key=spi.__getitem__) for sig in batches
+            ])
+    samples: dict = {}
+    for repeat in range(repeats + 1):
+        for key, (cp, flows, batches) in orders.items():
+            spent = 0.0
+            for sig in batches:
+                packets = [flows[f].copy() for f in sig]
+                started = time.perf_counter()
+                rack.run(cp, packets)
+                spent += time.perf_counter() - started
+            if repeat:  # the first round warms the rack and its memos
+                samples.setdefault(key, []).append(
+                    spent * 1e6 / sum(map(len, batches)))
+    return {key: statistics.median(values)
+            for key, values in samples.items()}
+
+
 def row(ms: dict, rack: str, batch: int, flows: int) -> str:
     return (f"| {ms[rack, batch, flows, 'scalar', 'cold']:.2f} "
             f"| {ms[rack, batch, flows, 'columnar', 'cold']:.2f} "
@@ -178,6 +236,7 @@ def main() -> int:
     finally:
         traffic.COLUMNAR_MIN_BATCH = default
     us = measure_draws(args.repeats)
+    order = measure_order(args.repeats)
     print(f"median of {args.repeats} phases, ms per phase "
           f"(COLUMNAR_MIN_BATCH = {default})")
     print("| rack | batch | cold scalar | cold columnar | warm scalar "
@@ -218,6 +277,17 @@ def main() -> int:
     for n in DRAWS:
         print(f"| {n} | {us[n, 'loop']:.1f} | {us[n, 'bulk']:.1f} "
               f"| {'bulk' if n >= switch else 'loop'} |")
+    print()
+    print(f"scalar run, µs per packet on the Table-2 rack, {ORDER_FLOWS} "
+          "flows: interleaved across arms against grouped by path")
+    print("| chain | batch | interleaved | grouped | interleaved / grouped |")
+    print("|---|---:|---:|---:|---:|")
+    for chain in sorted({key[0] for key in order}):
+        for batch in ORDER_BATCHES:
+            mixed = order[chain, batch, "interleaved"]
+            grouped = order[chain, batch, "grouped"]
+            print(f"| {chain} | {batch} | {mixed:.1f} | {grouped:.1f} "
+                  f"| {mixed / grouped:.2f} |")
     return 0
 
 

@@ -264,10 +264,16 @@ class Pipeline:
         """Stage-wise batched traversal of the module graph.
 
         Packets advance through the graph a *module at a time* instead of a
-        packet at a time: each module receives every packet queued at it in
-        one :meth:`Module.receive_batch` call, preserving per-module arrival
-        order (and therefore per-module RNG streams and state) exactly as the
-        serial :meth:`push` loop would.
+        packet at a time: each module receives the packets an upstream
+        gate hands it in one :meth:`Module.receive_batch` call, in arrival
+        order. A module fed by a single gate therefore sees packets (and
+        evolves its RNG stream and state) exactly as under the serial
+        :meth:`push` loop. A module fed by several gates (fan-in) receives
+        one gate's group after another — not serial order — so
+        :func:`~repro.bess.pipeline.build_bess_pipeline` gives a subgroup
+        shared by several service paths one demux gate per instance; the
+        only fan-in left is the stateless NSH-encap tail, so the exit order
+        need not be the input order.
         """
         packets = list(batch)
         if not packets:

@@ -90,7 +90,9 @@ class SubgroupDemux(Module):
     ~:data:`DEMUX_LB_CYCLES` cycles when fanning out (§5.3).
 
     Output gates are allocated with :meth:`register`, one per (spi, si)
-    target, with ``instances`` consecutive gates for replicated subgroups.
+    target, with ``instances`` consecutive gates for replicated subgroups;
+    further (spi, si) entries of a subgroup shared by several service
+    paths reuse those gates through :meth:`alias`.
     """
 
     vector_safe = True
@@ -112,6 +114,20 @@ class SubgroupDemux(Module):
         self._routes[(spi, si)] = (self._next_gate, instances)
         self._next_gate += instances
         return gates
+
+    def alias(self, spi: int, si: int, target: Tuple[int, int]) -> None:
+        """Steer (spi, si) out of the gates registered for ``target``.
+
+        One gate per subgroup instance, whichever of its service paths a
+        packet is on: a batch mixing those paths then reaches the
+        instance head as one list in arrival order, where a gate per
+        (spi, si) would hand it one gate-group after another.
+        """
+        if (spi, si) in self._routes:
+            raise DataplaneError(
+                f"{self.name}: (spi={spi}, si={si}) already registered"
+            )
+        self._routes[(spi, si)] = self._routes[target]
 
     def process(self, packet: Packet):
         spi, si = packet.metadata.spi, packet.metadata.si

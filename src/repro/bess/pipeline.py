@@ -91,9 +91,11 @@ def build_bess_pipeline(
                 rate_limit_mbps=sg.rate_limit_mbps,
             )
 
-        for entry in sg.entries:
-            gates = demux.register(entry.spi, entry.si, sg.instances)
-            for gate, head in zip(gates, instance_heads):
-                demux.connect(head, ogate=gate)
+        first, *shared = [(entry.spi, entry.si) for entry in sg.entries]
+        gates = demux.register(*first, sg.instances)
+        for gate, head in zip(gates, instance_heads):
+            demux.connect(head, ogate=gate)
+        for spi, si in shared:
+            demux.alias(spi, si, first)
 
     return pipeline, port_inc, port_out, scheduler

@@ -21,6 +21,7 @@ import zlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -221,6 +222,50 @@ class _InterRackHop:
     extra_us: float = 0.0
 
 
+class _Cohort:
+    """A run of one service path's packets, in injection order, moving
+    through the chain graph together (:meth:`DeployedRack._run_graph`).
+
+    ``spi``/``si`` name the hop the run enters next; once entered, ``si``
+    is None and the run sits at node ``pos`` of ``hop`` (past 0 only
+    inside a switch hop, which advances one node per step).
+    """
+
+    __slots__ = ("packets", "spi", "si", "excursions", "switch_passes",
+                 "budget", "path", "hop_index", "hop", "pos")
+
+    def __init__(self, packets: List[Packet], spi: int, si: int,
+                 excursions: int, switch_passes: int, budget: int):
+        self.packets = packets
+        self.spi = spi
+        self.si = si
+        self.excursions = excursions
+        self.switch_passes = switch_passes
+        #: hops this run may still enter (loop guard)
+        self.budget = budget
+
+
+_seq_of = attrgetter("metadata.seq")
+
+
+def _merged(group: List[_Cohort]) -> List[Packet]:
+    """Every packet of ``group``'s runs, in injection order."""
+    if len(group) == 1:
+        return group[0].packets
+    return sorted((p for cohort in group for p in cohort.packets),
+                  key=_seq_of)
+
+
+def _split(group: List[_Cohort], merged: List[Packet],
+           outs: list) -> List[list]:
+    """``outs`` (one per packet of ``merged``) regrouped run by run."""
+    if len(group) == 1:
+        return [outs]
+    by_seq = dict(zip(map(_seq_of, merged), outs))
+    return [[by_seq[seq] for seq in map(_seq_of, cohort.packets)]
+            for cohort in group]
+
+
 def _freeze_template(packet: Packet) -> Packet:
     """Normalize a probe output into a flow template: per-packet charges
     live in the columns, never on the shared template."""
@@ -290,6 +335,9 @@ class DeployedRack:
         #: traced flow is in ``_flow_paths`` (they clear together), so a
         #: trace hit is a classification hit.
         self._route_traces: Dict[Tuple[str, int], _RouteTrace] = {}
+        #: chain name -> (graph, node id -> topological rank), the scalar
+        #: schedule's node order
+        self._node_ranks: Dict[str, tuple] = {}
 
         #: monotonic per-rack injection sequence (stamped into packet
         #: metadata; batched device runtimes use it to map emitted packets
@@ -343,10 +391,11 @@ class DeployedRack:
         self._install_routing(artifacts)
 
     def __getstate__(self) -> dict:
-        # traces key on template identity, and they and the plans are memos
-        # of the installed routing: a checkpoint stores none of them
+        # traces key on template identity, and they, the plans and the node
+        # ranks are memos: a checkpoint stores none of them
         state = self.__dict__.copy()
-        state.update(_hop_plans={}, _route_roots={}, _route_traces={})
+        state.update(_hop_plans={}, _route_roots={}, _route_traces={},
+                     _node_ranks={})
         return state
 
     # -- device builders & delta redeploy ----------------------------------------
@@ -723,6 +772,7 @@ device_fingerprints`) decide what happens to each device:
         cached here with them: a long-lived rack neither keeps nor
         checkpoints instruments nothing will touch again."""
         self._chain_inst.pop(chain, None)
+        self._node_ranks.pop(chain, None)
         for key in [key for key in self._drop_counters if key[0] == chain]:
             del self._drop_counters[key]
         self.obs.drop_series(chain=chain)
@@ -841,12 +891,13 @@ device_fingerprints`) decide what happens to each device:
         amortized across the batch; a single packet is simply a batch of
         one.
 
-        Per-packet semantics are batch-size independent: the batch is
-        partitioned into maximal *consecutive* runs of packets sharing a
-        service path, and each run is processed to completion before the
-        next starts, so every module sees packets in global injection
-        order and per-module RNG streams and NF state evolve exactly as
-        under serial injection.
+        Per-packet semantics are batch-size independent: each service
+        path's packets start as one run at the chain's entry node, and
+        :meth:`_run_graph` hands every node all of its packets, from every
+        path, in injection order — so every module sees exactly the
+        packets serial injection would give it, in the same order, and
+        per-module RNG streams and NF state evolve exactly as under serial
+        injection.
         """
         if not packets:
             return RunResult(outputs=[])
@@ -868,19 +919,13 @@ device_fingerprints`) decide what happens to each device:
         live_entries = entries
         if hop is not None:
             live_entries = self._interrack_filter_scalar(name, hop, entries)
-        start = 0
-        total = len(live_entries)
-        while start < total:
-            path = live_entries[start][1]
-            end = start + 1
-            while end < total and live_entries[end][1] is path:
-                end += 1
-            block = [packet for packet, _ in live_entries[start:end]]
-            self._run_block(
-                chain_placement, block, path.spi,
-                path.si_of[path.node_ids[0]], 0, 1, results, _MAX_EVENTS,
-            )
-            start = end
+        runs: Dict[int, List[Packet]] = {}
+        for packet, path in live_entries:
+            runs.setdefault(path.spi, []).append(packet)
+        self._run_graph(chain_placement, [
+            _Cohort(run_packets, spi, INITIAL_SI, 0, 1, _MAX_EVENTS)
+            for spi, run_packets in runs.items()
+        ], results)
         return RunResult(outputs=[
             results.get(packet.metadata.seq) for packet, _ in entries
         ])
@@ -974,8 +1019,9 @@ device_fingerprints`) decide what happens to each device:
             if n == 0:
                 return result
 
-        # partition into maximal consecutive same-service-path runs, as the
-        # scalar loop does, so module state/RNG evolve in injection order
+        # partition into maximal consecutive same-service-path runs, each
+        # run to completion in turn, so module state/RNG evolve in
+        # injection order
         bounds = [0, n]
         spis = [route.path.spi for route in classes]
         if len(set(spis)) > 1:
@@ -1093,8 +1139,10 @@ device_fingerprints`) decide what happens to each device:
                            spi: int, si: int, excursions: int,
                            switch_passes: int, result: ColumnarRunResult,
                            budget: int) -> None:
-        """Columnar :meth:`_run_block`: the same hop loop, whole-column ops,
-        Python per live route class.
+        """The columnar hop loop: whole-column ops, Python per live route
+        class. Unlike :meth:`_run_graph` it never merges service paths:
+        divergent next coordinates re-split the block into consecutive
+        same-coordinate slices, each run to completion in turn.
 
         A hop some flow has not been traced through is probed *before* any
         counter or fault-state side effect, so a non-vectorizable discovery
@@ -1218,12 +1266,14 @@ device_fingerprints`) decide what happens to each device:
                                 excursions: int, switch_passes: int,
                                 result: ColumnarRunResult,
                                 budget: int) -> None:
-        """Materialize the column and let the scalar block loop take over
-        mid-flight (state so far — cycles, hop records — comes along)."""
+        """Materialize the column and let the scalar schedule take over
+        mid-flight at (spi, si) (state so far — cycles, hop records —
+        comes along)."""
         result.structural_fallback = True
         packets, hop_records = cols.materialize_packets(chain_id=cp.name)
-        self._run_block(cp, packets, spi, si, excursions, switch_passes,
-                        result.scalar, budget, hop_records)
+        self._run_graph(cp, [
+            _Cohort(packets, spi, si, excursions, switch_passes, budget)
+        ], result.scalar, hop_records)
 
     def _replay_effects(self, cols: PacketColumns, live: List[int],
                         probes: List[_HopProbe], counts: np.ndarray,
@@ -1580,215 +1630,269 @@ device_fingerprints`) decide what happens to each device:
             interrack_us=interrack_us,
         ))
 
-    def _run_block(self, cp: ChainPlacement, packets: List[Packet],
-                   spi: int, si: int, excursions: int, switch_passes: int,
-                   results: Dict[int, Optional[Packet]], budget: int,
+    def _node_ranks_of(self, cp: ChainPlacement) -> Dict[str, int]:
+        """Each node's position in the chain graph's topological order,
+        computed once per chain (and again only for a new graph)."""
+        graph = cp.chain.graph
+        memo = self._node_ranks.get(cp.name)
+        if memo is None or memo[0] is not graph:
+            memo = self._node_ranks[cp.name] = (graph, {
+                nid: rank
+                for rank, nid in enumerate(graph.topological_order())
+            })
+        return memo[1]
+
+    def _run_graph(self, cp: ChainPlacement, cohorts: List["_Cohort"],
+                   results: Dict[int, Optional[Packet]],
                    hop_records: Optional[Dict[int, List[dict]]] = None
                    ) -> None:
-        """Advance one same-service-path run of packets to completion.
+        """Advance runs of packets through their chain's graph to
+        completion: the scalar loop's one schedule.
 
-        Mirrors :meth:`run`'s event loop hop for hop, with per-block
-        device dispatch and per-block counter flushes. If survivors of a
-        hop ever diverge in (spi, si), the block re-splits into consecutive
-        same-coordinate runs and recurses, preserving the ordering
-        invariant.
+        A run waits at the chain-graph node it enters next. Each step takes
+        the earliest waiting node in the graph's topological order and
+        hands it every packet waiting there, from every service path, in
+        injection order: a switch node is one NF module call; a server or
+        NIC hop runs whole at its entry node (each packet carrying its own
+        path's NSH, one device call), and so does an OpenFlow hop. Edges
+        lead only to later nodes, so a node's single step holds every
+        packet that reaches it in this batch — each module receives
+        exactly the packets serial injection would give it, in the same
+        order. Delivered packets are stamped at the end, in injection
+        order.
         """
         if hop_records is None:
-            hop_records = {p.metadata.seq: [] for p in packets}
-        name = cp.name
+            hop_records = {
+                p.metadata.seq: [] for cohort in cohorts
+                for p in cohort.packets
+            }
+        ranks = None
         switch_name = self.topology.switch.name
-        live = packets
-        while budget > 0:
-            budget -= 1
-            path = self.paths_by_spi.get(spi)
-            if path is None:
-                raise DataplaneError(f"unknown SPI {spi}")
-            if si == 0:
-                self._finish_batch(cp, live, excursions, switch_passes,
-                                   hop_records)
-                for packet in live:
-                    results[packet.metadata.seq] = packet
-                return
-            hop_index = self._hop_index_for(path, si)
-            hop = path.hops[hop_index]
-            nxt = path.hop_after(hop_index)
-
-            if hop.device == switch_name:
-                in_c, out_c, _ = self._dev_counters[hop.device]
-                in_c.inc(len(live))
-                outs = self._run_switch_hop_batch(cp, hop, live, spi)
-                survivors = []
-                dropped = 0
-                for packet, out in zip(live, outs):
-                    if out is None:
-                        results[packet.metadata.seq] = None
-                        dropped += 1
-                    else:
-                        hop_records[packet.metadata.seq].append({
-                            "device": hop.device, "platform": hop.platform,
-                            "cycles": 0, "exec_us": 0.0,
-                        })
-                        survivors.append(out)
-                if dropped:
-                    reason = ("openflow_rule" if self.of_runtime is not None
-                              else "switch_nf")
-                    for counter in self._drop_counter_pair(
-                        name, hop.device, reason
-                    ):
-                        counter.inc(dropped)
-                out_c.inc(len(survivors))
-                if not survivors:
-                    return
-                if nxt is None:
-                    self._finish_batch(cp, survivors, excursions,
-                                       switch_passes, hop_records)
-                    for packet in survivors:
-                        results[packet.metadata.seq] = packet
-                    return
-                spi, si = path.spi, nxt.entry_si
-                live = survivors
-                continue
-
-            excursions += 1
-            switch_passes += 1
-            if self._fault_failed or self._fault_loss:
-                fault_drops: Dict[str, int] = {}
-                passed: List[Packet] = []
-                for packet in live:
-                    fault = self._fault_reason(hop.device,
-                                               packet.metadata.seq)
-                    if fault is None:
-                        passed.append(packet)
-                    else:
-                        results[packet.metadata.seq] = None
-                        fault_drops[fault] = fault_drops.get(fault, 0) + 1
-                for fault, count in fault_drops.items():
-                    for counter in self._drop_counter_pair(
-                        name, hop.device, fault
-                    ):
-                        counter.inc(count)
-                if not passed:
-                    return
-                live = passed
-            before = [
-                (p.metadata.cycles_consumed, dict(p.metadata.cycles_by_device))
-                for p in live
-            ]
-            in_c, out_c, _ = self._dev_counters[hop.device]
-            in_c.inc(len(live))
-            if hop.platform == Platform.SERVER.value:
-                outs = self._run_server_hop_batch(hop.device, live, spi, si)
-                reason = "server_pipeline"
-            elif hop.platform == Platform.SMARTNIC.value:
-                outs = self._run_nic_hop_batch(hop.device, live, spi, si)
-                reason = "nic_program"
+        waiting: Dict[int, List[_Cohort]] = {}
+        finished: List[_Cohort] = []
+        while True:
+            moving = []
+            for cohort in cohorts:
+                if cohort.si is not None:
+                    # entering the hop at (spi, si)
+                    if cohort.budget <= 0:
+                        raise DataplaneError(
+                            "packet exceeded the rack event budget (loop?)"
+                        )
+                    cohort.budget -= 1
+                    path = self.paths_by_spi.get(cohort.spi)
+                    if path is None:
+                        raise DataplaneError(f"unknown SPI {cohort.spi}")
+                    if cohort.si == 0:
+                        finished.append(cohort)
+                        continue
+                    cohort.path = path
+                    cohort.hop_index = self._hop_index_for(path, cohort.si)
+                    cohort.hop = path.hops[cohort.hop_index]
+                    cohort.pos = 0
+                    cohort.si = None
+                moving.append(cohort)
+            if len(moving) == 1 and not waiting:
+                group = moving  # the only run in flight: no order to keep
             else:
-                raise DataplaneError(f"unexpected hop platform {hop.platform}")
+                if ranks is None:
+                    ranks = self._node_ranks_of(cp)
+                for cohort in moving:
+                    rank = ranks[cohort.hop.node_ids[cohort.pos]]
+                    queued = waiting.get(rank)
+                    if queued is None:
+                        waiting[rank] = [cohort]
+                    else:
+                        queued.append(cohort)
+                if not waiting:
+                    break
+                group = waiting.pop(min(waiting))
+            if group[0].hop.device != switch_name:
+                cohorts = self._device_step(cp, group, results, hop_records)
+            else:
+                cohorts = self._switch_step(cp, group, results, hop_records)
+        if finished:
+            self._finish_batch(cp, finished, results, hop_records)
 
-            survivors: List[Packet] = []
-            cycle_sink: Dict[str, int] = {}
+    def _switch_step(self, cp: ChainPlacement, group: List["_Cohort"],
+                     results: Dict[int, Optional[Packet]],
+                     hop_records: Dict[int, List[dict]]) -> List["_Cohort"]:
+        """One switch node, every packet waiting there in one call: a P4
+        node's NF module, or the OpenFlow tables, which run a hop whole at
+        its entry node (each packet tagged with its own path's VID).
+        Returns the runs that go on."""
+        hop = group[0].hop
+        of = self.of_runtime
+        in_c, out_c, _ = self._dev_counters[hop.device]
+        for cohort in group:
+            if cohort.pos == 0:
+                in_c.inc(len(cohort.packets))
+            if of is not None:
+                vid = self._of_vid[(cohort.path.spi, cohort.hop.entry_si)]
+                for packet in cohort.packets:
+                    if packet.vlan is None:
+                        packet.push_vlan(vid)
+                    else:
+                        packet.vlan.vid = vid
+                        packet.commit()
+        merged = _merged(group)
+        if of is None:
+            module = self._switch_module(cp, hop.node_ids[group[0].pos])
+            live = [packet for _gate, packet in module.receive_batch(merged)]
+            reason = "switch_nf"
+        else:
+            live = []
+            for packet, result in zip(merged, of.process_batch(merged)):
+                if not result.dropped:
+                    packet.pop_vlan()
+                    live.append(packet)
+            reason = "openflow_rule"
+        if len(live) != len(merged):
+            survived = {packet.metadata.seq for packet in live}
+            for cohort in group:
+                kept = []
+                for packet in cohort.packets:
+                    if packet.metadata.seq in survived:
+                        kept.append(packet)
+                    else:
+                        results[packet.metadata.seq] = None
+                if len(kept) < len(cohort.packets):
+                    for counter in self._drop_counter_pair(
+                        cp.name, hop.device, reason
+                    ):
+                        counter.inc(len(cohort.packets) - len(kept))
+                cohort.packets = kept
+            group = [cohort for cohort in group if cohort.packets]
+        for cohort in group:
+            hop = cohort.hop
+            cohort.pos = len(hop.node_ids) if of is not None \
+                else cohort.pos + 1
+            if cohort.pos < len(hop.node_ids):
+                continue
+            # the hop is done: record it, point the run at the next one
+            # (SI 0 where the path ends on the switch)
+            out_c.inc(len(cohort.packets))
+            for packet in cohort.packets:
+                hop_records[packet.metadata.seq].append({
+                    "device": hop.device, "platform": hop.platform,
+                    "cycles": 0, "exec_us": 0.0,
+                })
+            nxt = cohort.path.hop_after(cohort.hop_index)
+            cohort.spi = cohort.path.spi
+            cohort.si = nxt.entry_si if nxt is not None else 0
+        return group
+
+    def _device_step(self, cp: ChainPlacement, group: List["_Cohort"],
+                     results: Dict[int, Optional[Packet]],
+                     hop_records: Dict[int, List[dict]]) -> List["_Cohort"]:
+        """One server or NIC hop, run whole for every packet waiting at its
+        entry node: each packet carries its own path's NSH, and the device
+        gets one ``push_batch`` / ``process_batch`` call."""
+        name = cp.name
+        hop = group[0].hop
+        device = hop.device
+        entering = []
+        for cohort in group:
+            cohort.excursions += 1
+            cohort.switch_passes += 1
+            if self._fault_failed or self._fault_loss:
+                cohort.packets = self._fault_filter(
+                    name, device, cohort.packets, results
+                )
+                if not cohort.packets:
+                    continue
+            entering.append(cohort)
+        if not entering:
+            return []
+        befores = [
+            [(p.metadata.cycles_consumed, dict(p.metadata.cycles_by_device))
+             for p in cohort.packets]
+            for cohort in entering
+        ]
+        for cohort in entering:
+            spi, si = cohort.path.spi, cohort.hop.entry_si
+            for packet in cohort.packets:
+                packet.push_nsh(spi, si)
+        merged = _merged(entering)
+        in_c, out_c, _ = self._dev_counters[device]
+        in_c.inc(len(merged))
+        if hop.platform == Platform.SERVER.value:
+            outs = self._run_server_hop_batch(device, merged)
+            reason = "server_pipeline"
+        elif hop.platform == Platform.SMARTNIC.value:
+            outs = self._run_nic_hop_batch(device, merged)
+            reason = "nic_program"
+        else:
+            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+
+        cycle_sink: Dict[str, int] = {}
+        moving = []
+        for cohort, before, cohort_outs in zip(
+            entering, befores, _split(entering, merged, outs)
+        ):
+            # survivors by next coordinates, each in injection order (a
+            # divergent run splits; the schedule merges paths where they
+            # meet)
+            runs: Dict[Tuple[int, int], List[Packet]] = {}
             dropped = 0
             for packet, out, (before_total, before_attr) in zip(
-                live, outs, before
+                cohort.packets, cohort_outs, before
             ):
                 if out is None:
                     results[packet.metadata.seq] = None
                     dropped += 1
                     continue
-                record = self._attribute_hop(
-                    hop, out, before_total, before_attr, cycle_sink
-                )
-                hop_records[out.metadata.seq].append(record)
-                survivors.append(out)
-            if dropped:
-                for counter in self._drop_counter_pair(
-                    name, hop.device, reason
-                ):
-                    counter.inc(dropped)
-            for device, delta in cycle_sink.items():
-                self._cycles_counter(device).inc(delta)
-            out_c.inc(len(survivors))
-            if not survivors:
-                return
-
-            coords: List[Tuple[int, int]] = []
-            for packet in survivors:
-                nsh = packet.pop_nsh()
+                hop_records[out.metadata.seq].append(self._attribute_hop(
+                    cohort.hop, out, before_total, before_attr, cycle_sink
+                ))
+                nsh = out.pop_nsh()
                 if nsh is None:
                     raise DataplaneError(
-                        f"packet returned from {hop.device} without NSH"
+                        f"packet returned from {device} without NSH"
                     )
-                coords.append((nsh.spi, nsh.si))
-            first = coords[0]
-            if all(coord == first for coord in coords):
-                spi, si = first
-                live = survivors
+                runs.setdefault((nsh.spi, nsh.si), []).append(out)
+            if dropped:
+                for counter in self._drop_counter_pair(name, device, reason):
+                    counter.inc(dropped)
+            out_c.inc(len(cohort.packets) - dropped)
+            if len(runs) == 1:
+                ((cohort.spi, cohort.si), cohort.packets), = runs.items()
+                moving.append(cohort)
                 continue
-            # Divergent next coordinates: recurse on consecutive
-            # same-coordinate runs so per-module order stays injection order.
-            start = 0
-            count = len(survivors)
-            while start < count:
-                end = start + 1
-                while end < count and coords[end] == coords[start]:
-                    end += 1
-                self._run_block(
-                    cp, survivors[start:end], coords[start][0],
-                    coords[start][1], excursions, switch_passes, results,
-                    budget, hop_records,
-                )
-                start = end
-            return
-        raise DataplaneError("packet exceeded the rack event budget (loop?)")
+            moving.extend(
+                _Cohort(packets, spi, si, cohort.excursions,
+                        cohort.switch_passes, cohort.budget)
+                for (spi, si), packets in runs.items()
+            )
+        for sink_device, delta in cycle_sink.items():
+            self._cycles_counter(sink_device).inc(delta)
+        return moving
 
-    def _run_switch_hop_batch(self, cp: ChainPlacement, hop,
-                              packets: List[Packet], spi: int
+    def _fault_filter(self, chain: str, device: str, packets: List[Packet],
+                      results: Dict[int, Optional[Packet]]) -> List[Packet]:
+        """The packets a faulted ``device`` lets in; the rest count as
+        drops by fault reason."""
+        fault_drops: Dict[str, int] = {}
+        passed: List[Packet] = []
+        for packet in packets:
+            fault = self._fault_reason(device, packet.metadata.seq)
+            if fault is None:
+                passed.append(packet)
+            else:
+                results[packet.metadata.seq] = None
+                fault_drops[fault] = fault_drops.get(fault, 0) + 1
+        for fault, count in fault_drops.items():
+            for counter in self._drop_counter_pair(chain, device, fault):
+                counter.inc(count)
+        return passed
+
+    def _run_server_hop_batch(self, server: str, packets: List[Packet]
                               ) -> List[Optional[Packet]]:
-        """Run one switch hop over a batch; returns one entry per input
-        (the packet, or ``None`` where the switch dropped it)."""
-        if self.of_runtime is not None:
-            vid = self._of_vid[(spi, hop.entry_si)]
-            for packet in packets:
-                if packet.vlan is None:
-                    packet.push_vlan(vid)
-                else:
-                    packet.vlan.vid = vid
-                    packet.commit()
-            of_results = self.of_runtime.process_batch(packets)
-            outs: List[Optional[Packet]] = []
-            for packet, result in zip(packets, of_results):
-                if result.dropped:
-                    outs.append(None)
-                else:
-                    packet.pop_vlan()
-                    outs.append(packet)
-            return outs
-        by_seq: Dict[int, Optional[Packet]] = {
-            packet.metadata.seq: packet for packet in packets
-        }
-        live = packets
-        for nid in hop.node_ids:
-            module = self._switch_module(cp, nid)
-            next_live = [
-                packet for _gate, packet in module.receive_batch(live)
-            ]
-            if len(next_live) != len(live):
-                survived = {packet.metadata.seq for packet in next_live}
-                for packet in live:
-                    if packet.metadata.seq not in survived:
-                        by_seq[packet.metadata.seq] = None
-            live = next_live
-            if not live:
-                break
-        return [by_seq[packet.metadata.seq] for packet in packets]
-
-    def _run_server_hop_batch(self, server: str, packets: List[Packet],
-                              spi: int, si: int) -> List[Optional[Packet]]:
+        """Push NSH-tagged packets through a server pipeline; returns one
+        entry per input (the packet, or ``None`` where it was dropped)."""
         runtime = self.servers.get(server)
         if runtime is None:
             raise DataplaneError(f"no BESS pipeline deployed on {server}")
-        for packet in packets:
-            packet.push_nsh(spi, si)
         runtime.pipeline.push_batch(packets, entry=runtime.port_inc.name)
         emitted = runtime.port_out.drain()
         by_seq: Dict[int, Packet] = {}
@@ -1808,25 +1912,33 @@ device_fingerprints`) decide what happens to each device:
             )
         return outs
 
-    def _run_nic_hop_batch(self, nic: str, packets: List[Packet],
-                           spi: int, si: int) -> List[Optional[Packet]]:
+    def _run_nic_hop_batch(self, nic: str, packets: List[Packet]
+                           ) -> List[Optional[Packet]]:
         runtime = self.nics.get(nic)
         if runtime is None:
             raise DataplaneError(f"no eBPF program loaded on {nic}")
-        for packet in packets:
-            packet.push_nsh(spi, si)
         return [
             out if action is XDPAction.TX else None
             for action, out in runtime.process_batch(packets)
         ]
 
-    def _finish_batch(self, cp: ChainPlacement, packets: List[Packet],
-                      excursions: int, switch_passes: int,
+    def _finish_batch(self, cp: ChainPlacement, finished: List["_Cohort"],
+                      results: Dict[int, Optional[Packet]],
                       hop_records: Dict[int, List[dict]]) -> None:
         """Stamp each delivered packet's end-to-end latency and record
-        its components, using pre-resolved instruments."""
+        its components, in injection order, using pre-resolved
+        instruments."""
+        if len(finished) == 1:
+            delivered = zip(finished[0].packets, repeat(finished[0]))
+            count = len(finished[0].packets)
+        else:
+            delivered = sorted(
+                ((p, cohort) for cohort in finished for p in cohort.packets),
+                key=lambda item: item[0].metadata.seq,
+            )
+            count = len(delivered)
         inst = self._chain_instruments(cp.name)
-        inst["delivered"].inc(len(packets))
+        inst["delivered"].inc(count)
         latency_h = inst["latency"]
         exec_h = inst["exec_us"]
         queue_h = inst["queue_us"]
@@ -1842,11 +1954,13 @@ device_fingerprints`) decide what happens to each device:
                     component="interrack_us",
                 ),
             )
-        for packet in packets:
+        for packet, cohort in delivered:
+            seq = packet.metadata.seq
             self._stamp_latency(
-                packet, excursions, switch_passes,
-                hop_records[packet.metadata.seq],
+                packet, cohort.excursions, cohort.switch_passes,
+                hop_records[seq],
             )
+            results[seq] = packet
             fields = packet.metadata.fields
             latency_h.observe(fields["latency_us"])
             exec_h.observe(fields["exec_us"])

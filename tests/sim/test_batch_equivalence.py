@@ -17,9 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.runtime as runtime_module
+from repro.bess.module import Module
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
+from repro.experiments.chains import (
+    _CHAIN_SPECS,
+    base_rate_mbps,
+    canonical_chain,
+    chains_with_delta,
+)
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
@@ -28,6 +35,15 @@ from repro.sim.columns import PacketColumns
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
 from repro.units import gbps
+
+
+def _table2(index):
+    """Table-2 chain ``index`` alone on the paper testbed, at the paper's
+    delta = 0.5 point (t_min half the base rate, t_max 100 Gbps)."""
+    t_min = 0.5 * base_rate_mbps(canonical_chain(index))
+    return (f"table2-chain{index}", _CHAIN_SPECS[index], {},
+            SLO(t_min=t_min, t_max=gbps(100)))
+
 
 #: (label, spec, topology kwargs, SLO) — one scenario per platform plus a
 #: branchy chain whose arms land on distinct service paths.
@@ -74,6 +90,12 @@ SCENARIOS = [
         {},
         SLO(t_min=gbps(3), t_max=gbps(30)),
     ),
+    # the paper's branchy chains, where a batch's flows spread over arms:
+    # chain1's three arms share a switch prefix and differ in length;
+    # chain4's share a replicated server subgroup (Dedup) and a Monitor,
+    # then merge into IPv4Fwd
+    _table2(1),
+    _table2(4),
 ]
 
 
@@ -273,6 +295,21 @@ BETWEEN = {
 }
 
 
+def _assert_same_outputs(want, got):
+    """Same outcome per packet; a delivered one with the same bytes,
+    cycle charges, module trail and stamped fields (hop records too)."""
+    for position, (a, b) in enumerate(zip(want, got)):
+        assert (a is None) == (b is None), \
+            f"packet {position} outcome differs"
+        if a is None:
+            continue
+        assert a.data == b.data, f"packet {position} bytes differ"
+        assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
+        assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
+        assert a.metadata.processed_by == b.metadata.processed_by
+        assert dict(a.metadata.fields) == dict(b.metadata.fields)
+
+
 def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
                         batches=None, fault=None, queueing=False,
                         interrack=False, variants=1, between=(),
@@ -337,16 +374,7 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         vector_out = vector_rack.run_columns(vector_cp, columns).materialize()
 
         assert len(vector_out) == n_packets
-        for position, (a, b) in enumerate(zip(scalar_out, vector_out)):
-            assert (a is None) == (b is None), \
-                f"packet {position} outcome differs"
-            if a is None:
-                continue
-            assert a.data == b.data, f"packet {position} bytes differ"
-            assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
-            assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
-            assert a.metadata.processed_by == b.metadata.processed_by
-            assert dict(a.metadata.fields) == dict(b.metadata.fields)
+        _assert_same_outputs(scalar_out, vector_out)
         if index < len(between):
             change = BETWEEN[between[index]]
             scalar_rack, scalar_cp = change(
@@ -551,10 +579,14 @@ class _Memo(dict):
         super().clear()
 
 
+#: chain4 enters a stateful Dedup first: it falls back before any probe
+_PROBED = [s for s in SCENARIOS[2:] if s[0] != "table2-chain4"]
+
+
 @pytest.mark.parametrize(
     "label,spec,topo_kwargs,slo",
-    SCENARIOS[2:],
-    ids=[s[0] for s in SCENARIOS[2:]],
+    _PROBED,
+    ids=[s[0] for s in _PROBED],
 )
 def test_probe_memo_clearing_mid_run_matches_scalar(monkeypatch, label, spec,
                                                     topo_kwargs, slo):
@@ -662,3 +694,92 @@ def test_columns_resolve_only_the_signatures_present():
     # per-class values spread to per-packet columns by class id
     assert kept.spread([0, 2], [7, 11]).tolist() == [7, 11, 7]
     assert kept.spread([0, 2], [True, True], bool).tolist() == [True] * 3
+
+
+_ARM_NFS = ["NAT", "LB", "Monitor", "Dedup", "ACL", "Encrypt"]
+
+
+@st.composite
+def _branchy_specs(draw):
+    """A chain whose 2-3 arms, 1-3 NFs each and not all of one length,
+    merge into a shared tail."""
+    n_arms = draw(st.integers(2, 3))
+    lengths = draw(
+        st.lists(st.integers(1, 3), min_size=n_arms, max_size=n_arms)
+        .filter(lambda ls: len(set(ls)) > 1)
+    )
+    nfs = st.sampled_from(_ARM_NFS)
+    arms = [" -> ".join(draw(st.lists(nfs, min_size=n, max_size=n)))
+            for n in lengths]
+    return (f"chain r: {draw(nfs)} -> [{', '.join(arms)}] -> "
+            f"{draw(nfs)} -> IPv4Fwd")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spec=_branchy_specs(),
+    seed=st.sampled_from([7, 23, 101]),
+    n_flows=st.integers(1, 64),
+    batches=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    loss=st.booleans(),
+)
+def test_branchy_batch_matches_per_packet_property(spec, seed, n_flows,
+                                                   batches, loss):
+    """Flows hashed across arms of unequal length that share a tail: the
+    scalar schedule hands every node its packets from all arms at once,
+    and must still equal one ``run`` per packet — outputs and hop records,
+    registry, device stats and every module's RNG stream — with or
+    without a server dropping a share of its packets."""
+    topology, artifacts, (cp,) = _compile(
+        spec, {}, SLO(t_min=gbps(0.5), t_max=gbps(30)))
+    serial, batched = (
+        DeployedRack(topology, artifacts, default_profiles(), seed=seed,
+                     registry=MetricsRegistry())
+        for _ in range(2)
+    )
+    if loss:
+        for rack in (serial, batched):
+            rack.set_drop_fraction(next(iter(rack.servers)), 0.35)
+    base = 0
+    for size in batches:
+        flows = [(base + k) % n_flows for k in range(size)]
+        base += size
+        want = [serial.run(cp, [_chain_packet(cp.chain, f)]).outputs[0]
+                for f in flows]
+        got = batched.run(
+            cp, [_chain_packet(cp.chain, f) for f in flows]).outputs
+        assert len(got) == size
+        _assert_same_outputs(want, got)
+    assert serial.obs.dump_state() == batched.obs.dump_state()
+    assert serial.device_stats() == batched.device_stats()
+    assert _rng_states(serial) == _rng_states(batched)
+
+
+def test_branchy_batch_is_not_split_into_per_packet_blocks(monkeypatch):
+    """A 4096-packet batch of Table-2 chain4 (next to chains 1-3, at
+    delta = 0.5) over 64 flows hashes its flows across all three arms, so
+    consecutive packets rarely share a service path. The scalar schedule
+    still gives each module its packets in a call or two: 39 calls to 24
+    modules, where cutting the batch into consecutive same-path runs made
+    51 072."""
+    profiles = default_profiles()
+    topology = TopologySpec.from_flags().build()
+    placement = heuristic_place(
+        chains_with_delta([1, 2, 3, 4], 0.5), topology, profiles)
+    artifacts = MetaCompiler(
+        topology=topology, profiles=profiles).compile_placement(placement)
+    rack = DeployedRack(topology, artifacts, profiles, seed=23,
+                        registry=MetricsRegistry())
+    cp = next(c for c in placement.chains if c.name == "chain4")
+    calls = []
+    real = Module.receive_batch
+
+    def spy(module, packets):
+        calls.append(id(module))
+        return real(module, packets)
+
+    monkeypatch.setattr(Module, "receive_batch", spy)
+    flows = [_chain_packet(cp.chain, i) for i in range(64)]
+    outputs = rack.run(cp, [flows[i % 64].copy() for i in range(4096)])
+    assert outputs.delivered > 0
+    assert len(calls) <= 2 * len(set(calls))
