@@ -8,7 +8,10 @@ compiler input. The walk of one chain's graph, by far the largest part of
 any key, is memoized *on the graph* (:func:`graph_digest`): graphs are
 shared by ``with_slo`` copies and survive across admission commands, so a
 command re-hashes only the graph it introduced.
-``NFGraph.add_node``/``add_edge`` (the only mutators) drop the memo.
+``NFGraph.add_node``/``add_edge`` (the only mutators) drop the memo. The
+walk is spelled out for the graph's own fields, with each frozen
+vocabulary entry's encoding memoized by value; it writes exactly what
+the generic walk writes, so the digest is the generic walk's.
 
 The placement cache (:mod:`repro.core.cache`) keys whole problems on this
 encoding; the PISA compiler (:mod:`repro.p4c.compiler`) keys a chain's
@@ -20,11 +23,18 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.chain.graph import NFGraph
+from repro.chain.vocabulary import NFInfo
 
 _SCALARS = (bool, int, float, str, bytes)
+
+#: :func:`encode` of each vocabulary entry a graph has carried, keyed by
+#: value: entries are frozen and shared by every node of their class
+#: (copies arrive by pickle). The key also holds the types of the scalar
+#: fields, which could compare equal yet repr apart (``1 == 1.0``).
+_INFO_ENCODINGS: Dict[Tuple[object, ...], str] = {}
 
 
 def encode(obj, out: List[str]) -> None:
@@ -108,6 +118,45 @@ def graph_digest(graph: NFGraph) -> str:
     digest = graph._digest
     if digest is None:
         pieces: List[str] = []
-        encode_public_state(graph, pieces)
+        _encode_graph(graph, pieces)
         digest = graph._digest = sha256_hex(pieces)
     return digest
+
+
+def _encode_graph(graph: NFGraph, out: List[str]) -> None:
+    """What ``encode_public_state(graph, out)`` writes, spelled out for
+    the graph's public fields (``edges``, ``name``, ``nodes``: sorted),
+    with each node's vocabulary entry from :data:`_INFO_ENCODINGS`."""
+    out.append("{'edges':[")
+    for edge in graph.edges:
+        out.append(f"NFEdge(src={edge.src!r},dst={edge.dst!r},condition=")
+        encode(edge.condition, out)
+        out.append(",fraction=")
+        encode(edge.fraction, out)
+        out.append(",),")
+    out.append("],'name':")
+    encode(graph.name, out)
+    out.append(",'nodes':{")
+    nodes = graph.nodes
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        out.append(f"{node_id!r}:NFNode(node_id={node_id!r},"
+                   f"nf_class={node.nf_class!r},info=")
+        out.append(_info_encoding(node.info))
+        out.append(",instance_name=")
+        encode(node.instance_name, out)
+        out.append(",params=")
+        encode(node.params, out)
+        out.append(",),")
+    out.append("},}")
+
+
+def _info_encoding(info: NFInfo) -> str:
+    key = (info, type(info.stateful), type(info.replicable),
+           type(info.egress_ratio))
+    text = _INFO_ENCODINGS.get(key)
+    if text is None:
+        pieces: List[str] = []
+        encode(info, pieces)
+        text = _INFO_ENCODINGS[key] = "".join(pieces)
+    return text

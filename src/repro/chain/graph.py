@@ -10,7 +10,7 @@ uses ("we decompose such chains into linear chains", §3.2).
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -67,34 +67,90 @@ class LinearChain:
     fraction: float = 1.0
 
 
+class _Index:
+    """A graph's structure, derived from its edge list in one pass.
+
+    Adjacency, order and the entry/exit/branch/merge sets are built here,
+    once per graph version; ``fractions`` (per ``egress_aware`` mode) and
+    ``paths`` (the linearization) are filled on first use. ``order`` is
+    None when the graph has a cycle.
+    """
+
+    __slots__ = ("succ", "pred", "out", "inn", "order", "entries", "exits",
+                 "branches", "merges", "fractions", "paths")
+
+    def __init__(self, graph: "NFGraph"):
+        nodes = graph.nodes
+        self.succ: Dict[str, List[str]] = {nid: [] for nid in nodes}
+        self.pred: Dict[str, List[str]] = {nid: [] for nid in nodes}
+        self.out: Dict[str, List[NFEdge]] = {nid: [] for nid in nodes}
+        self.inn: Dict[str, List[NFEdge]] = {nid: [] for nid in nodes}
+        for edge in graph.edges:
+            self.succ[edge.src].append(edge.dst)
+            self.pred[edge.dst].append(edge.src)
+            self.out[edge.src].append(edge)
+            self.inn[edge.dst].append(edge)
+        self.order = _kahn(self.succ, self.pred)
+        self.entries = [nid for nid, preds in self.pred.items() if not preds]
+        self.exits = [nid for nid, succs in self.succ.items() if not succs]
+        self.branches = [nid for nid, succs in self.succ.items()
+                         if len(succs) > 1]
+        self.merges = [nid for nid, preds in self.pred.items()
+                       if len(preds) > 1]
+        self.fractions: Dict[bool, Dict[str, float]] = {}
+        self.paths: Optional[List[Tuple[Tuple[str, ...], float]]] = None
+
+
+def _kahn(succ: Dict[str, List[str]],
+          pred: Dict[str, List[str]]) -> Optional[List[str]]:
+    """Kahn's algorithm, smallest ready node id first; None on a cycle."""
+    in_degree = {nid: len(preds) for nid, preds in pred.items()}
+    ready = [nid for nid, deg in in_degree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: List[str] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for nxt in succ[nid]:
+            in_degree[nxt] -= 1
+            if in_degree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return order if len(order) == len(succ) else None
+
+
 class NFGraph:
     """A validated NF DAG for a single chain."""
 
-    #: Memo of this graph's placement-cache digest, written by
-    #: :mod:`repro.core.cache` and dropped by every mutator (``add_node``
-    #: and ``add_edge`` are the only ones: nothing edits nodes, params or
-    #: edges after lowering). A class default, because ``__getstate__``
-    #: leaves it out of pickles.
+    #: Memo of this graph's content digest, written by
+    #: :func:`repro.chain.digest.graph_digest` and read by the P4 compile
+    #: memo and the meta-compiler's codegen units. ``_index`` is the
+    #: :class:`_Index` every structure query reads, built by the first
+    #: one. ``add_node`` and ``add_edge`` drop both (they are the only
+    #: mutators: nothing edits nodes, params or edges after lowering).
+    #: Class defaults, because ``__getstate__`` leaves both out of pickles.
     _digest: Optional[str] = None
+    _index: Optional[_Index] = None
 
     def __init__(self, name: str = "chain"):
         self.name = name
         self.nodes: Dict[str, NFNode] = {}
         self.edges: List[NFEdge] = []
-        self._next_id = itertools.count()
+        self._next_id = 0
 
     def __getstate__(self) -> dict:
-        # the memo is cheap to rebuild and would otherwise ride along in
-        # every pickled placement
+        # both memos are cheap to rebuild and would otherwise ride along
+        # in every pickled placement
         state = self.__dict__.copy()
         state.pop("_digest", None)
+        state.pop("_index", None)
         return state
 
     # -- construction -------------------------------------------------------
 
     def add_node(self, invocation: NFInvocation, vocabulary: Vocabulary) -> NFNode:
         info = vocabulary.lookup(invocation.nf_class)
-        node_id = f"{self.name}.n{next(self._next_id)}"
+        node_id = f"{self.name}.n{self._next_id}"
+        self._next_id += 1
         node = NFNode(
             node_id=node_id,
             nf_class=info.name,
@@ -103,7 +159,7 @@ class NFGraph:
             params=dict(invocation.params),
         )
         self.nodes[node_id] = node
-        self._digest = None
+        self._digest = self._index = None
         return node
 
     def add_edge(
@@ -117,7 +173,7 @@ class NFGraph:
             raise GraphError(f"edge references unknown node: {src} -> {dst}")
         edge = NFEdge(src=src, dst=dst, condition=condition, fraction=fraction)
         self.edges.append(edge)
-        self._digest = None
+        self._digest = self._index = None
         return edge
 
     @classmethod
@@ -193,55 +249,63 @@ class NFGraph:
         return new_frontier
 
     # -- structure queries ---------------------------------------------------
+    #
+    # Every query reads the index and hands back a fresh list or dict:
+    # callers are free to mutate what they get.
+
+    def _structure(self) -> _Index:
+        index = self._index
+        if index is None:
+            index = self._index = _Index(self)
+        return index
 
     def successors(self, node_id: str) -> List[str]:
-        return [e.dst for e in self.edges if e.src == node_id]
+        return list(self._structure().succ.get(node_id, ()))
 
     def predecessors(self, node_id: str) -> List[str]:
-        return [e.src for e in self.edges if e.dst == node_id]
+        return list(self._structure().pred.get(node_id, ()))
 
     def out_edges(self, node_id: str) -> List[NFEdge]:
-        return [e for e in self.edges if e.src == node_id]
+        return list(self._structure().out.get(node_id, ()))
 
     def in_edges(self, node_id: str) -> List[NFEdge]:
-        return [e for e in self.edges if e.dst == node_id]
+        return list(self._structure().inn.get(node_id, ()))
 
     def entry_nodes(self) -> List[str]:
-        targets = {e.dst for e in self.edges}
-        return [nid for nid in self.nodes if nid not in targets]
+        return list(self._structure().entries)
 
     def exit_nodes(self) -> List[str]:
-        sources = {e.src for e in self.edges}
-        return [nid for nid in self.nodes if nid not in sources]
+        return list(self._structure().exits)
 
     def branch_nodes(self) -> List[str]:
         """Nodes with >1 successor (traffic splits after them)."""
-        return [nid for nid in self.nodes if len(self.successors(nid)) > 1]
+        return list(self._structure().branches)
 
     def merge_nodes(self) -> List[str]:
         """Nodes with >1 predecessor (branches rejoin at them)."""
-        return [nid for nid in self.nodes if len(self.predecessors(nid)) > 1]
+        return list(self._structure().merges)
 
     def is_branch_or_merge(self, node_id: str) -> bool:
         """Subgroups containing such nodes are never replicated (§3.2)."""
-        return len(self.successors(node_id)) > 1 or len(self.predecessors(node_id)) > 1
+        index = self._structure()
+        return (len(index.succ.get(node_id, ())) > 1
+                or len(index.pred.get(node_id, ())) > 1)
+
+    def is_sole_edge(self, src: str, dst: str) -> bool:
+        """True when ``src -> dst`` is the only edge out of ``src`` and the
+        only edge into ``dst``: no branch or merge splits a
+        run-to-completion batch (or a P4 subgroup) across it."""
+        index = self._structure()
+        return index.succ.get(src) == [dst] and index.pred.get(dst) == [src]
 
     def topological_order(self) -> List[str]:
-        """Kahn's algorithm; raises :class:`GraphError` on cycles."""
-        in_degree = {nid: 0 for nid in self.nodes}
-        for edge in self.edges:
-            in_degree[edge.dst] += 1
-        ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
-        order: List[str] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for succ in self.successors(nid):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-            ready.sort()
-        if len(order) != len(self.nodes):
+        """Kahn's algorithm, smallest ready id first; raises
+        :class:`GraphError` on cycles."""
+        return list(self._order())
+
+    def _order(self) -> List[str]:
+        order = self._structure().order
+        if order is None:
             raise GraphError(f"{self.name}: NF graph has a cycle")
         return order
 
@@ -249,7 +313,7 @@ class NFGraph:
         """Structural checks: non-empty, acyclic, single entry."""
         if not self.nodes:
             raise GraphError(f"{self.name}: empty NF graph")
-        self.topological_order()
+        self._order()
         entries = self.entry_nodes()
         if len(entries) != 1:
             raise GraphError(
@@ -273,20 +337,25 @@ class NFGraph:
         future-work refinement for analysis. A per-instance
         ``egress_ratio`` parameter overrides the vocabulary's value.
         """
-        fractions = {nid: 0.0 for nid in self.nodes}
-        for entry in self.entry_nodes():
-            fractions[entry] = 1.0
-        for nid in self.topological_order():
-            outgoing = fractions[nid]
-            if egress_aware:
-                node = self.nodes[nid]
-                ratio = float(
-                    node.params.get("egress_ratio", node.info.egress_ratio)
-                )
-                outgoing *= ratio
-            for edge in self.out_edges(nid):
-                fractions[edge.dst] += outgoing * edge.fraction
-        return fractions
+        index = self._structure()
+        egress_aware = bool(egress_aware)
+        fractions = index.fractions.get(egress_aware)
+        if fractions is None:
+            fractions = {nid: 0.0 for nid in self.nodes}
+            for entry in index.entries:
+                fractions[entry] = 1.0
+            for nid in self._order():
+                outgoing = fractions[nid]
+                if egress_aware:
+                    node = self.nodes[nid]
+                    ratio = float(
+                        node.params.get("egress_ratio", node.info.egress_ratio)
+                    )
+                    outgoing *= ratio
+                for edge in index.out[nid]:
+                    fractions[edge.dst] += outgoing * edge.fraction
+            index.fractions[egress_aware] = fractions
+        return dict(fractions)
 
     def linearize(self) -> List[LinearChain]:
         """Decompose the DAG into linear chains with traffic fractions (§3.2).
@@ -295,21 +364,26 @@ class NFGraph:
         back into an NF W, we decompose these into two chains X->Y->W and
         X->Z->W.'
         """
-        entries = self.entry_nodes()
-        chains: List[LinearChain] = []
+        index = self._structure()
+        if index.paths is None:
+            out = index.out
+            paths: List[Tuple[Tuple[str, ...], float]] = []
 
-        def walk(node_id: str, path: List[str], fraction: float) -> None:
-            path = path + [node_id]
-            out = self.out_edges(node_id)
-            if not out:
-                chains.append(LinearChain(node_ids=path, fraction=fraction))
-                return
-            for edge in out:
-                walk(edge.dst, path, fraction * edge.fraction)
+            def walk(node_id: str, path: Tuple[str, ...],
+                     fraction: float) -> None:
+                path = path + (node_id,)
+                edges = out[node_id]
+                if not edges:
+                    paths.append((path, fraction))
+                    return
+                for edge in edges:
+                    walk(edge.dst, path, fraction * edge.fraction)
 
-        for entry in entries:
-            walk(entry, [], 1.0)
-        return chains
+            for entry in index.entries:
+                walk(entry, (), 1.0)
+            index.paths = paths
+        return [LinearChain(node_ids=list(path), fraction=fraction)
+                for path, fraction in index.paths]
 
     def same_structure(self, other: "NFGraph") -> bool:
         """Node/edge equality — same NFs, params, and wiring.
@@ -333,7 +407,7 @@ class NFGraph:
 
     def nf_multiset(self) -> List[str]:
         """All NF class names in topological order (for reporting)."""
-        return [self.nodes[nid].nf_class for nid in self.topological_order()]
+        return [self.nodes[nid].nf_class for nid in self._order()]
 
     def to_dot(self) -> str:
         """Graphviz DOT rendering of the NF graph (for docs/debugging).
@@ -342,7 +416,7 @@ class NFGraph:
         fractions; render with ``dot -Tpng``.
         """
         lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
-        for nid in self.topological_order():
+        for nid in self._order():
             node = self.nodes[nid]
             shape = ("diamond" if self.is_branch_or_merge(nid)
                      else "box")

@@ -54,12 +54,7 @@ def form_subgroups(
             p for p in graph.predecessors(nid)
             if p in component and assignment[p].device == assignment[nid].device
         ]
-        joinable = (
-            len(preds) == 1
-            and len(graph.in_edges(nid)) == 1
-            and len(graph.out_edges(preds[0])) == 1
-        )
-        if joinable:
+        if len(preds) == 1 and graph.is_sole_edge(preds[0], nid):
             component[nid] = component[preds[0]]
         else:
             component[nid] = next_component
@@ -148,7 +143,8 @@ def find_coalesce_candidates(
         if pred_sg.server != succ_sg.server:
             continue
         # the boundary nodes must not themselves branch/merge
-        if len(graph.out_edges(preds[0])) != 1 or len(graph.in_edges(succs[0])) != 1:
+        if not (graph.is_sole_edge(preds[0], nid)
+                and graph.is_sole_edge(nid, succs[0])):
             continue
         candidates.append(
             CoalesceCandidate(

@@ -61,6 +61,10 @@ def assign_service_paths(
     paths: List[ServicePath] = []
     spi = first_spi
     for cp in chain_placements:
+        sg_of = {
+            nid: sg.sg_id
+            for sg in cp.subgroups for nid in sg.node_ids
+        }
         for linear in cp.chain.graph.linearize():
             if len(linear.node_ids) > INITIAL_SI:
                 raise CompileError(
@@ -76,10 +80,6 @@ def assign_service_paths(
             spi += 1
             for index, nid in enumerate(linear.node_ids):
                 path.si_of[nid] = INITIAL_SI - index
-            sg_of = {
-                nid: sg.sg_id
-                for sg in cp.subgroups for nid in sg.node_ids
-            }
             path.hops = _hops_for(path, cp.assignment, sg_of)
             paths.append(path)
     return paths

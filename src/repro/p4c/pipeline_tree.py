@@ -95,8 +95,7 @@ def build_subgroup_dag(graph: NFGraph, switch_node_ids: Sequence[str]
         preds = [p for p in graph.predecessors(nid) if p in switch_set]
         joinable = (
             len(preds) == 1
-            and len(graph.in_edges(nid)) == 1
-            and len(graph.out_edges(preds[0])) == 1
+            and graph.is_sole_edge(preds[0], nid)
             and preds[0] in assignment
         )
         if joinable:
@@ -113,7 +112,7 @@ def build_subgroup_dag(graph: NFGraph, switch_node_ids: Sequence[str]
     # nodes transitively.
     def switch_successors(nid: str) -> List[str]:
         out: List[str] = []
-        stack = [e.dst for e in graph.out_edges(nid)]
+        stack = graph.successors(nid)
         seen = set()
         while stack:
             nxt = stack.pop()
@@ -123,7 +122,7 @@ def build_subgroup_dag(graph: NFGraph, switch_node_ids: Sequence[str]
             if nxt in switch_set:
                 out.append(nxt)
             else:
-                stack.extend(e.dst for e in graph.out_edges(nxt))
+                stack.extend(graph.successors(nxt))
         return out
 
     for nid in order:
