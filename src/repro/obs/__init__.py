@@ -35,9 +35,9 @@ from repro.obs.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_TIMER,
+    QuantileSketch,
     Timer,
     quantile,
-    quantiles,
 )
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
+    "QuantileSketch",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
@@ -57,7 +58,6 @@ __all__ = [
     "render_json",
     "render_text",
     "quantile",
-    "quantiles",
 ]
 
 

@@ -78,6 +78,17 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
         )
         return future.result(timeout=_SUBMIT_TIMEOUT_S)
 
+    def _render_metrics(self) -> str:
+        """The registry as JSON, rendered on the daemon's loop: the
+        rack-owner worker runs a whole command there without yielding,
+        so the render lands between two commands and never reads a
+        histogram the worker is folding."""
+        async def render() -> str:
+            return render_json(self.daemon.registry)
+
+        future = asyncio.run_coroutine_threadsafe(render(), self.loop)
+        return future.result(timeout=_SUBMIT_TIMEOUT_S)
+
     def _read_body(self) -> object:
         """The request's JSON body; :class:`CommandError` if there is
         none to be had."""
@@ -120,7 +131,7 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
         elif self.path == "/v1/schema":
             self._send_json(200, command_schemas())
         elif self.path == "/v1/metrics":
-            body = render_json(self.daemon.registry).encode()
+            body = self._render_metrics().encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

@@ -468,16 +468,17 @@ class AdmissionCore:
             },
         )
         for cp in self.placement.chains:
-            delivered, self.cursors[cp.name], samples = \
-                self.traffic.replay_batch(
-                    cp, self.cursors.get(cp.name, 0), packets_per_chain
-                )
+            cursor = self.cursors.get(cp.name, 0)
+            delivered, latency, _wall = self.traffic.replay(
+                cp, cursor, packets_per_chain
+            )
+            self.cursors[cp.name] = cursor + packets_per_chain
             phase.chains.append(ChainTrafficReport.replayed(
                 cp,
                 flows=self.spec.flows_per_chain,
                 injected=packets_per_chain,
                 delivered=delivered,
-                latencies=samples,
+                latency=latency,
                 assigned_mbps=self.rates.get(cp.name, 0.0),
             ))
         return phase

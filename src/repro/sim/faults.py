@@ -33,8 +33,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain
 from repro.core.lp import solve_rates
@@ -46,6 +47,7 @@ from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import (
     MetricsRegistry,
+    QuantileSketch,
     get_registry,
     quantile,
     with_own_registry,
@@ -738,6 +740,8 @@ class ChaosEngine:
         guard = self.spec.guard
         if packets_per_chain < 1:
             raise FaultInjectionError("packets_per_chain must be >= 1")
+        if guard.window_packets < 1:
+            raise FaultInjectionError("guard window_packets must be >= 1")
         initial = self.placer.solve(PlacementRequest(
             chains=self.chains, strategy=self.spec.strategy,
             objective=self.spec.objective,
@@ -761,7 +765,10 @@ class ChaosEngine:
         mode = "normal"
         seg_injected: Dict[str, int] = {}
         seg_delivered: Dict[str, int] = {}
-        seg_latencies: Dict[str, List[float]] = {}
+        #: the phase's delivered latencies, and the guard's trailing
+        #: window of them (the last ``window_packets`` stamps)
+        seg_latency: Dict[str, QuantileSketch] = {}
+        windows: Dict[str, Deque[float]] = {}
 
         def open_phase(label: str) -> PhaseReport:
             phase = PhaseReport(
@@ -777,7 +784,8 @@ class ChaosEngine:
             for name in cursors:
                 seg_injected[name] = 0
                 seg_delivered[name] = 0
-                seg_latencies[name] = []
+                seg_latency[name] = QuantileSketch()
+                windows[name] = deque(maxlen=guard.window_packets)
             return phase
 
         def close_phase(phase: PhaseReport) -> None:
@@ -788,7 +796,7 @@ class ChaosEngine:
                     flows=self.spec.flows_per_chain,
                     injected=seg_injected[name],
                     delivered=seg_delivered[name],
-                    latencies=seg_latencies[name],
+                    latency=seg_latency[name],
                     assigned_mbps=self.rates.get(name, 0.0),
                 ))
             report.phases.append(phase)
@@ -806,7 +814,8 @@ class ChaosEngine:
                 )
                 seg_injected[name] += count
                 seg_delivered[name] += delivered
-                seg_latencies[name].extend(samples)
+                seg_latency[name].add_many(samples)
+                windows[name].extend(samples)
                 remaining[name] -= count
                 global_injected += count
 
@@ -849,9 +858,7 @@ class ChaosEngine:
                 latency_bad = False
                 if (guard.latency_quantile > 0.0
                         and not math.isinf(slo.d_max)):
-                    window = seg_latencies[name][
-                        -guard.window_packets:
-                    ]
+                    window = windows[name]
                     if window:
                         tail = quantile(
                             window, guard.latency_quantile

@@ -48,7 +48,7 @@ from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, quantiles, scoped_registry
+from repro.obs import MetricsRegistry, QuantileSketch, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.runtime.pool import (
     dumps_for_pool,
@@ -108,7 +108,8 @@ class ChainTrafficReport:
     assigned_mbps: float
     #: the chain's SLO minimum rate (Mbps); 0 means best-effort.
     t_min_mbps: float = 0.0
-    #: delivered-latency quantiles (µs) over this chain's replay.
+    #: delivered-latency quantiles (µs) over this chain's replay, within
+    #: ``repro.obs.metrics.ALPHA`` of the exact order statistic.
     latency_p50_us: float = 0.0
     latency_p95_us: float = 0.0
     latency_p99_us: float = 0.0
@@ -123,15 +124,16 @@ class ChainTrafficReport:
         flows: int,
         injected: int,
         delivered: int,
-        latencies: Sequence[float],
+        latency: QuantileSketch,
         assigned_mbps: float,
         wall_seconds: float = 0.0,
         t_min_mbps: float = 0.0,
     ) -> "ChainTrafficReport":
         """The row of one replayed chain — a whole run's or one phase's:
-        quantiles taken in one sort, everything injected and not
-        delivered counted dropped, the bound the chain's own ``d_max``."""
-        p50, p95, p99 = quantiles(latencies, (0.50, 0.95, 0.99))
+        quantiles read off its delivered-latency sketch, everything
+        injected and not delivered counted dropped, the bound the chain's
+        own ``d_max``."""
+        p50, p95, p99 = latency.quantiles((0.50, 0.95, 0.99))
         return cls(
             chain_name=cp.name,
             flows=flows,
@@ -487,12 +489,12 @@ class TrafficEngine:
         """Push one batch through the rack: packets ``base .. base+size``
         of the flow cycle (packet ``i`` belongs to flow ``i % flows``).
 
-        Returns ``(delivered, latency_samples, rack_wall_seconds)`` — the
+        Returns ``(delivered, stamps, rack_wall_seconds)`` — the
         delivered packets' latency stamps (µs) in injection order,
         whichever loop ran: a float64 array from the columnar loop, a
         list from the scalar one. Only rack work is timed: packet clones
         and the signature column are built before the clock starts, the
-        samples are collected after it stops.
+        stamps are collected after it stops.
         """
         n_flows = len(flows)
         _chain, _templates, fell_back = self._flows[cp.name]
@@ -534,23 +536,30 @@ class TrafficEngine:
         ]
         return len(samples), samples, wall
 
-    def _replay(self, cp: ChainPlacement, start: int,
-                count: int) -> Tuple[int, np.ndarray, float]:
-        """Inject packets ``start .. start+count`` of ``cp``'s flow cycle
-        in batches; ``_inject``'s triple summed over them, the samples
-        joined into one float64 array."""
+    def _batches(self, cp: ChainPlacement, start: int, count: int):
+        """``_inject``'s triple for each batch of packets ``start ..
+        start+count`` of ``cp``'s flow cycle."""
         flows = self.synthesize_flows(cp)
-        delivered = 0
-        wall = 0.0
-        parts = [np.empty(0)]  # float64 whatever follows, even nothing
         for base in range(start, start + count, self.batch_size):
-            got, samples, spent = self._inject(
+            yield self._inject(
                 cp, flows, base, min(self.batch_size, start + count - base)
             )
+
+    def replay(self, cp: ChainPlacement, start: int,
+               count: int) -> Tuple[int, QuantileSketch, float]:
+        """Inject packets ``start .. start+count`` of ``cp``'s flow cycle
+        in batches: ``(delivered, latency sketch, rack wall)``, each
+        batch's stamps folded into the sketch as it leaves the rack — a
+        whole run's or one phase's report row, with no per-packet array
+        kept."""
+        delivered = 0
+        wall = 0.0
+        sketch = QuantileSketch()
+        for got, samples, spent in self._batches(cp, start, count):
             delivered += got
             wall += spent
-            parts.append(samples)
-        return delivered, np.concatenate(parts), wall
+            sketch.add_many(samples)
+        return delivered, sketch, wall
 
     def replay_batch(self, cp: ChainPlacement, cursor: int,
                      count: int) -> Tuple[int, int, List[float]]:
@@ -560,12 +569,17 @@ class TrafficEngine:
         ``cursor + i`` belongs to flow ``(cursor + i) % flows_per_chain``,
         exactly the cycling :meth:`run` uses, so resuming a replay after a
         redeploy continues the same deterministic flow sequence. Returns
-        ``(delivered, new_cursor, latency_samples)``; the samples are the
-        delivered packets' stamped end-to-end latencies (µs), the guard's
-        windowed-quantile input.
+        ``(delivered, new_cursor, stamps)``: the delivered packets'
+        end-to-end latencies (µs) as a list in injection order, the chaos
+        guard's trailing-window input.
         """
-        delivered, latencies, _wall = self._replay(cp, cursor, count)
-        return delivered, cursor + count, latencies.tolist()
+        delivered = 0
+        samples: List[float] = []
+        for got, stamps, _wall in self._batches(cp, cursor, count):
+            delivered += got
+            samples.extend(stamps.tolist() if isinstance(stamps, np.ndarray)
+                           else stamps)
+        return delivered, cursor + count, samples
 
     def run(self, packets_per_chain: int = 1024,
             chain_names: Optional[List[str]] = None) -> TrafficReport:
@@ -591,13 +605,13 @@ class TrafficEngine:
     def _run_chain(self, cp: ChainPlacement,
                    packets_per_chain: int) -> ChainTrafficReport:
         """Replay one chain; only rack work lands in the timed region."""
-        delivered, latencies, wall = self._replay(cp, 0, packets_per_chain)
+        delivered, latency, wall = self.replay(cp, 0, packets_per_chain)
         return ChainTrafficReport.replayed(
             cp,
             flows=min(self.flows_per_chain, packets_per_chain),
             injected=packets_per_chain,
             delivered=delivered,
-            latencies=latencies,
+            latency=latency,
             assigned_mbps=self.placement.rates.get(cp.name, 0.0),
             wall_seconds=wall,
             t_min_mbps=cp.chain.slo.t_min,

@@ -10,13 +10,14 @@ from repro.obs import (
     NULL_COUNTER,
     NULL_HISTOGRAM,
     NULL_TIMER,
+    QuantileSketch,
     get_registry,
     render_json,
     render_text,
     scoped_registry,
     set_registry,
 )
-from repro.obs.metrics import SAMPLE_CAP
+from repro.obs.metrics import ALPHA
 
 
 class TestCounter:
@@ -63,26 +64,38 @@ class TestHistogram:
         h = registry.histogram("lat")
         for value in range(101):
             h.observe(float(value))
-        assert h.quantile(0.5) == 50.0
+        assert h.quantile(0.5) == pytest.approx(50.0, rel=ALPHA)
         assert h.quantile(0) == 0.0
-        assert h.quantile(1) == 100.0
+        assert h.quantile(1) == pytest.approx(100.0, rel=ALPHA)
+        assert h.quantile(1) <= h.max
         with pytest.raises(ValueError):
             h.quantile(1.01)
 
-    def test_sample_cap_keeps_exact_aggregates(self):
+    def test_quantiles_cover_every_observation(self):
+        """The tail of a long run counts: 10 000 observations whose
+        slow 2 % all come after the first 4 096 (where histograms used to
+        stop keeping samples) move p99, in the summary and after a
+        dump/merge round trip."""
         registry = MetricsRegistry()
-        h = registry.histogram("big")
-        for value in range(SAMPLE_CAP + 100):
-            h.observe(float(value))
-        assert h.count == SAMPLE_CAP + 100
-        assert h.max == float(SAMPLE_CAP + 99)
+        h = registry.histogram("rack.latency_us", chain="a")
+        for index in range(9800):
+            h.observe(10.0 + index % 7)
+        h.observe_many([1000.0] * 200)
+        assert h.count == 10_000
+        assert h.max == 1000.0
+        summary = h.summary()
+        assert summary["p50"] == pytest.approx(13.0, rel=ALPHA)
+        assert summary["p99"] == pytest.approx(1000.0, rel=ALPHA)
+        merged = MetricsRegistry()
+        merged.merge_state(registry.dump_state())
+        assert merged.histogram("rack.latency_us", chain="a").summary() \
+            == summary
 
-
-    def test_samples_are_c_doubles_through_dump_merge_and_pickle(self):
-        """Retained samples live in an ``array('d')``: an ``int``
-        observation comes back as a ``float`` (aggregates keep their
-        type), ``dump_state`` still hands out plain lists, and
-        observe / observe_many / merge fill it the same way."""
+    def test_buckets_survive_dump_merge_and_pickle(self):
+        """``dump_state`` rows keep seven fields, the seventh the plain-
+        int bucket payload, so a dump stays JSON; merging a dump twice is
+        the sketch of every value twice, and a pickle (taken with values
+        still pending) thaws to the same dump."""
         registry = MetricsRegistry()
         stages = registry.histogram("metacompiler.p4.stages")
         stages.observe(2)
@@ -91,37 +104,46 @@ class TestHistogram:
         lat.observe_many([0.25, 1.5, 0.75])
 
         state = registry.dump_state()
-        name, labels, count, total, low, high, samples = \
+        name, labels, count, total, low, high, payload = \
             state["histograms"][1]
         assert (name, count, total, low, high) == \
             ("metacompiler.p4.stages", 3, 10, 2, 5)
-        assert samples == [2.0, 3.0, 5.0]
-        assert [type(s) for s in samples] == [float] * 3
-        assert type(samples) is list
+        assert type(payload) is list
+        assert {type(entry) for entry in payload} == {int}
         json.dumps(state)  # the shard transport's requirement
 
         merged = MetricsRegistry()
         merged.merge_state(state)
         merged.merge_state(state)
+        twice = QuantileSketch()
+        twice.add_many([0.25, 1.5, 0.75] * 2)
         assert merged.histogram("lat", chain="a").count == 6
-        assert merged.dump_state()["histograms"][0][6] == \
-            [0.25, 1.5, 0.75] * 2
+        assert merged.dump_state()["histograms"][0][6] == twice.payload()
 
+        lat.observe(0.5)  # pending when the pickle is taken
         thawed = pickle.loads(pickle.dumps(registry))
-        assert thawed.dump_state() == state
-        assert thawed.histogram("lat", chain="a").quantile(0.5) == 0.75
+        assert thawed.dump_state() == registry.dump_state()
+        assert thawed.histogram("lat", chain="a").quantile(0.5) == \
+            pytest.approx(0.5, rel=ALPHA)
 
-    def test_sample_cap_holds_for_every_way_in(self):
+    def test_every_way_in_reaches_the_buckets(self):
+        """observe, observe_many and merge all land in the same buckets
+        as one sketch of every value, past the pending buffer's size."""
         registry = MetricsRegistry()
         h = registry.histogram("big")
-        h.observe_many([1.0] * (SAMPLE_CAP - 2))
-        h.merge(3, 6.0, 2.0, 2.0, [2.0, 2.0, 2.0])
+        h.observe_many([1.0] * 9000)
+        shard = QuantileSketch()
+        shard.add_many([2.0, 2.5, 2.0])
+        h.merge(shard)
         h.observe(3.0)
-        h.observe_many([4.0, 4.0])
-        assert h.count == SAMPLE_CAP + 4
-        samples = registry.dump_state()["histograms"][0][6]
-        assert len(samples) == SAMPLE_CAP
-        assert samples[-2:] == [2.0, 2.0]
+        h.observe_many([4.0, 4.5])
+        whole = QuantileSketch()
+        for value in [1.0] * 9000 + [2.0, 2.5, 2.0, 3.0, 4.0, 4.5]:
+            whole.add(value)
+        assert (h.count, h.total, h.min, h.max) == \
+            (whole.count, whole.total, whole.min, whole.max)
+        assert registry.dump_state()["histograms"][0][6] == whole.payload()
+        assert h.quantile(1.0) == 4.5
 
 
 class TestTimer:
@@ -240,67 +262,59 @@ class TestQuantile:
             quantile([1.0], -0.1)
 
     def test_out_of_range_raises_on_empty_input_too(self):
-        from repro.obs import quantile, quantiles
+        from repro.obs import quantile
 
         with pytest.raises(ValueError):
             quantile([], 2.0)
         with pytest.raises(ValueError):
-            quantiles([], (0.5, 2.0))
+            QuantileSketch().quantiles((0.5, 2.0))
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("empty").quantile(-0.5)
 
-    def test_quantiles_sort_once_equals_three_quantile_calls(self):
-        """``quantiles`` is what every report row and ``summary()`` call:
-        bit-identical to the sort-per-call pure-Python definition (kept
-        here as the oracle), and numpy-``linear`` to rounding."""
+    def test_sketch_quantiles_equal_one_quantile_call_each(self):
+        """``QuantileSketch.quantiles`` is what every report row and
+        ``summary()`` call: the same floats as one ``quantile`` call per
+        ``q``, each within ``ALPHA`` of the order statistic at rank
+        ``floor(q·(n−1))``."""
         import random
-
-        import numpy as np
-
-        from repro.obs import quantile, quantiles
-
-        def reference(samples, q):
-            ordered = sorted(samples)
-            virtual = q * (len(ordered) - 1)
-            lo = int(virtual)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = virtual - lo
-            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
         rng = random.Random(11)
         qs = (0.50, 0.95, 0.99)
         for size in (1, 2, 3, 16, 100, 101, 4096, 5000):
             samples = [rng.uniform(0.0, 500.0) for _ in range(size)]
             samples += samples[: size // 3]  # ties
-            got = quantiles(samples, qs)
-            assert got == [reference(samples, q) for q in qs]
-            assert got == [quantile(samples, q) for q in qs]
+            sketch = QuantileSketch()
+            sketch.add_many(samples)
+            got = sketch.quantiles(qs)
+            assert got == [sketch.quantile(q) for q in qs]
             assert all(type(value) is float for value in got)
+            ordered = sorted(samples)
             assert got == pytest.approx(
-                [float(np.quantile(samples, q)) for q in qs], rel=1e-12)
-        assert quantiles([], qs) == [0.0, 0.0, 0.0]
-        assert quantiles([4, 1, 3], (0.0, 0.5, 1.0)) == [1.0, 3.0, 4.0]
+                [ordered[int(q * (len(ordered) - 1))] for q in qs],
+                rel=ALPHA)
+        assert QuantileSketch().quantiles(qs) == [0.0, 0.0, 0.0]
 
     def test_summary_uses_the_same_quantiles(self):
-        from repro.obs import quantiles
-
         registry = MetricsRegistry()
         hist = registry.histogram("rack.latency_us", chain="b")
-        values = [float((i * 7919) % 1013) for i in range(SAMPLE_CAP + 50)]
+        values = [float((i * 7919) % 1013) for i in range(4096 + 50)]
         for value in values:
             hist.observe(value)
+        whole = QuantileSketch()
+        whole.add_many(values)
         summary = hist.summary()
-        assert [summary["p50"], summary["p95"], summary["p99"]] == quantiles(
-            values[:SAMPLE_CAP], (0.50, 0.95, 0.99))
+        assert [summary["p50"], summary["p95"], summary["p99"]] == \
+            whole.quantiles((0.50, 0.95, 0.99))
 
     def test_histogram_quantile_and_p95_summary(self):
         registry = MetricsRegistry()
         hist = registry.histogram("rack.latency_us", chain="a")
         for value in (10.0, 20.0, 30.0, 40.0):
             hist.observe(value)
-        # the summary's p-columns are the same interpolating quantile
-        assert hist.quantile(0.5) == pytest.approx(25.0)
+        # no interpolation: rank q·(n−1) = 1.5 reads the order statistic
+        # at 1, within ALPHA
+        assert hist.quantile(0.5) == pytest.approx(20.0, rel=ALPHA)
         summary = hist.summary()
-        assert summary["p95"] == pytest.approx(hist.quantile(0.95))
-        assert summary["p95"] == pytest.approx(38.5)
+        assert summary["p95"] == hist.quantile(0.95)
+        assert summary["p95"] == pytest.approx(30.0, rel=ALPHA)
         assert summary["p50"] <= summary["p95"] <= summary["p99"]

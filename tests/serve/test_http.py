@@ -1,5 +1,6 @@
 """The stdlib HTTP front-end: routes, status mapping, shutdown."""
 
+import asyncio
 import http.client
 import json
 import statistics
@@ -11,7 +12,8 @@ import urllib.request
 
 import pytest
 
-from repro.serve import run_server
+import repro.serve.http as http_module
+from repro.serve import ServeDaemon, run_server
 
 
 def _request(url, payload=None):
@@ -213,3 +215,32 @@ def test_keep_alive_round_trips_are_not_held_by_nagle(base_url):
     finally:
         conn.close()
     assert statistics.median(spent) < 20.0, spent
+
+
+def test_metrics_render_on_the_daemon_loop_between_commands(base_url,
+                                                            monkeypatch):
+    """``/v1/metrics`` reads the registry on the daemon's event loop — the
+    thread the rack-owner worker applies commands on, and never while it
+    does — not on the HTTP handler's thread, where a scrape could read a
+    histogram in the middle of a command's fold."""
+    threads = {}
+    snapshot = ServeDaemon.state_snapshot
+    render = http_module.render_json
+
+    def worker_side(daemon):
+        threads["worker"] = threading.current_thread()
+        return snapshot(daemon)
+
+    def render_side(registry):
+        threads["render"] = threading.current_thread()
+        threads["loop"] = asyncio.get_running_loop()
+        return render(registry)
+
+    monkeypatch.setattr(ServeDaemon, "state_snapshot", worker_side)
+    monkeypatch.setattr(http_module, "render_json", render_side)
+    assert _request(base_url + "/v1/state")[0] == 200
+    code, metrics = _request(base_url + "/v1/metrics")
+    assert code == 200 and "histograms" in metrics
+    assert threads["render"] is threads["worker"]
+    assert threads["render"] is not threading.current_thread()
+    assert threads["loop"].is_running()

@@ -361,6 +361,14 @@ class TestChaosEngine:
         (row,) = fault_phase.chains
         assert row.dropped > 0
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_guard_window_rejected(self, window):
+        """The guard reads the last ``window_packets`` stamps: a window
+        of none has nothing to judge, so the run refuses it up front."""
+        spec = _smartnic_spec(guard=GuardConfig(window_packets=window))
+        with pytest.raises(FaultInjectionError, match="window_packets"):
+            run_chaos(spec)
+
     def test_slo_count_mismatch_rejected(self):
         with pytest.raises(FaultInjectionError):
             _smartnic_spec(slos=()).build_chains()
@@ -431,3 +439,12 @@ class TestChaosCLI:
         code = main(["chaos", str(spec), "--fail", "server0@notanumber"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_chaos_cli_rejects_empty_window(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "one.lemur"
+        spec.write_text("chain a: ACL -> IPv4Fwd\n")
+        code = main(["chaos", str(spec), "--window", "0"])
+        assert code == 1
+        assert "window_packets must be >= 1" in capsys.readouterr().err
