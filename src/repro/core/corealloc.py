@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.lp import RateSolution, solve_rates
 from repro.core.placement import ChainPlacement, Subgroup
-from repro.core.rates import estimate_chain_rate, subgroup_rate_mbps
+from repro.core.rates import estimate_chain_rate, subgroup_rate_on
 from repro.exceptions import PlacementError
 from repro.hw.topology import Topology
 from repro.units import DEFAULT_PACKET_BITS
@@ -69,8 +69,7 @@ def _bottleneck_subgroup(cp: ChainPlacement, topology: Topology,
     best: Optional[Subgroup] = None
     best_rate = math.inf
     for sg in cp.subgroups:
-        server = topology.server(sg.server)
-        rate = subgroup_rate_mbps(sg, server.freq_hz, packet_bits)
+        rate = subgroup_rate_on(sg, topology, packet_bits)
         if rate < best_rate:
             best_rate = rate
             best = sg

@@ -48,19 +48,30 @@ def subgroup_rate_mbps(
     return pps * packet_bits / 1e6
 
 
+def subgroup_rate_on(
+    subgroup: Subgroup,
+    topology: Topology,
+    packet_bits: int = DEFAULT_PACKET_BITS,
+) -> float:
+    """:func:`subgroup_rate_mbps` on ``topology``: at its server's clock,
+    with the demux penalty unless the rack has Metron steering. The one
+    rate both the chain estimate and the core allocator rank by."""
+    return subgroup_rate_mbps(
+        subgroup, topology.server(subgroup.server).freq_hz, packet_bits,
+        demux_penalty=not topology.metron_steering,
+    )
+
+
 def estimate_chain_rate(
     placement: ChainPlacement,
     topology: Topology,
     packet_bits: int = DEFAULT_PACKET_BITS,
 ) -> float:
     """Estimated chain rate = min over subgroup and SmartNIC caps (§3.2)."""
-    limits: List[float] = []
-    for sg in placement.subgroups:
-        server = topology.server(sg.server)
-        limits.append(subgroup_rate_mbps(
-            sg, server.freq_hz, packet_bits,
-            demux_penalty=not topology.metron_steering,
-        ))
+    limits: List[float] = [
+        subgroup_rate_on(sg, topology, packet_bits)
+        for sg in placement.subgroups
+    ]
     limits.extend(placement.nic_caps.values())
     # the chain ingresses through one switch port
     switch_rate = getattr(topology.switch, "port_rate_mbps", None)

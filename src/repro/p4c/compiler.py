@@ -13,14 +13,21 @@ the switch, the compiler:
    chains, a single steering/resume table in the first stage, one SI update
    per service path, and explicit cross-branch/cross-chain exclusivity so
    the allocator may pack parallel work into shared stages (§4.2 (a)-(d));
-5. packs the resulting table DAG into stages with the selected allocator
+5. infers the data dependencies between tables in program order, except
+   between mutually exclusive ones;
+6. packs the resulting table DAG into stages with the selected allocator
    and reports fit against the switch's stage budget.
+
+Step 5 is a per-chain step: chains process disjoint traffic, so every
+cross-chain table pair is exclusive and never produces an edge. A
+program's edges are the union of its chains' own, each found over the
+chain's scope behind the steering table.
 
 The Placer treats this as the authoritative feasibility check — exactly how
 Lemur uses the Tofino compiler — and, like Lemur, rations what it costs:
-steps 1–4 are per chain and depend on nothing but that chain (its graph
+steps 1–5 are per chain and depend on nothing but that chain (its graph
 and which of its nodes sit on the switch), so each chain lowers once into
-an immutable :class:`ChainFragment`; step 5 depends only on the ordered
+an immutable :class:`ChainFragment`; step 6 depends only on the ordered
 fragments and the switch's stage budget, so the packed
 :class:`CompileResult` is memoized on exactly that. Both live in one
 bounded process-wide LRU keyed by content (:func:`graph_digest`, never
@@ -91,20 +98,21 @@ class CompileResult:
 
 @dataclass(frozen=True)
 class ChainFragment:
-    """One chain's switch-resident part, lowered (steps 1–4).
+    """One chain's switch-resident part, lowered (steps 1–5).
 
     Self-contained: everything :meth:`PISACompiler.compile` takes from a
     chain, none of it dependent on the other chains of the program.
     ``tables`` is DAG insertion order, ``scope`` the serialized program
     order (they differ only under ``naive``, whose per-NF check precedes
-    the NF it guards), ``parse_trees`` the NF-local parsers in the order
-    they merge into the unified one.
+    the NF it guards), ``edges`` every dependency edge the chain adds to
+    the program (declared ones and, unless ``naive``, the inferred data
+    dependencies, some from the steering table), ``parse_trees`` the
+    NF-local parsers in the order they merge into the unified one.
     """
 
     tables: Tuple[P4Table, ...] = ()
     scope: Tuple[str, ...] = ()
-    edges: Tuple[Tuple[str, str], ...] = ()
-    partitions: Tuple[Tuple[FrozenSet[str], ...], ...] = ()
+    edges: FrozenSet[Tuple[str, str]] = frozenset()
     nf_groups: Tuple[Tuple[str, ...], ...] = ()
     parse_trees: Tuple[ParseTree, ...] = ()
     uses_nsh: bool = False
@@ -232,12 +240,7 @@ class PISACompiler:
         dag.add_table(steering)
         ordered_scope: List[str] = [steering.name]
         nf_groups: List[Sequence[str]] = [[steering.name]]
-        # Each partition is a list of table-name sets that are pairwise
-        # mutually exclusive (sibling arms of one branch block, or distinct
-        # chains). Exclusivity never crosses partitions.
-        exclusive_partitions: List[Sequence[FrozenSet[str]]] = []
         chain_tables: Dict[str, Tuple[str, ...]] = {}
-        per_chain_table_sets: List[FrozenSet[str]] = []
         uses_nsh = False
 
         for graph, switch_ids in chains:
@@ -251,22 +254,14 @@ class PISACompiler:
                 uses_nsh = True
             for table in fragment.tables:
                 dag.add_table(table)
-            for before, after in fragment.edges:
-                dag.add_edge(before, after)
+            # every edge of a fragment joins two of its own tables, or
+            # the steering table and one of them
+            dag.edges |= fragment.edges
             ordered_scope.extend(fragment.scope)
             nf_groups.extend(fragment.nf_groups)
-            exclusive_partitions.extend(fragment.partitions)
-            names = tuple(table.name for table in fragment.tables)
-            chain_tables[graph.name] = names
-            per_chain_table_sets.append(frozenset(names))
-
-        # Chains process disjoint traffic aggregates: every cross-chain
-        # table pair is mutually exclusive (optimization (d) applied at
-        # chain granularity).
-        exclusive_partitions.append([s for s in per_chain_table_sets if s])
-        exclusive_pairs: Set[Tuple[str, str]] = set()
-        for partition in exclusive_partitions:
-            exclusive_pairs |= exclusive_table_pairs(partition)
+            chain_tables[graph.name] = tuple(
+                table.name for table in fragment.tables
+            )
 
         resources = self.switch.stage_resources
         stages = self.switch.num_stages
@@ -275,17 +270,15 @@ class PISACompiler:
                 dag, serialized_order=ordered_scope,
                 resources=resources, available_stages=stages,
             )
+        elif strategy == "conservative":
+            allocation = allocate_conservative(
+                dag, nf_groups=nf_groups,
+                resources=resources, available_stages=stages,
+            )
         else:
-            infer_dependencies(dag, ordered_scope, exclusive_pairs)
-            if strategy == "conservative":
-                allocation = allocate_conservative(
-                    dag, nf_groups=nf_groups,
-                    resources=resources, available_stages=stages,
-                )
-            else:
-                allocation = allocate_compiler(
-                    dag, resources=resources, available_stages=stages,
-                )
+            allocation = allocate_compiler(
+                dag, resources=resources, available_stages=stages,
+            )
 
         return CompileResult(
             allocation=allocation,
@@ -318,11 +311,47 @@ def _fragment(
 def _lower_chain(
     graph: NFGraph, switch_ids: FrozenSet[str], strategy: str
 ) -> ChainFragment:
+    fragment, partitions = _lower_tables(graph, switch_ids, strategy)
+    if strategy == "naive":
+        return fragment
+    return replace(fragment, edges=_with_dependencies(fragment, partitions))
+
+
+def _with_dependencies(
+    fragment: ChainFragment,
+    partitions: Sequence[Tuple[FrozenSet[str], ...]],
+) -> FrozenSet[Tuple[str, str]]:
+    """``fragment``'s edges plus the data dependencies over its scope
+    behind the steering table. Each partition holds table-name sets that
+    are pairwise mutually exclusive (sibling arms of one branch block, or
+    encap and decap). Every cross-chain table pair is exclusive in the
+    program too (chains process disjoint traffic aggregates: optimization
+    (d) at chain granularity), so these are all the edges the program
+    will have."""
+    own = TableDAG()
+    steering = nflib.steering_table()
+    own.add_table(steering)
+    for table in fragment.tables:
+        own.add_table(table)
+    own.edges.update(fragment.edges)
+    exclusive: Set[Tuple[str, str]] = set()
+    for partition in partitions:
+        exclusive |= exclusive_table_pairs(partition)
+    infer_dependencies(own, [steering.name, *fragment.scope], exclusive)
+    return frozenset(own.edges)
+
+
+def _lower_tables(
+    graph: NFGraph, switch_ids: FrozenSet[str], strategy: str
+) -> Tuple[ChainFragment, List[Tuple[FrozenSet[str], ...]]]:
+    """Steps 1–4: the fragment with only its declared edges, and the
+    partitions of mutually exclusive tables its dependency inference
+    must skip."""
     sg_dag = build_subgroup_dag(graph, sorted(switch_ids))
     tree = dag_to_tree(sg_dag)
     spans_platforms = switch_ids != set(graph.nodes)
     if tree is None:
-        return ChainFragment(uses_nsh=spans_platforms)
+        return ChainFragment(uses_nsh=spans_platforms), []
     chain_guard = f"meta.chain_{_sanitize(graph.name)}"
 
     # Instantiate P4 NFs; their parsers merge in this order.
@@ -437,14 +466,13 @@ def _lower_chain(
     return ChainFragment(
         tables=tuple(tables),
         scope=tuple(scope),
-        edges=tuple(edges),
-        partitions=tuple(partitions),
+        edges=frozenset(edges),
         nf_groups=tuple(nf_groups),
         parse_trees=tuple(
             p4nfs[node_id].parse_tree for node_id in sorted(switch_ids)
         ),
         uses_nsh=spans_platforms,
-    )
+    ), partitions
 
 
 def _bounce_exit_nodes(graph: NFGraph, switch_ids: FrozenSet[str]) -> List[str]:

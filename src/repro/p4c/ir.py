@@ -9,6 +9,7 @@ Tables carry the resource footprints the stage allocator packs against
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -173,13 +174,34 @@ class TableDAG:
     edges: Set[Tuple[str, str]] = field(default_factory=set)
     exclusive_groups: List[Set[str]] = field(default_factory=list)
 
+    #: Name -> table, built by the first lookup and kept current by
+    #: ``add_table`` (the only mutator of ``tables``). Not a field: it
+    #: stays out of ``==`` and ``repr``, and ``__getstate__`` leaves it
+    #: out of pickles, so the class default stands in after a load.
+    _by_name = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_by_name", None)
+        return state
+
+    def _names(self) -> Dict[str, P4Table]:
+        if self._by_name is None:
+            by_name: Dict[str, P4Table] = {}
+            for table in self.tables:
+                by_name.setdefault(table.name, table)
+            self._by_name = by_name
+        return self._by_name
+
     def add_table(self, table: P4Table) -> None:
-        if any(t.name == table.name for t in self.tables):
+        names = self._names()
+        if table.name in names:
             raise P4CompileError(f"duplicate table name {table.name!r}")
         self.tables.append(table)
+        names[table.name] = table
 
     def add_edge(self, before: str, after: str) -> None:
-        names = {t.name for t in self.tables}
+        names = self._names()
         if before not in names or after not in names:
             raise P4CompileError(f"dependency references unknown table: "
                                  f"{before} -> {after}")
@@ -188,10 +210,10 @@ class TableDAG:
         self.edges.add((before, after))
 
     def table(self, name: str) -> P4Table:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise P4CompileError(f"no table named {name!r}")
+        table = self._names().get(name)
+        if table is None:
+            raise P4CompileError(f"no table named {name!r}")
+        return table
 
     def predecessors(self, name: str) -> Set[str]:
         return {a for (a, b) in self.edges if b == name}
@@ -200,21 +222,22 @@ class TableDAG:
         return {b for (a, b) in self.edges if a == name}
 
     def topological_order(self) -> List[str]:
+        """Kahn's algorithm, smallest ready table name first."""
         in_degree = {t.name: 0 for t in self.tables}
         successors: Dict[str, List[str]] = {name: [] for name in in_degree}
         for a, b in self.edges:
             in_degree[b] += 1
             successors[a].append(b)
-        ready = sorted(name for name, deg in in_degree.items() if deg == 0)
+        ready = [name for name, deg in in_degree.items() if deg == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            name = ready.pop(0)
+            name = heapq.heappop(ready)
             order.append(name)
-            for succ in sorted(successors[name]):
+            for succ in successors[name]:
                 in_degree[succ] -= 1
                 if in_degree[succ] == 0:
-                    ready.append(succ)
-            ready.sort()
+                    heapq.heappush(ready, succ)
         if len(order) != len(self.tables):
             raise P4CompileError("table dependency graph has a cycle")
         return order

@@ -18,11 +18,11 @@ Three allocators model the three regimes the paper contrasts (§5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import P4CompileError
 from repro.hw.pisa import PISAStageResources
-from repro.p4c.ir import P4Table, TableDAG
+from repro.p4c.ir import TableDAG
 
 
 @dataclass(frozen=True)
@@ -66,26 +66,33 @@ class _StageBin:
         self.tcam_kb = resources.tcam_kb
         self.tables: List[str] = []
 
-    def try_add(self, table: P4Table) -> bool:
+    def try_add(self, name: str, sram_kb: float, tcam_kb: float) -> bool:
         if self.slots < 1:
             return False
-        if table.sram_kb > self.sram_kb or table.tcam_kb > self.tcam_kb:
+        if sram_kb > self.sram_kb or tcam_kb > self.tcam_kb:
             return False
         self.slots -= 1
-        self.sram_kb -= table.sram_kb
-        self.tcam_kb -= table.tcam_kb
-        self.tables.append(table.name)
+        self.sram_kb -= sram_kb
+        self.tcam_kb -= tcam_kb
+        self.tables.append(name)
         return True
 
 
-def _check_single_stage_fit(dag: TableDAG, resources: PISAStageResources) -> None:
+def _footprints(
+    dag: TableDAG, resources: PISAStageResources
+) -> Dict[str, Tuple[float, float]]:
+    """Each table's (SRAM, TCAM) KB, read once; raises for a table no
+    single stage can hold."""
+    sizes: Dict[str, Tuple[float, float]] = {}
     for table in dag.tables:
-        if (table.sram_kb > resources.sram_kb
-                or table.tcam_kb > resources.tcam_kb):
+        sram_kb, tcam_kb = table.sram_kb, table.tcam_kb
+        if sram_kb > resources.sram_kb or tcam_kb > resources.tcam_kb:
             raise P4CompileError(
                 f"table {table.name!r} exceeds a whole stage's memory "
-                f"(sram={table.sram_kb:.0f}KB, tcam={table.tcam_kb:.0f}KB)"
+                f"(sram={sram_kb:.0f}KB, tcam={tcam_kb:.0f}KB)"
             )
+        sizes[table.name] = (sram_kb, tcam_kb)
+    return sizes
 
 
 def allocate_compiler(
@@ -98,48 +105,47 @@ def allocate_compiler(
     Tables become schedulable once all their dependencies sit in strictly
     earlier stages; each stage greedily packs ready tables — prioritizing
     deeper-remaining-chain and larger tables — until a resource is
-    exhausted.
+    exhausted. A table's unplaced-predecessor count drops when a stage
+    closes.
     """
     resources = resources or PISAStageResources()
-    _check_single_stage_fit(dag, resources)
+    sizes = _footprints(dag, resources)
 
-    by_name = {t.name: t for t in dag.tables}
-    preds: Dict[str, List[str]] = {name: [] for name in by_name}
-    succs: Dict[str, List[str]] = {name: [] for name in by_name}
+    waiting = dict.fromkeys(sizes, 0)
+    succs: Dict[str, List[str]] = {name: [] for name in sizes}
     for before, after in dag.edges:
-        preds[after].append(before)
+        waiting[after] += 1
         succs[before].append(after)
     remaining_depth = _remaining_depths(dag, succs)
     # ready-list priority: deepest remaining chain, then largest, then name
     priority = {
-        name: (-remaining_depth[name], -(t.sram_kb + t.tcam_kb), name)
-        for name, t in by_name.items()
+        name: (-remaining_depth[name], -(sram_kb + tcam_kb), name)
+        for name, (sram_kb, tcam_kb) in sizes.items()
     }
-    placed_stage: Dict[str, int] = {}
-    unplaced: Set[str] = set(by_name)
+    ready = [name for name, count in waiting.items() if count == 0]
+    unplaced = len(sizes)
     stages: List[List[str]] = []
 
     while unplaced:
-        stage_index = len(stages)
-        ready = [
-            name for name in unplaced
-            if all(placed_stage.get(p, stage_index) < stage_index
-                   for p in preds[name])
-        ]
         if not ready:
             raise P4CompileError("stage allocation stuck: cyclic dependencies?")
         ready.sort(key=priority.__getitem__)
         stage_bin = _StageBin(resources)
-        placed_any = False
+        left: List[str] = []
         for name in ready:
-            if stage_bin.try_add(by_name[name]):
-                placed_stage[name] = stage_index
-                unplaced.discard(name)
-                placed_any = True
-        if not placed_any:
+            if not stage_bin.try_add(name, *sizes[name]):
+                left.append(name)
+        if not stage_bin.tables:
             raise P4CompileError(
                 "stage allocation made no progress (table too large?)"
             )
+        unplaced -= len(stage_bin.tables)
+        ready = left
+        for name in stage_bin.tables:
+            for succ in succs[name]:
+                waiting[succ] -= 1
+                if waiting[succ] == 0:
+                    ready.append(succ)
         stages.append(stage_bin.tables)
 
     return StageAllocation(stages=stages, available_stages=available_stages,
@@ -195,7 +201,7 @@ def allocate_naive(
     table depends on its predecessor, so none can share a stage.
     """
     resources = resources or PISAStageResources()
-    _check_single_stage_fit(dag, resources)
+    _footprints(dag, resources)
     order = list(serialized_order or dag.topological_order())
     stages = [[name] for name in order]
     return StageAllocation(stages=stages, available_stages=available_stages,

@@ -6,8 +6,10 @@ import pytest
 
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
+from repro.core.corealloc import allocate_cores
 from repro.core.heuristic import heuristic_place
 from repro.core.lp import solve_rates
+from repro.core.placement import ChainPlacement, Subgroup
 from repro.core.placer import Placer, PlacerConfig, PlacementRequest
 from repro.exceptions import PlacementError
 from repro.hw.spec import topology_for
@@ -145,6 +147,26 @@ class TestMetronSteering:
         assert plain.feasible and metron.feasible
         assert metron.chains[0].estimated_rate > \
             plain.chains[0].estimated_rate
+
+    def test_allocator_ranks_subgroups_without_the_demux(self):
+        """The allocator must rank bottlenecks by the rate the rack has.
+        Charging the demux that Metron steering removes, it took the
+        900-cycle subgroup at 2 cores (f/540) for slower than the
+        500-cycle one at 1 (f/500), granted it a core that gained nothing
+        and stopped at 1 + 2 cores and 40.8 Gbps."""
+        topo = topology_for("paper-testbed", metron_steering=True).build()
+        assert topo.servers[0].allocatable_cores == 16
+        (chain,) = chains_from_spec(
+            "chain c: ACL -> IPv4Fwd", slos=[SLO(t_min=gbps(1))]
+        )
+        subgroups = [
+            Subgroup("c.sg0", "c", "server0", ("c.n0",), 500.0, True),
+            Subgroup("c.sg1", "c", "server0", ("c.n1",), 900.0, True),
+        ]
+        cp = ChainPlacement(chain=chain, assignment={}, subgroups=subgroups)
+        assert allocate_cores([cp], topo).feasible
+        assert [sg.cores for sg in subgroups] == [3, 5]
+        assert cp.estimated_rate == topo.switch.port_rate_mbps == gbps(100)
 
     def test_metron_never_worse(self, profiles):
         from repro.experiments.chains import chains_with_delta

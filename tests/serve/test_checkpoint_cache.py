@@ -173,19 +173,35 @@ def test_checkpoint_carries_no_placement_memo(make_config, drive, tmp_path):
     state = tmp_path / "state"
     daemon, _ = drive(make_config(), state, commands)
     assert daemon.seq == len(commands) >= 20
+    seen = _pickled_strings(state / "checkpoint.pkl")
+    assert "repro.sim.admission" in seen    # the walk does see globals
+    assert not [name for name in seen if name.startswith("repro.core.cache")]
 
-    def names(pickled: bytes):
-        # protocol 4+ pushes module and class names as plain strings
-        # ahead of STACK_GLOBAL, so every string argument is a candidate
+
+def test_checkpoint_carries_no_table_dag_index(make_config, drive, tmp_path):
+    """A rack's compiled P4 program (``rack.artifacts.p4``) rides in the
+    checkpoint with its table DAG, but not the DAG's name index: it is
+    rebuilt on the first lookup after a load."""
+    state = tmp_path / "state"
+    drive(make_config(), state, RACK_COMMANDS)
+    seen = _pickled_strings(state / "checkpoint.pkl")
+    assert {"repro.p4c.ir", "TableDAG", "tables", "edges"} <= seen
+    assert "_by_name" not in seen
+
+
+def _pickled_strings(path):
+    """Every string a checkpoint's pickles push, history blobs included:
+    protocol 4+ pushes module and class names as plain strings ahead of
+    STACK_GLOBAL, and attribute names as dict keys."""
+    def strings(pickled: bytes):
         return {arg for _, arg, _ in pickletools.genops(pickled)
                 if isinstance(arg, str)}
 
-    _, state_bytes = _split((state / "checkpoint.pkl").read_bytes())
-    seen = names(state_bytes)
+    _, state_bytes = _split(path.read_bytes())
+    seen = strings(state_bytes)
     for blob in pickle.loads(state_bytes)["history"]:
-        seen |= names(blob)
-    assert "repro.sim.admission" in seen    # the walk does see globals
-    assert not [name for name in seen if name.startswith("repro.core.cache")]
+        seen |= strings(blob)
+    return seen
 
 
 def test_discard_writes_a_native_checkpoint_before_serving(
