@@ -147,15 +147,6 @@ class SubgroupDemux(Module):
         return [(base_gate + digest % instances, packet)]
 
 
-class SubgroupMux(Module):
-    """Funnels replicated instances back into one stream before encap."""
-
-    vector_safe = True
-
-    def process(self, packet: Packet):
-        return [(0, packet)]
-
-
 class SIUpdate(Module):
     """Sets the next service path coordinates after a subgroup completes
     (§4.1: "the meta-compiler must insert code to increment the SI value";

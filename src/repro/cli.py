@@ -178,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic_cmd.add_argument("--batch", type=int, default=64,
                              help="packets per injected batch (large ones "
                                   "run columnar, small scalar: same report)")
-    traffic_cmd.add_argument("--shards", type=int, default=1,
-                             help="replay one rack's chains across N "
-                                  "workers of the persistent pool "
-                                  "(deterministic metrics merge-back); "
-                                  "a fabric replays its racks serially "
-                                  "and does not read it")
     traffic_cmd.add_argument("--seed", type=int, default=23,
                              help="rack drop-hash seed")
     traffic_cmd.add_argument("--json", action="store_true",
@@ -616,7 +610,6 @@ def cmd_traffic(args) -> int:
         packets_per_chain=args.packets,
         flows_per_chain=args.flows,
         batch_size=args.batch,
-        shards=args.shards,
         seed=args.seed,
         strategy=args.strategy,
         queueing=args.queueing,

@@ -2,8 +2,8 @@
 
 The evaluation grid — Figure 2 panels, ablations, the δ sweep — solves
 the same placement problems again whenever a figure is re-run in one
-process; :func:`repro.experiments.parallel.execute_cell` is this
-module's only user. The online paths (``Placer.solve``, the admission
+process; :mod:`repro.experiments.parallel` is this module's only
+user. The online paths (``Placer.solve``, the admission
 cores, chaos replans, the serve daemon) do not memoize: their problem —
 active chains, running placement, topology state — changes with every
 command, and a key never repeated there (0 hits in 656 lookups,
@@ -26,9 +26,10 @@ fresh ``pickle.loads``: callers may freely mutate a returned placement
 entries never alias the solver's working state.
 
 One process-wide cache backs the sweep engine; a test or benchmark that
-wants a cold solve takes a fresh one with :func:`scoped_cache`. Forked
-sweep workers inherit the parent's populated cache for free, so warm
-parallel runs hit too.
+wants a cold solve takes a fresh one with :func:`scoped_cache`. Sweep
+workers are forked for one call and read the parent's cache as it is
+then; the parent stores what they solved, so warm parallel runs hit as
+serial ones do.
 """
 
 from __future__ import annotations

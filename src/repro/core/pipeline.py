@@ -233,18 +233,3 @@ def switch_fit(
             return "VLAN vid space exhausted for SPI/SI encoding", None
         return None, None
     return None, None
-
-
-def _stage_count(
-    chain_placements: Sequence[ChainPlacement],
-    topology: Topology,
-    compiler: Optional[PISACompiler],
-) -> Optional[int]:
-    if topology.switch.platform is not Platform.PISA:
-        return None
-    compiler = compiler or PISACompiler(topology.switch)  # type: ignore[arg-type]
-    pairs = [(cp.chain.graph, cp.switch_node_ids()) for cp in chain_placements]
-    try:
-        return compiler.compile(pairs).stage_count
-    except P4CompileError:
-        return None

@@ -8,7 +8,7 @@ each subgroup, and the rates assigned to NF chains").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.graph import NFChain
@@ -82,26 +82,12 @@ class ChainPlacement:
             if a.platform is Platform.PISA
         }
 
-    def openflow_node_ids(self) -> set:
-        return {
-            nid for nid, a in self.assignment.items()
-            if a.platform is Platform.OPENFLOW
-        }
-
     def cores_used(self) -> Dict[str, int]:
         """Server name -> cores consumed by this chain's subgroups."""
         usage: Dict[str, int] = {}
         for sg in self.subgroups:
             usage[sg.server] = usage.get(sg.server, 0) + sg.cores
         return usage
-
-    def with_cores(self, allocation: Dict[str, int]) -> "ChainPlacement":
-        """Copy with new per-subgroup core counts (keyed by sg_id)."""
-        new_subgroups = [
-            replace(sg, cores=allocation.get(sg.sg_id, sg.cores))
-            for sg in self.subgroups
-        ]
-        return replace(self, subgroups=new_subgroups)
 
 
 @dataclass
@@ -126,17 +112,6 @@ class Placement:
 
     def rate_of(self, chain_name: str) -> float:
         return self.rates.get(chain_name, 0.0)
-
-    def marginal_of(self, chain_name: str) -> float:
-        for cp in self.chains:
-            if cp.name == chain_name:
-                return max(0.0, self.rate_of(chain_name) - cp.chain.slo.t_min)
-        raise KeyError(chain_name)
-
-    def predicted_rate(self) -> float:
-        """Sum of estimated chain rates, capped by assigned rates' caps —
-        the ◇ marker in Figure 2."""
-        return sum(self.rates.values()) if self.rates else 0.0
 
     def total_cores(self) -> Dict[str, int]:
         usage: Dict[str, int] = {}

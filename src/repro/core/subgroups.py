@@ -20,7 +20,6 @@ from repro.chain.graph import NFChain, NFGraph
 from repro.core.placement import ChainPlacement, NodeAssignment, Subgroup
 from repro.hw.platform import Platform
 from repro.profiles.defaults import (
-    DEMUX_LB_CYCLES,
     NSH_ENCAP_DECAP_CYCLES,
     ProfileDatabase,
 )
@@ -89,11 +88,6 @@ def form_subgroups(
             )
         )
     return subgroups
-
-
-def replication_overhead_cycles(subgroup: Subgroup) -> float:
-    """Extra demux load-balancing cost once a subgroup is replicated (§5.3)."""
-    return float(DEMUX_LB_CYCLES) if subgroup.cores > 1 else 0.0
 
 
 # --------------------------------------------------------------------------

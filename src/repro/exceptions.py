@@ -95,10 +95,6 @@ class TrafficError(ReproError):
     """A traffic-replay experiment spec is malformed."""
 
 
-class WorkerPoolError(ReproError):
-    """The persistent worker runtime failed (dead worker, bad dispatch)."""
-
-
 class ServeError(ReproError):
     """The control-plane daemon was misconfigured or broke an invariant."""
 

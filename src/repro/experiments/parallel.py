@@ -8,15 +8,16 @@ the execution substrate for that shape:
 * :class:`SweepCell` — one picklable cell task;
 * :func:`execute_cell` — the single computation both serial and parallel
   paths share, so results are byte-identical regardless of ``jobs``;
-* :func:`run_cells` — dispatches cells inline or over the persistent
-  :class:`~repro.runtime.pool.WorkerPool`, restores deterministic result
+* :func:`run_cells` — runs cells inline or fans them out through
+  :func:`~repro.runtime.pool.fan_out`, restores deterministic result
   ordering, and merges per-worker observability registries back into the
   parent's.
 
 Each cell deep-copies its topology before solving, so scheme-side
 mutations (failed devices, reserved cores) can never leak between cells —
 in either execution mode. Placement results are memoized through
-:mod:`repro.core.cache`; forked workers inherit the parent's warm cache.
+:mod:`repro.core.cache`: workers forked for one call read the parent's
+memo as it is then, and only the parent stores into it.
 """
 
 from __future__ import annotations
@@ -65,15 +66,23 @@ class CellOutcome:
     result: "ExperimentResult"
     seconds: float
     worker: int
+    #: the memo key of the cell's placement problem, and the placement
+    #: the cell solved for it (None when the memo answered)
+    key: str
+    solved: Optional[Placement] = None
     metrics: Optional[dict] = None  # obs dump_state() from a pooled worker
 
 
-def execute_cell(cell: SweepCell) -> "ExperimentResult":
+def execute_cell(
+    cell: SweepCell,
+) -> Tuple["ExperimentResult", str, Optional[Placement]]:
     """Run one grid cell: derive chains, place (via cache), measure.
 
     This is the *only* implementation of a cell — the serial loop and the
-    worker pool both call it, which is what guarantees parallel runs
-    reproduce serial results exactly.
+    pool workers both call it, which is what guarantees parallel runs
+    reproduce serial results exactly. Returns the result, the memo key,
+    and the placement solved on a miss (None on a hit); the caller
+    stores it.
     """
     from repro.experiments.chains import chains_with_delta
     from repro.experiments.runner import ExperimentResult
@@ -86,16 +95,15 @@ def execute_cell(cell: SweepCell) -> "ExperimentResult":
     )
     aggregate_tmin = sum(c.slo.t_min for c in chains)
 
-    cache = get_cache()
     key = placement_fingerprint(
         chains, topology, cell.profiles, cell.scheme, cell.packet_bits,
     )
-    placement = cache.get(key)
+    placement = get_cache().get(key)
+    solved = None
     if placement is None:
-        placement = cell.place_fn(
+        placement = solved = cell.place_fn(
             chains, topology, cell.profiles, packet_bits=cell.packet_bits,
         )
-        cache.put(key, placement)
 
     result = ExperimentResult(
         scheme=cell.scheme,
@@ -116,7 +124,7 @@ def execute_cell(cell: SweepCell) -> "ExperimentResult":
             result.measured_mbps = result.predicted_mbps
     registry.counter("sweep.cells", scheme=cell.scheme,
                      feasible=str(placement.feasible).lower()).inc()
-    return result
+    return result, key, solved
 
 
 def _measure_cell(
@@ -137,15 +145,18 @@ def _measure_cell(
     return report.aggregate_throughput_mbps
 
 
-def _timed_execute(cell: SweepCell) -> Tuple["ExperimentResult", float]:
+def _timed_execute(cell: SweepCell) -> CellOutcome:
     """Execute a cell and record its wall-clock into the ambient registry."""
     start = time.perf_counter()
-    result = execute_cell(cell)
+    result, key, solved = execute_cell(cell)
     seconds = time.perf_counter() - start
     get_registry().histogram(
         "sweep.cell.seconds", scheme=cell.scheme
     ).observe(seconds)
-    return result, seconds
+    return CellOutcome(
+        index=cell.index, result=result, seconds=seconds,
+        worker=os.getpid(), key=key, solved=solved,
+    )
 
 
 def _cell_worker(cell: SweepCell) -> CellOutcome:
@@ -157,40 +168,42 @@ def _cell_worker(cell: SweepCell) -> CellOutcome:
     worker is lost to process isolation.
     """
     with scoped_registry() as registry:
-        result, seconds = _timed_execute(cell)
-        state = registry.dump_state()
-    return CellOutcome(
-        index=cell.index, result=result, seconds=seconds,
-        worker=os.getpid(), metrics=state,
-    )
+        outcome = _timed_execute(cell)
+        outcome.metrics = registry.dump_state()
+    return outcome
 
 
 def run_cells(
     cells: Sequence[SweepCell], jobs: int = 1
 ) -> List["ExperimentResult"]:
-    """Execute a grid of cells, serially or over the worker pool.
+    """Execute a grid of cells, serially or over a process pool.
 
     Results come back in cell-index order regardless of completion order,
     and per-worker metrics are merged into the parent registry in that
-    same deterministic order. ``jobs > 1`` fans the cells over the
-    process-wide persistent :class:`~repro.runtime.pool.WorkerPool`;
-    a grid that is not picklable (lambda schemes, an ad-hoc topology
-    factory) or a failed dispatch warns and runs in-process instead.
+    same deterministic order. ``jobs > 1`` fans the cells out through
+    :func:`~repro.runtime.pool.fan_out`; a grid that is not picklable
+    (lambda schemes, an ad-hoc topology factory) or a dead worker warns
+    and runs in-process instead. The parent is the placement memo's one
+    owner: it stores what each cell solved, in cell-index order, so a
+    warm parallel re-run hits exactly as a serial one does.
     """
     registry = get_registry()
-    if jobs <= 1:
-        outcomes = []
-        for cell in cells:
-            result, seconds = _timed_execute(cell)
-            outcomes.append(CellOutcome(
-                index=cell.index, result=result,
-                seconds=seconds, worker=os.getpid(),
-            ))
-    else:
-        outcomes = fan_out(_cell_worker, cells, workers=jobs,
-                           what="sweep grid")
+    cache = get_cache()
 
-    outcomes.sort(key=lambda o: o.index)
+    def remember(outcome: CellOutcome) -> CellOutcome:
+        if outcome.solved is not None:
+            cache.put(outcome.key, outcome.solved)
+        return outcome
+
+    if jobs <= 1:
+        outcomes = [remember(_timed_execute(cell)) for cell in cells]
+        outcomes.sort(key=lambda o: o.index)
+    else:
+        pooled = fan_out(_cell_worker, cells, workers=jobs,
+                         what="sweep grid")
+        outcomes = [remember(o) for o in sorted(pooled,
+                                                 key=lambda o: o.index)]
+
     per_worker_seconds: Dict[int, float] = {}
     for outcome in outcomes:
         if outcome.metrics is not None:

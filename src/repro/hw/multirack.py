@@ -133,13 +133,6 @@ class MultiRackTopology:
                 return link
         return None
 
-    def link_to_ingress(self, rack: str) -> Optional[InterRackLink]:
-        """The direct link between a rack and the ingress (None for the
-        ingress itself or an unlinked rack)."""
-        if rack == self.ingress:
-            return None
-        return self.link_between(self.ingress, rack)
-
     def rack_of_device(self, device_name: str) -> str:
         """Which rack hosts a (possibly rack-prefixed) device name."""
         for name, topology in self.racks.items():

@@ -45,8 +45,3 @@ class PISASwitch(Device):
 
     def __hash__(self) -> int:
         return hash((self.name, self.platform))
-
-    @property
-    def line_rate_mbps(self) -> float:
-        """Per-port line rate; PISA NFs never bottleneck a chain (§3.1)."""
-        return self.port_rate_mbps

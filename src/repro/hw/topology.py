@@ -8,7 +8,7 @@ several servers, each of which may have one or more attached smart NICs"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.exceptions import TopologyError
 from repro.hw.openflow import OpenFlowSwitchModel
@@ -115,12 +115,6 @@ class Topology:
         if platform == Platform.SMARTNIC:
             out.extend(self.smartnics)
         return [d for d in out if d.name not in self.failed_devices]
-
-    def link_for(self, server_name: str, nic_name: Optional[str] = None) -> Link:
-        for link in self.links:
-            if link.b == server_name and (nic_name is None or link.nic_name == nic_name):
-                return link
-        raise TopologyError(f"no link to server {server_name!r} (nic={nic_name!r})")
 
     def mark_failed(self, device_name: str) -> None:
         """Take a device out of service (§7 failure handling)."""

@@ -9,7 +9,7 @@ dataclass with ``pack()``/``unpack()`` methods over ``bytes``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
@@ -357,17 +357,3 @@ def pack_nsh(spi: int, si: int) -> bytes:
     if not 0 <= si < 256:
         raise ValueError(f"SI must fit 8 bits, got {si}")
     return _NSH_STRUCT.pack(_NSH_FIRST_WORD, (spi << 8) | si)
-
-
-@dataclass
-class HeaderStack:
-    """A parsed view of a packet's header sequence, in wire order."""
-
-    headers: list = field(default_factory=list)
-
-    def find(self, kind: type):
-        """Return the first header of ``kind`` or ``None``."""
-        for header in self.headers:
-            if isinstance(header, kind):
-                return header
-        return None

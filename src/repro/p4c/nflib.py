@@ -250,15 +250,3 @@ def branch_split_table(name: str, n_arms: int) -> P4Table:
                          "vlan.vid"}),
         writes=frozenset({"meta.branch"}),
     )
-
-
-def merge_check_table(name: str) -> P4Table:
-    """Condition check selecting packets that must traverse a merge node."""
-    return P4Table(
-        name=name,
-        match_type=MatchType.EXACT,
-        size=32,
-        entry_bits=24,
-        reads=frozenset({"meta.branch", "meta.chain_id"}),
-        writes=frozenset({"meta.merge_ok"}),
-    )

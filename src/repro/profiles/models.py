@@ -8,7 +8,7 @@ for different sizes and use a linear model to predict the processing costs."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,3 @@ class LinearCostModel:
             base = float(np.max(costs))
         return cls(base=float(base), slope=float(slope),
                    reference_size=reference_size)
-
-    def profile_points(self, sizes: Sequence[int]) -> List[Tuple[int, float]]:
-        """Evaluate the model at several sizes (for reporting/round-trips)."""
-        return [(s, self.cycles(s)) for s in sizes]

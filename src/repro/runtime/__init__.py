@@ -1,27 +1,10 @@
-"""Persistent dataplane worker runtime.
+"""Process fan-out for independent tasks.
 
-One process-wide :class:`WorkerPool` shared by every parallel caller
-(traffic shards, experiment sweeps, chaos/lifecycle replicas) through
-the one :func:`fan_out` policy. Workers are stateless between tasks: a
-task carries what it needs.
+Sweep cells and chaos/lifecycle replicas go through the one
+:func:`fan_out` policy: a process pool opened for one call and closed
+after it. A task carries what it needs.
 """
 
-from repro.runtime.pool import (
-    PoolCall,
-    WorkerPool,
-    default_worker_count,
-    fan_out,
-    get_pool,
-    in_worker,
-    shutdown_pool,
-)
+from repro.runtime.pool import fan_out
 
-__all__ = [
-    "PoolCall",
-    "WorkerPool",
-    "default_worker_count",
-    "fan_out",
-    "get_pool",
-    "in_worker",
-    "shutdown_pool",
-]
+__all__ = ["fan_out"]

@@ -196,10 +196,7 @@ def run_fabric_traffic(
     """Place hierarchically, deploy one rack per partition, stitch
     remote chains over the inter-rack links, and replay every chain.
 
-    Racks replay serially in sorted order, each in this process:
-    ``spec.shards`` is not read here (it shards the chains of *one*
-    rack, and a stitched rack carries inter-rack hops its artifacts do
-    not record).
+    Racks replay serially in sorted order, each in this process.
     """
     chains = spec.build_chains()
     profiles = default_profiles()

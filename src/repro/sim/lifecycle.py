@@ -131,9 +131,6 @@ class LifecycleTimeline:
                     f"scale of {ev.chain!r} needs the new t_min_mbps > 0"
                 )
 
-    def slo_for(self, event: ChainEvent) -> SLO:
-        return event.slo()
-
     # -- (de)serialization --------------------------------------------------
 
     def to_json(self) -> str:

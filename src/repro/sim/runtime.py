@@ -626,14 +626,6 @@ device_fingerprints`) decide what happens to each device:
     def clear_interrack_hops(self) -> None:
         self._interrack.clear()
 
-    @property
-    def artifact_determined(self) -> bool:
-        """True while no device fault, drop fraction or inter-rack hop is
-        installed — the rack state a rebuild from ``(topology, artifacts,
-        profiles)`` in a pool worker cannot reproduce, so the condition
-        under which a sharded replay may fan out."""
-        return not (self._fault_failed or self._fault_loss or self._interrack)
-
     def _link_drop(self, hop: _InterRackHop, seq: int) -> bool:
         """Same hash as :meth:`_fault_reason`, salted with the link seed
         (bit-exact twin of ``vector_fault_mask(seq, link_seed, loss)``)."""

@@ -44,12 +44,6 @@ class TestbedReport:
     def all_slos_met(self) -> bool:
         return all(m.slo_met for m in self.measurements)
 
-    def for_chain(self, name: str) -> ChainMeasurement:
-        for m in self.measurements:
-            if m.chain_name == name:
-                return m
-        raise KeyError(name)
-
 
 class TestbedSimulator:
     """Executes placements on the simulated rack."""

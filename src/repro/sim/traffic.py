@@ -14,15 +14,13 @@ Measurement discipline: flow templates are synthesized **once** per chain
 the rack, with only the rack work inside the timed region — reported
 walls measure the dataplane, not Python packet construction. The
 aggregate :attr:`TrafficReport.achieved_pps` uses the whole-run wall
-clock, so concurrent shards (``shards=N``) report real throughput rather
-than a sum of per-chain walls.
+clock, engine bookkeeping included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
@@ -38,24 +36,13 @@ from repro.core.placer import (
     PlacementRequest,
 )
 from repro.core.rates import device_utilization
-from repro.exceptions import (
-    GraphError,
-    PlacementError,
-    TrafficError,
-    WorkerPoolError,
-)
+from repro.exceptions import GraphError, PlacementError, TrafficError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, QuantileSketch, scoped_registry
+from repro.obs import MetricsRegistry, QuantileSketch
 from repro.profiles.defaults import default_profiles
-from repro.runtime.pool import (
-    dumps_for_pool,
-    fan_out,
-    in_worker,
-    warn_serial_fallback,
-)
 from repro.sim.columns import PacketColumns
 from repro.sim.measurement import QUEUEING_MODELS, QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
@@ -200,12 +187,8 @@ class TrafficReport:
 
     chains: List[ChainTrafficReport] = field(default_factory=list)
     #: wall-clock of the whole run() invocation — the denominator for
-    #: aggregate throughput. With shards the per-chain walls overlap in
-    #: time, so summing them would overstate elapsed time; this is the
-    #: real start-to-finish duration.
+    #: aggregate throughput.
     run_wall_seconds: float = 0.0
-    #: per-shard replay walls (empty for an unsharded run).
-    shard_walls: List[float] = field(default_factory=list)
 
     @property
     def injected(self) -> int:
@@ -217,8 +200,8 @@ class TrafficReport:
 
     @property
     def wall_seconds(self) -> float:
-        """Total rack-work wall summed over chains (overlaps under
-        shards; use :attr:`run_wall_seconds` for elapsed time)."""
+        """Total rack-work wall summed over chains (use
+        :attr:`run_wall_seconds` for elapsed time)."""
         return sum(c.wall_seconds for c in self.chains)
 
     @property
@@ -303,12 +286,6 @@ class TrafficReport:
             f"{'':>9} {'':>9} {'':>9} "
             f"{'ok' if self.ok else 'VIOLATED':>9}"
         )
-        if self.shard_walls:
-            walls = ", ".join(f"{w:.2f}s" for w in self.shard_walls)
-            lines.append(
-                f"shards: {len(self.shard_walls)} (replay walls: {walls}; "
-                f"run wall: {self.run_wall_seconds:.2f}s)"
-            )
         return "\n".join(lines)
 
 
@@ -366,17 +343,11 @@ class RunSpec:
 @dataclass(frozen=True)
 class TrafficSpec(RunSpec):
     """A fully-stated, picklable traffic replay: :func:`run_traffic` is
-    a pure function of it.
-
-    ``shards`` means one thing: the chains of one rack replayed across
-    that many pool workers. A multi-rack spec replays its racks serially
-    and leaves it unused.
-    """
+    a pure function of it."""
 
     packets_per_chain: int = 2048
     flows_per_chain: int = 64
     batch_size: int = 64
-    shards: int = 1
 
     _error: ClassVar[type] = TrafficError
 
@@ -389,30 +360,18 @@ class TrafficEngine:
     :data:`COLUMNAR_MIN_BATCH` packets up — unless the chain's last
     columnar batch fell back structurally, when every batch would — else
     the scalar :meth:`DeployedRack.run`.
-
-    ``shards=N`` replays chains over ``N`` workers of the persistent pool
-    (round-robin by chain), each on a rack built from the same compiled
-    artifacts and seed; per-worker metrics merge back deterministically.
-    Delivery outcomes are shard-count invariant; walls and pps reflect
-    the parallelism. A rack carrying state its artifacts do not record
-    (a device fault, a drop fraction, an inter-rack hop) replays serially
-    whatever ``shards`` says — a worker's rebuilt rack would not have it.
     """
 
     def __init__(self, rack: DeployedRack, placement: Placement, *,
-                 flows_per_chain: int = 64, batch_size: int = 64,
-                 shards: int = 1):
+                 flows_per_chain: int = 64, batch_size: int = 64):
         if flows_per_chain < 1:
             raise ValueError("flows_per_chain must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.rack = rack
         self.placement = placement
         self.flows_per_chain = flows_per_chain
         self.batch_size = batch_size
-        self.shards = shards
         #: chain name -> (chain object, synthesized flow templates, whether
         #: the chain's last columnar batch fell back structurally); the
         #: chain object guards against a redeployed chain of the same name.
@@ -457,8 +416,7 @@ class TrafficEngine:
         configure_rack_queueing(rack, placement, spec.queueing)
         return cls(rack, placement,
                    flows_per_chain=spec.flows_per_chain,
-                   batch_size=spec.batch_size,
-                   shards=spec.shards)
+                   batch_size=spec.batch_size)
 
     def synthesize_flows(self, cp: ChainPlacement) -> List[Packet]:
         """One template packet per flow, all inside the chain's aggregate.
@@ -590,15 +548,9 @@ class TrafficEngine:
         ]
         report = TrafficReport()
         started = time.perf_counter()
-        if (self.shards > 1 and len(selected) > 1
-                and self.rack.artifact_determined and not in_worker()):
-            report.chains, report.shard_walls = self._run_sharded(
-                selected, packets_per_chain
-            )
-        else:
-            report.chains = [
-                self._run_chain(cp, packets_per_chain) for cp in selected
-            ]
+        report.chains = [
+            self._run_chain(cp, packets_per_chain) for cp in selected
+        ]
         report.run_wall_seconds = time.perf_counter() - started
         return report
 
@@ -616,95 +568,6 @@ class TrafficEngine:
             wall_seconds=wall,
             t_min_mbps=cp.chain.slo.t_min,
         )
-
-    def _run_sharded(self, selected: List[ChainPlacement],
-                     packets_per_chain: int
-                     ) -> Tuple[List[ChainTrafficReport], List[float]]:
-        """Round-robin the chains over pool workers and merge back.
-
-        Ship–build–replay: the ``(topology, artifacts, profiles,
-        placement)`` bundle is pickled once here; every shard task
-        carries those bytes, and its worker unpickles them, builds a
-        rack, replays its chains and returns rows plus its registry
-        dump. A bundle that cannot be pickled, like a failed dispatch
-        inside :func:`~repro.runtime.pool.fan_out`, warns once and
-        replays in-process — the same rows, since serial ≡ sharded is
-        the tested invariant.
-        """
-        rack = self.rack
-        try:
-            bundle = dumps_for_pool(
-                (rack.topology, rack.artifacts, rack.profiles,
-                 self.placement),
-                "shard bundle (ad-hoc topology or profiles?) is",
-            )
-        except WorkerPoolError as exc:
-            warn_serial_fallback("traffic shards", exc)
-            return [self._run_chain(cp, packets_per_chain)
-                    for cp in selected], []
-        tasks = [
-            _ShardTask(
-                bundle=bundle,
-                chain_names=[cp.name for cp in selected[shard::self.shards]],
-                packets_per_chain=packets_per_chain,
-                seed=rack.seed,
-                queueing=rack.queueing.kind,
-                flows_per_chain=self.flows_per_chain,
-                batch_size=self.batch_size,
-            )
-            for shard in range(min(self.shards, len(selected)))
-        ]
-        outcomes = fan_out(_run_shard, tasks, workers=len(tasks),
-                           what="traffic shards")
-        # deterministic merge-back: shard order, then placement order
-        rows_by_name: Dict[str, ChainTrafficReport] = {}
-        shard_walls: List[float] = []
-        for rows, state, shard_wall in outcomes:
-            rack.obs.merge_state(state)
-            shard_walls.append(shard_wall)
-            for row in rows:
-                rows_by_name[row.chain_name] = row
-        return [rows_by_name[cp.name] for cp in selected], shard_walls
-
-
-@dataclass
-class _ShardTask:
-    """One worker's share of a sharded replay."""
-
-    #: the pickled ``(topology, artifacts, profiles, placement)`` tuple,
-    #: serialized once per run and shared by every task of it.
-    bundle: bytes
-    chain_names: List[str]
-    packets_per_chain: int
-    seed: int
-    queueing: str
-    flows_per_chain: int
-    batch_size: int
-
-
-def _run_shard(task: _ShardTask) -> Tuple[list, dict, float]:
-    """Pool entry point: build a rack from the bundle, replay this
-    shard's chains, return ``(chain rows, registry dump, replay wall)`` —
-    the dump is how everything the worker's rack recorded reaches the
-    parent's registry."""
-    topology, artifacts, profiles, placement = pickle.loads(task.bundle)
-    with scoped_registry() as registry:
-        rack = DeployedRack(topology, artifacts, profiles, seed=task.seed,
-                            registry=registry)
-        configure_rack_queueing(rack, placement, task.queueing)
-        engine = TrafficEngine(
-            rack, placement,
-            flows_per_chain=task.flows_per_chain,
-            batch_size=task.batch_size,
-        )
-        started = time.perf_counter()
-        rows = [
-            engine._run_chain(cp, task.packets_per_chain)
-            for cp in placement.chains
-            if cp.name in task.chain_names
-        ]
-        wall = time.perf_counter() - started
-        return rows, registry.dump_state(), wall
 
 
 def run_traffic(

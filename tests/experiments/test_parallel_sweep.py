@@ -14,7 +14,6 @@ from repro.experiments.schemes import SCHEMES
 from repro.hw.spec import topology_for
 from repro.obs import scoped_registry
 from repro.profiles.defaults import default_profiles
-from repro.runtime.pool import shutdown_pool
 
 FAST = {k: v for k, v in SCHEMES.items()
         if k in ("Lemur", "SW Preferred", "Greedy")}
@@ -86,9 +85,6 @@ class TestParallelEquivalence:
         assert len(sweep.results) == 2
 
     def test_worker_metrics_merge_back(self, spec):
-        # live workers remember the cells they have solved: fork new ones
-        # (under this test's empty memo) so every cell is solved again
-        shutdown_pool()
         with scoped_registry() as registry:
             run_sweep(spec.with_jobs(2))
             cells = sum(
@@ -150,6 +146,37 @@ class TestSweepCaching:
             warm = run_sweep(spec)
             assert cache.hits == len(spec.cells())
             assert cold.results == warm.results
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fresh_memo_is_cold_and_a_second_pass_hits(self, profiles,
+                                                        jobs):
+        """Each pass under a fresh memo solves every cell, whatever ran
+        before in this process; a second pass under the same memo hits
+        once per cell, in workers as in-process."""
+        spec = SweepSpec(
+            (2, 3), deltas=(0.5, 1.0), schemes={"Lemur": SCHEMES["Lemur"]},
+            profiles=profiles, measure=False, jobs=jobs,
+        )
+        cells = len(spec.cells())
+
+        def lookups():
+            with scoped_registry() as registry:
+                run_sweep(spec)
+                return (
+                    registry.counter_value("placement_cache.lookups",
+                                           result="hit"),
+                    registry.counter_value("placement_cache.lookups",
+                                           result="miss"),
+                    registry.counter_value("lp.solves",
+                                           objective="marginal") > 0,
+                )
+
+        for _ in range(2):
+            with scoped_cache():
+                assert lookups() == (0, cells, True)
+        with scoped_cache():
+            lookups()
+            assert lookups() == (cells, 0, False)
 
     def test_cache_hit_preserves_measured_rows(self, profiles):
         spec = SweepSpec(

@@ -1,17 +1,16 @@
-"""Unit tests for the persistent worker pool."""
+"""Unit tests for the per-call process fan-out."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import WorkerPoolError
-from repro.runtime.pool import (
-    PoolCall,
-    WorkerPool,
-    default_worker_count,
-    get_pool,
-    shutdown_pool,
-)
+from repro.runtime.pool import fan_out
 
 
 # -- worker entry points (must be importable by name) ------------------------
@@ -26,92 +25,81 @@ def _pid(_arg):
 
 
 def _boom(message):
-    raise ValueError(message)
+    raise KeyError(message)
 
 
-def _nested_pool(_arg):
-    get_pool()
+def test_results_come_back_in_submission_order():
+    assert fan_out(_square, range(8), workers=2, what="squares") == [
+        n * n for n in range(8)
+    ]
 
 
-@pytest.fixture()
-def pool():
-    p = WorkerPool(max_workers=2)
-    yield p
-    p.shutdown()
+def test_tasks_run_in_worker_processes():
+    pids = fan_out(_pid, [None] * 4, workers=2, what="pids")
+    assert os.getpid() not in pids
 
 
-def test_dispatch_restores_submission_order(pool):
-    calls = [PoolCall(_square, n) for n in range(8)]
-    assert pool.dispatch(calls) == [n * n for n in range(8)]
+def test_single_task_runs_in_process():
+    assert fan_out(_pid, [None], workers=4, what="pid") == [os.getpid()]
 
 
-def test_dispatch_is_round_robin_in_submission_order(pool):
-    pids = pool.dispatch([PoolCall(_pid, None) for _ in range(6)])
-    assert len(set(pids)) == 2
-    assert pids == pids[:2] * 3
+def test_task_exception_keeps_its_type():
+    with pytest.raises(KeyError, match="kaput"):
+        fan_out(_boom, ["kaput", "also"], workers=2, what="boom")
 
 
-def test_single_call(pool):
-    assert pool.call(_square, 7) == 49
+def test_unpicklable_task_warns_and_runs_serially():
+    parent = os.getpid()
+    with pytest.warns(RuntimeWarning, match="lambdas: tasks are not "
+                                            "picklable; running serially"):
+        pids = fan_out(lambda _arg: os.getpid(), [None] * 3, workers=2,
+                       what="lambdas")
+    assert pids == [parent] * 3
 
 
-def test_worker_error_raises_typed(pool):
-    with pytest.raises(WorkerPoolError) as excinfo:
-        pool.dispatch([PoolCall(_boom, "kaput")])
-    assert excinfo.value.remote_type == "ValueError"
-    assert "kaput" in str(excinfo.value)
-    assert "ValueError" in excinfo.value.remote_trace
+def _alive(pid):
+    """A pid that still runs: exists and is not a zombie."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    state = next(line for line in status.splitlines()
+                 if line.startswith("State:"))
+    return state.split()[1] not in ("Z", "X")
 
 
-def test_return_exceptions_keeps_slots(pool):
-    outcomes = pool.dispatch(
-        [PoolCall(_square, 3), PoolCall(_boom, "x"), PoolCall(_square, 4)],
-        return_exceptions=True,
-    )
-    assert outcomes[0] == 9
-    assert isinstance(outcomes[1], WorkerPoolError)
-    assert outcomes[2] == 16
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads /proc")
+def test_workers_exit_when_the_parent_is_sigkilled(tmp_path):
+    """A parent SIGKILLed mid-fan_out cannot shut its pool down: every
+    worker notices on its own and exits within 5 s."""
+    pids_file = tmp_path / "pids"
+    script = textwrap.dedent(f"""
+        import os, signal, threading, time
+        from repro.runtime.pool import fan_out
 
+        def report_and_sleep(_arg):
+            with open({str(pids_file)!r}, "a") as out:
+                out.write(f"{{os.getpid()}}\\n")
+            time.sleep(60)
 
-def test_pool_survives_worker_errors(pool):
-    with pytest.raises(WorkerPoolError):
-        pool.dispatch([PoolCall(_boom, "first")])
-    assert pool.dispatch([PoolCall(_square, 5)]) == [25]
+        def kill_parent_once_both_workers_run():
+            while len(open({str(pids_file)!r}).read().split()) < 2:
+                time.sleep(0.05)
+            os.kill(os.getpid(), signal.SIGKILL)
 
-
-def test_dead_worker_respawns(pool):
-    pool.dispatch([PoolCall(_square, 1)])
-    for proc in pool._procs:
-        proc.terminate()
-        proc.join(timeout=5.0)
-    assert pool.dispatch([PoolCall(_square, 6)]) == [36]
-
-
-def test_nested_pools_forbidden(pool):
-    with pytest.raises(WorkerPoolError) as excinfo:
-        pool.dispatch([PoolCall(_nested_pool, None)])
-    assert excinfo.value.remote_type == "WorkerPoolError"
-
-
-def test_shutdown_rejects_further_dispatch():
-    p = WorkerPool(max_workers=1)
-    p.shutdown()
-    with pytest.raises(WorkerPoolError):
-        p.dispatch([PoolCall(_square, 1)])
-
-
-def test_default_worker_count_caps_at_cores():
-    cores = os.cpu_count() or 1
-    assert default_worker_count(None) == cores
-    assert default_worker_count(10_000) == cores
-    assert default_worker_count(1) == 1
-    assert default_worker_count(0) == cores
-
-
-def test_shared_pool_reused_and_shut_down():
-    first = get_pool(1)
-    assert get_pool() is first
-    shutdown_pool()
-    second = get_pool(1)
-    assert second is not first
-    shutdown_pool()
+        open({str(pids_file)!r}, "w").close()
+        threading.Thread(target=kill_parent_once_both_workers_run,
+                         daemon=True).start()
+        fan_out(report_and_sleep, [0, 1], workers=2, what="sleepers")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")}
+    parent = subprocess.run([sys.executable, "-c", script], env=env,
+                            timeout=60)
+    assert parent.returncode == -signal.SIGKILL
+    workers = [int(pid) for pid in pids_file.read_text().split()]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(map(_alive, workers))

@@ -39,14 +39,12 @@ def _run_spec(n, topology=topology_for("two-rack")):
     )
 
 
-def _traffic_spec(**overrides):
-    defaults = dict(
+def _traffic_spec():
+    return TrafficSpec(
         spec_text=SPEC6, slos=SLOS6,
         topology=topology_for("two-rack"),
         packets_per_chain=96, flows_per_chain=8, batch_size=16, seed=7,
     )
-    defaults.update(overrides)
-    return TrafficSpec(**defaults)
 
 
 class TestFabricTraffic:
@@ -83,21 +81,6 @@ class TestFabricTraffic:
         a, b = first.as_dict(), second.as_dict()
         a.pop("run_wall_seconds", None), b.pop("run_wall_seconds", None)
         assert a == b
-
-    def test_shards_is_unused_on_a_fabric(self):
-        """``shards`` shards one rack's chains; a fabric replays its
-        racks serially, so the report is the same bytes and no pool
-        worker is ever started."""
-        from repro.runtime import pool
-        from repro.sim.traffic import run_traffic
-
-        pool.shutdown_pool()
-        serial = run_traffic(_traffic_spec(shards=1),
-                             registry=MetricsRegistry())
-        sharded = run_traffic(_traffic_spec(shards=2),
-                              registry=MetricsRegistry())
-        assert sharded.to_json() == serial.to_json()
-        assert pool._shared_pool is None
 
     def test_report_surfaces_route_and_mode(self):
         report = run_fabric_traffic(

@@ -113,7 +113,7 @@ def test_describe_renders_totals():
 
 
 def _delivery_key(report):
-    """The shard-count-invariant part of a report (walls and pps are not)."""
+    """The loop-invariant part of a report (walls and pps are not)."""
     return [
         (c.chain_name, c.flows, c.injected, c.delivered, c.dropped,
          c.assigned_mbps)
@@ -247,7 +247,7 @@ def test_flow_templates_synthesized_once():
 
 def test_achieved_pps_uses_run_wall_clock():
     """Satellite fix: the aggregate pps denominator is the whole-run wall,
-    not the sum of per-chain walls (which overlap under shards)."""
+    not the sum of per-chain walls."""
     from repro.sim.traffic import ChainTrafficReport, TrafficReport
 
     chains = [
@@ -276,42 +276,6 @@ def test_chain_wall_excludes_packet_construction():
     assert report.wall_seconds <= report.run_wall_seconds
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_run_is_delivery_invariant(shards):
-    """Satellite: the same report (delivery fields) at --shards 1/2/4."""
-    spec = ("chain a: Encrypt -> IPv4Fwd\nchain b: ACL -> IPv4Fwd\n"
-            "chain c: NAT -> IPv4Fwd\nchain d: BPF -> IPv4Fwd")
-    slos = [SLO(t_min=gbps(1), t_max=gbps(20))] * 4
-
-    rack_1, placement_1, _ = _deploy(spec, slos)
-    serial = TrafficEngine(rack_1, placement_1, flows_per_chain=8,
-                           batch_size=COLUMNAR_BATCH
-                           ).run(packets_per_chain=128)
-
-    rack_n, placement_n, reg_n = _deploy(spec, slos)
-    sharded = TrafficEngine(rack_n, placement_n, flows_per_chain=8,
-                            batch_size=COLUMNAR_BATCH, shards=shards
-                            ).run(packets_per_chain=128)
-
-    assert _delivery_key(serial) == _delivery_key(sharded)
-    assert len(sharded.shard_walls) == min(shards, 4)
-    assert sharded.run_wall_seconds > 0
-    # per-worker metrics merged back into the parent registry
-    injected = sum(
-        c.value for c in reg_n.counters()
-        if c.name == "rack.packets.injected"
-    )
-    assert injected == 4 * 128
-    assert "shards:" in sharded.describe()
-
-
-def test_sharded_engine_rejects_bad_config():
-    rack, placement, _ = _deploy(
-        "chain a: Encrypt -> IPv4Fwd", [SLO(t_min=gbps(1), t_max=gbps(20))])
-    with pytest.raises(ValueError):
-        TrafficEngine(rack, placement, shards=0)
-
-
 def test_traffic_cli_smoke(tmp_path, capsys):
     from repro.cli import main
 
@@ -327,7 +291,7 @@ def test_traffic_cli_smoke(tmp_path, capsys):
     assert "64" in out
 
 
-def test_traffic_cli_vectorized_sharded(tmp_path, capsys):
+def test_traffic_cli_columnar(tmp_path, capsys):
     from repro.cli import main
 
     spec = tmp_path / "two.lemur"
@@ -335,12 +299,23 @@ def test_traffic_cli_vectorized_sharded(tmp_path, capsys):
     code = main([
         "traffic", str(spec), "--tmin", "1", "--tmax", "20",
         "--packets", "64", "--flows", "8",
-        "--batch", str(COLUMNAR_BATCH), "--shards", "2",
+        "--batch", str(COLUMNAR_BATCH),
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "total" in out
-    assert "shards: 2" in out
+
+
+def test_traffic_cli_has_no_shards_option(tmp_path, capsys):
+    from repro.cli import main
+
+    spec = tmp_path / "two.lemur"
+    spec.write_text("chain a: Encrypt -> IPv4Fwd\nchain b: ACL -> IPv4Fwd\n")
+    code = main([
+        "traffic", str(spec), "--tmin", "1", "--tmax", "20", "--shards", "2",
+    ])
+    assert code == 1
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
 #: md5 of `repro traffic examples/specs/pop.lemur --tmin 1 1 --tmax 20 20
