@@ -2,7 +2,7 @@
 """CI smoke test for the multi-rack fabric.
 
 Drives the proven two-rack lifecycle recipe end to end against
-``FabricAdmissionCore`` and asserts every fabric-only behaviour in one
+``AdmissionCore`` and asserts every fabric-only behaviour in one
 seeded, deterministic run:
 
 * bootstrap spills the 6-chain set across both racks;
@@ -31,8 +31,7 @@ from repro.chain.slo import SLO
 from repro.core.placer import Placer, PlacementRequest
 from repro.hw.spec import topology_for
 from repro.obs import MetricsRegistry
-from repro.sim.admission import ChainEvent
-from repro.sim.interrack import FabricAdmissionCore
+from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.lifecycle import LifecycleSpec
 
 RTT_US = 100.0  # two-rack preset: 2 x 50 µs one-way
@@ -74,7 +73,7 @@ def main() -> int:
 
     failures = 0
     registry = MetricsRegistry()
-    core = FabricAdmissionCore(
+    core = AdmissionCore(
         LifecycleSpec(
             spec_text=_spec_text(6),
             slos=((4000.0, 9000.0, 400.0),) * 6,

@@ -1,6 +1,7 @@
 """The always-on control-plane daemon behind ``repro serve``.
 
-One :class:`ServeDaemon` owns one live rack. A single asyncio worker
+One :class:`ServeDaemon` owns one live rack, or one fabric of racks
+(the same admission core runs both). A single asyncio worker
 task (:meth:`ServeDaemon._worker_loop`) is the only code that touches
 the :class:`~repro.sim.admission.AdmissionCore`; concurrent tenants —
 HTTP handler threads, in-process callers, tests — submit typed commands
@@ -66,7 +67,6 @@ from repro.serve.commands import (
 from repro.serve.journal import CheckpointStore, Journal
 from repro.sim.admission import AdmissionCore, AdmissionDecision
 from repro.sim.faults import PhaseReport, phase_table
-from repro.sim.interrack import make_admission_core
 from repro.sim.traffic import RunSpec
 
 _QueueItem = Optional[Tuple[Command, "asyncio.Future[CommandOutcome]"]]
@@ -336,12 +336,8 @@ class ServeDaemon:
         path.write_text(self.config.to_json() + "\n", encoding="utf-8")
 
     def _bootstrap(self) -> None:
-        """Day-0: cold solve + deploy of the configured chain set (a
-        fabric topology gets a :class:`FabricAdmissionCore`, same
-        surface)."""
-        self.core = make_admission_core(
-            self.config, registry=self.registry
-        )
+        """Day-0: cold solve + deploy of the configured chain set."""
+        self.core = AdmissionCore(self.config, registry=self.registry)
         self.core.bootstrap()
         self._run_phase("initial")
 
@@ -539,14 +535,30 @@ class ServeDaemon:
     # -- durability ----------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Pickle the full daemon state (core incl. rack + registry,
-        report history as its ready-made blobs) atomically."""
-        with self.registry.timer("serve.checkpoint.seconds"):
-            self.checkpoints.save({
-                "seq": self.seq,
-                "core": self.core,
-                "history": self._history,
-            })
+        """Pickle the full daemon state (core incl. racks + registry,
+        report history as its ready-made blobs) atomically.
+
+        The checkpoint is a cache of the journal, so a write that fails
+        (a full disk, an I/O error) costs nothing but a longer replay:
+        the previous checkpoint stays, one ``RuntimeWarning`` and
+        ``serve.checkpoint.failed`` record it, and the command that
+        triggered it stays applied.
+        """
+        try:
+            with self.registry.timer("serve.checkpoint.seconds"):
+                self.checkpoints.save({
+                    "seq": self.seq,
+                    "core": self.core,
+                    "history": self._history,
+                })
+        except OSError as exc:
+            warnings.warn(
+                f"checkpoint at seq {self.seq} not written ({exc}); "
+                f"{self.checkpoints.path} keeps the previous one",
+                RuntimeWarning, stacklevel=2,
+            )
+            self.registry.counter("serve.checkpoint.failed").inc()
+            return
         self.registry.gauge("serve.checkpoint.bytes").set(
             self.checkpoints.path.stat().st_size
         )

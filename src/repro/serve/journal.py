@@ -160,17 +160,24 @@ class CheckpointStore:
 
     def save(self, state: dict) -> None:
         """Write the checkpoint atomically: a crash mid-save leaves the
-        previous checkpoint readable."""
+        previous checkpoint readable, and a failed write (``OSError``,
+        re-raised) leaves no temporary file behind."""
         if "seq" not in state:
             raise ServeError("checkpoint state must carry 'seq'")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(code_stamp(), fh, protocol=pickle.HIGHEST_PROTOCOL)
-            pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(code_stamp(), fh,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except OSError:
+            # a partial file is no checkpoint: leave only the old one
+            tmp.unlink(missing_ok=True)
+            raise
         # persist the rename itself
         dir_fd = os.open(self.path.parent, os.O_RDONLY)
         try:

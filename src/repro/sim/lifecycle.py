@@ -50,11 +50,11 @@ from repro.obs import MetricsRegistry
 from repro.runtime.pool import run_checked
 from repro.sim.admission import (
     LIFECYCLE_ACTIONS,
+    AdmissionCore,
     AdmissionDecision,
     ChainEvent,
 )
 from repro.sim.faults import _SLO_RTOL, PhaseReport, phase_table
-from repro.sim.interrack import make_admission_core
 from repro.sim.traffic import RunSpec
 
 #: within a tick, departures free capacity before admissions consume it.
@@ -398,9 +398,7 @@ class LifecycleEngine:
     ):
         self.spec = spec
         spec.timeline.validate()
-        #: a fabric topology gets the multi-rack core, anything else the
-        #: single-rack one — the engine drives both identically.
-        self.core = make_admission_core(
+        self.core = AdmissionCore(
             spec, registry=registry, full_resolve=spec.full_resolve,
         )
 

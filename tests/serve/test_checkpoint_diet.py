@@ -51,14 +51,14 @@ def test_departed_chain_leaves_the_registry_and_the_rack(
                     t_min_mbps=500.0, t_max_mbps=4000.0)
     stayed, _ = drive(make_config(), tmp_path / "a", [arrive])
     assert _chain_series(stayed.registry, "dyn0")
-    assert "dyn0" in stayed.core.rack._chain_inst
+    assert "dyn0" in stayed.core.cores["r0"].rack._chain_inst
 
     left, outcomes = drive(make_config(), tmp_path / "b",
                            [arrive, Depart(chain="dyn0")])
     assert [o.status for o in outcomes] == ["applied", "applied"]
     assert not _chain_series(left.registry, "dyn0")
-    assert "dyn0" not in left.core.rack._chain_inst
-    assert not [key for key in left.core.rack._drop_counters
+    assert "dyn0" not in left.core.cores["r0"].rack._chain_inst
+    assert not [key for key in left.core.cores["r0"].rack._drop_counters
                 if key[0] == "dyn0"]
     # the chains that stayed keep every series they had
     for chain in ("enterprise", "residential"):
@@ -71,7 +71,7 @@ def test_departed_chain_leaves_the_registry_and_the_rack(
     assert back.registry.counter_value(
         "rack.packets.injected", chain="dyn0"
     ) == back.config.packets_per_phase
-    assert back.core.rack._chain_inst["dyn0"]["injected"] is \
+    assert back.core.cores["r0"].rack._chain_inst["dyn0"]["injected"] is \
         back.registry.counter("rack.packets.injected", chain="dyn0")
 
 

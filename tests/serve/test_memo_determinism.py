@@ -62,8 +62,9 @@ def storm(seed: int = 11, length: int = 36):
 
 def clear_memos(daemon: ServeDaemon) -> None:
     clear_compile_memo()
-    daemon.core.metacompiler._units.clear()
-    daemon.core.traffic._flows.clear()
+    for rack in daemon.core.cores.values():
+        rack.metacompiler._units.clear()
+        rack.traffic._flows.clear()
 
 
 def run(config, state_dir, commands, *, cold: bool, crash_after=None):
@@ -129,17 +130,19 @@ def test_pickled_core_carries_no_memo_entries(make_config, drive, tmp_path):
         make_config(checkpoint_every=0), tmp_path / "state", storm()[:8]
     )
     core = daemon.core
+    (rack,) = core.cores.values()
     # the memos are populated ...
-    assert core.metacompiler._units and core.traffic._flows
+    assert rack.metacompiler._units and rack.traffic._flows
     assert any(packet._parsed is not None
-               for _chain, flows, _fell_back in core.traffic._flows.values()
+               for _chain, flows, _fell_back in rack.traffic._flows.values()
                for packet in flows)
     blob = pickle.dumps(core)
     # ... and none of it is in the pickle
     assert b"ChainFragment" not in blob and b"_CompileMemo" not in blob
     restored = pickle.loads(blob)
-    assert restored.metacompiler._units == {}
-    assert restored.traffic._flows == {}
+    (restored_rack,) = restored.cores.values()
+    assert restored_rack.metacompiler._units == {}
+    assert restored_rack.traffic._flows == {}
     assert restored.state_digest() == core.state_digest()
     # the live core keeps its memos: pickling is not clearing
-    assert core.metacompiler._units and core.traffic._flows
+    assert rack.metacompiler._units and rack.traffic._flows

@@ -1,22 +1,18 @@
 """Fabric runtime: stitched traffic replay, chaos, and chain lifecycle."""
 
+import inspect
+
 import pytest
 
-from repro.exceptions import (
-    FaultInjectionError,
-    LifecycleError,
-    TopologyError,
-)
+from repro.core.partition import partition_chains
+from repro.exceptions import FaultInjectionError, PartitionError, TopologyError
+from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec, topology_for
 from repro.obs import MetricsRegistry, scoped_registry
+from repro.profiles.defaults import default_profiles
 from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline
-from repro.sim.interrack import (
-    FabricAdmissionCore,
-    make_admission_core,
-    run_fabric_chaos,
-    run_fabric_traffic,
-)
+from repro.sim.interrack import run_fabric_chaos, run_fabric_traffic
 from repro.sim.lifecycle import LifecycleSpec
 from repro.sim.traffic import TrafficSpec
 
@@ -151,29 +147,76 @@ class TestFabricChaos:
         assert runs[0] == runs[1]
 
 
-class TestAdmissionFactory:
-    def test_fabric_topology_gets_fabric_core(self):
-        core = make_admission_core(_run_spec(2))
-        assert isinstance(core, FabricAdmissionCore)
+class TestOneAdmissionCore:
+    """Every topology gets the same core; a single rack is a one-rack
+    fabric with no links whose ingress is that rack."""
 
-    def test_plain_topology_gets_single_rack_core(self):
-        core = make_admission_core(_run_spec(1, topology_for("paper-testbed")))
-        assert isinstance(core, AdmissionCore)
+    @staticmethod
+    def _bootstrapped(spec):
+        core = AdmissionCore(spec, registry=MetricsRegistry())
+        core.bootstrap()
+        return core
 
-    def test_one_rack_fabric_degenerates(self):
-        # a one-rack star has no links: it is its rack, not a fabric
-        core = make_admission_core(_run_spec(1, TopologySpec.star(1)))
-        assert isinstance(core, AdmissionCore)
-        assert not isinstance(core, FabricAdmissionCore)
+    def test_two_rack_is_a_fabric_of_rack_cores(self):
+        core = self._bootstrapped(_run_spec(2))
+        assert core.fabric.rack_names == ["r0", "r1"]
+        assert core.fabric.ingress == "r0" and core.fabric.links
+        # both chains fit the ingress: only occupied racks get a core
+        assert set(core.cores) == {"r0"}
+        assert core.cores["r0"].topology.switch.name == "r0.tofino0"
 
-    def test_fabric_core_requires_fabric(self):
-        with pytest.raises(LifecycleError, match="MultiRackTopology"):
-            FabricAdmissionCore(_run_spec(1, topology_for("paper-testbed")))
+    @pytest.mark.parametrize("topology", [
+        topology_for("paper-testbed"), TopologySpec.star(1),
+    ], ids=["paper-testbed", "star-1"])
+    def test_single_rack_is_a_one_rack_fabric(self, topology):
+        core = self._bootstrapped(_run_spec(2, topology))
+        assert core.fabric.rack_names == ["r0"]
+        assert core.fabric.ingress == "r0" and not core.fabric.links
+        assert set(core.cores) == {"r0"}
+        assert core.assignment == {"c0": "r0", "c1": "r0"}
+        # the rack is built as a rack: device names stay unprefixed
+        assert core.cores["r0"].topology.switch.name == "tofino0"
+        core.apply_fault("degrade_link", "server0", 0.5)
+        assert core.fault_state == {"degrade:server0": 0.5}
+        with pytest.raises(TopologyError, match="no device named"):
+            core.apply_fault("fail", "r0.server0")
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_single_rack_bootstrap_does_not_partition(self, n):
+        """The partitioner's all-software core-demand precheck refuses
+        sets ``Placer.solve`` places: one rack takes every chain."""
+        spec = _run_spec(n, topology_for("paper-testbed"))
+        with pytest.raises(PartitionError, match="cores exhausted"):
+            partition_chains(
+                spec.build_chains(),
+                MultiRackTopology(racks={"r0": spec.build_topology()}),
+                default_profiles(),
+            )
+        core = self._bootstrapped(spec)
+        assert [c.name for c in core.active] == [f"c{i}" for i in range(n)]
+
+    def test_single_rack_rejection_is_the_racks_own_reason(self):
+        core = self._bootstrapped(_run_spec(2, topology_for("paper-testbed")))
+        decision = core.process(ChainEvent(
+            at=1, action="arrive", chain="huge",
+            spec="chain huge: ACL(rules=64) -> Encrypt -> IPv4Fwd",
+            t_min_mbps=400000.0, t_max_mbps=400000.0,
+        ))
+        assert not decision.accepted
+        assert decision.mode == "incremental" and decision.pinned == 2
+        assert decision.seconds > 0
+        assert not decision.reason.startswith("no rack admitted")
+        # the rejected solve held both admitted chains at their floors
+        assert core.obs.counter_value("lifecycle.evictions_averted") == 1
+
+    def test_core_takes_a_spec_not_chains_or_a_topology(self):
+        params = inspect.signature(AdmissionCore.__init__).parameters
+        assert list(params) == ["self", "spec", "registry", "full_resolve"]
 
 
 class TestFabricLifecycle:
     def _core(self, n=6):
-        core = FabricAdmissionCore(_run_spec(n), registry=MetricsRegistry())
+        core = AdmissionCore(_run_spec(n), registry=MetricsRegistry())
         core.bootstrap()
         return core
 
