@@ -1,0 +1,122 @@
+#!/usr/bin/env python
+"""Measure what an admission decision that adds no chain costs.
+
+For racks running 4, 8, 16, 32 and 64 ``ACL(rules=64) -> Encrypt ->
+IPv4Fwd`` chains, placed cold on a rack with spare cores, times two
+incremental decisions (``Placer.solve`` with the running placement as
+its base): one scale, which moves the first chain's t_min, and one
+departure of the last chain. Prints, per size and decision, the median
+decision time, the subgroup rate evaluations the decision makes (calls
+of ``repro.core.rates.subgroup_rate_mbps``, which every rate estimate
+goes through) and its grants (cores given above one per subgroup).
+
+Core allocation re-evaluates a subgroup only when it is given a core,
+so a decision costs about one evaluation per subgroup plus one per
+grant. ``--check`` exits 1 when a decision makes more than
+2 × (subgroups + grants).
+
+    PYTHONPATH=src python scripts/decision_cost.py [--repeats N] [--check]
+"""
+
+import argparse
+import statistics
+import time
+from unittest import mock
+
+from repro.chain.graph import chains_with_slos
+from repro.core import rates
+from repro.core.placer import Placer, PlacementRequest
+from repro.hw.pisa import PISASwitch
+from repro.hw.server import NIC, CPUSocket, Server
+from repro.hw.topology import Topology
+from repro.units import gbps
+
+SIZES = (4, 8, 16, 32, 64)
+BODY = "ACL(rules=64) -> Encrypt -> IPv4Fwd"
+#: Mbps: each chain needs one Encrypt core for t_min and takes up to
+#: four for t_max, so the spend step has work at every size
+T_MIN, T_MAX = 1000.0, 9000.0
+
+
+def rack(chains: int) -> Topology:
+    """One server of 16 cores per 4 chains: the floor takes a core per
+    chain and leaves 11 per server to spend."""
+    servers = [
+        Server(name=f"server{index}", sockets=[CPUSocket(0, cores=16)],
+               nics=[NIC(rate_mbps=gbps(100))])
+        for index in range(max(1, chains // 4))
+    ]
+    return Topology(switch=PISASwitch(num_stages=64), servers=servers)
+
+
+def decisions(chains: int):
+    """The placer, the running placement, and the two requests."""
+    spec = "".join(f"chain c{index}: {BODY}\n" for index in range(chains))
+    placer = Placer(topology=rack(chains))
+    running = chains_with_slos(spec, ((T_MIN, T_MAX),) * chains)
+    base = placer.solve(PlacementRequest(chains=running)).placement
+    if not base.feasible:
+        raise SystemExit(f"{chains} chains: {base.infeasible_reason}")
+    first = running[0]
+    scaled = [first.with_slo(first.slo.with_tmin(2 * T_MIN))] + running[1:]
+    return placer, {
+        "scale": PlacementRequest(chains=scaled, base_placement=base),
+        "depart": PlacementRequest(chains=running[:-1], base_placement=base),
+    }
+
+
+def measure(placer: Placer, request: PlacementRequest, repeats: int):
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        placer.solve(request)
+        seconds.append(time.perf_counter() - start)
+    calls = []
+    real = rates.subgroup_rate_mbps
+    with mock.patch.object(
+        rates, "subgroup_rate_mbps",
+        lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs),
+    ):
+        placement = placer.solve(request).placement
+    if not placement.feasible:
+        raise SystemExit(f"decision rejected: {placement.infeasible_reason}")
+    subgroups = [sg for cp in placement.chains for sg in cp.subgroups]
+    grants = sum(sg.cores - 1 for sg in subgroups)
+    return (statistics.median(seconds) * 1e3, len(subgroups), len(calls),
+            grants)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=21)
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if a decision makes more than "
+                             "2 x (subgroups + grants) rate evaluations")
+    args = parser.parse_args()
+    print(f"`{BODY}` chains at t_min {T_MIN:.0f} / t_max {T_MAX:.0f} Mbps, "
+          f"one 16-core server per 4 chains; median of {args.repeats} "
+          "decisions")
+    print("| chains | decision | subgroups | decision ms | rate evaluations "
+          "| grants | 2 × (subgroups + grants) |")
+    print("|---:|---|---:|---:|---:|---:|---:|")
+    over = []
+    for chains in SIZES:
+        placer, requests = decisions(chains)
+        for name, request in requests.items():
+            ms, subgroups, evaluations, grants = measure(
+                placer, request, args.repeats)
+            bound = 2 * (subgroups + grants)
+            print(f"| {chains} | {name} | {subgroups} | {ms:.2f} | "
+                  f"{evaluations} | {grants} | {bound} |")
+            if evaluations > bound:
+                over.append(f"{chains} chains, {name}: {evaluations} > "
+                            f"{bound}")
+    if args.check and over:
+        print("FAIL: a decision re-evaluated rates per chain per grant: "
+              + "; ".join(over))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

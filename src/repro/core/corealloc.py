@@ -14,6 +14,13 @@ paper's schemes:
 * ``none`` — the No-Core-Allocation ablation: one core per subgroup, no
   scaling.
 
+An allocation is two steps, a floor and a spend (:class:`CoreAllocation`;
+:func:`allocate_cores` runs both). Every core goes to a chain's
+bottleneck subgroup, so an allocation keeps each subgroup's rate at its
+current core count and re-evaluates only the subgroup that was just
+granted a core: a call costs one rate evaluation per subgroup plus one
+per grant, not one chain estimate per chain per grant.
+
 An exhaustive search (:func:`allocate_exhaustive`) exists as a correctness
 oracle for tests and the brute-force placer on small instances.
 """
@@ -22,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.lp import RateSolution, solve_rates
 from repro.core.placement import ChainPlacement, Subgroup
@@ -31,6 +38,9 @@ from repro.core.rates import estimate_chain_rate, subgroup_rate_on
 from repro.exceptions import PlacementError
 from repro.hw.topology import Topology
 from repro.units import DEFAULT_PACKET_BITS
+
+#: the policies :func:`allocate_cores` accepts (see the module docstring)
+CORE_POLICIES = ("lemur", "even", "by_index", "none")
 
 
 @dataclass
@@ -62,89 +72,237 @@ def _rate_cap(cp: ChainPlacement, topology: Topology) -> float:
     return cap
 
 
-def _bottleneck_subgroup(cp: ChainPlacement, topology: Topology,
-                         packet_bits: int,
-                         budgets: Dict[str, int]) -> Optional[Subgroup]:
-    """The chain's limiting subgroup, if it can usefully take another core."""
-    best: Optional[Subgroup] = None
-    best_rate = math.inf
-    for sg in cp.subgroups:
-        rate = subgroup_rate_on(sg, topology, packet_bits)
-        if rate < best_rate:
-            best_rate = rate
-            best = sg
-    if best is None:
-        return None
-    if not best.replicable or budgets.get(best.server, 0) <= 0:
-        return None
-    # adding a core is useless if something else caps the chain harder
-    if best_rate >= _rate_cap(cp, topology):
-        return None
-    return best
+class _ChainRates:
+    """One chain during an allocation: each subgroup's rate at its
+    current cores, the limits cores do not move, and the bottleneck.
+
+    The estimate is :func:`~repro.core.rates.estimate_chain_rate`'s
+    ``min`` over the same floats, and the bottleneck is the first
+    subgroup with the strictly smallest rate, as it always was.
+    """
+
+    __slots__ = ("cp", "topology", "packet_bits", "rates", "fixed", "cap",
+                 "low", "low_rate")
+
+    def __init__(self, cp: ChainPlacement, topology: Topology,
+                 packet_bits: int) -> None:
+        self.cp = cp
+        self.topology = topology
+        self.packet_bits = packet_bits
+        self.rates = [subgroup_rate_on(sg, topology, packet_bits)
+                      for sg in cp.subgroups]
+        self.fixed = list(cp.nic_caps.values())
+        switch_rate = getattr(topology.switch, "port_rate_mbps", None)
+        if switch_rate:
+            self.fixed.append(switch_rate)
+        self.cap = _rate_cap(cp, topology)
+        self._settle()
+
+    def estimate(self, rates: List[float]) -> float:
+        limits = rates + self.fixed
+        return min(limits) if limits else 0.0
+
+    def _settle(self) -> None:
+        low, low_rate = -1, math.inf
+        for index, rate in enumerate(self.rates):
+            if rate < low_rate:
+                low, low_rate = index, rate
+        self.low, self.low_rate = low, low_rate
+        self.cp.estimated_rate = self.estimate(self.rates)
+
+    def bottleneck(self) -> Optional[Subgroup]:
+        """The limiting subgroup, if another core there could raise the
+        chain; the caller checks its server's budget."""
+        if self.low < 0:
+            return None
+        sg = self.cp.subgroups[self.low]
+        # adding a core is useless if something else caps the chain harder
+        if not sg.replicable or self.low_rate >= self.cap:
+            return None
+        return sg
+
+    def raised(self) -> float:
+        """The bottleneck subgroup's rate with one more core."""
+        sg = self.cp.subgroups[self.low]
+        sg.cores += 1
+        rate = subgroup_rate_on(sg, self.topology, self.packet_bits)
+        sg.cores -= 1
+        return rate
+
+    def grant(self, budgets: Dict[str, int], rate: float) -> None:
+        """One core to the bottleneck subgroup, whose rate becomes
+        ``rate`` (its :meth:`raised`)."""
+        sg = self.cp.subgroups[self.low]
+        sg.cores += 1
+        budgets[sg.server] -= 1
+        self.rates[self.low] = rate
+        self._settle()
 
 
-def _grant_core(cp: ChainPlacement, sg: Subgroup,
-                budgets: Dict[str, int]) -> None:
-    sg.cores += 1
-    budgets[sg.server] -= 1
+#: a chain's spend offer: the gain from one more core at its bottleneck,
+#: the bottleneck's server, and the bottleneck's rate with that core
+_Offer = Tuple[float, str, float]
 
 
-def allocate_minimum(
-    placements: List[ChainPlacement],
-    topology: Topology,
-    packet_bits: int = DEFAULT_PACKET_BITS,
-) -> AllocationResult:
-    """One core per subgroup — the mandatory floor."""
-    budgets = _server_budgets(topology)
-    for cp in placements:
-        for sg in cp.subgroups:
-            sg.cores = 1
-            budgets[sg.server] = budgets.get(sg.server, 0) - 1
-    over = {s: b for s, b in budgets.items() if b < 0}
-    if over:
-        return AllocationResult(
-            placements=placements, feasible=False,
-            reason=f"not enough cores for one per subgroup: deficit {over}",
-        )
-    _refresh_estimates(placements, topology, packet_bits)
-    return AllocationResult(placements=placements, feasible=True)
+class CoreAllocation:
+    """One allocation of ``placements`` under ``policy``: :meth:`floor`,
+    then :meth:`spend` if the floor is feasible.
 
+    The floor gives every subgroup one core and, under ``lemur`` and
+    ``by_index``, water-fills bottlenecks until every chain reaches its
+    t_min; the spend hands out the spare cores under the policy. Both
+    steps work on the same objects, which keep their cores and estimates
+    in between, so a caller that needs the floored set (the placer's
+    incremental path) can spend on it without flooring twice.
+    """
 
-def meet_tmin(
-    placements: List[ChainPlacement],
-    topology: Topology,
-    packet_bits: int = DEFAULT_PACKET_BITS,
-) -> AllocationResult:
-    """Water-fill bottleneck subgroups until every chain reaches t_min."""
-    budgets = _server_budgets(topology)
-    for cp in placements:
-        for sg in cp.subgroups:
-            budgets[sg.server] -= sg.cores
-    _refresh_estimates(placements, topology, packet_bits)
+    def __init__(self, placements: List[ChainPlacement], topology: Topology,
+                 packet_bits: int = DEFAULT_PACKET_BITS,
+                 policy: str = "lemur") -> None:
+        if policy not in CORE_POLICIES:
+            raise PlacementError(f"unknown core allocation policy {policy!r}")
+        self.placements = placements
+        self.topology = topology
+        self.packet_bits = packet_bits
+        self.policy = policy
+        self.budgets: Dict[str, int] = {}
+        self.chains: List[_ChainRates] = []
 
-    progress = True
-    while progress:
-        progress = False
-        for cp in placements:
-            if cp.estimated_rate + 1e-9 >= cp.chain.slo.t_min:
-                continue
-            sg = _bottleneck_subgroup(cp, topology, packet_bits, budgets)
-            if sg is None:
-                continue
-            _grant_core(cp, sg, budgets)
-            cp.estimated_rate = estimate_chain_rate(cp, topology, packet_bits)
-            progress = True
+    def floor(self) -> AllocationResult:
+        minimum = self._one_core_each()
+        if not minimum.feasible or self.policy in ("none", "even"):
+            return minimum
+        return self._meet_tmin()
 
-    for cp in placements:
-        if cp.estimated_rate + 1e-9 < cp.chain.slo.t_min:
+    def spend(self) -> AllocationResult:
+        if self.policy == "lemur":
+            self._maximize_marginal()
+        elif self.policy == "by_index":
+            self._pump_by_index()
+        elif self.policy == "even":
+            # HW Preferred is *not* SLO-aware: spare cores go round-robin
+            # regardless of t_min, so its rate is δ-independent and it
+            # fails once a slow chain's even share cannot cover its
+            # minimum (§5.2).
+            self._round_robin(to_tmin=False)
+        if self.policy in ("none", "even"):
+            return self._check_tmin()
+        return AllocationResult(placements=self.placements, feasible=True)
+
+    def _one_core_each(self) -> AllocationResult:
+        budgets = _server_budgets(self.topology)
+        for cp in self.placements:
+            for sg in cp.subgroups:
+                sg.cores = 1
+                budgets[sg.server] = budgets.get(sg.server, 0) - 1
+        over = {s: b for s, b in budgets.items() if b < 0}
+        if over:
             return AllocationResult(
-                placements=placements, feasible=False,
-                reason=(
-                    f"chain {cp.name} stuck at {cp.estimated_rate:.0f} Mbps "
-                    f"< t_min {cp.chain.slo.t_min:.0f} Mbps"
-                ),
+                placements=self.placements, feasible=False,
+                reason=f"not enough cores for one per subgroup: deficit {over}",
             )
-    return AllocationResult(placements=placements, feasible=True)
+        self.budgets = budgets
+        self.chains = [_ChainRates(cp, self.topology, self.packet_bits)
+                       for cp in self.placements]
+        return AllocationResult(placements=self.placements, feasible=True)
+
+    def _round_robin(self, to_tmin: bool) -> None:
+        """Passes over the chains in order, one core to each chain's
+        bottleneck per pass, until a pass grants none. A chain that
+        passes up its turn never takes one later: its estimate, its
+        bottleneck and that subgroup's rate only change when it gets a
+        core, and budgets only shrink."""
+        budgets = self.budgets
+        pending = self.chains
+        while pending:
+            granted = []
+            for chain in pending:
+                if to_tmin and (chain.cp.estimated_rate + 1e-9
+                                >= chain.cp.chain.slo.t_min):
+                    continue
+                sg = chain.bottleneck()
+                if sg is None or budgets.get(sg.server, 0) <= 0:
+                    continue
+                chain.grant(budgets, chain.raised())
+                granted.append(chain)
+            pending = granted
+
+    def _meet_tmin(self) -> AllocationResult:
+        """Water-fill bottleneck subgroups until every chain reaches t_min."""
+        self._round_robin(to_tmin=True)
+        for cp in self.placements:
+            if cp.estimated_rate + 1e-9 < cp.chain.slo.t_min:
+                return AllocationResult(
+                    placements=self.placements, feasible=False,
+                    reason=(
+                        f"chain {cp.name} stuck at {cp.estimated_rate:.0f} "
+                        f"Mbps < t_min {cp.chain.slo.t_min:.0f} Mbps"
+                    ),
+                )
+        return AllocationResult(placements=self.placements, feasible=True)
+
+    def _check_tmin(self) -> AllocationResult:
+        for cp in self.placements:
+            if cp.estimated_rate + 1e-9 < cp.chain.slo.t_min:
+                return AllocationResult(
+                    placements=self.placements, feasible=False,
+                    reason=(
+                        f"chain {cp.name}: {cp.estimated_rate:.0f} Mbps < "
+                        f"t_min without core scaling"
+                    ),
+                )
+        return AllocationResult(placements=self.placements, feasible=True)
+
+    def _offer(self, chain: _ChainRates) -> Optional[_Offer]:
+        """A chain's offer, or ``None`` if no core can raise it."""
+        sg = chain.bottleneck()
+        if sg is None:
+            return None
+        rate = chain.raised()
+        rates = list(chain.rates)
+        rates[chain.low] = rate
+        before = min(chain.cp.estimated_rate, chain.cap)
+        after = min(chain.estimate(rates), chain.cap)
+        return after - before, sg.server, rate
+
+    def _maximize_marginal(self) -> None:
+        """Spend spare cores on the (chain, subgroup) with the best rate gain.
+
+        The chain rate is concave in its core count (min over subgroups of a
+        linear function), so greedy marginal-gain selection is optimal for
+        the capped-sum objective before link constraints; the LP then trims
+        rates the NICs cannot carry. A chain's offer only changes when it
+        gets the core, so each chain keeps one; budgets are checked when
+        choosing.
+        """
+        budgets = self.budgets
+        offers = [self._offer(chain) for chain in self.chains]
+        while True:
+            # the first offer that beats the best so far (from 0.0) by
+            # more than 1e-9, among those whose server has a core left
+            beat = 0.0 + 1e-9
+            best: Optional[_Offer] = None
+            chosen = -1
+            for index, offer in enumerate(offers):
+                if offer is not None and offer[0] > beat \
+                        and budgets.get(offer[1], 0) > 0:
+                    beat = offer[0] + 1e-9
+                    best, chosen = offer, index
+            if best is None:
+                return
+            chain = self.chains[chosen]
+            chain.grant(budgets, best[2])
+            offers[chosen] = self._offer(chain)
+
+    def _pump_by_index(self) -> None:
+        """Greedy's policy: saturate chains to t_max in index order (§5.1)."""
+        budgets = self.budgets
+        for chain in self.chains:
+            while chain.cp.estimated_rate < chain.cap:
+                sg = chain.bottleneck()
+                if sg is None or budgets.get(sg.server, 0) <= 0:
+                    break
+                chain.grant(budgets, chain.raised())
 
 
 def allocate_cores(
@@ -154,118 +312,9 @@ def allocate_cores(
     policy: str = "lemur",
 ) -> AllocationResult:
     """Full allocation under the selected policy (see module docstring)."""
-    minimum = allocate_minimum(placements, topology, packet_bits)
-    if not minimum.feasible:
-        return minimum
-    if policy == "none":
-        return _check_tmin(placements, topology, packet_bits)
-
-    if policy == "even":
-        # HW Preferred is *not* SLO-aware: spare cores go round-robin
-        # regardless of t_min, so its rate is δ-independent and it fails
-        # once a slow chain's even share cannot cover its minimum (§5.2).
-        budgets = _server_budgets(topology)
-        for cp in placements:
-            for sg in cp.subgroups:
-                budgets[sg.server] -= sg.cores
-        _distribute_evenly(placements, topology, packet_bits, budgets)
-        _refresh_estimates(placements, topology, packet_bits)
-        return _check_tmin(placements, topology, packet_bits)
-
-    met = meet_tmin(placements, topology, packet_bits)
-    if not met.feasible:
-        return met
-
-    budgets = _server_budgets(topology)
-    for cp in placements:
-        for sg in cp.subgroups:
-            budgets[sg.server] -= sg.cores
-
-    if policy == "lemur":
-        _maximize_marginal(placements, topology, packet_bits, budgets)
-    elif policy == "by_index":
-        _pump_by_index(placements, topology, packet_bits, budgets)
-    else:
-        raise PlacementError(f"unknown core allocation policy {policy!r}")
-
-    _refresh_estimates(placements, topology, packet_bits)
-    return AllocationResult(placements=placements, feasible=True)
-
-
-def _check_tmin(placements: List[ChainPlacement], topology: Topology,
-                packet_bits: int) -> AllocationResult:
-    for cp in placements:
-        if cp.estimated_rate + 1e-9 < cp.chain.slo.t_min:
-            return AllocationResult(
-                placements=placements, feasible=False,
-                reason=(
-                    f"chain {cp.name}: {cp.estimated_rate:.0f} Mbps < t_min "
-                    f"without core scaling"
-                ),
-            )
-    return AllocationResult(placements=placements, feasible=True)
-
-
-def _maximize_marginal(placements: List[ChainPlacement], topology: Topology,
-                       packet_bits: int, budgets: Dict[str, int]) -> None:
-    """Spend spare cores on the (chain, subgroup) with the best rate gain.
-
-    The chain rate is concave in its core count (min over subgroups of a
-    linear function), so greedy marginal-gain selection is optimal for the
-    capped-sum objective before link constraints; the LP then trims rates
-    the NICs cannot carry.
-    """
-    while True:
-        best_gain = 0.0
-        best: Optional[Tuple[ChainPlacement, Subgroup]] = None
-        for cp in placements:
-            sg = _bottleneck_subgroup(cp, topology, packet_bits, budgets)
-            if sg is None:
-                continue
-            before = min(cp.estimated_rate, _rate_cap(cp, topology))
-            sg.cores += 1
-            after = min(
-                estimate_chain_rate(cp, topology, packet_bits),
-                _rate_cap(cp, topology),
-            )
-            sg.cores -= 1
-            gain = after - before
-            if gain > best_gain + 1e-9:
-                best_gain = gain
-                best = (cp, sg)
-        if best is None:
-            return
-        cp, sg = best
-        _grant_core(cp, sg, budgets)
-        cp.estimated_rate = estimate_chain_rate(cp, topology, packet_bits)
-
-
-def _distribute_evenly(placements: List[ChainPlacement], topology: Topology,
-                       packet_bits: int, budgets: Dict[str, int]) -> None:
-    """Round-robin spare cores across chains (HW Preferred's policy)."""
-    while True:
-        granted = False
-        for cp in placements:
-            sg = _bottleneck_subgroup(cp, topology, packet_bits, budgets)
-            if sg is None:
-                continue
-            _grant_core(cp, sg, budgets)
-            cp.estimated_rate = estimate_chain_rate(cp, topology, packet_bits)
-            granted = True
-        if not granted:
-            return
-
-
-def _pump_by_index(placements: List[ChainPlacement], topology: Topology,
-                   packet_bits: int, budgets: Dict[str, int]) -> None:
-    """Greedy's policy: saturate chains to t_max in index order (§5.1)."""
-    for cp in placements:
-        while cp.estimated_rate < _rate_cap(cp, topology):
-            sg = _bottleneck_subgroup(cp, topology, packet_bits, budgets)
-            if sg is None:
-                break
-            _grant_core(cp, sg, budgets)
-            cp.estimated_rate = estimate_chain_rate(cp, topology, packet_bits)
+    allocation = CoreAllocation(placements, topology, packet_bits, policy)
+    floor = allocation.floor()
+    return allocation.spend() if floor.feasible else floor
 
 
 def allocate_exhaustive(

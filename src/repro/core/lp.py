@@ -137,19 +137,23 @@ def solve_rates(
     if not placements:
         return RateSolution(feasible=True)
 
+    # One pass over the chains fills the bounds and every server's NIC
+    # row. Traffic enters and exits a server the same number of times, so
+    # one row per (server, NIC) covers both directions.
     n = len(placements)
-    lower = np.zeros(n)
-    upper = np.zeros(n)
     port_rate = getattr(topology.switch, "port_rate_mbps", math.inf)
-
+    servers = [s for s in topology.servers
+               if s.name not in topology.failed_devices]
+    row_of = {server.name: row for row, server in enumerate(servers)}
+    visits: List[List[float]] = [[0.0] * n for _ in servers]
+    bounds_lower: List[float] = []
+    bounds_upper: List[float] = []
     for i, cp in enumerate(placements):
         slo = cp.chain.slo
-        lower[i] = slo.t_min
         cap = min(cp.estimated_rate, port_rate)
         if not math.isinf(slo.t_max):
             cap = min(cap, slo.t_max)
-        upper[i] = cap
-        if upper[i] + 1e-9 < lower[i]:
+        if cap + 1e-9 < slo.t_min:
             return RateSolution(
                 feasible=False,
                 reason=(
@@ -157,18 +161,19 @@ def solve_rates(
                     f"{cp.estimated_rate:.0f} Mbps < t_min {slo.t_min:.0f} Mbps"
                 ),
             )
+        bounds_lower.append(slo.t_min)
+        bounds_upper.append(cap)
+        for name, count in cp.server_visits.items():
+            row = row_of.get(name)
+            if row is not None:
+                visits[row][i] = count
+    lower = np.array(bounds_lower, dtype=float)
+    upper = np.array(bounds_upper, dtype=float)
 
-    # NIC capacity rows: one per (server, NIC). Traffic enters and exits a
-    # server the same number of times, so one row covers both directions.
-    rows: List[np.ndarray] = []
+    rows: List[object] = []
     caps: List[float] = []
-    for server in topology.servers:
-        if server.name in topology.failed_devices:
-            continue
-        coeffs = np.array(
-            [cp.server_visits.get(server.name, 0.0) for cp in placements]
-        )
-        if coeffs.any():
+    for server, coeffs in zip(servers, visits):
+        if any(coeffs):
             rows.append(coeffs)
             caps.append(server.primary_nic().rate_mbps)
 
@@ -179,7 +184,7 @@ def solve_rates(
         rows.extend(extra_rows)
         caps.extend(extra_caps)
 
-    a_ub = np.vstack(rows) if rows else None
+    a_ub = np.array(rows, dtype=float) if rows else None
     b_ub = np.array(caps) if rows else None
 
     # Presolve: maximising Σ r_i under r_i ≤ upper_i has one optimum
@@ -211,7 +216,7 @@ def solve_rates(
             )
         assigned = result.x
 
-    rates = {cp.name: float(r) for cp, r in zip(placements, assigned)}
+    rates = dict(zip((cp.name for cp in placements), assigned.tolist()))
     objective_mbps = sum(
         rates[cp.name] - cp.chain.slo.t_min for cp in placements
     )

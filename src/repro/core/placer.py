@@ -22,7 +22,7 @@ import functools
 import inspect
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain
@@ -36,7 +36,7 @@ from repro.core.baselines import (
 )
 from repro.core.bruteforce import brute_force_place
 from repro.core.heuristic import heuristic_place
-from repro.core.placement import ChainPlacement, Placement
+from repro.core.placement import ChainPlacement, Placement, Subgroup
 from repro.exceptions import PlacementError
 from repro.hw.spec import topology_for
 from repro.hw.topology import Topology
@@ -392,13 +392,9 @@ class Placer:
         re-validated and the rate LP re-solved — the only global steps
         whose answer a delta can change.
         """
-        from repro.core.corealloc import (
-            allocate_cores,
-            allocate_minimum,
-            meet_tmin,
-        )
+        from repro.core.corealloc import CoreAllocation
         from repro.core.pipeline import switch_fit
-        from repro.core.rates import estimate_chain_rate, server_core_usage
+        from repro.core.rates import server_core_usage
 
         packet_bits = self.config.packet_bits
         base_by_name = {cp.name: cp for cp in base.chains}
@@ -415,19 +411,22 @@ class Placer:
             # quantity (NIC caps, server visits, bounces, latency) are
             # what form_subgroups + analyze_chain would rebuild — none of
             # them reads the SLO, the one thing that may have changed —
-            # so carry them forward at one core per subgroup and refresh
-            # only the rate estimate, which does depend on cores.
-            pinned = replace(
-                prior, chain=chain,
+            # so carry them forward at one core per subgroup; the floor
+            # below re-estimates the rate, which does depend on cores.
+            pinned_cps.append(ChainPlacement(
+                chain=chain,
                 assignment=dict(prior.assignment),
-                subgroups=[replace(sg, cores=1) for sg in prior.subgroups],
+                subgroups=[
+                    Subgroup(sg.sg_id, sg.chain_name, sg.server,
+                             sg.node_ids, sg.cycles, sg.replicable)
+                    for sg in prior.subgroups
+                ],
                 nic_caps=dict(prior.nic_caps),
                 server_visits=dict(prior.server_visits),
-            )
-            pinned.estimated_rate = estimate_chain_rate(
-                pinned, self.topology, packet_bits
-            )
-            pinned_cps.append(pinned)
+                bounces=prior.bounces,
+                latency_us=prior.latency_us,
+                estimated_rate=prior.estimated_rate,
+            ))
 
         def reject(reason: Optional[str],
                    extra: Sequence[ChainPlacement] = ()) -> Tuple[
@@ -440,16 +439,14 @@ class Placer:
                 len(pinned_cps), len(delta_chains),
             )
 
-        if pinned_cps:
-            # Shrink pinned chains to their t_min core floor: admission
-            # guarantees existing chains their SLO minimum, not their
-            # current burst headroom, so the freed cores are what the
-            # delta chains may legitimately claim.
-            floor = allocate_minimum(pinned_cps, self.topology, packet_bits)
-            if floor.feasible:
-                floor = meet_tmin(pinned_cps, self.topology, packet_bits)
-            if not floor.feasible:
-                return reject(floor.reason)
+        # Shrink pinned chains to their t_min core floor: admission
+        # guarantees existing chains their SLO minimum, not their current
+        # burst headroom, so the freed cores are what the delta chains may
+        # legitimately claim.
+        allocation = CoreAllocation(pinned_cps, self.topology, packet_bits)
+        result = allocation.floor()
+        if not result.feasible:
+            return reject(result.reason)
 
         delta_cps: List[ChainPlacement] = []
         if delta_chains:
@@ -489,12 +486,15 @@ class Placer:
 
         # Re-spend spare cores over the combined set (assignments are
         # already decided; this only moves core counts, like the full
-        # pipeline's allocation step).
-        allocation = allocate_cores(
-            combined, self.topology, packet_bits, policy="lemur"
-        )
-        if not allocation.feasible:
-            placement.infeasible_reason = allocation.reason
+        # pipeline's allocation step). Without a delta chain the combined
+        # set is the pinned set, which is floored already.
+        if delta_chains:
+            allocation = CoreAllocation(combined, self.topology, packet_bits)
+            result = allocation.floor()
+        if result.feasible:
+            result = allocation.spend()
+        if not result.feasible:
+            placement.infeasible_reason = result.reason
             return placement, len(pinned_cps), len(delta_chains)
 
         for cp in combined:
