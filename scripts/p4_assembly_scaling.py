@@ -7,12 +7,15 @@ lowered first (fragments warm) and the program itself is not in the
 compile memo, so ``PISACompiler.compile`` assembles and packs it from
 memoized fragments: what a placer probe pays for a new program. Prints,
 per size, the program's table and stage counts, the median assembly
-time, and how many table pairs dependency inference evaluates during
-assembly (``repro.p4c.dependency.data_dependent`` calls).
+time, how many table pairs dependency inference evaluates during
+assembly (``repro.p4c.dependency.data_dependent`` calls) and how many
+topological sorts it runs (``TableDAG.topological_order`` calls).
 
-Dependency inference belongs to each chain's lowering: every cross-chain
-table pair is mutually exclusive, so a warm assembly evaluates no pair
-at all. ``--check`` exits 1 when it evaluates any.
+Dependency inference and the stage packer's per-table facts belong to
+each chain's lowering: every cross-chain table pair is mutually
+exclusive, so a warm assembly evaluates no pair and sorts no DAG; only
+the steering table's depth is taken over the whole program.
+``--check`` exits 1 when it evaluates any pair or sorts any DAG.
 
     PYTHONPATH=src python scripts/p4_assembly_scaling.py [--repeats N] [--check]
 """
@@ -26,6 +29,7 @@ from repro.chain.graph import chains_from_spec
 from repro.hw.spec import topology_for
 from repro.p4c import dependency
 from repro.p4c.compiler import PISACompiler, _fragment, clear_compile_memo
+from repro.p4c.ir import TableDAG
 
 SIZES = (4, 8, 16, 32, 64)
 BODY = "ACL -> Tunnel -> IPv4Fwd"
@@ -54,16 +58,20 @@ def measure(chains: int, repeats: int):
         result = compiler.compile(pairs)
         seconds.append(time.perf_counter() - start)
     warm_fragments(pairs)
-    calls = []
+    calls, sorts = [], []
     real = dependency.data_dependent
+    real_sort = TableDAG.topological_order
     with mock.patch.object(
         dependency, "data_dependent",
         lambda a, b: calls.append(None) or real(a, b),
+    ), mock.patch.object(
+        TableDAG, "topological_order",
+        lambda dag: sorts.append(None) or real_sort(dag),
     ):
         compiler.compile(pairs)
     clear_compile_memo()
     return (len(result.dag.tables), result.stage_count,
-            statistics.median(seconds) * 1e3, len(calls))
+            statistics.median(seconds) * 1e3, len(calls), len(sorts))
 
 
 def main() -> int:
@@ -71,22 +79,30 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if a warm assembly evaluates any "
-                             "table pair")
+                             "table pair or sorts any DAG")
     args = parser.parse_args()
     print(f"`{BODY}` chains on the paper-testbed switch, fragments warm; "
           f"median of {args.repeats} assemblies")
-    print("| chains | tables | stages | assembly ms | pairs evaluated |")
-    print("|---:|---:|---:|---:|---:|")
-    evaluated = 0
+    print("| chains | tables | stages | assembly ms | pairs evaluated "
+          "| topological sorts |")
+    print("|---:|---:|---:|---:|---:|---:|")
+    evaluated = sorted_dags = 0
     for chains in SIZES:
-        tables, stages, ms, pairs = measure(chains, args.repeats)
+        tables, stages, ms, pairs, sorts = measure(chains, args.repeats)
         evaluated += pairs
-        print(f"| {chains} | {tables} | {stages} | {ms:.2f} | {pairs} |")
+        sorted_dags += sorts
+        print(f"| {chains} | {tables} | {stages} | {ms:.2f} | {pairs} "
+              f"| {sorts} |")
+    failed = False
     if args.check and evaluated:
         print(f"FAIL: warm assemblies evaluated {evaluated} table pairs; "
               "dependency inference belongs to each chain's lowering")
-        return 1
-    return 0
+        failed = True
+    if args.check and sorted_dags:
+        print(f"FAIL: warm assemblies ran {sorted_dags} topological sorts; "
+              "each fragment carries its tables' depths from its lowering")
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
-"""Hand-written lexer for the chain-spec DSL.
+"""Lexer for the chain-spec DSL.
 
 The paper used ANTLR (120 lines of grammar) to parse NF chain specifications;
-this is a dependency-free replacement. Tokens carry line/column for error
-reporting.
+this is a dependency-free replacement that scans with one compiled regular
+expression. Tokens carry line/column for error reporting.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.exceptions import SpecSyntaxError
 
@@ -60,144 +61,162 @@ _SINGLE_CHAR = {
 }
 
 
+_OPENERS = (TokenType.LPAREN, TokenType.LBRACKET, TokenType.LBRACE)
+_CLOSERS = (TokenType.RPAREN, TokenType.RBRACKET, TokenType.RBRACE)
+
+#: a string literal's body, by quote: no newline, and a backslash only
+#: before n, t, a backslash or that quote
+_BODIES = {"'": r"(?:[^'\\\n]|\\[nt\\'])*", '"': r'(?:[^"\\\n]|\\[nt\\"])*'}
+#: Spaces, comments and backslash-newline continuations, then at most one
+#: token: one alternative per token kind, tried in this order. ``\d`` is
+#: a decimal digit (what ``int`` reads) and ``\w`` is ``str.isalnum`` or
+#: ``_``. ``str.isdigit`` also holds for digits ``int`` cannot read
+#: (``²``); a literal holding one is an error, found after the match
+#: (:func:`_digit_run`).
+_TOKEN = re.compile(r"(?:[ \t\r]+|#[^\n]*|\\\n)*(?:" + "|".join((
+    r"(?P<hex>-?0[xX][0-9a-fA-F]*)",
+    r"(?P<number>-?\d+(?:\.\d+)?)",
+    r"(?P<word>\w+)",
+    r"(?P<arrow>->)",
+    r"(?P<single>[=()\[\]{}:,@$])",
+    r"(?P<newline>\n)",
+    "(?P<string>" + "|".join(
+        quote + body + quote for quote, body in _BODIES.items()) + ")",
+    r"(?P<quote>['\"])",
+)) + ")?")
+_STRING_BODY = {quote: re.compile(body) for quote, body in _BODIES.items()}
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}
+
+
 class Lexer:
     """Tokenizes a chain-spec string.
 
     Newlines are significant (statement separators) except inside brackets,
     where they are swallowed — matching the DSL's BESS-script heritage.
+    One compiled pattern (``_TOKEN``) scans the text token by token.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._bracket_depth = 0
 
     def tokens(self) -> List[Token]:
+        text = self.text
+        match = _TOKEN.match
         out: List[Token] = []
+        pos = line_start = depth = 0
+        line = 1
         while True:
-            token = self._next_token()
-            if token is None:
-                continue
-            out.append(token)
-            if token.type is TokenType.EOF:
-                return out
+            m = match(text, pos)
+            kind = m.lastgroup
+            start = m.start(kind) if kind else m.end()
+            if start != pos and "\n" in text[pos:start]:
+                # backslash-newlines continued the line
+                line += text.count("\n", pos, start)
+                line_start = text.rfind("\n", pos, start) + 1
+            column = start - line_start + 1
+            if kind is None:
+                if start == len(text):
+                    out.append(Token(TokenType.EOF, None, line, column))
+                    return out
+                raise _unmatched(text, start, line, column)
+            pos = m.end()
+            if kind == "word":
+                first = text[start]
+                if first.isdigit():
+                    raise _bad_number(text, start, line, column)
+                if not (first.isalpha() or first == "_"):
+                    raise SpecSyntaxError(
+                        f"unexpected character {first!r}", line, column
+                    )
+                out.append(Token(TokenType.IDENT, m.group(kind), line,
+                                 column))
+            elif kind == "arrow":
+                out.append(Token(TokenType.ARROW, "->", line, column))
+            elif kind == "single":
+                ch = text[start]
+                token_type = _SINGLE_CHAR[ch]
+                if token_type in _OPENERS:
+                    depth += 1
+                elif token_type in _CLOSERS:
+                    depth = max(0, depth - 1)
+                out.append(Token(token_type, ch, line, column))
+            elif kind == "newline":
+                if depth == 0:
+                    out.append(Token(TokenType.NEWLINE, "\n", line, column))
+                line += 1
+                line_start = pos
+            elif kind == "number":
+                literal = m.group(kind)
+                if _digit_run(text, start) != pos:
+                    raise _bad_number(text, start, line, column)
+                try:
+                    value: object = (float(literal) if "." in literal
+                                     else int(literal))
+                except ValueError:
+                    raise _bad_number(text, start, line, column) from None
+                out.append(Token(TokenType.NUMBER, value, line, column))
+            elif kind == "hex":
+                literal = m.group(kind)
+                try:
+                    value = int(literal, 16)
+                except ValueError:
+                    raise SpecSyntaxError(
+                        f"bad hex literal {literal!r}", line, column
+                    ) from None
+                out.append(Token(TokenType.NUMBER, value, line, column))
+            elif kind == "string":
+                body = text[start + 1:pos - 1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(
+                        lambda e: _ESCAPED.get(e.group(1), e.group(1)), body
+                    )
+                out.append(Token(TokenType.STRING, body, line, column))
+            else:  # an opening quote with no well-formed string after it
+                raise _bad_string(text, start, line, column, line_start)
 
-    # -- internals ----------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.text[index] if index < len(self.text) else ""
+def _digit_run(text: str, pos: int) -> int:
+    """Where a number literal starting at ``pos`` ends when digits are
+    what ``str.isdigit`` accepts: an optional ``-``, digits, and at most
+    one ``.`` that a digit follows."""
+    end = pos + (text[pos] == "-")
+    seen_dot = False
+    while end < len(text):
+        ch = text[end]
+        if ch == "." and not seen_dot and text[end + 1:end + 2].isdigit():
+            seen_dot = True
+        elif not ch.isdigit():
+            break
+        end += 1
+    return end
 
-    def _advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
 
-    def _next_token(self) -> Optional[Token]:
-        # skip spaces/tabs and comments; backslash-newline continues a line
-        while True:
-            ch = self._peek()
-            if ch in (" ", "\t", "\r"):
-                self._advance()
-            elif ch == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-            else:
-                break
+def _bad_number(text: str, pos: int, line: int,
+                column: int) -> SpecSyntaxError:
+    literal = text[pos:_digit_run(text, pos)]
+    return SpecSyntaxError(f"bad number literal {literal!r}", line, column)
 
-        line, column = self.line, self.column
-        ch = self._peek()
 
-        if ch == "":
-            return Token(TokenType.EOF, None, line, column)
+def _unmatched(text: str, pos: int, line: int,
+               column: int) -> SpecSyntaxError:
+    """The error for a position no token starts at: a ``-`` before a
+    digit ``int`` cannot read, or a character the DSL does not use."""
+    if text[pos] == "-" and text[pos + 1:pos + 2].isdigit():
+        return _bad_number(text, pos, line, column)
+    return SpecSyntaxError(f"unexpected character {text[pos]!r}", line, column)
 
-        if ch == "\n":
-            self._advance()
-            if self._bracket_depth > 0:
-                return None  # newlines inside brackets are insignificant
-            return Token(TokenType.NEWLINE, "\n", line, column)
 
-        if ch == "-" and self._peek(1) == ">":
-            self._advance(2)
-            return Token(TokenType.ARROW, "->", line, column)
-
-        if ch in "'\"":
-            return self._string(ch, line, column)
-
-        if ch.isdigit() or (ch == "-" and self._peek(1).isdigit()):
-            return self._number(line, column)
-
-        if ch.isalpha() or ch == "_":
-            return self._ident(line, column)
-
-        if ch in _SINGLE_CHAR:
-            token_type = _SINGLE_CHAR[ch]
-            if token_type in (TokenType.LPAREN, TokenType.LBRACKET, TokenType.LBRACE):
-                self._bracket_depth += 1
-            elif token_type in (TokenType.RPAREN, TokenType.RBRACKET, TokenType.RBRACE):
-                self._bracket_depth = max(0, self._bracket_depth - 1)
-            self._advance()
-            return Token(token_type, ch, line, column)
-
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, column)
-
-    def _string(self, quote: str, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise SpecSyntaxError("unterminated string literal", line, column)
-            if ch == "\n":
-                raise SpecSyntaxError("newline in string literal", line, column)
-            if ch == "\\":
-                escape = self._peek(1)
-                mapping = {"n": "\n", "t": "\t", "\\": "\\", quote: quote}
-                if escape in mapping:
-                    chars.append(mapping[escape])
-                    self._advance(2)
-                    continue
-                raise SpecSyntaxError(f"bad escape \\{escape}", self.line, self.column)
-            if ch == quote:
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            chars.append(self._advance())
-
-    def _number(self, line: int, column: int) -> Token:
-        chars: List[str] = []
-        if self._peek() == "-":
-            chars.append(self._advance())
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            chars.append(self._advance(2))
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                chars.append(self._advance())
-            try:
-                return Token(TokenType.NUMBER, int("".join(chars), 16), line, column)
-            except ValueError:
-                raise SpecSyntaxError(f"bad hex literal {''.join(chars)!r}", line, column)
-        seen_dot = False
-        while self._peek().isdigit() or (self._peek() == "." and not seen_dot):
-            if self._peek() == ".":
-                if not self._peek(1).isdigit():
-                    break  # trailing dot belongs to something else
-                seen_dot = True
-            chars.append(self._advance())
-        text = "".join(chars)
-        value: object = float(text) if seen_dot else int(text)
-        return Token(TokenType.NUMBER, value, line, column)
-
-    def _ident(self, line: int, column: int) -> Token:
-        chars: List[str] = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        return Token(TokenType.IDENT, "".join(chars), line, column)
+def _bad_string(text: str, pos: int, line: int, column: int,
+                line_start: int) -> SpecSyntaxError:
+    """Why the string literal opening at ``pos`` is malformed."""
+    quote = text[pos]
+    end = _STRING_BODY[quote].match(text, pos + 1).end()
+    stop = text[end:end + 1]
+    if stop == "":
+        return SpecSyntaxError("unterminated string literal", line, column)
+    if stop == "\n":
+        return SpecSyntaxError("newline in string literal", line, column)
+    # a backslash whose escape is not one of n, t, \ or the quote
+    return SpecSyntaxError(f"bad escape \\{text[end + 1:end + 2]}", line,
+                           end - line_start + 1)

@@ -29,14 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain
 from repro.core.patterns import node_options, preferred_assignment
-from repro.core.pipeline import build_placement
+from repro.core.pipeline import ChainAnalyses, build_placement
 from repro.core.placement import NodeAssignment, Placement
-from repro.core.rates import estimate_chain_rate
 from repro.core.subgroups import (
-    apply_coalesce,
+    coalesced_assignment,
     evaluate_coalesce,
     find_coalesce_candidates,
-    form_subgroups,
 )
 from repro.exceptions import P4CompileError
 from repro.hw.platform import Platform
@@ -71,6 +69,7 @@ def heuristic_place(
     shared with chains this call is not placing.
     """
     chains = list(chains)
+    analyses = ChainAnalyses(chains, topology, profiles, packet_bits)
     compiler = _compiler_for(topology)
     if compiler is not None and context_pairs:
         compiler = ContextCompiler(compiler.switch, context_pairs)
@@ -84,13 +83,12 @@ def heuristic_place(
     with registry.timer("placer.stage.seconds", stage="coalesce_aggressive"):
         candidates.append((
             "aggressive",
-            _coalesce_all(chains, baseline, topology, profiles, packet_bits,
-                          rules=("strict", "aggressive")),
+            _coalesce_all(analyses, baseline, rules=("strict", "aggressive")),
         ))
     with registry.timer("placer.stage.seconds", stage="coalesce_conservative"):
         candidates.append((
             "conservative",
-            _coalesce_all(chains, baseline, topology, profiles, packet_bits,
+            _coalesce_all(analyses, baseline,
                           rules=("strict", "conservative")),
         ))
     if any(cp.slo.d_max != float("inf") for cp in chains):
@@ -120,7 +118,7 @@ def heuristic_place(
             placement = build_placement(
                 chains, assignments, topology, profiles, packet_bits,
                 core_policy=core_policy, compiler=compiler,
-                strategy=strategy_name,
+                strategy=strategy_name, analyses=analyses,
             )
         registry.counter("placer.candidates", label=label).inc()
         if placement.feasible and (
@@ -208,37 +206,33 @@ def _software_option(
 # -- step 2 -------------------------------------------------------------------
 
 def _coalesce_all(
-    chains: Sequence[NFChain],
+    analyses: ChainAnalyses,
     baseline: Assignments,
-    topology: Topology,
-    profiles: ProfileDatabase,
-    packet_bits: int,
     rules: Tuple[str, ...],
 ) -> Assignments:
     """Apply the coalescing rules per chain until fixpoint."""
     out: Assignments = []
+    topology = analyses.topology
     freq_hz = topology.servers[0].freq_hz if topology.servers else 1.7e9
-    for chain, assignment in zip(chains, baseline):
+    for index, (chain, assignment) in enumerate(zip(analyses.chains,
+                                                    baseline)):
         assignment = dict(assignment)
         changed = True
         while changed:
             changed = False
-            subgroups = form_subgroups(chain, assignment, profiles)
-            from repro.core.rates import analyze_chain  # local to avoid cycle
-            cp = analyze_chain(chain, assignment, subgroups, topology,
-                               profiles, packet_bits)
-            bottleneck = cp.estimated_rate
+            cp = analyses.shared(index, assignment)
             for candidate in find_coalesce_candidates(chain, assignment,
-                                                      subgroups):
+                                                      cp.subgroups):
                 if any(
                     evaluate_coalesce(
-                        chain, candidate, subgroups, profiles, freq_hz,
-                        packet_bits, rule, bottleneck,
+                        chain, candidate, cp.subgroups, analyses.profiles,
+                        freq_hz, analyses.packet_bits, rule,
+                        cp.estimated_rate,
                     )
                     for rule in rules
                 ):
-                    assignment, subgroups = apply_coalesce(
-                        chain, candidate, assignment, profiles
+                    assignment = coalesced_assignment(
+                        chain, candidate, assignment
                     )
                     changed = True
                     break

@@ -32,11 +32,57 @@ from repro.profiles.defaults import ProfileDatabase
 from repro.units import DEFAULT_PACKET_BITS
 
 
+class ChainAnalyses:
+    """Each chain's subgroups and analysis, computed once per (chain,
+    assignment).
+
+    A placement scheme forms subgroups and analyzes a chain for every
+    candidate it scores, and its candidates share most of their
+    per-chain assignments. One instance belongs to one call of a scheme
+    and is handed explicitly to each step that needs an analysis: it
+    keys by the chain's position in that call's chain list plus the
+    assignment's items in their order, and dies with the call.
+
+    :meth:`shared` returns the one cached :class:`ChainPlacement`, at one
+    core per subgroup, for reading only; a step that changes cores takes
+    a copy (:meth:`ChainPlacement.at_one_core`).
+    """
+
+    def __init__(
+        self,
+        chains: Sequence[NFChain],
+        topology: Topology,
+        profiles: ProfileDatabase,
+        packet_bits: int = DEFAULT_PACKET_BITS,
+    ) -> None:
+        self.chains = list(chains)
+        self.topology = topology
+        self.profiles = profiles
+        self.packet_bits = packet_bits
+        self._memo: Dict[tuple, ChainPlacement] = {}
+
+    def shared(
+        self, index: int, assignment: Dict[str, NodeAssignment]
+    ) -> ChainPlacement:
+        """The analysis of chain ``index`` under ``assignment``; do not
+        change it."""
+        key = (index, tuple(assignment.items()))
+        cp = self._memo.get(key)
+        if cp is None:
+            chain = self.chains[index]
+            subgroups = form_subgroups(chain, assignment, self.profiles)
+            cp = analyze_chain(chain, assignment, subgroups, self.topology,
+                               self.profiles, self.packet_bits)
+            self._memo[key] = cp
+        return cp
+
+
 def rebalance_servers(
     chains: Sequence[NFChain],
     assignments: List[Dict[str, NodeAssignment]],
     topology: Topology,
     profiles: ProfileDatabase,
+    analyses: Optional[ChainAnalyses] = None,
 ) -> List[Dict[str, NodeAssignment]]:
     """Spread subgroups across servers in multi-server topologies.
 
@@ -52,14 +98,15 @@ def rebalance_servers(
     if len(servers) <= 1:
         return assignments
 
+    analyses = analyses or ChainAnalyses(chains, topology, profiles)
     all_subgroups = []
-    for chain, assignment in zip(chains, assignments):
-        for sg in form_subgroups(chain, assignment, profiles):
-            all_subgroups.append((chain, assignment, sg))
-    all_subgroups.sort(key=lambda item: -item[2].cycles)
+    for index, assignment in enumerate(assignments):
+        for sg in analyses.shared(index, assignment).subgroups:
+            all_subgroups.append((assignment, sg))
+    all_subgroups.sort(key=lambda item: -item[1].cycles)
 
     free = {s.name: s.allocatable_cores for s in servers}
-    for _chain, assignment, sg in all_subgroups:
+    for assignment, sg in all_subgroups:
         target = max(free, key=lambda name: free[name])
         free[target] -= 1
         for nid in sg.node_ids:
@@ -77,19 +124,27 @@ def build_placement(
     compiler: Optional[PISACompiler] = None,
     check_stages: bool = True,
     strategy: str = "lemur",
+    analyses: Optional[ChainAnalyses] = None,
 ) -> Placement:
-    """Finish a pattern choice into a full (possibly infeasible) placement."""
+    """Finish a pattern choice into a full (possibly infeasible) placement.
+
+    ``analyses`` is the calling scheme's :class:`ChainAnalyses` over
+    ``chains``, when it scores several candidates; by default the call
+    makes its own.
+    """
+    analyses = analyses or ChainAnalyses(
+        chains, topology, profiles, packet_bits
+    )
     assignments = rebalance_servers(
-        list(chains), [dict(a) for a in assignments], topology, profiles
+        chains, [dict(a) for a in assignments], topology, profiles,
+        analyses,
     )
 
-    chain_placements: List[ChainPlacement] = []
-    for chain, assignment in zip(chains, assignments):
-        subgroups = form_subgroups(chain, assignment, profiles)
-        chain_placements.append(
-            analyze_chain(chain, assignment, subgroups, topology, profiles,
-                          packet_bits)
-        )
+    # copies: core allocation changes their subgroups' cores
+    chain_placements: List[ChainPlacement] = [
+        analyses.shared(index, assignment).at_one_core()
+        for index, assignment in enumerate(assignments)
+    ]
 
     placement = Placement(chains=chain_placements, strategy=strategy)
 

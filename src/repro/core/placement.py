@@ -82,6 +82,27 @@ class ChainPlacement:
             if a.platform is Platform.PISA
         }
 
+    def at_one_core(self, chain: Optional[NFChain] = None) -> "ChainPlacement":
+        """A copy, for ``chain`` (default: the same chain), whose
+        subgroups are fresh objects at one core each: a core allocation
+        may change them without touching this placement. The derived
+        quantities are copied as they are; only ``estimated_rate``
+        depends on cores, and every allocation re-estimates it."""
+        return ChainPlacement(
+            chain=self.chain if chain is None else chain,
+            assignment=dict(self.assignment),
+            subgroups=[
+                Subgroup(sg.sg_id, sg.chain_name, sg.server, sg.node_ids,
+                         sg.cycles, sg.replicable)
+                for sg in self.subgroups
+            ],
+            nic_caps=dict(self.nic_caps),
+            server_visits=dict(self.server_visits),
+            bounces=self.bounces,
+            latency_us=self.latency_us,
+            estimated_rate=self.estimated_rate,
+        )
+
     def cores_used(self) -> Dict[str, int]:
         """Server name -> cores consumed by this chain's subgroups."""
         usage: Dict[str, int] = {}

@@ -36,7 +36,7 @@ from repro.core.baselines import (
 )
 from repro.core.bruteforce import brute_force_place
 from repro.core.heuristic import heuristic_place
-from repro.core.placement import ChainPlacement, Placement, Subgroup
+from repro.core.placement import ChainPlacement, Placement
 from repro.exceptions import PlacementError
 from repro.hw.spec import topology_for
 from repro.hw.topology import Topology
@@ -413,20 +413,7 @@ class Placer:
             # them reads the SLO, the one thing that may have changed —
             # so carry them forward at one core per subgroup; the floor
             # below re-estimates the rate, which does depend on cores.
-            pinned_cps.append(ChainPlacement(
-                chain=chain,
-                assignment=dict(prior.assignment),
-                subgroups=[
-                    Subgroup(sg.sg_id, sg.chain_name, sg.server,
-                             sg.node_ids, sg.cycles, sg.replicable)
-                    for sg in prior.subgroups
-                ],
-                nic_caps=dict(prior.nic_caps),
-                server_visits=dict(prior.server_visits),
-                bounces=prior.bounces,
-                latency_us=prior.latency_us,
-                estimated_rate=prior.estimated_rate,
-            ))
+            pinned_cps.append(prior.at_one_core(chain))
 
         def reject(reason: Optional[str],
                    extra: Sequence[ChainPlacement] = ()) -> Tuple[

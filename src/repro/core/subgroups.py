@@ -14,7 +14,7 @@ strict, aggressive, and conservative (§3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.chain.graph import NFChain, NFGraph
 from repro.core.placement import ChainPlacement, NodeAssignment, Subgroup
@@ -212,13 +212,13 @@ def evaluate_coalesce(
     raise ValueError(f"unknown coalescing rule {rule!r}")
 
 
-def apply_coalesce(
+def coalesced_assignment(
     chain: NFChain,
     candidate: CoalesceCandidate,
     assignment: Dict[str, NodeAssignment],
-    profiles: ProfileDatabase,
-) -> Tuple[Dict[str, NodeAssignment], List[Subgroup]]:
-    """Move the switch NF to the server and re-form subgroups."""
+) -> Dict[str, NodeAssignment]:
+    """``assignment`` with the candidate's switch NF moved to the server
+    of the subgroup before it (a new dict, in the same key order)."""
     before_server = None
     for sg_node in chain.graph.predecessors(candidate.switch_node):
         before_server = assignment[sg_node].device
@@ -226,7 +226,7 @@ def apply_coalesce(
     new_assignment[candidate.switch_node] = NodeAssignment(
         platform=Platform.SERVER, device=before_server or "server0"
     )
-    return new_assignment, form_subgroups(chain, new_assignment, profiles)
+    return new_assignment
 
 
 def _sg_by_id(subgroups: Sequence[Subgroup], sg_id: str) -> Subgroup:

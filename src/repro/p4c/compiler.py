@@ -21,7 +21,10 @@ the switch, the compiler:
 Step 5 is a per-chain step: chains process disjoint traffic, so every
 cross-chain table pair is exclusive and never produces an edge. A
 program's edges are the union of its chains' own, each found over the
-chain's scope behind the steering table.
+chain's scope behind the steering table. For the same reason step 6
+reads each table's stage facts (footprint, remaining depth, priority,
+predecessors, successors) from its chain's fragment; only the steering
+table's depth is taken over the whole program.
 
 The Placer treats this as the authoritative feasibility check — exactly how
 Lemur uses the Tofino compiler — and, like Lemur, rations what it costs:
@@ -60,8 +63,10 @@ from repro.p4c.pipeline_tree import (
     dag_to_tree,
 )
 from repro.p4c.stage_alloc import (
+    NO_STAGE_FACTS,
+    StageFacts,
     StageAllocation,
-    allocate_compiler,
+    allocate_fragments,
     allocate_conservative,
     allocate_naive,
 )
@@ -108,6 +113,9 @@ class ChainFragment:
     the program (declared ones and, unless ``naive``, the inferred data
     dependencies, some from the steering table), ``parse_trees`` the
     NF-local parsers in the order they merge into the unified one.
+    ``table_names`` are the names of ``tables``, and ``packing`` what
+    the ``compiler`` stage packer reads of them (left empty under
+    ``naive``, whose packer reads none of it).
     """
 
     tables: Tuple[P4Table, ...] = ()
@@ -116,6 +124,8 @@ class ChainFragment:
     nf_groups: Tuple[Tuple[str, ...], ...] = ()
     parse_trees: Tuple[ParseTree, ...] = ()
     uses_nsh: bool = False
+    table_names: Tuple[str, ...] = ()
+    packing: StageFacts = NO_STAGE_FACTS
 
 
 class _CompileMemo:
@@ -234,12 +244,14 @@ class PISACompiler:
         chains: Sequence[Tuple[NFGraph, FrozenSet[str]]],
         strategy: str,
     ) -> CompileResult:
-        dag = TableDAG()
         parser = ParseTree()
         steering = nflib.steering_table()
-        dag.add_table(steering)
+        tables: List[P4Table] = [steering]
+        edges: Set[Tuple[str, str]] = set()
+        names = {steering.name}
         ordered_scope: List[str] = [steering.name]
         nf_groups: List[Sequence[str]] = [[steering.name]]
+        packings: List[StageFacts] = []
         chain_tables: Dict[str, Tuple[str, ...]] = {}
         uses_nsh = False
 
@@ -252,17 +264,19 @@ class PISACompiler:
                 # accept it.
                 parser.headers.add("nsh")
                 uses_nsh = True
-            for table in fragment.tables:
-                dag.add_table(table)
+            names.update(fragment.table_names)
+            tables.extend(fragment.tables)
+            if len(names) != len(tables):
+                _raise_duplicate(tables)
             # every edge of a fragment joins two of its own tables, or
             # the steering table and one of them
-            dag.edges |= fragment.edges
+            edges |= fragment.edges
             ordered_scope.extend(fragment.scope)
             nf_groups.extend(fragment.nf_groups)
-            chain_tables[graph.name] = tuple(
-                table.name for table in fragment.tables
-            )
+            packings.append(fragment.packing)
+            chain_tables[graph.name] = fragment.table_names
 
+        dag = TableDAG(tables=tables, edges=edges)
         resources = self.switch.stage_resources
         stages = self.switch.num_stages
         if strategy == "naive":
@@ -276,8 +290,9 @@ class PISACompiler:
                 resources=resources, available_stages=stages,
             )
         else:
-            allocation = allocate_compiler(
-                dag, resources=resources, available_stages=stages,
+            allocation = allocate_fragments(
+                steering, packings,
+                resources=resources, available_stages=stages,
             )
 
         return CompileResult(
@@ -287,6 +302,16 @@ class PISACompiler:
             chain_tables=chain_tables,
             uses_nsh=uses_nsh,
         )
+
+
+def _raise_duplicate(tables: Sequence[P4Table]) -> None:
+    """Raise what :meth:`TableDAG.add_table` raises for the first table
+    of ``tables`` whose name an earlier one has."""
+    seen: Set[str] = set()
+    for table in tables:
+        if table.name in seen:
+            raise P4CompileError(f"duplicate table name {table.name!r}")
+        seen.add(table.name)
 
 
 # -- per-chain lowering --------------------------------------------------------
@@ -314,20 +339,22 @@ def _lower_chain(
     fragment, partitions = _lower_tables(graph, switch_ids, strategy)
     if strategy == "naive":
         return fragment
-    return replace(fragment, edges=_with_dependencies(fragment, partitions))
+    own = _with_dependencies(fragment, partitions)
+    return replace(fragment, edges=frozenset(own.edges),
+                   packing=StageFacts.of(own))
 
 
 def _with_dependencies(
     fragment: ChainFragment,
     partitions: Sequence[Tuple[FrozenSet[str], ...]],
-) -> FrozenSet[Tuple[str, str]]:
-    """``fragment``'s edges plus the data dependencies over its scope
-    behind the steering table. Each partition holds table-name sets that
-    are pairwise mutually exclusive (sibling arms of one branch block, or
-    encap and decap). Every cross-chain table pair is exclusive in the
-    program too (chains process disjoint traffic aggregates: optimization
-    (d) at chain granularity), so these are all the edges the program
-    will have."""
+) -> TableDAG:
+    """The steering table and ``fragment``'s tables, with its edges plus
+    the data dependencies over its scope behind the steering table. Each
+    partition holds table-name sets that are pairwise mutually exclusive
+    (sibling arms of one branch block, or encap and decap). Every
+    cross-chain table pair is exclusive in the program too (chains
+    process disjoint traffic aggregates: optimization (d) at chain
+    granularity), so these are all the edges the program will have."""
     own = TableDAG()
     steering = nflib.steering_table()
     own.add_table(steering)
@@ -338,7 +365,7 @@ def _with_dependencies(
     for partition in partitions:
         exclusive |= exclusive_table_pairs(partition)
     infer_dependencies(own, [steering.name, *fragment.scope], exclusive)
-    return frozenset(own.edges)
+    return own
 
 
 def _lower_tables(
@@ -465,6 +492,7 @@ def _lower_tables(
 
     return ChainFragment(
         tables=tuple(tables),
+        table_names=tuple(table.name for table in tables),
         scope=tuple(scope),
         edges=frozenset(edges),
         nf_groups=tuple(nf_groups),

@@ -13,6 +13,9 @@ Three allocators model the three regimes the paper contrasts (§5.2):
 * :func:`allocate_compiler` — models the platform compiler's black-box
   packing: list scheduling with backfill, sharing stages between
   independent tables and across parallel branches.
+  :func:`allocate_fragments` is the same packing for a program joined
+  from fragments whose per-table facts were derived once
+  (:class:`StageFacts`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import P4CompileError
 from repro.hw.pisa import PISAStageResources
-from repro.p4c.ir import TableDAG
+from repro.p4c.ir import P4Table, TableDAG
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,18 @@ class _StageBin:
         return True
 
 
+def _exceeds(size: Tuple[float, float],
+             resources: PISAStageResources) -> bool:
+    return size[0] > resources.sram_kb or size[1] > resources.tcam_kb
+
+
+def _too_large(name: str, size: Tuple[float, float]) -> P4CompileError:
+    return P4CompileError(
+        f"table {name!r} exceeds a whole stage's memory "
+        f"(sram={size[0]:.0f}KB, tcam={size[1]:.0f}KB)"
+    )
+
+
 def _footprints(
     dag: TableDAG, resources: PISAStageResources
 ) -> Dict[str, Tuple[float, float]]:
@@ -85,14 +100,32 @@ def _footprints(
     single stage can hold."""
     sizes: Dict[str, Tuple[float, float]] = {}
     for table in dag.tables:
-        sram_kb, tcam_kb = table.sram_kb, table.tcam_kb
-        if sram_kb > resources.sram_kb or tcam_kb > resources.tcam_kb:
-            raise P4CompileError(
-                f"table {table.name!r} exceeds a whole stage's memory "
-                f"(sram={sram_kb:.0f}KB, tcam={tcam_kb:.0f}KB)"
-            )
-        sizes[table.name] = (sram_kb, tcam_kb)
+        size = (table.sram_kb, table.tcam_kb)
+        if _exceeds(size, resources):
+            raise _too_large(table.name, size)
+        sizes[table.name] = size
     return sizes
+
+
+def _order_facts(
+    dag: TableDAG, sizes: Dict[str, Tuple[float, float]]
+) -> Tuple[Dict[str, tuple], Dict[str, int], Dict[str, List[str]]]:
+    """What list scheduling reads of ``dag`` besides ``sizes``: each
+    table's ready-list priority (deepest remaining chain, then largest,
+    then name), its predecessor count and its successors."""
+    waiting = dict.fromkeys(sizes, 0)
+    succs: Dict[str, List[str]] = {name: [] for name in sizes}
+    for before, after in dag.edges:
+        waiting[after] += 1
+        succs[before].append(after)
+    depth: Dict[str, int] = {}
+    for name in reversed(dag.topological_order()):
+        depth[name] = 1 + max((depth[s] for s in succs[name]), default=0)
+    priority = {
+        name: (-depth[name], -(sram_kb + tcam_kb), name)
+        for name, (sram_kb, tcam_kb) in sizes.items()
+    }
+    return priority, waiting, succs
 
 
 def allocate_compiler(
@@ -110,18 +143,103 @@ def allocate_compiler(
     """
     resources = resources or PISAStageResources()
     sizes = _footprints(dag, resources)
+    return _list_schedule(sizes, *_order_facts(dag, sizes), resources,
+                          available_stages)
 
-    waiting = dict.fromkeys(sizes, 0)
-    succs: Dict[str, List[str]] = {name: [] for name in sizes}
-    for before, after in dag.edges:
-        waiting[after] += 1
-        succs[before].append(after)
-    remaining_depth = _remaining_depths(dag, succs)
-    # ready-list priority: deepest remaining chain, then largest, then name
-    priority = {
-        name: (-remaining_depth[name], -(sram_kb + tcam_kb), name)
-        for name, (sram_kb, tcam_kb) in sizes.items()
-    }
+
+@dataclass(frozen=True, eq=False)
+class StageFacts:
+    """One fragment's tables as :func:`allocate_compiler` reads them. A
+    fragment is a set of tables behind a root table: each of its edges
+    joins two of its tables or runs from the root to one of them. Its
+    facts are derived once (:meth:`of`) and read by every program that
+    joins it to other fragments under the same root
+    (:func:`allocate_fragments`).
+
+    Keyed by table name, in table order: ``sizes`` the (SRAM, TCAM) KB,
+    ``priority`` the ready-list key, ``waiting`` the predecessor count
+    (the root's edge included), ``succs`` the successors. The root's own
+    facts are ``root_succs`` and ``root_depth``, its remaining depth over
+    this fragment. ``largest`` is the (SRAM, TCAM) maximum over the
+    fragment's tables.
+    """
+
+    sizes: Dict[str, Tuple[float, float]]
+    priority: Dict[str, tuple]
+    waiting: Dict[str, int]
+    succs: Dict[str, List[str]]
+    root_succs: Tuple[str, ...] = ()
+    root_depth: int = 1
+    largest: Tuple[float, float] = (0.0, 0.0)
+
+    @classmethod
+    def of(cls, dag: TableDAG) -> "StageFacts":
+        """The facts of the tables of ``dag`` after its first, the root."""
+        sizes = {table.name: (table.sram_kb, table.tcam_kb)
+                 for table in dag.tables}
+        priority, waiting, succs = _order_facts(dag, sizes)
+        root = dag.tables[0].name
+        del sizes[root], waiting[root]
+        return cls(
+            sizes=sizes, priority=priority, waiting=waiting, succs=succs,
+            root_succs=tuple(succs.pop(root)),
+            root_depth=-priority.pop(root)[0],
+            largest=(max((sram for sram, _ in sizes.values()), default=0.0),
+                     max((tcam for _, tcam in sizes.values()), default=0.0)),
+        )
+
+
+#: the facts of a fragment with no tables
+NO_STAGE_FACTS = StageFacts({}, {}, {}, {})
+
+
+def allocate_fragments(
+    root: P4Table,
+    fragments: Sequence[StageFacts],
+    resources: Optional[PISAStageResources] = None,
+    available_stages: int = 12,
+) -> StageAllocation:
+    """:func:`allocate_compiler` over the DAG of ``root`` followed by
+    every fragment's tables, from the fragments' own facts. Only the
+    root's remaining depth depends on them all: 1 + the deepest of its
+    successors."""
+    resources = resources or PISAStageResources()
+    sizes = {root.name: (root.sram_kb, root.tcam_kb)}
+    if _exceeds(sizes[root.name], resources):
+        raise _too_large(root.name, sizes[root.name])
+    for fragment in fragments:
+        if _exceeds(fragment.largest, resources):
+            for name, size in fragment.sizes.items():
+                if _exceeds(size, resources):
+                    raise _too_large(name, size)
+    priority: Dict[str, tuple] = {}
+    waiting = {root.name: 0}
+    succs: Dict[str, List[str]] = {}
+    root_succs: List[str] = []
+    for fragment in fragments:
+        sizes.update(fragment.sizes)
+        priority.update(fragment.priority)
+        waiting.update(fragment.waiting)
+        succs.update(fragment.succs)
+        root_succs.extend(fragment.root_succs)
+    succs[root.name] = root_succs
+    depth = max((fragment.root_depth for fragment in fragments), default=1)
+    priority[root.name] = (-depth, -(root.sram_kb + root.tcam_kb), root.name)
+    return _list_schedule(sizes, priority, waiting, succs, resources,
+                          available_stages)
+
+
+def _list_schedule(
+    sizes: Dict[str, Tuple[float, float]],
+    priority: Dict[str, tuple],
+    waiting: Dict[str, int],
+    succs: Dict[str, List[str]],
+    resources: PISAStageResources,
+    available_stages: int,
+) -> StageAllocation:
+    """The scheduling loop of :func:`allocate_compiler`. Counts down a
+    copy of ``waiting``."""
+    waiting = dict(waiting)
     ready = [name for name, count in waiting.items() if count == 0]
     unplaced = len(sizes)
     stages: List[List[str]] = []
@@ -132,7 +250,10 @@ def allocate_compiler(
         ready.sort(key=priority.__getitem__)
         stage_bin = _StageBin(resources)
         left: List[str] = []
-        for name in ready:
+        for index, name in enumerate(ready):
+            if stage_bin.slots < 1:  # the stage is full: the rest wait
+                left.extend(ready[index:])
+                break
             if not stage_bin.try_add(name, *sizes[name]):
                 left.append(name)
         if not stage_bin.tables:
@@ -206,13 +327,3 @@ def allocate_naive(
     stages = [[name] for name in order]
     return StageAllocation(stages=stages, available_stages=available_stages,
                            strategy="naive")
-
-
-def _remaining_depths(
-    dag: TableDAG, succs: Dict[str, List[str]]
-) -> Dict[str, int]:
-    """Longest chain below each table (scheduling priority)."""
-    depth: Dict[str, int] = {}
-    for name in reversed(dag.topological_order()):
-        depth[name] = 1 + max((depth[s] for s in succs[name]), default=0)
-    return depth

@@ -58,6 +58,24 @@ class TestErrors:
         with pytest.raises(SpecSyntaxError):
             Lexer("a ~ b").tokens()
 
+    @pytest.mark.parametrize("text, column, literal", [
+        ("chain z9: ACL(rules=²) -> IPv4Fwd", 21, "²"),
+        ("ACL(rules=1²)", 11, "1²"),
+        ("ACL(rules=-1.²)", 11, "-1.²"),
+        ("ACL(rules=-²)", 11, "-²"),
+    ])
+    def test_a_digit_int_cannot_read_is_a_syntax_error(
+            self, text, column, literal):
+        """``str.isdigit`` accepts ``²``, ``int`` does not: the literal
+        is refused at its start, as a syntax error, not a ValueError."""
+        with pytest.raises(SpecSyntaxError) as caught:
+            Lexer("\n" + text).tokens()
+        assert (caught.value.line, caught.value.column) == (2, column)
+        assert f"bad number literal {literal!r}" in str(caught.value)
+
+    def test_decimal_digits_of_any_script_still_read(self):
+        assert tokens_of("x=٣")[2] == (TokenType.NUMBER, 3)
+
     def test_error_has_position(self):
         try:
             Lexer("abc\n  ~").tokens()

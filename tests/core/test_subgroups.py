@@ -6,7 +6,7 @@ from repro.chain.graph import chains_from_spec
 from repro.core.patterns import preferred_assignment
 from repro.core.placement import NodeAssignment
 from repro.core.subgroups import (
-    apply_coalesce,
+    coalesced_assignment,
     coalesced_cycles,
     evaluate_coalesce,
     find_coalesce_candidates,
@@ -120,9 +120,8 @@ class TestCoalescing:
     def test_apply_coalesce_fuses(self, profiles):
         chain, assignment, subgroups = self._sandwich(profiles)
         (candidate,) = find_coalesce_candidates(chain, assignment, subgroups)
-        new_assignment, new_subgroups = apply_coalesce(
-            chain, candidate, assignment, profiles
-        )
+        new_assignment = coalesced_assignment(chain, candidate, assignment)
+        new_subgroups = form_subgroups(chain, new_assignment, profiles)
         assert len(new_subgroups) == 1
         assert new_assignment[candidate.switch_node].platform is \
             Platform.SERVER

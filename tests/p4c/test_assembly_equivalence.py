@@ -10,7 +10,10 @@ it had not packed before. Both are kept here as oracles:
 * the stage packer that rescans every unplaced table on every stage.
 
 The compiler now infers each chain's edges while lowering it, and packs
-from a ready list. For random chain sets, switch subsets and strategies,
+from a ready list fed by each fragment's own stage facts (footprints,
+depths, predecessor counts, successors), found when the chain lowered;
+``allocate_compiler`` still derives them from a whole DAG, and the two
+must pack alike. For random chain sets, switch subsets and strategies,
 both ways must give the same stages, edges, chain tables, parser and
 NSH flag, or the same error. The oracle shares only lowering steps 1–4
 (``_lower_tables``) and the conservative strategy's per-group split
@@ -184,6 +187,28 @@ def whole_program(pairs, strategy, switch):
     }
 
 
+def dag_packed(pairs, switch):
+    """``allocate_compiler`` over the program's whole DAG, built from the
+    same memoized fragments as the compiler builds it: every packing
+    input derived from the DAG, none read from a fragment."""
+    clear_compile_memo()
+    try:
+        parser = ParseTree()
+        dag = TableDAG()
+        dag.add_table(nflib.steering_table())
+        for graph, switch_ids in pairs:
+            fragment = p4c._fragment(graph, frozenset(switch_ids), "compiler")
+            for tree in fragment.parse_trees:
+                merge_into(parser, tree)
+            for table in fragment.tables:
+                dag.add_table(table)
+            dag.edges |= fragment.edges
+        return {"stages": allocate_compiler(dag, switch.stage_resources,
+                                            switch.num_stages).stages}
+    finally:
+        clear_compile_memo()
+
+
 def compiled(pairs, strategy, switch):
     """What the compiler returns for ``pairs`` from a cold memo."""
     clear_compile_memo()
@@ -296,6 +321,22 @@ def test_program_equals_whole_program_passes(pairs, strategy, slots):
     assert got == outcome(whole_program, pairs, strategy, switch)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pairs=programs(), slots=st.sampled_from([8, 3, 1]),
+       sram_kb=st.sampled_from([1400.0, 1400.0, 100.0]))
+def test_fragment_fed_packer_equals_dag_packer(pairs, slots, sram_kb):
+    """A program packs from its fragments' own stage facts exactly as
+    ``allocate_compiler`` packs its whole DAG: the same stages, in the
+    same order within each stage, or the same error."""
+    switch = PISASwitch(stage_resources=PISAStageResources(
+        table_slots=slots, sram_kb=sram_kb))
+    got = outcome(
+        lambda: {"stages": compiled(pairs, "compiler", switch)["stages"]})
+    if isinstance(got, tuple):
+        event(f"refused: {got[1][0].split(' ')[0]}")
+    assert got == outcome(dag_packed, pairs, switch)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dag=table_dags())
 def test_heap_order_equals_sorted_list_order(dag):
@@ -336,3 +377,29 @@ def test_a_warm_program_evaluates_no_table_pair():
     clear_compile_memo()
     assert len(result.chain_tables) == 16 and result.fits
     assert calls == []
+
+
+def test_a_warm_program_sorts_no_dag():
+    """The same 16 warm fragments pack with no topological sort: each
+    fragment's depths were found when it lowered, and only the steering
+    table's depth is taken over the whole program."""
+    pairs = []
+    for index in range(16):
+        (chain,) = chains_from_spec(
+            f"chain c{index}: ACL -> Tunnel -> IPv4Fwd"
+        )
+        pairs.append((chain.graph, set(chain.graph.nodes)))
+    clear_compile_memo()
+    compiler = PISACompiler()
+    for pair in pairs:
+        compiler.compile([pair])
+    sorts = []
+    real = TableDAG.topological_order
+    with mock.patch.object(
+        TableDAG, "topological_order",
+        lambda dag: sorts.append(len(dag.tables)) or real(dag),
+    ):
+        result = compiler.compile(pairs)
+    clear_compile_memo()
+    assert len(result.chain_tables) == 16 and result.fits
+    assert sorts == []

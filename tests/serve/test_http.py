@@ -196,6 +196,22 @@ def test_malformed_body_is_a_typed_400(base_url, case):
     assert health["seq"] == 0
 
 
+def test_a_spec_with_a_digit_int_cannot_read_is_a_400(base_url):
+    """``²`` is a digit to ``str.isdigit`` but not to ``int``: the arrive
+    is refused with a JSON 400 naming the literal, not a dropped
+    connection, and a request on a new connection is answered."""
+    code, body = _request(base_url + "/v1/commands", {
+        **_ARRIVE, "chain": "z9",
+        "spec": "chain z9: ACL(rules=²) -> IPv4Fwd",
+    })
+    assert code == 400
+    assert "line 1, col 21: bad number literal '²'" in body["error"]
+
+    code, health = _request(base_url + "/v1/health")
+    assert code == 200
+    assert health["seq"] == 0
+
+
 def test_keep_alive_round_trips_are_not_held_by_nagle(base_url):
     """A stock keep-alive client (no TCP_NODELAY, no TCP_QUICKACK) gets
     each answer at once: header and body used to leave as two segments on
