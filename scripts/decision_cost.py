@@ -1,19 +1,27 @@
 #!/usr/bin/env python
-"""Measure what an admission decision that adds no chain costs.
+"""Measure what an admission decision costs.
 
 For racks running 4, 8, 16, 32 and 64 ``ACL(rules=64) -> Encrypt ->
-IPv4Fwd`` chains, placed cold on a rack with spare cores, times two
+IPv4Fwd`` chains, placed cold on a rack with spare cores, times three
 incremental decisions (``Placer.solve`` with the running placement as
-its base): one scale, which moves the first chain's t_min, and one
-departure of the last chain. Prints, per size and decision, the median
-decision time, the subgroup rate evaluations the decision makes (calls
-of ``repro.core.rates.subgroup_rate_mbps``, which every rate estimate
-goes through) and its grants (cores given above one per subgroup).
+its base): one scale, which moves the first chain's t_min, one
+departure of the last chain, and one arrival of a chain with the same
+body under a new name (a fresh name per timed repeat). Prints, per size
+and decision, the median decision time, the subgroup rate evaluations
+the decision makes (calls of ``repro.core.rates.subgroup_rate_mbps``,
+which every rate estimate goes through), its grants (cores given above
+one per subgroup), and its P4 fragment lookups
+(``p4c.compile.lookups{unit="fragment"}``) with how many of them were
+fresh lowerings (``result="miss"``) and renamed body templates
+(``result="renamed"``).
 
 Core allocation re-evaluates a subgroup only when it is given a core,
-so a decision costs about one evaluation per subgroup plus one per
-grant. ``--check`` exits 1 when a decision makes more than
-2 × (subgroups + grants).
+so a scale or departure costs about one evaluation per subgroup plus
+one per grant. ``--check`` exits 1 when one makes more than
+2 × (subgroups + grants), or lowers or renames a fragment: the rack's
+fragments are memoized. It also exits 1 when the arrival lowers a
+fragment (the rack runs its body) or looks up more than its own: the
+rack's program is memoized and extended by the arriving chain.
 
 A second table is one cold solve of the paper's Table-2 chains 1–4 on
 the ``paper-testbed`` rack (compile memo cleared first): its median
@@ -36,6 +44,7 @@ from repro.core import pipeline, rates
 from repro.core.placer import Placer, PlacementRequest
 from repro.experiments.chains import canonical_chain
 from repro.hw.spec import topology_for
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.p4c.compiler import clear_compile_memo
 from repro.hw.pisa import PISASwitch
 from repro.hw.server import NIC, CPUSocket, Server
@@ -61,7 +70,8 @@ def rack(chains: int) -> Topology:
 
 
 def decisions(chains: int):
-    """The placer, the running placement, and the two requests."""
+    """The placer, and per decision a function from a repeat's number
+    to its request (the running placement is the base)."""
     spec = "".join(f"chain c{index}: {BODY}\n" for index in range(chains))
     placer = Placer(topology=rack(chains))
     running = chains_with_slos(spec, ((T_MIN, T_MAX),) * chains)
@@ -70,31 +80,52 @@ def decisions(chains: int):
         raise SystemExit(f"{chains} chains: {base.infeasible_reason}")
     first = running[0]
     scaled = [first.with_slo(first.slo.with_tmin(2 * T_MIN))] + running[1:]
+    scale = PlacementRequest(chains=scaled, base_placement=base)
+    depart = PlacementRequest(chains=running[:-1], base_placement=base)
+
+    def arrive(repeat: int) -> PlacementRequest:
+        arriving = chains_with_slos(f"chain new{chains}x{repeat}: {BODY}",
+                                    ((T_MIN, T_MAX),))
+        return PlacementRequest(chains=running + arriving,
+                                base_placement=base)
+
     return placer, {
-        "scale": PlacementRequest(chains=scaled, base_placement=base),
-        "depart": PlacementRequest(chains=running[:-1], base_placement=base),
+        "scale": lambda repeat: scale,
+        "depart": lambda repeat: depart,
+        "arrive": arrive,
     }
 
 
-def measure(placer: Placer, request: PlacementRequest, repeats: int):
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        placer.solve(request)
-        seconds.append(time.perf_counter() - start)
+def fragment_lookups(registry: MetricsRegistry, result: str) -> int:
+    return registry.counter("p4c.compile.lookups", unit="fragment",
+                            result=result).value
+
+
+def measure(placer: Placer, request, repeats: int):
+    """The first decision counted — its subgroups, rate evaluations,
+    grants, and fragment lookups with the lowerings and renames among
+    them — then the median ms of ``repeats`` more."""
     calls = []
     real = rates.subgroup_rate_mbps
     with mock.patch.object(
         rates, "subgroup_rate_mbps",
         lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs),
-    ):
-        placement = placer.solve(request).placement
+    ), scoped_registry(MetricsRegistry()) as registry:
+        placement = placer.solve(request(0)).placement
     if not placement.feasible:
         raise SystemExit(f"decision rejected: {placement.infeasible_reason}")
+    seconds = []
+    for repeat in range(1, repeats + 1):
+        start = time.perf_counter()
+        placer.solve(request(repeat))
+        seconds.append(time.perf_counter() - start)
     subgroups = [sg for cp in placement.chains for sg in cp.subgroups]
     grants = sum(sg.cores - 1 for sg in subgroups)
+    lowered = fragment_lookups(registry, "miss")
+    renamed = fragment_lookups(registry, "renamed")
+    lookups = lowered + renamed + fragment_lookups(registry, "hit")
     return (statistics.median(seconds) * 1e3, len(subgroups), len(calls),
-            grants)
+            grants, lookups, lowered, renamed)
 
 
 def cold_table2(repeats: int):
@@ -131,27 +162,39 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if a decision makes more than "
-                             "2 x (subgroups + grants) rate evaluations")
+                        help="exit 1 if a scale or departure makes more "
+                             "than 2 x (subgroups + grants) rate "
+                             "evaluations or lowers or renames a "
+                             "fragment, or an arrival lowers one or looks "
+                             "up more than its own")
     args = parser.parse_args()
     print(f"`{BODY}` chains at t_min {T_MIN:.0f} / t_max {T_MAX:.0f} Mbps, "
           f"one 16-core server per 4 chains; median of {args.repeats} "
           "decisions")
     print("| chains | decision | subgroups | decision ms | rate evaluations "
-          "| grants | 2 × (subgroups + grants) |")
-    print("|---:|---|---:|---:|---:|---:|---:|")
+          "| grants | 2 × (subgroups + grants) | fragment lookups "
+          "| lowerings | renames |")
+    print("|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|")
     over = []
     for chains in SIZES:
         placer, requests = decisions(chains)
         for name, request in requests.items():
-            ms, subgroups, evaluations, grants = measure(
-                placer, request, args.repeats)
+            ms, subgroups, evaluations, grants, lookups, lowered, renamed = \
+                measure(placer, request, args.repeats)
             bound = 2 * (subgroups + grants)
             print(f"| {chains} | {name} | {subgroups} | {ms:.2f} | "
-                  f"{evaluations} | {grants} | {bound} |")
-            if evaluations > bound:
-                over.append(f"{chains} chains, {name}: {evaluations} > "
-                            f"{bound}")
+                  f"{evaluations} | {grants} | {bound} | {lookups} | "
+                  f"{lowered} | {renamed} |")
+            where = f"{chains} chains, {name}"
+            if name == "arrive":
+                if lowered or lookups != 1:
+                    over.append(f"{where}: {lookups} fragment lookups, "
+                                f"{lowered} lowerings (want 1 and 0)")
+            elif evaluations > bound:
+                over.append(f"{where}: {evaluations} > {bound}")
+            elif lowered or renamed:
+                over.append(f"{where}: {lowered} lowerings, {renamed} "
+                            "renames (want 0)")
     print()
     print("Table-2 chains 1-4 on paper-testbed, one cold solve; median of "
           f"{args.repeats}")
@@ -161,8 +204,8 @@ def main() -> int:
     print(f"| cold | {ms:.2f} | {analyses} | {distinct} |")
     failed = False
     if args.check and over:
-        print("FAIL: a decision re-evaluated rates per chain per grant: "
-              + "; ".join(over))
+        print("FAIL: a decision re-evaluated rates per chain per grant, "
+              "or redid a chain's P4 lowering: " + "; ".join(over))
         failed = True
     if args.check and analyses > distinct:
         print(f"FAIL: the Table-2 solve ran {analyses} analyses for "

@@ -13,9 +13,15 @@ walk is spelled out for the graph's own fields, with each frozen
 vocabulary entry's encoding memoized by value; it writes exactly what
 the generic walk writes, so the digest is the generic walk's.
 
+:func:`body_digest` is the same walk with the chain's name left out and
+its node ids made relative (``n<k>``, the part after ``<name>.``): two
+chains that differ only in name share it. It is memoized on the graph
+too.
+
 The placement cache (:mod:`repro.core.cache`) keys whole problems on this
-encoding; the PISA compiler (:mod:`repro.p4c.compiler`) keys a chain's
-lowered fragment on its graph digest.
+encoding. The PISA compiler (:mod:`repro.p4c.compiler`) keys a chain's
+lowered fragment on its graph digest, and the body template that
+fragment is renamed from on its body digest.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.graph import NFGraph
 from repro.chain.vocabulary import NFInfo
+from repro.exceptions import GraphError
 
 _SCALARS = (bool, int, float, str, bytes)
 
@@ -123,24 +130,59 @@ def graph_digest(graph: NFGraph) -> str:
     return digest
 
 
+def body_digest(graph: NFGraph) -> str:
+    """Digest of a graph's nodes and edges without its name, node ids
+    relative to it, memoized on the graph until its next
+    ``add_node``/``add_edge``."""
+    digest = graph._body_digest
+    if digest is None:
+        pieces: List[str] = []
+        _encode_body(graph, pieces)
+        digest = graph._body_digest = sha256_hex(pieces)
+    return digest
+
+
 def _encode_graph(graph: NFGraph, out: List[str]) -> None:
     """What ``encode_public_state(graph, out)`` writes, spelled out for
     the graph's public fields (``edges``, ``name``, ``nodes``: sorted),
     with each node's vocabulary entry from :data:`_INFO_ENCODINGS`."""
+    _encode_fields(graph, out, None)
+
+
+def _encode_body(graph: NFGraph, out: List[str]) -> None:
+    """:func:`_encode_graph` without ``name``, and ``<name>.`` cut off
+    every node id (all share it, so the sort order is the same)."""
+    prefix = f"{graph.name}."
+    if not all(nid.startswith(prefix) for nid in graph.nodes):
+        raise GraphError(f"{graph.name}: node ids must start with "
+                         f"{prefix!r} for a body digest")
+    _encode_fields(graph, out, len(prefix))
+
+
+def _encode_fields(graph: NFGraph, out: List[str],
+                   cut: Optional[int]) -> None:
+    """The walk of :func:`_encode_graph`; with a ``cut``, that of
+    :func:`_encode_body`."""
+    start = cut or 0
     out.append("{'edges':[")
     for edge in graph.edges:
-        out.append(f"NFEdge(src={edge.src!r},dst={edge.dst!r},condition=")
+        out.append(f"NFEdge(src={edge.src[start:]!r},"
+                   f"dst={edge.dst[start:]!r},condition=")
         encode(edge.condition, out)
         out.append(",fraction=")
         encode(edge.fraction, out)
         out.append(",),")
-    out.append("],'name':")
-    encode(graph.name, out)
-    out.append(",'nodes':{")
+    if cut is None:
+        out.append("],'name':")
+        encode(graph.name, out)
+        out.append(",'nodes':{")
+    else:
+        out.append("],'nodes':{")
     nodes = graph.nodes
     for node_id in sorted(nodes):
         node = nodes[node_id]
-        out.append(f"{node_id!r}:NFNode(node_id={node_id!r},"
+        shown = node_id[start:]
+        out.append(f"{shown!r}:NFNode(node_id={shown!r},"
                    f"nf_class={node.nf_class!r},info=")
         out.append(_info_encoding(node.info))
         out.append(",instance_name=")

@@ -121,14 +121,17 @@ def _kahn(succ: Dict[str, List[str]],
 class NFGraph:
     """A validated NF DAG for a single chain."""
 
-    #: Memo of this graph's content digest, written by
-    #: :func:`repro.chain.digest.graph_digest` and read by the P4 compile
-    #: memo and the meta-compiler's codegen units. ``_index`` is the
-    #: :class:`_Index` every structure query reads, built by the first
-    #: one. ``add_node`` and ``add_edge`` drop both (they are the only
-    #: mutators: nothing edits nodes, params or edges after lowering).
-    #: Class defaults, because ``__getstate__`` leaves both out of pickles.
+    #: Memos of this graph's content digests, written by
+    #: :func:`repro.chain.digest.graph_digest` (read by the P4 compile
+    #: memo and the meta-compiler's codegen units) and
+    #: :func:`repro.chain.digest.body_digest` (read by the P4 compile
+    #: memo's body templates). ``_index`` is the :class:`_Index` every
+    #: structure query reads, built by the first one. ``add_node`` and
+    #: ``add_edge`` drop all three (they are the only mutators: nothing
+    #: edits nodes, params or edges after lowering). Class defaults,
+    #: because ``__getstate__`` leaves them out of pickles.
     _digest: Optional[str] = None
+    _body_digest: Optional[str] = None
     _index: Optional[_Index] = None
 
     def __init__(self, name: str = "chain"):
@@ -138,10 +141,11 @@ class NFGraph:
         self._next_id = 0
 
     def __getstate__(self) -> dict:
-        # both memos are cheap to rebuild and would otherwise ride along
+        # the memos are cheap to rebuild and would otherwise ride along
         # in every pickled placement
         state = self.__dict__.copy()
         state.pop("_digest", None)
+        state.pop("_body_digest", None)
         state.pop("_index", None)
         return state
 
@@ -159,7 +163,7 @@ class NFGraph:
             params=dict(invocation.params),
         )
         self.nodes[node_id] = node
-        self._digest = self._index = None
+        self._digest = self._body_digest = self._index = None
         return node
 
     def add_edge(
@@ -173,8 +177,29 @@ class NFGraph:
             raise GraphError(f"edge references unknown node: {src} -> {dst}")
         edge = NFEdge(src=src, dst=dst, condition=condition, fraction=fraction)
         self.edges.append(edge)
-        self._digest = self._index = None
+        self._digest = self._body_digest = self._index = None
         return edge
+
+    def renamed(self, name: str) -> "NFGraph":
+        """A copy of this graph as chain ``name``: node ids keep their
+        number (``<name>.n<k>``), nodes and edges their order, and the
+        copy shares the nodes' vocabulary entries, params and edge
+        conditions (nothing mutates them)."""
+        cut = len(self.name) + 1
+        ids = {nid: f"{name}.{nid[cut:]}" for nid in self.nodes}
+        graph = NFGraph(name)
+        graph.nodes = {
+            ids[nid]: NFNode(ids[nid], node.nf_class, node.info,
+                             node.instance_name, node.params)
+            for nid, node in self.nodes.items()
+        }
+        graph.edges = [
+            NFEdge(ids[edge.src], ids[edge.dst], edge.condition,
+                   edge.fraction)
+            for edge in self.edges
+        ]
+        graph._next_id = self._next_id
+        return graph
 
     @classmethod
     def from_pipeline(

@@ -29,16 +29,30 @@ table's depth is taken over the whole program.
 The Placer treats this as the authoritative feasibility check — exactly how
 Lemur uses the Tofino compiler — and, like Lemur, rations what it costs:
 steps 1–5 are per chain and depend on nothing but that chain (its graph
-and which of its nodes sit on the switch), so each chain lowers once into
-an immutable :class:`ChainFragment`; step 6 depends only on the ordered
+and which of its nodes sit on the switch), so each chain lowers into an
+immutable :class:`ChainFragment`; step 6 depends only on the ordered
 fragments and the switch's stage budget, so the packed
-:class:`CompileResult` is memoized on exactly that. Both live in one
-bounded process-wide LRU keyed by content (:func:`graph_digest`, never
-object identity), which every caller of :meth:`PISACompiler.compile`
-shares: within one admission command the heuristic's baseline probe, its
-candidate evaluation, the stage check and the meta-compiler ask for the
-same program and pack it once, and across commands only the chain that
-changed is lowered again.
+:class:`CompileResult` is memoized on exactly that. Everything lives in
+one bounded process-wide LRU keyed by content (never object identity),
+which every caller of :meth:`PISACompiler.compile` shares: within one
+admission command the heuristic's baseline probe, its candidate
+evaluation, the stage check and the meta-compiler ask for the same
+program and pack it once.
+
+Fragments are keyed by body. A chain's name reaches its fragment only
+as a prefix of the names lowering derives (tables, guard fields), so a
+body — the graph without its name (:func:`body_digest`) and the switch
+node ids relative to it — lowers once, under a placeholder name, into a
+template; a chain with that body is the template with its own name
+substituted (:meth:`ChainFragment.renamed`), memoized on the chain's
+:func:`graph_digest`. A chain arriving under a new name with a body the
+rack already runs costs a rename, not a lowering.
+
+A program is a fold over its chains, starting from the steering table
+alone (:class:`_Assembly`). The memo keeps each program's fold state, so
+a program whose chains minus the last were assembled before — an
+arrival probed against the rack's pinned chains — merges one fragment
+into a copy of it; only the stage packing runs over the whole program.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.chain.digest import graph_digest
+from repro.chain.digest import body_digest, graph_digest
 from repro.chain.graph import NFGraph
 from repro.exceptions import P4CompileError
 from repro.hw.pisa import PISASwitch
@@ -64,14 +78,19 @@ from repro.p4c.pipeline_tree import (
 )
 from repro.p4c.stage_alloc import (
     NO_STAGE_FACTS,
+    MergedStageFacts,
     StageFacts,
     StageAllocation,
-    allocate_fragments,
     allocate_conservative,
     allocate_naive,
 )
 
 STRATEGIES = ("compiler", "conservative", "naive")
+
+#: The chain name a body template is lowered under. No DSL chain name
+#: holds ``<`` or ``>``, and :func:`_sanitize` keeps them, so every name
+#: lowering derives from the chain's carries it verbatim.
+_PLACEHOLDER = "<body>"
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +146,71 @@ class ChainFragment:
     table_names: Tuple[str, ...] = ()
     packing: StageFacts = NO_STAGE_FACTS
 
+    def renamed(self, name: str) -> "ChainFragment":
+        """This fragment, lowered under :data:`_PLACEHOLDER`, for the
+        chain whose sanitized name is ``name``: the placeholder becomes
+        ``name`` in every table name and guard field (``meta.chain_*``,
+        ``meta.branch_*``), edge, scope entry, NF group and stage fact.
+        Parse trees are NF-local and shared.
+
+        The result shares objects as a fresh lowering does, so it pickles
+        to the same size: each table gets its own field sets, each
+        renamed field is one string for the whole fragment, and every
+        other field is the template's (the NF library's) string."""
+        names = tuple(old.replace(_PLACEHOLDER, name)
+                      for old in self.table_names)
+        rename = dict(zip(self.table_names, names))
+        rename[_STEERING] = _STEERING
+        fields: Dict[str, str] = {}
+
+        def renamed_fields(old: FrozenSet[str]) -> FrozenSet[str]:
+            new = []
+            for field in old:
+                if _PLACEHOLDER in field:
+                    renamed = fields.get(field)
+                    if renamed is None:
+                        renamed = fields[field] = field.replace(
+                            _PLACEHOLDER, name)
+                    field = renamed
+                new.append(field)
+            return frozenset(new)
+
+        return ChainFragment(
+            tables=tuple(
+                P4Table(
+                    new, table.match_type, table.size, table.entry_bits,
+                    renamed_fields(table.reads),
+                    renamed_fields(table.writes),
+                )
+                for new, table in zip(names, self.tables)
+            ),
+            scope=tuple(rename[old] for old in self.scope),
+            edges=frozenset(
+                (rename[before], rename[after])
+                for before, after in self.edges
+            ),
+            nf_groups=tuple(
+                tuple(rename[old] for old in group)
+                for group in self.nf_groups
+            ),
+            parse_trees=self.parse_trees,
+            uses_nsh=self.uses_nsh,
+            table_names=names,
+            packing=(self.packing.renamed(names, rename)
+                     if self.packing.sizes else self.packing),
+        )
+
+
+_STEERING = nflib.steering_table().name
+
 
 class _CompileMemo:
-    """The process-wide LRU of compile units: chain fragments and packed
-    programs (or the :class:`P4CompileError` a program raises), keyed by
-    content. Entries are immutable and never pickled — nothing reachable
-    from a placement, rack or admission core points here."""
+    """The process-wide LRU of compile units — chain fragments, body
+    templates, and packed programs (each with its fold state) or the
+    :class:`P4CompileError` a program raises — keyed by content.
+    Entries are immutable and never pickled — nothing reachable from a
+    placement, rack or admission core points here. Lookups are counted
+    by the caller (:func:`_count`), once per unit asked for."""
 
     CAPACITY = 128
 
@@ -145,17 +223,28 @@ class _CompileMemo:
             entry = self._entries.get((unit, key))
             if entry is not None:
                 self._entries.move_to_end((unit, key))
-        get_registry().counter(
-            "p4c.compile.lookups", unit=unit,
-            result="miss" if entry is None else "hit",
-        ).inc()
         return entry
 
     def put(self, unit: str, key: tuple, entry: object) -> None:
         with self._lock:
             self._entries[(unit, key)] = entry
-            while len(self._entries) > self.CAPACITY:
-                self._entries.popitem(last=False)
+            self._trim()
+
+    def keep(self, unit: str, items: Sequence[Tuple[tuple, object]]) -> None:
+        """Mark ``items`` (key, entry) used now, putting back any the
+        LRU dropped. An extension takes its parent's fragments from the
+        parent entry, not from here, yet a later departure or scale
+        folds from scratch and must still find them."""
+        with self._lock:
+            entries = self._entries
+            for key, entry in items:
+                entries[(unit, key)] = entry
+                entries.move_to_end((unit, key))
+            self._trim()
+
+    def _trim(self) -> None:
+        while len(self._entries) > self.CAPACITY:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
@@ -169,9 +258,15 @@ _memo = _CompileMemo()
 
 
 def clear_compile_memo() -> None:
-    """Forget every memoized fragment and program (tests that compare a
-    warm compile against a cold one)."""
+    """Forget every memoized fragment, body template and program (tests
+    that compare a warm compile against a cold one)."""
     _memo.clear()
+
+
+def _count(unit: str, result: str) -> None:
+    get_registry().counter(
+        "p4c.compile.lookups", unit=unit, result=result
+    ).inc()
 
 
 def _sanitize(node_id: str) -> str:
@@ -205,30 +300,7 @@ class PISACompiler:
         raises the same :class:`P4CompileError` every time it is asked
         for, without being lowered again.
         """
-        if strategy not in STRATEGIES:
-            raise P4CompileError(f"unknown allocation strategy {strategy!r}")
-        chains = [
-            (graph, frozenset(switch_ids))
-            for graph, switch_ids in chain_assignments
-        ]
-        resources = self.switch.stage_resources
-        key = (
-            self.switch.num_stages, resources.table_slots,
-            resources.sram_kb, resources.tcam_kb, strategy,
-            tuple((graph_digest(graph), ids) for graph, ids in chains),
-        )
-        entry = _memo.get("program", key)
-        if entry is None:
-            try:
-                entry = self._assemble(chains, strategy)
-            except P4CompileError as exc:
-                entry = exc
-            _memo.put("program", key, entry)
-        if isinstance(entry, P4CompileError):
-            # a fresh exception per raise: the memoized one would grow a
-            # traceback (and pin its frames) every time it was re-raised
-            raise type(entry)(*entry.args)
-        return entry
+        return self._compile(*_keyed(chain_assignments), strategy)
 
     def fits(self, chain_assignments: Sequence[Tuple[NFGraph, Set[str]]]) -> bool:
         """Feasibility check used by the Placer's iterative search."""
@@ -237,71 +309,163 @@ class PISACompiler:
         except P4CompileError:
             return False
 
+    def _compile(
+        self,
+        chains: List[Tuple[NFGraph, FrozenSet[str]]],
+        keys: tuple,
+        strategy: str,
+    ) -> CompileResult:
+        """:meth:`compile` of ``chains``, whose program keys are
+        ``keys``."""
+        if strategy not in STRATEGIES:
+            raise P4CompileError(f"unknown allocation strategy {strategy!r}")
+        resources = self.switch.stage_resources
+        budget = (
+            self.switch.num_stages, resources.table_slots,
+            resources.sram_kb, resources.tcam_kb, strategy,
+        )
+        entry = _memo.get("program", budget + (keys,))
+        _count("program", "miss" if entry is None else "hit")
+        if entry is None:
+            try:
+                entry = self._assemble(chains, strategy, budget, keys)
+            except P4CompileError as exc:
+                entry = exc
+            _memo.put("program", budget + (keys,), entry)
+        if isinstance(entry, P4CompileError):
+            # a fresh exception per raise: the memoized one would grow a
+            # traceback (and pin its frames) every time it was re-raised
+            raise type(entry)(*entry.args)
+        return entry.result
+
     # -- program assembly + stage packing -----------------------------------
 
     def _assemble(
         self,
         chains: Sequence[Tuple[NFGraph, FrozenSet[str]]],
         strategy: str,
-    ) -> CompileResult:
-        parser = ParseTree()
-        steering = nflib.steering_table()
-        tables: List[P4Table] = [steering]
-        edges: Set[Tuple[str, str]] = set()
-        names = {steering.name}
-        ordered_scope: List[str] = [steering.name]
-        nf_groups: List[Sequence[str]] = [[steering.name]]
-        packings: List[StageFacts] = []
-        chain_tables: Dict[str, Tuple[str, ...]] = {}
-        uses_nsh = False
-
+        budget: tuple,
+        keys: tuple,
+    ) -> "_Program":
+        """Fold ``chains`` into a program and pack it: from the memoized
+        program of all but the last chain when there is one, else from
+        the steering table alone."""
+        parent = (_memo.get("program", budget + (keys[:-1],))
+                  if len(chains) > 1 else None)
+        if isinstance(parent, _Program):
+            _memo.keep("fragment", parent.assembly.fragments)
+            assembly = parent.assembly.copy()
+            chains = chains[-1:]
+        else:
+            assembly = _Assembly()
         for graph, switch_ids in chains:
-            fragment = _fragment(graph, switch_ids, strategy)
-            for tree in fragment.parse_trees:
-                merge_into(parser, tree)
-            if fragment.uses_nsh:
-                # Returning packets carry NSH; the unified parser must
-                # accept it.
-                parser.headers.add("nsh")
-                uses_nsh = True
-            names.update(fragment.table_names)
-            tables.extend(fragment.tables)
-            if len(names) != len(tables):
-                _raise_duplicate(tables)
-            # every edge of a fragment joins two of its own tables, or
-            # the steering table and one of them
-            edges |= fragment.edges
-            ordered_scope.extend(fragment.scope)
-            nf_groups.extend(fragment.nf_groups)
-            packings.append(fragment.packing)
-            chain_tables[graph.name] = fragment.table_names
+            assembly.add(graph, switch_ids, strategy)
+        return _Program(assembly.pack(self.switch, strategy), assembly)
 
-        dag = TableDAG(tables=tables, edges=edges)
-        resources = self.switch.stage_resources
-        stages = self.switch.num_stages
+
+class _Assembly:
+    """A program's fold state, chain by chain: the unified parser, the
+    tables (steering first) and their names, the edges, the serialized
+    scope, the NF groups, each chain's tables, the NSH flag, the merged
+    stage facts, and the (memo key, fragment) of every chain with
+    switch-resident NFs. A memoized program keeps its own; after
+    :meth:`pack` its parser is frozen and nothing changes it, so an
+    extension folds into a :meth:`copy`."""
+
+    def __init__(self) -> None:
+        steering = nflib.steering_table()
+        self.parser = ParseTree()
+        self.tables: List[P4Table] = [steering]
+        self.names: Set[str] = {steering.name}
+        self.edges: Set[Tuple[str, str]] = set()
+        self.scope: List[str] = [steering.name]
+        self.nf_groups: List[Sequence[str]] = [[steering.name]]
+        self.chain_tables: Dict[str, Tuple[str, ...]] = {}
+        self.uses_nsh = False
+        self.facts = MergedStageFacts(steering)
+        self.fragments: List[Tuple[tuple, ChainFragment]] = []
+
+    def copy(self) -> "_Assembly":
+        other = _Assembly.__new__(_Assembly)
+        other.parser = self.parser.copy()
+        other.tables = list(self.tables)
+        other.names = set(self.names)
+        other.edges = set(self.edges)
+        other.scope = list(self.scope)
+        other.nf_groups = list(self.nf_groups)
+        other.chain_tables = dict(self.chain_tables)
+        other.uses_nsh = self.uses_nsh
+        other.facts = self.facts.copy()
+        other.fragments = list(self.fragments)
+        return other
+
+    def add(self, graph: NFGraph, switch_ids: FrozenSet[str],
+            strategy: str) -> None:
+        fragment = _fragment(graph, switch_ids, strategy)
+        if switch_ids:
+            self.fragments.append(
+                (_fragment_key(graph, switch_ids, strategy), fragment))
+        for tree in fragment.parse_trees:
+            merge_into(self.parser, tree)
+        if fragment.uses_nsh:
+            # Returning packets carry NSH; the unified parser must
+            # accept it.
+            self.parser.headers.add("nsh")
+            self.uses_nsh = True
+        self.names.update(fragment.table_names)
+        self.tables.extend(fragment.tables)
+        if len(self.names) != len(self.tables):
+            _raise_duplicate(self.tables)
+        # every edge of a fragment joins two of its own tables, or
+        # the steering table and one of them
+        self.edges |= fragment.edges
+        self.scope.extend(fragment.scope)
+        self.nf_groups.extend(fragment.nf_groups)
+        self.facts.add(fragment.packing)
+        self.chain_tables[graph.name] = fragment.table_names
+
+    def pack(self, switch: PISASwitch, strategy: str) -> CompileResult:
+        dag = TableDAG(tables=self.tables, edges=self.edges).freeze()
+        resources = switch.stage_resources
+        stages = switch.num_stages
         if strategy == "naive":
             allocation = allocate_naive(
-                dag, serialized_order=ordered_scope,
+                dag, serialized_order=self.scope,
                 resources=resources, available_stages=stages,
             )
         elif strategy == "conservative":
             allocation = allocate_conservative(
-                dag, nf_groups=nf_groups,
+                dag, nf_groups=self.nf_groups,
                 resources=resources, available_stages=stages,
             )
         else:
-            allocation = allocate_fragments(
-                steering, packings,
-                resources=resources, available_stages=stages,
-            )
-
+            allocation = self.facts.allocate(resources, stages)
         return CompileResult(
             allocation=allocation,
-            parser=parser.freeze(),
-            dag=dag.freeze(),
-            chain_tables=chain_tables,
-            uses_nsh=uses_nsh,
+            parser=self.parser.freeze(),
+            dag=dag,
+            chain_tables=self.chain_tables,
+            uses_nsh=self.uses_nsh,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A memoized program: what callers get, and the fold that built it."""
+
+    result: CompileResult
+    assembly: _Assembly
+
+
+def _keyed(
+    chain_assignments: Sequence[Tuple[NFGraph, Set[str]]],
+) -> Tuple[List[Tuple[NFGraph, FrozenSet[str]]], tuple]:
+    """The chains with frozen switch node sets, and their program keys."""
+    chains = [
+        (graph, frozenset(switch_ids))
+        for graph, switch_ids in chain_assignments
+    ]
+    return chains, tuple((graph_digest(graph), ids) for graph, ids in chains)
 
 
 def _raise_duplicate(tables: Sequence[P4Table]) -> None:
@@ -316,20 +480,41 @@ def _raise_duplicate(tables: Sequence[P4Table]) -> None:
 
 # -- per-chain lowering --------------------------------------------------------
 
+def _fragment_key(graph: NFGraph, switch_ids: FrozenSet[str],
+                  strategy: str) -> tuple:
+    return graph_digest(graph), switch_ids, strategy
+
+
 def _fragment(
     graph: NFGraph, switch_ids: FrozenSet[str], strategy: str
 ) -> ChainFragment:
-    """``graph``'s lowered switch part, from the memo when this content
+    """``graph``'s lowered switch part, from the memo when this chain
     (graph digest — which covers the chain's name, so a different body
     under a reused name is a different key — node set, strategy) was
-    lowered before."""
+    asked for before; else its body's template renamed, the template
+    lowered first if no chain with this body and relative node set was
+    (lookup result ``hit``, ``renamed`` or ``miss``)."""
     if not switch_ids:
         return ChainFragment()
-    key = (graph_digest(graph), switch_ids, strategy)
+    key = _fragment_key(graph, switch_ids, strategy)
     fragment = _memo.get("fragment", key)
-    if fragment is None:
-        fragment = _lower_chain(graph, switch_ids, strategy)
-        _memo.put("fragment", key, fragment)
+    if fragment is not None:
+        _count("fragment", "hit")
+        return fragment
+    cut = len(graph.name) + 1
+    relative = frozenset(nid[cut:] for nid in switch_ids)
+    body_key = (body_digest(graph), relative, strategy)
+    template = _memo.get("template", body_key)
+    _count("fragment", "miss" if template is None else "renamed")
+    if template is None:
+        template = _lower_chain(
+            graph.renamed(_PLACEHOLDER),
+            frozenset(f"{_PLACEHOLDER}.{nid}" for nid in relative),
+            strategy,
+        )
+        _memo.put("template", body_key, template)
+    fragment = template.renamed(_sanitize(graph.name))
+    _memo.put("fragment", key, fragment)
     return fragment
 
 
@@ -523,8 +708,10 @@ class ContextCompiler(PISACompiler):
     candidate is to compile it *together with* the pinned program.
     Wrapping the compiler makes every existing call site (baseline
     search, candidate evaluation, switch-fit verification)
-    context-aware without changing their signatures. The pinned chains'
-    fragments come from the shared memo, so only the delta is lowered.
+    context-aware without changing their signatures. The pinned program
+    is memoized (the rack's last decision compiled it), so a delta of one
+    chain extends it by that chain's fragment; the context's program
+    keys are found once, not per candidate.
     """
 
     def __init__(
@@ -533,16 +720,16 @@ class ContextCompiler(PISACompiler):
         context: Sequence[Tuple[NFGraph, Set[str]]],
     ):
         super().__init__(switch)
-        self.context = list(context)
+        self._context, self._context_keys = _keyed(context)
 
     def compile(
         self,
         chain_assignments: Sequence[Tuple[NFGraph, Set[str]]],
         strategy: str = "compiler",
     ) -> CompileResult:
-        return super().compile(
-            self.context + list(chain_assignments), strategy
-        )
+        chains, keys = _keyed(chain_assignments)
+        return self._compile(self._context + chains,
+                             self._context_keys + keys, strategy)
 
 
 def _index_tree(tree: TreeNode) -> Dict[str, TreeNode]:

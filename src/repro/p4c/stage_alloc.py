@@ -13,9 +13,9 @@ Three allocators model the three regimes the paper contrasts (§5.2):
 * :func:`allocate_compiler` — models the platform compiler's black-box
   packing: list scheduling with backfill, sharing stages between
   independent tables and across parallel branches.
-  :func:`allocate_fragments` is the same packing for a program joined
+  :class:`MergedStageFacts` is the same packing for a program joined
   from fragments whose per-table facts were derived once
-  (:class:`StageFacts`).
+  (:class:`StageFacts`), merged one fragment at a time.
 """
 
 from __future__ import annotations
@@ -58,27 +58,6 @@ class StageAllocation:
             if table_name in stage:
                 return index
         raise P4CompileError(f"table {table_name!r} not allocated")
-
-
-class _StageBin:
-    """One stage's remaining resources."""
-
-    def __init__(self, resources: PISAStageResources):
-        self.slots = resources.table_slots
-        self.sram_kb = resources.sram_kb
-        self.tcam_kb = resources.tcam_kb
-        self.tables: List[str] = []
-
-    def try_add(self, name: str, sram_kb: float, tcam_kb: float) -> bool:
-        if self.slots < 1:
-            return False
-        if sram_kb > self.sram_kb or tcam_kb > self.tcam_kb:
-            return False
-        self.slots -= 1
-        self.sram_kb -= sram_kb
-        self.tcam_kb -= tcam_kb
-        self.tables.append(name)
-        return True
 
 
 def _exceeds(size: Tuple[float, float],
@@ -154,13 +133,14 @@ class StageFacts:
     joins two of its tables or runs from the root to one of them. Its
     facts are derived once (:meth:`of`) and read by every program that
     joins it to other fragments under the same root
-    (:func:`allocate_fragments`).
+    (:class:`MergedStageFacts`).
 
     Keyed by table name, in table order: ``sizes`` the (SRAM, TCAM) KB,
     ``priority`` the ready-list key, ``waiting`` the predecessor count
-    (the root's edge included), ``succs`` the successors. The root's own
-    facts are ``root_succs`` and ``root_depth``, its remaining depth over
-    this fragment. ``largest`` is the (SRAM, TCAM) maximum over the
+    (the root's edge included), ``succs`` the successors; all four hold
+    the tables in the same order. The root's own facts are
+    ``root_succs`` and ``root_depth``, its remaining depth over this
+    fragment. ``largest`` is the (SRAM, TCAM) maximum over the
     fragment's tables.
     """
 
@@ -189,44 +169,93 @@ class StageFacts:
         )
 
 
+    def renamed(self, names: Sequence[str],
+                rename: Dict[str, str]) -> "StageFacts":
+        """These facts for the same tables under new names: ``names``
+        in table order, ``rename`` from each old name to its new one."""
+        return StageFacts(
+            sizes=dict(zip(names, self.sizes.values())),
+            priority={
+                name: (depth, size, name)
+                for name, (depth, size, _old)
+                in zip(names, self.priority.values())
+            },
+            waiting=dict(zip(names, self.waiting.values())),
+            succs={
+                name: [rename[succ] for succ in succs]
+                for name, succs in zip(names, self.succs.values())
+            },
+            root_succs=tuple(rename[succ] for succ in self.root_succs),
+            root_depth=self.root_depth,
+            largest=self.largest,
+        )
+
+
 #: the facts of a fragment with no tables
 NO_STAGE_FACTS = StageFacts({}, {}, {}, {})
 
 
-def allocate_fragments(
-    root: P4Table,
-    fragments: Sequence[StageFacts],
-    resources: Optional[PISAStageResources] = None,
-    available_stages: int = 12,
-) -> StageAllocation:
-    """:func:`allocate_compiler` over the DAG of ``root`` followed by
-    every fragment's tables, from the fragments' own facts. Only the
-    root's remaining depth depends on them all: 1 + the deepest of its
-    successors."""
-    resources = resources or PISAStageResources()
-    sizes = {root.name: (root.sram_kb, root.tcam_kb)}
-    if _exceeds(sizes[root.name], resources):
-        raise _too_large(root.name, sizes[root.name])
-    for fragment in fragments:
-        if _exceeds(fragment.largest, resources):
-            for name, size in fragment.sizes.items():
+class MergedStageFacts:
+    """:func:`allocate_compiler`'s inputs for the DAG of ``root``
+    followed by fragments' tables, merged from the fragments' own facts
+    one at a time (:meth:`add`). Only the root's remaining depth depends
+    on them all: 1 + the deepest of its successors. ``largest`` is the
+    (SRAM, TCAM) maximum over the fragments' tables. A memoized program
+    keeps its merged facts; a program that extends it merges a
+    :meth:`copy`."""
+
+    def __init__(self, root: P4Table):
+        name = root.name
+        self.root = root
+        self.sizes: Dict[str, Tuple[float, float]] = {
+            name: (root.sram_kb, root.tcam_kb)}
+        self.priority: Dict[str, tuple] = {
+            name: (-1, -(root.sram_kb + root.tcam_kb), name)}
+        self.waiting: Dict[str, int] = {name: 0}
+        self.succs: Dict[str, List[str]] = {name: []}
+        self.largest: Tuple[float, float] = (0.0, 0.0)
+
+    def copy(self) -> "MergedStageFacts":
+        other = MergedStageFacts.__new__(MergedStageFacts)
+        other.root = self.root
+        other.sizes = dict(self.sizes)
+        other.priority = dict(self.priority)
+        other.waiting = dict(self.waiting)
+        other.succs = dict(self.succs)
+        other.succs[self.root.name] = list(self.succs[self.root.name])
+        other.largest = self.largest
+        return other
+
+    def add(self, fragment: StageFacts) -> None:
+        root = self.root.name
+        self.sizes.update(fragment.sizes)
+        self.priority.update(fragment.priority)
+        self.waiting.update(fragment.waiting)
+        self.succs.update(fragment.succs)
+        self.succs[root].extend(fragment.root_succs)
+        depth, size, _ = self.priority[root]
+        if fragment.root_depth > -depth:
+            self.priority[root] = (-fragment.root_depth, size, root)
+        sram, tcam = self.largest
+        if fragment.largest[0] > sram or fragment.largest[1] > tcam:
+            self.largest = (max(sram, fragment.largest[0]),
+                            max(tcam, fragment.largest[1]))
+
+    def allocate(
+        self,
+        resources: Optional[PISAStageResources] = None,
+        available_stages: int = 12,
+    ) -> StageAllocation:
+        """Pack the merged program; raises for the first table, in DAG
+        order, that no single stage can hold."""
+        resources = resources or PISAStageResources()
+        if _exceeds(self.sizes[self.root.name], resources) \
+                or _exceeds(self.largest, resources):
+            for name, size in self.sizes.items():
                 if _exceeds(size, resources):
                     raise _too_large(name, size)
-    priority: Dict[str, tuple] = {}
-    waiting = {root.name: 0}
-    succs: Dict[str, List[str]] = {}
-    root_succs: List[str] = []
-    for fragment in fragments:
-        sizes.update(fragment.sizes)
-        priority.update(fragment.priority)
-        waiting.update(fragment.waiting)
-        succs.update(fragment.succs)
-        root_succs.extend(fragment.root_succs)
-    succs[root.name] = root_succs
-    depth = max((fragment.root_depth for fragment in fragments), default=1)
-    priority[root.name] = (-depth, -(root.sram_kb + root.tcam_kb), root.name)
-    return _list_schedule(sizes, priority, waiting, succs, resources,
-                          available_stages)
+        return _list_schedule(self.sizes, self.priority, self.waiting,
+                              self.succs, resources, available_stages)
 
 
 def _list_schedule(
@@ -238,36 +267,47 @@ def _list_schedule(
     available_stages: int,
 ) -> StageAllocation:
     """The scheduling loop of :func:`allocate_compiler`. Counts down a
-    copy of ``waiting``."""
+    copy of ``waiting``. Each stage takes ready tables in priority order
+    while it has a slot left; a table its remaining memory cannot hold
+    waits for the next stage."""
     waiting = dict(waiting)
     ready = [name for name, count in waiting.items() if count == 0]
     unplaced = len(sizes)
     stages: List[List[str]] = []
+    by_priority = priority.__getitem__
 
     while unplaced:
         if not ready:
             raise P4CompileError("stage allocation stuck: cyclic dependencies?")
-        ready.sort(key=priority.__getitem__)
-        stage_bin = _StageBin(resources)
+        ready.sort(key=by_priority)
+        slots = resources.table_slots
+        sram_kb, tcam_kb = resources.sram_kb, resources.tcam_kb
+        stage: List[str] = []
         left: List[str] = []
         for index, name in enumerate(ready):
-            if stage_bin.slots < 1:  # the stage is full: the rest wait
+            if slots < 1:  # the stage is full: the rest wait
                 left.extend(ready[index:])
                 break
-            if not stage_bin.try_add(name, *sizes[name]):
+            table_sram, table_tcam = sizes[name]
+            if table_sram > sram_kb or table_tcam > tcam_kb:
                 left.append(name)
-        if not stage_bin.tables:
+                continue
+            slots -= 1
+            sram_kb -= table_sram
+            tcam_kb -= table_tcam
+            stage.append(name)
+        if not stage:
             raise P4CompileError(
                 "stage allocation made no progress (table too large?)"
             )
-        unplaced -= len(stage_bin.tables)
+        unplaced -= len(stage)
         ready = left
-        for name in stage_bin.tables:
+        for name in stage:
             for succ in succs[name]:
                 waiting[succ] -= 1
                 if waiting[succ] == 0:
                     ready.append(succ)
-        stages.append(stage_bin.tables)
+        stages.append(stage)
 
     return StageAllocation(stages=stages, available_stages=available_stages,
                            strategy="compiler")

@@ -278,12 +278,13 @@ class _RackCore:
         )
         return initial
 
-    def propose(self, event: ChainEvent) -> List[NFChain]:
+    def propose(self, event: ChainEvent,
+                arriving: Optional[NFChain] = None) -> List[NFChain]:
         """The chain set ``event`` asks of this rack (the owning core
-        has already ruled out the static rejections)."""
+        has already ruled out the static rejections). An arrival brings
+        ``arriving``, its spec parsed once for every rack it asks."""
         if event.action == "arrive":
-            (chain,) = chains_from_spec(event.spec)
-            return self.active + [chain.with_slo(event.slo())]
+            return self.active + [arriving.with_slo(event.slo())]
         if event.action == "depart":
             return [c for c in self.active if c.name != event.chain]
         proposed = []
@@ -733,11 +734,11 @@ class AdmissionCore:
             accepted=False, reason=reason,
         ))
 
-    def _ask(self, core: _RackCore,
-             event: ChainEvent) -> AdmissionDecision:
+    def _ask(self, core: _RackCore, event: ChainEvent,
+             arriving: Optional[NFChain] = None) -> AdmissionDecision:
         """One rack's admission check for ``event``."""
         return self._judge(
-            event, lambda: core.admit(event, core.propose(event))
+            event, lambda: core.admit(event, core.propose(event, arriving))
         )
 
     def _arrive(self, event: ChainEvent) -> AdmissionDecision:
@@ -745,6 +746,7 @@ class AdmissionCore:
             return self._reject(
                 event, f"chain {event.chain!r} is already active"
             )
+        (arriving,) = chains_from_spec(event.spec)
         candidates = self._candidates()
         reasons: List[str] = []
         for index, rack in enumerate(candidates):
@@ -765,10 +767,10 @@ class AdmissionCore:
             core = self.cores.get(rack)
             if core is None:
                 decision = self._judge(
-                    handed, lambda: self._open_rack(rack, handed)
+                    handed, lambda: self._open_rack(rack, handed, arriving)
                 )
             else:
-                decision = self._ask(core, handed)
+                decision = self._ask(core, handed, arriving)
             if decision.accepted:
                 self.assignment[event.chain] = rack
                 self._d_max[event.chain] = event.d_max_us
@@ -784,11 +786,10 @@ class AdmissionCore:
             reason="no rack admitted the chain — " + "; ".join(reasons),
         )
 
-    def _open_rack(self, rack: str,
-                   event: ChainEvent) -> AdmissionDecision:
+    def _open_rack(self, rack: str, event: ChainEvent,
+                   arriving: NFChain) -> AdmissionDecision:
         """Cold-bootstrap an empty rack around one arriving chain."""
-        (chain,) = chains_from_spec(event.spec)
-        fresh = self._rack_core(rack, [chain.with_slo(event.slo())])
+        fresh = self._rack_core(rack, [arriving.with_slo(event.slo())])
         try:
             report = fresh.bootstrap()
         except PlacementError as exc:

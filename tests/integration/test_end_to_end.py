@@ -156,16 +156,18 @@ class TestMeasurementShape:
 
 def test_cold_deploy_walks_each_chain_graph_once(monkeypatch, profiles):
     """Parse → place → compile → deploy of the four Table-2 chains sorts
-    each chain graph once and encodes its public state once: every other
-    structural question is answered from the graph's index and every
-    later key from its digest memo. Rescanning edge lists costs a cold
-    deploy ~110 topological sorts."""
+    each chain graph once and encodes its public state once (and its
+    body, the P4 template key, at most once): every other structural
+    question is answered from the graph's index and every later key from
+    its digest memos. Rescanning edge lists costs a cold deploy ~110
+    topological sorts."""
     from repro.chain import digest, graph
     from repro.p4c.compiler import clear_compile_memo
 
-    indexed, encoded = [], []
+    indexed, encoded, bodies = [], [], []
     build_index = graph._Index.__init__
     encode_graph = digest._encode_graph
+    encode_body = digest._encode_body
 
     def counting_index(self, of):
         indexed.append(of)
@@ -175,8 +177,13 @@ def test_cold_deploy_walks_each_chain_graph_once(monkeypatch, profiles):
         encoded.append(of)
         encode_graph(of, out)
 
+    def counting_body(of, out):
+        bodies.append(of)
+        encode_body(of, out)
+
     monkeypatch.setattr(graph._Index, "__init__", counting_index)
     monkeypatch.setattr(digest, "_encode_graph", counting_encode)
+    monkeypatch.setattr(digest, "_encode_body", counting_body)
     clear_compile_memo()
 
     chains = chains_with_delta([1, 2, 3, 4], delta=0.5)
@@ -196,3 +203,4 @@ def test_cold_deploy_walks_each_chain_graph_once(monkeypatch, profiles):
     # lists keep every graph alive, so ids are not reused
     assert max(Counter(map(id, indexed)).values()) == 1
     assert max(Counter(map(id, encoded)).values()) == 1
+    assert max(Counter(map(id, bodies)).values(), default=0) == 1

@@ -258,6 +258,29 @@ class TestFabricLifecycle:
         assert placement.aggregate_rate > 0
         assert "r1" in placement.describe()
 
+    def test_an_arrival_is_parsed_once_whatever_racks_it_asks(
+            self, monkeypatch):
+        """A three-rack replay whose arrivals spill: each arrival's spec
+        is parsed once, and every rack it asks gets that chain."""
+        from repro.sim import admission
+
+        core = AdmissionCore(_run_spec(9, topology_for("three-rack")),
+                             registry=MetricsRegistry())
+        core.bootstrap()
+        parses = []
+        real = admission.chains_from_spec
+        monkeypatch.setattr(
+            admission, "chains_from_spec",
+            lambda text, *args, **kwargs:
+                parses.append(text) or real(text, *args, **kwargs),
+        )
+        arrivals = [self._arrive(f"n{i}", at=i + 1) for i in range(8)]
+        decisions = [core.process(event) for event in arrivals]
+        asked = core.obs.counter_value("lifecycle.events", action="arrive")
+        assert asked > len(arrivals)  # some arrival asked several racks
+        assert sum(d.accepted for d in decisions) >= 1
+        assert len(parses) == len(arrivals)
+
     def test_arrival_spills_when_ingress_is_full(self):
         core = self._core()
         self._saturate_ingress(core)
