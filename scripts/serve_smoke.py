@@ -11,9 +11,10 @@ The kill is made to look like one mid-append — a partial line is left at
 the journal's tail — and a second kill follows one command later: the
 restart must cut the torn tail off (``serve.journal.repaired``) before
 it journals, or that command's record merges into it and is lost.
-A third leg truncates the finished run's ``checkpoint.pkl`` and restarts
-once more: the daemon must discard it, rebuild the same report from the
-journal alone, and count the discard. The reference leg also times 20
+A ``lose_cores``/``restore_cores`` pair straddles the first kill, so
+recovery replays a core loss. A third leg truncates the finished run's
+``checkpoint.pkl`` and restarts once more: the daemon must discard it,
+rebuild the same report from the journal alone, and count the discard. The reference leg also times 20
 keep-alive ``GET /v1/health`` round trips through a stock
 ``http.client`` connection: a median above 20 ms means responses are
 being held by Nagle and the client's delayed ACK again.
@@ -46,13 +47,20 @@ SPEC = (
     "chain residential: BPF -> NAT -> IPv4Fwd\n"
 )
 
+#: the core loss lands before the first SIGKILL and is restored after
+#: it, so recovery replays a ``lose_cores`` whose stale-placement
+#: shortfall shapes the phases in between
 COMMANDS = [
     {"kind": "arrive", "chain": "dyn0",
      "spec": "chain dyn0: ACL -> IPv4Fwd",
      "t_min_mbps": 500.0, "t_max_mbps": 4000.0},
+    {"kind": "inject_fault", "action": "lose_cores",
+     "target": "server0", "severity": 2},
     {"kind": "scale", "chain": "enterprise", "t_min_mbps": 1500.0},
     {"kind": "inject_fault", "action": "degrade_link",
      "target": "server0", "severity": 0.4},
+    {"kind": "inject_fault", "action": "restore_cores",
+     "target": "server0"},
     {"kind": "depart", "chain": "dyn0"},
     {"kind": "inject_fault", "action": "restore_link",
      "target": "server0"},

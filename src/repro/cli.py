@@ -522,7 +522,8 @@ def cmd_stats(args) -> int:
                         registry=registry)
     if args.queueing != "none":
         from repro.sim.traffic import configure_rack_queueing
-        configure_rack_queueing(rack, placement, args.queueing)
+        configure_rack_queueing(rack, placement.chains, placement.rates,
+                                args.queueing)
     traces = rack.trace_chains(placement, packets_per_chain=args.packets)
 
     chain_reports = {
@@ -623,25 +624,20 @@ def cmd_traffic(args) -> int:
     return emit_report(report, out=args.out, as_json=args.json)
 
 
-def _parse_event(value: str, action: str, with_severity: bool):
-    """Decode ``DEV@PKT`` / ``DEV@PKT:SEVERITY`` CLI event shorthand."""
+def _parse_event(value: str, action: str):
+    """Decode the ``DEV@PKT`` CLI event shorthand (``DEV@PKT:SEVERITY``
+    for the actions that carry one)."""
     from repro.exceptions import FaultInjectionError
     from repro.sim.faults import FaultEvent
 
+    with_severity = action in ("degrade_link", "lose_cores")
     try:
         target, _, when = value.partition("@")
-        severity = 1.0
-        if with_severity:
-            offset_text, _, severity_text = when.partition(":")
-            severity = float(severity_text)
-        else:
-            offset_text = when
-        return FaultEvent(
-            at_packet=int(offset_text),
-            action=action,
-            target=target,
-            severity=severity,
+        offset, _, severity = (
+            when.partition(":") if with_severity else (when, "", "1")
         )
+        return FaultEvent(at_packet=int(offset), action=action,
+                          target=target, severity=float(severity))
     except ValueError as exc:
         shape = "DEV@PKT:SEVERITY" if with_severity else "DEV@PKT"
         raise FaultInjectionError(
@@ -669,12 +665,10 @@ def cmd_chaos(args) -> int:
         events.extend(
             FaultTimeline.parse_json(_read_spec(args.timeline)).events
         )
-    events.extend(_parse_event(v, "fail", False) for v in args.fail)
-    events.extend(_parse_event(v, "recover", False) for v in args.recover)
-    events.extend(_parse_event(v, "degrade_link", True)
-                  for v in args.degrade)
-    events.extend(_parse_event(v, "lose_cores", True)
-                  for v in args.lose_cores)
+    for action, values in (("fail", args.fail), ("recover", args.recover),
+                           ("degrade_link", args.degrade),
+                           ("lose_cores", args.lose_cores)):
+        events.extend(_parse_event(value, action) for value in values)
     spec = ChaosSpec(
         spec_text=text,
         slos=slos,

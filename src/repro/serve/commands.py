@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from repro.chain.graph import chains_from_spec
-from repro.exceptions import CommandError, SpecError
+from repro.exceptions import CommandError, FaultInjectionError, LifecycleError
 from repro.sim.admission import (
-    FAULT_PROBE_ACTIONS,
+    FAULT_ACTIONS,
     AdmissionDecision,
     ChainEvent,
+    validate_fault,
 )
 
 _INF = float("inf")
@@ -41,6 +41,14 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+
+def _check_event(kind: str, event: ChainEvent) -> None:
+    """A lifecycle command's static check is its event's."""
+    try:
+        event.validate()
+    except LifecycleError as exc:
+        raise CommandError(f"{kind}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,28 +64,7 @@ class Arrive:
     kind = "arrive"
 
     def validate(self) -> None:
-        if not self.chain:
-            raise CommandError("arrive: 'chain' must be non-empty")
-        if not self.spec.strip():
-            raise CommandError(
-                f"arrive: chain {self.chain!r} carries no chain spec"
-            )
-        try:
-            parsed = chains_from_spec(self.spec)
-        except SpecError as exc:
-            raise CommandError(
-                f"arrive: spec for {self.chain!r} does not parse: {exc}"
-            ) from exc
-        if len(parsed) != 1 or parsed[0].name != self.chain:
-            raise CommandError(
-                f"arrive: spec for {self.chain!r} must declare exactly "
-                f"that one chain, got {[c.name for c in parsed]}"
-            )
-        if self.t_min_mbps <= 0:
-            raise CommandError(
-                f"arrive: chain {self.chain!r} needs t_min_mbps > 0 "
-                "(admission is an SLO contract)"
-            )
+        _check_event(self.kind, self.to_event(at=0))
 
     def to_event(self, at: int) -> ChainEvent:
         return ChainEvent(
@@ -115,12 +102,7 @@ class Scale:
     kind = "scale"
 
     def validate(self) -> None:
-        if not self.chain:
-            raise CommandError("scale: 'chain' must be non-empty")
-        if self.t_min_mbps <= 0:
-            raise CommandError(
-                f"scale: chain {self.chain!r} needs the new t_min_mbps > 0"
-            )
+        _check_event(self.kind, self.to_event(at=0))
 
     def to_event(self, at: int) -> ChainEvent:
         return ChainEvent(
@@ -151,8 +133,7 @@ class Depart:
     kind = "depart"
 
     def validate(self) -> None:
-        if not self.chain:
-            raise CommandError("depart: 'chain' must be non-empty")
+        _check_event(self.kind, self.to_event(at=0))
 
     def to_event(self, at: int) -> ChainEvent:
         return ChainEvent(at=at, action="depart", chain=self.chain)
@@ -166,9 +147,13 @@ class Depart:
 
 @dataclass(frozen=True)
 class InjectFault:
-    """Day-2: apply a fault probe (fail/recover/degrade/restore) to a
-    device on the live rack. Probes perturb the dataplane without
-    triggering replanning — the per-phase SLO table shows the damage."""
+    """Day-2: apply a fault to a device of the live rack or fabric, with
+    the chaos timeline's actions and meaning
+    (:data:`~repro.sim.admission.FAULT_ACTIONS`): ``degrade_link`` leaves
+    ``1 − severity`` of a server link's capacity and ``lose_cores`` takes
+    ``severity`` cores, each dropping the shortfall at the rates in
+    force. Faults perturb the dataplane without triggering a shed or a
+    replan — the per-phase SLO table shows the damage."""
 
     action: str
     target: str
@@ -177,19 +162,14 @@ class InjectFault:
     kind = "inject_fault"
 
     def validate(self) -> None:
-        if self.action not in FAULT_PROBE_ACTIONS:
-            raise CommandError(
-                f"inject_fault: unknown action {self.action!r}; "
-                f"choose from {sorted(FAULT_PROBE_ACTIONS)}"
-            )
+        """The rules that need no topology; the core checks the target
+        against the racks when it applies the fault."""
+        try:
+            validate_fault(self.action, self.target, self.severity)
+        except FaultInjectionError as exc:
+            raise CommandError(f"inject_fault: {exc}") from exc
         if not self.target:
             raise CommandError("inject_fault: 'target' must be non-empty")
-        if self.action == "degrade_link" \
-                and not 0.0 < self.severity <= 1.0:
-            raise CommandError(
-                "inject_fault: degrade_link severity must be in (0, 1], "
-                f"got {self.severity}"
-            )
 
     def as_dict(self) -> dict:
         out = {
@@ -258,9 +238,9 @@ _COMMAND_FIELDS: Dict[str, Dict[str, dict]] = {
         "chain": {"type": "string"},
     },
     "inject_fault": {
-        "action": {"type": "string", "enum": sorted(FAULT_PROBE_ACTIONS)},
+        "action": {"type": "string", "enum": sorted(FAULT_ACTIONS)},
         "target": {"type": "string"},
-        "severity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "severity": {"type": "number", "exclusiveMinimum": 0},
     },
     "snapshot": {},
 }

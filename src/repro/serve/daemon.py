@@ -65,8 +65,12 @@ from repro.serve.commands import (
     parse_command,
 )
 from repro.serve.journal import CheckpointStore, Journal
-from repro.sim.admission import AdmissionCore, AdmissionDecision
-from repro.sim.faults import PhaseReport, phase_table
+from repro.sim.admission import (
+    AdmissionCore,
+    AdmissionDecision,
+    PhaseReport,
+    phase_table,
+)
 from repro.sim.traffic import RunSpec
 
 _QueueItem = Optional[Tuple[Command, "asyncio.Future[CommandOutcome]"]]
@@ -590,7 +594,7 @@ class ServeDaemon:
             "placement": (
                 core.placement.describe() if core.placement else ""
             ),
-            "faults": dict(sorted(core.fault_state.items())),
+            "faults": core.faults.view(),
             "commands": len(self.commands),
             "phases": len(self.phases),
         }

@@ -3,6 +3,7 @@
 from repro.sim.testbed import TestbedSimulator, TestbedReport
 from repro.sim.measurement import ChainMeasurement
 from repro.sim.traffic import ChainTrafficReport, TrafficEngine, TrafficReport
+from repro.sim.admission import PhaseReport
 from repro.sim.faults import (
     ChaosEngine,
     ChaosReport,
@@ -10,7 +11,6 @@ from repro.sim.faults import (
     FaultEvent,
     FaultTimeline,
     GuardConfig,
-    PhaseReport,
     run_chaos,
     run_chaos_checked,
 )

@@ -1,30 +1,35 @@
 """Shared admission core: the one place live racks mutate.
 
-Both front-ends that evolve a deployed rack online — the batch
-:class:`~repro.sim.lifecycle.LifecycleEngine` replaying a timeline and
-the always-on :mod:`repro.serve` control-plane daemon — make the same
-sequence of moves per transition: *propose* a new chain set, *admit* it
-through the incremental :meth:`Placer.solve <repro.core.placer.Placer.\
-solve>` path (``base_placement`` pins already-admitted chains at their
-t_min floor), *delta-redeploy* only the devices whose generated programs
-changed, and *replay* a deterministic traffic phase to observe SLO
-compliance. This module owns that sequence so the two front-ends cannot
-drift:
+Every front-end that evolves a deployed rack online — the batch
+:class:`~repro.sim.lifecycle.LifecycleEngine` replaying a timeline, the
+:class:`~repro.sim.faults.ChaosEngine` replaying a fault timeline under
+its SLO guard, and the always-on :mod:`repro.serve` control-plane
+daemon — makes the same moves per transition: *propose* a new chain
+set, *admit* it through the incremental :meth:`Placer.solve <repro.\
+core.placer.Placer.solve>` path (``base_placement`` pins
+already-admitted chains at their t_min floor), *delta-redeploy* only
+the devices whose generated programs changed, and *replay* a
+deterministic traffic phase to observe SLO compliance. This module owns
+that sequence, and the fault model, so the front-ends cannot drift:
 
 * :class:`ChainEvent` — one lifecycle transition (``arrive`` with a DSL
   spec + SLO, ``scale`` of t_min, ``depart``), shared vocabulary between
   timelines and the daemon's typed commands.
-* :class:`AdmissionDecision` — the typed outcome of one admission check,
-  carried verbatim into lifecycle reports and serve responses.
+* :func:`validate_fault` — the one fault vocabulary chaos timelines
+  and serve's ``inject_fault`` share.
+* :class:`AdmissionDecision` — the typed outcome of one admission check
+  (or shed or replan), carried verbatim into reports and serve
+  responses.
 * :class:`AdmissionCore` — the owner state machine of any topology. A
   single rack is a one-rack fabric; each occupied rack's placement,
   deployed rack, traffic engine and replay cursors live in a private
   rack core, while the core itself spills arrivals across racks,
-  migrates scale-ups, tears down emptied racks and stitches inter-rack
-  hops. Rejections leave every piece of that state untouched; admitted
-  chains are never evicted to make room.
-* :class:`FabricPlacement` — the merged placement view the front-ends
-  read (``/v1/state``).
+  migrates scale-ups, tears down emptied racks, stitches inter-rack
+  hops and holds the fault state of every device. Rejections leave
+  every piece of that state untouched; admitted chains are never
+  evicted to make room.
+* :class:`FabricPlacement` / :class:`PhaseReport` — the merged
+  placement and per-phase views the front-ends read.
 
 Everything here is deterministic given (initial chains, seed, event
 sequence): the same events replayed through a fresh core reproduce the
@@ -43,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.graph import NFChain, chains_from_spec
 from repro.chain.slo import SLO
+from repro.core.lp import solve_rates
 from repro.core.partition import RackRoute, fabric_routes, partition_chains
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.placer import (
@@ -51,31 +57,101 @@ from repro.core.placer import (
     PlacementReport,
     PlacementRequest,
 )
+from repro.core.rates import server_offered_load
 from repro.exceptions import (
     FaultInjectionError,
     LifecycleError,
     PartitionError,
     PlacementError,
+    SpecError,
 )
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, with_own_registry
+from repro.obs import (
+    MetricsRegistry,
+    QuantileSketch,
+    get_registry,
+    with_own_registry,
+)
 from repro.profiles.defaults import default_profiles
-from repro.sim.faults import PhaseReport
 from repro.sim.interrack import install_fabric_hops, link_drop_fractions
-from repro.sim.runtime import DeployedRack
+from repro.sim.runtime import DeployedRack, RedeployResult
 from repro.sim.traffic import (
     ChainTrafficReport,
     RunSpec,
     TrafficEngine,
     configure_rack_queueing,
 )
+from repro.units import SLO_RTOL
 
 LIFECYCLE_ACTIONS = ("arrive", "scale", "depart")
 
-#: day-2 fault probes the serve daemon may apply to the live rack.
-FAULT_PROBE_ACTIONS = ("fail", "recover", "degrade_link", "restore_link")
+#: actions a fault may carry. ``severity`` is the share of the server
+#: link's capacity lost for ``degrade_link`` and the number of cores lost
+#: for ``lose_cores``; the others ignore it.
+FAULT_ACTIONS = (
+    "fail",
+    "recover",
+    "degrade_link",
+    "restore_link",
+    "lose_cores",
+    "restore_cores",
+)
+
+#: actions that only make sense against a server (they model the
+#: server-side link / core pool).
+_SERVER_ACTIONS = frozenset(
+    {"degrade_link", "restore_link", "lose_cores", "restore_cores"}
+)
+
+
+def validate_fault(action: str, target: str, severity: float,
+                   topology=None) -> None:
+    """Reject a fault that cannot apply: an unknown action, a severity
+    that is not finite or is out of its range (``degrade_link`` in
+    (0, 1], ``lose_cores`` a whole core count >= 1) and, given the rack
+    or fabric, a target that is the ToR, is unknown (a
+    :class:`~repro.exceptions.TopologyError`) or is not a server for a
+    server-only action."""
+    if action not in FAULT_ACTIONS:
+        raise FaultInjectionError(
+            f"unknown fault action {action!r}; "
+            f"choose from {sorted(FAULT_ACTIONS)}"
+        )
+    if (isinstance(severity, bool) or not isinstance(severity, (int, float))
+            or not math.isfinite(severity)):
+        raise FaultInjectionError(
+            f"{action} severity must be a finite number, got {severity!r}"
+        )
+    if action == "degrade_link" and not 0.0 < severity <= 1.0:
+        raise FaultInjectionError(
+            f"degrade_link severity must be in (0, 1], got {severity}"
+        )
+    if action == "lose_cores" and (severity < 1 or severity % 1):
+        raise FaultInjectionError(
+            f"lose_cores severity must be a whole core count >= 1, "
+            f"got {severity}"
+        )
+    if topology is None:
+        return
+    if isinstance(topology, MultiRackTopology):
+        topology = topology.rack(
+            topology.ingress if len(topology.racks) == 1
+            else topology.rack_of_device(target)
+        )
+    if target == topology.switch.name:
+        raise FaultInjectionError(
+            "cannot inject faults into the ToR switch "
+            "(it coordinates the rack)"
+        )
+    topology.device(target)  # raises TopologyError if unknown
+    if action in _SERVER_ACTIONS and target not in {
+            server.name for server in topology.servers}:
+        raise FaultInjectionError(
+            f"{action} targets a server link/core pool; "
+            f"{target!r} is not a server"
+        )
 
 
 @dataclass(frozen=True)
@@ -110,6 +186,44 @@ class ChainEvent:
             t_max=self.t_max_mbps,
             d_max=self.d_max_us,
         )
+
+    def validate(self) -> None:
+        """Reject a statically malformed event (lifecycle timelines and
+        serve's typed commands share this check): an unknown action, a
+        negative tick, no chain, an arrival spec that does not declare
+        exactly this chain, or a floor that is not > 0."""
+        if self.action not in LIFECYCLE_ACTIONS:
+            raise LifecycleError(
+                f"unknown lifecycle action {self.action!r}; "
+                f"choose from {sorted(LIFECYCLE_ACTIONS)}"
+            )
+        if self.at < 0:
+            raise LifecycleError(
+                f"event {self.describe()!r}: tick must be >= 0"
+            )
+        if not self.chain:
+            raise LifecycleError("every event names a chain")
+        if self.action == "arrive":
+            if not self.spec.strip():
+                raise LifecycleError(
+                    f"arrival of {self.chain!r} carries no chain spec"
+                )
+            try:
+                parsed = chains_from_spec(self.spec)
+            except SpecError as exc:
+                raise LifecycleError(
+                    f"arrival spec for {self.chain!r} does not parse: {exc}"
+                ) from exc
+            if len(parsed) != 1 or parsed[0].name != self.chain:
+                raise LifecycleError(
+                    f"arrival spec for {self.chain!r} must declare exactly "
+                    f"that one chain, got {[c.name for c in parsed]}"
+                )
+        if self.action != "depart" and self.t_min_mbps <= 0:
+            raise LifecycleError(
+                f"{self.action} of {self.chain!r} needs t_min_mbps > 0 "
+                "(admission is an SLO contract)"
+            )
 
 
 @dataclass(frozen=True)
@@ -207,13 +321,149 @@ class AdmissionDecision:
             ) from exc
 
 
+@dataclass
+class PhaseReport:
+    """One contiguous stretch of traffic under a fixed fault/guard state."""
+
+    index: int
+    label: str
+    mode: str  # normal | degraded | replanned | exhausted
+    start_packet: int
+    #: per-chain traffic rows (the TrafficEngine's report type).
+    chains: List[ChainTrafficReport] = field(default_factory=list)
+    #: chain name -> SLO minimum rate (Mbps) in force during the phase.
+    t_mins: Dict[str, float] = field(default_factory=dict)
+
+    def slo_met(self, row: ChainTrafficReport) -> bool:
+        """Rate floor AND tail-latency bound for one chain in this phase."""
+        return self.rate_slo_met(row) and row.latency_slo_met
+
+    def rate_slo_met(self, row: ChainTrafficReport) -> bool:
+        t_min = self.t_mins.get(row.chain_name, 0.0)
+        if t_min <= 0.0 or row.injected == 0:
+            return True
+        return row.delivered_mbps >= t_min * (1.0 - SLO_RTOL)
+
+    @property
+    def compliant(self) -> bool:
+        return all(self.slo_met(row) for row in self.chains)
+
+    def chain_rows(self) -> List[dict]:
+        """The per-chain JSON rows of this phase, as the chaos, lifecycle
+        and serve reports all emit them."""
+        return [
+            {
+                "chain": row.chain_name,
+                "injected": row.injected,
+                "delivered": row.delivered,
+                "assigned_mbps": round(row.assigned_mbps, 6),
+                "delivered_mbps": round(row.delivered_mbps, 6),
+                "t_min_mbps": round(self.t_mins.get(row.chain_name, 0.0), 6),
+                "latency_p50_us": round(row.latency_p50_us, 6),
+                "latency_p95_us": round(row.latency_p95_us, 6),
+                "latency_p99_us": round(row.latency_p99_us, 6),
+                "latency_slo_us": round(row.latency_slo_us, 6),
+                "latency_slo_met": row.latency_slo_met,
+                "slo_met": self.slo_met(row),
+            }
+            for row in self.chains
+        ]
+
+
+def phase_table(phases: Sequence[PhaseReport], *, label: int = 34,
+                latency: int = 10, modes: bool = False) -> List[str]:
+    """The per-phase, per-chain SLO table of every phased report:
+    ``label`` and ``latency`` are the widths of the phase and µs
+    columns, and the chaos table adds a ``mode`` column (``modes``)."""
+    mode, pad = (f" {'mode':<10}", f" {'':<10}") if modes else ("", "")
+    lines = [
+        f"{'phase':<{label}}{mode} {'chain':<12} {'injected':>8} "
+        f"{'delivered':>9} {'assigned':>10} {'delivered':>10} "
+        f"{'t_min':>9} {'p99':>{latency}} {'d_max':>{latency}} {'slo':>9}",
+        f"{'':<{label}}{pad} {'':<12} {'':>8} {'':>9} "
+        f"{'Mbps':>10} {'Mbps':>10} {'Mbps':>9} "
+        f"{'µs':>{latency}} {'µs':>{latency}} {'':>9}",
+    ]
+    for ph in phases:
+        name = f"{ph.index}:{ph.label}"
+        mode = f" {ph.mode:<10}" if modes else ""
+        for row in ph.chains:
+            d_max = (f"{row.latency_slo_us:>{latency}.1f}"
+                     if row.latency_slo_us > 0 else f"{'—':>{latency}}")
+            lines.append(
+                f"{name:<{label}}{mode} {row.chain_name:<12} "
+                f"{row.injected:>8} {row.delivered:>9} "
+                f"{row.assigned_mbps:>10.2f} {row.delivered_mbps:>10.2f} "
+                f"{ph.t_mins.get(row.chain_name, 0.0):>9.2f} "
+                f"{row.latency_p99_us:>{latency}.1f} {d_max} "
+                f"{'ok' if ph.slo_met(row) else 'VIOLATED':>9}"
+            )
+    return lines
+
+
+@dataclass
+class _Faults:
+    """The fault state of every device of a fabric, keyed by device name
+    (a fabric's are rack-prefixed). Held whether or not the device's
+    rack hosts chains: a rack that opens later inherits it."""
+
+    failed: set = field(default_factory=set)
+    #: server -> share of its link capacity that survives
+    link_factor: Dict[str, float] = field(default_factory=dict)
+    #: server -> cores lost
+    lost_cores: Dict[str, int] = field(default_factory=dict)
+    #: servers whose running placement was deployed before their core
+    #: loss: the dead cores were running its subgroups. A replan that
+    #: reserves around them clears the marker.
+    stale: set = field(default_factory=set)
+
+    def apply(self, action: str, target: str, severity: float) -> None:
+        if action == "fail":
+            self.failed.add(target)
+        elif action == "recover":
+            self.failed.discard(target)
+        elif action == "degrade_link":
+            self.link_factor[target] = max(0.0, 1.0 - severity)
+        elif action == "restore_link":
+            self.link_factor.pop(target, None)
+        elif action == "lose_cores":
+            self.lost_cores[target] = (
+                self.lost_cores.get(target, 0) + int(severity)
+            )
+            self.stale.add(target)
+        else:  # restore_cores
+            self.lost_cores.pop(target, None)
+            self.stale.discard(target)
+
+    def touches(self, devices: frozenset) -> bool:
+        """Does any fault sit on one of ``devices``?"""
+        return any(
+            device in devices
+            for held in (self.failed, self.link_factor, self.lost_cores)
+            for device in held
+        )
+
+    def view(self) -> Dict[str, float]:
+        """The state as ``kind:device -> value``, sorted (the serve
+        snapshot and the state digest)."""
+        out: Dict[str, float] = {}
+        out.update((f"fail:{d}", 1.0) for d in self.failed)
+        out.update((f"link_factor:{d}", v)
+                   for d, v in self.link_factor.items())
+        out.update((f"lost_cores:{d}", v)
+                   for d, v in self.lost_cores.items())
+        out.update((f"stale:{d}", 1.0) for d in self.stale)
+        return dict(sorted(out.items()))
+
+
 class _RackCore:
     """One rack's share of an :class:`AdmissionCore`.
 
     Owns the rack's placer and meta-compiler, its deployed rack and
-    traffic engine, the per-chain replay cursors and the fault probes
-    applied to it. It solves, deploys and replays; what to ask it and
-    what to count is the owning core's business.
+    traffic engine, the rates in force and the per-chain replay
+    cursors. It solves, deploys, projects the owning core's fault state
+    onto its dataplane and replays; what to ask it and what to count is
+    the owning core's business.
     """
 
     def __init__(self, spec: RunSpec, topology: Topology,
@@ -227,6 +477,12 @@ class _RackCore:
         #: re-solve every event from scratch instead of warm-starting
         #: from the running placement.
         self.full_resolve = full_resolve
+        #: every device name of the rack (fault state is keyed by device)
+        self.devices = frozenset(
+            [topology.switch.name]
+            + [server.name for server in topology.servers]
+            + [nic.name for nic in topology.smartnics]
+        )
 
         self.placer = Placer(
             topology=self.topology,
@@ -242,12 +498,12 @@ class _RackCore:
         self.placement = None
         self.rack: Optional[DeployedRack] = None
         self.traffic: Optional[TrafficEngine] = None
+        #: the rates in force: the placement's, or a shed's cut of them.
         self.rates: Dict[str, float] = {}
         #: per-chain deterministic replay cursors (flow-cycle positions).
         self.cursors: Dict[str, int] = {}
-        #: fault probes currently applied (action bookkeeping for
-        #: snapshots and the state digest; the rack holds the live state).
-        self.fault_state: Dict[str, float] = {}
+        #: whether the dataplane carries a projected fault.
+        self._faulted = False
 
     def bootstrap(self) -> PlacementReport:
         """Solve and deploy the initial chain set (a full, cold solve)."""
@@ -268,9 +524,7 @@ class _RackCore:
             self.topology, artifacts, self.profiles,
             seed=self.spec.seed, registry=self.obs,
         )
-        configure_rack_queueing(
-            self.rack, initial.placement, self.spec.queueing
-        )
+        self._configure_queueing()
         self.traffic = TrafficEngine(
             self.rack, initial.placement,
             flows_per_chain=self.spec.flows_per_chain,
@@ -329,18 +583,10 @@ class _RackCore:
                 placed=report.placed_chains,
                 seconds=report.seconds,
             )
-        artifacts = self.metacompiler.compile_placement(report.placement)
-        delta = self.rack.redeploy(artifacts)
-        # rates changed with the placement: re-derive utilization
-        configure_rack_queueing(
-            self.rack, report.placement, self.spec.queueing
-        )
-        self.traffic.placement = report.placement
+        delta = self.install(report.placement)
         if event.action == "depart":
             self.rack.forget_chain(event.chain)
         self.active = proposed
-        self.placement = report.placement
-        self.rates = dict(report.placement.rates)
         return AdmissionDecision(
             tick=event.at, action=event.action, chain=event.chain,
             accepted=True,
@@ -353,67 +599,149 @@ class _RackCore:
             seconds=report.seconds,
         )
 
-    def apply_fault(self, action: str, target: str, severity: float) -> None:
-        if action not in FAULT_PROBE_ACTIONS:
-            raise FaultInjectionError(
-                f"unknown fault action {action!r}; "
-                f"choose from {sorted(FAULT_PROBE_ACTIONS)}"
-            )
-        if target == self.topology.switch.name:
-            raise FaultInjectionError(
-                "cannot inject faults into the ToR switch "
-                "(it coordinates the rack)"
-            )
-        self.topology.device(target)  # raises TopologyError if unknown
-        if action == "degrade_link" and not 0.0 < severity <= 1.0:
-            raise FaultInjectionError(
-                f"degrade_link severity must be in (0, 1], got {severity}"
-            )
-        if action == "fail":
-            self.rack.set_device_failed(target)
-            self.fault_state[f"fail:{target}"] = 1.0
-        elif action == "recover":
-            self.rack.set_device_failed(target, False)
-            self.fault_state.pop(f"fail:{target}", None)
-        elif action == "degrade_link":
-            self.rack.set_drop_fraction(target, severity)
-            self.fault_state[f"degrade:{target}"] = severity
-        else:  # restore_link
-            self.rack.set_drop_fraction(target, 0.0)
-            self.fault_state.pop(f"degrade:{target}", None)
+    def install(self, placement: Placement) -> RedeployResult:
+        """Compile ``placement`` and delta-redeploy it: the injection
+        sequence counter, the replay cursors and every device runtime
+        whose program is unchanged survive."""
+        artifacts = self.metacompiler.compile_placement(placement)
+        delta = self.rack.redeploy(artifacts)
+        self.traffic.placement = placement
+        self.placement = placement
+        self.rates = dict(placement.rates)
+        self._configure_queueing()
+        return delta
 
-    def run_phase(self, label: str, packets_per_chain: int, *,
-                  index: int, start_packet: int) -> PhaseReport:
-        phase = PhaseReport(
-            index=index,
-            label=label,
-            mode="live",
-            start_packet=start_packet,
-            t_mins={
-                cp.name: cp.chain.slo.t_min
-                for cp in self.placement.chains
-            },
+    def _configure_queueing(self) -> None:
+        """Re-derive utilization at the rates in force: a shed lowers
+        the stamped queue delay, closing the latency guard's loop."""
+        configure_rack_queueing(
+            self.rack, self.placement.chains, self.rates, self.spec.queueing
         )
-        for cp in self.placement.chains:
-            cursor = self.cursors.get(cp.name, 0)
-            delivered, latency, _wall = self.traffic.replay(
-                cp, cursor, packets_per_chain
+
+    def project_faults(self, faults: _Faults) -> None:
+        """Project the fault state onto the deployed rack at the rates
+        in force: a failed device drops everything routed to it; a
+        degraded link drops ``1 − capacity·factor / offered``, and dead
+        cores under a stale placement what the surviving cores cannot
+        carry, so shedding relieves both. A rack that holds no fault,
+        and held none, costs nothing."""
+        if not self._faulted and not faults.touches(self.devices):
+            return
+        rack = self.rack
+        rack.clear_faults()
+        self._faulted = faults.touches(self.devices)
+        if not self._faulted:
+            return
+        for device in sorted(faults.failed & self.devices):
+            rack.set_device_failed(device)
+        chains = self.placement.chains
+        for server in self.topology.servers:
+            name = server.name
+            if name in faults.failed:
+                continue
+            capacity = (
+                server.primary_nic().rate_mbps
+                * faults.link_factor.get(name, 1.0)
             )
-            self.cursors[cp.name] = cursor + packets_per_chain
-            phase.chains.append(ChainTrafficReport.replayed(
-                cp,
-                flows=self.spec.flows_per_chain,
-                injected=packets_per_chain,
-                delivered=delivered,
-                latency=latency,
-                assigned_mbps=self.rates.get(cp.name, 0.0),
+            offered = server_offered_load(chains, self.rates, name)
+            link_loss = (
+                max(0.0, 1.0 - capacity / offered) if offered > 0 else 0.0
+            )
+            # core shortfall: the cores lost against the cores the
+            # placement allocated, scaled by how much of its placed rate
+            # still runs (shed rates need fewer cores)
+            core_loss = 0.0
+            lost = faults.lost_cores.get(name, 0)
+            if lost > 0 and name in faults.stale:
+                allocated = sum(
+                    sg.cores
+                    for cp in chains
+                    for sg in cp.subgroups
+                    if sg.server == name
+                )
+                placed = server_offered_load(
+                    chains, self.placement.rates, name
+                )
+                current = server_offered_load(chains, self.rates, name)
+                if allocated > 0 and placed > 0 and current > 0:
+                    remaining = max(0.0, (allocated - lost) / allocated)
+                    core_loss = max(
+                        0.0, 1.0 - remaining / (current / placed)
+                    )
+            combined = 1.0 - (1.0 - link_loss) * (1.0 - core_loss)
+            rack.set_drop_fraction(name, min(1.0, combined))
+
+    def shed(self, failed: set) -> float:
+        """Graceful degradation: re-solve the rate LP on the running
+        placement with the ``failed`` devices marked, then cut every
+        chain to ``min(assigned, t_min)``. Returns the Mbps shed."""
+        added = sorted(
+            (failed & self.devices) - self.topology.failed_devices
+        )
+        try:
+            for device in added:
+                self.topology.mark_failed(device)
+            solution = solve_rates(self.placement.chains, self.topology)
+        finally:
+            for device in added:
+                self.topology.failed_devices.discard(device)
+        base = solution.rates if solution.feasible else dict(self.rates)
+        shed = 0.0
+        rates: Dict[str, float] = {}
+        for cp in self.placement.chains:
+            assigned = base.get(cp.name, self.rates.get(cp.name, 0.0))
+            floor = min(assigned, cp.chain.slo.t_min)
+            shed += max(0.0, assigned - floor)
+            rates[cp.name] = floor
+        self.rates = rates
+        self._configure_queueing()
+        return shed
+
+    def solve_without(self, faults: _Faults) -> PlacementReport:
+        """A full solve of the active chains with the rack's failed
+        devices out of service and its lost cores reserved for the
+        duration, so the placement allocates around the dead cores."""
+        originals: Dict[str, int] = {}
+        try:
+            for name, lost in faults.lost_cores.items():
+                if name not in self.devices:
+                    continue
+                server = self.topology.server(name)
+                originals[name] = server.reserved_cores
+                server.reserved_cores = min(
+                    server.total_cores, server.reserved_cores + lost
+                )
+            return self.placer.solve(PlacementRequest(
+                chains=self.active,
+                strategy=self.spec.strategy,
+                failed_devices=tuple(sorted(faults.failed & self.devices)),
+                objective=self.spec.objective,
             ))
-        return phase
+        finally:
+            for name, reserved in originals.items():
+                self.topology.server(name).reserved_cores = reserved
+
+    def replay_batch(self, cp: ChainPlacement,
+                     count: int) -> Tuple[int, List[float]]:
+        cursor = self.cursors.get(cp.name, 0)
+        delivered, self.cursors[cp.name], samples = (
+            self.traffic.replay_batch(cp, cursor, count)
+        )
+        return delivered, samples
+
+    def replay(self, cp: ChainPlacement,
+               count: int) -> Tuple[int, QuantileSketch]:
+        """Inject ``count`` packets of ``cp``'s flow cycle from its
+        cursor; the delivered count and their latency sketch."""
+        cursor = self.cursors.get(cp.name, 0)
+        delivered, latency, _wall = self.traffic.replay(cp, cursor, count)
+        self.cursors[cp.name] = cursor + count
+        return delivered, latency
 
     def state_digest(self) -> str:
         """The admitted chain set (names + SLOs), the placement's
-        rendered assignment, the LP rates, the replay cursors, the rack's
-        injection sequence counter and the live fault state."""
+        rendered assignment, the rates in force, the replay cursors and
+        the rack's injection sequence counter."""
         payload = {
             "active": [
                 [c.name, c.slo.t_min, c.slo.t_max, c.slo.d_max]
@@ -423,7 +751,6 @@ class _RackCore:
             "rates": {k: round(v, 9) for k, v in sorted(self.rates.items())},
             "cursors": dict(sorted(self.cursors.items())),
             "rack_seq": self.rack._next_seq,
-            "faults": dict(sorted(self.fault_state.items())),
         }
         canon = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()
@@ -478,14 +805,16 @@ class AdmissionCore:
     :class:`_RackCore`. This core owns everything that spans racks — the
     chain→rack assignment, arrival spill in route order, the link-floor
     check, scale-driven migration, rack teardown, inter-rack hop
-    installation, the merged placement/phase views and the digest — and
-    counts every admission check.
+    installation, the fault state of every device, the merged
+    placement/phase views and the digest — and counts every admission
+    check.
 
-    All mutations go through :meth:`process` (lifecycle events) or
-    :meth:`apply_fault` (day-2 fault probes); both front-ends serialize
-    their calls — the serve daemon with a single rack-owner worker task,
-    the lifecycle engine by being synchronous. Every rack lives in this
-    object, in the owner's process, so the core pickles whole for serve
+    All mutations go through :meth:`process` (lifecycle events),
+    :meth:`apply_fault` (faults) or the guard's :meth:`shed` and
+    :meth:`replan`; the front-ends serialize their calls — the serve
+    daemon with a single rack-owner worker task, the lifecycle and chaos
+    engines by being synchronous. Every rack lives in this object, in
+    the owner's process, so the core pickles whole for serve
     checkpoints.
     """
 
@@ -523,8 +852,8 @@ class AdmissionCore:
         self.active: List[NFChain] = []
         self.rates: Dict[str, float] = {}
         self.placement: Optional[FabricPlacement] = None
-        #: the rack cores' fault probes, merged.
-        self.fault_state: Dict[str, float] = {}
+        #: every device's fault state, projected onto the rack cores.
+        self.faults = _Faults()
 
     # -- racks ----------------------------------------------------------------
 
@@ -605,7 +934,8 @@ class AdmissionCore:
         }
 
     def _sync(self) -> None:
-        """Rebuild the merged views + reinstall hops after any change."""
+        """Rebuild the merged views, reinstall hops and re-project the
+        faults after any change."""
         self.active = self._ordered(
             [c for rack in sorted(self.cores)
              for c in self.cores[rack].active],
@@ -630,7 +960,12 @@ class AdmissionCore:
             remote=remote,
             rates=dict(self.rates),
         )
+        self._project_faults()
         self.obs.gauge("lifecycle.active_chains").set(len(self.active))
+
+    def _project_faults(self) -> None:
+        for rack in sorted(self.cores):
+            self.cores[rack].project_faults(self.faults)
 
     def _link_floor_check(self, chain_name: str, rack: str,
                           t_min: float) -> Optional[str]:
@@ -932,63 +1267,129 @@ class AdmissionCore:
             )
         return None
 
-    # -- day-2 fault probes --------------------------------------------------
+    # -- faults and the guard's reactions ------------------------------------
 
     @with_own_registry
     def apply_fault(self, action: str, target: str,
                     severity: float = 1.0) -> None:
-        """Apply one fault probe to the rack hosting ``target`` (serve's
-        ``InjectFault``; a fabric names devices ``r1.server0``).
-
-        ``fail``/``recover`` toggle full device failure; ``degrade_link``
-        drops ``severity`` of the server's traffic (deterministic per-seq
-        hash, batch-order independent) and ``restore_link`` clears it.
-        Unlike the chaos engine's guarded timelines, probes here do not
-        trigger automatic replanning — they perturb the dataplane so the
-        per-phase SLO table shows the damage.
-        """
-        rack = (self.fabric.ingress if len(self.fabric.racks) == 1
-                else self.fabric.rack_of_device(target))
-        core = self.cores.get(rack)
-        if core is None:
-            raise FaultInjectionError(
-                f"rack {rack!r} hosts no chains — nothing to fault"
-            )
-        core.apply_fault(action, target, severity)
+        """Record one fault on ``target`` (a fabric names devices
+        ``r1.server0``) and project the fault state onto the racks; a
+        fault on a rack that hosts no chains is held until it opens.
+        Admissions ignore the fault state; only the chaos guard reacts
+        to it (:meth:`shed`, :meth:`replan`), so serve's per-phase table
+        shows the damage."""
+        validate_fault(action, target, severity, self.fabric)
+        self.faults.apply(action, target, severity)
         self.obs.counter(
             "faults.injected", action=action, target=target
         ).inc()
-        self.fault_state = {}
-        for name in sorted(self.cores):
-            self.fault_state.update(self.cores[name].fault_state)
+        self._project_faults()
+
+    @with_own_registry
+    def shed(self, racks: Sequence[str]) -> AdmissionDecision:
+        """Graceful degradation on each named rack: the rate LP re-solved
+        with the failed devices marked, every chain cut to its t_min,
+        then faults and queueing re-projected at the shed rates."""
+        shed = sum(self.cores[rack].shed(self.faults.failed)
+                   for rack in racks)
+        self.obs.counter("guard.degradations").inc()
+        self.obs.gauge("guard.degraded_mode").set(1)
+        self.obs.gauge("guard.shed_mbps").set(shed)
+        self._sync()
+        return AdmissionDecision(
+            tick=0, action="shed", chain="+".join(racks), accepted=True,
+            mode="rates",
+        )
+
+    @with_own_registry
+    def replan(self, racks: Sequence[str]) -> AdmissionDecision:
+        """Re-place each named rack's chains from scratch without its
+        failed devices and around its dead cores, then delta-redeploy.
+
+        All or nothing: a rack the solver cannot place rejects the
+        replan with the solver's reason and no rack changes. An accepted
+        replan clears the racks' stale core-loss markers.
+        """
+        self.obs.counter("replan.count").inc()
+        reports: Dict[str, PlacementReport] = {}
+        reason = ""
+        with self.obs.timer("replan.latency_seconds"):
+            for rack in racks:
+                try:
+                    report = self.cores[rack].solve_without(self.faults)
+                except PlacementError as exc:
+                    # no surviving substrate can even host the NFs
+                    reason = str(exc)
+                    break
+                if not report.placement.feasible:
+                    reason = report.placement.infeasible_reason \
+                        or "infeasible"
+                    break
+                reports[rack] = report
+        if reason:
+            self.obs.counter("replan.infeasible").inc()
+            return AdmissionDecision(
+                tick=0, action="replan", chain="+".join(racks),
+                accepted=False, reason=reason,
+            )
+        deltas = []
+        for rack in racks:
+            deltas.append(self.cores[rack].install(reports[rack].placement))
+            self.faults.stale -= self.cores[rack].devices
+        self._sync()
+        self.obs.gauge("guard.degraded_mode").set(0)
+        return AdmissionDecision(
+            tick=0, action="replan", chain="+".join(racks), accepted=True,
+            placed=sum(len(r.placement.chains) for r in reports.values()),
+            rebuilt=tuple(d for delta in deltas for d in delta.rebuilt),
+            reused=tuple(d for delta in deltas for d in delta.reused),
+            removed=tuple(d for delta in deltas for d in delta.removed),
+            seconds=sum(r.seconds for r in reports.values()),
+        )
 
     # -- traffic phases ------------------------------------------------------
+
+    def replay_batch(self, cp: ChainPlacement,
+                     count: int) -> Tuple[int, List[float]]:
+        """Inject the next ``count`` packets of ``cp``'s flow cycle on its
+        home rack, from the chain's replay cursor. Returns the delivered
+        count and the delivered packets' latencies (µs) in injection
+        order."""
+        return self.cores[self.assignment[cp.name]].replay_batch(cp, count)
 
     def run_phase(self, label: str, packets_per_chain: int, *,
                   index: int, start_packet: int = 0) -> PhaseReport:
         """Inject one deterministic phase of traffic for every active
         chain, rack by rack in sorted order, and return the per-chain
-        SLO compliance rows. Rows carry the end-to-end ``d_max``: the
-        measured latency already includes the stamped inter-rack RTT, so
-        the bound and the measurement describe the same packet path."""
-        merged = PhaseReport(
-            index=index, label=label, mode="live",
-            start_packet=start_packet, t_mins={},
+        SLO compliance rows."""
+        phase = PhaseReport(
+            index=index, label=label, mode="live", start_packet=start_packet,
         )
         for rack in sorted(self.cores):
-            phase = self.cores[rack].run_phase(
-                label, packets_per_chain,
-                index=index, start_packet=start_packet,
-            )
-            merged.t_mins.update(phase.t_mins)
-            merged.chains.extend(
-                row.with_d_max(self._d_max[row.chain_name])
-                for row in phase.chains
-            )
-        merged.chains = self._ordered(
-            merged.chains, lambda row: row.chain_name
-        )
-        return merged
+            core = self.cores[rack]
+            for cp in core.placement.chains:
+                delivered, latency = core.replay(cp, packets_per_chain)
+                phase.t_mins[cp.name] = cp.chain.slo.t_min
+                phase.chains.append(
+                    self.row(cp, packets_per_chain, delivered, latency)
+                )
+        phase.chains = self._ordered(phase.chains, lambda row: row.chain_name)
+        return phase
+
+    def row(self, cp: ChainPlacement, injected: int, delivered: int,
+            latency: QuantileSketch) -> ChainTrafficReport:
+        """``cp``'s phase row at its rate in force, held to its
+        end-to-end ``d_max``: the measured latency includes the stamped
+        inter-rack RTT, so the bound and the measurement describe the
+        same packet path."""
+        return ChainTrafficReport.replayed(
+            cp,
+            flows=self.spec.flows_per_chain,
+            injected=injected,
+            delivered=delivered,
+            latency=latency,
+            assigned_mbps=self.rates.get(cp.name, 0.0),
+        ).with_d_max(self._d_max[cp.name])
 
     # -- state identity ------------------------------------------------------
 
@@ -996,13 +1397,13 @@ class AdmissionCore:
         """A canonical digest of the deterministic control-plane state.
 
         Covers the chain→rack assignment, the end-to-end ``d_max`` of
-        every chain and each rack core's digest (its admitted chain set,
-        rendered placement, LP rates, replay cursors, injection sequence
-        counter and live fault state) — everything that shapes future
-        admission decisions and per-packet outcomes. Excludes caches and
-        metrics (performance state, not behavior). Two cores with equal
-        digests produce byte-identical subsequent decisions and phases
-        for the same event sequence.
+        every chain, the fault state and each rack core's digest (its
+        admitted chain set, rendered placement, rates in force, replay
+        cursors and injection sequence counter) — everything that shapes
+        future admission decisions and per-packet outcomes. Excludes
+        caches and metrics (performance state, not behavior). Two cores
+        with equal digests produce byte-identical subsequent decisions
+        and phases for the same event sequence.
         """
         payload = {
             "assignment": dict(sorted(self.assignment.items())),
@@ -1010,6 +1411,7 @@ class AdmissionCore:
                 name: repr(value)
                 for name, value in sorted(self._d_max.items())
             },
+            "faults": self.faults.view(),
             "racks": {
                 rack: self.cores[rack].state_digest()
                 for rack in sorted(self.cores)
@@ -1024,6 +1426,9 @@ __all__ = [
     "AdmissionDecision",
     "ChainEvent",
     "FabricPlacement",
-    "FAULT_PROBE_ACTIONS",
+    "FAULT_ACTIONS",
     "LIFECYCLE_ACTIONS",
+    "PhaseReport",
+    "phase_table",
+    "validate_fault",
 ]

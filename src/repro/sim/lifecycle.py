@@ -43,9 +43,7 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
-from repro.chain.graph import chains_from_spec
-from repro.chain.slo import SLO
-from repro.exceptions import LifecycleError, SpecError
+from repro.exceptions import LifecycleError
 from repro.obs import MetricsRegistry
 from repro.runtime.pool import run_checked
 from repro.sim.admission import (
@@ -53,8 +51,9 @@ from repro.sim.admission import (
     AdmissionCore,
     AdmissionDecision,
     ChainEvent,
+    PhaseReport,
+    phase_table,
 )
-from repro.sim.faults import _SLO_RTOL, PhaseReport, phase_table
 from repro.sim.traffic import RunSpec
 
 #: within a tick, departures free capacity before admissions consume it.
@@ -89,47 +88,9 @@ class LifecycleTimeline:
         ]
 
     def validate(self) -> None:
-        """Reject statically-malformed events (unknown actions, bad SLOs,
-        arrival specs that don't parse or don't match the event name)."""
+        """Reject statically-malformed events (:meth:`ChainEvent.validate`)."""
         for ev in self.events:
-            if ev.action not in LIFECYCLE_ACTIONS:
-                raise LifecycleError(
-                    f"unknown lifecycle action {ev.action!r}; "
-                    f"choose from {sorted(LIFECYCLE_ACTIONS)}"
-                )
-            if ev.at < 0:
-                raise LifecycleError(
-                    f"event {ev.describe()!r}: tick must be >= 0"
-                )
-            if not ev.chain:
-                raise LifecycleError("every event names a chain")
-            if ev.action == "arrive":
-                if not ev.spec.strip():
-                    raise LifecycleError(
-                        f"arrival of {ev.chain!r} carries no chain spec"
-                    )
-                try:
-                    parsed = chains_from_spec(ev.spec)
-                except SpecError as exc:
-                    raise LifecycleError(
-                        f"arrival spec for {ev.chain!r} does not parse: "
-                        f"{exc}"
-                    ) from exc
-                if len(parsed) != 1 or parsed[0].name != ev.chain:
-                    raise LifecycleError(
-                        f"arrival spec for {ev.chain!r} must declare "
-                        f"exactly that one chain, got "
-                        f"{[c.name for c in parsed]}"
-                    )
-                if ev.t_min_mbps <= 0:
-                    raise LifecycleError(
-                        f"arrival of {ev.chain!r} needs t_min_mbps > 0 "
-                        "(admission is an SLO contract)"
-                    )
-            if ev.action == "scale" and ev.t_min_mbps <= 0:
-                raise LifecycleError(
-                    f"scale of {ev.chain!r} needs the new t_min_mbps > 0"
-                )
+            ev.validate()
 
     # -- (de)serialization --------------------------------------------------
 
@@ -328,12 +289,6 @@ class LifecycleReport:
     def total_delivered(self) -> int:
         return sum(row.delivered for ph in self.phases for row in ph.chains)
 
-    def phase(self, label: str) -> PhaseReport:
-        for ph in self.phases:
-            if ph.label == label:
-                return ph
-        raise KeyError(label)
-
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -464,8 +419,7 @@ def run_lifecycle_checked(
                        what="lifecycle", error=LifecycleError)
 
 
-# re-exported so report consumers need one import; keeps the SLO slack
-# shared with the chaos engine's tables.
+# re-exported so report consumers need one import
 __all__ = [
     "LIFECYCLE_ACTIONS",
     "AdmissionDecision",
@@ -476,5 +430,4 @@ __all__ = [
     "LifecycleTimeline",
     "run_lifecycle",
     "run_lifecycle_checked",
-    "_SLO_RTOL",
 ]

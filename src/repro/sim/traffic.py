@@ -60,12 +60,13 @@ PACKET_BITS = SIM_PACKET_BITS
 COLUMNAR_MIN_BATCH = 64
 
 
-def configure_rack_queueing(rack: DeployedRack, placement: Placement,
-                            kind: str) -> None:
+def configure_rack_queueing(rack: DeployedRack,
+                            chains: Sequence[ChainPlacement],
+                            rates: Dict[str, float], kind: str) -> None:
     """Install a queueing model on a deployed rack.
 
-    Per-device utilization is derived from the placement's *current* LP
-    rates (:func:`repro.core.rates.device_utilization`) — deterministic,
+    Per-device utilization is derived from the rates in force
+    (:func:`repro.core.rates.device_utilization`) — deterministic,
     never wall clock — so every engine that changes rates (deploy, shed,
     replan) re-calls this to keep the stamped queue delay consistent with
     the load the rack is nominally carrying.
@@ -73,9 +74,7 @@ def configure_rack_queueing(rack: DeployedRack, placement: Placement,
     model = QueueingModel(kind)
     utilization = None
     if model.enabled:
-        utilization = device_utilization(
-            placement.chains, placement.rates, rack.topology
-        )
+        utilization = device_utilization(chains, rates, rack.topology)
     rack.configure_queueing(model, utilization)
 
 
@@ -413,7 +412,8 @@ class TrafficEngine:
         ).compile_placement(placement)
         rack = DeployedRack(topology, artifacts, placer.profiles,
                             seed=spec.seed, registry=registry)
-        configure_rack_queueing(rack, placement, spec.queueing)
+        configure_rack_queueing(rack, placement.chains, placement.rates,
+                                spec.queueing)
         return cls(rack, placement,
                    flows_per_chain=spec.flows_per_chain,
                    batch_size=spec.batch_size)

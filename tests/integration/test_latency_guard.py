@@ -10,13 +10,12 @@ must come back under the latency SLO.
 """
 
 from repro.sim.faults import (
-    _SLO_RTOL,
     ChaosSpec,
     FaultTimeline,
     GuardConfig,
     run_chaos,
 )
-from repro.units import gbps
+from repro.units import SLO_RTOL, gbps
 
 #: between the ~13 µs p99 at t_min rates and the ~90 µs p99 at full rate.
 _D_MAX_US = 40.0
@@ -54,7 +53,7 @@ def test_latency_guard_sheds_and_restores_p99():
     assert final.mode == "degraded"
     assert final.compliant
     row = final.chains[0]
-    assert row.latency_p99_us <= _D_MAX_US * (1.0 + _SLO_RTOL)
+    assert row.latency_p99_us <= _D_MAX_US * (1.0 + SLO_RTOL)
     assert row.latency_slo_met
 
     # the violation was latency, never rate: every phase met its t_min

@@ -1,7 +1,8 @@
 """Stateful property test of online admission, through the real daemon.
 
 A Hypothesis ``RuleBasedStateMachine`` drives ``ServeDaemon.submit``
-with arrivals, scales, departures and fault probes — so every command
+with arrivals, scales, departures and faults (every action of
+``FAULT_ACTIONS``, core loss included) — so every command
 goes through the worker, the journal and the checkpoints a tenant's
 would — on a single rack and on a three-rack fabric. After every rule
 it checks the four invariants admission is built on:
@@ -12,7 +13,7 @@ it checks the four invariants admission is built on:
 2. no eviction: the active chain set changes only through accepted
    decisions (a chain leaves only by an accepted ``depart``) and every
    active chain's LP rate stays at its floor, ``t_min × (1 − SLO_RTOL)``
-   — serve's fault probes never shed;
+   — serve's faults never shed;
 3. an accepted *incremental* decision leaves each rack with a chain set
    a cold ``Placer.solve`` also places;
 4. ``state_digest()`` equals the digest of a fresh daemon that cold
@@ -44,8 +45,8 @@ from repro.serve.commands import (
     STATUS_INVALID,
     STATUS_REJECTED,
 )
-from repro.sim.admission import FAULT_PROBE_ACTIONS
-from repro.sim.lifecycle import _SLO_RTOL
+from repro.sim.admission import FAULT_ACTIONS
+from repro.units import SLO_RTOL
 
 from conftest import _make_config
 
@@ -180,8 +181,9 @@ class AdmissionMachine(RuleBasedStateMachine):
         if outcome.decision.accepted:
             del self.model[name]
 
-    @rule(action=st.sampled_from(FAULT_PROBE_ACTIONS),
-          device=st.integers(0, 15), severity=st.sampled_from((0.25, 1.0)))
+    @rule(action=st.sampled_from(FAULT_ACTIONS),
+          device=st.integers(0, 15),
+          severity=st.sampled_from((0.25, 1.0, 2.0)))
     def inject_fault(self, action, device, severity):
         self._submit(InjectFault(
             action=action,
@@ -221,7 +223,7 @@ class AdmissionMachine(RuleBasedStateMachine):
         for chain in core.active:
             assert chain.slo.t_min == self.model[chain.name]
             assert core.rates[chain.name] \
-                >= chain.slo.t_min * (1.0 - _SLO_RTOL)
+                >= chain.slo.t_min * (1.0 - SLO_RTOL)
 
     @precondition(lambda self: self.last is not None)
     @invariant()

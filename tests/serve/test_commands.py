@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import CommandError, LifecycleError
+from repro.sim.admission import FAULT_ACTIONS
 from repro.serve.commands import (
     MUTATING_KINDS,
     STATUS_APPLIED,
@@ -26,6 +27,8 @@ ROUND_TRIP = [
     Depart(chain="enterprise"),
     InjectFault(action="fail", target="server0"),
     InjectFault(action="degrade_link", target="server0", severity=0.4),
+    InjectFault(action="lose_cores", target="server0", severity=2.0),
+    InjectFault(action="restore_cores", target="server0"),
     Snapshot(),
 ]
 
@@ -81,8 +84,24 @@ class TestStrictParsing:
                    t_min_mbps=500.0).validate()
 
     def test_fault_action_vocabulary(self):
-        with pytest.raises(CommandError, match="unknown action"):
-            InjectFault(action="lose_cores", target="server0").validate()
+        """Serve takes the chaos timeline's six actions, and no other."""
+        assert command_schemas()["commands"]["inject_fault"]["properties"][
+            "action"]["enum"] == sorted(FAULT_ACTIONS)
+        with pytest.raises(CommandError, match="unknown fault action"):
+            InjectFault(action="explode", target="server0").validate()
+
+    @pytest.mark.parametrize("action, severity", [
+        ("fail", float("nan")),
+        ("recover", float("-inf")),
+        ("lose_cores", float("inf")),
+        ("lose_cores", 1.5),
+        ("lose_cores", 0.0),
+    ])
+    def test_fault_severity_is_strict(self, action, severity):
+        """The chaos timeline's severity rules, raised as CommandError."""
+        with pytest.raises(CommandError, match="severity"):
+            parse_command({"kind": "inject_fault", "action": action,
+                           "target": "server0", "severity": severity})
 
     def test_degrade_severity_bounds(self):
         with pytest.raises(CommandError, match="severity"):

@@ -79,6 +79,36 @@ class TestMutations:
         assert outcomes[0].seq == 0
         assert not (tmp_path / "state" / "journal.jsonl").exists()
 
+    def test_non_finite_fault_severity_is_invalid(self, config, drive,
+                                                  tmp_path):
+        daemon, outcomes = drive(config, tmp_path / "state", [
+            InjectFault(action="fail", target="server0",
+                        severity=float("nan")),
+            InjectFault(action="lose_cores", target="server0",
+                        severity=float("inf")),
+        ])
+        assert [o.status for o in outcomes] == [STATUS_INVALID] * 2
+        assert daemon.seq == 0
+
+    def test_core_loss_drops_the_shortfall_until_restored(
+            self, config, drive, tmp_path):
+        """``lose_cores`` under the running placement drops what the
+        surviving cores cannot carry; ``restore_cores`` ends it."""
+        daemon, outcomes = drive(config, tmp_path / "state", [
+            InjectFault(action="lose_cores", target="server0",
+                        severity=64.0),
+            InjectFault(action="restore_cores", target="server0"),
+        ])
+        assert [o.status for o in outcomes] == [STATUS_APPLIED] * 2
+        lost, restored = (
+            {row.chain_name: row.delivered for row in phase.chains}
+            for phase in daemon.report().phases[1:]
+        )
+        # enterprise's Encrypt runs on server0; residential stays on
+        # the switch
+        assert lost == {"enterprise": 0, "residential": 16}
+        assert restored == {"enterprise": 16, "residential": 16}
+
     def test_statically_invalid_command_consumes_no_seq(self, config,
                                                         drive, tmp_path):
         daemon, outcomes = drive(config, tmp_path / "state", [

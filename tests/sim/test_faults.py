@@ -89,6 +89,28 @@ class TestFaultTimeline:
         check(FaultEvent(at_packet=1, action="lose_cores",
                          target="server0", severity=0))
 
+    @pytest.mark.parametrize("field, literal", [
+        ("severity", "Infinity"),
+        ("severity", "NaN"),
+        ("severity", "1.5"),
+        ("at_packet", "1.9"),
+        ("at_packet", "true"),
+        ("at_packet", "-0.5"),
+    ])
+    def test_wire_format_is_strict(self, field, literal):
+        """An offset is a JSON integer >= 0, a severity a finite number
+        and a core count whole: anything else is a typed error, never a
+        bare OverflowError/ValueError or a silent truncation."""
+        event = {"at_packet": "96", "action": '"lose_cores"',
+                 "target": '"server0"', "severity": "2"}
+        event[field] = literal
+        text = '{"events": [{%s}]}' % ", ".join(
+            f'"{key}": {value}' for key, value in event.items()
+        )
+        topology = topology_for("paper-testbed").build()
+        with pytest.raises(FaultInjectionError):
+            FaultTimeline.parse_json(text).validate(topology)
+
     def test_validate_rejects_unknown_device(self):
         from repro.exceptions import TopologyError
 
@@ -234,10 +256,12 @@ class TestChaosEngine:
         assert registry.counter_value("guard.degradations") == 1
         assert registry.gauge_value("guard.degraded_mode") == 0
 
-    def test_replan_reuses_the_codegen_units(self):
-        """One compiler lives as long as the engine, so a replan
-        regenerates only the units the new placement changed — and what
-        it deploys is digest-equal to a from-scratch compile."""
+    def test_a_replan_is_a_delta_redeploy(self):
+        """The core's compiler and deployed rack live as long as the
+        run: a replan regenerates only the units the new placement
+        changed and redeploys the running rack, whose injection
+        sequence counter survives — and what it deploys is digest-equal
+        to a from-scratch compile."""
         spec = _smartnic_spec(
             spec_text=("chain c: BPF -> FastEncrypt -> IPv4Fwd\n"
                        "chain d: Encrypt -> IPv4Fwd"),
@@ -252,11 +276,13 @@ class TestChaosEngine:
         )
         assert report.replans == 1
         assert reused >= 1  # chain d never left the switch and server
-        switch = engine.topology.switch.name
+        rack = engine.core.cores["r0"]
+        assert rack.rack._next_seq == report.total_injected
+        switch = rack.topology.switch.name
         scratch = MetaCompiler(
-            topology=engine.topology, profiles=engine.profiles
-        ).compile_placement(engine.placement)
-        assert (engine.rack.artifacts.device_fingerprints(switch)
+            topology=rack.topology, profiles=rack.profiles
+        ).compile_placement(rack.placement)
+        assert (rack.rack.artifacts.device_fingerprints(switch)
                 == scratch.device_fingerprints(switch))
 
     def test_every_layer_reports_to_the_given_registry(self):

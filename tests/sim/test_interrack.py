@@ -5,14 +5,14 @@ import inspect
 import pytest
 
 from repro.core.partition import partition_chains
-from repro.exceptions import FaultInjectionError, PartitionError, TopologyError
+from repro.exceptions import PartitionError, TopologyError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec, topology_for
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.admission import AdmissionCore, ChainEvent
-from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline
-from repro.sim.interrack import run_fabric_chaos, run_fabric_traffic
+from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline, run_chaos
+from repro.sim.interrack import run_fabric_traffic
 from repro.sim.lifecycle import LifecycleSpec
 from repro.sim.traffic import TrafficSpec
 
@@ -91,6 +91,10 @@ class TestFabricTraffic:
 
 
 class TestFabricChaos:
+    """A fabric runs one fault timeline through the admission core:
+    offsets count the packets injected fabric-wide, one phase sequence
+    covers every rack, rows carry end-to-end ``d_max``."""
+
     def _chaos_spec(self, events):
         return ChaosSpec(
             spec_text=SPEC6, slos=SLOS6,
@@ -99,35 +103,44 @@ class TestFabricChaos:
             packets_per_chain=128, flows_per_chain=8, batch_size=16, seed=7,
         )
 
-    def test_events_split_by_home_rack(self):
+    def test_one_timeline_over_every_rack(self):
+        # a round is one 16-packet batch of each of the six chains
         spec = self._chaos_spec([
-            FaultEvent(at_packet=32, action="degrade_link",
+            FaultEvent(at_packet=96, action="degrade_link",
                        target="r0.server0", severity=0.3),
-            FaultEvent(at_packet=48, action="degrade_link",
+            FaultEvent(at_packet=192, action="degrade_link",
                        target="r1.server0", severity=0.3),
-            FaultEvent(at_packet=96, action="restore_link",
+            FaultEvent(at_packet=384, action="restore_link",
                        target="r0.server0"),
         ])
-        report = run_fabric_chaos(
-            spec, topology_for("two-rack").build(),
-            registry=MetricsRegistry(),
-        )
-        assert set(report.racks) == {"r0", "r1"}
-        assert not report.dropped_events
-        assert report.total_injected > 0
-        assert report.assignment["c5"] == "r1"
-        text = report.render()
-        assert "-- rack r0 --" in text and "-- rack r1 --" in text
-        assert "fabric totals" in text
+        registry = MetricsRegistry()
+        report = run_chaos(spec, registry=registry)
+        assert [ph.label for ph in report.phases] == [
+            "healthy",
+            "fault:degrade_link(r0.server0)",
+            "fault:degrade_link(r1.server0)",
+            "fault:restore_link(r0.server0)",
+        ]
+        assert [ph.start_packet for ph in report.phases] == [0, 96, 192, 384]
+        assert report.total_injected == 6 * 128
+        for phase in report.phases:
+            rows = {row.chain_name: row for row in phase.chains}
+            assert set(rows) == {f"c{i}" for i in range(6)}
+            # rows restore the END-TO-END budget, not the shrunk one
+            assert all(row.latency_slo_us == 400.0 for row in rows.values())
+            # c5 spills to r1 and pays the 2 x 50 µs RTT
+            assert rows["c5"].latency_p99_us >= 100.0
+        assert registry.counter_value(
+            "faults.injected", action="degrade_link", target="r1.server0"
+        ) == 1
 
     def test_unknown_target_rejected(self):
         spec = self._chaos_spec([
             FaultEvent(at_packet=32, action="degrade_link",
                        target="r9.server0", severity=0.3),
         ])
-        with pytest.raises(FaultInjectionError):
-            run_fabric_chaos(spec, topology_for("two-rack").build(),
-                             registry=MetricsRegistry())
+        with pytest.raises(TopologyError, match="no rack hosts"):
+            run_chaos(spec, registry=MetricsRegistry())
 
     def test_chaos_is_deterministic(self):
         events = [
@@ -137,11 +150,8 @@ class TestFabricChaos:
                        target="r0.server0"),
         ]
         runs = [
-            run_fabric_chaos(
-                self._chaos_spec(events),
-                topology_for("two-rack").build(),
-                registry=MetricsRegistry(),
-            ).to_json()
+            run_chaos(self._chaos_spec(events),
+                      registry=MetricsRegistry()).to_json()
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -177,7 +187,7 @@ class TestOneAdmissionCore:
         # the rack is built as a rack: device names stay unprefixed
         assert core.cores["r0"].topology.switch.name == "tofino0"
         core.apply_fault("degrade_link", "server0", 0.5)
-        assert core.fault_state == {"degrade:server0": 0.5}
+        assert core.faults.view() == {"link_factor:server0": 0.5}
         with pytest.raises(TopologyError, match="no device named"):
             core.apply_fault("fail", "r0.server0")
 
@@ -385,15 +395,22 @@ class TestFabricLifecycle:
     def test_fault_routed_to_hosting_rack(self):
         core = self._core()
         core.apply_fault("degrade_link", "r1.server0", 0.4)
-        assert core.fault_state  # surfaced on the fabric view
+        assert core.faults.view() == {"link_factor:r1.server0": 0.6}
         with pytest.raises(TopologyError):
             core.apply_fault("degrade_link", "r9.server0", 0.4)
 
-    def test_fault_on_empty_rack_rejected(self):
+    def test_fault_on_empty_rack_is_held_until_it_opens(self):
         core = self._core(2)  # both chains fit the ingress; r1 is empty
         assert set(core.cores) == {"r0"}
-        with pytest.raises(FaultInjectionError, match="hosts no chains"):
-            core.apply_fault("degrade_link", "r1.server0", 0.4)
+        core.apply_fault("fail", "r1.server0")
+        assert core.faults.view() == {"fail:r1.server0": 1.0}
+        name, _decision = self._spill_into_empty_rack(core)
+        phase = core.run_phase("after", 32, index=0)
+        rows = {row.chain_name: row for row in phase.chains}
+        # admission ignores the fault; the opened rack inherits it
+        assert rows[name].delivered == 0
+        assert all(row.delivered == 32 for chain, row in rows.items()
+                   if core.assignment[chain] == "r0")
 
     def test_state_digest_replays_identically(self):
         def scripted():
