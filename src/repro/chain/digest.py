@@ -18,10 +18,9 @@ its node ids made relative (``n<k>``, the part after ``<name>.``): two
 chains that differ only in name share it. It is memoized on the graph
 too.
 
-The placement cache (:mod:`repro.core.cache`) keys whole problems on this
-encoding. The PISA compiler (:mod:`repro.p4c.compiler`) keys a chain's
-lowered fragment on its graph digest, and the body template that
-fragment is renamed from on its body digest.
+The PISA compiler (:mod:`repro.p4c.compiler`) keys a chain's lowered
+fragment on its graph digest, and the body template that fragment is
+renamed from on its body digest.
 """
 
 from __future__ import annotations

@@ -840,7 +840,6 @@ def cmd_serve(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.experiments.runner import SweepSpec, run_sweep
     from repro.experiments.schemes import SCHEMES
-    from repro.obs import scoped_registry
 
     schemes = {k: v for k, v in SCHEMES.items() if k != "Optimal"}
     spec = SweepSpec(
@@ -850,17 +849,7 @@ def cmd_sweep(args) -> int:
         measure=not args.no_measure,
         jobs=args.jobs,
     )
-    # Counters merged back from pool workers land in this registry, so
-    # the hit/miss line is accurate in both serial and parallel mode.
-    with scoped_registry() as registry:
-        sweep = run_sweep(spec)
-        hits = registry.counter_value(
-            "placement_cache.lookups", result="hit")
-        misses = registry.counter_value(
-            "placement_cache.lookups", result="miss")
-    print(sweep.print_table())
-    print(f"placement cache: {hits:.0f} hits / {misses:.0f} misses "
-          f"across {len(spec.cells())} cells")
+    print(run_sweep(spec).print_table())
     return 0
 
 

@@ -15,9 +15,7 @@ the execution substrate for that shape:
 
 Each cell deep-copies its topology before solving, so scheme-side
 mutations (failed devices, reserved cores) can never leak between cells —
-in either execution mode. Placement results are memoized through
-:mod:`repro.core.cache`: workers forked for one call read the parent's
-memo as it is then, and only the parent stores into it.
+in either execution mode.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache import get_cache, placement_fingerprint
 from repro.core.placement import Placement
 from repro.hw.topology import Topology
 from repro.obs import get_registry, scoped_registry
@@ -66,23 +63,15 @@ class CellOutcome:
     result: "ExperimentResult"
     seconds: float
     worker: int
-    #: the memo key of the cell's placement problem, and the placement
-    #: the cell solved for it (None when the memo answered)
-    key: str
-    solved: Optional[Placement] = None
     metrics: Optional[dict] = None  # obs dump_state() from a pooled worker
 
 
-def execute_cell(
-    cell: SweepCell,
-) -> Tuple["ExperimentResult", str, Optional[Placement]]:
-    """Run one grid cell: derive chains, place (via cache), measure.
+def execute_cell(cell: SweepCell) -> "ExperimentResult":
+    """Run one grid cell: derive chains, place, measure.
 
     This is the *only* implementation of a cell — the serial loop and the
     pool workers both call it, which is what guarantees parallel runs
-    reproduce serial results exactly. Returns the result, the memo key,
-    and the placement solved on a miss (None on a hit); the caller
-    stores it.
+    reproduce serial results exactly.
     """
     from repro.experiments.chains import chains_with_delta
     from repro.experiments.runner import ExperimentResult
@@ -95,15 +84,9 @@ def execute_cell(
     )
     aggregate_tmin = sum(c.slo.t_min for c in chains)
 
-    key = placement_fingerprint(
-        chains, topology, cell.profiles, cell.scheme, cell.packet_bits,
+    placement = cell.place_fn(
+        chains, topology, cell.profiles, packet_bits=cell.packet_bits,
     )
-    placement = get_cache().get(key)
-    solved = None
-    if placement is None:
-        placement = solved = cell.place_fn(
-            chains, topology, cell.profiles, packet_bits=cell.packet_bits,
-        )
 
     result = ExperimentResult(
         scheme=cell.scheme,
@@ -124,7 +107,7 @@ def execute_cell(
             result.measured_mbps = result.predicted_mbps
     registry.counter("sweep.cells", scheme=cell.scheme,
                      feasible=str(placement.feasible).lower()).inc()
-    return result, key, solved
+    return result
 
 
 def _measure_cell(
@@ -148,24 +131,24 @@ def _measure_cell(
 def _timed_execute(cell: SweepCell) -> CellOutcome:
     """Execute a cell and record its wall-clock into the ambient registry."""
     start = time.perf_counter()
-    result, key, solved = execute_cell(cell)
+    result = execute_cell(cell)
     seconds = time.perf_counter() - start
     get_registry().histogram(
         "sweep.cell.seconds", scheme=cell.scheme
     ).observe(seconds)
     return CellOutcome(
         index=cell.index, result=result, seconds=seconds,
-        worker=os.getpid(), key=key, solved=solved,
+        worker=os.getpid(),
     )
 
 
 def _cell_worker(cell: SweepCell) -> CellOutcome:
     """Pool entry point: run one cell under a fresh per-worker registry.
 
-    The worker's instrumentation (placer timings, LP solve counts, cache
-    hit/miss counters, dataplane stats) lands in a scoped registry whose
-    state is shipped back for the parent to merge — nothing recorded in a
-    worker is lost to process isolation.
+    The worker's instrumentation (placer timings, LP solve counts,
+    dataplane stats) lands in a scoped registry whose state is shipped
+    back for the parent to merge — nothing recorded in a worker is lost
+    to process isolation.
     """
     with scoped_registry() as registry:
         outcome = _timed_execute(cell)
@@ -183,26 +166,15 @@ def run_cells(
     same deterministic order. ``jobs > 1`` fans the cells out through
     :func:`~repro.runtime.pool.fan_out`; a grid that is not picklable
     (lambda schemes, an ad-hoc topology factory) or a dead worker warns
-    and runs in-process instead. The parent is the placement memo's one
-    owner: it stores what each cell solved, in cell-index order, so a
-    warm parallel re-run hits exactly as a serial one does.
+    and runs in-process instead.
     """
     registry = get_registry()
-    cache = get_cache()
-
-    def remember(outcome: CellOutcome) -> CellOutcome:
-        if outcome.solved is not None:
-            cache.put(outcome.key, outcome.solved)
-        return outcome
-
     if jobs <= 1:
-        outcomes = [remember(_timed_execute(cell)) for cell in cells]
-        outcomes.sort(key=lambda o: o.index)
+        outcomes = [_timed_execute(cell) for cell in cells]
     else:
-        pooled = fan_out(_cell_worker, cells, workers=jobs,
-                         what="sweep grid")
-        outcomes = [remember(o) for o in sorted(pooled,
-                                                 key=lambda o: o.index)]
+        outcomes = fan_out(_cell_worker, cells, workers=jobs,
+                           what="sweep grid")
+    outcomes.sort(key=lambda o: o.index)
 
     per_worker_seconds: Dict[int, float] = {}
     for outcome in outcomes:

@@ -227,7 +227,7 @@ _COMMAND_FIELDS: Dict[str, Dict[str, dict]] = {
         "spec": {"type": "string"},
         "t_min_mbps": {"type": "number", "exclusiveMinimum": 0},
         "t_max_mbps": {"type": "number"},
-        "d_max_us": {"type": "number"},
+        "d_max_us": {"type": "number", "exclusiveMinimum": 0},
     },
     "scale": {
         "chain": {"type": "string"},

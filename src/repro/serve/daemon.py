@@ -295,7 +295,12 @@ class ServeDaemon:
         self.journal = Journal(self.state_dir / "journal.jsonl")
         self.checkpoints = CheckpointStore(self.state_dir / "checkpoint.pkl")
         #: the daemon owns its registry (it is checkpointed with the
-        #: core, so recovered metrics equal the uninterrupted run's).
+        #: core, so after a recovery every counter and histogram count
+        #: equals the uninterrupted run's, except the compile memos'
+        #: hit/miss split — ``p4c.compile.lookups`` and
+        #: ``metacompiler.codegen.units`` count this process's warmth —
+        #: and the ``serve.checkpoint.*`` series of the checkpoints this
+        #: run happened to write).
         self.registry = registry if registry is not None \
             else MetricsRegistry()
 

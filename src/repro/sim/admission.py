@@ -63,7 +63,7 @@ from repro.exceptions import (
     LifecycleError,
     PartitionError,
     PlacementError,
-    SpecError,
+    ReproError,
 )
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.topology import Topology
@@ -190,8 +190,10 @@ class ChainEvent:
     def validate(self) -> None:
         """Reject a statically malformed event (lifecycle timelines and
         serve's typed commands share this check): an unknown action, a
-        negative tick, no chain, an arrival spec that does not declare
-        exactly this chain, or a floor that is not > 0."""
+        negative tick, no chain, an arrival spec that does not parse into
+        exactly this chain, a floor that is not a finite number > 0, a
+        NaN cap or a cap below the floor, or a delay bound that is NaN or
+        not > 0."""
         if self.action not in LIFECYCLE_ACTIONS:
             raise LifecycleError(
                 f"unknown lifecycle action {self.action!r}; "
@@ -210,7 +212,7 @@ class ChainEvent:
                 )
             try:
                 parsed = chains_from_spec(self.spec)
-            except SpecError as exc:
+            except ReproError as exc:
                 raise LifecycleError(
                     f"arrival spec for {self.chain!r} does not parse: {exc}"
                 ) from exc
@@ -219,10 +221,24 @@ class ChainEvent:
                     f"arrival spec for {self.chain!r} must declare exactly "
                     f"that one chain, got {[c.name for c in parsed]}"
                 )
-        if self.action != "depart" and self.t_min_mbps <= 0:
+        if self.action == "depart":
+            return
+        if not (math.isfinite(self.t_min_mbps) and self.t_min_mbps > 0):
             raise LifecycleError(
-                f"{self.action} of {self.chain!r} needs t_min_mbps > 0 "
+                f"{self.action} of {self.chain!r} needs a finite "
+                f"t_min_mbps > 0, got {self.t_min_mbps!r} "
                 "(admission is an SLO contract)"
+            )
+        if not self.t_max_mbps >= self.t_min_mbps:  # NaN fails too
+            raise LifecycleError(
+                f"{self.action} of {self.chain!r} needs t_max_mbps >= "
+                f"t_min_mbps, got t_max_mbps={self.t_max_mbps!r} and "
+                f"t_min_mbps={self.t_min_mbps!r}"
+            )
+        if not self.d_max_us > 0:  # NaN fails too
+            raise LifecycleError(
+                f"{self.action} of {self.chain!r} needs d_max_us > 0, "
+                f"got {self.d_max_us!r}"
             )
 
 

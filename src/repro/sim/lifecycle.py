@@ -155,7 +155,10 @@ class LifecycleTimeline:
                 ))
         except (KeyError, TypeError, ValueError) as exc:
             raise LifecycleError(f"malformed timeline: {exc}") from exc
-        return cls(events=tuple(events), seed=int(payload.get("seed", 23)))
+        timeline = cls(events=tuple(events),
+                       seed=int(payload.get("seed", 23)))
+        timeline.validate()
+        return timeline
 
     @classmethod
     def parse_json(cls, text: str) -> "LifecycleTimeline":

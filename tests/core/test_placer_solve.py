@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core.cache import placement_fingerprint
-from repro.core.placer import Placer, PlacementReport, PlacementRequest
+from repro.core.placer import (
+    Placer,
+    PlacementReport,
+    PlacementRequest,
+    PlacerConfig,
+)
 from repro.exceptions import PlacementError
 from repro.hw.spec import topology_for
 
@@ -71,61 +75,66 @@ class TestSolve:
         assert [s.reserved_cores for s in placer.topology.servers] == before
 
 
-def _key(placer, chains, extra=()):
-    """The sweep memo's key for ``chains`` on the placer's rack as it
-    stands (``Placer.solve`` itself memoizes nothing)."""
-    return placement_fingerprint(
-        chains, placer.topology, placer.profiles,
-        placer.config.strategy, placer.config.packet_bits, extra=extra,
-    )
+def _answer(report):
+    """What a solve decided, as the tests compare it: the rendered
+    placement, the LP rates and the switch stages it uses."""
+    placement = report.placement
+    return (placement.describe(), placement.rates,
+            placement.switch_stages_used)
 
 
-class TestSolveCaching:
-    """What made a memoized placement safe to reuse: a repeated solve is
-    the same answer, and every scenario knob moves the sweep memo's key."""
+class TestSolveDeterminism:
+    """A repeated solve is the same answer, every scenario knob is part
+    of the answer, and a request's knobs end with its solve."""
 
     def test_repeat_solve_is_identical(self, simple_chains):
         placer = Placer()
         first = placer.solve(PlacementRequest(chains=simple_chains))
         second = placer.solve(PlacementRequest(chains=simple_chains))
         assert second.placement is not first.placement
-        assert second.placement.describe() == first.placement.describe()
-        assert second.placement.rates == first.placement.rates
+        assert _answer(second) == _answer(first)
         warm = [
             placer.solve(PlacementRequest(
                 chains=simple_chains, base_placement=first.placement,
-            )).placement
+            ))
             for _ in range(2)
         ]
-        assert warm[1].describe() == warm[0].describe()
-        assert warm[1].rates == warm[0].rates
+        assert _answer(warm[1]) == _answer(warm[0])
 
-    def test_scenario_knobs_partition_the_key(self, simple_chains):
-        placer = Placer(topology=topology_for("paper-smartnic").build())
-        plain = _key(placer, simple_chains)
-        placer.solve(PlacementRequest(
-            chains=simple_chains, failed_devices=("agilio0",),
-        ))
-        placer.solve(PlacementRequest(
+    def test_request_knobs_change_only_their_own_solve(self, simple_chains):
+        placer = Placer(topology=topology_for("multi-server").build())
+        plain = _answer(placer.solve(PlacementRequest(chains=simple_chains)))
+        failed = _answer(placer.solve(PlacementRequest(
+            chains=simple_chains, failed_devices=("server0",),
+        )))
+        reserved = _answer(placer.solve(PlacementRequest(
             chains=simple_chains, reserve_cores=2,
-        ))
-        # a request's knobs are rolled back after its solve, the key too
-        assert _key(placer, simple_chains) == plain
-        placer.topology.mark_failed("agilio0")
-        failed = _key(placer, simple_chains)
-        placer.topology.failed_devices.discard("agilio0")
-        for server in placer.topology.servers:
-            server.reserved_cores += 2
-        reserved = _key(placer, simple_chains)
-        assert len({plain, failed, reserved}) == 3
+        )))
+        assert len({plain[0], failed[0], reserved[0]}) == 3
+        # a request's knobs are rolled back after its solve
+        assert _answer(placer.solve(
+            PlacementRequest(chains=simple_chains))) == plain
 
-    def test_rate_objective_in_key(self, simple_chains):
-        placer = Placer()
-        keys = {
-            _key(placer, simple_chains, extra=("rate_objective", objective))
-            for objective in ("marginal", "max_min")
-        }
-        assert len(keys) == 2
+    def test_rate_objective_changes_the_rates(self):
+        """Two chains behind one 40 G NIC: the marginal objective gives
+        the headroom to one chain, max-min splits it."""
+        from repro.chain.graph import chains_from_spec
+        from repro.chain.slo import SLO
+        from repro.units import gbps
+
+        chains = chains_from_spec(
+            "chain fat: ACL -> Monitor -> IPv4Fwd\n"
+            "chain thin: BPF -> Monitor -> IPv4Fwd",
+            slos=[SLO(t_min=gbps(2), t_max=gbps(100)),
+                  SLO(t_min=gbps(1), t_max=gbps(100))],
+        )
+        answers = [
+            _answer(Placer(config=PlacerConfig(rate_objective=objective))
+                    .solve(PlacementRequest(chains=chains)))
+            for objective in ("marginal", "max_min", "marginal")
+        ]
+        assert answers[0][1] != answers[1][1]
+        assert answers[2] == answers[0]
 
 
 class TestIncrementalSolve:
@@ -247,11 +256,12 @@ class TestTailLatencyObjective:
         assert "queueing-aware tail latency" in \
             tight.placement.infeasible_reason
 
-    def test_objective_partitions_cache_key(self, simple_chains):
+    def test_objective_changes_only_its_own_solve(self, simple_chains):
         placer = Placer()
-        keys = [
-            _key(placer, simple_chains, extra=("objective", objective))
+        answers = [
+            _answer(placer.solve(PlacementRequest(
+                chains=simple_chains, objective=objective)))
             for objective in ("throughput", "tail_latency", "throughput")
         ]
-        assert keys[0] != keys[1]
-        assert keys[2] == keys[0]
+        assert answers[0] != answers[1]
+        assert answers[2] == answers[0]

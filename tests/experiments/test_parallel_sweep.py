@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from repro.core.cache import PlacementCache, scoped_cache
 from repro.experiments.runner import (
     DEFAULT_DELTAS,
     SweepSpec,
@@ -22,14 +21,6 @@ FAST = {k: v for k, v in SCHEMES.items()
 @pytest.fixture()
 def profiles():
     return default_profiles()
-
-
-@pytest.fixture(autouse=True)
-def cold_cache():
-    """The sweep always memoizes: every test starts from an empty memo,
-    so its first pass over a grid really solves."""
-    with scoped_cache() as cache:
-        yield cache
 
 
 @pytest.fixture()
@@ -55,8 +46,7 @@ class TestSweepSpec:
 class TestParallelEquivalence:
     def test_parallel_rows_identical_to_serial(self, spec):
         serial = run_sweep(spec)
-        with scoped_cache():  # workers forked here inherit no serial row
-            parallel = run_sweep(spec.with_jobs(2))
+        parallel = run_sweep(spec.with_jobs(2))
         assert serial.results == parallel.results  # same rows, same order
 
     def test_parallel_measured_rows_identical(self, profiles):
@@ -66,9 +56,7 @@ class TestParallelEquivalence:
             profiles=profiles, measure=True,
         )
         serial = run_sweep(measured)
-        with scoped_cache():
-            assert run_sweep(measured.with_jobs(2)).results \
-                == serial.results
+        assert run_sweep(measured.with_jobs(2)).results == serial.results
 
     def test_unpicklable_scheme_falls_back_to_serial(self, profiles):
         lambda_schemes = {
@@ -131,71 +119,3 @@ class TestTopologyIsolation:
             ))
         # every cell started from a pristine copy: no failures carried over
         assert calls == [[], [], []]
-
-
-class TestSweepCaching:
-    def test_warm_rerun_hits_and_matches(self, profiles):
-        spec = SweepSpec(
-            chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=FAST,
-            profiles=profiles, measure=False,
-        )
-        with scoped_cache(PlacementCache()) as cache:
-            cold = run_sweep(spec)
-            assert cache.hits == 0
-            assert cache.misses == len(spec.cells())
-            warm = run_sweep(spec)
-            assert cache.hits == len(spec.cells())
-            assert cold.results == warm.results
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_fresh_memo_is_cold_and_a_second_pass_hits(self, profiles,
-                                                        jobs):
-        """Each pass under a fresh memo solves every cell, whatever ran
-        before in this process; a second pass under the same memo hits
-        once per cell, in workers as in-process."""
-        spec = SweepSpec(
-            (2, 3), deltas=(0.5, 1.0), schemes={"Lemur": SCHEMES["Lemur"]},
-            profiles=profiles, measure=False, jobs=jobs,
-        )
-        cells = len(spec.cells())
-
-        def lookups():
-            with scoped_registry() as registry:
-                run_sweep(spec)
-                return (
-                    registry.counter_value("placement_cache.lookups",
-                                           result="hit"),
-                    registry.counter_value("placement_cache.lookups",
-                                           result="miss"),
-                    registry.counter_value("lp.solves",
-                                           objective="marginal") > 0,
-                )
-
-        for _ in range(2):
-            with scoped_cache():
-                assert lookups() == (0, cells, True)
-        with scoped_cache():
-            lookups()
-            assert lookups() == (cells, 0, False)
-
-    def test_cache_hit_preserves_measured_rows(self, profiles):
-        spec = SweepSpec(
-            chain_indices=(2,), deltas=(0.5,),
-            schemes={"Lemur": SCHEMES["Lemur"]},
-            profiles=profiles, measure=True,
-        )
-        with scoped_cache(PlacementCache()) as cache:
-            cold = run_sweep(spec)
-            warm = run_sweep(spec)
-            assert cache.hits == 1
-            assert cold.results == warm.results
-
-    def test_distinct_cells_never_collide(self, profiles):
-        spec = SweepSpec(
-            chain_indices=(2, 3), deltas=(0.5, 1.0), schemes=FAST,
-            profiles=profiles, measure=False,
-        )
-        with scoped_cache(PlacementCache()) as cache:
-            run_sweep(spec)
-            # every (scheme, δ) cell is a distinct problem -> distinct key
-            assert len(cache) == len(spec.cells())

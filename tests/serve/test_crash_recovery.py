@@ -69,6 +69,47 @@ def test_recovered_report_is_byte_identical(make_config, drive, tmp_path,
     )
 
 
+#: series a recovered registry may hold differently from an uninterrupted
+#: run's: the process-wide compile memos' warmth (they are not
+#: checkpointed) and the checkpoints a run happened to write
+_WARMTH_COUNTERS = {"p4c.compile.lookups", "metacompiler.codegen.units"}
+_CHECKPOINT_HISTOGRAMS = {"serve.checkpoint.seconds"}
+
+
+def _series(instruments, value, skip):
+    return {
+        (i.name, tuple(sorted(dict(i.labels).items()))): value(i)
+        for i in instruments if i.name not in skip
+    }
+
+
+@pytest.mark.parametrize("checkpoint_every", [2, 0],
+                         ids=["checkpointed", "journal-only"])
+@pytest.mark.parametrize("kill_after", [1, 3, 5])
+def test_recovered_registry_matches_but_for_memo_warmth(
+        make_config, drive, tmp_path, checkpoint_every, kill_after):
+    """The registry rides in the checkpoint, so after a kill and a
+    recovery every counter and every histogram's count equals the
+    uninterrupted run's — except the compile memos' hit/miss split and
+    the checkpoint timer, which count what this process did."""
+    config = make_config(checkpoint_every=checkpoint_every)
+    reference, _ = drive(config, tmp_path / "reference", COMMANDS)
+    drive(config, tmp_path / "crashed", COMMANDS[:kill_after], crash=True)
+    recovered, _ = drive(config, tmp_path / "crashed", COMMANDS[kill_after:])
+
+    def counters(daemon):
+        return _series(daemon.registry.counters(), lambda c: c.value,
+                       _WARMTH_COUNTERS)
+
+    def histogram_counts(daemon):
+        return _series(daemon.registry.histograms(), lambda h: h.count,
+                       _CHECKPOINT_HISTOGRAMS)
+
+    assert counters(recovered) == counters(reference)
+    assert histogram_counts(recovered) == histogram_counts(reference)
+    assert counters(reference)  # the comparison is not vacuous
+
+
 def test_recovery_is_invisible_midstream(make_config, drive, tmp_path):
     """Commands after recovery decide exactly as without the crash —
     including a rejection, which must replay as a rejection."""

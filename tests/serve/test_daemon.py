@@ -179,6 +179,29 @@ class TestMutations:
         assert snap.status == STATUS_APPLIED
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "admission ignores the fault state: PlacementRequest refuses "
+    "base_placement together with failed_devices, so an incremental "
+    "arrival may land on a failed server (ROADMAP item 3, 'also left')"
+))
+def test_an_arrival_avoids_a_failed_server(make_config, drive, tmp_path):
+    """On ``multi-server`` with ``server1`` failed, an arriving
+    ``ACL -> Encrypt -> IPv4Fwd`` is accepted — onto ``server1``."""
+    from repro.hw.spec import topology_for
+
+    daemon, outcomes = drive(
+        make_config(topology=topology_for("multi-server")),
+        tmp_path / "state", [
+            InjectFault(action="fail", target="server1"),
+            Arrive(chain="dyn0", spec="chain dyn0: ACL -> Encrypt -> IPv4Fwd",
+                   t_min_mbps=1000.0),
+        ])
+    assert [o.status for o in outcomes] == [STATUS_APPLIED, STATUS_APPLIED]
+    (arrived,) = [cp for cp in daemon.core.cores["r0"].placement.chains
+                  if cp.name == "dyn0"]
+    assert "server1" not in {sg.server for sg in arrived.subgroups}
+
+
 def test_a_started_daemon_has_the_lp_solver_loaded(tmp_path):
     """``repro`` imports ``scipy.optimize`` on the first LP that binds;
     the daemon loads it in ``start()``, before it announces itself, so

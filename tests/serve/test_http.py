@@ -124,31 +124,63 @@ def test_http_round_trip(config, tmp_path):
     assert final.rejected == 1
 
 
+def _journaled(journal):
+    """The journal's bytes (none before the first applied command)."""
+    return journal.read_bytes() if journal.exists() else b""
+
+
 @pytest.fixture(scope="module")
-def base_url(make_config, tmp_path_factory):
-    """One live daemon + HTTP front-end for the hostile-body cases."""
+def live_daemon(make_config, tmp_path_factory):
+    """One live daemon + HTTP front-end for the hostile-body cases: its
+    URL and its journal."""
     ready = threading.Event()
     url = {}
+    state_dir = tmp_path_factory.mktemp("http") / "state"
 
     def on_ready(server_url):
         url["base"] = server_url
         ready.set()
 
     thread = threading.Thread(target=run_server, kwargs=dict(
-        config=make_config(),
-        state_dir=tmp_path_factory.mktemp("http") / "state",
-        ready=on_ready,
+        config=make_config(), state_dir=state_dir, ready=on_ready,
     ))
     thread.start()
     assert ready.wait(120), "daemon never became ready"
-    yield url["base"]
+    yield url["base"], state_dir / "journal.jsonl"
     _request(url["base"] + "/v1/shutdown", {})
     thread.join(timeout=120)
     assert not thread.is_alive()
 
 
+@pytest.fixture(scope="module")
+def base_url(live_daemon):
+    return live_daemon[0]
+
+
 _ARRIVE = {"kind": "arrive", "chain": "x", "spec": "chain x: ACL",
            "t_min_mbps": 1.0}
+_GOOD_ARRIVE = {"kind": "arrive", "chain": "h",
+                "spec": "chain h: ACL -> IPv4Fwd", "t_min_mbps": 500.0}
+_NAN = float("nan")
+
+#: id -> a well-formed command whose numbers or spec the core must
+#: never see (``json.dumps`` writes NaN and Infinity as bare tokens,
+#: which the daemon's ``json.loads`` reads as floats)
+HOSTILE = {
+    "arrive-nan-floor": {**_GOOD_ARRIVE, "t_min_mbps": _NAN},
+    "arrive-infinite-floor": {**_GOOD_ARRIVE, "t_min_mbps": float("inf")},
+    "scale-nan-floor": {"kind": "scale", "chain": "enterprise",
+                        "t_min_mbps": _NAN},
+    "arrive-nan-cap": {**_GOOD_ARRIVE, "t_max_mbps": _NAN},
+    "arrive-cap-below-floor": {**_GOOD_ARRIVE, "t_max_mbps": 100.0},
+    "scale-cap-below-floor": {"kind": "scale", "chain": "enterprise",
+                              "t_min_mbps": 1500.0, "t_max_mbps": 1000.0},
+    "arrive-nan-delay": {**_GOOD_ARRIVE, "d_max_us": _NAN},
+    "arrive-zero-delay": {**_GOOD_ARRIVE, "d_max_us": 0.0},
+    "arrive-negative-delay": {**_GOOD_ARRIVE, "d_max_us": -5.0},
+    "arrive-spec-graph-error": {**_GOOD_ARRIVE, "chain": "z",
+                                "spec": "chain z: [ACL, ACL] -> IPv4Fwd"},
+}
 
 #: id -> (Content-Length header or None for "send none", body bytes)
 MALFORMED = {
@@ -164,14 +196,18 @@ MALFORMED = {
     "json-array": ("6", b"[1, 2]"),
     "unknown-kind": (None, json.dumps({"kind": "warp"}).encode()),
     "unknown-field": (None, json.dumps({**_ARRIVE, "turbo": 1}).encode()),
+    **{case: (None, json.dumps(command).encode())
+       for case, command in HOSTILE.items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_body_is_a_typed_400(base_url, case):
+def test_malformed_body_is_a_typed_400(live_daemon, case):
     """Whatever a client puts in a command body, it gets a JSON 400 back
-    (never a dropped connection), nothing is applied, and the daemon
-    answers the next request."""
+    (never a dropped connection), nothing is applied or journaled, and
+    the daemon answers the next request."""
+    base_url, journal = live_daemon
+    journaled = _journaled(journal)
     length, body = MALFORMED[case]
     if length is None and body:
         length = str(len(body))
@@ -190,6 +226,7 @@ def test_malformed_body_is_a_typed_400(base_url, case):
     finally:
         conn.close()
     assert isinstance(answer["error"], str) and answer["error"]
+    assert _journaled(journal) == journaled
 
     code, health = _request(base_url + "/v1/health")
     assert code == 200

@@ -66,6 +66,32 @@ class TestTimeline:
         with pytest.raises(LifecycleError, match="unknown fields"):
             LifecycleTimeline.from_dict(bad_event)
 
+    @pytest.mark.parametrize("fields", [
+        dict(t_min_mbps=float("nan")),
+        dict(t_min_mbps=float("inf")),
+        dict(action="scale", spec="", t_min_mbps=float("nan")),
+        dict(t_max_mbps=float("nan")),
+        dict(t_max_mbps=100.0),
+        dict(action="scale", spec="", t_min_mbps=1500.0, t_max_mbps=1000.0),
+        dict(d_max_us=float("nan")),
+        dict(d_max_us=0.0),
+        dict(d_max_us=-5.0),
+        dict(spec="chain gamma: [ACL, ACL] -> IPv4Fwd"),
+    ], ids=[
+        "nan-floor", "infinite-floor", "scale-nan-floor", "nan-cap",
+        "cap-below-floor", "scale-cap-below-floor", "nan-delay",
+        "zero-delay", "negative-delay", "spec-graph-error",
+    ])
+    def test_parse_rejects_hostile_slo_or_spec(self, fields):
+        """The wire form of a timeline is refused as a whole when one
+        event's numbers or spec could not be an SLO contract."""
+        import json
+
+        doc = json.loads(LifecycleTimeline(events=(GAMMA,)).to_json())
+        doc["events"] = [dict(doc["events"][0], **fields)]
+        with pytest.raises(LifecycleError):
+            LifecycleTimeline.from_dict(doc)
+
     def test_parse_rejects_non_object(self):
         with pytest.raises(LifecycleError):
             LifecycleTimeline.parse_json("42")
