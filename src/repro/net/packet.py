@@ -456,14 +456,16 @@ class Packet:
         template does not parse the same bytes again). The clone gets its
         own header objects: editing one and ``commit()`` never shows
         through to this packet."""
-        clone = Packet(bytes(self._data))
+        clone = object.__new__(Packet)
+        clone._data = self._data[:]
         parsed = self._parsed
         if parsed is not None:
-            clone._parsed = carried = dict(parsed)
+            parsed = dict(parsed)
             for slot in _EDITABLE_HEADERS:
-                header = carried[slot]
+                header = parsed[slot]
                 if header is not None:
-                    carried[slot] = _fresh(header)
+                    parsed[slot] = _fresh(header)
+        clone._parsed = parsed
         meta = self.metadata
         clone.metadata = PacketMetadata(
             drop_flag=meta.drop_flag,

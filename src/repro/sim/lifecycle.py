@@ -65,6 +65,24 @@ _ACTION_ORDER = {"depart": 0, "scale": 1, "arrive": 2}
 # ---------------------------------------------------------------------------
 
 
+def _event_dict(ev: ChainEvent) -> dict:
+    """One event's wire form. Infinities are not JSON: an unbounded
+    ``t_max_mbps`` or ``d_max_us`` is left out, and absent means unbounded
+    (:meth:`LifecycleTimeline.from_dict`)."""
+    out = {
+        "at": ev.at,
+        "action": ev.action,
+        "chain": ev.chain,
+        "spec": ev.spec,
+        "t_min_mbps": ev.t_min_mbps,
+    }
+    if ev.t_max_mbps != float("inf"):
+        out["t_max_mbps"] = ev.t_max_mbps
+    if ev.d_max_us != float("inf"):
+        out["d_max_us"] = ev.d_max_us
+    return out
+
+
 @dataclass(frozen=True)
 class LifecycleTimeline:
     """An ordered, validated schedule of :class:`ChainEvent`.
@@ -98,18 +116,7 @@ class LifecycleTimeline:
         return json.dumps(
             {
                 "seed": self.seed,
-                "events": [
-                    {
-                        "at": ev.at,
-                        "action": ev.action,
-                        "chain": ev.chain,
-                        "spec": ev.spec,
-                        "t_min_mbps": ev.t_min_mbps,
-                        "t_max_mbps": ev.t_max_mbps,
-                        "d_max_us": ev.d_max_us,
-                    }
-                    for ev in self.events
-                ],
+                "events": [_event_dict(ev) for ev in self.events],
             },
             indent=2,
             sort_keys=True,

@@ -55,6 +55,27 @@ class TestTimeline:
         again = LifecycleTimeline.parse_json(timeline.to_json())
         assert again == timeline
 
+    def test_json_is_strict_and_an_unbounded_slo_round_trips(self):
+        """No bare ``Infinity`` token: an unbounded cap or delay bound is
+        left out of the wire form, and parsing restores ``inf``."""
+        import json
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        timeline = LifecycleTimeline.random(seed=1)
+        unbounded = [ev for ev in timeline.events
+                     if ev.t_max_mbps == float("inf")
+                     or ev.d_max_us == float("inf")]
+        assert unbounded  # the seed exercises the case
+        text = timeline.to_json()
+        doc = json.loads(text, parse_constant=refuse)
+        assert LifecycleTimeline.from_dict(doc) == timeline
+        assert LifecycleTimeline.parse_json(text) == timeline
+        for ev, wire in zip(timeline.events, doc["events"]):
+            assert ("t_max_mbps" in wire) == (ev.t_max_mbps != float("inf"))
+            assert ("d_max_us" in wire) == (ev.d_max_us != float("inf"))
+
     def test_parse_rejects_unknown_fields(self):
         import json
 
