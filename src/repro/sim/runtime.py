@@ -50,6 +50,7 @@ from repro.sim.columns import (
     _FinishedBlock,
     _RouteClass,
     _RouteTrace,
+    seq_dropped,
     vector_fault_mask,
 )
 from repro.sim.measurement import HopStat, PacketTraceResult, QueueingModel
@@ -178,7 +179,7 @@ class _HopProbe:
 @dataclass(eq=False)
 class _HopPlan:
     """What a ``(spi, si)`` hop is to every flow that reaches it, resolved
-    when a column block first arrives there."""
+    when a column run first arrives there."""
 
     device: str
     platform: str
@@ -189,12 +190,12 @@ class _HopPlan:
     reason: str
     #: the platform's probe primitive for this hop, as ``(method name,
     #: leading arguments)`` — no reference back to the rack; None where the
-    #: hop cannot be probe-replayed and blocks go to the scalar loop
+    #: hop cannot be probe-replayed and runs take the scalar step
     probe: Optional[Tuple[str, tuple]]
     #: probe memo key, less the template bytes
     key: tuple
-    #: an on-switch hop continues on its path at this SI (None: it ends)
-    exit_si: Optional[int]
+    #: an on-switch hop continues on its path at this SI (0: it ends)
+    exit_si: int
     freq: float
     #: the device's (packets_in, packets_out, cycles) counters
     counters: tuple
@@ -223,19 +224,24 @@ class _InterRackHop:
 
 class _Cohort:
     """A run of one service path's packets, in injection order, moving
-    through the chain graph together (:meth:`DeployedRack._run_graph`).
+    through the chain graph together (:meth:`DeployedRack._run_graph`):
+    ``packets``, or a column run ``cols`` (then ``packets`` is None until
+    a scalar step materializes it).
 
     ``spi``/``si`` name the hop the run enters next; once entered, ``si``
     is None and the run sits at node ``pos`` of ``hop`` (past 0 only
-    inside a switch hop, which advances one node per step).
+    inside a switch hop a packet run crosses one node per step; a column
+    run takes a hop whole).
     """
 
-    __slots__ = ("packets", "spi", "si", "excursions", "switch_passes",
-                 "budget", "path", "hop_index", "hop", "pos")
+    __slots__ = ("packets", "cols", "spi", "si", "excursions",
+                 "switch_passes", "budget", "path", "hop_index", "hop", "pos")
 
-    def __init__(self, packets: List[Packet], spi: int, si: int,
-                 excursions: int, switch_passes: int, budget: int):
+    def __init__(self, packets: Optional[List[Packet]], spi: int, si: int,
+                 excursions: int, switch_passes: int, budget: int,
+                 cols: Optional[PacketColumns] = None):
         self.packets = packets
+        self.cols = cols
         self.spi = spi
         self.si = si
         self.excursions = excursions
@@ -245,6 +251,10 @@ class _Cohort:
 
 
 _seq_of = attrgetter("metadata.seq")
+_route_of = attrgetter("route")
+_pkt_cycles_of = attrgetter("pkt_cycles")
+_survived_of = attrgetter("survived")
+_next_coords_of = attrgetter("next_spi", "next_si")
 
 
 def _merged(group: List[_Cohort]) -> List[Packet]:
@@ -437,11 +447,12 @@ class DeployedRack:
             (path.chain_name, tuple(path.node_ids)): path
             for path in artifacts.routing.service_paths
         }
-        #: spi -> {entry_si -> hop index}; kills the per-event linear hop
-        #: scan in the inject loop.
-        self._hop_index: Dict[int, Dict[int, int]] = {
-            path.spi: {hop.entry_si: i for i, hop in enumerate(path.hops)}
+        #: (spi, entry si) -> (service path, hop index, hop): where a run
+        #: that enters at those coordinates is, in one lookup
+        self._hop_at: Dict[Tuple[int, int], tuple] = {
+            (path.spi, hop.entry_si): (path, i, hop)
             for path in artifacts.routing.service_paths
+            for i, hop in enumerate(path.hops)
         }
         #: per-flow classification memo: (chain, vlan vid, 5-tuple) -> path.
         #: The key covers every packet field the chain-DAG walk reads, so a
@@ -625,59 +636,16 @@ device_fingerprints`) decide what happens to each device:
     def clear_interrack_hops(self) -> None:
         self._interrack.clear()
 
-    def _link_drop(self, hop: _InterRackHop, seq: int) -> bool:
-        """Same hash as :meth:`_fault_reason`, salted with the link seed
-        (bit-exact twin of ``vector_fault_mask(seq, link_seed, loss)``)."""
-        loss = hop.drop_fraction
-        if not loss:
-            return False
-        x = (seq * 2654435761 + hop.link_seed * 40503 + 0x9E3779B9) & 0xFFFFFFFF
-        x ^= x >> 16
-        x = (x * 0x45D9F3B) & 0xFFFFFFFF
-        x ^= x >> 16
-        return x / 4294967296.0 < loss
-
-    def _interrack_filter_scalar(self, chain: str, hop: _InterRackHop,
-                                 entries: list) -> list:
-        """Apply the fabric-ingress hop to a scalar batch: count every
-        packet onto the link, drop the hash-selected ones (their seqs
-        simply never reach ``results``, so outputs carry ``None``)."""
-        self.obs.counter("interrack.packets", link=hop.link).inc(len(entries))
-        if not hop.drop_fraction:
-            return entries
-        kept = []
-        dropped = 0
-        for packet, path in entries:
-            if self._link_drop(hop, packet.metadata.seq):
-                dropped += 1
-            else:
-                kept.append((packet, path))
-        if dropped:
-            for counter in self._drop_counter_pair(
-                chain, hop.link, "interrack_capacity"
-            ):
-                counter.inc(dropped)
-            self.obs.counter("interrack.drops", link=hop.link).inc(dropped)
-        return kept
-
-    def _interrack_filter_columns(self, chain: str, hop: _InterRackHop,
-                                  columns: PacketColumns) -> PacketColumns:
-        """Columnar twin of :meth:`_interrack_filter_scalar`."""
-        self.obs.counter("interrack.packets", link=hop.link).inc(len(columns))
-        if not hop.drop_fraction:
-            return columns
-        keep = ~vector_fault_mask(
-            columns.seq, hop.link_seed, hop.drop_fraction
-        )
-        dropped = int(len(columns) - keep.sum())
-        if not dropped:
-            return columns
-        for counter in self._drop_counter_pair(
-            chain, hop.link, "interrack_capacity"
-        ):
-            counter.inc(dropped)
-        self.obs.counter("interrack.drops", link=hop.link).inc(dropped)
-        return columns.compress(keep)
+    def _count_interrack(self, chain: str, hop: _InterRackHop, count: int,
+                         kept: int) -> None:
+        """Count a batch of ``count`` packets onto the fabric link, and
+        those of them the link shed (``kept`` arrive)."""
+        self.obs.counter("interrack.packets", link=hop.link).inc(count)
+        if kept < count:
+            self._count_drops(chain, hop.link, "interrack_capacity",
+                              count - kept)
+            self.obs.counter("interrack.drops", link=hop.link).inc(
+                count - kept)
 
     # -- queueing-aware delay ----------------------------------------------------
 
@@ -705,21 +673,15 @@ device_fingerprints`) decide what happens to each device:
     def _fault_reason(self, device: str, seq: int) -> Optional[str]:
         """Why a packet headed for ``device`` is dropped, or None.
 
-        The partial-loss decision hashes the packet's injection sequence
-        (never wall clock or a shared RNG stream), so a given (seed, seq)
-        always resolves the same way — the chaos report's determinism
-        across runs and batching modes rests on this.
+        The partial-loss decision is :func:`seq_dropped` under the rack
+        seed, so a given (seed, seq) always resolves the same way — the
+        chaos report's determinism across runs and batching modes rests on
+        this.
         """
         if device in self._fault_failed:
             return "device_failed"
         loss = self._fault_loss.get(device)
-        if not loss:
-            return None
-        x = (seq * 2654435761 + self.seed * 40503 + 0x9E3779B9) & 0xFFFFFFFF
-        x ^= x >> 16
-        x = (x * 0x45D9F3B) & 0xFFFFFFFF
-        x ^= x >> 16
-        if x / 4294967296.0 < loss:
+        if loss and seq_dropped(seq, self.seed, loss):
             return "link_degraded"
         return None
 
@@ -738,23 +700,15 @@ device_fingerprints`) decide what happens to each device:
                 "delivered": obs.counter(
                     "rack.packets.delivered", chain=chain
                 ),
-                "latency": obs.histogram("rack.latency_us", chain=chain),
-                "exec_us": obs.histogram(
-                    "rack.latency_component_us", chain=chain,
-                    component="exec_us",
-                ),
-                "queue_us": obs.histogram(
-                    "rack.latency_component_us", chain=chain,
-                    component="queue_us",
-                ),
-                "bounce_us": obs.histogram(
-                    "rack.latency_component_us", chain=chain,
-                    component="bounce_us",
-                ),
-                "switch_us": obs.histogram(
-                    "rack.latency_component_us", chain=chain,
-                    component="switch_us",
-                ),
+                #: (histogram, the stamped packet field it observes)
+                "observed": [
+                    (obs.histogram("rack.latency_us", chain=chain),
+                     "latency_us"),
+                    *((obs.histogram("rack.latency_component_us",
+                                     chain=chain, component=field), field)
+                      for field in ("exec_us", "queue_us", "bounce_us",
+                                    "switch_us")),
+                ],
             }
         return inst
 
@@ -768,8 +722,10 @@ device_fingerprints`) decide what happens to each device:
             del self._drop_counters[key]
         self.obs.drop_series(chain=chain)
 
-    def _drop_counter_pair(self, chain: str, device: str, reason: str
-                           ) -> tuple:
+    def _count_drops(self, chain: str, device: str, reason: str,
+                     count: int) -> None:
+        """Count ``count`` of ``chain``'s packets dropped at ``device`` for
+        ``reason``, by chain and by device."""
         key = (chain, device, reason)
         pair = self._drop_counters.get(key)
         if pair is None:
@@ -781,7 +737,8 @@ device_fingerprints`) decide what happens to each device:
                     "rack.device.drops", device=device, reason=reason
                 ),
             )
-        return pair
+        for counter in pair:
+            counter.inc(count)
 
     def _cycles_counter(self, device: str):
         entry = self._dev_counters.get(device)
@@ -909,14 +866,23 @@ device_fingerprints`) decide what happens to each device:
         hop = self._interrack.get(name)
         live_entries = entries
         if hop is not None:
-            live_entries = self._interrack_filter_scalar(name, hop, entries)
+            # the shed packets' seqs never reach ``results``: outputs None
+            if hop.drop_fraction:
+                live_entries = [
+                    entry for entry in entries if not seq_dropped(
+                        entry[0].metadata.seq, hop.link_seed,
+                        hop.drop_fraction)
+                ]
+            self._count_interrack(name, hop, len(entries), len(live_entries))
         runs: Dict[int, List[Packet]] = {}
+        hop_records: Dict[int, List[dict]] = {}
         for packet, path in live_entries:
             runs.setdefault(path.spi, []).append(packet)
+            hop_records[packet.metadata.seq] = []
         self._run_graph(chain_placement, [
             _Cohort(run_packets, spi, INITIAL_SI, 0, 1, _MAX_EVENTS)
             for spi, run_packets in runs.items()
-        ], results)
+        ], results, hop_records)
         return RunResult(outputs=[
             results.get(packet.metadata.seq) for packet, _ in entries
         ])
@@ -938,15 +904,16 @@ device_fingerprints`) decide what happens to each device:
         * **class** — traces that agree on every hop share a
           :class:`_RouteClass`, interned hop by hop;
         * **replay** — a batch looks its signatures' traces up once and
-          each block replays each hop per class: counter deltas times the
-          class's population, one table-take for the cycle column, RNG
-          draws per member packet in arrival order, fault and loss state
-          read at that moment.
+          hands :meth:`_run_graph` one column run per service path; each
+          run replays each hop per class: counter deltas times the class's
+          population, one table-take for the cycle column, RNG draws per
+          member packet in injection order across the runs that meet
+          there, fault and loss state read at that moment.
 
         So a warm batch costs Python per route class and hop, never per
         signature or packet. Anything the probe model cannot express
         (stateful NFs, multi-emit pipelines, classification-cache pressure)
-        falls back to the scalar block loop via
+        takes the scalar steps of the same schedule via
         :meth:`PacketColumns.materialize_packets`.
         """
         name = chain_placement.name
@@ -990,7 +957,7 @@ device_fingerprints`) decide what happens to each device:
         # or is a new one's clone
         self._flow_hits.inc(n - len(untraced))
         columns.traces = traces
-        routes = [trace.route for trace in traces]
+        routes = list(map(_route_of, traces))
         classes = columns.classes = list(dict.fromkeys(routes))
         if len(classes) == 1:
             columns.cid = np.zeros(n, dtype=np.intp)
@@ -1005,28 +972,29 @@ device_fingerprints`) decide what happens to each device:
 
         hop = self._interrack.get(name)
         if hop is not None:
-            columns = self._interrack_filter_columns(name, hop, columns)
-            n = len(columns)
-            if n == 0:
+            keep = ~vector_fault_mask(columns.seq, hop.link_seed,
+                                      hop.drop_fraction)
+            kept = int(keep.sum())
+            self._count_interrack(name, hop, n, kept)
+            if kept < n:
+                columns = columns.compress(keep)
+            if not kept:
                 return result
 
-        # partition into maximal consecutive same-service-path runs, each
-        # run to completion in turn, so module state/RNG evolve in
-        # injection order
-        bounds = [0, n]
+        # one run per service path, as run() starts its packets
         spis = [route.path.spi for route in classes]
-        if len(set(spis)) > 1:
-            spi_arr = np.asarray(spis)[columns.cid]
-            change = np.flatnonzero(spi_arr[1:] != spi_arr[:-1]) + 1
-            bounds[1:1] = change.tolist()
-        single = len(bounds) == 2
-        for b0, b1 in zip(bounds, bounds[1:]):
-            path = classes[columns.cid[b0]].path
-            block = columns if single else columns.slice(b0, b1)
-            self._run_block_columns(
-                chain_placement, block, path.spi,
-                path.si_of[path.node_ids[0]], 0, 1, result, _MAX_EVENTS,
-            )
+        if len(set(spis)) == 1:
+            runs = [(spis[0], columns)]
+        else:
+            spi_of = np.asarray(spis)[columns.cid]
+            present, first = np.unique(spi_of, return_index=True)
+            runs = [(spi, columns.compress(spi_of == spi))
+                    for _first, spi in sorted(zip(first.tolist(),
+                                                  present.tolist()))]
+        self._run_graph(chain_placement, [
+            _Cohort(None, spi, INITIAL_SI, 0, 1, _MAX_EVENTS, run)
+            for spi, run in runs
+        ], result.scalar, {}, result)
         return result
 
     def _trace_flow(self, cp: ChainPlacement, template: Packet) -> _RouteTrace:
@@ -1046,8 +1014,7 @@ device_fingerprints`) decide what happens to each device:
                   si: int) -> _HopPlan:
         """Resolve the hop entered at ``si`` into its :class:`_HopPlan`."""
         spi = path.spi
-        hop_index = self._hop_index_for(path, si)
-        hop = path.hops[hop_index]
+        _path, hop_index, hop = self._hop_at[(spi, si)]
         nxt = path.hop_after(hop_index)
         device = hop.device
         on_switch = device == self.topology.switch.name
@@ -1085,17 +1052,17 @@ device_fingerprints`) decide what happens to each device:
             device=device, platform=hop.platform, on_switch=on_switch,
             runtime=runtime, reason=reason, probe=probe,
             key=(device, spi, si),
-            exit_si=nxt.entry_si if on_switch and nxt is not None else None,
+            exit_si=nxt.entry_si if on_switch and nxt is not None else 0,
             freq=self.device_freq(device),
             counters=self._dev_counters.get(device),
         )
         return plan
 
     def _trace_hop(self, cols: PacketColumns, plan: _HopPlan) -> None:
-        """Some flow of the block is at this hop for the first time: probe
+        """Some flow of the run is at this hop for the first time: probe
         every such flow the memo has not seen here in one call to the
         platform's probe, move each trace to the class its outcome puts it
-        in, and renumber the block's class column."""
+        in, and renumber the run's class column."""
         depth = len(cols.hops)
         classes = cols.classes
         traces = cols.traces
@@ -1145,91 +1112,89 @@ device_fingerprints`) decide what happens to each device:
             table[k] = c
         cols.cid = table[cols.sid]
 
-    def _run_block_columns(self, cp: ChainPlacement, cols: PacketColumns,
-                           spi: int, si: int, excursions: int,
-                           switch_passes: int, result: ColumnarRunResult,
-                           budget: int) -> None:
-        """The columnar hop loop: whole-column ops, Python per live route
-        class. Unlike :meth:`_run_graph` it never merges service paths:
-        divergent next coordinates re-split the block into consecutive
-        same-coordinate slices, each run to completion in turn.
+    def _column_step(self, cp: ChainPlacement, group: List[_Cohort],
+                     result: ColumnarRunResult,
+                     hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
+        """One step of a :meth:`run_columns` walk: the group's hop, whole.
 
-        A hop some flow has not been traced through is probed *before* any
-        counter or fault-state side effect, so a non-vectorizable discovery
-        can still hand the block to the scalar loop at the top of the
-        current hop with nothing double-counted.
+        Column runs replay it per live route class when every run of the
+        group is columnar and replayable there; else the whole group takes
+        the scalar step, since a server module draws its cost samples over
+        all the group's packets in injection order. On the switch (no
+        draws; a replayable run meets only stateless NFs) each run picks
+        for itself. Untraced flows are probed before any side effect.
+        Returns the runs that go on, one per next coordinates.
         """
-        name = cp.name
-        while budget > 0:
-            budget -= 1
-            path = self.paths_by_spi.get(spi)
-            if path is None:
-                raise DataplaneError(f"unknown SPI {spi}")
-            if si == 0:
-                self._finish_columns(cp, cols, excursions, switch_passes,
-                                     result)
-                return
-            plan = self._hop_plans.get((spi, si)) \
-                or self._plan_hop(cp, path, si)
-            # live classes in ascending order, how many packets are in
-            # each, and each one's outcome at this hop
-            try:
-                counts, live, probes = cols.census()
-            except IndexError:
-                self._trace_hop(cols, plan)
-                counts, live, probes = cols.census()
-            if None in probes:
-                self._fallback_block_columns(
-                    cp, cols, spi, si, excursions, switch_passes,
-                    result, budget + 1,
-                )
-                return
-
+        replay = []
+        scalar = []
+        for cohort in group:
+            cols = cohort.cols
+            if cols is not None:
+                spi, si = cohort.path.spi, cohort.hop.entry_si
+                plan = self._hop_plans.get((spi, si)) \
+                    or self._plan_hop(cp, cohort.path, si)
+                # live classes in ascending order, how many packets are in
+                # each, and each one's outcome at this hop
+                try:
+                    counts, live, probes = cols.census()
+                except IndexError:
+                    self._trace_hop(cols, plan)
+                    counts, live, probes = cols.census()
+                if None not in probes:
+                    replay.append((cohort, plan, cols, counts, live, probes))
+                    continue
+            scalar.append(cohort)
+        moving = []
+        if scalar:
+            if group[0].hop.device != self.topology.switch.name:
+                scalar, replay = group, []
+            moving = self._fallback_block_columns(cp, scalar, result,
+                                                  hop_records)
+        steps = []
+        for step in replay:
+            cohort, plan, cols = step[:3]
+            device = plan.device
             if not plan.on_switch:
-                excursions += 1
-                switch_passes += 1
-                if plan.device in self._fault_failed:
-                    for counter in self._drop_counter_pair(
-                        name, plan.device, "device_failed"
-                    ):
-                        counter.inc(len(cols))
-                    return
-                loss = self._fault_loss.get(plan.device)
+                cohort.excursions += 1
+                cohort.switch_passes += 1
+                if device in self._fault_failed:
+                    self._count_drops(cp.name, device, "device_failed",
+                                      len(cols))
+                    continue
+                loss = self._fault_loss.get(device)
                 drop = (vector_fault_mask(cols.seq, self.seed, loss)
                         if loss else None)
                 if drop is not None and drop.any():
-                    for counter in self._drop_counter_pair(
-                        name, plan.device, "link_degraded"
-                    ):
-                        counter.inc(int(drop.sum()))
+                    self._count_drops(cp.name, device, "link_degraded",
+                                      int(drop.sum()))
                     cols = cols.compress(~drop)
                     if not len(cols):
-                        return
-                    counts, live, probes = cols.census()
-
-            in_c, out_c, cycles_c = plan.counters
-            in_c.inc(len(cols))
-            charged = cols.spread(live, [p.pkt_cycles for p in probes])
-            drawn = self._replay_effects(cols, live, probes, counts,
-                                         plan.runtime)
+                        continue
+                    step = (cohort, plan, cols, *cols.census())
+            plan.counters[0].inc(len(cols))
+            steps.append(step)
+        for (cohort, plan, cols, _counts, live, probes), drawn in zip(
+            steps, self._replay_effects(steps)
+        ):
+            _in_c, out_c, cycles_c = plan.counters
+            charged = cols.spread(live, list(map(_pkt_cycles_of, probes)))
             if drawn is not None:
                 charged = charged + drawn
-            survived = [p.survived for p in probes]
+            survived = list(map(_survived_of, probes))
             if not all(survived):
                 surv = cols.spread(live, survived, bool)
                 charged = charged[surv]
-                for counter in self._drop_counter_pair(
-                    name, plan.device, plan.reason
-                ):
-                    counter.inc(len(cols) - len(charged))
+                self._count_drops(cp.name, plan.device, plan.reason,
+                                  len(cols) - len(charged))
                 live = [c for c, p in zip(live, probes) if p.survived]
                 probes = [p for p in probes if p.survived]
-                if live:
-                    cols = cols.compress(surv)
+                if not live:
+                    continue
+                cols = cols.compress(surv)
             out_c.inc(len(charged))
-            if not live:
-                return
             cols.cycles = cols.cycles + charged
+            cohort.cols = cols
+            moving.append(cohort)
             if plan.on_switch:
                 # switch cycles ride on the packet but on no device clock
                 cols.hops.append(HopColumn(
@@ -1237,11 +1202,7 @@ device_fingerprints`) decide what happens to each device:
                     np.zeros(len(cols), dtype=np.int64),
                     np.zeros(len(cols), dtype=np.float64),
                 ))
-                if plan.exit_si is None:
-                    self._finish_columns(cp, cols, excursions,
-                                         switch_passes, result)
-                    return
-                si = plan.exit_si
+                cohort.spi, cohort.si = cohort.path.spi, plan.exit_si
                 continue
             total = int(charged.sum())
             if total:
@@ -1251,84 +1212,101 @@ device_fingerprints`) decide what happens to each device:
                 plan.device, plan.platform, charged,
                 charged / plan.freq * 1e6,
             ))
-            coords = {(p.next_spi, p.next_si) for p in probes}
-            if len(coords) == 1:
-                (spi, si), = coords
-                continue
-            # Divergent next coordinates: recurse on consecutive
-            # same-coordinate runs, as the scalar loop does.
-            nspi = cols.spread(live, [p.next_spi for p in probes])
-            nsi = cols.spread(live, [p.next_si for p in probes])
-            change = np.flatnonzero(
-                (nspi[1:] != nspi[:-1]) | (nsi[1:] != nsi[:-1])
-            ) + 1
-            bounds = [0, *change.tolist(), len(cols)]
-            for b0, b1 in zip(bounds, bounds[1:]):
-                self._run_block_columns(
-                    cp, cols.slice(b0, b1), int(nspi[b0]), int(nsi[b0]),
-                    excursions, switch_passes, result, budget,
+            coords = list(dict.fromkeys(map(_next_coords_of, probes)))
+            (cohort.spi, cohort.si) = coords[0]
+            if len(coords) > 1:
+                which = cols.spread(live, [
+                    coords.index(_next_coords_of(p)) for p in probes
+                ])
+                cohort.cols = cols.compress(which == 0)
+                moving.extend(
+                    _Cohort(None, spi, si, cohort.excursions,
+                            cohort.switch_passes, cohort.budget,
+                            cols.compress(which == j))
+                    for j, (spi, si) in enumerate(coords) if j
                 )
-            return
-        raise DataplaneError("packet exceeded the rack event budget (loop?)")
+        return moving
 
     def _fallback_block_columns(self, cp: ChainPlacement,
-                                cols: PacketColumns, spi: int, si: int,
-                                excursions: int, switch_passes: int,
+                                group: List[_Cohort],
                                 result: ColumnarRunResult,
-                                budget: int) -> None:
-        """Materialize the column and let the scalar schedule take over
-        mid-flight at (spi, si) (state so far — cycles, hop records —
-        comes along)."""
-        result.structural_fallback = True
-        packets, hop_records = cols.materialize_packets(chain_id=cp.name)
-        self._run_graph(cp, [
-            _Cohort(packets, spi, si, excursions, switch_passes, budget)
-        ], result.scalar, hop_records)
+                                hop_records: Dict[int, List[dict]]
+                                ) -> List[_Cohort]:
+        """The scalar step of a columnar walk. Column runs in the group are
+        materialized first: state so far (cycles, hop records) comes
+        along, and from here on they are packet runs."""
+        for cohort in group:
+            if cohort.cols is not None:
+                result.structural_fallback = True
+                cohort.packets, records = cohort.cols.materialize_packets(
+                    chain_id=cp.name
+                )
+                hop_records.update(records)
+                cohort.cols = None
+        if group[0].hop.device == self.topology.switch.name:
+            return self._switch_step(cp, group, result.scalar, hop_records)
+        return self._device_step(cp, group, result.scalar, hop_records)
 
-    def _replay_effects(self, cols: PacketColumns, live: List[int],
-                        probes: List[_HopProbe], counts: np.ndarray,
-                        runtime=None) -> Optional[np.ndarray]:
-        """Replay each live class's counter effect across the column,
-        multiplied by the class's packets.
+    def _replay_effects(self, steps: list) -> List[Optional[np.ndarray]]:
+        """Replay each live class's counter effect across its run,
+        multiplied by the class's packets, for every run of a column step
+        (``(cohort, plan, cols, counts, live, probes)`` each).
 
-        Returns the per-packet RNG cost draws (None when no module draws).
-        Each module's stream must advance exactly as under scalar
-        injection: one ``uniform(low, worst)`` draw per packet that reaches
-        it, in the order the packets arrive. ``low + (worst - low) * r``
-        with ``r`` pulled from the module's own RNG reproduces
+        Returns each run's per-packet RNG cost draws (None when no module
+        draws). Each module's stream must advance exactly as in the scalar
+        step: one ``uniform(low, worst)`` draw per packet that reaches it,
+        in injection order over every run of the step. ``low + (worst -
+        low) * r`` with ``r`` pulled from the module's own RNG reproduces
         ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
         arithmetic matches the scalar expression exactly.
         """
         draws: Dict[int, tuple] = {}
-        for c, probe, k in zip(live, probes, counts[live].tolist()):
-            effect = probe.effect
-            for m, rx_d, tx_d, dr_d, cy_d in effect.module_deltas:
-                m.rx_packets += rx_d * k
-                m.tx_packets += tx_d * k
-                m.dropped_packets += dr_d * k
-                m.cycles_charged += cy_d * k
-            if runtime is not None:
-                rx_d, tx_d, dr_d, cy_d = effect.runtime_deltas
-                runtime.rx += rx_d * k
-                runtime.tx += tx_d * k
-                runtime.drops += dr_d * k
-                if cy_d:
-                    runtime.cycles_charged += cy_d * k
-            for rule, match_len in effect.of_rules:
-                rule.packets += k
-                rule.bytes += match_len * k
-            for module in effect.rng_modules:
-                draws.setdefault(id(module), (module, []))[1].append(c)
+        # classes are numbered across the step: run r's from base[r]
+        base = 0
+        for _cohort, plan, _cols, counts, live, probes in steps:
+            runtime = plan.runtime
+            for c, probe, k in zip(live, probes, counts[live].tolist()):
+                effect = probe.effect
+                for m, rx_d, tx_d, dr_d, cy_d in effect.module_deltas:
+                    m.rx_packets += rx_d * k
+                    m.tx_packets += tx_d * k
+                    m.dropped_packets += dr_d * k
+                    m.cycles_charged += cy_d * k
+                if runtime is not None:
+                    rx_d, tx_d, dr_d, cy_d = effect.runtime_deltas
+                    runtime.rx += rx_d * k
+                    runtime.tx += tx_d * k
+                    runtime.drops += dr_d * k
+                    if cy_d:
+                        runtime.cycles_charged += cy_d * k
+                for rule, match_len in effect.of_rules:
+                    rule.packets += k
+                    rule.bytes += match_len * k
+                for module in effect.rng_modules:
+                    draws.setdefault(id(module), (module, []))[1].append(
+                        base + c)
+            base += len(counts)
         if not draws:
-            return None
-        # packets grouped by class, each group still in arrival order
-        order = np.argsort(cols.cid, kind="stable")
+            return [None] * len(steps)
+        _cohort, _plan, cols, counts, _live, _probes = steps[0]
+        cid, seq = cols.cid, cols.seq
+        if len(steps) > 1:
+            bases = np.cumsum([0, *(len(step[3]) for step in steps[:-1])])
+            cid = np.concatenate([step[2].cid + b
+                                  for step, b in zip(steps, bases)])
+            seq = np.concatenate([step[2].seq for step in steps])
+            counts = np.concatenate([step[3] for step in steps])
+        # packets grouped by class, each group still in step order
+        order = np.argsort(cid, kind="stable")
         ends = np.cumsum(counts).tolist()
         members, lows, spans, rolls = [], [], [], []
         for module, ids in draws.values():
             groups = [order[ends[c] - counts[c]:ends[c]] for c in ids]
-            member = groups[0] if len(groups) == 1 \
-                else np.sort(np.concatenate(groups))
+            member = groups[0]
+            if len(groups) > 1:
+                # in injection order, across the step's runs
+                member = np.concatenate(groups)
+                member = member[np.argsort(seq[member])]
             low, worst = module._cost_bounds()
             rolls.append(_unit_draws(module._rng, len(member)))
             members.append(member)
@@ -1344,8 +1322,12 @@ device_fingerprints`) decide what happens to each device:
             module.cycles_charged += total
         # a packet that passed two drawing modules is charged both draws
         # (sums of cycle counts are exact in float64)
-        return np.bincount(np.concatenate(members), weights=charged,
-                           minlength=len(cols)).astype(np.int64)
+        drawn = np.bincount(np.concatenate(members), weights=charged,
+                            minlength=len(cid)).astype(np.int64)
+        if len(steps) == 1:
+            return [drawn]
+        return np.split(drawn,
+                        np.cumsum([len(step[2]) for step in steps[:-1]]))
 
     # -- columnar hop probes -------------------------------------------------------
     #
@@ -1588,25 +1570,31 @@ device_fingerprints`) decide what happens to each device:
         self._route_safety[key] = safe
         return safe
 
-    def _finish_columns(self, cp: ChainPlacement, cols: PacketColumns,
-                        excursions: int, switch_passes: int,
-                        result: ColumnarRunResult) -> None:
-        """Columnar :meth:`_finish_batch`: latency columns + histograms."""
-        inst = self._chain_instruments(cp.name)
+    def _finish_columns(self, run: _Cohort,
+                        interrack: Optional[_InterRackHop],
+                        result: ColumnarRunResult) -> tuple:
+        """Stamp a finished column run: its latency columns, kept as one of
+        ``result``'s blocks. Returns ``(seq, values)``, ``values`` one
+        column per latency histogram, for :meth:`_finish_batch` to
+        observe."""
+        cols = run.cols
         n = len(cols)
-        inst["delivered"].inc(n)
         queue_factor = self._queue_factor
-        exec_us = np.zeros(n, dtype=np.float64)
-        queue_us = np.zeros(n, dtype=np.float64)
-        attributed = np.zeros(n, dtype=np.int64)
+        # each sum starts at its first term (0.0 + x is x, bit for bit)
+        exec_us = queue_us = None
+        attributed = 0
         for device in cols.device_order:
             arr = cols.device_cycles[device]
             contribution = arr / self.device_freq(device) * 1e6
-            exec_us = exec_us + contribution
+            exec_us = contribution if exec_us is None \
+                else exec_us + contribution
             factor = queue_factor.get(device)
             if factor:
-                queue_us = queue_us + contribution * factor
+                wait = contribution * factor
+                queue_us = wait if queue_us is None else queue_us + wait
             attributed = attributed + arr
+        if exec_us is None:
+            exec_us = np.zeros(n, dtype=np.float64)
         unattributed = cols.cycles - attributed
         over = unattributed > 0
         if bool(over.any()):
@@ -1616,33 +1604,27 @@ device_fingerprints`) decide what happens to each device:
                 exec_us[over]
                 + unattributed[over] / self._fallback_freq * 1e6
             )
-        bounce_us = excursions * self.topology.bounce_rtt_us
-        switch_us = switch_passes * SWITCH_TRANSIT_US
-        latency_us = exec_us + queue_us + bounce_us + switch_us
-        interrack = self._interrack.get(cp.name)
+        bounce_us = run.excursions * self.topology.bounce_rtt_us
+        switch_us = run.switch_passes * SWITCH_TRANSIT_US
+        if queue_us is None:
+            queue_us = np.zeros(n, dtype=np.float64)
+            latency_us = exec_us + bounce_us + switch_us
+        else:
+            latency_us = exec_us + queue_us + bounce_us + switch_us
+        values = [latency_us, exec_us, queue_us, np.full(n, bounce_us),
+                  np.full(n, switch_us)]
         interrack_us: Optional[float] = None
         if interrack is not None:
             interrack_us = interrack.extra_us
-            latency_us = latency_us + interrack_us
-        inst["latency"].observe_many(latency_us)
-        inst["exec_us"].observe_many(exec_us)
-        inst["queue_us"].observe_many(queue_us)
-        inst["bounce_us"].observe_many(np.full(n, bounce_us))
-        inst["switch_us"].observe_many(np.full(n, switch_us))
-        if interrack_us is not None:
-            inst.setdefault(
-                "interrack_us",
-                self.obs.histogram(
-                    "rack.latency_component_us", chain=cp.name,
-                    component="interrack_us",
-                ),
-            ).observe_many(np.full(n, interrack_us))
+            latency_us = values[0] = latency_us + interrack_us
+            values.append(np.full(n, interrack_us))
         result.blocks.append(_FinishedBlock(
             columns=cols, exec_us=exec_us, queue_us=queue_us,
             latency_us=latency_us,
             bounce_us=bounce_us, switch_us=switch_us,
             interrack_us=interrack_us,
         ))
+        return cols.seq, values
 
     def _node_ranks_of(self, cp: ChainPlacement) -> Dict[str, int]:
         """Each node's position in the chain graph's topological order,
@@ -1656,30 +1638,30 @@ device_fingerprints`) decide what happens to each device:
             })
         return memo[1]
 
-    def _run_graph(self, cp: ChainPlacement, cohorts: List["_Cohort"],
+    def _run_graph(self, cp: ChainPlacement, cohorts: List[_Cohort],
                    results: Dict[int, Optional[Packet]],
-                   hop_records: Optional[Dict[int, List[dict]]] = None
-                   ) -> None:
+                   hop_records: Dict[int, List[dict]],
+                   columnar: Optional[ColumnarRunResult] = None) -> None:
         """Advance runs of packets through their chain's graph to
-        completion: the scalar loop's one schedule.
+        completion: both loops' one schedule.
 
         A run waits at the chain-graph node it enters next. Each step takes
         the earliest waiting node in the graph's topological order and
-        hands it every packet waiting there, from every service path, in
-        injection order: a switch node is one NF module call; a server or
-        NIC hop runs whole at its entry node (each packet carrying its own
-        path's NSH, one device call), and so does an OpenFlow hop. Edges
-        lead only to later nodes, so a node's single step holds every
-        packet that reaches it in this batch — each module receives
-        exactly the packets serial injection would give it, in the same
-        order. Delivered packets are stamped at the end, in injection
-        order.
+        hands it every run waiting there, from every service path: a switch
+        node is one NF module call; a server or NIC hop runs whole at its
+        entry node (each packet carrying its own path's NSH, one device
+        call), and so does an OpenFlow hop. Edges lead only to later nodes,
+        so a node's single step holds every packet that reaches it in this
+        batch — each module receives exactly the packets serial injection
+        would give it, in the same order. Delivered packets are stamped at
+        the end, in injection order.
+
+        ``hop_records`` holds each packet's per-hop records (a column
+        run's come along when a scalar step materializes it). In a
+        :meth:`run_columns` walk (``columnar`` is its result) runs start as
+        columns and take each hop whole, and :meth:`_column_step` picks
+        each group's executor.
         """
-        if hop_records is None:
-            hop_records = {
-                p.metadata.seq: [] for cohort in cohorts
-                for p in cohort.packets
-            }
         ranks = None
         switch_name = self.topology.switch.name
         waiting: Dict[int, List[_Cohort]] = {}
@@ -1694,22 +1676,24 @@ device_fingerprints`) decide what happens to each device:
                             "packet exceeded the rack event budget (loop?)"
                         )
                     cohort.budget -= 1
-                    path = self.paths_by_spi.get(cohort.spi)
-                    if path is None:
-                        raise DataplaneError(f"unknown SPI {cohort.spi}")
-                    if cohort.si == 0:
+                    at = self._hop_at.get((cohort.spi, cohort.si))
+                    if at is None:
+                        # the path's end (SI 0), else an error
+                        path = self.paths_by_spi.get(cohort.spi)
+                        if path is None:
+                            raise DataplaneError(f"unknown SPI {cohort.spi}")
+                        if cohort.si != 0:
+                            raise self._no_hop(path, cohort.si)
                         finished.append(cohort)
                         continue
-                    cohort.path = path
-                    cohort.hop_index = self._hop_index_for(path, cohort.si)
-                    cohort.hop = path.hops[cohort.hop_index]
+                    cohort.path, cohort.hop_index, cohort.hop = at
                     cohort.pos = 0
                     cohort.si = None
                 moving.append(cohort)
             if len(moving) == 1 and not waiting:
                 group = moving  # the only run in flight: no order to keep
             else:
-                if ranks is None:
+                if moving and ranks is None:
                     ranks = self._node_ranks_of(cp)
                 for cohort in moving:
                     rank = ranks[cohort.hop.node_ids[cohort.pos]]
@@ -1721,16 +1705,18 @@ device_fingerprints`) decide what happens to each device:
                 if not waiting:
                     break
                 group = waiting.pop(min(waiting))
-            if group[0].hop.device != switch_name:
+            if columnar is not None:
+                cohorts = self._column_step(cp, group, columnar, hop_records)
+            elif group[0].hop.device != switch_name:
                 cohorts = self._device_step(cp, group, results, hop_records)
             else:
                 cohorts = self._switch_step(cp, group, results, hop_records)
         if finished:
-            self._finish_batch(cp, finished, results, hop_records)
+            self._finish_batch(cp, finished, results, hop_records, columnar)
 
-    def _switch_step(self, cp: ChainPlacement, group: List["_Cohort"],
+    def _switch_step(self, cp: ChainPlacement, group: List[_Cohort],
                      results: Dict[int, Optional[Packet]],
-                     hop_records: Dict[int, List[dict]]) -> List["_Cohort"]:
+                     hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
         """One switch node, every packet waiting there in one call: a P4
         node's NF module, or the OpenFlow tables, which run a hop whole at
         its entry node (each packet tagged with its own path's VID).
@@ -1771,10 +1757,8 @@ device_fingerprints`) decide what happens to each device:
                     else:
                         results[packet.metadata.seq] = None
                 if len(kept) < len(cohort.packets):
-                    for counter in self._drop_counter_pair(
-                        cp.name, hop.device, reason
-                    ):
-                        counter.inc(len(cohort.packets) - len(kept))
+                    self._count_drops(cp.name, hop.device, reason,
+                                      len(cohort.packets) - len(kept))
                 cohort.packets = kept
             group = [cohort for cohort in group if cohort.packets]
         for cohort in group:
@@ -1796,9 +1780,9 @@ device_fingerprints`) decide what happens to each device:
             cohort.si = nxt.entry_si if nxt is not None else 0
         return group
 
-    def _device_step(self, cp: ChainPlacement, group: List["_Cohort"],
+    def _device_step(self, cp: ChainPlacement, group: List[_Cohort],
                      results: Dict[int, Optional[Packet]],
-                     hop_records: Dict[int, List[dict]]) -> List["_Cohort"]:
+                     hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
         """One server or NIC hop, run whole for every packet waiting at its
         entry node: each packet carries its own path's NSH, and the device
         gets one ``push_batch`` / ``process_batch`` call."""
@@ -1866,8 +1850,7 @@ device_fingerprints`) decide what happens to each device:
                     )
                 runs.setdefault((nsh.spi, nsh.si), []).append(out)
             if dropped:
-                for counter in self._drop_counter_pair(name, device, reason):
-                    counter.inc(dropped)
+                self._count_drops(name, device, reason, dropped)
             out_c.inc(len(cohort.packets) - dropped)
             if len(runs) == 1:
                 ((cohort.spi, cohort.si), cohort.packets), = runs.items()
@@ -1896,8 +1879,7 @@ device_fingerprints`) decide what happens to each device:
                 results[packet.metadata.seq] = None
                 fault_drops[fault] = fault_drops.get(fault, 0) + 1
         for fault, count in fault_drops.items():
-            for counter in self._drop_counter_pair(chain, device, fault):
-                counter.inc(count)
+            self._count_drops(chain, device, fault, count)
         return passed
 
     def _run_server_hop_batch(self, server: str, packets: List[Packet]
@@ -1936,62 +1918,75 @@ device_fingerprints`) decide what happens to each device:
             for action, out in runtime.process_batch(packets)
         ]
 
-    def _finish_batch(self, cp: ChainPlacement, finished: List["_Cohort"],
+    def _finish_batch(self, cp: ChainPlacement, finished: List[_Cohort],
                       results: Dict[int, Optional[Packet]],
-                      hop_records: Dict[int, List[dict]]) -> None:
-        """Stamp each delivered packet's end-to-end latency and record
-        its components, in injection order, using pre-resolved
-        instruments."""
-        if len(finished) == 1:
-            delivered = zip(finished[0].packets, repeat(finished[0]))
-            count = len(finished[0].packets)
-        else:
+                      hop_records: Dict[int, List[dict]],
+                      columnar: Optional[ColumnarRunResult] = None) -> None:
+        """Stamp each delivered packet's end-to-end latency and record its
+        components with pre-resolved instruments, in injection order across
+        every finished run, packets and columns alike: a histogram's
+        ``total`` is an ordered fold. Column runs become ``columnar``'s
+        blocks."""
+        name = cp.name
+        inst = self._chain_instruments(name)
+        observed = inst["observed"]
+        interrack = self._interrack.get(name)
+        if interrack is not None:
+            observed = [*observed, (self.obs.histogram(
+                "rack.latency_component_us", chain=name,
+                component="interrack_us",
+            ), "interrack_us")]
+        parts = []
+        packet_runs = []
+        count = 0
+        for run in finished:
+            if run.cols is None:
+                packet_runs.append(run)
+                count += len(run.packets)
+            else:
+                parts.append(self._finish_columns(run, interrack, columnar))
+                count += len(run.cols)
+        inst["delivered"].inc(count)
+        delivered = []
+        if len(packet_runs) == 1:
+            delivered = list(zip(packet_runs[0].packets,
+                                 repeat(packet_runs[0])))
+        elif packet_runs:
             delivered = sorted(
-                ((p, cohort) for cohort in finished for p in cohort.packets),
+                ((p, run) for run in packet_runs for p in run.packets),
                 key=lambda item: item[0].metadata.seq,
             )
-            count = len(delivered)
-        inst = self._chain_instruments(cp.name)
-        inst["delivered"].inc(count)
-        latency_h = inst["latency"]
-        exec_h = inst["exec_us"]
-        queue_h = inst["queue_us"]
-        bounce_h = inst["bounce_us"]
-        switch_h = inst["switch_us"]
-        interrack = self._interrack.get(cp.name)
-        interrack_h = None
-        if interrack is not None:
-            interrack_h = inst.setdefault(
-                "interrack_us",
-                self.obs.histogram(
-                    "rack.latency_component_us", chain=cp.name,
-                    component="interrack_us",
-                ),
-            )
-        for packet, cohort in delivered:
+        for packet, run in delivered:
             seq = packet.metadata.seq
-            self._stamp_latency(
-                packet, cohort.excursions, cohort.switch_passes,
-                hop_records[seq],
-            )
+            self._stamp_latency(packet, run.excursions, run.switch_passes,
+                                hop_records[seq])
             results[seq] = packet
-            fields = packet.metadata.fields
-            latency_h.observe(fields["latency_us"])
-            exec_h.observe(fields["exec_us"])
-            queue_h.observe(fields["queue_us"])
-            bounce_h.observe(fields["bounce_us"])
-            switch_h.observe(fields["switch_us"])
-            if interrack_h is not None:
-                interrack_h.observe(fields["interrack_us"])
+            if not parts:
+                fields = packet.metadata.fields
+                for histogram, field in observed:
+                    histogram.observe(fields[field])
+        if not parts:
+            return
+        if delivered:
+            parts.append((
+                np.array([p.metadata.seq for p, _ in delivered]),
+                [np.array([p.metadata.fields[field] for p, _ in delivered])
+                 for _histogram, field in observed],
+            ))
+        values = parts[0][1]
+        if len(parts) > 1:
+            order = np.argsort(np.concatenate([seq for seq, _ in parts]))
+            values = [np.concatenate(column)[order]
+                      for column in zip(*(values for _seq, values in parts))]
+        for (histogram, _field), column in zip(observed, values):
+            histogram.observe_many(column)
 
-    def _hop_index_for(self, path: ServicePath, si: int) -> int:
-        hop_index = self._hop_index.get(path.spi, {}).get(si)
-        if hop_index is None:
-            raise DataplaneError(
-                f"SPI {path.spi}: no hop enters at SI {si} "
-                f"(hops at {[h.entry_si for h in path.hops]})"
-            )
-        return hop_index
+    @staticmethod
+    def _no_hop(path: ServicePath, si: int) -> DataplaneError:
+        return DataplaneError(
+            f"SPI {path.spi}: no hop enters at SI {si} "
+            f"(hops at {[h.entry_si for h in path.hops]})"
+        )
 
     def _attribute_hop(self, hop, out: Packet, before_total: int,
                        before_attr: Dict[str, int],

@@ -96,6 +96,14 @@ SCENARIOS = [
     # then merge into IPv4Fwd
     _table2(1),
     _table2(4),
+    # two vector-safe service paths that meet again on a server hop whose
+    # Encrypt draws cost samples: both column runs share that draw
+    (
+        "branchy-vector",
+        "chain v: BPF -> [ACL, Tunnel] -> Encrypt -> IPv4Fwd",
+        {},
+        SLO(t_min=gbps(0.5), t_max=gbps(30)),
+    ),
 ]
 
 
@@ -679,11 +687,11 @@ def test_columns_resolve_only_the_signatures_present():
     assert columns.templates == ["flow-5", "flow-9", "flow-4000"]
     assert np.bincount(columns.sid, minlength=3).tolist() == [2, 3, 1]
 
-    # a sub-block keeps the batch's id numbering and its own template list
-    block = columns.slice(2, 5)
-    assert block.sig.tolist() == [9, 4000, 5]
-    assert block.sid.tolist() == [1, 2, 0]
-    block.templates[1] = "rewritten"
+    # a run keeps the batch's id numbering and its own template list
+    run = columns.compress(np.array([False, False, True, True, True, False]))
+    assert run.sig.tolist() == [9, 4000, 5]
+    assert run.sid.tolist() == [1, 2, 0]
+    run.templates[1] = "rewritten"
     assert columns.templates[1] == "flow-9"
     # the class column the rack assigns rides along with the ids (here:
     # every signature its own class)
@@ -783,3 +791,31 @@ def test_branchy_batch_is_not_split_into_per_packet_blocks(monkeypatch):
     outputs = rack.run(cp, [flows[i % 64].copy() for i in range(4096)])
     assert outputs.delivered > 0
     assert len(calls) <= 2 * len(set(calls))
+
+
+def test_branchy_vector_safe_columns_are_not_split_into_per_packet_blocks(
+        monkeypatch):
+    """A warm 4096-packet columnar batch over 64 flows of a chain whose two
+    arms are vector-safe and meet again on a server: the flows hash across
+    both arms, so consecutive packets rarely share a service path. Each
+    path is one column run, and runs that wait at one node take its hop
+    together: at most one replay per path and hop (2 x 3), where cutting
+    the batch into consecutive same-path runs made 4 992."""
+    _label, spec, topo_kwargs, slo = SCENARIOS[-1]
+    rack, cp, _registry = _deploy(spec, topo_kwargs, slo, seed=23)
+    flows = [_chain_packet(cp.chain, i) for i in range(64)]
+    sig = [i % 64 for i in range(4096)]
+    rack.run_columns(cp, PacketColumns.for_flows(flows, sig))
+    calls = []
+    real = DeployedRack._replay_effects
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeployedRack, "_replay_effects", spy)
+    result = rack.run_columns(cp, PacketColumns.for_flows(flows, sig))
+    assert not result.structural_fallback
+    assert result.delivered > 0
+    assert len({route.path.spi for route in rack._route_roots.values()}) == 2
+    assert 0 < len(calls) <= 6

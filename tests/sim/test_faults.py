@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.chain.graph import chains_from_spec
@@ -12,6 +13,7 @@ from repro.hw.spec import TopologySpec, topology_for
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.profiles.defaults import default_profiles
+from repro.sim.columns import seq_dropped, vector_fault_mask
 from repro.sim.faults import (
     ChaosEngine,
     ChaosSpec,
@@ -203,6 +205,28 @@ class TestRackFaultHooks:
                   for i in range(64)]
         assert [out is None for out in batch] == \
             [out is None for out in scalar]
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-9, 0.25, 0.35, 0.5, 1.0])
+    def test_scalar_and_vector_seq_hash_agree(self, loss):
+        """The scalar drop decision and its column form are one hash: over
+        the rack seed and an inter-rack link's salted seed, random and
+        extreme sequence numbers, and losses from none to all."""
+        rack, placement, _ = _deploy(self.SPEC, self.SLOS)
+        (cp,) = placement.chains
+        rack.set_interrack_hop(cp.name, "r0~r1", 50.0, drop_fraction=0.25)
+        link_seed = rack._interrack[cp.name].link_seed
+        assert link_seed != rack.seed
+        seqs = np.concatenate([
+            np.random.default_rng(7).integers(0, 2 ** 62, 4000),
+            [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1],
+        ]).astype(np.int64)
+        for seed in (rack.seed, link_seed):
+            want = [seq_dropped(seq, seed, loss) for seq in seqs.tolist()]
+            assert vector_fault_mask(seqs, seed, loss).tolist() == want
+            if loss in (0.0, 1.0):
+                assert set(want) == {bool(loss)}
+            elif loss >= 0.25:
+                assert True in want and False in want
 
     def test_clear_faults(self):
         rack, placement, _ = _deploy(self.SPEC, self.SLOS)
