@@ -1,7 +1,10 @@
 """Hierarchical multi-rack placement: partition, then place per rack.
 
 :class:`MultiRackPlacer` is the fabric-level twin of the single-rack
-:class:`~repro.core.placer.Placer`. ``solve`` runs in three stages:
+:class:`~repro.core.placer.Placer`, and a fabric's one cold solve:
+``repro place`` calls it, and so does every fabric bootstrap of the
+:class:`~repro.sim.admission.AdmissionCore` (traffic, lifecycle, chaos,
+serve). ``solve`` runs in three stages:
 
 1. **Partition** — :func:`~repro.core.partition.partition_chains`
    assigns every chain a home rack (greedy bin-pack + LP refinement),
@@ -25,8 +28,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.chain.slo import SLO
-from repro.core.partition import PartitionResult, RackRoute, partition_chains
+from repro.core.partition import (
+    PartitionResult,
+    RackRoute,
+    link_loads,
+    partition_chains,
+)
 from repro.core.placement import ChainPlacement
 from repro.core.placer import (
     MultiRackOptions,
@@ -113,7 +120,6 @@ class MultiRackReport:
     placement: MultiRackPlacement
     seconds: float
     strategy: str
-    mode: str = "hierarchical"
 
 
 @dataclass
@@ -168,18 +174,15 @@ class MultiRackPlacer:
         remote = partition.remote_chains(fabric.ingress)
         rack_chains: Dict[str, list] = {}
         for chain in request.chains:
-            rack = partition.rack_of(chain.name)
             handed = chain
             if chain.name in remote:
-                slo = chain.slo
-                handed = chain.with_slo(
-                    SLO(
-                        t_min=slo.t_min,
-                        t_max=slo.t_max,
-                        d_max=slo.d_max - remote[chain.name].rtt_us,
-                    )
-                )
-            rack_chains.setdefault(rack, []).append(handed)
+                handed = chain.with_slo(replace(
+                    chain.slo,
+                    d_max=remote[chain.name].charge_rtt(chain.slo.d_max),
+                ))
+            rack_chains.setdefault(
+                partition.rack_of(chain.name), []
+            ).append(handed)
 
         racks = sorted(rack_chains)
         reports = {
@@ -232,20 +235,17 @@ class MultiRackPlacer:
         floors = {
             chain.name: chain.slo.t_min for chain in request.chains
         }
+        remote = dict(sorted(placement.remote.items()))
+        floor_sums = link_loads(remote, floors)
         registry = get_registry()
         for link in fabric.links:
-            users = sorted(
-                chain
-                for chain, route in placement.remote.items()
-                if link.name in route.links and chain in placement.rates
-            )
-            if not users:
+            load = link_loads(remote, placement.rates).get(link.name)
+            if load is None:  # no chain crosses this link
                 continue
-            load = sum(placement.rates[c] for c in users)
             registry.gauge("interrack.link.load_mbps", link=link.name).set(load)
             if load <= link.capacity_mbps:
                 continue
-            floor_sum = sum(floors[c] for c in users)
+            floor_sum = floor_sums[link.name]
             if floor_sum > link.capacity_mbps:
                 placement.feasible = False
                 placement.infeasible_reason = (
@@ -258,7 +258,9 @@ class MultiRackPlacer:
             budget = link.capacity_mbps - floor_sum
             scale = budget / marginal if marginal > 0 else 0.0
             shed = 0.0
-            for chain in users:
+            for chain, route in remote.items():
+                if link.name not in route.links:
+                    continue
                 old = placement.rates[chain]
                 new = floors[chain] + (old - floors[chain]) * scale
                 shed += old - new

@@ -53,6 +53,38 @@ class RackRoute:
     def rtt_us(self) -> float:
         return 2.0 * self.latency_us
 
+    def charge_rtt(self, d_max: float) -> float:
+        """``d_max`` less this route's round trip: the bound the home
+        rack must keep so the end-to-end one holds once the RTT is
+        stamped. An unbounded ``d_max`` stays unbounded."""
+        return d_max if math.isinf(d_max) else d_max - self.rtt_us
+
+
+def link_loads(remote: Dict[str, RackRoute],
+               amounts: Dict[str, float]) -> Dict[str, float]:
+    """Link name -> the sum of ``amounts`` (a rate or a floor per chain)
+    over the remote chains whose route crosses that link; a chain with
+    no amount adds nothing."""
+    load: Dict[str, float] = {}
+    for chain, route in remote.items():
+        amount = amounts.get(chain, 0.0)
+        for link in route.links:
+            load[link] = load.get(link, 0.0) + amount
+    return load
+
+
+def home_lines(assignment: Dict[str, str],
+               remote: Dict[str, RackRoute]) -> List[str]:
+    """One ``chain -> rack`` line per chain, sorted by chain; a remote
+    chain's adds its round trip and the links it crosses."""
+    lines = []
+    for chain, rack in sorted(assignment.items()):
+        route = remote.get(chain)
+        suffix = (f" (+{route.rtt_us:g} µs RTT via "
+                  f"{'+'.join(route.links)})" if route else "")
+        lines.append(f"  {chain} -> {rack}{suffix}")
+    return lines
+
 
 @dataclass
 class PartitionResult:
@@ -436,6 +468,8 @@ def _lp_refine(
 
 __all__ = [
     "RackRoute",
+    "home_lines",
+    "link_loads",
     "PartitionResult",
     "fabric_routes",
     "chain_core_demand",

@@ -49,7 +49,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chain.graph import NFChain, chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.lp import solve_rates
-from repro.core.partition import RackRoute, fabric_routes, partition_chains
+from repro.core.hierarchy import MultiRackPlacer
+from repro.core.partition import (
+    RackRoute,
+    fabric_routes,
+    home_lines,
+    link_loads,
+)
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.placer import (
     Placer,
@@ -61,7 +67,6 @@ from repro.core.rates import server_offered_load
 from repro.exceptions import (
     FaultInjectionError,
     LifecycleError,
-    PartitionError,
     PlacementError,
     ReproError,
 )
@@ -483,11 +488,9 @@ class _RackCore:
     """
 
     def __init__(self, spec: RunSpec, topology: Topology,
-                 chains: Sequence[NFChain], obs: MetricsRegistry,
-                 full_resolve: bool):
+                 obs: MetricsRegistry, full_resolve: bool):
         self.spec = spec
         self.topology = topology
-        self.initial_chains = list(chains)
         self.profiles = default_profiles()
         self.obs = obs
         #: re-solve every event from scratch instead of warm-starting
@@ -521,32 +524,39 @@ class _RackCore:
         #: whether the dataplane carries a projected fault.
         self._faulted = False
 
-    def bootstrap(self) -> PlacementReport:
-        """Solve and deploy the initial chain set (a full, cold solve)."""
-        initial = self.placer.solve(PlacementRequest(
-            chains=self.initial_chains, strategy=self.spec.strategy,
+    def solve(self, chains: Sequence[NFChain]) -> PlacementReport:
+        """A full, cold solve of ``chains`` on this rack; raises
+        :class:`PlacementError` when it is infeasible."""
+        report = self.placer.solve(PlacementRequest(
+            chains=chains, strategy=self.spec.strategy,
             objective=self.spec.objective,
         ))
-        if not initial.placement.feasible:
+        if not report.placement.feasible:
             raise PlacementError(
                 "admission needs a feasible initial placement: "
-                f"{initial.placement.infeasible_reason}"
+                f"{report.placement.infeasible_reason}"
             )
-        self.active = list(self.initial_chains)
-        self.placement = initial.placement
-        self.rates = dict(initial.placement.rates)
-        artifacts = self.metacompiler.compile_placement(initial.placement)
+        return report
+
+    def deploy(self, report: PlacementReport) -> PlacementReport:
+        """Compile and deploy a cold solve's placement onto a fresh rack:
+        the chains it places, as it holds them, become the active set."""
+        placement = report.placement
+        self.active = [cp.chain for cp in placement.chains]
+        self.placement = placement
+        self.rates = dict(placement.rates)
+        artifacts = self.metacompiler.compile_placement(placement)
         self.rack = DeployedRack(
             self.topology, artifacts, self.profiles,
             seed=self.spec.seed, registry=self.obs,
         )
         self._configure_queueing()
         self.traffic = TrafficEngine(
-            self.rack, initial.placement,
+            self.rack, placement,
             flows_per_chain=self.spec.flows_per_chain,
             batch_size=self.spec.batch_size,
         )
-        return initial
+        return report
 
     def propose(self, event: ChainEvent,
                 arriving: Optional[NFChain] = None) -> List[NFChain]:
@@ -801,11 +811,7 @@ class FabricPlacement:
     def describe(self) -> str:
         lines = [f"fabric placement: {len(self.assignment)} chains "
                  f"on {len(self.racks)} racks"]
-        for chain, rack in sorted(self.assignment.items()):
-            route = self.remote.get(chain)
-            suffix = (f" (+{route.rtt_us:g} µs RTT via "
-                      f"{'+'.join(route.links)})" if route else "")
-            lines.append(f"  {chain} -> {rack}{suffix}")
+        lines.extend(home_lines(self.assignment, self.remote))
         for rack in sorted(self.racks):
             body = self.racks[rack].describe()
             lines.append(f"  -- rack {rack} --")
@@ -864,7 +870,7 @@ class AdmissionCore:
         self.assignment: Dict[str, str] = {}
         #: original end-to-end ``d_max`` per chain (the rack cores hold
         #: the RTT-shrunk bound; reports restore this one).
-        self._d_max: Dict[str, float] = {}
+        self.d_max: Dict[str, float] = {}
         self.active: List[NFChain] = []
         self.rates: Dict[str, float] = {}
         self.placement: Optional[FabricPlacement] = None
@@ -889,42 +895,9 @@ class AdmissionCore:
             return sorted(items, key=name)
         return items
 
-    def _shrunk_d_max(self, d_max: float, rack: str) -> float:
-        if rack == self.fabric.ingress or math.isinf(d_max):
-            return d_max
-        return d_max - self.routes[rack].rtt_us
-
-    def _handed_chain(self, chain: NFChain, rack: str) -> NFChain:
-        """The chain as ``rack``'s core holds it (RTT charged)."""
-        slo = chain.slo
-        return chain.with_slo(SLO(
-            t_min=slo.t_min, t_max=slo.t_max,
-            d_max=self._shrunk_d_max(slo.d_max, rack),
-        ))
-
-    def _rack_core(self, rack: str, chains: List[NFChain]) -> _RackCore:
-        return _RackCore(self.spec, self.fabric.rack(rack), chains,
-                         self.obs, self.full_resolve)
-
-    def _initial_assignment(self) -> Dict[str, str]:
-        """Chain → rack for the initial chains, in spec order. One rack
-        takes them all; a fabric partitions them."""
-        if len(self.fabric.racks) == 1:
-            return {c.name: self.fabric.ingress for c in self.initial_chains}
-        try:
-            partition = partition_chains(
-                self.initial_chains,
-                self.fabric,
-                default_profiles(),
-                packet_bits=PlacerConfig(
-                    strategy=self.spec.strategy
-                ).packet_bits,
-            )
-        except PartitionError as exc:
-            raise PlacementError(
-                f"admission needs a feasible initial placement: {exc}"
-            ) from exc
-        return {c.name: partition.rack_of(c.name) for c in self.initial_chains}
+    def _rack_core(self, rack: str) -> _RackCore:
+        return _RackCore(self.spec, self.fabric.rack(rack), self.obs,
+                         self.full_resolve)
 
     @staticmethod
     def _placement_devices(placement) -> Tuple[str, ...]:
@@ -990,16 +963,11 @@ class AdmissionCore:
         if rack == self.fabric.ingress:
             return None
         route = self.routes[rack]
-        floors: Dict[str, float] = {}
-        for other, home in self.assignment.items():
-            if home == self.fabric.ingress or other == chain_name:
-                continue
-            for link in self.routes[home].links:
-                floor = next(
-                    (c.slo.t_min for c in self.active if c.name == other),
-                    0.0,
-                )
-                floors[link] = floors.get(link, 0.0) + floor
+        floors = link_loads(
+            {other: path for other, path in self._remote().items()
+             if other != chain_name},
+            {c.name: c.slo.t_min for c in self.active},
+        )
         for link in self.fabric.links:
             if link.name not in route.links:
                 continue
@@ -1016,26 +984,36 @@ class AdmissionCore:
 
     @with_own_registry
     def bootstrap(self) -> FabricPlacement:
-        """Cold-solve and deploy the initial chains: one rack core per
-        occupied rack, in sorted order."""
-        self.assignment = self._initial_assignment()
-        self._d_max = {c.name: c.slo.d_max for c in self.initial_chains}
-        for rack in sorted(set(self.assignment.values())):
-            chains = self._ordered(
-                [c for c in self.initial_chains
-                 if self.assignment[c.name] == rack],
-                lambda c: c.name,
-            )
-            core = self._rack_core(
-                rack, [self._handed_chain(c, rack) for c in chains]
-            )
-            try:
-                core.bootstrap()
-            except PlacementError as exc:
-                if len(self.fabric.racks) == 1:
-                    raise
-                raise PlacementError(f"rack {rack}: {exc}") from exc
-            self.cores[rack] = core
+        """Cold-solve and deploy the initial chains. One rack takes them
+        all through its own ``Placer.solve``. A fabric takes the
+        partition, the per-rack placements (remote chains already
+        RTT-charged) and the post-link-pass rates of
+        :meth:`~repro.core.hierarchy.MultiRackPlacer.solve`, one rack core
+        per occupied rack, in sorted order."""
+        chains = self.initial_chains
+        self.d_max = {c.name: c.slo.d_max for c in chains}
+        ingress = self.fabric.ingress
+        if len(self.fabric.racks) == 1:
+            core = self._rack_core(ingress)
+            core.deploy(core.solve(chains))
+            self.cores[ingress] = core
+            self.assignment = {c.name: ingress for c in chains}
+        else:
+            solved = MultiRackPlacer(
+                self.fabric, default_profiles(),
+                PlacerConfig(strategy=self.spec.strategy),
+            ).solve(PlacementRequest.multi_rack(
+                chains, objective=self.spec.objective,
+            )).placement
+            if not solved.feasible:
+                raise PlacementError(
+                    "admission needs a feasible initial placement: "
+                    f"{solved.infeasible_reason}"
+                )
+            self.assignment = dict(solved.partition.assignment)
+            for rack in sorted(solved.reports):
+                self.cores[rack] = self._rack_core(rack)
+                self.cores[rack].deploy(solved.reports[rack])
         self._sync()
         return self.placement
 
@@ -1101,7 +1079,7 @@ class AdmissionCore:
         candidates = self._candidates()
         reasons: List[str] = []
         for index, rack in enumerate(candidates):
-            shrunk = self._shrunk_d_max(event.d_max_us, rack)
+            shrunk = self.routes[rack].charge_rtt(event.d_max_us)
             if shrunk <= 0.0:
                 reasons.append(
                     f"{rack}: d_max {event.d_max_us:g} µs <= inter-rack "
@@ -1124,7 +1102,7 @@ class AdmissionCore:
                 decision = self._ask(core, handed, arriving)
             if decision.accepted:
                 self.assignment[event.chain] = rack
-                self._d_max[event.chain] = event.d_max_us
+                self.d_max[event.chain] = event.d_max_us
                 if index > 0:
                     self.obs.counter("lifecycle.spills").inc()
                 return decision
@@ -1140,9 +1118,9 @@ class AdmissionCore:
     def _open_rack(self, rack: str, event: ChainEvent,
                    arriving: NFChain) -> AdmissionDecision:
         """Cold-bootstrap an empty rack around one arriving chain."""
-        fresh = self._rack_core(rack, [arriving.with_slo(event.slo())])
+        fresh = self._rack_core(rack)
         try:
-            report = fresh.bootstrap()
+            report = fresh.deploy(fresh.solve([arriving.with_slo(event.slo())]))
         except PlacementError as exc:
             return AdmissionDecision(
                 tick=event.at, action="arrive", chain=event.chain,
@@ -1176,7 +1154,7 @@ class AdmissionCore:
             ))
         if decision.accepted:
             del self.assignment[event.chain]
-            del self._d_max[event.chain]
+            del self.d_max[event.chain]
         return decision
 
     def _scale(self, event: ChainEvent) -> AdmissionDecision:
@@ -1212,7 +1190,7 @@ class AdmissionCore:
         current = next(
             c for c in home_core.active if c.name == event.chain
         )
-        d_max = self._d_max[event.chain]
+        d_max = self.d_max[event.chain]
         t_max = (current.slo.t_max if math.isinf(event.t_max_mbps)
                  else event.t_max_mbps)
         # same lift as SLO.with_tmin: scaling past the old ceiling raises it
@@ -1220,7 +1198,7 @@ class AdmissionCore:
         for rack in self._candidates():
             if rack == home:
                 continue
-            shrunk = self._shrunk_d_max(d_max, rack)
+            shrunk = self.routes[rack].charge_rtt(d_max)
             if shrunk <= 0.0:
                 continue
             if self._link_floor_check(
@@ -1233,9 +1211,9 @@ class AdmissionCore:
             dest = self.cores.get(rack)
             fresh_dest = dest is None
             if fresh_dest:
-                dest = self._rack_core(rack, [moved])
+                dest = self._rack_core(rack)
                 try:
-                    report = dest.bootstrap()
+                    report = dest.deploy(dest.solve([moved]))
                 except PlacementError:
                     continue
                 arrive = AdmissionDecision(
@@ -1405,7 +1383,7 @@ class AdmissionCore:
             delivered=delivered,
             latency=latency,
             assigned_mbps=self.rates.get(cp.name, 0.0),
-        ).with_d_max(self._d_max[cp.name])
+        ).with_d_max(self.d_max[cp.name])
 
     # -- state identity ------------------------------------------------------
 
@@ -1425,7 +1403,7 @@ class AdmissionCore:
             "assignment": dict(sorted(self.assignment.items())),
             "d_max": {
                 name: repr(value)
-                for name, value in sorted(self._d_max.items())
+                for name, value in sorted(self.d_max.items())
             },
             "faults": self.faults.view(),
             "racks": {

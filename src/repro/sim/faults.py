@@ -386,10 +386,6 @@ class ChaosEngine:
         self.core = AdmissionCore(spec, registry=registry)
         self.obs = self.core.obs
         spec.timeline.validate(self.core.fabric)
-        #: end-to-end ``d_max`` per chain: a rack core holds a remote
-        #: chain's less the inter-rack RTT, while the stamped latency
-        #: the guard reads includes that RTT.
-        self.d_max = {c.name: c.slo.d_max for c in self.core.initial_chains}
 
     def _chains(self) -> List[ChainPlacement]:
         """Every chain in injection order: racks sorted, each rack's
@@ -488,7 +484,8 @@ class ChaosEngine:
             for cp in self._chains():
                 name = cp.name
                 t_min = cp.chain.slo.t_min
-                d_max = self.d_max[name]
+                # end-to-end: the stamped latency includes the RTT
+                d_max = core.d_max[name]
                 injected = seg_injected[name]
                 if injected < guard.window_packets:
                     continue

@@ -29,20 +29,13 @@ import numpy as np
 
 from repro.chain.graph import NFChain, chains_with_slos
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.placer import (
-    PLACEMENT_OBJECTIVES,
-    Placer,
-    PlacerConfig,
-    PlacementRequest,
-)
+from repro.core.partition import RackRoute, home_lines
+from repro.core.placer import PLACEMENT_OBJECTIVES
 from repro.core.rates import device_utilization
-from repro.exceptions import GraphError, PlacementError, TrafficError
-from repro.hw.multirack import MultiRackTopology
+from repro.exceptions import GraphError, TrafficError
 from repro.hw.spec import TopologySpec
-from repro.metacompiler.compiler import MetaCompiler
 from repro.net.packet import Packet
 from repro.obs import MetricsRegistry, QuantileSketch
-from repro.profiles.defaults import default_profiles
 from repro.sim.columns import PacketColumns
 from repro.sim.measurement import QUEUEING_MODELS, QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
@@ -182,12 +175,17 @@ class ChainTrafficReport:
 
 @dataclass
 class TrafficReport:
-    """Aggregate of one :meth:`TrafficEngine.run` invocation."""
+    """Aggregate of one :meth:`TrafficEngine.run` invocation, or of one
+    per rack (:func:`run_traffic` on a fabric)."""
 
     chains: List[ChainTrafficReport] = field(default_factory=list)
     #: wall-clock of the whole run() invocation — the denominator for
     #: aggregate throughput.
     run_wall_seconds: float = 0.0
+    #: a fabric's chain -> home rack (empty on a single rack).
+    racks: Dict[str, str] = field(default_factory=dict)
+    #: a fabric's chain -> route, for chains homed off the ingress.
+    remote: Dict[str, RackRoute] = field(default_factory=dict)
 
     @property
     def injected(self) -> int:
@@ -225,8 +223,9 @@ class TrafficReport:
         return all(c.slo_met for c in self.chains)
 
     def as_dict(self) -> dict:
-        """Deterministic JSON form (wall-clock quantities excluded)."""
-        return {
+        """Deterministic JSON form (wall-clock quantities excluded; a
+        fabric adds its chain -> rack map)."""
+        payload = {
             "injected": self.injected,
             "delivered": self.delivered,
             "ok": self.ok,
@@ -249,6 +248,9 @@ class TrafficReport:
                 for c in self.chains
             ],
         }
+        if self.racks:
+            payload["racks"] = dict(sorted(self.racks.items()))
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
@@ -257,8 +259,15 @@ class TrafficReport:
         return self.describe()
 
     def describe(self) -> str:
-        """Human-readable table for the ``repro traffic`` subcommand."""
-        lines = [
+        """Human-readable table for the ``repro traffic`` subcommand,
+        under a fabric's chain -> rack lines (with each remote chain's
+        route and RTT)."""
+        lines = []
+        if self.racks:
+            lines.append(f"fabric: {len(self.racks)} chains on "
+                         f"{len(set(self.racks.values()))} racks")
+            lines.extend(home_lines(self.racks, self.remote))
+        lines += [
             f"{'chain':<12} {'flows':>5} {'injected':>9} {'delivered':>9} "
             f"{'pps':>10} {'assigned':>9} {'delivered':>10} "
             f"{'t_min':>9} {'p99':>9} {'d_max':>9} {'slo':>9}",
@@ -387,36 +396,20 @@ class TrafficEngine:
     def from_spec(cls, spec: TrafficSpec, *,
                   registry: Optional[MetricsRegistry] = None
                   ) -> "TrafficEngine":
-        """Place, compile, and deploy ``spec``'s chains; return a ready
-        engine. Raises :class:`PlacementError` when no placement fits."""
-        topology = spec.build_topology()
-        if isinstance(topology, MultiRackTopology):
+        """The ready engine of a one-rack ``spec``, as an
+        :class:`~repro.sim.admission.AdmissionCore` bootstraps it.
+
+        Raises :class:`~repro.exceptions.PlacementError` when no
+        placement fits, and :class:`TrafficError` for a fabric spec
+        (:func:`run_traffic` replays one).
+        """
+        if len(spec.topology.racks) > 1:
             raise TrafficError(
                 "TrafficEngine drives one rack; replay a fabric spec "
-                "through run_traffic (which stitches racks via "
-                "repro.sim.interrack.run_fabric_traffic)"
+                "through run_traffic"
             )
-        chains = spec.build_chains()
-        placer = Placer(topology=topology, profiles=default_profiles(),
-                        config=PlacerConfig(strategy=spec.strategy))
-        placement = placer.solve(PlacementRequest(
-            chains=chains, objective=spec.objective,
-        )).placement
-        if not placement.feasible:
-            raise PlacementError(
-                "traffic replay needs a feasible placement: "
-                f"{placement.infeasible_reason}"
-            )
-        artifacts = MetaCompiler(
-            topology=topology, profiles=placer.profiles
-        ).compile_placement(placement)
-        rack = DeployedRack(topology, artifacts, placer.profiles,
-                            seed=spec.seed, registry=registry)
-        configure_rack_queueing(rack, placement.chains, placement.rates,
-                                spec.queueing)
-        return cls(rack, placement,
-                   flows_per_chain=spec.flows_per_chain,
-                   batch_size=spec.batch_size)
+        core = _bootstrapped(spec, registry)
+        return core.cores[core.fabric.ingress].traffic
 
     def synthesize_flows(self, cp: ChainPlacement) -> List[Packet]:
         """One template packet per flow, all inside the chain's aggregate.
@@ -570,22 +563,42 @@ class TrafficEngine:
         )
 
 
+def _bootstrapped(spec: RunSpec, registry: Optional[MetricsRegistry]):
+    from repro.sim.admission import AdmissionCore
+
+    core = AdmissionCore(spec, registry=registry)
+    core.bootstrap()
+    return core
+
+
 def run_traffic(
     spec: TrafficSpec,
     registry: Optional[MetricsRegistry] = None,
-):
-    """Run one high-volume replay from a fully-stated spec.
+) -> TrafficReport:
+    """Run one high-volume replay from a fully-stated spec, on any
+    topology.
 
-    A single-rack spec returns a :class:`TrafficReport`; a multi-rack
-    spec is placed hierarchically and stitched over the inter-rack
-    links, returning a
-    :class:`~repro.sim.interrack.FabricTrafficReport` (same ``ok`` /
-    ``describe`` / ``as_dict`` surface).
+    An :class:`~repro.sim.admission.AdmissionCore` bootstraps the spec
+    (on a fabric from the hierarchical solve, remote chains stitched over
+    the inter-rack links), then each rack core's engine replays its
+    chains, racks in sorted order. A fabric's rows are held to their
+    end-to-end ``d_max`` and sorted by chain, and the report carries the
+    chain -> rack map and the remote routes. Raises
+    :class:`~repro.exceptions.PlacementError` when no placement fits.
     """
-    topology = spec.build_topology()
-    if isinstance(topology, MultiRackTopology):
-        from repro.sim.interrack import run_fabric_traffic
-
-        return run_fabric_traffic(spec, topology, registry=registry)
-    engine = TrafficEngine.from_spec(spec, registry=registry)
-    return engine.run(packets_per_chain=spec.packets_per_chain)
+    core = _bootstrapped(spec, registry)
+    report = TrafficReport()
+    if len(core.fabric.racks) > 1:
+        report.racks = dict(core.assignment)
+        report.remote = core.placement.remote
+    started = time.perf_counter()
+    for rack in sorted(core.cores):
+        engine = core.cores[rack].traffic
+        report.chains.extend(
+            row.with_d_max(core.d_max[row.chain_name])
+            for row in engine.run(spec.packets_per_chain).chains
+        )
+    if report.racks:
+        report.chains.sort(key=lambda row: row.chain_name)
+    report.run_wall_seconds = time.perf_counter() - started
+    return report

@@ -71,10 +71,10 @@ def _assert_within_capacity(core: _RackCore) -> None:
 
 def _run_checking_deploys(spec: ChaosSpec):
     """Run ``spec``, checking capacity after every deploy of a rack."""
-    bootstrap, install = _RackCore.bootstrap, _RackCore.install
+    deploy, install = _RackCore.deploy, _RackCore.install
 
-    def checked_bootstrap(core):
-        report = bootstrap(core)
+    def checked_deploy(core, solved):
+        report = deploy(core, solved)
         _assert_within_capacity(core)
         return report
 
@@ -84,7 +84,7 @@ def _run_checking_deploys(spec: ChaosSpec):
         return delta
 
     engine = ChaosEngine(spec)
-    with mock.patch.object(_RackCore, "bootstrap", checked_bootstrap), \
+    with mock.patch.object(_RackCore, "deploy", checked_deploy), \
             mock.patch.object(_RackCore, "install", checked_install):
         return engine, engine.run()
 

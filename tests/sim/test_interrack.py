@@ -1,20 +1,24 @@
 """Fabric runtime: stitched traffic replay, chaos, and chain lifecycle."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.partition import partition_chains
-from repro.exceptions import PartitionError, TopologyError
+from repro.core.hierarchy import MultiRackPlacer
+from repro.core.partition import link_loads, partition_chains
+from repro.core.placer import PlacementRequest, PlacerConfig
+from repro.exceptions import PartitionError, PlacementError, TopologyError
 from repro.hw.multirack import MultiRackTopology
 from repro.hw.spec import TopologySpec, topology_for
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.faults import ChaosSpec, FaultEvent, FaultTimeline, run_chaos
-from repro.sim.interrack import run_fabric_traffic
-from repro.sim.lifecycle import LifecycleSpec
-from repro.sim.traffic import TrafficSpec
+from repro.sim.lifecycle import LifecycleSpec, LifecycleTimeline, run_lifecycle
+from repro.sim.traffic import TrafficSpec, run_traffic
 
 SPEC6 = "\n".join(
     f"chain c{i}: ACL(rules=64) -> Encrypt -> IPv4Fwd" for i in range(6)
@@ -45,49 +49,101 @@ def _traffic_spec():
 
 class TestFabricTraffic:
     def test_remote_chain_carries_link_latency(self):
-        fabric = topology_for("two-rack").build()
-        report = run_fabric_traffic(
-            _traffic_spec(), fabric, registry=MetricsRegistry()
-        )
+        report = run_traffic(_traffic_spec(), registry=MetricsRegistry())
         assert report.ok
-        remote = set(report.solve.placement.remote)
+        remote = set(report.remote)
         assert remote  # the rack overflows, someone pays the RTT
-        rows = {row.chain_name: row for row in report.report.chains}
+        rows = {row.chain_name: row for row in report.chains}
         assert set(rows) == {f"c{i}" for i in range(6)}
         for name, row in rows.items():
             # rows restore the END-TO-END budget, not the shrunk one
             assert row.latency_slo_us == 400.0
             if name in remote:
-                assert report.assignment[name] == "r1"
+                assert report.racks[name] == "r1"
                 # the stamped RTT (2 x 50 µs) dominates the local path
                 assert row.latency_p99_us >= 100.0
             else:
-                assert report.assignment[name] == "r0"
+                assert report.racks[name] == "r0"
                 assert row.latency_p99_us < 100.0
 
     def test_replay_is_deterministic(self):
-        first = run_fabric_traffic(
-            _traffic_spec(), topology_for("two-rack").build(),
-            registry=MetricsRegistry(),
-        )
-        second = run_fabric_traffic(
-            _traffic_spec(), topology_for("two-rack").build(),
-            registry=MetricsRegistry(),
-        )
+        first = run_traffic(_traffic_spec(), registry=MetricsRegistry())
+        second = run_traffic(_traffic_spec(), registry=MetricsRegistry())
         a, b = first.as_dict(), second.as_dict()
         a.pop("run_wall_seconds", None), b.pop("run_wall_seconds", None)
         assert a == b
 
-    def test_report_surfaces_route_and_mode(self):
-        report = run_fabric_traffic(
-            _traffic_spec(), topology_for("two-rack").build(),
-            registry=MetricsRegistry(),
-        )
+    def test_report_surfaces_route(self):
+        report = run_traffic(_traffic_spec(), registry=MetricsRegistry())
         payload = report.as_dict()
-        assert payload["mode"] == "hierarchical"
-        assert payload["racks"] == report.assignment
+        assert payload["racks"] == report.racks
         text = report.render()
         assert "r0~r1" in text and "µs RTT" in text
+
+
+class TestOneFabricSolve:
+    """Every front door bootstraps a fabric from the one hierarchical
+    solve, link pass included. On a 6 Gbps two-rack star the spilled
+    chain is held to what its link carries, so the dataplane drops
+    none of its packets at the link."""
+
+    NARROW = TopologySpec.star(2, capacity_mbps=6000.0)
+
+    def test_bootstrap_takes_the_hierarchical_solve(self):
+        spec = _run_spec(6, self.NARROW)
+        solved = MultiRackPlacer(
+            spec.build_topology(), default_profiles(),
+            PlacerConfig(strategy=spec.strategy),
+        ).solve(PlacementRequest.multi_rack(
+            spec.build_chains(), objective=spec.objective,
+        )).placement
+        core = AdmissionCore(spec, registry=MetricsRegistry())
+        core.bootstrap()
+        assert core.assignment == solved.partition.assignment
+        assert core.rates == solved.rates
+        assert core.rates["c5"] == pytest.approx(6000.0)
+        for rack, report in solved.reports.items():
+            assert (core.cores[rack].placement.describe()
+                    == report.placement.describe())
+
+    def test_initial_phase_delivers_every_spilled_packet(self):
+        spec = replace(
+            _run_spec(6, self.NARROW),
+            timeline=LifecycleTimeline(events=()),
+            packets_per_phase=96,
+        )
+        report = run_lifecycle(spec, registry=MetricsRegistry())
+        rows = {row.chain_name: row for row in report.phases[0].chains}
+        assert rows["c5"].assigned_mbps == pytest.approx(6000.0)
+        assert (rows["c5"].injected, rows["c5"].delivered) == (96, 96)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        racks=st.sampled_from([2, 3]),
+        capacity=st.integers(min_value=1, max_value=40).map(
+            lambda gbps: gbps * 1000.0),
+        chains=st.integers(min_value=1, max_value=10),
+    )
+    def test_no_link_carries_more_than_its_capacity(
+            self, racks, capacity, chains):
+        """Up to five chains a rack, so the partitioner's core proxy
+        never binds alone: a bootstrap either fits every link at the
+        core's rates or is refused for a link it names."""
+        spec = _run_spec(
+            min(chains, 5 * racks),
+            TopologySpec.star(racks, capacity_mbps=capacity),
+        )
+        core = AdmissionCore(spec, registry=MetricsRegistry())
+        try:
+            core.bootstrap()
+        except PlacementError as exc:
+            assert "link r0~r" in str(exc)
+            assert "capacity exhausted" in str(exc)
+            return
+        loads = link_loads(core.placement.remote, core.rates)
+        for link in core.fabric.links:
+            assert loads.get(link.name, 0.0) <= link.capacity_mbps * (
+                1.0 + 1e-9)
 
 
 class TestFabricChaos:
