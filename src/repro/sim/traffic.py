@@ -19,11 +19,13 @@ clock, engine bookkeeping included.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -360,6 +362,28 @@ class TrafficSpec(RunSpec):
     _error: ClassVar[type] = TrafficError
 
 
+def _collector_paused(method: Callable) -> Callable:
+    """Run ``method`` with CPython's cyclic garbage collector paused.
+
+    A traffic pass creates no reference cycles — refcounting frees
+    everything it allocates (``tests/sim/test_collector.py``) — so a
+    collection during one only traces the pass's live objects, flow
+    templates and probe memos included, and frees nothing. The collector
+    is re-enabled on the way out only if it was enabled on the way in,
+    so nested passes and a pass that raises leave it as they found it.
+    """
+    @functools.wraps(method)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 class TrafficEngine:
     """Replay synthesized flow sets through a deployed rack in batches.
 
@@ -367,7 +391,9 @@ class TrafficEngine:
     columnar :meth:`DeployedRack.run_columns` from
     :data:`COLUMNAR_MIN_BATCH` packets up — unless the chain's last
     columnar batch fell back structurally, when every batch would — else
-    the scalar :meth:`DeployedRack.run`.
+    the scalar :meth:`DeployedRack.run`. :meth:`run`, :meth:`replay` and
+    :meth:`replay_batch` pause the cyclic garbage collector for the
+    length of the pass (:func:`_collector_paused`).
     """
 
     def __init__(self, rack: DeployedRack, placement: Placement, *,
@@ -496,6 +522,7 @@ class TrafficEngine:
                 cp, flows, base, min(self.batch_size, start + count - base)
             )
 
+    @_collector_paused
     def replay(self, cp: ChainPlacement, start: int,
                count: int) -> Tuple[int, QuantileSketch, float]:
         """Inject packets ``start .. start+count`` of ``cp``'s flow cycle
@@ -512,6 +539,7 @@ class TrafficEngine:
             sketch.add_many(samples)
         return delivered, sketch, wall
 
+    @_collector_paused
     def replay_batch(self, cp: ChainPlacement, cursor: int,
                      count: int) -> Tuple[int, int, List[float]]:
         """Inject ``count`` packets of ``cp``'s flow cycle from ``cursor``.
@@ -532,6 +560,7 @@ class TrafficEngine:
                            else stamps)
         return delivered, cursor + count, samples
 
+    @_collector_paused
     def run(self, packets_per_chain: int = 1024,
             chain_names: Optional[List[str]] = None) -> TrafficReport:
         """Inject ``packets_per_chain`` packets per chain, in batches."""

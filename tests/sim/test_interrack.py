@@ -484,3 +484,35 @@ class TestFabricLifecycle:
         decision = core.process(self._arrive("c0"))
         assert not decision.accepted
         assert "already active" in decision.reason
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "an incremental per-rack solve has no link row and the link-floor "
+    "check only checks floors: a scale of a remote chain is assigned "
+    "more than its inter-rack link carries (ROADMAP item 4(a))"))
+def test_no_accepted_decision_over_commits_a_link():
+    """Six 4 Gbps chains on two racks joined by a 6 Gbps link: c5 spills
+    to r1 at the link's 6 000 Mbps. Scaling it to t_min 5 000 / t_max
+    12 000 is accepted with 12 000 Mbps over that link, and the next
+    phase drops what the link cannot carry."""
+    core = AdmissionCore(
+        _run_spec(6, TopologySpec.star(2, capacity_mbps=6000)),
+        registry=MetricsRegistry(),
+    )
+    capacity = {link.name: link.capacity_mbps for link in core.fabric.links}
+
+    def assert_links_hold():
+        for link, load in link_loads(core.placement.remote,
+                                     core.rates).items():
+            assert load <= capacity[link], (link, load, capacity[link])
+
+    core.bootstrap()
+    assert core.assignment["c5"] == "r1"
+    assert_links_hold()
+    core.run_phase("before", 96, index=0)
+    decision = core.process(ChainEvent(
+        at=1, action="scale", chain="c5",
+        t_min_mbps=5000.0, t_max_mbps=12000.0,
+    ))
+    if decision.accepted:
+        assert_links_hold()
