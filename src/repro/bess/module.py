@@ -171,17 +171,6 @@ class Module:
         self.tx_packets += len(live)
         return live
 
-    def process_batch(self, packets: List[Packet]) -> List[List[Tuple[int, Packet]]]:
-        """Transform a batch; returns one output list per input packet.
-
-        The default preserves serial semantics exactly (per-packet
-        :meth:`process` in arrival order). Stateless modules may override it
-        to hoist per-batch work — overrides must keep the per-packet output
-        lists identical to serial processing.
-        """
-        process = self.process
-        return [process(packet) for packet in packets]
-
     def receive_batch(self, packets: List[Packet]) -> List[Tuple[int, Packet]]:
         """Batched :meth:`receive` with per-batch aggregated bookkeeping.
 
@@ -189,20 +178,27 @@ class Module:
         order: cycle accounting stays interleaved with processing per packet
         (stateful modules like Dedup scale their charge by state that the
         previous packet just updated), so the module's RNG stream and state
-        evolve exactly as in the serial path.
+        evolve exactly as in the serial path. Live outputs are sifted from
+        drops in the same loop.
         """
         self.rx_packets += len(packets)
-        if self.database is not None and self.nf_class is not None:
-            account = self.account
-            process = self.process
-            out_lists = []
-            for packet in packets:
+        account = (self.account if self.database is not None
+                   and self.nf_class is not None else None)
+        process = self.process
+        live: List[Tuple[int, Packet]] = []
+        dropped = 0
+        for packet in packets:
+            if account is not None:
                 account(packet)
-                out_lists.append(process(packet))
-        else:
-            # No cycle accounting — batch-amortized processing is safe.
-            out_lists = self.process_batch(packets)
-        live, dropped = _sift(out_lists)
+            outputs = process(packet)
+            if not outputs:
+                dropped += 1
+                continue
+            for gate_pkt in outputs:
+                if gate_pkt[1].metadata.drop_flag:
+                    dropped += 1
+                else:
+                    live.append(gate_pkt)
         self.dropped_packets += dropped
         self.tx_packets += len(live)
         return live

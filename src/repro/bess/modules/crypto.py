@@ -17,17 +17,18 @@ from repro.bess.module import Module
 from repro.net.packet import Packet
 
 
+_BLOCK = hashlib.sha256().digest_size
+
+
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Deterministic counter-mode keystream from SHA-256."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.sha256(
-            key + nonce + counter.to_bytes(8, "big")
-        ).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    """Deterministic counter-mode keystream from SHA-256: the digests of
+    ``key + nonce + counter`` for counters 0, 1, ... cut to ``length``."""
+    prefix = key + nonce
+    blocks = -(-length // _BLOCK)
+    return b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range(blocks)
+    )[:length]
 
 
 def _packet_nonce(packet: Packet) -> bytes:

@@ -106,6 +106,26 @@ def bytes_to_mac(raw: bytes) -> str:
     return mac
 
 
+#: ``pack()`` memos, one per header type, keyed by the tuple of field
+#: values. A rewrite NF sets the same few values per flow, so the encoding
+#: (and the IPv4 checksum) is computed once per distinct header; capped
+#: and reset when full like the address memos. Only successful encodings
+#: are kept, so a value ``pack()`` refuses is refused every time.
+_PACK_MEMO_MAX = 8192
+_eth_pack_memo: dict = {}
+_vlan_pack_memo: dict = {}
+_ipv4_pack_memo: dict = {}
+_tcp_pack_memo: dict = {}
+_udp_pack_memo: dict = {}
+
+
+def _remember(memo: dict, key: tuple, raw: bytes) -> bytes:
+    if len(memo) >= _PACK_MEMO_MAX:
+        memo.clear()
+    memo[key] = raw
+    return raw
+
+
 @dataclass
 class EthernetHeader:
     """14-byte Ethernet II header."""
@@ -117,9 +137,13 @@ class EthernetHeader:
     LENGTH = 14
 
     def pack(self) -> bytes:
-        return mac_to_bytes(self.dst) + mac_to_bytes(self.src) + struct.pack(
-            "!H", self.ethertype
-        )
+        key = (self.dst, self.src, self.ethertype)
+        raw = _eth_pack_memo.get(key)
+        if raw is None:
+            raw = _remember(_eth_pack_memo, key, mac_to_bytes(self.dst)
+                            + mac_to_bytes(self.src)
+                            + struct.pack("!H", self.ethertype))
+        return raw
 
     @classmethod
     def unpack(cls, raw: bytes) -> "EthernetHeader":
@@ -146,10 +170,15 @@ class VLANHeader:
     LENGTH = 4
 
     def pack(self) -> bytes:
+        key = (self.pcp, self.dei, self.vid, self.ethertype)
+        raw = _vlan_pack_memo.get(key)
+        if raw is not None:
+            return raw
         if not 0 <= self.vid < 4096:
             raise ValueError(f"VLAN vid must fit 12 bits, got {self.vid}")
         tci = ((self.pcp & 0x7) << 13) | ((self.dei & 0x1) << 12) | (self.vid & 0xFFF)
-        return struct.pack("!HH", tci, self.ethertype)
+        return _remember(_vlan_pack_memo, key,
+                         struct.pack("!HH", tci, self.ethertype))
 
     @classmethod
     def unpack(cls, raw: bytes) -> "VLANHeader":
@@ -179,6 +208,11 @@ class IPv4Header:
     LENGTH = 20
 
     def pack(self) -> bytes:
+        key = (self.src, self.dst, self.proto, self.ttl, self.total_length,
+               self.identification, self.dscp)
+        raw = _ipv4_pack_memo.get(key)
+        if raw is not None:
+            return raw
         header = struct.pack(
             "!BBHHHBBH4s4s",
             (4 << 4) | 5,  # version=4, ihl=5
@@ -193,7 +227,8 @@ class IPv4Header:
             struct.pack("!I", ip_to_int(self.dst)),
         )
         checksum = ipv4_checksum(header)
-        return header[:10] + struct.pack("!H", checksum) + header[12:]
+        return _remember(_ipv4_pack_memo, key, header[:10]
+                         + struct.pack("!H", checksum) + header[12:])
 
     @classmethod
     def unpack(cls, raw: bytes) -> "IPv4Header":
@@ -248,18 +283,23 @@ class TCPHeader:
     LENGTH = 20
 
     def pack(self) -> bytes:
-        return struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            5 << 4,  # data offset
-            self.flags,
-            self.window,
-            0,  # checksum (not validated by the simulators)
-            0,  # urgent pointer
-        )
+        key = (self.src_port, self.dst_port, self.seq, self.ack, self.flags,
+               self.window)
+        raw = _tcp_pack_memo.get(key)
+        if raw is None:
+            raw = _remember(_tcp_pack_memo, key, struct.pack(
+                "!HHIIBBHHH",
+                self.src_port,
+                self.dst_port,
+                self.seq,
+                self.ack,
+                5 << 4,  # data offset
+                self.flags,
+                self.window,
+                0,  # checksum (not validated by the simulators)
+                0,  # urgent pointer
+            ))
+        return raw
 
     @classmethod
     def unpack(cls, raw: bytes) -> "TCPHeader":
@@ -289,7 +329,12 @@ class UDPHeader:
     LENGTH = 8
 
     def pack(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
+        key = (self.src_port, self.dst_port, self.length)
+        raw = _udp_pack_memo.get(key)
+        if raw is None:
+            raw = _remember(_udp_pack_memo, key, struct.pack(
+                "!HHHH", self.src_port, self.dst_port, self.length, 0))
+        return raw
 
     @classmethod
     def unpack(cls, raw: bytes) -> "UDPHeader":

@@ -321,34 +321,21 @@ class Packet:
         """Re-serialize cached headers back into the byte buffer.
 
         Headers obtained via the typed properties may be mutated in place;
-        ``commit()`` writes them back at their original offsets.
+        ``commit()`` writes them back at their original offsets. Every
+        header has a fixed length, so the header region (everything before
+        ``payload_offset``) is overwritten in place and the payload is
+        neither read nor moved.
         """
         parsed = self._parse()
-        offset = 0
-        pieces = []
-        if parsed["nsh"] is not None:
-            pieces.append(parsed["nsh"].pack())
-            offset += NSHHeader.LENGTH
-        if parsed["eth"] is not None:
-            pieces.append(parsed["eth"].pack())
-            offset += EthernetHeader.LENGTH
-        if parsed["vlan"] is not None:
-            pieces.append(parsed["vlan"].pack())
-            offset += VLANHeader.LENGTH
-        if parsed["ipv4"] is not None:
-            pieces.append(parsed["ipv4"].pack())
-            offset += IPv4Header.LENGTH
-        if parsed["tcp"] is not None:
-            pieces.append(parsed["tcp"].pack())
-            offset += TCPHeader.LENGTH
-        elif parsed["udp"] is not None:
-            pieces.append(parsed["udp"].pack())
-            offset += UDPHeader.LENGTH
-        tail = bytes(self._data[parsed["payload_offset"]:])
-        self._data = bytearray(b"".join(pieces) + tail)
-        # the cached header objects ARE what was just serialized and every
-        # header has a fixed length, so the parse cache stays valid; only
-        # the derived flow identity may have changed (NAT rewrites)
+        self._data[:parsed["payload_offset"]] = b"".join([
+            header.pack()
+            for header in (parsed["nsh"], parsed["eth"], parsed["vlan"],
+                           parsed["ipv4"], parsed["tcp"] or parsed["udp"])
+            if header is not None
+        ])
+        # the cached header objects ARE what was just serialized, so the
+        # parse cache stays valid; only the derived flow identity may have
+        # changed (NAT rewrites)
         parsed.pop("flow_key", None)
         parsed.pop("flow_digest", None)
 

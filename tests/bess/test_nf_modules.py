@@ -99,6 +99,25 @@ class TestCrypto:
         out = run(make_nf_module("Encrypt"), pkt)
         assert len(out.payload) == 333
 
+    @pytest.mark.parametrize("key, nonce, length, golden", [
+        # a flow key as nonce, 1.5 digests
+        (b"lemur-aes-cbc-128", bytes.fromhex("0a0100010a00000104000050"
+                                             "06"), 48,
+         "46449578b6146cfcac3f369deac39c95163fd03f28e3243e2ce6290c7dc15b67"
+         "6d54157284bd8294738b5357c55f8b45"),
+        # exactly one digest
+        (b"k", b"non-ip", 32,
+         "fb29b58ebd3421b189d709e2a343c2b0d3ad6cad5e2b7dd7836854014918b1cb"),
+        # three digests, the last cut
+        (b"lemur-aes-cbc-128", b"nonce", 75,
+         "4e64d7a8dac07d69c42aa64e671fe8fbe733cf81d22f92333deac35ee9af09ad"
+         "6ac6c42d6c739740b0e222101a211b4d7c512bd8d0aa5a4844759e1626470df0"
+         "6c02f0e0fef0ebd03cc366"),
+    ])
+    def test_keystream_bytes_are_pinned(self, key, nonce, length, golden):
+        from repro.bess.modules.crypto import _keystream
+        assert _keystream(key, nonce, length).hex() == golden
+
 
 class TestTunnel:
     def test_push_pop(self):
