@@ -31,22 +31,16 @@ class PacketBatch:
         return iter(self.packets)
 
 
-def _sift(out_lists) -> Tuple[List[Tuple[int, Packet]], int]:
+def _sift(outputs, exits: bool) -> Tuple[List[Tuple[int, Packet]], int, int]:
     """The live ``(ogate, packet)`` outputs of one :meth:`Module.process`
-    list per input, and how many :meth:`Module.receive` counts dropped: a
-    flagged output, or an input that produced none."""
-    live: List[Tuple[int, Packet]] = []
-    dropped = 0
-    for outputs in out_lists:
-        if not outputs:
-            dropped += 1
-            continue
-        for gate_pkt in outputs:
-            if gate_pkt[1].metadata.drop_flag:
-                dropped += 1
-            else:
-                live.append(gate_pkt)
-    return live, dropped
+    call, and what :meth:`Module.receive` counts tx and dropped for it: a
+    flagged output is a drop, and so is no output at all unless the
+    module ``exits`` (it emitted the packet)."""
+    if not outputs:
+        return [], int(exits), int(not exits)
+    live = [gate_pkt for gate_pkt in outputs
+            if not gate_pkt[1].metadata.drop_flag]
+    return live, len(live), len(outputs) - len(live)
 
 
 def _receive_batch(module: "Module", packets: List[Packet]):
@@ -74,6 +68,10 @@ class Module:
     #: NAT/LB/Monitor and per-packet counters like UrlFilter stay False and
     #: take the scalar fallback).
     vector_safe: bool = False
+
+    #: Whether :meth:`process` returning no output means the packet left
+    #: the pipeline here (``PortOut``): counted tx, not dropped.
+    exits: bool = False
 
     def __init__(
         self,
@@ -161,14 +159,9 @@ class Module:
         """Bookkeeping wrapper around :meth:`process`."""
         self.rx_packets += 1
         self.account(packet)
-        outputs = self.process(packet)
-        live = [
-            (gate, pkt) for gate, pkt in outputs if not pkt.metadata.drop_flag
-        ]
-        self.dropped_packets += len(outputs) - len(live)
-        if not outputs:
-            self.dropped_packets += 1
-        self.tx_packets += len(live)
+        live, tx, dropped = _sift(self.process(packet), self.exits)
+        self.tx_packets += tx
+        self.dropped_packets += dropped
         return live
 
     def receive_batch(self, packets: List[Packet]) -> List[Tuple[int, Packet]]:
@@ -186,21 +179,23 @@ class Module:
                    and self.nf_class is not None else None)
         process = self.process
         live: List[Tuple[int, Packet]] = []
+        silent = 0
         dropped = 0
         for packet in packets:
             if account is not None:
                 account(packet)
             outputs = process(packet)
             if not outputs:
-                dropped += 1
+                silent += 1
                 continue
             for gate_pkt in outputs:
                 if gate_pkt[1].metadata.drop_flag:
                     dropped += 1
                 else:
                     live.append(gate_pkt)
-        self.dropped_packets += dropped
-        self.tx_packets += len(live)
+        emitted = silent if self.exits else 0
+        self.tx_packets += len(live) + emitted
+        self.dropped_packets += dropped + silent - emitted
         return live
 
     def probe_batch(self, packets: List[Packet]
@@ -216,12 +211,13 @@ class Module:
         """
         before = self.cycles_charged
         process = self.process
+        exits = self.exits
         results = []
         for packet in packets:
             spent = self.cycles_charged
-            live, dropped = _sift((process(packet),))
+            live, tx, dropped = _sift(process(packet), exits)
             results.append(
-                (live, (1, len(live), dropped, self.cycles_charged - spent))
+                (live, (1, tx, dropped, self.cycles_charged - spent))
             )
         self.cycles_charged = before
         return results

@@ -32,6 +32,7 @@ class PortOut(Module):
     testbed simulator."""
 
     vector_safe = True
+    exits = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -4,7 +4,7 @@
 :class:`~repro.core.placer.Placer`, and a fabric's one cold solve:
 ``repro place`` calls it, and so does every fabric bootstrap of the
 :class:`~repro.sim.admission.AdmissionCore` (traffic, lifecycle, chaos,
-serve). ``solve`` runs in three stages:
+serve). ``solve`` runs in two stages:
 
 1. **Partition** — :func:`~repro.core.partition.partition_chains`
    assigns every chain a home rack (greedy bin-pack + LP refinement),
@@ -12,14 +12,15 @@ serve). ``solve`` runs in three stages:
 2. **Per-rack solve** — the ordinary ``Placer.solve`` runs over each
    rack's chain subset. Remote chains are handed down with their
    ``d_max`` already shrunk by the fabric RTT, so the per-rack latency
-   guard still protects the *end-to-end* SLO. The rack solves run
-   serially: the win is the decomposition into ~10 ms sub-problems,
-   and a pool hand-off per rack measured slower than solving them in
-   turn (``docs/performance.md``).
-3. **Link post-pass** — assigned rates of remote chains are summed per
-   inter-rack link; overloads shed marginal rate (never below the
-   ``t_min`` floor) deterministically so the fabric cannot promise more
-   than its links carry.
+   guard still protects the *end-to-end* SLO. Each rack's rate LP also
+   holds its chains, together, to what the inter-rack links on its
+   route leave (:func:`~repro.core.partition.uplink_headroom`): the
+   racks solved before it count at their rates, the racks after it at
+   their floors. The fabric never promises more than its links carry,
+   and a partition whose floors fit is never refused for a link. The
+   rack solves run serially: the win is the decomposition into ~10 ms
+   sub-problems, and a pool hand-off per rack measured slower than
+   solving them in turn (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Dict, List, Optional
 from repro.core.partition import (
     PartitionResult,
     RackRoute,
-    link_loads,
     partition_chains,
+    uplink_headroom,
 )
 from repro.core.placement import ChainPlacement
 from repro.core.placer import (
@@ -52,11 +53,9 @@ from repro.profiles.defaults import ProfileDatabase, default_profiles
 class MultiRackPlacement:
     """The fabric-wide result: per-rack reports + the merged view.
 
-    ``rates`` is the authoritative per-chain rate map *after* the link
-    capacity post-pass (per-rack placements are updated in place to
-    match). ``remote`` maps each off-ingress chain to its fabric route;
-    its RTT is the extra latency every delivered packet of that chain
-    carries.
+    ``rates`` is the per-chain rate map of the per-rack solves, merged.
+    ``remote`` maps each off-ingress chain to its fabric route; its RTT
+    is the extra latency every delivered packet of that chain carries.
     """
 
     partition: PartitionResult
@@ -66,7 +65,6 @@ class MultiRackPlacement:
     ingress: str = ""
     feasible: bool = False
     infeasible_reason: Optional[str] = None
-    link_shed_mbps: Dict[str, float] = field(default_factory=dict)
 
     @property
     def chains(self) -> List[ChainPlacement]:
@@ -108,8 +106,6 @@ class MultiRackPlacement:
             body = self.reports[rack].placement.describe()
             lines.append(f"  -- rack {rack} --")
             lines.append("  " + body.replace("\n", "\n  "))
-        for link, shed in sorted(self.link_shed_mbps.items()):
-            lines.append(f"  link {link}: shed {shed:.0f} Mbps marginal")
         return "\n".join(lines)
 
 
@@ -184,10 +180,22 @@ class MultiRackPlacer:
                 partition.rack_of(chain.name), []
             ).append(handed)
 
-        racks = sorted(rack_chains)
-        reports = {
-            rack: Placer(
-                topology=self.fabric.rack(rack),
+        # Racks solve in name order. Each one's rate LP gets the link row
+        # of what its route's links leave after the racks solved before it
+        # (at their rates) and the racks after it (at their floors, which
+        # the partition fitted on every link).
+        reports: Dict[str, PlacementReport] = {}
+        carried: Dict[str, float] = {
+            rack: sum(chain.slo.t_min for chain in chains)
+            for rack, chains in rack_chains.items()
+        }
+        for rack in sorted(rack_chains):
+            topology = self.fabric.rack(rack)
+            topology.uplink = uplink_headroom(
+                fabric, partition.routes, rack, carried,
+            )
+            reports[rack] = Placer(
+                topology=topology,
                 profiles=self.profiles,
                 config=self.config,
             ).solve(
@@ -197,8 +205,7 @@ class MultiRackPlacer:
                     objective=request.objective,
                 )
             )
-            for rack in racks
-        }
+            carried[rack] = sum(reports[rack].placement.rates.values())
 
         placement = MultiRackPlacement(
             partition=partition,
@@ -208,7 +215,7 @@ class MultiRackPlacer:
         )
         placement.rates = {}
         placement.feasible = True
-        for rack in racks:
+        for rack in reports:
             per_rack = reports[rack].placement
             placement.rates.update(per_rack.rates)
             if not per_rack.feasible:
@@ -216,8 +223,6 @@ class MultiRackPlacer:
                 reason = per_rack.infeasible_reason or "per-rack solve failed"
                 placement.infeasible_reason = f"rack {rack}: {reason}"
                 break
-        if placement.feasible:
-            self._enforce_link_capacity(placement, fabric, request)
 
         seconds = time.perf_counter() - started
         get_registry().histogram("multirack.solve.seconds").observe(seconds)
@@ -226,51 +231,6 @@ class MultiRackPlacer:
             seconds=seconds,
             strategy=strategy,
         )
-
-    # -- stage 3: inter-rack link capacity post-pass ----------------------
-
-    def _enforce_link_capacity(self, placement, fabric, request) -> None:
-        """Shed marginal rate (down to ``t_min`` floors) on overloaded
-        links; floors alone exceeding a link turn the solve infeasible."""
-        floors = {
-            chain.name: chain.slo.t_min for chain in request.chains
-        }
-        remote = dict(sorted(placement.remote.items()))
-        floor_sums = link_loads(remote, floors)
-        registry = get_registry()
-        for link in fabric.links:
-            load = link_loads(remote, placement.rates).get(link.name)
-            if load is None:  # no chain crosses this link
-                continue
-            registry.gauge("interrack.link.load_mbps", link=link.name).set(load)
-            if load <= link.capacity_mbps:
-                continue
-            floor_sum = floor_sums[link.name]
-            if floor_sum > link.capacity_mbps:
-                placement.feasible = False
-                placement.infeasible_reason = (
-                    f"link {link.name} capacity exhausted: chain floors "
-                    f"need {floor_sum:g} Mbps, link carries "
-                    f"{link.capacity_mbps:g} Mbps"
-                )
-                return
-            marginal = load - floor_sum
-            budget = link.capacity_mbps - floor_sum
-            scale = budget / marginal if marginal > 0 else 0.0
-            shed = 0.0
-            for chain, route in remote.items():
-                if link.name not in route.links:
-                    continue
-                old = placement.rates[chain]
-                new = floors[chain] + (old - floors[chain]) * scale
-                shed += old - new
-                placement.rates[chain] = new
-                rack = placement.rack_of(chain)
-                placement.reports[rack].placement.rates[chain] = new
-            placement.link_shed_mbps[link.name] = shed
-            registry.counter("interrack.link.shed_mbps", link=link.name).inc(
-                shed
-            )
 
 
 __all__ = [

@@ -7,7 +7,10 @@ throughput Σ(r_i − t_min_i) subject to:
 * t_min_i ≤ r_i ≤ min(t_max_i, estimated_i, ToR port rate);
 * for every server NIC and direction: Σ_i visits_{i,S} · r_i ≤ capacity_S
   — each switch↔server bounce of chain i consumes NIC bandwidth once per
-  direction, which is how the LP accounts for the cost of bounces.
+  direction, which is how the LP accounts for the cost of bounces;
+* on a rack homed off a fabric's ingress: Σ_i r_i ≤ the headroom its
+  inter-rack links leave (``Topology.uplink``), added only when the
+  answer without it goes over.
 
 Solved with scipy's HiGHS backend — when something binds. An instance
 whose every chain fits at its cap inside every row has that as its only
@@ -105,6 +108,61 @@ def _utilization_rows(
     return rows, caps
 
 
+def _problem(
+    placements: Sequence[ChainPlacement],
+    topology: Topology,
+    utilization_cap: Optional[float],
+    packet_bits: int,
+):
+    """The bounds and capacity rows both objectives solve over:
+    ``(lower, upper, rows, caps)``, or the reason a chain's cap is under
+    its ``t_min`` floor.
+
+    Bounds are t_min_i ≤ r_i ≤ min(t_max_i, estimated_i, ToR port rate).
+    One pass over the chains fills them and every server's NIC row;
+    traffic enters and exits a server the same number of times, so one
+    row per (server, NIC) covers both directions.
+    """
+    n = len(placements)
+    port_rate = getattr(topology.switch, "port_rate_mbps", math.inf)
+    servers = [s for s in topology.servers
+               if s.name not in topology.failed_devices]
+    row_of = {server.name: row for row, server in enumerate(servers)}
+    visits: List[List[float]] = [[0.0] * n for _ in servers]
+    lower = np.empty(n)
+    upper = np.empty(n)
+    for i, cp in enumerate(placements):
+        slo = cp.chain.slo
+        cap = min(cp.estimated_rate, port_rate)
+        if not math.isinf(slo.t_max):
+            cap = min(cap, slo.t_max)
+        if cap + 1e-9 < slo.t_min:
+            return (
+                f"chain {cp.name}: estimated rate "
+                f"{cp.estimated_rate:.0f} Mbps < t_min {slo.t_min:.0f} Mbps"
+            )
+        lower[i] = slo.t_min
+        upper[i] = cap
+        for name, count in cp.server_visits.items():
+            row = row_of.get(name)
+            if row is not None:
+                visits[row][i] = count
+
+    rows: List[object] = []
+    caps: List[float] = []
+    for server, coeffs in zip(servers, visits):
+        if any(coeffs):
+            rows.append(coeffs)
+            caps.append(server.primary_nic().rate_mbps)
+    if utilization_cap is not None:
+        extra_rows, extra_caps = _utilization_rows(
+            placements, topology, utilization_cap, packet_bits,
+        )
+        rows.extend(extra_rows)
+        caps.extend(extra_caps)
+    return lower, upper, rows, caps
+
+
 def solve_rates(
     placements: Sequence[ChainPlacement],
     topology: Topology,
@@ -126,64 +184,49 @@ def solve_rates(
     hotter than the cap — bounding the queueing wait at the cost of
     burst headroom. Chains whose t_min floors alone exceed the cap make
     the LP infeasible, which admission reports as the binding reason.
+
+    A rack homed off a fabric's ingress carries ``topology.uplink``:
+    the Mbps its route's inter-rack links leave it. An answer over that
+    gets the link row Σ_i r_i ≤ headroom and is solved again; floors
+    alone over it make the solve infeasible, naming the link.
     """
-    if objective == "max_min":
-        return solve_rates_max_min(
-            placements, topology,
-            utilization_cap=utilization_cap, packet_bits=packet_bits,
-        )
-    if objective != "marginal":
+    solve = _SOLVERS.get(objective)
+    if solve is None:
         raise ValueError(f"unknown rate objective {objective!r}")
     if not placements:
         return RateSolution(feasible=True)
-
-    # One pass over the chains fills the bounds and every server's NIC
-    # row. Traffic enters and exits a server the same number of times, so
-    # one row per (server, NIC) covers both directions.
-    n = len(placements)
-    port_rate = getattr(topology.switch, "port_rate_mbps", math.inf)
-    servers = [s for s in topology.servers
-               if s.name not in topology.failed_devices]
-    row_of = {server.name: row for row, server in enumerate(servers)}
-    visits: List[List[float]] = [[0.0] * n for _ in servers]
-    bounds_lower: List[float] = []
-    bounds_upper: List[float] = []
-    for i, cp in enumerate(placements):
-        slo = cp.chain.slo
-        cap = min(cp.estimated_rate, port_rate)
-        if not math.isinf(slo.t_max):
-            cap = min(cap, slo.t_max)
-        if cap + 1e-9 < slo.t_min:
+    problem = _problem(placements, topology, utilization_cap, packet_bits)
+    if isinstance(problem, str):
+        return RateSolution(feasible=False, reason=problem)
+    lower, upper, rows, caps = problem
+    assigned = solve(lower, upper, rows, caps)
+    link, headroom = topology.uplink
+    if not isinstance(assigned, str) and assigned.sum() > headroom:
+        floors = lower.sum()
+        if floors > headroom:
             return RateSolution(
                 feasible=False,
                 reason=(
-                    f"chain {cp.name}: estimated rate "
-                    f"{cp.estimated_rate:.0f} Mbps < t_min {slo.t_min:.0f} Mbps"
+                    f"link {link} capacity exhausted: floors need "
+                    f"{floors:g} Mbps, link carries {headroom:g} Mbps"
                 ),
             )
-        bounds_lower.append(slo.t_min)
-        bounds_upper.append(cap)
-        for name, count in cp.server_visits.items():
-            row = row_of.get(name)
-            if row is not None:
-                visits[row][i] = count
-    lower = np.array(bounds_lower, dtype=float)
-    upper = np.array(bounds_upper, dtype=float)
+        assigned = solve(lower, upper, rows + [np.ones(len(lower))],
+                         caps + [headroom])
+    if isinstance(assigned, str):
+        return RateSolution(feasible=False, reason=assigned)
+    rates = dict(zip((cp.name for cp in placements), assigned.tolist()))
+    objective_mbps = sum(
+        rates[cp.name] - cp.chain.slo.t_min for cp in placements
+    )
+    return RateSolution(rates=rates, feasible=True,
+                        objective_mbps=objective_mbps)
 
-    rows: List[object] = []
-    caps: List[float] = []
-    for server, coeffs in zip(servers, visits):
-        if any(coeffs):
-            rows.append(coeffs)
-            caps.append(server.primary_nic().rate_mbps)
 
-    if utilization_cap is not None:
-        extra_rows, extra_caps = _utilization_rows(
-            placements, topology, utilization_cap, packet_bits,
-        )
-        rows.extend(extra_rows)
-        caps.extend(extra_caps)
-
+def _marginal(lower: np.ndarray, upper: np.ndarray, rows: list,
+              caps: List[float]):
+    """Maximize Σ r_i under the rows: the rates, or why HiGHS found no
+    answer."""
     a_ub = np.array(rows, dtype=float) if rows else None
     b_ub = np.array(caps) if rows else None
 
@@ -197,40 +240,26 @@ def solve_rates(
         and (a_ub is None or (a_ub @ upper <= b_ub).all())
     ):
         _record_solve("marginal")
-        assigned = upper
-    else:
-        from scipy.optimize import linprog
+        return upper
+    from scipy.optimize import linprog
 
-        result = linprog(
-            c=-np.ones(n),  # maximize Σ r_i  (t_min offsets are constant)
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
-        _record_solve("marginal", result)
-        if not result.success:
-            return RateSolution(
-                feasible=False,
-                reason=f"rate LP infeasible: {result.message}",
-            )
-        assigned = result.x
-
-    rates = dict(zip((cp.name for cp in placements), assigned.tolist()))
-    objective_mbps = sum(
-        rates[cp.name] - cp.chain.slo.t_min for cp in placements
+    result = linprog(
+        c=-np.ones(len(lower)),  # maximize Σ r_i (t_min offsets are constant)
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=list(zip(lower, upper)),
+        method="highs",
     )
-    return RateSolution(rates=rates, feasible=True,
-                        objective_mbps=objective_mbps)
+    _record_solve("marginal", result)
+    if not result.success:
+        return f"rate LP infeasible: {result.message}"
+    return result.x
 
 
-def solve_rates_max_min(
-    placements: Sequence[ChainPlacement],
-    topology: Topology,
-    utilization_cap: Optional[float] = None,
-    packet_bits: int = DEFAULT_PACKET_BITS,
-) -> RateSolution:
-    """Lexicographic max-min fair marginal-rate assignment.
+def _max_min(lower: np.ndarray, upper: np.ndarray, rows: list,
+             caps: List[float]):
+    """Lexicographic max-min fair marginal rates: the rates, or why a
+    stage found no answer.
 
     Two-stage LP: first maximize the smallest achievable marginal rate t*
     (r_i ≥ t_min_i + t for every chain whose caps allow it), then maximize
@@ -239,47 +268,9 @@ def solve_rates_max_min(
     prevents one cheap chain from absorbing all burst headroom (§2
     footnote 2).
     """
-    if not placements:
-        return RateSolution(feasible=True)
     from scipy.optimize import linprog
 
-    n = len(placements)
-    port_rate = getattr(topology.switch, "port_rate_mbps", math.inf)
-    lower = np.array([cp.chain.slo.t_min for cp in placements])
-    upper = np.zeros(n)
-    for i, cp in enumerate(placements):
-        cap = min(cp.estimated_rate, port_rate)
-        if not math.isinf(cp.chain.slo.t_max):
-            cap = min(cap, cp.chain.slo.t_max)
-        upper[i] = cap
-        if cap + 1e-9 < lower[i]:
-            return RateSolution(
-                feasible=False,
-                reason=(
-                    f"chain {cp.name}: estimated rate {cap:.0f} Mbps "
-                    f"< t_min {lower[i]:.0f} Mbps"
-                ),
-            )
-
-    rows: List[np.ndarray] = []
-    caps: List[float] = []
-    for server in topology.servers:
-        if server.name in topology.failed_devices:
-            continue
-        coeffs = np.array(
-            [cp.server_visits.get(server.name, 0.0) for cp in placements]
-        )
-        if coeffs.any():
-            rows.append(coeffs)
-            caps.append(server.primary_nic().rate_mbps)
-
-    if utilization_cap is not None:
-        extra_rows, extra_caps = _utilization_rows(
-            placements, topology, utilization_cap, packet_bits,
-        )
-        rows.extend(extra_rows)
-        caps.extend(extra_caps)
-
+    n = len(lower)
     # Progressive filling: raise a common marginal floor t over the
     # chains that still have cap headroom; chains whose headroom is
     # exhausted saturate at their cap and drop out of the floor, so a
@@ -325,10 +316,7 @@ def solve_rates_max_min(
         )
         _record_solve("max_min", stage1)
         if not stage1.success:
-            return RateSolution(
-                feasible=False,
-                reason=f"max-min LP infeasible: {stage1.message}",
-            )
+            return f"max-min LP infeasible: {stage1.message}"
         t_star = stage1.x[-1]
         for i in active:
             floor[i] = lower[i] + min(t_star, headroom[i])
@@ -349,18 +337,11 @@ def solve_rates_max_min(
     )
     _record_solve("max_min", stage2)
     if not stage2.success:
-        return RateSolution(
-            feasible=False,
-            reason=f"max-min LP stage 2 infeasible: {stage2.message}",
-        )
-    rates = {
-        cp.name: float(r) for cp, r in zip(placements, stage2.x)
-    }
-    objective_mbps = sum(
-        rates[cp.name] - cp.chain.slo.t_min for cp in placements
-    )
-    return RateSolution(rates=rates, feasible=True,
-                        objective_mbps=objective_mbps)
+        return f"max-min LP stage 2 infeasible: {stage2.message}"
+    return stage2.x
+
+
+_SOLVERS = {"marginal": _marginal, "max_min": _max_min}
 
 
 def nic_headroom(

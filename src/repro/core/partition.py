@@ -73,6 +73,27 @@ def link_loads(remote: Dict[str, RackRoute],
     return load
 
 
+def uplink_headroom(fabric: MultiRackTopology,
+                    routes: Dict[str, RackRoute], rack: str,
+                    carried: Dict[str, float]) -> Tuple[str, float]:
+    """``rack``'s link row: the link on its route from the ingress with
+    the least capacity left once the other racks' ``carried`` Mbps (rack
+    -> the rate its chains carry) cross it, and what it leaves.
+    ``("", inf)`` for the ingress, whose route crosses no link."""
+    used: Dict[str, float] = {}
+    for other, mbps in carried.items():
+        if other != rack:
+            for link in routes[other].links:
+                used[link] = used.get(link, 0.0) + mbps
+    tightest: Tuple[str, float] = ("", math.inf)
+    for link in fabric.links:
+        if link.name in routes[rack].links:
+            left = link.capacity_mbps - used.get(link.name, 0.0)
+            if left < tightest[1]:
+                tightest = (link.name, left)
+    return tightest
+
+
 def home_lines(assignment: Dict[str, str],
                remote: Dict[str, RackRoute]) -> List[str]:
     """One ``chain -> rack`` line per chain, sorted by chain; a remote
@@ -470,6 +491,7 @@ __all__ = [
     "RackRoute",
     "home_lines",
     "link_loads",
+    "uplink_headroom",
     "PartitionResult",
     "fabric_routes",
     "chain_core_demand",

@@ -7,8 +7,9 @@ several servers, each of which may have one or more attached smart NICs"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.exceptions import TopologyError
 from repro.hw.openflow import OpenFlowSwitchModel
@@ -49,6 +50,11 @@ class Topology:
     #: software demultiplexer (its core and its per-packet LB cycles).
     metron_steering: bool = False
     failed_devices: set = field(default_factory=set)
+    #: The rate LP's link row, set by a fabric's owner before each solve
+    #: on a rack off the ingress: the tightest inter-rack link on the
+    #: route from the ingress and the Mbps it leaves this rack's chains
+    #: (:func:`~repro.core.partition.uplink_headroom`). ``inf``: no row.
+    uplink: Tuple[str, float] = ("", math.inf)
 
     def __post_init__(self) -> None:
         names = [self.switch.name] + [s.name for s in self.servers] + [

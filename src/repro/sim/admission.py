@@ -54,7 +54,7 @@ from repro.core.partition import (
     RackRoute,
     fabric_routes,
     home_lines,
-    link_loads,
+    uplink_headroom,
 )
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.placer import (
@@ -825,11 +825,11 @@ class AdmissionCore:
     One core owns a whole topology. A single rack is held as a one-rack
     fabric (no links, that rack the ingress); every occupied rack gets a
     :class:`_RackCore`. This core owns everything that spans racks — the
-    chain→rack assignment, arrival spill in route order, the link-floor
-    check, scale-driven migration, rack teardown, inter-rack hop
-    installation, the fault state of every device, the merged
-    placement/phase views and the digest — and counts every admission
-    check.
+    chain→rack assignment, arrival spill in route order, the link row
+    each rack solve gets (:meth:`_uplink`), scale-driven migration, rack
+    teardown, inter-rack hop installation, the fault state of every
+    device, the merged placement/phase views and the digest — and counts
+    every admission check.
 
     All mutations go through :meth:`process` (lifecycle events),
     :meth:`apply_fault` (faults) or the guard's :meth:`shed` and
@@ -956,29 +956,24 @@ class AdmissionCore:
         for rack in sorted(self.cores):
             self.cores[rack].project_faults(self.faults)
 
-    def _link_floor_check(self, chain_name: str, rack: str,
-                          t_min: float) -> Optional[str]:
-        """Would ``chain_name``'s floor at ``t_min`` over-commit a link
-        on its route? Returns the binding reason, or None."""
-        if rack == self.fabric.ingress:
-            return None
-        route = self.routes[rack]
-        floors = link_loads(
-            {other: path for other, path in self._remote().items()
-             if other != chain_name},
-            {c.name: c.slo.t_min for c in self.active},
+    def _carried(self, leaving: str = "") -> Dict[str, float]:
+        """Rack -> the Mbps its chains carry at the rates in force, less
+        ``leaving``'s."""
+        return {
+            rack: sum(rate for chain, rate in core.rates.items()
+                      if chain != leaving)
+            for rack, core in self.cores.items()
+        }
+
+    def _uplink(self, rack: str,
+                carried: Optional[Dict[str, float]] = None) -> None:
+        """Give ``rack``'s next solve its link row: what its route's
+        links leave after the other racks' ``carried`` Mbps (the rates in
+        force by default)."""
+        self.fabric.rack(rack).uplink = uplink_headroom(
+            self.fabric, self.routes, rack,
+            self._carried() if carried is None else carried,
         )
-        for link in self.fabric.links:
-            if link.name not in route.links:
-                continue
-            committed = floors.get(link.name, 0.0) + t_min
-            if committed > link.capacity_mbps:
-                return (
-                    f"link {link.name} capacity exhausted: floors need "
-                    f"{committed:g} Mbps, link carries "
-                    f"{link.capacity_mbps:g} Mbps"
-                )
-        return None
 
     # -- bootstrap ----------------------------------------------------------
 
@@ -987,7 +982,7 @@ class AdmissionCore:
         """Cold-solve and deploy the initial chains. One rack takes them
         all through its own ``Placer.solve``. A fabric takes the
         partition, the per-rack placements (remote chains already
-        RTT-charged) and the post-link-pass rates of
+        RTT-charged, each rack's rates within its links) of
         :meth:`~repro.core.hierarchy.MultiRackPlacer.solve`, one rack core
         per occupied rack, in sorted order."""
         chains = self.initial_chains
@@ -1086,12 +1081,7 @@ class AdmissionCore:
                     f"RTT {self.routes[rack].rtt_us:g} µs"
                 )
                 continue
-            link_reason = self._link_floor_check(
-                event.chain, rack, event.t_min_mbps
-            )
-            if link_reason is not None:
-                reasons.append(f"{rack}: {link_reason}")
-                continue
+            self._uplink(rack)
             handed = replace(event, d_max_us=shrunk)
             core = self.cores.get(rack)
             if core is None:
@@ -1143,6 +1133,7 @@ class AdmissionCore:
             )
         core = self.cores[rack]
         if len(core.active) > 1:
+            self._uplink(rack)
             decision = self._ask(core, event)
         elif len(self.active) == 1:
             return self._reject(event, "cannot depart the last active chain")
@@ -1163,17 +1154,10 @@ class AdmissionCore:
             return self._reject(
                 event, f"no active chain named {event.chain!r}"
             )
-        link_reason = self._link_floor_check(
-            event.chain, rack, event.t_min_mbps
-        )
-        if link_reason is None:
-            decision = self._ask(self.cores[rack], event)
-            if decision.accepted:
-                return decision
-        else:
-            # the route itself is the binding constraint: don't even ask
-            # the home rack, go straight to migration
-            decision = self._reject(event, f"{rack}: {link_reason}")
+        self._uplink(rack)
+        decision = self._ask(self.cores[rack], event)
+        if decision.accepted:
+            return decision
         migrated = self._migrate(event, rack)
         return migrated if migrated is not None else decision
 
@@ -1201,10 +1185,7 @@ class AdmissionCore:
             shrunk = self.routes[rack].charge_rtt(d_max)
             if shrunk <= 0.0:
                 continue
-            if self._link_floor_check(
-                event.chain, rack, event.t_min_mbps
-            ) is not None:
-                continue
+            self._uplink(rack, self._carried(leaving=event.chain))
             moved = current.with_slo(SLO(
                 t_min=event.t_min_mbps, t_max=t_max, d_max=shrunk,
             ))
@@ -1236,6 +1217,8 @@ class AdmissionCore:
             if len(home_core.active) == 1:
                 removed = self._teardown_rack(home)
             else:
+                self._uplink(home, {**self._carried(),
+                                    rack: sum(dest.rates.values())})
                 depart = self._ask(home_core, ChainEvent(
                     at=event.at, action="depart", chain=event.chain,
                 ))
@@ -1306,9 +1289,11 @@ class AdmissionCore:
         """
         self.obs.counter("replan.count").inc()
         reports: Dict[str, PlacementReport] = {}
+        carried = self._carried()
         reason = ""
         with self.obs.timer("replan.latency_seconds"):
             for rack in racks:
+                self._uplink(rack, carried)
                 try:
                     report = self.cores[rack].solve_without(self.faults)
                 except PlacementError as exc:
@@ -1320,6 +1305,7 @@ class AdmissionCore:
                         or "infeasible"
                     break
                 reports[rack] = report
+                carried[rack] = sum(report.placement.rates.values())
         if reason:
             self.obs.counter("replan.infeasible").inc()
             return AdmissionDecision(

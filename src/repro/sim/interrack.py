@@ -3,10 +3,13 @@
 A chain homed away from the ingress rack gets an inter-rack hop
 installed on its home rack's dataplane
 (:meth:`DeployedRack.set_interrack_hop`): every delivered packet
-carries the route's round trip, and when the assigned rates crossing a
-link exceed its capacity the overload becomes a deterministic drop
-fraction (link capacity is a drop source, not a queue; link drops reuse
-the seq-hash discipline via a link-salted seed).
+carries the route's round trip. Each rack's rate LP already holds the
+rates crossing a link within its capacity (the link row,
+:func:`~repro.core.partition.uplink_headroom`); the dataplane checks
+that independently: should the rates in force ever exceed a link's
+capacity, the overload becomes a deterministic drop fraction (link
+capacity is a drop source, not a queue; link drops reuse the seq-hash
+discipline via a link-salted seed).
 
 Everything else that spans racks lives in
 :class:`~repro.sim.admission.AdmissionCore`, the one driver of every
@@ -37,8 +40,8 @@ def link_drop_fractions(
     """Per-link overload drop fraction at the given rate assignment.
 
     A link carrying more assigned rate than its capacity drops the
-    excess fraction of every packet crossing it — the dataplane face of
-    the solver's link-capacity constraint. Loads land on the
+    excess fraction of every packet crossing it — the dataplane's
+    independent check of the rate LP's link row. Loads land on the
     ``interrack.link.load_mbps`` gauge so saturation is observable
     before it becomes packet loss.
     """

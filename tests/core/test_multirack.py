@@ -107,8 +107,9 @@ class TestHierarchicalSolve:
 
 class TestLinkCapacityPostPass:
     def test_overloaded_link_sheds_marginal_rate(self, profiles):
-        """A pinned remote chain whose LP rate exceeds the link is shed
-        down to the link capacity — never below its t_min floor."""
+        """A pinned remote chain whose LP rate exceeds the link is held
+        to the link capacity by its rack's link row — never below its
+        t_min floor."""
         fabric = TopologySpec(
             racks=(RackSpec(name="r0"), RackSpec(name="r1")),
             links=(InterRackLinkSpec(a="r0", b="r1",
@@ -121,8 +122,7 @@ class TestLinkCapacityPostPass:
         )).placement
         assert placement.feasible
         assert placement.rates["c0"] == pytest.approx(5000.0)
-        assert placement.link_shed_mbps["r0~r1"] > 0
-        # the per-rack placement was patched to agree
+        # the per-rack placement agrees
         assert placement.placement_for("r1").rates["c0"] == \
             pytest.approx(5000.0)
 
@@ -139,6 +139,25 @@ class TestLinkCapacityPostPass:
         ))
         assert not report.placement.feasible
         assert "capacity exhausted" in report.placement.infeasible_reason
+
+
+    def test_racks_sharing_a_link_split_it_floors_first(self, profiles):
+        """A line r0–r1–r2: r0~r1 carries both satellites' chains. r1
+        solves first and leaves r2's floor on the shared link, so both
+        fit and together fill it."""
+        fabric = TopologySpec(
+            racks=tuple(RackSpec(name=f"r{i}") for i in range(3)),
+            links=(InterRackLinkSpec(a="r0", b="r1", capacity_mbps=10000.0),
+                   InterRackLinkSpec(a="r1", b="r2", capacity_mbps=40000.0)),
+        ).build()
+        placement = MultiRackPlacer(fabric=fabric, profiles=profiles).solve(
+            PlacementRequest.multi_rack(
+                chains=_chains(2, t_min=4000.0, t_max=9000.0),
+                rack_pins={"c0": "r1", "c1": "r2"},
+            )).placement
+        assert placement.feasible
+        assert placement.rates["c0"] == pytest.approx(6000.0)
+        assert placement.rates["c1"] == pytest.approx(4000.0)
 
 
 class TestRepeatSolve:

@@ -166,3 +166,40 @@ class TestLP:
 
     def test_empty_input(self, topo):
         assert solve_rates([], topo).feasible
+
+    def _two_chains(self, profiles, topo, t_min):
+        return [
+            self._cp(f"chain {name}: ACL -> Encrypt -> IPv4Fwd",
+                     SLO(t_min=t_min, t_max=gbps(100)), profiles, topo,
+                     {"Encrypt"})
+            for name in ("a", "b")
+        ]
+
+    @pytest.mark.parametrize("objective", ["marginal", "max_min"])
+    def test_uplink_row_caps_the_rack_total(self, profiles, topo,
+                                            objective):
+        """An answer over the rack's uplink headroom is solved again with
+        the link row; one within it is kept as it was."""
+        cps = self._two_chains(profiles, topo, 100)
+        free = solve_rates(cps, topo, objective=objective)
+        total = sum(free.rates.values())
+        topo.uplink = ("r0~r1", total + 1.0)
+        assert solve_rates(cps, topo, objective=objective).rates == \
+            free.rates
+        topo.uplink = ("r0~r1", total / 2)
+        bound = solve_rates(cps, topo, objective=objective)
+        assert bound.feasible
+        assert sum(bound.rates.values()) == pytest.approx(total / 2)
+        assert all(rate >= 100 for rate in bound.rates.values())
+
+    @pytest.mark.parametrize("objective", ["marginal", "max_min"])
+    def test_floors_over_the_uplink_are_infeasible(self, profiles, topo,
+                                                   objective):
+        topo.uplink = ("r0~r1", 1500.0)
+        solution = solve_rates(self._two_chains(profiles, topo, 1000),
+                               topo, objective=objective)
+        assert not solution.feasible
+        assert solution.reason == (
+            "link r0~r1 capacity exhausted: floors need 2000 Mbps, "
+            "link carries 1500 Mbps"
+        )

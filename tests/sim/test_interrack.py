@@ -4,7 +4,7 @@ import inspect
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchy import MultiRackPlacer
@@ -12,7 +12,12 @@ from repro.core.partition import link_loads, partition_chains
 from repro.core.placer import PlacementRequest, PlacerConfig
 from repro.exceptions import PartitionError, PlacementError, TopologyError
 from repro.hw.multirack import MultiRackTopology
-from repro.hw.spec import TopologySpec, topology_for
+from repro.hw.spec import (
+    InterRackLinkSpec,
+    RackSpec,
+    TopologySpec,
+    topology_for,
+)
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.profiles.defaults import default_profiles
 from repro.sim.admission import AdmissionCore, ChainEvent
@@ -123,27 +128,66 @@ class TestOneFabricSolve:
         capacity=st.integers(min_value=1, max_value=40).map(
             lambda gbps: gbps * 1000.0),
         chains=st.integers(min_value=1, max_value=10),
+        events=st.lists(st.tuples(
+            st.sampled_from(["arrive", "scale", "depart"]),
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=1, max_value=12).map(
+                lambda gbps: gbps * 1000.0),
+        ), max_size=6),
     )
     def test_no_link_carries_more_than_its_capacity(
-            self, racks, capacity, chains):
+            self, racks, capacity, chains, events):
         """Up to five chains a rack, so the partitioner's core proxy
         never binds alone: a bootstrap either fits every link at the
-        core's rates or is refused for a link it names."""
+        core's rates or is refused for a link it names. So does every
+        accepted arrive, scale and depart after it, and the phase that
+        follows drops no packet at a link."""
+        registry = MetricsRegistry()
         spec = _run_spec(
             min(chains, 5 * racks),
             TopologySpec.star(racks, capacity_mbps=capacity),
         )
-        core = AdmissionCore(spec, registry=MetricsRegistry())
+        core = AdmissionCore(spec, registry=registry)
         try:
             core.bootstrap()
         except PlacementError as exc:
+            event("bootstrap refused")
             assert "link r0~r" in str(exc)
             assert "capacity exhausted" in str(exc)
             return
-        loads = link_loads(core.placement.remote, core.rates)
-        for link in core.fabric.links:
-            assert loads.get(link.name, 0.0) <= link.capacity_mbps * (
-                1.0 + 1e-9)
+
+        def assert_links_hold():
+            loads = link_loads(core.placement.remote, core.rates)
+            for link in core.fabric.links:
+                load = loads.get(link.name, 0.0)
+                assert load <= link.capacity_mbps * (1.0 + 1e-9)
+                if load >= link.capacity_mbps * (1.0 - 1e-9):
+                    event("a link is full")
+
+        def link_drops():
+            return sum(
+                registry.counter_value("interrack.drops", link=link.name)
+                for link in core.fabric.links
+            )
+
+        assert_links_hold()
+        for tick, (action, which, t_min) in enumerate(events, start=1):
+            chain = f"c{which}"
+            decision = core.process(ChainEvent(
+                at=tick, action=action, chain=chain,
+                spec=f"chain {chain}: ACL(rules=64) -> Encrypt -> IPv4Fwd",
+                t_min_mbps=t_min, t_max_mbps=t_min + 5000.0,
+                d_max_us=400.0,
+            ) if action != "depart" else ChainEvent(
+                at=tick, action=action, chain=chain,
+            ))
+            event(f"{action} {'accepted' if decision.accepted else 'rejected'}")
+            if not decision.accepted:
+                continue
+            assert_links_hold()
+            before = link_drops()
+            core.run_phase(f"t{tick}", 16, index=tick)
+            assert link_drops() == before
 
 
 class TestFabricChaos:
@@ -486,15 +530,11 @@ class TestFabricLifecycle:
         assert "already active" in decision.reason
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "an incremental per-rack solve has no link row and the link-floor "
-    "check only checks floors: a scale of a remote chain is assigned "
-    "more than its inter-rack link carries (ROADMAP item 4(a))"))
 def test_no_accepted_decision_over_commits_a_link():
     """Six 4 Gbps chains on two racks joined by a 6 Gbps link: c5 spills
     to r1 at the link's 6 000 Mbps. Scaling it to t_min 5 000 / t_max
-    12 000 is accepted with 12 000 Mbps over that link, and the next
-    phase drops what the link cannot carry."""
+    12 000 is accepted at the 6 000 Mbps its rack's link row allows, and
+    the next phase delivers every packet."""
     core = AdmissionCore(
         _run_spec(6, TopologySpec.star(2, capacity_mbps=6000)),
         registry=MetricsRegistry(),
@@ -514,5 +554,46 @@ def test_no_accepted_decision_over_commits_a_link():
         at=1, action="scale", chain="c5",
         t_min_mbps=5000.0, t_max_mbps=12000.0,
     ))
-    if decision.accepted:
-        assert_links_hold()
+    assert decision.accepted
+    assert core.rates["c5"] == pytest.approx(6000.0)
+    assert_links_hold()
+    phase = core.run_phase("after", 96, index=1)
+    row = next(r for r in phase.chains if r.chain_name == "c5")
+    assert (row.injected, row.delivered) == (96, 96)
+
+
+def test_a_link_two_racks_share_is_never_over_committed():
+    """A line r0–r1–r2 with a 30 Gbps r0~r1: eleven chains fill r0,
+    then r1, and spill one to r2, so r0~r1 carries both satellites'
+    chains. Each rack's link row leaves the other rack's share: scaling
+    every satellite chain to 6 000 / 12 000 Mbps never puts more on the
+    link than it carries, and the phase after drops nothing at it."""
+    registry = MetricsRegistry()
+    core = AdmissionCore(_run_spec(11, TopologySpec(
+        racks=tuple(RackSpec(name=f"r{i}") for i in range(3)),
+        links=(InterRackLinkSpec(a="r0", b="r1", capacity_mbps=30000.0),
+               InterRackLinkSpec(a="r1", b="r2", capacity_mbps=40000.0)),
+    )), registry=registry)
+
+    def shared_load():
+        loads = link_loads(core.placement.remote, core.rates)
+        assert loads.get("r1~r2", 0.0) <= 40000.0
+        return loads["r0~r1"]
+
+    core.bootstrap()
+    assert {"r1", "r2"} <= set(core.assignment.values())
+    assert core.routes["r2"].links == ("r0~r1", "r1~r2")
+    assert shared_load() <= 30000.0
+    satellites = sorted(
+        chain for chain, rack in core.assignment.items() if rack != "r0"
+    )
+    for tick, chain in enumerate(satellites, start=1):
+        decision = core.process(ChainEvent(
+            at=tick, action="scale", chain=chain,
+            t_min_mbps=6000.0, t_max_mbps=12000.0,
+        ))
+        if decision.accepted:
+            assert shared_load() <= 30000.0 * (1.0 + 1e-9)
+    phase = core.run_phase("after", 32, index=1)
+    assert all(row.delivered == row.injected for row in phase.chains)
+    assert registry.counter_value("interrack.drops", link="r0~r1") == 0
