@@ -43,10 +43,6 @@ def _sift(outputs, exits: bool) -> Tuple[List[Tuple[int, Packet]], int, int]:
     return live, len(live), len(outputs) - len(live)
 
 
-def _receive_batch(module: "Module", packets: List[Packet]):
-    return module.receive_batch(packets)
-
-
 class Module:
     """Base dataflow module.
 
@@ -306,47 +302,10 @@ class Pipeline:
         packets = list(batch)
         if not packets:
             return []
-        return self._walk(self._start(entry), packets, _receive_batch)
-
-    def probe(self, packets: List[Packet], entry: Optional[str] = None
-              ) -> Dict[int, Dict[Module, List[int]]]:
-        """:meth:`push_batch` that charges nothing: every module visit is
-        one :meth:`Module.probe_batch` call. Each input must carry its own
-        ``metadata.seq``, which its outputs inherit; returns, per input
-        seq and per module its packets reached (in first-visit order), the
-        ``[rx, tx, dropped, cycles]`` the module's counters would have
-        gained. An input's charges are what :meth:`push_batch` of that
-        packet alone would make, for modules whose output does not depend
-        on the packets before (``Module.vector_safe``)."""
-        charged: Dict[int, Dict[Module, List[int]]] = {
-            packet.metadata.seq: {} for packet in packets
-        }
-
-        def receive(module: Module, pkts: List[Packet]):
-            live = []
-            for packet, (outputs, counts) in zip(
-                pkts, module.probe_batch(pkts)
-            ):
-                mine = charged[packet.metadata.seq]
-                total = mine.get(module)
-                if total is None:
-                    mine[module] = list(counts)
-                else:
-                    for i, count in enumerate(counts):
-                        total[i] += count
-                live += outputs
-            return live
-
-        if packets:
-            self._walk(self._start(entry), packets, receive)
-        return charged
-
-    def _walk(self, start: Module, packets: List[Packet], receive
-              ) -> List[Tuple[Module, Packet]]:
-        """The :meth:`push_batch` schedule; ``receive(module, packets)`` is
-        one module visit, returning the live ``(ogate, packet)`` outputs."""
         exits: List[Tuple[Module, Packet]] = []
-        work: List[Tuple[Module, List[Packet]]] = [(start, packets)]
+        work: List[Tuple[Module, List[Packet]]] = [
+            (self._start(entry), packets)
+        ]
         steps = 0
         max_steps = 10_000 * len(packets)
         while work:
@@ -358,7 +317,7 @@ class Pipeline:
                 )
             grouped: Dict[int, List[Packet]] = {}
             order: List[int] = []
-            for gate, out in receive(module, pkts):
+            for gate, out in module.receive_batch(pkts):
                 bucket = grouped.get(gate)
                 if bucket is None:
                     bucket = grouped[gate] = []

@@ -12,6 +12,7 @@ genuinely change, and packet length is preserved.
 from __future__ import annotations
 
 import hashlib
+from typing import Dict, Tuple
 
 from repro.bess.module import Module
 from repro.net.packet import Packet
@@ -37,16 +38,36 @@ def _packet_nonce(packet: Packet) -> bytes:
     return key if key is not None else b"non-ip"
 
 
-#: Per-flow keystreams repeat across packets; cap the memo per module so a
-#: many-flow run cannot grow without bound.
-_STREAM_CACHE_MAX = 4096
+#: ``(key, nonce, payload)`` -> the crypted payload. The XOR is a pure
+#: function of the three and replayed flows repeat their payloads, so each
+#: distinct input is crypted once; shared by every instance (and so by a
+#: server's rebuilt modules), capped and reset when full. The cap holds
+#: 4 096 flows through each of four crypto NFs: a working set over it is
+#: crypted again on every pass.
+_XCRYPT_MEMO_MAX = 16384
+_xcrypt_memo: Dict[Tuple[bytes, bytes, bytes], bytes] = {}
+
+
+def _xcrypted(key: bytes, nonce: bytes, payload: bytes) -> bytes:
+    """``payload`` XOR the keystream of ``key`` and ``nonce``, memoized."""
+    memo_key = (key, nonce, payload)
+    out = _xcrypt_memo.get(memo_key)
+    if out is None:
+        if len(_xcrypt_memo) >= _XCRYPT_MEMO_MAX:
+            _xcrypt_memo.clear()
+        length = len(payload)
+        stream = _keystream(key, nonce, length)
+        out = _xcrypt_memo[memo_key] = (
+            int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")
+        ).to_bytes(length, "big")
+    return out
 
 
 class _XCryptBase(Module):
     """Shared XOR-keystream machinery."""
 
-    # The payload rewrite is a pure function of (nonce, payload); the memo
-    # keys on the distinct inputs seen, never on the call count.
+    # The payload rewrite is a pure function of (key, nonce, payload); the
+    # memo keys on the distinct inputs seen, never on the call count.
     vector_safe = True
     default_key = b"lemur-aes-cbc-128"
 
@@ -54,35 +75,12 @@ class _XCryptBase(Module):
         super().__init__(*args, **kwargs)
         key = self.params.get("key", self.default_key)
         self.key = key.encode() if isinstance(key, str) else bytes(key)
-        self._streams: dict = {}
-        #: (nonce, payload) -> crypted payload memo — see :meth:`_xcrypt`.
-        self._outputs: dict = {}
 
     def _xcrypt(self, packet: Packet) -> None:
         payload = packet.payload
-        if not payload:
-            return
-        # Memoize the whole transformation: the XOR is a pure function of
-        # (nonce, payload bytes), and flows replay identical payloads.
-        out_key = (_packet_nonce(packet), payload)
-        out = self._outputs.get(out_key)
-        if out is None:
-            length = len(payload)
-            cache_key = (out_key[0], length)
-            stream_int = self._streams.get(cache_key)
-            if stream_int is None:
-                if len(self._streams) >= _STREAM_CACHE_MAX:
-                    self._streams.clear()
-                stream = _keystream(self.key, cache_key[0], length)
-                stream_int = int.from_bytes(stream, "big")
-                self._streams[cache_key] = stream_int
-            out = (int.from_bytes(payload, "big") ^ stream_int).to_bytes(
-                length, "big"
-            )
-            if len(self._outputs) >= _STREAM_CACHE_MAX:
-                self._outputs.clear()
-            self._outputs[out_key] = out
-        packet.payload = out
+        if payload:
+            packet.payload = _xcrypted(self.key, _packet_nonce(packet),
+                                       payload)
 
 
 class EncryptModule(_XCryptBase):

@@ -25,10 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bess.module import Pipeline
 from repro.bess.modules import MODULE_CLASSES, make_nf_module
-from repro.bess.nsh_modules import PortInc, PortOut, SubgroupDemux
-from repro.bess.pipeline import build_bess_pipeline
+from repro.bess.pipeline import ServerHop, build_bess_pipeline
 from repro.chain.graph import NFChain
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.rates import SWITCH_TRANSIT_US
@@ -131,13 +129,6 @@ class RedeployResult:
     rebuilt: List[str]
     reused: List[str]
     removed: List[str]
-
-
-@dataclass
-class _ServerRuntime:
-    pipeline: Pipeline
-    port_inc: PortInc
-    port_out: PortOut
 
 
 @dataclass(eq=False)
@@ -318,7 +309,8 @@ class DeployedRack:
             topology.servers[0].freq_hz if topology.servers else 1.7e9
         )
 
-        self.servers: Dict[str, _ServerRuntime] = {}
+        #: server name -> its pipeline, run by both loops as one hop
+        self.servers: Dict[str, ServerHop] = {}
         for server_name, ir in artifacts.bess.items():
             self.servers[server_name] = self._build_server(server_name, ir)
 
@@ -415,14 +407,12 @@ class DeployedRack:
 
     # -- device builders & delta redeploy ----------------------------------------
 
-    def _build_server(self, server_name: str, ir) -> _ServerRuntime:
-        pipeline, port_inc, port_out, _sched = build_bess_pipeline(
+    def _build_server(self, server_name: str, ir) -> ServerHop:
+        pipeline, _port_inc, _port_out, _sched = build_bess_pipeline(
             ir, self.profiles, seed=self.seed,
             freq_hz=self.topology.server(server_name).freq_hz,
         )
-        return _ServerRuntime(
-            pipeline=pipeline, port_inc=port_inc, port_out=port_out
-        )
+        return ServerHop(pipeline)
 
     def _build_nic(self, nic_name: str, program, nf_specs) -> SmartNICRuntime:
         runtime = SmartNICRuntime(
@@ -1440,34 +1430,29 @@ device_fingerprints`) decide what happens to each device:
             probes.append(self._with_effect(probe, module_deltas))
         return probes
 
-    def _probe_server(self, server_rt: _ServerRuntime, spi: int, si: int,
+    def _probe_server(self, hop: ServerHop, spi: int, si: int,
                       templates: List[Packet]) -> List[Optional[_HopProbe]]:
-        pipeline = server_rt.pipeline
-        port_out = server_rt.port_out
         clones = []
         for k, template in enumerate(templates):
             clone = template.copy()
-            # Pipeline.probe tells its inputs apart by seq; no module reads
-            # it, and _freeze_template clears it again
-            clone.metadata.seq = k
-            clone.push_nsh(spi, si)
+            meta = clone.metadata
+            # the hop's probe mode tells its inputs apart by seq; no module
+            # reads it, and _freeze_template clears it again
+            meta.seq = k
+            meta.spi, meta.si = spi, si
             clones.append(clone)
-        pending = port_out.drain()
-        try:
-            charged = pipeline.probe(clones, entry=server_rt.port_inc.name)
-            emitted = port_out.drain()
-        finally:
-            if pending:
-                port_out.emitted = pending + port_out.emitted
+        charged: Dict[int, Dict[object, List[int]]] = {
+            k: {} for k in range(len(templates))
+        }
         emitted_by: List[List[Packet]] = [[] for _ in templates]
-        for out in emitted:
+        for out in hop.push(clones, charged):
             emitted_by[out.metadata.seq].append(out)
-        rank = {module: r for r, module in enumerate(pipeline.modules.values())}
+        rank = hop.rank
         probes: List[Optional[_HopProbe]] = []
         for k, outs in enumerate(emitted_by):
             module_deltas = sorted(
                 ((module, *counts) for module, counts in charged[k].items()),
-                key=lambda entry: rank[entry[0]],
+                key=lambda entry: rank[entry[0].name],
             )
             # the modules that would draw a cost sample: their own profile
             # database is what Module.account reads
@@ -1483,14 +1468,11 @@ device_fingerprints`) decide what happens to each device:
                 continue
             if outs:
                 out = outs[0]
-                nsh = out.pop_nsh()
-                if nsh is None:
-                    probes.append(None)  # let the scalar path raise
-                    continue
-                pkt_cycles = out.metadata.cycles_consumed
+                meta = out.metadata
+                pkt_cycles = meta.cycles_consumed
                 probe = _HopProbe(survived=True,
                                   template=_freeze_template(out),
-                                  next_spi=nsh.spi, next_si=nsh.si,
+                                  next_spi=meta.spi, next_si=meta.si,
                                   pkt_cycles=pkt_cycles)
             else:
                 probe = _HopProbe(survived=False)
@@ -1538,43 +1520,18 @@ device_fingerprints`) decide what happens to each device:
     def _server_route_safe(self, server: str, spi: int, si: int) -> bool:
         """Can a (server, coordinates) hop be probe-replayed?
 
-        A static walk of the pipeline subgraph reachable at those
-        coordinates, memoized. It runs *before* any probe: pushing even one
-        clone through an unsafe module (say NAT) would already mutate its
-        state, so safety must be decided without touching the pipeline.
+        Decided from the pipeline's wiring, memoized, *before* any probe:
+        pushing even one clone through an unsafe module (say NAT) would
+        already mutate its state. The framework modules are all safe.
         """
         key = (server, spi, si)
         cached = self._route_safety.get(key)
-        if cached is not None:
-            return cached
-        runtime = self.servers[server]
-        safe = True
-        stack: List[object] = [runtime.port_inc]
-        seen: set = set()
-        while stack:
-            module = stack.pop()
-            if id(module) in seen:
-                continue
-            seen.add(id(module))
-            if not module.vector_safe:
-                safe = False
-                break
-            if isinstance(module, SubgroupDemux):
-                # only the gates this (spi, si) can take; a missing route
-                # is a clean drop, which the probe replays fine
-                route = module._routes.get((spi, si))
-                gates = []
-                if route is not None:
-                    base_gate, instances = route
-                    gates = range(base_gate, base_gate + instances)
-            else:
-                gates = list(module._ogates)
-            for gate in gates:
-                downstream = module.downstream(gate)
-                if downstream is not None:
-                    stack.append(downstream)
-        self._route_safety[key] = safe
-        return safe
+        if cached is None:
+            cached = self._route_safety[key] = all(
+                module.vector_safe
+                for module in self.servers[server].nf_modules(spi, si)
+            )
+        return cached
 
     def _finish_columns(self, run: _Cohort,
                         interrack: Optional[_InterRackHop],
@@ -1790,8 +1747,10 @@ device_fingerprints`) decide what happens to each device:
                      results: Dict[int, Optional[Packet]],
                      hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
         """One server or NIC hop, run whole for every packet waiting at its
-        entry node: each packet carries its own path's NSH, and the device
-        gets one ``push_batch`` / ``process_batch`` call."""
+        entry node: each packet carries its own path's coordinates, and the
+        device gets one call. A SmartNIC program reads them off an NSH tag;
+        a server hop (:class:`ServerHop`) off the packet's metadata, so no
+        NSH bytes move."""
         name = cp.name
         hop = group[0].hop
         device = hop.device
@@ -1812,16 +1771,23 @@ device_fingerprints`) decide what happens to each device:
         # a BESS server charges ``cycles_consumed`` alone, so its hop needs
         # no snapshot of the attribution dict
         on_nic = hop.platform == Platform.SMARTNIC.value
-        befores = [
-            [(p.metadata.cycles_consumed, dict(p.metadata.cycles_by_device)
-              if on_nic else None)
-             for p in cohort.packets]
-            for cohort in entering
-        ]
+        befores = []
         for cohort in entering:
             spi, si = cohort.path.spi, cohort.hop.entry_si
+            if on_nic:
+                befores.append([(p.metadata.cycles_consumed,
+                                 dict(p.metadata.cycles_by_device))
+                                for p in cohort.packets])
+                for packet in cohort.packets:
+                    packet.push_nsh(spi, si)
+                continue
+            before = []
             for packet in cohort.packets:
-                packet.push_nsh(spi, si)
+                meta = packet.metadata
+                meta.spi = spi
+                meta.si = si
+                before.append((meta.cycles_consumed, None))
+            befores.append(before)
         merged = _merged(entering)
         in_c, out_c, _ = self._dev_counters[device]
         in_c.inc(len(merged))
@@ -1857,12 +1823,12 @@ device_fingerprints`) decide what happens to each device:
                     self._attribute_hop(cohort.hop, out, before_total,
                                         before_attr, cycle_sink)
                 )
-                nsh = out.pop_nsh()
-                if nsh is None:
+                if on_nic and out.pop_nsh() is None:
                     raise DataplaneError(
                         f"packet returned from {device} without NSH"
                     )
-                runs.setdefault((nsh.spi, nsh.si), []).append(out)
+                meta = out.metadata
+                runs.setdefault((meta.spi, meta.si), []).append(out)
             if dropped:
                 self._count_drops(name, device, reason, dropped)
             out_c.inc(len(cohort.packets) - dropped)
@@ -1898,29 +1864,13 @@ device_fingerprints`) decide what happens to each device:
 
     def _run_server_hop_batch(self, server: str, packets: List[Packet]
                               ) -> List[Optional[Packet]]:
-        """Push NSH-tagged packets through a server pipeline; returns one
-        entry per input (the packet, or ``None`` where it was dropped)."""
+        """Run packets through a server's :class:`ServerHop`, each entering
+        at its ``metadata.spi``/``si``; returns one entry per input (the
+        packet, or ``None`` where it was dropped)."""
         runtime = self.servers.get(server)
         if runtime is None:
             raise DataplaneError(f"no BESS pipeline deployed on {server}")
-        runtime.pipeline.push_batch(packets, entry=runtime.port_inc.name)
-        emitted = runtime.port_out.drain()
-        by_seq: Dict[int, Packet] = {}
-        for out in emitted:
-            seq = out.metadata.seq
-            if seq in by_seq:
-                raise DataplaneError(
-                    f"{server}: expected one packet out per input, got a "
-                    f"duplicate for seq {seq}"
-                )
-            by_seq[seq] = out
-        outs = [by_seq.pop(packet.metadata.seq, None) for packet in packets]
-        if by_seq:
-            raise DataplaneError(
-                f"{server}: emitted packets matching no input "
-                f"(seqs {sorted(by_seq)})"
-            )
-        return outs
+        return runtime.run(packets)
 
     def _run_nic_hop_batch(self, nic: str, packets: List[Packet]
                            ) -> List[Optional[Packet]]:

@@ -23,15 +23,6 @@ class Splitter(Module):
         return [(0, packet), (1, packet.copy())]
 
 
-class Charger(Module):
-    """Charges its own cycles inside ``process``, as the NSH modules do."""
-
-    def process(self, packet):
-        packet.metadata.cycles_consumed += 7
-        self.cycles_charged += 7
-        return [(0, packet)]
-
-
 class TestWiring:
     def test_connect_chains(self):
         a, b, c = Passthrough("a"), Passthrough("b"), Passthrough("c")
@@ -111,41 +102,6 @@ class TestPipeline:
 
 
 class TestProbe:
-    @staticmethod
-    def _fan_in():
-        """splitter -> [charger, dropper -> ...] -> one shared tail: the
-        tail is visited once per surviving copy."""
-        pipeline = Pipeline("p")
-        split = pipeline.add(Splitter("split"), entry=True)
-        charge = pipeline.add(Charger("charge"))
-        other = pipeline.add(Charger("other"))
-        tail = pipeline.add(Passthrough("tail"))
-        split.connect(charge, ogate=0)
-        split.connect(other, ogate=1)
-        charge.connect(tail)
-        other.connect(tail)
-        return pipeline
-
-    def test_probe_charges_nothing_and_keeps_inputs_apart(self):
-        """Each input's charges are what push_batch of it alone makes."""
-        def tagged(seq):
-            packet = Packet.build(src_port=1000 + seq)
-            packet.metadata.seq = seq
-            return packet
-
-        probed = self._fan_in()
-        before = probed.stats()
-        charged = probed.probe([tagged(0), tagged(1)])
-        assert probed.stats() == before  # nothing charged
-        pushed = self._fan_in()
-        pushed.push_batch([tagged(0)])
-        want = {name: [c["rx"], c["tx"], c["dropped"], c["cycles"]]
-                for name, c in pushed.stats().items()}
-        for seq in (0, 1):
-            assert {module.name: counts
-                    for module, counts in charged[seq].items()} == want
-        assert charged[0][probed.module("tail")] == [2, 2, 0, 0]
-
     def test_probe_batch_skips_accounting(self):
         from repro.bess.modules import make_nf_module
         module = make_nf_module(

@@ -5,7 +5,11 @@ Only the SmartNIC runtime attributes cycles itself
 alone. So ``DeployedRack._device_step`` snapshots the attribution dict on
 SmartNIC hops only, and charges a server hop's whole delta to the server.
 The oracle below is the step that snapshotted every hop, with its
-attribution helper, kept verbatim (``self`` is the rack). Each chain here
+attribution helper, kept verbatim (``self`` is the rack), and it runs a
+server hop as the generic walk did: ``Pipeline.push_batch`` over the
+NSH-tagged packets, ``PortOut.drain``, outputs matched to inputs by seq.
+So it is the old code end to end, NSH push and pop included, against the
+live rack's :class:`~repro.bess.pipeline.ServerHop`. Each chain here
 crosses a server twice; the first also crosses a SmartNIC first. Two racks
 built alike, one stepping through the oracle, must agree on every output's
 bytes, hop records, latency fields and ``cycles_by_device`` (in insertion
@@ -61,7 +65,7 @@ def _device_step(self, cp, group: List[_Cohort],
     in_c, out_c, _ = self._dev_counters[device]
     in_c.inc(len(merged))
     if hop.platform == Platform.SERVER.value:
-        outs = self._run_server_hop_batch(device, merged)
+        outs = _run_server_hop_batch(self, device, merged)
         reason = "server_pipeline"
     elif hop.platform == Platform.SMARTNIC.value:
         outs = self._run_nic_hop_batch(device, merged)
@@ -107,6 +111,31 @@ def _device_step(self, cp, group: List[_Cohort],
     for sink_device, delta in cycle_sink.items():
         self._cycles_counter(sink_device).inc(delta)
     return moving
+
+
+def _run_server_hop_batch(self, server: str, packets: List[Packet]
+                          ) -> List[Optional[Packet]]:
+    runtime = self.servers.get(server)
+    if runtime is None:
+        raise DataplaneError(f"no BESS pipeline deployed on {server}")
+    runtime.pipeline.push_batch(packets, entry=runtime.port_inc.name)
+    emitted = runtime.port_out.drain()
+    by_seq: Dict[int, Packet] = {}
+    for out in emitted:
+        seq = out.metadata.seq
+        if seq in by_seq:
+            raise DataplaneError(
+                f"{server}: expected one packet out per input, got a "
+                f"duplicate for seq {seq}"
+            )
+        by_seq[seq] = out
+    outs = [by_seq.pop(packet.metadata.seq, None) for packet in packets]
+    if by_seq:
+        raise DataplaneError(
+            f"{server}: emitted packets matching no input "
+            f"(seqs {sorted(by_seq)})"
+        )
+    return outs
 
 
 def _attribute_hop(self, hop, out: Packet, before_total: int,

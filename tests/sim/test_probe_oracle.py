@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bess.pipeline import ServerHop
 from repro.ebpf.nic import SmartNICRuntime, XDPAction
 from repro.hw.spec import topology_for
 from repro.net.packet import Packet
@@ -26,7 +27,6 @@ from repro.sim.columns import PacketColumns
 from repro.sim.runtime import (
     _freeze_template,
     _HopProbe,
-    _ServerRuntime,
     _chain_packet,
 )
 from repro.core.placement import ChainPlacement
@@ -104,7 +104,7 @@ def _probe_pisa_sig(self, cp: ChainPlacement, hop,
         probe = _HopProbe(survived=False)
     return self._with_effect(probe, module_deltas)
 
-def _probe_server_sig(self, server_rt: _ServerRuntime, spi: int, si: int,
+def _probe_server_sig(self, server_rt: ServerHop, spi: int, si: int,
                       template: Packet) -> Optional[_HopProbe]:
     modules = list(server_rt.pipeline.modules.values())
     snaps = [
