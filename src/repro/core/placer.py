@@ -105,10 +105,11 @@ class MultiRackOptions:
     """Hierarchical-solve options a multi-rack request carries.
 
     ``rack_pins`` forces chains onto named racks
-    (``(("chain", "rack"), ...)``) — the lifecycle engine pins
-    already-admitted chains to their home rack so a re-solve never
-    silently migrates them. ``ingress`` overrides the fabric's ingress
-    rack for latency budgeting.
+    (``(("chain", "rack"), ...)``); ``ingress`` overrides the fabric's
+    ingress rack for latency budgeting. No caller in the package sets
+    either: every solve it makes is a fresh one from the fabric's own
+    ingress, and only direct :meth:`PlacementRequest.multi_rack` callers
+    pin.
     """
 
     rack_pins: Tuple[Tuple[str, str], ...] = ()

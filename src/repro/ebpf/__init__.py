@@ -8,7 +8,7 @@ hooked to ingress traffic via XDP.
 
 from repro.ebpf.program import EBPFProgram, EBPFSection
 from repro.ebpf.verifier import VerifierReport, verify_program
-from repro.ebpf.nic import SmartNICRuntime, XDPAction
+from repro.ebpf.nic import SmartNICRuntime
 
 __all__ = [
     "EBPFProgram",
@@ -16,5 +16,4 @@ __all__ = [
     "VerifierReport",
     "verify_program",
     "SmartNICRuntime",
-    "XDPAction",
 ]

@@ -1,15 +1,15 @@
 """SmartNIC execution runtime: XDP hook + verified program.
 
 The runtime verifies the program at load time (offload verifier) and then
-processes packets: the dispatcher section demuxes on (SPI, SI), the
-selected NF section transforms the packet (delegating to the functional
-module library so behaviour matches the server implementation), and the
-egress path rewrites the NSH tag toward the next hop.
+processes packets: the dispatcher section demuxes on a packet's (SPI, SI),
+which the rack carries in its metadata, the selected NF section transforms
+the packet (delegating to the functional module library so behaviour
+matches the server implementation), and the packet leaves with the next
+hop's coordinates in its metadata. No NSH bytes move inside the rack.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.bess.modules import make_nf_module
@@ -19,12 +19,6 @@ from repro.exceptions import DataplaneError
 from repro.hw.smartnic import SmartNIC
 from repro.net.packet import Packet
 from repro.profiles.defaults import ProfileDatabase
-
-
-class XDPAction(enum.Enum):
-    PASS = "pass"      # continue to the next hop (re-encapsulated)
-    DROP = "drop"
-    TX = "tx"          # bounce back out of the NIC port
 
 
 class SmartNICRuntime:
@@ -72,8 +66,9 @@ class SmartNICRuntime:
         """Resolve one demux route to ``(module, next_spi, next_si,
         nic_cycles)``, or ``None`` when the program drops that coordinate.
 
-        The batched path and the columnar probe share this resolution so
-        their drop/forward decisions cannot diverge.
+        :meth:`run` resolves each coordinate a batch carries through it
+        once; the rack reads a route's module to decide whether its
+        columnar loop may probe the hop.
         """
         if self.program is None:
             raise DataplaneError(f"{self.nic.name}: no program loaded")
@@ -88,111 +83,57 @@ class SmartNICRuntime:
         nic_cycles = int(self.profiles.nic_cycles(nf_class) or 0)
         return (module, next_spi, next_si, nic_cycles)
 
-    def process(self, packet: Packet) -> Tuple[XDPAction, Packet]:
-        """Run one packet through the XDP hook."""
-        if self.program is None:
-            raise DataplaneError(f"{self.nic.name}: no program loaded")
-        self.rx += 1
-        nsh = packet.pop_nsh()
-        if nsh is None:
-            self.drops += 1
-            return (XDPAction.DROP, packet)
-        route = self.program.demux.get((nsh.spi, nsh.si))
-        if route is None:
-            self.drops += 1
-            return (XDPAction.DROP, packet)
-        section_index, next_spi, next_si, exits = route
-        module = self._nf_modules.get(section_index)
-        if module is None:
-            self.drops += 1
-            return (XDPAction.DROP, packet)
-        outputs = module.receive(packet)
-        if not outputs:
-            self.drops += 1
-            return (XDPAction.DROP, packet)
-        _gate, out = outputs[0]
-        # Charge the NF's per-engine NIC cycle cost on the NIC's clock —
-        # these are *NIC* cycles, so latency conversion must use
-        # ``nic.freq_hz``, never a server frequency.
-        nf_class, _params = self._nf_specs[section_index]
-        nic_cycles = int(self.profiles.nic_cycles(nf_class) or 0)
-        if nic_cycles:
-            meta = out.metadata
-            meta.cycles_consumed += nic_cycles
-            meta.cycles_by_device[self.nic.name] = (
-                meta.cycles_by_device.get(self.nic.name, 0) + nic_cycles
-            )
-            self.cycles_charged += nic_cycles
-        out.push_nsh(next_spi, next_si)
-        self.tx += 1
-        return (XDPAction.TX, out)
+    def run(self, packets: List[Packet],
+            charged: Optional[List[tuple]] = None
+            ) -> List[Optional[Packet]]:
+        """Run ``packets`` through the XDP hook, each entering at its
+        ``metadata.spi``/``si``; one entry per input, in input order: the
+        packet that left, the next hop's coordinates in its metadata and
+        the section's NIC cycles added to its ``cycles_consumed``, or
+        ``None`` where the program dropped it.
 
-    def process_batch(self, packets: List[Packet]
-                      ) -> List[Tuple[XDPAction, Packet]]:
-        """Run a batch through the XDP hook, one result per input.
-
-        Semantically identical to calling :meth:`process` per packet in
-        order (modules keep seeing packets in arrival order); the demux
-        route, NF module, and per-engine cycle cost are resolved once per
-        (SPI, SI) seen in the batch instead of once per packet.
+        With ``charged`` (probe mode) nothing is charged: the NF section is
+        visited through :meth:`Module.probe_batch`, the runtime's counters
+        stay put, and ``charged`` gains, per input, the
+        ``(module, rx, tx, dropped, cycles)`` deltas its module visit would
+        add and the ``(rx, tx, drops, cycles_charged)`` the runtime's would.
         """
         if self.program is None:
             raise DataplaneError(f"{self.nic.name}: no program loaded")
-        self.rx += len(packets)
-        nic_name = self.nic.name
-        route_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
-        results: List[Tuple[XDPAction, Packet]] = []
-        drops = 0
-        tx = 0
-        cycles_total = 0
+        routes: Dict[Tuple[int, int], Optional[tuple]] = {}
+        outs: List[Optional[Packet]] = []
+        tx = cycles = 0
         for packet in packets:
-            nsh = packet.pop_nsh()
-            if nsh is None:
-                drops += 1
-                results.append((XDPAction.DROP, packet))
-                continue
-            key = (nsh.spi, nsh.si)
-            entry = route_cache.get(key, False)
+            meta = packet.metadata
+            key = (meta.spi, meta.si)
+            entry = routes.get(key, False)
             if entry is False:
-                entry = route_cache[key] = self.route_entry(*key)
-            if entry is None:
-                drops += 1
-                results.append((XDPAction.DROP, packet))
-                continue
-            module, next_spi, next_si, nic_cycles = entry
-            # inlined Module.receive: NIC modules never carry a profile
-            # database (account() is a no-op), so only the counters and the
-            # drop-flag filtering need replicating
-            module.rx_packets += 1
-            outputs = module.process(packet)
-            if len(outputs) == 1 and not outputs[0][1].metadata.drop_flag:
-                module.tx_packets += 1
-            else:
-                emitted = len(outputs)
-                outputs = [
-                    (gate, pkt) for gate, pkt in outputs
-                    if not pkt.metadata.drop_flag
-                ]
-                module.dropped_packets += (
-                    emitted - len(outputs) if emitted else 1
-                )
-                module.tx_packets += len(outputs)
-            if not outputs:
-                drops += 1
-                results.append((XDPAction.DROP, packet))
-                continue
-            _gate, out = outputs[0]
-            if nic_cycles:
-                meta = out.metadata
-                meta.cycles_consumed += nic_cycles
-                meta.cycles_by_device[nic_name] = (
-                    meta.cycles_by_device.get(nic_name, 0) + nic_cycles
-                )
-                cycles_total += nic_cycles
-            out.push_nsh(next_spi, next_si)
-            tx += 1
-            results.append((XDPAction.TX, out))
-        self.drops += drops
-        self.tx += tx
-        self.cycles_charged += cycles_total
-        return results
+                entry = routes[key] = self.route_entry(*key)
+            out = None
+            module_deltas = ()
+            if entry is not None:
+                module, next_spi, next_si, nic_cycles = entry
+                if charged is None:
+                    live = module.receive(packet)
+                else:
+                    (live, counts), = module.probe_batch([packet])
+                    module_deltas = ((module, *counts),)
+                if live:
+                    # *NIC* cycles: the rack charges them to this device,
+                    # whose clock (``nic.freq_hz``) converts them
+                    out = live[0][1]
+                    meta = out.metadata
+                    meta.spi, meta.si = next_spi, next_si
+                    meta.cycles_consumed += nic_cycles
+                    tx += 1
+                    cycles += nic_cycles
+            if charged is not None:
+                charged.append((module_deltas, (1, 0, 1, 0) if out is None
+                                else (1, 1, 0, nic_cycles)))
+            outs.append(out)
+        if charged is None:
+            self.rx += len(packets)
+            self.tx += tx
+            self.drops += len(packets) - tx
+            self.cycles_charged += cycles
+        return outs

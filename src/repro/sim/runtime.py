@@ -30,7 +30,7 @@ from repro.bess.pipeline import ServerHop, build_bess_pipeline
 from repro.chain.graph import NFChain
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.rates import SWITCH_TRANSIT_US
-from repro.ebpf.nic import SmartNICRuntime, XDPAction
+from repro.ebpf.nic import SmartNICRuntime
 from repro.exceptions import DataplaneError
 from repro.hw.openflow import OpenFlowSwitchModel
 from repro.hw.platform import Platform
@@ -1481,40 +1481,29 @@ device_fingerprints`) decide what happens to each device:
 
     def _probe_nic(self, runtime: SmartNICRuntime, spi: int, si: int,
                    templates: List[Packet]) -> List[Optional[_HopProbe]]:
-        """What :meth:`SmartNICRuntime.process_batch` does to clones
-        tagged (spi, si), read off the route it resolves there."""
-        entry = runtime.route_entry(spi, si)
-        if entry is None:  # the program drops the coordinate
-            return [
-                self._with_effect(_HopProbe(survived=False),
-                                  runtime_deltas=(1, 0, 1, 0))
-                for _ in templates
-            ]
-        module, next_spi, next_si, nic_cycles = entry
+        """:meth:`SmartNICRuntime.run` in probe mode, on clones entering
+        at (spi, si)."""
         clones = []
         for template in templates:
             clone = template.copy()
-            # the metadata the hook's NSH decap leaves behind
             clone.metadata.spi, clone.metadata.si = spi, si
             clones.append(clone)
+        charged: List[tuple] = []
         probes: List[Optional[_HopProbe]] = []
-        for outputs, counts in module.probe_batch(clones):
-            if outputs:
-                out = outputs[0][1]
+        for out, (module_deltas, runtime_deltas) in zip(
+            runtime.run(clones, charged), charged
+        ):
+            if out is not None:
                 meta = out.metadata
-                # the egress tag is pushed, then popped by the rack
-                meta.spi, meta.si = next_spi, next_si
-                pkt_cycles = meta.cycles_consumed + nic_cycles
+                pkt_cycles = meta.cycles_consumed
                 probe = _HopProbe(survived=True,
                                   template=_freeze_template(out),
-                                  next_spi=next_spi, next_si=next_si,
+                                  next_spi=meta.spi, next_si=meta.si,
                                   pkt_cycles=pkt_cycles)
-                runtime_deltas = (1, 1, 0, nic_cycles)
             else:
                 probe = _HopProbe(survived=False)
-                runtime_deltas = (1, 0, 1, 0)
             probes.append(self._with_effect(
-                probe, [(module, *counts)], runtime_deltas=runtime_deltas))
+                probe, module_deltas, runtime_deltas=runtime_deltas))
         return probes
 
     def _server_route_safe(self, server: str, spi: int, si: int) -> bool:
@@ -1612,12 +1601,13 @@ device_fingerprints`) decide what happens to each device:
         the earliest waiting node in the graph's topological order and
         hands it every run waiting there, from every service path: a switch
         node is one NF module call; a server or NIC hop runs whole at its
-        entry node (each packet carrying its own path's NSH, one device
-        call), and so does an OpenFlow hop. Edges lead only to later nodes,
-        so a node's single step holds every packet that reaches it in this
-        batch — each module receives exactly the packets serial injection
-        would give it, in the same order. Delivered packets are stamped at
-        the end, in injection order.
+        entry node (each packet carrying its own path's coordinates in its
+        metadata, one device call), and so does an OpenFlow hop. Edges
+        lead only to later nodes, so a node's single step holds every
+        packet that reaches it in this batch — each module receives
+        exactly the packets serial injection would give it, in the same
+        order. Delivered packets are stamped at the end, in injection
+        order.
 
         ``hop_records`` holds each packet's per-hop records (a column
         run's come along when a scalar step materializes it). In a
@@ -1747,13 +1737,21 @@ device_fingerprints`) decide what happens to each device:
                      results: Dict[int, Optional[Packet]],
                      hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
         """One server or NIC hop, run whole for every packet waiting at its
-        entry node: each packet carries its own path's coordinates, and the
-        device gets one call. A SmartNIC program reads them off an NSH tag;
-        a server hop (:class:`ServerHop`) off the packet's metadata, so no
-        NSH bytes move."""
+        entry node: each packet carries its own path's coordinates in its
+        ``metadata.spi``/``si``, and the device's hop (:class:`ServerHop`,
+        :class:`SmartNICRuntime`) gets one ``run`` call. No NSH bytes
+        move."""
         name = cp.name
         hop = group[0].hop
         device = hop.device
+        if hop.platform == Platform.SERVER.value:
+            runtime, reason = self.servers.get(device), "server_pipeline"
+        elif hop.platform == Platform.SMARTNIC.value:
+            runtime, reason = self.nics.get(device), "nic_program"
+        else:
+            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+        if runtime is None:
+            raise DataplaneError(f"nothing deployed on {device}")
         entering = []
         for cohort in group:
             cohort.excursions += 1
@@ -1767,38 +1765,20 @@ device_fingerprints`) decide what happens to each device:
             entering.append(cohort)
         if not entering:
             return []
-        # only the SmartNIC attributes cycles itself (``cycles_by_device``);
-        # a BESS server charges ``cycles_consumed`` alone, so its hop needs
-        # no snapshot of the attribution dict
-        on_nic = hop.platform == Platform.SMARTNIC.value
         befores = []
         for cohort in entering:
             spi, si = cohort.path.spi, cohort.hop.entry_si
-            if on_nic:
-                befores.append([(p.metadata.cycles_consumed,
-                                 dict(p.metadata.cycles_by_device))
-                                for p in cohort.packets])
-                for packet in cohort.packets:
-                    packet.push_nsh(spi, si)
-                continue
             before = []
             for packet in cohort.packets:
                 meta = packet.metadata
                 meta.spi = spi
                 meta.si = si
-                before.append((meta.cycles_consumed, None))
+                before.append(meta.cycles_consumed)
             befores.append(before)
         merged = _merged(entering)
         in_c, out_c, _ = self._dev_counters[device]
         in_c.inc(len(merged))
-        if on_nic:
-            outs = self._run_nic_hop_batch(device, merged)
-            reason = "nic_program"
-        elif hop.platform == Platform.SERVER.value:
-            outs = self._run_server_hop_batch(device, merged)
-            reason = "server_pipeline"
-        else:
-            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+        outs = runtime.run(merged)
 
         cycle_sink: Dict[str, int] = {}
         moving = []
@@ -1810,7 +1790,7 @@ device_fingerprints`) decide what happens to each device:
             # meet)
             runs: Dict[Tuple[int, int], List[Packet]] = {}
             dropped = 0
-            for packet, out, (before_total, before_attr) in zip(
+            for packet, out, before_total in zip(
                 cohort.packets, cohort_outs, before
             ):
                 if out is None:
@@ -1819,14 +1799,7 @@ device_fingerprints`) decide what happens to each device:
                     continue
                 hop_records[out.metadata.seq].append(
                     self._charge_hop(cohort.hop, out, before_total, cycle_sink)
-                    if before_attr is None else
-                    self._attribute_hop(cohort.hop, out, before_total,
-                                        before_attr, cycle_sink)
                 )
-                if on_nic and out.pop_nsh() is None:
-                    raise DataplaneError(
-                        f"packet returned from {device} without NSH"
-                    )
                 meta = out.metadata
                 runs.setdefault((meta.spi, meta.si), []).append(out)
             if dropped:
@@ -1861,26 +1834,6 @@ device_fingerprints`) decide what happens to each device:
         for fault, count in fault_drops.items():
             self._count_drops(chain, device, fault, count)
         return passed
-
-    def _run_server_hop_batch(self, server: str, packets: List[Packet]
-                              ) -> List[Optional[Packet]]:
-        """Run packets through a server's :class:`ServerHop`, each entering
-        at its ``metadata.spi``/``si``; returns one entry per input (the
-        packet, or ``None`` where it was dropped)."""
-        runtime = self.servers.get(server)
-        if runtime is None:
-            raise DataplaneError(f"no BESS pipeline deployed on {server}")
-        return runtime.run(packets)
-
-    def _run_nic_hop_batch(self, nic: str, packets: List[Packet]
-                           ) -> List[Optional[Packet]]:
-        runtime = self.nics.get(nic)
-        if runtime is None:
-            raise DataplaneError(f"no eBPF program loaded on {nic}")
-        return [
-            out if action is XDPAction.TX else None
-            for action, out in runtime.process_batch(packets)
-        ]
 
     def _finish_batch(self, cp: ChainPlacement, finished: List[_Cohort],
                       results: Dict[int, Optional[Packet]],
@@ -1959,46 +1912,15 @@ device_fingerprints`) decide what happens to each device:
             f"(hops at {[h.entry_si for h in path.hops]})"
         )
 
-    def _attribute_hop(self, hop, out: Packet, before_total: int,
-                       before_attr: Dict[str, int],
-                       cycle_sink: Dict[str, int]) -> dict:
-        """Charge the hop's cycle delta to its device and build the
-        per-hop record.
-
-        Cycles charged by platform runtimes that know their device (the
-        SmartNIC) arrive already attributed in ``cycles_by_device``; the
-        remainder (BESS modules charge ``cycles_consumed`` only) belongs
-        to the device the hop ran on.
-
-        ``cycle_sink`` accumulates per-device cycle counter increments
-        for one flush per batch instead of one per packet.
-        """
-        meta = out.metadata
-        total_delta = meta.cycles_consumed - before_total
-        attributed_delta = sum(meta.cycles_by_device.values()) - sum(
-            before_attr.values()
-        )
-        unattributed = total_delta - attributed_delta
-        if unattributed:
-            meta.cycles_by_device[hop.device] = (
-                meta.cycles_by_device.get(hop.device, 0) + unattributed
-            )
-        exec_us = 0.0
-        for device, cycles in meta.cycles_by_device.items():
-            delta = cycles - before_attr.get(device, 0)
-            if delta:
-                exec_us += delta / self.device_freq(device) * 1e6
-                cycle_sink[device] = cycle_sink.get(device, 0) + delta
-        return {
-            "device": hop.device, "platform": hop.platform,
-            "cycles": total_delta, "exec_us": exec_us,
-        }
-
     def _charge_hop(self, hop, out: Packet, before_total: int,
                     cycle_sink: Dict[str, int]) -> dict:
-        """:meth:`_attribute_hop` for a hop whose modules attribute nothing
-        themselves (a BESS server): the whole ``cycles_consumed`` delta
-        belongs to the hop's device."""
+        """Charge the hop's ``cycles_consumed`` delta to its device and
+        build the per-hop record. Only the rack writes ``cycles_by_device``
+        (here and in the column materializer): no device hop attributes
+        cycles itself, so the whole delta belongs to the hop's device.
+
+        ``cycle_sink`` accumulates per-device cycle counter increments
+        for one flush per batch instead of one per packet."""
         meta = out.metadata
         delta = meta.cycles_consumed - before_total
         exec_us = 0.0

@@ -148,30 +148,3 @@ class TestbedSimulator:
             node = cp.chain.graph.nodes[nid]
             out.append((node.nf_class, node.params, fractions[nid]))
         return out
-
-    # -- packet-level execution ------------------------------------------------
-
-    def run_packets(
-        self,
-        placement: Placement,
-        packets_per_chain: int = 32,
-    ) -> Dict[str, "object"]:
-        """Drive real packets through meta-compiler-generated pipelines.
-
-        Returns per-chain :class:`PacketTraceResult`s; used to validate
-        that generated routing visits every NF in order across platforms.
-        """
-        from repro.metacompiler.compiler import MetaCompiler
-        from repro.sim.runtime import DeployedRack
-
-        meta = MetaCompiler(
-            topology=self.topology, profiles=self.profiles
-        )
-        artifacts = meta.compile_placement(placement)
-        rack = DeployedRack(
-            topology=self.topology,
-            artifacts=artifacts,
-            profiles=self.profiles,
-            seed=self.seed,
-        )
-        return rack.trace_chains(placement, packets_per_chain)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ebpf.nic import SmartNICRuntime, XDPAction
+from repro.ebpf.nic import SmartNICRuntime
 from repro.ebpf.program import EBPFProgram, EBPFSection
 from repro.ebpf.verifier import (
     MAX_INSTRUCTIONS,
@@ -83,27 +83,25 @@ class TestNICRuntime:
         runtime.load(prog, [("FastEncrypt", {})])
         return runtime
 
+    @staticmethod
+    def _at(spi, si, **fields):
+        pkt = Packet.build(**fields)
+        pkt.metadata.spi, pkt.metadata.si = spi, si
+        return pkt
+
     def test_processes_and_retags(self):
         runtime = self._runtime()
-        pkt = Packet.build(payload=b"plaintext!")
-        pkt.push_nsh(5, 250)
-        action, out = runtime.process(pkt)
-        assert action is XDPAction.TX
-        assert out.nsh.spi == 5 and out.nsh.si == 249
+        (out,) = runtime.run([self._at(5, 250, payload=b"plaintext!")])
+        assert out is not None and out.nsh is None
+        assert (out.metadata.spi, out.metadata.si) == (5, 249)
         assert out.payload != b"plaintext!"  # ChaCha ran
+        assert out.metadata.cycles_consumed == runtime.cycles_charged > 0
+        assert (runtime.rx, runtime.tx, runtime.drops) == (1, 1, 0)
 
     def test_unknown_spi_drops(self):
         runtime = self._runtime()
-        pkt = Packet.build()
-        pkt.push_nsh(9, 9)
-        action, _ = runtime.process(pkt)
-        assert action is XDPAction.DROP
-        assert runtime.drops == 1
-
-    def test_missing_nsh_drops(self):
-        runtime = self._runtime()
-        action, _ = runtime.process(Packet.build())
-        assert action is XDPAction.DROP
+        assert runtime.run([self._at(9, 9)]) == [None]
+        assert (runtime.rx, runtime.tx, runtime.drops) == (1, 0, 1)
 
     def test_load_verifies(self):
         nic = SmartNIC(host_server="server0")
@@ -115,4 +113,4 @@ class TestNICRuntime:
         nic = SmartNIC(host_server="server0")
         runtime = SmartNICRuntime(nic, default_profiles())
         with pytest.raises(DataplaneError):
-            runtime.process(Packet.build())
+            runtime.run([self._at(5, 250)])

@@ -7,9 +7,11 @@ holds that arithmetic to the packets. For every module, ``rx == tx +
 dropped``. Per device, the module and runtime counters agree with the
 rack registry in ``device_stats()``: a server's PortInc receives what the
 device took in and its PortOut sends what the device let out, and the
-drops its modules count are the device's ``server_pipeline`` drops; a
-SmartNIC runtime's rx/tx/drops are the device's packets in/out and
-``nic_program`` drops, and likewise an OpenFlow switch's with its
+drops its modules count are the device's ``server_pipeline`` drops, and
+the cycles they charge are the device's cycles (more, where the hop
+dropped packets it had charged); a SmartNIC runtime's rx/tx/drops are the
+device's packets in/out and ``nic_program`` drops, and its ``nic_cycles``
+the device's cycles; and likewise an OpenFlow switch's with its
 ``openflow_rule`` drops. Four reference racks (server, SmartNIC, two-server
 and OpenFlow), scalar and columnar loops, with and without a failed or
 lossy device.
@@ -81,11 +83,20 @@ def _assert_counters_add_up(rack) -> None:
             assert modules["port_out"]["tx"] == stats["packets_out"], device
             assert sum(counts["dropped"] for counts in modules.values()) \
                 == drops.get("server_pipeline", 0), device
+            # the device is charged its packets' cycles as they leave the
+            # hop, so what its modules spent on packets it dropped is
+            # missing from the device's count
+            spent = sum(counts["cycles"] for counts in modules.values())
+            if drops.get("server_pipeline", 0):
+                assert spent > stats["cycles"], device
+            else:
+                assert spent == stats["cycles"], device
         elif "nic_cycles" in stats:
             assert stats["rx"] == stats["tx"] + stats["program_drops"]
             assert stats["rx"] == stats["packets_in"], device
             assert stats["tx"] == stats["packets_out"], device
             assert stats["program_drops"] == drops.get("nic_program", 0)
+            assert stats["nic_cycles"] == stats["cycles"], device
         elif "rule_drops" in stats:
             assert stats["rx"] == stats["tx"] + stats["rule_drops"]
             assert stats["rx"] == stats["packets_in"], device

@@ -1,15 +1,17 @@
-"""A server hop charges its cycle delta straight to its device.
+"""A device hop charges its cycle delta straight to its device.
 
-Only the SmartNIC runtime attributes cycles itself
-(``metadata.cycles_by_device``); BESS modules charge ``cycles_consumed``
-alone. So ``DeployedRack._device_step`` snapshots the attribution dict on
-SmartNIC hops only, and charges a server hop's whole delta to the server.
-The oracle below is the step that snapshotted every hop, with its
-attribution helper, kept verbatim (``self`` is the rack), and it runs a
-server hop as the generic walk did: ``Pipeline.push_batch`` over the
-NSH-tagged packets, ``PortOut.drain``, outputs matched to inputs by seq.
-So it is the old code end to end, NSH push and pop included, against the
-live rack's :class:`~repro.bess.pipeline.ServerHop`. Each chain here
+No device hop attributes cycles itself: BESS modules and the SmartNIC
+runtime charge ``cycles_consumed`` alone, and
+``DeployedRack._device_step`` charges a hop's whole delta to the hop's
+device. The oracle below is the step that snapshotted
+``metadata.cycles_by_device`` around every hop, with its attribution
+helper, kept verbatim (``self`` is the rack). It runs a server hop as the
+generic walk did: ``Pipeline.push_batch`` over the NSH-tagged packets,
+``PortOut.drain``, outputs matched to inputs by seq. It runs a SmartNIC hop
+as the NSH-tagged ``SmartNICRuntime.process_batch`` did, which attributed
+its NIC cycles itself. So it is the old code end to end, NSH push and pop
+included, against the live rack's :class:`~repro.bess.pipeline.ServerHop`
+and :meth:`~repro.ebpf.nic.SmartNICRuntime.run`. Each chain here
 crosses a server twice; the first also crosses a SmartNIC first. Two racks
 built alike, one stepping through the oracle, must agree on every output's
 bytes, hop records, latency fields and ``cycles_by_device`` (in insertion
@@ -68,7 +70,7 @@ def _device_step(self, cp, group: List[_Cohort],
         outs = _run_server_hop_batch(self, device, merged)
         reason = "server_pipeline"
     elif hop.platform == Platform.SMARTNIC.value:
-        outs = self._run_nic_hop_batch(device, merged)
+        outs = _run_nic_hop_batch(self, device, merged)
         reason = "nic_program"
     else:
         raise DataplaneError(f"unexpected hop platform {hop.platform}")
@@ -136,6 +138,79 @@ def _run_server_hop_batch(self, server: str, packets: List[Packet]
             f"(seqs {sorted(by_seq)})"
         )
     return outs
+
+
+def _run_nic_hop_batch(self, nic: str, packets: List[Packet]
+                       ) -> List[Optional[Packet]]:
+    runtime = self.nics.get(nic)
+    if runtime is None:
+        raise DataplaneError(f"no eBPF program loaded on {nic}")
+    return [
+        out if action == "tx" else None
+        for action, out in _nic_process_batch(runtime, packets)
+    ]
+
+
+def _nic_process_batch(self, packets: List[Packet]) -> List[tuple]:
+    """``SmartNICRuntime.process_batch`` as it was (``self`` is the NIC
+    runtime; ``XDPAction`` members written as their values)."""
+    if self.program is None:
+        raise DataplaneError(f"{self.nic.name}: no program loaded")
+    self.rx += len(packets)
+    nic_name = self.nic.name
+    route_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
+    results: List[tuple] = []
+    drops = 0
+    tx = 0
+    cycles_total = 0
+    for packet in packets:
+        nsh = packet.pop_nsh()
+        if nsh is None:
+            drops += 1
+            results.append(("drop", packet))
+            continue
+        key = (nsh.spi, nsh.si)
+        entry = route_cache.get(key, False)
+        if entry is False:
+            entry = route_cache[key] = self.route_entry(*key)
+        if entry is None:
+            drops += 1
+            results.append(("drop", packet))
+            continue
+        module, next_spi, next_si, nic_cycles = entry
+        module.rx_packets += 1
+        outputs = module.process(packet)
+        if len(outputs) == 1 and not outputs[0][1].metadata.drop_flag:
+            module.tx_packets += 1
+        else:
+            emitted = len(outputs)
+            outputs = [
+                (gate, pkt) for gate, pkt in outputs
+                if not pkt.metadata.drop_flag
+            ]
+            module.dropped_packets += (
+                emitted - len(outputs) if emitted else 1
+            )
+            module.tx_packets += len(outputs)
+        if not outputs:
+            drops += 1
+            results.append(("drop", packet))
+            continue
+        _gate, out = outputs[0]
+        if nic_cycles:
+            meta = out.metadata
+            meta.cycles_consumed += nic_cycles
+            meta.cycles_by_device[nic_name] = (
+                meta.cycles_by_device.get(nic_name, 0) + nic_cycles
+            )
+            cycles_total += nic_cycles
+        out.push_nsh(next_spi, next_si)
+        tx += 1
+        results.append(("tx", out))
+    self.drops += drops
+    self.tx += tx
+    self.cycles_charged += cycles_total
+    return results
 
 
 def _attribute_hop(self, hop, out: Packet, before_total: int,

@@ -4,7 +4,9 @@ A hop probe runs a flow template's clone through the platform runtime and
 records what replaying it costs (``repro.sim.runtime._HopProbe``). The rack
 probes every template a hop's memo misses in one call per platform; the
 four functions below are the one-signature probes of the previous design,
-kept verbatim (``self`` is the rack) as the oracle. Each batched call made
+kept verbatim (``self`` is the rack) as the oracle; the SmartNIC one
+enters its clone at metadata coordinates, as the runtime's scalar ``run``
+now takes them, where it pushed an NSH tag. Each batched call made
 while columns run is checked against them on the same rack state: equal
 ``_HopProbe`` fields and effect deltas, the same interned effect class,
 templates left as they were, and every module counter, profile database
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bess.pipeline import ServerHop
-from repro.ebpf.nic import SmartNICRuntime, XDPAction
+from repro.ebpf.nic import SmartNICRuntime
 from repro.hw.spec import topology_for
 from repro.net.packet import Packet
 from repro.obs import MetricsRegistry
@@ -178,8 +180,8 @@ def _probe_nic_sig(self, runtime: SmartNICRuntime, spi: int, si: int,
     rsnap = (runtime.rx, runtime.tx, runtime.drops,
              runtime.cycles_charged)
     clone = template.copy()
-    clone.push_nsh(spi, si)
-    action, out = runtime.process_batch([clone])[0]
+    clone.metadata.spi, clone.metadata.si = spi, si
+    (out,) = runtime.run([clone])
     module_deltas = []
     if module is not None:
         deltas = (
@@ -197,14 +199,12 @@ def _probe_nic_sig(self, runtime: SmartNICRuntime, spi: int, si: int,
         runtime.drops - rsnap[2], runtime.cycles_charged - rsnap[3],
     )
     runtime.rx, runtime.tx, runtime.drops, runtime.cycles_charged = rsnap
-    if action is XDPAction.TX:
-        nsh = out.pop_nsh()
-        if nsh is None:
-            return None
-        pkt_cycles = out.metadata.cycles_consumed
+    if out is not None:
+        meta = out.metadata
+        pkt_cycles = meta.cycles_consumed
         probe = _HopProbe(survived=True,
                           template=_freeze_template(out),
-                          next_spi=nsh.spi, next_si=nsh.si,
+                          next_spi=meta.spi, next_si=meta.si,
                           pkt_cycles=pkt_cycles)
     else:
         probe = _HopProbe(survived=False)

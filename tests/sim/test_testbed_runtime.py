@@ -167,11 +167,3 @@ class TestDeployedRack:
         )
         traces = rack.trace_chains(placement, packets_per_chain=8)
         assert traces["a"].delivered == 8
-
-    def test_run_packets_via_testbed(self, profiles):
-        topology, placement = place(
-            "chain a: ACL -> Encrypt -> IPv4Fwd", profiles
-        )
-        sim = TestbedSimulator(topology=topology, profiles=profiles)
-        traces = sim.run_packets(placement, packets_per_chain=8)
-        assert traces["a"].delivered == 8
