@@ -3,7 +3,7 @@
 
 Prints the two tables behind ``repro.sim.traffic.COLUMNAR_MIN_BATCH``
 (``docs/performance.md``, "Which loop runs"), the one behind the
-crossover inside ``repro.sim.runtime._unit_draws``, and one for the
+crossover inside ``repro.sim.runtime._step_draws``, and one for the
 scalar loop's schedule on branchy chains. The first two time
 one traffic phase — one batch per chain — with the selection pinned to
 the scalar loop and
@@ -17,10 +17,11 @@ clock starts, as they are for a chain that survives a redeploy.
 * one signature a batch against one signature a packet, at batch 64 and
   4096 on the ``nic_fastpath`` rack: what a distinct signature costs
   (``flowscale_smallbatch``'s regime), as µs per extra signature;
-* ``n`` cost draws from one ``random.Random``, ``n`` = 8 to 4096, by the
-  per-draw loop and by one bulk ``getrandbits`` call, both ending in the
-  float64 array the rack consumes: where ``_unit_draws`` should switch,
-  beside where it does;
+* a column step of ``n`` cost draws, ``n`` = 8 to 4096, split evenly over
+  one and over eight ``random.Random`` streams (drawing modules), by the
+  per-draw loop and by one ``getrandbits`` call a stream joined into one
+  conversion, both ending in the float64 array the rack consumes: where
+  ``_step_draws`` should switch, beside where it does;
 * scalar ``run`` on each Table-2 chain (chains 1-4 at delta = 0.5 on the
   paper testbed, 64 flows: the ``table2_stateful`` rack), batch 8 to
   4096, as µs per packet with the flows interleaved across the arms
@@ -52,7 +53,7 @@ from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
 from repro.profiles.defaults import default_profiles
 from repro.sim.columns import PacketColumns
-from repro.sim.runtime import DeployedRack, _chain_packet, _unit_draws
+from repro.sim.runtime import DeployedRack, _chain_packet, _step_draws
 from repro.sim.traffic import TrafficEngine, TrafficSpec
 from repro.units import gbps
 
@@ -74,6 +75,8 @@ BATCHES = (8, 16, 32, 64, 128)
 SIGNATURE_BATCHES = (("nic_fastpath", 64), ("nic_fastpath", 4096))
 PINS = {"scalar": 10**9, "columnar": 1}
 DRAWS = (8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 4096)
+#: streams a step's draws are split over in the cost-draw table
+DRAW_STREAMS = (1, 8)
 ORDER_BATCHES = (8, 64, 512, 4096)
 #: packets per sample of the path-order table (at least one batch)
 ORDER_PACKETS = 1024
@@ -130,40 +133,53 @@ def measure(repeats: int) -> dict:
             for key, values in samples.items()}
 
 
-def loop_draws(rng: random.Random, n: int) -> np.ndarray:
-    rand = rng.random
-    return np.asarray([rand() for _ in range(n)])
+def step_of(n: int, streams: int, seed: str) -> list:
+    """``(rng, draws)`` pairs: ``n`` draws split evenly over ``streams``."""
+    return [(random.Random(f"{seed}/{i}"), len(part)) for i, part in
+            enumerate(np.array_split(np.arange(n), streams))]
 
 
-def bulk_draws(rng: random.Random, n: int) -> np.ndarray:
-    """``_unit_draws``'s bulk branch, at any ``n``."""
-    words = np.frombuffer(
-        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8"
-    )
+def loop_draws(step: list) -> np.ndarray:
+    rolls: list = []
+    for rng, n in step:
+        rand = rng.random
+        rolls += [rand() for _ in range(n)]
+    return np.asarray(rolls)
+
+
+def bulk_draws(step: list) -> np.ndarray:
+    """``_step_draws``' bulk branch, at any ``n``."""
+    words = np.frombuffer(b"".join([
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little") for rng, n in step
+    ]), "<u8")
     return (((words & 0xFFFFFFE0) << 21) + (words >> 38)) \
         * (1.0 / 9007199254740992.0)
 
 
 def measure_draws(repeats: int) -> dict:
-    """(n, "loop" | "bulk") -> median µs per call; the two alternate
-    inside every repeat."""
+    """(n, streams, "loop" | "bulk") -> median µs per step; the two
+    alternate inside every repeat."""
     top = max(DRAWS)
-    ours, theirs = random.Random("draws"), random.Random("draws")
-    if bulk_draws(ours, top).tolist() \
-            != np.asarray(_unit_draws(theirs, top)).tolist() \
-            or ours.getstate() != theirs.getstate():
-        raise SystemExit("bulk_draws no longer mirrors _unit_draws")
+    for streams in DRAW_STREAMS:
+        ours, theirs = (step_of(top, streams, "draws") for _ in range(2))
+        if bulk_draws(ours).tolist() \
+                != np.asarray(_step_draws(theirs)).tolist() \
+                or [rng.getstate() for rng, _n in ours] \
+                != [rng.getstate() for rng, _n in theirs]:
+            raise SystemExit("bulk_draws no longer mirrors _step_draws")
+    steps = {(n, streams): step_of(n, streams, "draws")
+             for n in DRAWS for streams in DRAW_STREAMS}
     samples: dict = {}
     for repeat in range(repeats + 1):
-        for n in DRAWS:
+        for (n, streams), step in steps.items():
             calls = max(8, top // n)
             for how, draw in (("loop", loop_draws), ("bulk", bulk_draws)):
                 started = time.perf_counter()
                 for _ in range(calls):
-                    draw(ours, n)
+                    draw(step)
                 spent = (time.perf_counter() - started) / calls * 1e6
                 if repeat:
-                    samples.setdefault((n, how), []).append(spent)
+                    samples.setdefault((n, streams, how), []).append(spent)
     return {key: statistics.median(values)
             for key, values in samples.items()}
 
@@ -179,14 +195,14 @@ class _CountingRandom(random.Random):
 
 
 def helper_crossover() -> int:
-    """The smallest ``n`` at which ``_unit_draws`` makes its one bulk
-    call, found from outside."""
+    """The smallest step size ``n`` at which ``_step_draws`` makes its one
+    bulk conversion, found from outside."""
     for n in range(1, 2 * max(DRAWS)):
         rng = _CountingRandom(n)
-        _unit_draws(rng, n)
+        _step_draws([(rng, n)])
         if rng.bulk:
             return n
-    raise SystemExit("_unit_draws never draws in bulk")
+    raise SystemExit("_step_draws never draws in bulk")
 
 
 def _rack(chains, profiles, topology):
@@ -300,15 +316,21 @@ def main() -> int:
         print(f"| `{rack}` | {batch} | µs/signature {per_signature}|")
     print()
     switch = helper_crossover()
-    lost = [n for n in DRAWS if us[n, "bulk"] >= us[n, "loop"]]
+    lost = [n for n in DRAWS for streams in DRAW_STREAMS
+            if us[n, streams, "bulk"] >= us[n, streams, "loop"]]
     wins_from = next((n for n in DRAWS if n > max(lost, default=0)), None)
-    print(f"µs for n cost draws as a float64 array; bulk wins from "
-          f"n = {wins_from} up here, _unit_draws switches at n = {switch}")
-    print("| n | per-draw loop | one getrandbits call | _unit_draws takes |")
-    print("|---:|---:|---:|---|")
+    print(f"µs for a column step of n cost draws as a float64 array; bulk "
+          f"wins from n = {wins_from} up here, _step_draws switches at "
+          f"n = {switch}")
+    print("| n | " + " | ".join(
+        f"loop, {s} stream{'s' * (s > 1)} | bulk, {s} stream{'s' * (s > 1)}"
+        for s in DRAW_STREAMS) + " | _step_draws takes |")
+    print("|---:|" + "---:|---:|" * len(DRAW_STREAMS) + "---|")
     for n in DRAWS:
-        print(f"| {n} | {us[n, 'loop']:.1f} | {us[n, 'bulk']:.1f} "
-              f"| {'bulk' if n >= switch else 'loop'} |")
+        cells = " | ".join(
+            f"{us[n, streams, 'loop']:.1f} | {us[n, streams, 'bulk']:.1f}"
+            for streams in DRAW_STREAMS)
+        print(f"| {n} | {cells} | {'bulk' if n >= switch else 'loop'} |")
     print()
     print(f"µs per packet on a warm paper-testbed rack, {ORDER_FLOWS} "
           "flows: interleaved across arms against grouped by path (chains "

@@ -5,8 +5,7 @@ attribute at a time; at high volume the Python object walk dominates. A
 :class:`PacketColumns` batch instead keeps **one frozen template packet per
 distinct flow signature** plus numpy arrays for everything that is
 per-packet: the flow signature and its dense per-batch id, the route class,
-injection sequence, cycle charges (total and per device) and per-hop
-cycle/latency columns. Because every packet of a signature is
+injection sequence and cycle charges (total and per device). Because every packet of a signature is
 byte-identical, the rack resolves a flow's route **once**: each hop is
 *probed* with one clone through the real platform runtime, the outcomes
 are kept as the flow's *route trace*, and flows whose traces agree on every
@@ -16,10 +15,10 @@ hop by hop **per class** — counter deltas times the class's population,
 one table-take for the per-packet cycle column.
 
 Two dense id columns keep a batch O(packets) in numpy and O(route classes)
-in Python: :meth:`PacketColumns.resolve` runs the batch's only
-``np.unique`` over the signature column and keeps the inverse as ``sid``
-(what a delivered packet's bytes are read through), the rack maps it to the
-class column ``cid``, and ``compress`` carries both along. A hop gets its
+in Python: :meth:`PacketColumns.resolve` counts the signature column (flow
+indexes, so one ``np.bincount`` and no sort) and keeps each packet's rank
+among the present signatures as ``sid`` (what a delivered packet's bytes
+are read through), the rack maps it to the class column ``cid``, and ``compress`` carries both along. A hop gets its
 live classes and their populations from one ``np.bincount(cid)`` and turns
 per-class attributes into per-packet columns with
 :meth:`PacketColumns.spread` — nothing walks ``sig`` in Python and nothing
@@ -73,20 +72,6 @@ def vector_fault_mask(seq: np.ndarray, seed: int, loss: float) -> np.ndarray:
     x = (x * np.uint64(0x45D9F3B)) & np.uint64(0xFFFFFFFF)
     x ^= x >> np.uint64(16)
     return (x.astype(np.float64) / 4294967296.0) < loss
-
-
-@dataclass
-class HopColumn:
-    """Per-hop record column: the vectorized ``hops`` metadata entry."""
-
-    device: str
-    platform: str
-    cycles: np.ndarray
-    exec_us: np.ndarray
-
-    def take(self, index) -> "HopColumn":
-        return HopColumn(self.device, self.platform,
-                         self.cycles[index], self.exec_us[index])
 
 
 @dataclass(eq=False)
@@ -155,7 +140,12 @@ class PacketColumns:
     * ``cycles``: total cycles charged so far (``int64``)
     * ``device_cycles``: device name -> per-packet cycles on that device's
       clock, in first-charge order (``device_order``)
-    * ``hops``: one :class:`HopColumn` per completed hop
+
+    and ``hops``: one ``(device, platform, freq)`` per
+    completed hop, ``freq`` None on the switch. A hop's per-packet record
+    is derived when packets are rebuilt: its cycles are the device's
+    column (a column run never visits a device twice, see
+    :meth:`DeployedRack._trace_hop`) or zero on the switch.
     """
 
     __slots__ = ("templates", "usig", "sig", "sid", "cid", "seq", "cycles",
@@ -164,9 +154,9 @@ class PacketColumns:
 
     def __init__(self, templates, sig: Sequence[int],
                  seq: Optional[np.ndarray] = None):
-        """``templates`` is anything indexable by signature (a dict, or a
-        flow list when signatures are flow indexes); it is only read, and
-        only for the signatures present, when the batch is resolved."""
+        """``sig`` holds flow indexes into the flow list ``templates``; it
+        is only read, and only for the flows present, when the batch is
+        resolved."""
         self.sig = np.asarray(sig, dtype=np.int64)
         n = len(self.sig)
         self._by_sig = templates
@@ -181,14 +171,22 @@ class PacketColumns:
         self.cycles = np.zeros(n, dtype=np.int64)
         self.device_order: List[str] = []
         self.device_cycles: Dict[str, np.ndarray] = {}
-        self.hops: List[HopColumn] = []
+        self.hops: List[tuple] = []
 
     def resolve(self) -> None:
-        """Resolve the signature column — the batch's one ``np.unique`` —
-        into ``usig``, ``sid`` and ``templates``. Idempotent;
-        :meth:`DeployedRack.run_columns` does it on entry."""
+        """Resolve the signature column into ``usig``, ``sid`` and
+        ``templates`` by counting it: signatures are flow indexes, so the
+        present ones are the non-zero bins of one ``np.bincount``, in
+        ascending order, and ``sid`` reads each packet's rank among them
+        through a table — what ``np.unique(sig, return_inverse=True)``
+        gives, without a sort. Idempotent; :meth:`DeployedRack.run_columns`
+        does it on entry."""
         if self.sid is None:
-            self.usig, self.sid = np.unique(self.sig, return_inverse=True)
+            present = np.bincount(self.sig)
+            self.usig = np.flatnonzero(present)
+            rank = np.zeros(len(present), dtype=np.intp)
+            rank[self.usig] = np.arange(len(self.usig))
+            self.sid = rank[self.sig]
             self.templates = list(map(self._by_sig.__getitem__,
                                       self.usig.tolist()))
             self._by_sig = None
@@ -255,7 +253,7 @@ class PacketColumns:
         out.device_cycles = {
             device: arr[mask] for device, arr in self.device_cycles.items()
         }
-        out.hops = [hop.take(mask) for hop in self.hops]
+        out.hops = list(self.hops)
         return out
 
     def charge_device(self, device: str, delta: np.ndarray) -> None:
@@ -280,8 +278,15 @@ class PacketColumns:
         cycles = self.cycles.tolist()
         by_device = [(device, self.device_cycles[device].tolist())
                      for device in self.device_order]
-        hops = [(hop.device, hop.platform, hop.cycles.tolist(),
-                 hop.exec_us.tolist()) for hop in self.hops]
+        hops = []
+        for device, platform, freq in self.hops:
+            if freq is None:  # the switch charges no device clock
+                hops.append((device, platform, [0] * len(seqs),
+                             [0.0] * len(seqs)))
+            else:
+                charged = self.device_cycles[device]
+                hops.append((device, platform, charged.tolist(),
+                             (charged / freq * 1e6).tolist()))
         for i, k in enumerate(self.sid.tolist()):
             packet = self.templates[k].copy()
             meta = packet.metadata

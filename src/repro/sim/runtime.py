@@ -16,7 +16,6 @@ aggregates into :class:`~repro.sim.measurement.PacketTraceResult`.
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
@@ -43,7 +42,6 @@ from repro.openflow.switch import OpenFlowRuntime
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.sim.columns import (
     ColumnarRunResult,
-    HopColumn,
     PacketColumns,
     _FinishedBlock,
     _RouteClass,
@@ -68,24 +66,31 @@ _FLOW_CACHE_MAX = 65536
 _OBSERVE_MANY_MIN = 32
 
 
-def _unit_draws(rng: random.Random, n: int):
-    """The next ``n`` values of ``rng.random()``, leaving ``rng`` exactly
-    where ``n`` calls would.
+def _step_draws(streams: List[Tuple[Any, int]]) -> Any:
+    """The next ``n`` values of ``rng.random()`` for every ``(rng, n)`` of
+    ``streams``, concatenated in stream order, leaving each ``rng``
+    exactly where its ``n`` calls would.
 
     ``random()`` takes two successive 32-bit Mersenne outputs ``a``, ``b``
     and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
     ``getrandbits(64 * n)`` emits the same ``2n`` outputs, first one
     lowest, so a little-endian 64-bit word holds one draw: ``a`` below,
-    ``b`` above. One C call instead of ``n`` — but with ≈ 5 µs of fixed
-    cost, so short runs keep the per-draw loop (the third table of
-    ``scripts/loop_breakeven.py`` has the crossover).
+    ``b`` above. Each stream's words are joined into one buffer and
+    converted once — ≈ 5 µs of fixed cost for the whole column step
+    however many streams draw in it, so a step of few draws keeps the
+    per-draw loop (the third table of ``scripts/loop_breakeven.py`` has
+    the crossover). The loop returns a list, the bulk path an array.
     """
-    if n < 128:
-        rand = rng.random
-        return [rand() for _ in range(n)]
-    words = np.frombuffer(
-        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8"
-    )
+    if sum(n for _rng, n in streams) < 128:
+        rolls: List[float] = []
+        for rng, n in streams:
+            rand = rng.random
+            rolls += [rand() for _ in range(n)]
+        return rolls
+    words = np.frombuffer(b"".join([
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        for rng, n in streams
+    ]), "<u8")
     return (((words & 0xFFFFFFE0) << 21) + (words >> 38)) \
         * (1.0 / 9007199254740992.0)
 
@@ -1178,17 +1183,10 @@ device_fingerprints`) decide what happens to each device:
             moving.append(cohort)
             if plan.on_switch:
                 # switch cycles ride on the packet but on no device clock
-                cols.hops.append(HopColumn(
-                    plan.device, plan.platform,
-                    np.zeros(len(cols), dtype=np.int64),
-                    np.zeros(len(cols), dtype=np.float64),
-                ))
+                cols.hops.append((plan.device, plan.platform, None))
             else:
                 cols.charge_device(plan.device, charged)
-                cols.hops.append(HopColumn(
-                    plan.device, plan.platform, charged,
-                    charged / plan.freq * 1e6,
-                ))
+                cols.hops.append((plan.device, plan.platform, plan.freq))
             coords = list(dict.fromkeys(map(_next_coords_of, probes)))
             (cohort.spi, cohort.si) = coords[0]
             if len(coords) > 1:
@@ -1233,7 +1231,9 @@ device_fingerprints`) decide what happens to each device:
         in injection order over every run of the step. ``low + (worst -
         low) * r`` with ``r`` pulled from the module's own RNG reproduces
         ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
-        arithmetic matches the scalar expression exactly.
+        arithmetic matches the scalar expression exactly. Every drawing
+        module's run is drawn by one :func:`_step_draws` call, so the step
+        pays one conversion however many modules draw in it.
         """
         draws: Dict[int, tuple] = {}
         # classes are numbered across the step: run r's from base[r]
@@ -1271,25 +1271,30 @@ device_fingerprints`) decide what happens to each device:
                                   for step, b in zip(steps, bases)])
             seq = np.concatenate([step[2].seq for step in steps])
             counts = np.concatenate([step[3] for step in steps])
-        # packets grouped by class, each group still in step order
-        order = np.argsort(cid, kind="stable")
+        # packets grouped by class, each group still in step order; class
+        # ids fit a narrow key, which numpy sorts stably by radix
+        order = np.argsort(cid.astype(np.min_scalar_type(len(counts))),
+                           kind="stable")
         ends = np.cumsum(counts).tolist()
-        members, lows, spans, rolls = [], [], [], []
+        members, lows, spans = [], [], []
         for module, ids in draws.values():
-            groups = [order[ends[c] - counts[c]:ends[c]] for c in ids]
-            member = groups[0]
-            if len(groups) > 1:
+            if len(ids) == 1:
+                (c,) = ids
+                member = order[ends[c] - counts[c]:ends[c]]
+            else:
                 # in injection order, across the step's runs
-                member = np.concatenate(groups)
+                member = np.concatenate(
+                    [order[ends[c] - counts[c]:ends[c]] for c in ids])
                 member = member[np.argsort(seq[member])]
             low, worst = module._cost_bounds()
-            rolls.append(_unit_draws(module._rng, len(member)))
             members.append(member)
             lows.append(low)
             spans.append(worst - low)
         sizes = [len(member) for member in members]
+        rolls = _step_draws([(module._rng, size) for (module, _ids), size
+                             in zip(draws.values(), sizes)])
         charged = (np.repeat(lows, sizes) + np.repeat(spans, sizes)
-                   * np.concatenate(rolls)).astype(np.int64)
+                   * rolls).astype(np.int64)
         starts = np.cumsum([0, *sizes[:-1]])
         for (module, _ids), total in zip(
             draws.values(), np.add.reduceat(charged, starts).tolist()

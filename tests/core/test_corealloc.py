@@ -244,7 +244,7 @@ class TestExhaustiveOracle:
     @pytest.mark.xfail(strict=True, reason=(
         "the spend ranks gains by capped chain rate and never sees NIC "
         "rows: a core that lifts a two-visit chain the 40 G NIC cannot "
-        "carry is wasted (ROADMAP item 1(b))"))
+        "carry is wasted (ROADMAP item 6(b))"))
     def test_greedy_spend_ignores_a_binding_nic(self, profiles):
         """c0 crosses the NIC twice, so 2·r0 + r1 ≤ 40 000 binds. The
         greedy gives c0's second subgroup a core (2 452 Mbps of capped

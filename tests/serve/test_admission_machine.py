@@ -313,7 +313,7 @@ def _replay(machine_class, steps):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "Placer is not monotone: the incremental solve pins a0 at its floor "
     "and places a1, a2 beside it, but a cold heuristic solve of the same "
-    "five chains leaves a2 at 6427 Mbps < t_min 8000 Mbps (ROADMAP item 2)"
+    "five chains leaves a2 at 6427 Mbps < t_min 8000 Mbps (ROADMAP item 6(c))"
 ))
 def test_an_incremental_admission_a_cold_solve_cannot_place():
     """Undirected run, multi-server: three ``ACL -> Encrypt -> IPv4Fwd``

@@ -182,7 +182,7 @@ class TestMutations:
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "admission ignores the fault state: PlacementRequest refuses "
     "base_placement together with failed_devices, so an incremental "
-    "arrival may land on a failed server (ROADMAP item 3, 'also left')"
+    "arrival may land on a failed server (ROADMAP item 5)"
 ))
 def test_an_arrival_avoids_a_failed_server(make_config, drive, tmp_path):
     """On ``multi-server`` with ``server1`` failed, an arriving

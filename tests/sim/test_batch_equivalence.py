@@ -465,22 +465,23 @@ def test_columnar_matches_scalar_interrack_with_queueing():
 
 @pytest.mark.parametrize("label", ["openflow", "server-multiclass"])
 def test_long_and_short_draw_runs_match_per_packet_run(monkeypatch, label):
-    """64 flows × 4096 packets, then 64 × 64, on one rack: a module's run
-    of cost draws is long enough for one bulk call in places and short
+    """64 flows × 4096 packets, then 64 × 64, on one rack: a column step's
+    cost draws are many enough for one bulk conversion in places and few
     enough for the per-draw loop in others (the multiclass server spreads
-    its flows unevenly over Encrypt instances, so one 4096-packet batch
-    holds runs of 64 and of 512). Against per-packet ``run``: outputs,
-    registry dump, device stats and every module's RNG state."""
+    its flows unevenly over Encrypt instances, so one 4096-packet step
+    draws runs of 64 and of 512 from different streams). Against
+    per-packet ``run``: outputs, registry dump, device stats and every
+    module's RNG state."""
     _label, spec, topo_kwargs, slo = next(
         s for s in SCENARIOS if s[0] == label)
     drawn = []
-    real = runtime_module._unit_draws
+    real = runtime_module._step_draws
 
-    def spy(rng, n):
-        drawn.append(real(rng, n))
+    def spy(streams):
+        drawn.append(real(streams))
         return drawn[-1]
 
-    monkeypatch.setattr(runtime_module, "_unit_draws", spy)
+    monkeypatch.setattr(runtime_module, "_step_draws", spy)
     _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, n_flows=64,
                         batches=[64 * 64, 64], per_packet=True)
     assert {type(rolls) for rolls in drawn} == {list, np.ndarray}

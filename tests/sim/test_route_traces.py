@@ -77,6 +77,39 @@ def test_a_warm_batch_costs_per_class_not_per_signature():
         )
 
 
+def test_a_warm_batch_sorts_no_signature_and_converts_draws_once(monkeypatch):
+    """A warm 4 096-packet batch of chain b on the ``nic_fastpath`` rack,
+    64 packets a signature: the signatures are counted, not sorted (no
+    ``np.unique``), and the step's cost draws, one run per Encrypt
+    instance, are converted to floats in one ``np.frombuffer``, not one
+    per drawing module (14 of them here)."""
+    engine = _nic_engine()
+    rack = engine.rack
+    cp = next(cp for cp in engine.placement.chains if cp.name == "b")
+    flows = engine.synthesize_flows(cp)
+    sig = np.arange(4096) % len(flows)
+    for _warm in range(2):
+        rack.run_columns(cp, PacketColumns.for_flows(flows, sig))
+    calls = {"unique": 0, "frombuffer": 0}
+    unique, frombuffer = np.unique, np.frombuffer
+
+    def counted_unique(*args, **kwargs):
+        calls["unique"] += 1
+        return unique(*args, **kwargs)
+
+    def counted_frombuffer(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "repro.sim.runtime":
+            calls["frombuffer"] += 1
+        return frombuffer(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(np, "frombuffer", counted_frombuffer)
+    result = rack.run_columns(cp, PacketColumns.for_flows(flows, sig))
+    monkeypatch.undo()
+    assert result.delivered == 4096 and not result.structural_fallback
+    assert calls == {"unique": 0, "frombuffer": 1}
+
+
 def test_traces_intern_into_one_class_per_distinct_route():
     engine = _nic_engine(flows=256)
     rack = engine.rack
