@@ -3,25 +3,24 @@
 The scalar dataplane moves :class:`~repro.net.packet.Packet` objects one
 attribute at a time; at high volume the Python object walk dominates. A
 :class:`PacketColumns` batch instead keeps **one frozen template packet per
-distinct flow signature** plus numpy arrays for everything that is
-per-packet: the flow signature and its dense per-batch id, the route class,
-injection sequence and cycle charges (total and per device). Because every packet of a signature is
-byte-identical, the rack resolves a flow's route **once**: each hop is
-*probed* with one clone through the real platform runtime, the outcomes
-are kept as the flow's *route trace*, and flows whose traces agree on every
-hop share a *route class* (see
-:meth:`repro.sim.runtime.DeployedRack.run_columns`). A batch then replays
-hop by hop **per class** — counter deltas times the class's population,
-one table-take for the per-packet cycle column.
+distinct flow signature** plus numpy arrays for everything that is per-packet:
+the flow signature and its dense per-batch id, the route class, injection
+sequence and cycle charges (total and per device). Because every packet of a
+signature is byte-identical, the rack resolves a flow's route **once**: each
+hop is *probed* with one clone through the real platform runtime, the outcomes
+are kept as the flow's *route trace*, and flows whose traces agree on every hop
+share a *route class* (see :meth:`repro.sim.runtime.DeployedRack.run_columns`).
+A batch then replays hop by hop **per class** — counter deltas times the
+class's population, one table-take for the per-packet cycle column.
 
-Two dense id columns keep a batch O(packets) in numpy and O(route classes)
-in Python: :meth:`PacketColumns.resolve` counts the signature column (flow
-indexes, so one ``np.bincount`` and no sort) and keeps each packet's rank
-among the present signatures as ``sid`` (what a delivered packet's bytes
-are read through), the rack maps it to the class column ``cid``, and ``compress`` carries both along. A hop gets its
-live classes and their populations from one ``np.bincount(cid)`` and turns
-per-class attributes into per-packet columns with
-:meth:`PacketColumns.spread` — nothing walks ``sig`` in Python and nothing
+Two dense id columns keep a batch O(packets) in numpy and O(route classes) in
+Python: :meth:`PacketColumns.resolve` counts the signature column (flow
+indexes, so one ``np.bincount`` and no sort) and keeps each packet's rank among
+the present signatures as ``sid`` (what a delivered packet's bytes are read
+through), the rack maps it to the class column ``cid``, and ``compress``
+carries both along. A hop gets its live classes and their populations from one
+``np.bincount(cid)`` and turns per-class attributes into per-packet columns
+with :meth:`PacketColumns.spread` — nothing walks ``sig`` in Python and nothing
 is sized by the flow table.
 
 Stateful or payload-mutating NFs fall back transparently:
@@ -141,8 +140,8 @@ class PacketColumns:
     * ``device_cycles``: device name -> per-packet cycles on that device's
       clock, in first-charge order (``device_order``)
 
-    and ``hops``: one ``(device, platform, freq)`` per
-    completed hop, ``freq`` None on the switch. A hop's per-packet record
+    and ``hops``: one ``(device, platform, freq)`` per completed hop,
+    ``freq`` None on the switch. A hop's per-packet record
     is derived when packets are rebuilt: its cycles are the device's
     column (a column run never visits a device twice, see
     :meth:`DeployedRack._trace_hop`) or zero on the switch.
