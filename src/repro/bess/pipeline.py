@@ -4,15 +4,16 @@ Builds the module graph the meta-compiler's script describes (§A.1):
 ``PortInc → NSHdecap → SubgroupDemux → [NF chain per subgroup instance] →
 SIUpdate → NSHencap → PortOut`` and the per-core scheduler tree, and
 :class:`ServerHop`, which runs that graph on a batch visiting only its NF
-modules.
+modules, and :class:`PisaHop`, which runs the PISA ToR's NFs the same way.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Dict, List, Optional, Tuple
 
 from repro.bess.module import Module, Pipeline
-from repro.bess.modules import make_nf_module
+from repro.bess.modules import MODULE_CLASSES, make_nf_module
 from repro.bess.nsh_modules import (
     NSHDecap,
     NSHEncap,
@@ -327,3 +328,120 @@ class ServerHop:
 
 def _receive_batch(module: Module, packets: List[Packet]):
     return module.receive_batch(packets)
+
+
+def _one_out_each(module: Module, batch: List[Packet],
+                  emitted: List[Packet]) -> List[Optional[Packet]]:
+    """``module``'s output for each packet of ``batch`` (None: dropped),
+    matched by seq; more than one for a packet is an error."""
+    if len(emitted) == len(batch) and all(map(is_, emitted, batch)):
+        return emitted
+    by_seq: Dict[int, Packet] = {}
+    for out in emitted:
+        seq = out.metadata.seq
+        if seq in by_seq:
+            raise DataplaneError(
+                f"{module.name}: expected one packet out per input, got a "
+                f"duplicate for seq {seq}")
+        by_seq[seq] = out
+    return [by_seq.get(packet.metadata.seq) for packet in batch]
+
+
+class PisaHop:
+    """The PISA ToR's switch-placed NFs: the unified P4 program runs all
+    of a hop's NFs in one pipeline pass (§4, App. A), so a switch hop is
+    one :meth:`run` call, like a server's.
+
+    The rack adds each route from the chain graph when it first plans its
+    entry; a route ends at the hop's end or just before a merge node,
+    where the rack enters the hop again. An NF module is made from
+    ``profiles`` when a packet first reaches it, then left with no cost
+    database: the pipeline runs at line rate, so it transforms packets
+    but charges no cycles.
+    """
+
+    def __init__(self, profiles: ProfileDatabase, seed: object):
+        self.profiles = profiles
+        self.seed = seed
+        #: node id -> its NF module
+        self.modules: Dict[str, Module] = {}
+        #: (spi, si) -> (graph nodes crossed, next (spi, si))
+        self.routes: Dict[Tuple[int, int], tuple] = {}
+
+    def vector_safe(self, spi: int, si: int) -> bool:
+        """May the columnar loop probe the route at (spi, si)? Read off
+        the NF classes: no module is made before a packet reaches it."""
+        return all(getattr(MODULE_CLASSES.get(node.nf_class), "vector_safe",
+                           False) for node in self.routes[(spi, si)][0])
+
+    def _module(self, node) -> Module:
+        module = self.modules.get(node.node_id)
+        if module is None:
+            module = self.modules[node.node_id] = make_nf_module(
+                node.nf_class, node.params, name=f"tor/{node.node_id}",
+                database=self.profiles, seed=f"{self.seed}/tor")
+            module.database = None
+        return module
+
+    def run(self, packets: List[Packet],
+            charged: Optional[List[tuple]] = None
+            ) -> List[Optional[Packet]]:
+        """Run ``packets`` through the switch, each entering at its
+        ``metadata.spi``/``si``; one entry per input, in input order: the
+        packet, its route's next coordinates in its metadata, or ``None``
+        where an NF dropped it. Inputs carry distinct ``metadata.seq``.
+
+        Modules are visited in graph order, one ``receive_batch`` each
+        with every packet that reaches them, in input order: a node is
+        the ``k``-th of every route that crosses it. With ``charged``
+        (probe mode) ``probe_batch`` runs instead and nothing is charged:
+        ``charged`` gains, per input, ``(module deltas, (), ())``, the
+        ``(module, rx, tx, dropped, cycles)`` of each module reached.
+        """
+        noted: List[list] = [[] for _ in packets]
+        # what each input is now (None once dropped), and the inputs that
+        # enter at each route, in input order
+        live: List[Optional[Packet]] = list(packets)
+        entered: Dict[Tuple[int, int], List[int]] = {}
+        for i, packet in enumerate(packets):
+            meta = packet.metadata
+            entered.setdefault((meta.spi, meta.si), []).append(i)
+        # (nodes, next coordinates, inputs on the route)
+        walks = [(*self.routes[key], index) for key, index in entered.items()]
+        depth = 0
+        while walks:
+            at: Dict[str, list] = {}
+            for walk in walks:
+                at.setdefault(walk[0][depth].node_id, []).append(walk)
+            for group in at.values():
+                module = self._module(group[0][0][depth])
+                index = group[0][2] if len(group) == 1 else sorted(
+                    i for walk in group for i in walk[2])
+                batch = [live[i] for i in index]
+                if charged is None:
+                    results = _one_out_each(module, batch, [
+                        out for _gate, out in module.receive_batch(batch)])
+                else:
+                    results = []
+                    for i, packet, (emitted, counts) in zip(
+                        index, batch, module.probe_batch(batch)
+                    ):
+                        noted[i].append((module, *counts))
+                        results += _one_out_each(
+                            module, [packet], [out for _gate, out in emitted])
+                for i, out in zip(index, results):
+                    live[i] = out
+            depth += 1
+            went_on = []
+            for nodes, nxt, index in walks:
+                index = [i for i in index if live[i] is not None]
+                if depth < len(nodes):
+                    if index:
+                        went_on.append((nodes, nxt, index))
+                    continue
+                for i in index:
+                    live[i].metadata.spi, live[i].metadata.si = nxt
+            walks = went_on
+        if charged is not None:
+            charged.extend((tuple(deltas), (), ()) for deltas in noted)
+        return live

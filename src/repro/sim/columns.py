@@ -79,9 +79,10 @@ class _RouteClass:
     hop, on ``(effect class, pkt_cycles, survived, next coordinates)``;
     a column run replays per class, and identity is the class.
 
-    ``steps[d]`` is one member's probe at hop ``d`` standing for them all
-    (all but its ``template`` is common), or None where the members cannot
-    be replayed through that hop. The class is *open* at hop
+    ``steps[d]`` is one member's probe at step ``d`` (a hop, or a switch
+    hop's part up to a merge node) standing for them all (all but its
+    ``template`` is common), or None where they cannot be replayed
+    there. The class is *open* at step
     ``len(steps)``: a run that gets there probes each member and moves
     its trace to the :meth:`after` class, which interns the agreement.
     """
@@ -105,7 +106,7 @@ class _RouteClass:
 
 class _RouteTrace:
     """One (chain, flow template)'s resolved route: its class, and
-    ``templates[d]``, what the first ``d`` hops made of the template.
+    ``templates[d]``, what the first ``d`` steps made of the template.
     ``templates[0]`` is the flow template itself — the memo keys on its
     identity, and this reference keeps that identity from being reused."""
 
@@ -141,7 +142,8 @@ class PacketColumns:
       clock, in first-charge order (``device_order``)
 
     and ``hops``: one ``(device, platform, freq)`` per completed hop,
-    ``freq`` None on the switch. A hop's per-packet record
+    ``freq`` None on the switch, or None per step that stopped at a merge
+    node inside a switch hop. A hop's per-packet record
     is derived when packets are rebuilt: its cycles are the device's
     column (a column run never visits a device twice, see
     :meth:`DeployedRack._trace_hop`) or zero on the switch.
@@ -170,7 +172,7 @@ class PacketColumns:
         self.cycles = np.zeros(n, dtype=np.int64)
         self.device_order: List[str] = []
         self.device_cycles: Dict[str, np.ndarray] = {}
-        self.hops: List[tuple] = []
+        self.hops: List[Optional[tuple]] = []
 
     def resolve(self) -> None:
         """Resolve the signature column into ``usig``, ``sid`` and
@@ -278,7 +280,7 @@ class PacketColumns:
         by_device = [(device, self.device_cycles[device].tolist())
                      for device in self.device_order]
         hops = []
-        for device, platform, freq in self.hops:
+        for device, platform, freq in filter(None, self.hops):
             if freq is None:  # the switch charges no device clock
                 hops.append((device, platform, [0] * len(seqs),
                              [0.0] * len(seqs)))

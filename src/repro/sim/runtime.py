@@ -19,13 +19,12 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bess.modules import MODULE_CLASSES, make_nf_module
-from repro.bess.pipeline import ServerHop, build_bess_pipeline
+from repro.bess.pipeline import PisaHop, ServerHop, build_bess_pipeline
 from repro.chain.graph import NFChain
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.rates import SWITCH_TRANSIT_US
@@ -190,21 +189,26 @@ class _HopPlan:
     platform: str
     #: the hop stays on the ToR: it adds no excursion and charges no cycles
     on_switch: bool
-    #: the whole-hop device (:class:`ServerHop`, :class:`SmartNICRuntime`,
-    #: :class:`OpenFlowRuntime`) both loops ``run``; None on a PISA ToR,
-    #: whose hops run node by node
+    #: the device both loops ``run`` (:class:`ServerHop`,
+    #: :class:`SmartNICRuntime`, or the ToR's :class:`PisaHop` or
+    #: :class:`OpenFlowRuntime`)
     runtime: Any
     #: drop reason of the flows the hop does not let through
     reason: str
-    #: the hop's probe primitive, as ``(method name, leading arguments)`` —
-    #: no reference back to the rack; None where the hop cannot be
-    #: probe-replayed and runs take the scalar step
-    probe: Optional[Tuple[str, tuple]]
-    #: probe memo key, less the template bytes
+    #: may the columnar loop probe-replay the hop? (else: the scalar step)
+    probe: bool
+    #: probe memo key, less the template bytes: ``(device, spi, si)``
     key: tuple
-    freq: float
+    #: the device's clock; None on the switch, whose cycles ride on the
+    #: packet but on no device clock
+    freq: Optional[float]
     #: the device's (packets_in, packets_out, cycles) counters
     counters: tuple
+    #: the run enters the hop here, and leaves it after this step: a PISA
+    #: hop entered again at a merge node counts packets in at its entry
+    #: and out, with the hop record, where they leave
+    enters: bool
+    leaves: bool
 
 
 @dataclass
@@ -232,16 +236,10 @@ class _Cohort:
     """A run of one service path's packets, in injection order, moving
     through the chain graph together (:meth:`DeployedRack._run_graph`):
     ``packets``, or a column run ``cols`` (then ``packets`` is None until
-    a scalar step materializes it).
-
-    ``spi``/``si`` name the hop the run enters next; once entered, ``si``
-    is None and the run sits at node ``pos`` of ``hop`` (past 0 only
-    inside a switch hop a packet run crosses one node per step; a column
-    run takes a hop whole).
-    """
+    a scalar step materializes it), entering next at ``spi``/``si``."""
 
     __slots__ = ("packets", "cols", "spi", "si", "excursions",
-                 "switch_passes", "budget", "path", "hop_index", "hop", "pos")
+                 "switch_passes", "budget")
 
     def __init__(self, packets: Optional[List[Packet]], spi: int, si: int,
                  excursions: int, switch_passes: int, budget: int,
@@ -327,12 +325,8 @@ class DeployedRack:
         for nic_name, (program, nf_specs) in artifacts.ebpf.items():
             self.nics[nic_name] = self._build_nic(nic_name, program, nf_specs)
 
-        self.of_runtime: Optional[OpenFlowRuntime] = None
-        if isinstance(topology.switch, OpenFlowSwitchModel):
-            self.of_runtime = self._build_of_switch(artifacts)
-
-        #: functional modules for switch-placed NFs, keyed by node id
-        self._switch_modules: Dict[str, object] = {}
+        #: the ToR: its switch-placed NFs, or its OpenFlow rules
+        self.tor = self._build_tor(artifacts)
 
         #: columnar probe memo: (device, spi, si, template bytes) ->
         #: :class:`_HopProbe`; cleared whenever routing changes.
@@ -427,7 +421,9 @@ class DeployedRack:
         runtime.load(program, nf_specs)
         return runtime
 
-    def _build_of_switch(self, artifacts: CompiledArtifacts) -> OpenFlowRuntime:
+    def _build_tor(self, artifacts: CompiledArtifacts):
+        if not isinstance(self.topology.switch, OpenFlowSwitchModel):
+            return PisaHop(self.profiles, self.seed)
         runtime = OpenFlowRuntime(self.topology.switch)
         runtime.install_all(artifacts.openflow_rules)
         return runtime
@@ -449,13 +445,23 @@ class DeployedRack:
             (path.chain_name, tuple(path.node_ids)): path
             for path in artifacts.routing.service_paths
         }
-        #: (spi, entry si) -> (service path, hop index, hop): where a run
-        #: that enters at those coordinates is, in one lookup
-        self._hop_at: Dict[Tuple[int, int], tuple] = {
-            (path.spi, hop.entry_si): (path, i, hop)
-            for path in artifacts.routing.service_paths
-            for i, hop in enumerate(path.hops)
-        }
+        #: (spi, entry si) -> (service path, hop). A PISA hop is entered
+        #: again at each merge node past its entry, so that the node gets
+        #: every packet that reaches it in one step (every graph edge lies
+        #: on a service path, so these are the graph's merge nodes).
+        paths = artifacts.routing.service_paths
+        preds: Dict[str, set] = {}
+        for path in paths:
+            for pred, nid in zip(path.node_ids, path.node_ids[1:]):
+                preds.setdefault(nid, set()).add(pred)
+        self._hop_at: Dict[Tuple[int, int], tuple] = {}
+        for path in paths:
+            for hop in path.hops:
+                self._hop_at[(path.spi, hop.entry_si)] = (path, hop)
+                if hop.platform == Platform.PISA.value:
+                    self._hop_at.update(
+                        ((path.spi, path.si_of[nid]), (path, hop))
+                        for nid in hop.node_ids[1:] if len(preds[nid]) > 1)
         #: per-flow classification memo: (chain, vlan vid, 5-tuple) -> path.
         #: The key covers every packet field the chain-DAG walk reads, so a
         #: hit is exact, not probabilistic.
@@ -529,9 +535,7 @@ device_fingerprints`) decide what happens to each device:
 
         if new.get(switch_name) != old.get(switch_name):
             # reloading the ToR program resets switch-placed NF state
-            self._switch_modules.clear()
-            if isinstance(self.topology.switch, OpenFlowSwitchModel):
-                self.of_runtime = self._build_of_switch(artifacts)
+            self.tor = self._build_tor(artifacts)
             if new.get(switch_name) is not None:
                 rebuilt.append(switch_name)
             else:
@@ -997,44 +1001,50 @@ device_fingerprints`) decide what happens to each device:
         )
         return trace
 
-    def _plan_hop(self, cp: ChainPlacement, path: ServicePath,
-                  si: int) -> _HopPlan:
-        """Resolve the hop entered at ``si`` into its :class:`_HopPlan`."""
-        spi = path.spi
-        _path, hop_index, hop = self._hop_at[(spi, si)]
+    def _plan_hop(self, cp: ChainPlacement, cohort: _Cohort) -> _HopPlan:
+        """The :class:`_HopPlan` of the hop ``cohort`` enters, resolved when
+        a run first enters there. A PISA hop learns its route here, from
+        the chain graph."""
+        spi, si = cohort.spi, cohort.si
+        plan = self._hop_plans.get((spi, si))
+        if plan is not None:
+            return plan
+        path, hop = self._hop_at[(spi, si)]
         device = hop.device
         on_switch = device == self.topology.switch.name
-        runtime: Any = None
-        probe: Optional[Tuple[str, tuple]] = None
-        if on_switch and self.of_runtime is None:
-            reason = "switch_nf"
-            # read off the NF classes: an instance is only made when a
-            # packet reaches it, in either loop
-            nodes = cp.chain.graph.nodes
-            if all(getattr(MODULE_CLASSES.get(nodes[nid].nf_class),
-                           "vector_safe", False)
-                   for nid in hop.node_ids):
-                nxt = path.hop_after(hop_index)
-                probe = ("_probe_pisa", (
-                    cp, hop, spi, nxt.entry_si if nxt is not None else 0))
+        enters = leaves = True
+        if on_switch:
+            runtime = self.tor
+            reason = "openflow_rule"
+            if isinstance(runtime, PisaHop):
+                reason = "switch_nf"
+                # path positions: the node entered, the hop's end, and
+                # where the route stops (SI 0: the path ends)
+                first = INITIAL_SI - si
+                end = INITIAL_SI - hop.entry_si + len(hop.node_ids)
+                stop = next((k for k in range(first + 1, end)
+                             if (spi, INITIAL_SI - k) in self._hop_at), end)
+                enters, leaves = si == hop.entry_si, stop == end
+                nodes = cp.chain.graph.nodes
+                runtime.routes[(spi, si)] = (tuple(
+                    nodes[nid] for nid in path.node_ids[first:stop]
+                ), (spi, INITIAL_SI - stop
+                    if stop < len(path.node_ids) else 0))
+        elif hop.platform == Platform.SERVER.value:
+            runtime, reason = self.servers.get(device), "server_pipeline"
+        elif hop.platform == Platform.SMARTNIC.value:
+            runtime, reason = self.nics.get(device), "nic_program"
         else:
-            if on_switch:
-                runtime, reason = self.of_runtime, "openflow_rule"
-            elif hop.platform == Platform.SERVER.value:
-                runtime, reason = self.servers.get(device), "server_pipeline"
-            elif hop.platform == Platform.SMARTNIC.value:
-                runtime, reason = self.nics.get(device), "nic_program"
-            else:
-                raise DataplaneError(f"unexpected hop platform {hop.platform}")
-            if runtime is None:
-                raise DataplaneError(f"nothing deployed on {device}")
-            if runtime.vector_safe(spi, si):
-                probe = ("_probe_hop", (runtime, spi, si))
+            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+        if runtime is None:
+            raise DataplaneError(f"nothing deployed on {device}")
         plan = self._hop_plans[(spi, si)] = _HopPlan(
             device=device, platform=hop.platform, on_switch=on_switch,
-            runtime=runtime, reason=reason, probe=probe,
-            key=(device, spi, si), freq=self.device_freq(device),
+            runtime=runtime, reason=reason,
+            probe=runtime.vector_safe(spi, si), key=(device, spi, si),
+            freq=None if on_switch else self.device_freq(device),
             counters=self._dev_counters.get(device),
+            enters=enters, leaves=leaves,
         )
         return plan
 
@@ -1066,18 +1076,17 @@ device_fingerprints`) decide what happens to each device:
                 elif key not in missed:
                     missed[key] = template
             if missed:
-                method, args = plan.probe
-                for key, probe in zip(missed, getattr(self, method)(
-                    *args, list(missed.values())
+                _device, spi, si = plan.key
+                for key, probe in zip(missed, self._probe_hop(
+                    plan.runtime, spi, si, list(missed.values())
                 )):
                     found[key] = probe
-                    if probe is not None:
-                        if len(memo) >= _FLOW_CACHE_MAX:
-                            memo.clear()
-                        memo[key] = probe
+                    if len(memo) >= _FLOW_CACHE_MAX:
+                        memo.clear()
+                    memo[key] = probe
         for k, key in zip(arriving, keys):
             trace = traces[k]
-            probe = found.get(key) if key is not None else None
+            probe = found.get(key)
             trace.route = trace.route.after(probe)
             if probe is not None and probe.survived:
                 trace.templates.append(probe.template)
@@ -1110,9 +1119,7 @@ device_fingerprints`) decide what happens to each device:
         for cohort in group:
             cols = cohort.cols
             if cols is not None:
-                spi, si = cohort.path.spi, cohort.hop.entry_si
-                plan = self._hop_plans.get((spi, si)) \
-                    or self._plan_hop(cp, cohort.path, si)
+                plan = self._plan_hop(cp, cohort)
                 # live classes in ascending order, how many packets are in
                 # each, and each one's outcome at this hop
                 try:
@@ -1126,7 +1133,7 @@ device_fingerprints`) decide what happens to each device:
             scalar.append(cohort)
         moving = []
         if scalar:
-            if group[0].hop.device != self.topology.switch.name:
+            if not self._plan_hop(cp, group[0]).on_switch:
                 scalar, replay = group, []
             moving = self._fallback_block_columns(cp, scalar, result,
                                                   hop_records)
@@ -1151,7 +1158,8 @@ device_fingerprints`) decide what happens to each device:
                     if not len(cols):
                         continue
                     step = (cohort, plan, cols, *cols.census())
-            plan.counters[0].inc(len(cols))
+            if plan.enters:
+                plan.counters[0].inc(len(cols))
             steps.append(step)
         for (cohort, plan, cols, _counts, live, probes), drawn in zip(
             steps, self._replay_effects(steps)
@@ -1177,16 +1185,16 @@ device_fingerprints`) decide what happens to each device:
                 if not live:
                     continue
                 cols = cols.compress(surv)
-            out_c.inc(len(charged))
             cols.cycles = cols.cycles + charged
             cohort.cols = cols
             moving.append(cohort)
-            if plan.on_switch:
-                # switch cycles ride on the packet but on no device clock
-                cols.hops.append((plan.device, plan.platform, None))
-            else:
-                cols.charge_device(plan.device, charged)
-                cols.hops.append((plan.device, plan.platform, plan.freq))
+            if plan.leaves:
+                out_c.inc(len(charged))
+                if plan.freq is not None:
+                    cols.charge_device(plan.device, charged)
+            # None: the switch hop goes on at a merge node
+            cols.hops.append((plan.device, plan.platform, plan.freq)
+                             if plan.leaves else None)
             coords = list(dict.fromkeys(map(_next_coords_of, probes)))
             (cohort.spi, cohort.si) = coords[0]
             if len(coords) > 1:
@@ -1218,7 +1226,7 @@ device_fingerprints`) decide what happens to each device:
                 )
                 hop_records.update(records)
                 cohort.cols = None
-        return self._scalar_step(cp, group, result.scalar, hop_records)
+        return self._device_step(cp, group, result.scalar, hop_records)
 
     def _replay_effects(self, steps: list) -> List[Optional[np.ndarray]]:
         """Replay each live class's counter effect across its run,
@@ -1311,13 +1319,11 @@ device_fingerprints`) decide what happens to each device:
 
     # -- columnar hop probes -------------------------------------------------------
     #
-    # One probe for every whole-hop device and one for a PISA ToR's NFs,
-    # called once per hop with every template the probe memo misses there,
-    # returning one _HopProbe per template (None: not replayable). Both run
-    # in probe mode (a device's run(packets, charged), Module.probe_batch),
-    # which hands the bookkeeping back instead of charging it, so no
-    # module, runtime or rule counter, profile database or RNG stream is
-    # touched.
+    # One probe for every hop, called once per hop with every template the
+    # probe memo misses there, returning one _HopProbe per template. It runs
+    # the device in probe mode (run(packets, charged)), which hands the
+    # bookkeeping back instead of charging it, so no module, runtime or rule
+    # counter, profile database or RNG stream is touched.
 
     def _with_effect(self, probe: _HopProbe, module_deltas=(),
                      rng_modules=(), runtime_deltas=(),
@@ -1338,7 +1344,7 @@ device_fingerprints`) decide what happens to each device:
         return probe
 
     def _probe_hop(self, runtime, spi: int, si: int,
-                   templates: List[Packet]) -> List[Optional[_HopProbe]]:
+                   templates: List[Packet]) -> List[_HopProbe]:
         """``runtime.run`` in probe mode, on clones entering at (spi, si)."""
         clones = []
         for k, template in enumerate(templates):
@@ -1350,7 +1356,7 @@ device_fingerprints`) decide what happens to each device:
             meta.spi, meta.si = spi, si
             clones.append(clone)
         charged: List[tuple] = []
-        probes: List[Optional[_HopProbe]] = []
+        probes: List[_HopProbe] = []
         for clone, out, (module_deltas, runtime_deltas, rule_hits) in zip(
             clones, runtime.run(clones, charged), charged
         ):
@@ -1373,47 +1379,6 @@ device_fingerprints`) decide what happens to each device:
             ]
             probes.append(self._with_effect(
                 probe, module_deltas, rng_modules, runtime_deltas, rule_hits))
-        return probes
-
-    def _probe_pisa(self, cp: ChainPlacement, hop, next_spi: int,
-                    next_si: int, templates: List[Packet]
-                    ) -> List[Optional[_HopProbe]]:
-        # each template's clone (or what a multi-emit NF made of it), and
-        # the switch NFs it met
-        live = [[template.copy()] for template in templates]
-        deltas: List[list] = [[] for _ in templates]
-        for nid in hop.node_ids:
-            origins = [k for k, packets in enumerate(live) for _ in packets]
-            if not origins:
-                break
-            # made only once a packet reaches it, as in the scalar loop
-            module = self._switch_module(cp, nid)
-            results = module.probe_batch(
-                [pkt for packets in live for pkt in packets])
-            live = [[] for _ in templates]
-            charged: Dict[int, tuple] = {}
-            for k, (outputs, counts) in zip(origins, results):
-                live[k] += [pkt for _gate, pkt in outputs]
-                total = charged.get(k)
-                charged[k] = counts if total is None \
-                    else tuple(map(add, total, counts))
-            for k, counts in charged.items():
-                deltas[k].append((module, *counts))
-        probes: List[Optional[_HopProbe]] = []
-        for packets, module_deltas in zip(live, deltas):
-            if len(packets) > 1:
-                probes.append(None)  # multi-emit NFs take the scalar path
-                continue
-            if packets:
-                out = packets[0]
-                pkt_cycles = out.metadata.cycles_consumed
-                probe = _HopProbe(survived=True,
-                                  template=_freeze_template(out),
-                                  next_spi=next_spi, next_si=next_si,
-                                  pkt_cycles=pkt_cycles)
-            else:
-                probe = _HopProbe(survived=False)
-            probes.append(self._with_effect(probe, module_deltas))
         return probes
 
     def _finish_columns(self, run: _Cohort,
@@ -1493,15 +1458,15 @@ device_fingerprints`) decide what happens to each device:
 
         A run waits at the chain-graph node it enters next. Each step takes
         the earliest waiting node in the graph's topological order and
-        hands it every run waiting there, from every service path: a switch
-        node is one NF module call; a server or NIC hop runs whole at its
-        entry node (each packet carrying its own path's coordinates in its
-        metadata, one device call), and so does an OpenFlow hop. Edges
-        lead only to later nodes, so a node's single step holds every
-        packet that reaches it in this batch — each module receives
-        exactly the packets serial injection would give it, in the same
-        order. Delivered packets are stamped at the end, in injection
-        order.
+        hands it every run waiting there, from every service path: their
+        hop runs whole from that node, each packet carrying its own path's
+        coordinates in its metadata, in one device call. A switch hop
+        stops short at a merge node, which another path may enter from
+        elsewhere, and is entered there again. Edges lead only to later
+        nodes, so a node's single step holds every packet that reaches it
+        in this batch — each module receives exactly the packets serial
+        injection would give it, in the same order. Delivered packets are
+        stamped at the end, in injection order.
 
         ``hop_records`` holds each packet's per-hop records (a column
         run's come along when a scalar step materializes it). In a
@@ -1515,26 +1480,21 @@ device_fingerprints`) decide what happens to each device:
         while True:
             moving = []
             for cohort in cohorts:
-                if cohort.si is not None:
-                    # entering the hop at (spi, si)
-                    if cohort.budget <= 0:
-                        raise DataplaneError(
-                            "packet exceeded the rack event budget (loop?)"
-                        )
-                    cohort.budget -= 1
-                    at = self._hop_at.get((cohort.spi, cohort.si))
-                    if at is None:
-                        # the path's end (SI 0), else an error
-                        path = self.paths_by_spi.get(cohort.spi)
-                        if path is None:
-                            raise DataplaneError(f"unknown SPI {cohort.spi}")
-                        if cohort.si != 0:
-                            raise self._no_hop(path, cohort.si)
-                        finished.append(cohort)
-                        continue
-                    cohort.path, cohort.hop_index, cohort.hop = at
-                    cohort.pos = 0
-                    cohort.si = None
+                # entering the hop at (spi, si)
+                if cohort.budget <= 0:
+                    raise DataplaneError(
+                        "packet exceeded the rack event budget (loop?)"
+                    )
+                cohort.budget -= 1
+                if (cohort.spi, cohort.si) not in self._hop_at:
+                    # the path's end (SI 0), else an error
+                    path = self.paths_by_spi.get(cohort.spi)
+                    if path is None:
+                        raise DataplaneError(f"unknown SPI {cohort.spi}")
+                    if cohort.si != 0:
+                        raise self._no_hop(path, cohort.si)
+                    finished.append(cohort)
+                    continue
                 moving.append(cohort)
             if len(moving) == 1 and not waiting:
                 group = moving  # the only run in flight: no order to keep
@@ -1542,7 +1502,8 @@ device_fingerprints`) decide what happens to each device:
                 if moving and ranks is None:
                     ranks = self._node_ranks_of(cp)
                 for cohort in moving:
-                    rank = ranks[cohort.hop.node_ids[cohort.pos]]
+                    path = self.paths_by_spi[cohort.spi]
+                    rank = ranks[path.node_ids[INITIAL_SI - cohort.si]]
                     queued = waiting.get(rank)
                     if queued is None:
                         waiting[rank] = [cohort]
@@ -1554,80 +1515,23 @@ device_fingerprints`) decide what happens to each device:
             if columnar is not None:
                 cohorts = self._column_step(cp, group, columnar, hop_records)
             else:
-                cohorts = self._scalar_step(cp, group, results, hop_records)
+                cohorts = self._device_step(cp, group, results, hop_records)
         if finished:
             self._finish_batch(cp, finished, results, hop_records, columnar)
-
-    def _scalar_step(self, cp: ChainPlacement, group: List[_Cohort],
-                     results: Dict[int, Optional[Packet]],
-                     hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
-        """One step of packet runs: a node of a PISA ToR's hop, or any
-        other hop whole."""
-        if self.of_runtime is None \
-                and group[0].hop.device == self.topology.switch.name:
-            return self._switch_step(cp, group, results, hop_records)
-        return self._device_step(cp, group, results, hop_records)
-
-    def _switch_step(self, cp: ChainPlacement, group: List[_Cohort],
-                     results: Dict[int, Optional[Packet]],
-                     hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
-        """One node of a PISA ToR's hop, every packet waiting there in one
-        call to its NF module. Returns the runs that go on."""
-        hop = group[0].hop
-        in_c, out_c, _ = self._dev_counters[hop.device]
-        for cohort in group:
-            if cohort.pos == 0:
-                in_c.inc(len(cohort.packets))
-        merged = _merged(group)
-        module = self._switch_module(cp, hop.node_ids[group[0].pos])
-        live = [packet for _gate, packet in module.receive_batch(merged)]
-        if len(live) != len(merged):
-            survived = {packet.metadata.seq for packet in live}
-            for cohort in group:
-                kept = []
-                for packet in cohort.packets:
-                    if packet.metadata.seq in survived:
-                        kept.append(packet)
-                    else:
-                        results[packet.metadata.seq] = None
-                if len(kept) < len(cohort.packets):
-                    self._count_drops(cp.name, hop.device, "switch_nf",
-                                      len(cohort.packets) - len(kept))
-                cohort.packets = kept
-            group = [cohort for cohort in group if cohort.packets]
-        for cohort in group:
-            hop = cohort.hop
-            cohort.pos += 1
-            if cohort.pos < len(hop.node_ids):
-                continue
-            # the hop is done: record it, point the run at the next one
-            # (SI 0 where the path ends on the switch)
-            out_c.inc(len(cohort.packets))
-            for packet in cohort.packets:
-                hop_records[packet.metadata.seq].append({
-                    "device": hop.device, "platform": hop.platform,
-                    "cycles": 0, "exec_us": 0.0,
-                })
-            nxt = cohort.path.hop_after(cohort.hop_index)
-            cohort.spi = cohort.path.spi
-            cohort.si = nxt.entry_si if nxt is not None else 0
-        return group
 
     def _device_step(self, cp: ChainPlacement, group: List[_Cohort],
                      results: Dict[int, Optional[Packet]],
                      hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
-        """One whole-hop device (a server, a SmartNIC, an OpenFlow ToR),
-        run for every packet waiting at its hop's entry node: each packet
-        carries its own path's coordinates in its ``metadata.spi``/``si``,
-        and the device gets one ``run`` call, which leaves the next hop's
-        there. No NSH bytes move. The device is charged every cycle its
-        hop added, on the packets it dropped too. A hop off the switch is
-        an excursion, and a faulted device's packets drop before it; an
-        OpenFlow hop stays on the switch and charges no cycles."""
+        """One hop (a server, a SmartNIC, the ToR), run for every packet
+        waiting at the node the group enters: each packet carries its own
+        path's coordinates in its ``metadata.spi``/``si``, and the device
+        gets one ``run`` call, which leaves the next coordinates there. No
+        NSH bytes move. The device is charged every cycle its hop added,
+        on the packets it dropped too. A hop off the switch is an
+        excursion, and a faulted device's packets drop before it; a hop on
+        the switch charges no cycles."""
         name = cp.name
-        first = group[0]
-        plan = self._hop_plans.get((first.path.spi, first.hop.entry_si)) \
-            or self._plan_hop(cp, first.path, first.hop.entry_si)
+        plan = self._plan_hop(cp, group[0])
         device = plan.device
         entering = group
         if not plan.on_switch:
@@ -1644,9 +1548,15 @@ device_fingerprints`) decide what happens to each device:
                 entering.append(cohort)
             if not entering:
                 return []
+        plans = []
         befores = []
+        in_c, out_c, _ = plan.counters
         for cohort in entering:
-            spi, si = cohort.path.spi, cohort.hop.entry_si
+            plan = self._plan_hop(cp, cohort)
+            plans.append(plan)
+            if plan.enters:
+                in_c.inc(len(cohort.packets))
+            spi, si = cohort.spi, cohort.si
             before = []
             for packet in cohort.packets:
                 meta = packet.metadata
@@ -1655,38 +1565,48 @@ device_fingerprints`) decide what happens to each device:
                 before.append(meta.cycles_consumed)
             befores.append(before)
         merged = _merged(entering)
-        in_c, out_c, _ = plan.counters
-        in_c.inc(len(merged))
         outs = plan.runtime.run(merged)
 
-        cycle_sink: Dict[str, int] = {}
+        # the device counts every cycle its hop added, dropped packets'
+        # too; only the rack writes cycles_by_device (here and in the
+        # column materializer): no device attributes cycles itself
+        spent = 0
+        freq = self.device_freq(device)
         moving = []
-        for cohort, before, cohort_outs in zip(
-            entering, befores, _split(entering, merged, outs)
+        for cohort, plan, before, cohort_outs in zip(
+            entering, plans, befores, _split(entering, merged, outs)
         ):
             # survivors by next coordinates, each in injection order (a
             # divergent run splits; the schedule merges paths where they
             # meet)
             runs: Dict[Tuple[int, int], List[Packet]] = {}
             dropped = 0
+            leaves = plan.leaves
             for packet, out, before_total in zip(
                 cohort.packets, cohort_outs, before
             ):
                 if out is None:
                     results[packet.metadata.seq] = None
                     dropped += 1
-                    spent = packet.metadata.cycles_consumed - before_total
-                    if spent:
-                        cycle_sink[device] = cycle_sink.get(device, 0) + spent
+                    spent += packet.metadata.cycles_consumed - before_total
                     continue
-                hop_records[out.metadata.seq].append(
-                    self._charge_hop(cohort.hop, out, before_total, cycle_sink)
-                )
                 meta = out.metadata
+                delta = meta.cycles_consumed - before_total
+                if delta:
+                    attributed = meta.cycles_by_device
+                    attributed[device] = attributed.get(device, 0) + delta
+                    spent += delta
+                if leaves:
+                    hop_records[meta.seq].append({
+                        "device": device, "platform": plan.platform,
+                        "cycles": delta,
+                        "exec_us": delta / freq * 1e6 if delta else 0.0,
+                    })
                 runs.setdefault((meta.spi, meta.si), []).append(out)
             if dropped:
                 self._count_drops(name, device, plan.reason, dropped)
-            out_c.inc(len(cohort.packets) - dropped)
+            if leaves:
+                out_c.inc(len(cohort.packets) - dropped)
             if len(runs) == 1:
                 ((cohort.spi, cohort.si), cohort.packets), = runs.items()
                 moving.append(cohort)
@@ -1696,8 +1616,8 @@ device_fingerprints`) decide what happens to each device:
                         cohort.switch_passes, cohort.budget)
                 for (spi, si), packets in runs.items()
             )
-        for sink_device, delta in cycle_sink.items():
-            self._cycles_counter(sink_device).inc(delta)
+        if spent:
+            self._cycles_counter(device).inc(spent)
         return moving
 
     def _fault_filter(self, chain: str, device: str, packets: List[Packet],
@@ -1794,29 +1714,6 @@ device_fingerprints`) decide what happens to each device:
             f"(hops at {[h.entry_si for h in path.hops]})"
         )
 
-    def _charge_hop(self, hop, out: Packet, before_total: int,
-                    cycle_sink: Dict[str, int]) -> dict:
-        """Charge the hop's ``cycles_consumed`` delta to its device and
-        build the per-hop record. Only the rack writes ``cycles_by_device``
-        (here and in the column materializer): no device hop attributes
-        cycles itself, so the whole delta belongs to the hop's device.
-
-        ``cycle_sink`` accumulates per-device cycle counter increments
-        for one flush per batch instead of one per packet."""
-        meta = out.metadata
-        delta = meta.cycles_consumed - before_total
-        exec_us = 0.0
-        if delta:
-            device = hop.device
-            attributed = meta.cycles_by_device
-            attributed[device] = attributed.get(device, 0) + delta
-            exec_us = delta / self.device_freq(device) * 1e6
-            cycle_sink[device] = cycle_sink.get(device, 0) + delta
-        return {
-            "device": hop.device, "platform": hop.platform,
-            "cycles": delta, "exec_us": exec_us,
-        }
-
     def _stamp_latency(self, packet: Packet, excursions: int,
                        switch_passes: int,
                        hops: Optional[List[dict]] = None) -> None:
@@ -1868,23 +1765,6 @@ device_fingerprints`) decide what happens to each device:
         meta.fields["latency_us"] = total
         if hops is not None:
             meta.fields["hops"] = hops
-
-    def _switch_module(self, cp: ChainPlacement, node_id: str):
-        module = self._switch_modules.get(node_id)
-        if module is None:
-            node = cp.chain.graph.nodes[node_id]
-            module = make_nf_module(
-                node.nf_class,
-                node.params,
-                name=f"tor/{node_id}",
-                database=self.profiles,
-                seed=f"{self.seed}/tor",
-            )
-            # the PISA/OF pipeline runs at line rate: its NFs transform
-            # packets functionally but charge no CPU cycles
-            module.database = None
-            self._switch_modules[node_id] = module
-        return module
 
     # -- tracing ------------------------------------------------------------------
 
@@ -1991,10 +1871,10 @@ device_fingerprints`) decide what happens to each device:
 
         switch = self.topology.switch
         entry = base(switch.name, switch.platform.value)
-        if self.of_runtime is not None:
-            entry["rx"] = self.of_runtime.rx
-            entry["tx"] = self.of_runtime.tx
-            entry["rule_drops"] = self.of_runtime.drops
+        if isinstance(self.tor, OpenFlowRuntime):
+            entry["rx"] = self.tor.rx
+            entry["tx"] = self.tor.tx
+            entry["rule_drops"] = self.tor.drops
         devices[switch.name] = entry
 
         for name, runtime in self.servers.items():

@@ -5,7 +5,9 @@ runtime charge ``cycles_consumed`` alone, and
 ``DeployedRack._device_step`` charges a hop's whole delta to the hop's
 device. The oracle below is the step that snapshotted
 ``metadata.cycles_by_device`` around every hop, with its attribution
-helper, kept verbatim (``self`` is the rack). It runs a server hop as the
+helper, kept verbatim (``self`` is the rack) but for reading the hop
+off the run's coordinates, and stepping only the hops off the switch.
+It runs a server hop as the
 generic walk did: ``Pipeline.push_batch`` over the NSH-tagged packets,
 ``PortOut.drain``, outputs matched to inputs by seq. It runs a SmartNIC hop
 as the NSH-tagged ``SmartNICRuntime.process_batch`` did, which attributed
@@ -39,7 +41,7 @@ def _device_step(self, cp, group: List[_Cohort],
                  results: Dict[int, Optional[Packet]],
                  hop_records: Dict[int, List[dict]]) -> List[_Cohort]:
     name = cp.name
-    hop = group[0].hop
+    _path, hop = self._hop_at[(group[0].spi, group[0].si)]
     device = hop.device
     entering = []
     for cohort in group:
@@ -60,7 +62,7 @@ def _device_step(self, cp, group: List[_Cohort],
         for cohort in entering
     ]
     for cohort in entering:
-        spi, si = cohort.path.spi, cohort.hop.entry_si
+        spi, si = cohort.spi, cohort.si
         for packet in cohort.packets:
             packet.push_nsh(spi, si)
     merged = _merged(entering)
@@ -90,7 +92,7 @@ def _device_step(self, cp, group: List[_Cohort],
                 dropped += 1
                 continue
             hop_records[out.metadata.seq].append(_attribute_hop(
-                self, cohort.hop, out, before_total, before_attr, cycle_sink
+                self, hop, out, before_total, before_attr, cycle_sink
             ))
             nsh = out.pop_nsh()
             if nsh is None:
@@ -287,7 +289,16 @@ def test_server_hops_charge_like_the_snapshotting_step(case):
     spec_text, slos, preset, nic_first = CASES[case]
     live = _engine(spec_text, slos, preset)
     oracle = _engine(spec_text, slos, preset)
-    oracle.rack._device_step = types.MethodType(_device_step, oracle.rack)
+    # the oracle steps the server and NIC hops; the ToR's are the rack's
+    switch_step = oracle.rack._device_step
+
+    def step(self, cp, group, results, hop_records):
+        if self._hop_at[(group[0].spi, group[0].si)][1].device \
+                == self.topology.switch.name:
+            return switch_step(cp, group, results, hop_records)
+        return _device_step(self, cp, group, results, hop_records)
+
+    oracle.rack._device_step = types.MethodType(step, oracle.rack)
     (cp,) = live.placement.chains
     (oracle_cp,) = oracle.placement.chains
     flows = live.synthesize_flows(cp)

@@ -2,18 +2,20 @@
 
 A hop probe runs a flow template's clone through the platform runtime and
 records what replaying it costs (``repro.sim.runtime._HopProbe``). The rack
-probes every template a hop's memo misses in one call: ``_probe_hop`` for
-a whole-hop device (server, SmartNIC, OpenFlow ToR), in the device's probe
-mode, and ``_probe_pisa`` for a PISA ToR's NFs. The four functions below
-are the one-signature probes of the previous design, one per hop kind,
-kept verbatim (``self`` is the rack) but for what the probe record has
-gained since: the SmartNIC one enters its clone at metadata coordinates,
-as the runtime's scalar ``run`` takes them, where it pushed an NSH tag; a
-dropped clone keeps the fixed cycles it was charged; the OpenFlow one tags
-its clone with :func:`~repro.openflow.switch.vid_at`, reads the rules it
-matched off their counters, and leaves the next hop's coordinates (the
-path's next hop, SI 0 where it ends) in its output's metadata; the PISA
-one names them too. Each batched call
+probes every template a hop's memo misses in one call, ``_probe_hop``: the
+hop's device (server, SmartNIC, or the ToR's PISA NFs or OpenFlow rules)
+in its probe mode. The four functions below are the one-signature probes
+of the previous design, one per hop kind, kept verbatim (``self`` is the
+rack) but for what the probe record has gained since: the SmartNIC one
+enters its clone at metadata coordinates, as the runtime's scalar ``run``
+takes them, where it pushed an NSH tag; a dropped clone keeps the fixed
+cycles it was charged; the OpenFlow one tags its clone with
+:func:`~repro.openflow.switch.vid_at`, reads the rules it matched off
+their counters, and leaves the next hop's coordinates (the path's next
+hop, SI 0 where it ends) in its output's metadata; the PISA one does too,
+reaches its modules through the rack's :class:`PisaHop`, and stops short
+at a merge node past the hop's entry, where the rack enters the hop
+again (the next coordinates are then that node's). Each batched call
 made while columns run is checked against them on the same rack state:
 equal ``_HopProbe`` fields and effect deltas, the same interned effect
 class, templates left as they were, and every module counter, profile
@@ -28,9 +30,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bess.pipeline import ServerHop
+from repro.bess.pipeline import PisaHop, ServerHop
 from repro.ebpf.nic import SmartNICRuntime
 from repro.hw.spec import topology_for
+from repro.metacompiler.nsh import INITIAL_SI
 from repro.net.packet import Packet
 from repro.obs import MetricsRegistry
 from repro.openflow.switch import OpenFlowRuntime, vid_at
@@ -40,7 +43,6 @@ from repro.sim.runtime import (
     _HopProbe,
     _chain_packet,
 )
-from repro.core.placement import ChainPlacement
 from repro.sim.traffic import TrafficEngine, TrafficSpec
 
 # -- the oracle: the one-signature probes ------------------------------------
@@ -48,8 +50,8 @@ from repro.sim.traffic import TrafficEngine, TrafficSpec
 
 def _next_coords(self, spi: int, si: int) -> tuple:
     """Where the path of the hop entered at (spi, si) goes on."""
-    path, index, _hop = self._hop_at[(spi, si)]
-    nxt = path.hop_after(index)
+    path, hop = self._hop_at[(spi, si)]
+    nxt = path.hop_after(path.hops.index(hop))
     return spi, nxt.entry_si if nxt is not None else 0
 
 
@@ -88,14 +90,26 @@ def _probe_of_sig(self, of: OpenFlowRuntime, spi: int, si: int,
     return self._with_effect(probe, runtime_deltas=runtime_deltas,
                              rule_hits=trace)
 
-def _probe_pisa_sig(self, cp: ChainPlacement, hop, next_spi: int,
-                    next_si: int, template: Packet) -> Optional[_HopProbe]:
+def _probe_pisa_sig(self, pisa: PisaHop, spi: int, si: int,
+                    template: Packet) -> Optional[_HopProbe]:
+    path, hop = self._hop_at[(spi, si)]
+    # path positions: the node entered, the hop's end, and the next node
+    # the rack enters the hop at (a merge node), if any
+    first = INITIAL_SI - si
+    end = INITIAL_SI - hop.entry_si + len(hop.node_ids)
+    stop = first + 1
+    while stop < end and (spi, INITIAL_SI - stop) not in self._hop_at:
+        stop += 1
+    if stop < end:
+        next_spi, next_si = spi, INITIAL_SI - stop
+    else:
+        next_spi, next_si = _next_coords(self, spi, hop.entry_si)
     modules, snaps = [], []
     live = [template.copy()]
-    for nid in hop.node_ids:
+    for nid in path.node_ids[first:stop]:
         if not live:
             break
-        module = self._switch_module(cp, nid)
+        module = pisa._module(NODES[id(self)][nid])
         modules.append(module)
         snaps.append((module.rx_packets, module.tx_packets,
                       module.dropped_packets, module.cycles_charged))
@@ -116,6 +130,7 @@ def _probe_pisa_sig(self, cp: ChainPlacement, hop, next_spi: int,
         return None  # multi-emit switch NFs take the scalar path
     if live:
         out = live[0]
+        out.metadata.spi, out.metadata.si = next_spi, next_si
         pkt_cycles = out.metadata.cycles_consumed
         probe = _HopProbe(survived=True,
                           template=_freeze_template(out),
@@ -233,13 +248,16 @@ def _probe_nic_sig(self, runtime: SmartNICRuntime, spi: int, si: int,
                              runtime_deltas=runtime_deltas)
 
 
-#: hop kind -> its device class (None: a PISA ToR's NFs) and oracle
+#: hop kind -> its device class and oracle
 ORACLES = {
     "server": (ServerHop, _probe_server_sig),
     "nic": (SmartNICRuntime, _probe_nic_sig),
     "openflow": (OpenFlowRuntime, _probe_of_sig),
-    "pisa": (None, _probe_pisa_sig),
+    "pisa": (PisaHop, _probe_pisa_sig),
 }
+
+#: ``id(rack)`` -> node id -> graph node, for the PISA oracle
+NODES = {}
 
 _DROP = "ACL(rules=[{'src_ip': '10.1.0.0/30', 'drop': True}])"
 
@@ -247,7 +265,8 @@ _DROP = "ACL(rules=[{'src_ip': '10.1.0.0/30', 'drop': True}])"
 #: vector-safe hops on every platform the preset has, ACLs that drop some
 #: flows (on a server too, where the all-software placement puts one),
 #: replicated server subgroups (one route class per demux instance),
-#: branches, and a stateful NAT hop that no probe may enter
+#: branches, arms that merge inside a switch hop, and a stateful NAT hop
+#: that no probe may enter
 RACKS = {
     "paper-smartnic": (
         "chain a: BPF -> FastEncrypt -> IPv4Fwd\n"
@@ -257,8 +276,9 @@ RACKS = {
     "paper-testbed": (
         f"chain m: Encrypt -> {_DROP} -> IPv4Fwd\n"
         f"chain n: BPF -> [Encrypt -> {_DROP} -> IPv4Fwd, "
-        "Tunnel -> IPv4Fwd]\n",
-        ((3000.0, 30000.0),) * 2,
+        "Tunnel -> IPv4Fwd]\n"
+        f"chain v: BPF -> [{_DROP}, Tunnel] -> IPv4Fwd\n",
+        ((3000.0, 30000.0),) * 3,
     ),
     "multi-server": (
         "chain base0: ACL -> Encrypt -> IPv4Fwd\n"
@@ -294,8 +314,9 @@ def _engine(preset: str) -> TrafficEngine:
             registry=MetricsRegistry(),
         )
         rack = engine.rack
-        for name in ("_probe_hop", "_probe_pisa"):
-            setattr(rack, name, _checked(rack, getattr(rack, name)))
+        NODES[id(rack)] = {nid: node for cp in engine.placement.chains
+                           for nid, node in cp.chain.graph.nodes.items()}
+        rack._probe_hop = _checked(rack, rack._probe_hop)
     return engine
 
 
@@ -315,8 +336,9 @@ def _rack_state(rack) -> dict:
     for name, nic in rack.nics.items():
         for index, module in nic._nf_modules.items():
             modules[(name, index)] = module
-    for nid, module in rack._switch_modules.items():
-        modules[("switch", nid)] = module
+    if isinstance(rack.tor, PisaHop):
+        for nid, module in rack.tor.modules.items():
+            modules[("switch", nid)] = module
     state = {
         key: (module.rx_packets, module.tx_packets, module.dropped_packets,
               module.cycles_charged, id(module.database),
@@ -328,8 +350,8 @@ def _rack_state(rack) -> dict:
     for name, nic in rack.nics.items():
         state[(name, "runtime")] = (nic.rx, nic.tx, nic.drops,
                                     nic.cycles_charged)
-    of = rack.of_runtime
-    if of is not None:
+    of = rack.tor
+    if isinstance(of, OpenFlowRuntime):
         state["openflow"] = (of.rx, of.tx, of.drops)
         for table in of.tables:
             for rule in table.rules:
@@ -373,12 +395,10 @@ def _assert_same_probe(got: Optional[_HopProbe],
 
 
 def _kind(lead: tuple) -> str:
-    """The hop kind a probe call's leading arguments name: a device's
-    class, or a PISA ToR's (placement, hop, next coordinates)."""
-    for kind, (device_class, _oracle) in ORACLES.items():
-        if device_class is not None and isinstance(lead[0], device_class):
-            return kind
-    return "pisa"
+    """The hop kind a probe call's leading arguments name: its device's
+    class."""
+    return next(kind for kind, (device_class, _oracle) in ORACLES.items()
+                if isinstance(lead[0], device_class))
 
 
 def _checked(rack, batched):
