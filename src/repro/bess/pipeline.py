@@ -9,7 +9,8 @@ modules, and :class:`PisaHop`, which runs the PISA ToR's NFs the same way.
 
 from __future__ import annotations
 
-from operator import is_
+from itertools import chain, groupby
+from operator import attrgetter, is_
 from typing import Dict, List, Optional, Tuple
 
 from repro.bess.module import Module, Pipeline
@@ -335,7 +336,7 @@ def _one_out_each(module: Module, batch: List[Packet],
     """``module``'s output for each packet of ``batch`` (None: dropped),
     matched by seq; more than one for a packet is an error."""
     if len(emitted) == len(batch) and all(map(is_, emitted, batch)):
-        return emitted
+        return batch
     by_seq: Dict[int, Packet] = {}
     for out in emitted:
         seq = out.metadata.seq
@@ -345,6 +346,9 @@ def _one_out_each(module: Module, batch: List[Packet],
                 f"duplicate for seq {seq}")
         by_seq[seq] = out
     return [by_seq.get(packet.metadata.seq) for packet in batch]
+
+
+_coords_of = attrgetter("metadata.spi", "metadata.si")
 
 
 class PisaHop:
@@ -398,17 +402,17 @@ class PisaHop:
         ``charged`` gains, per input, ``(module deltas, (), ())``, the
         ``(module, rx, tx, dropped, cycles)`` of each module reached.
         """
-        noted: List[list] = [[] for _ in packets]
-        # what each input is now (None once dropped), and the inputs that
-        # enter at each route, in input order
+        if charged is not None:
+            noted: List[list] = [[] for _ in packets]
+        # what each input is now (None once dropped)
         live: List[Optional[Packet]] = list(packets)
-        entered: Dict[Tuple[int, int], List[int]] = {}
-        for i, packet in enumerate(packets):
-            meta = packet.metadata
-            entered.setdefault((meta.spi, meta.si), []).append(i)
-        # (nodes, next coordinates, inputs on the route)
-        walks = [(*self.routes[key], index) for key, index in entered.items()]
+        # (nodes, next coordinates, the inputs on the route in input order)
+        coords = list(map(_coords_of, packets))
+        walks = [(*self.routes[key], list(index)) for key, index in groupby(
+            sorted(range(len(packets)), key=coords.__getitem__),
+            coords.__getitem__)]
         depth = 0
+        changed = False  # has a module dropped or replaced an input?
         while walks:
             at: Dict[str, list] = {}
             for walk in walks:
@@ -416,8 +420,8 @@ class PisaHop:
             for group in at.values():
                 module = self._module(group[0][0][depth])
                 index = group[0][2] if len(group) == 1 else sorted(
-                    i for walk in group for i in walk[2])
-                batch = [live[i] for i in index]
+                    chain.from_iterable(walk[2] for walk in group))
+                batch = list(map(live.__getitem__, index))
                 if charged is None:
                     results = _one_out_each(module, batch, [
                         out for _gate, out in module.receive_batch(batch)])
@@ -429,18 +433,22 @@ class PisaHop:
                         noted[i].append((module, *counts))
                         results += _one_out_each(
                             module, [packet], [out for _gate, out in emitted])
-                for i, out in zip(index, results):
-                    live[i] = out
+                if results is not batch:
+                    changed = True
+                    for i, out in zip(index, results):
+                        live[i] = out
             depth += 1
             went_on = []
             for nodes, nxt, index in walks:
-                index = [i for i in index if live[i] is not None]
+                if changed:
+                    index = [i for i in index if live[i] is not None]
                 if depth < len(nodes):
                     if index:
                         went_on.append((nodes, nxt, index))
                     continue
                 for i in index:
-                    live[i].metadata.spi, live[i].metadata.si = nxt
+                    meta = live[i].metadata
+                    meta.spi, meta.si = nxt
             walks = went_on
         if charged is not None:
             charged.extend((tuple(deltas), (), ()) for deltas in noted)

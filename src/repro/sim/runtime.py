@@ -236,7 +236,9 @@ class _Cohort:
     """A run of one service path's packets, in injection order, moving
     through the chain graph together (:meth:`DeployedRack._run_graph`):
     ``packets``, or a column run ``cols`` (then ``packets`` is None until
-    a scalar step materializes it), entering next at ``spi``/``si``."""
+    a scalar step materializes it), entering next at ``spi``/``si``, which
+    its packets also carry in ``metadata.spi``/``si``: injection and
+    materializing write them, and a device ``run`` leaves them."""
 
     __slots__ = ("packets", "cols", "spi", "si", "excursions",
                  "switch_passes", "budget")
@@ -259,6 +261,8 @@ _route_of = attrgetter("route")
 _pkt_cycles_of = attrgetter("pkt_cycles")
 _survived_of = attrgetter("survived")
 _next_coords_of = attrgetter("next_spi", "next_si")
+_coords_of = attrgetter("metadata.spi", "metadata.si")
+_cycles_of = attrgetter("metadata.cycles_consumed")
 
 
 def _merged(group: List[_Cohort]) -> List[Packet]:
@@ -846,8 +850,10 @@ device_fingerprints`) decide what happens to each device:
         next_seq = self._next_seq
         for packet in packets:
             path = classify(chain_placement, packet)
-            packet.metadata.chain_id = name
-            packet.metadata.seq = next_seq
+            meta = packet.metadata
+            meta.chain_id = name
+            meta.seq = next_seq
+            meta.spi, meta.si = path.spi, INITIAL_SI
             next_seq += 1
             entries.append((packet, path))
         self._next_seq = next_seq
@@ -1112,7 +1118,7 @@ device_fingerprints`) decide what happens to each device:
         all the group's packets in injection order. On the switch (no
         draws; a replayable run meets only stateless NFs) each run picks
         for itself. Untraced flows are probed before any side effect.
-        Returns the runs that go on, one per next coordinates.
+        Returns the runs that go on.
         """
         replay = []
         scalar = []
@@ -1195,19 +1201,8 @@ device_fingerprints`) decide what happens to each device:
             # None: the switch hop goes on at a merge node
             cols.hops.append((plan.device, plan.platform, plan.freq)
                              if plan.leaves else None)
-            coords = list(dict.fromkeys(map(_next_coords_of, probes)))
-            (cohort.spi, cohort.si) = coords[0]
-            if len(coords) > 1:
-                which = cols.spread(live, [
-                    coords.index(_next_coords_of(p)) for p in probes
-                ])
-                cohort.cols = cols.compress(which == 0)
-                moving.extend(
-                    _Cohort(None, spi, si, cohort.excursions,
-                            cohort.switch_passes, cohort.budget,
-                            cols.compress(which == j))
-                    for j, (spi, si) in enumerate(coords) if j
-                )
+            # a run leaves a hop as one run (see _device_step)
+            (cohort.spi, cohort.si), = set(map(_next_coords_of, probes))
         return moving
 
     def _fallback_block_columns(self, cp: ChainPlacement,
@@ -1225,6 +1220,9 @@ device_fingerprints`) decide what happens to each device:
                     chain_id=cp.name
                 )
                 hop_records.update(records)
+                for packet in cohort.packets:
+                    packet.metadata.spi = cohort.spi
+                    packet.metadata.si = cohort.si
                 cohort.cols = None
         return self._device_step(cp, group, result.scalar, hop_records)
 
@@ -1556,14 +1554,7 @@ device_fingerprints`) decide what happens to each device:
             plans.append(plan)
             if plan.enters:
                 in_c.inc(len(cohort.packets))
-            spi, si = cohort.spi, cohort.si
-            before = []
-            for packet in cohort.packets:
-                meta = packet.metadata
-                meta.spi = spi
-                meta.si = si
-                before.append(meta.cycles_consumed)
-            befores.append(before)
+            befores.append(list(map(_cycles_of, cohort.packets)))
         merged = _merged(entering)
         outs = plan.runtime.run(merged)
 
@@ -1576,12 +1567,9 @@ device_fingerprints`) decide what happens to each device:
         for cohort, plan, before, cohort_outs in zip(
             entering, plans, befores, _split(entering, merged, outs)
         ):
-            # survivors by next coordinates, each in injection order (a
-            # divergent run splits; the schedule merges paths where they
-            # meet)
-            runs: Dict[Tuple[int, int], List[Packet]] = {}
+            kept = []
             dropped = 0
-            leaves = plan.leaves
+            leaves, platform = plan.leaves, plan.platform
             for packet, out, before_total in zip(
                 cohort.packets, cohort_outs, before
             ):
@@ -1598,24 +1586,23 @@ device_fingerprints`) decide what happens to each device:
                     spent += delta
                 if leaves:
                     hop_records[meta.seq].append({
-                        "device": device, "platform": plan.platform,
+                        "device": device, "platform": platform,
                         "cycles": delta,
                         "exec_us": delta / freq * 1e6 if delta else 0.0,
                     })
-                runs.setdefault((meta.spi, meta.si), []).append(out)
+                kept.append(out)
             if dropped:
                 self._count_drops(name, device, plan.reason, dropped)
             if leaves:
-                out_c.inc(len(cohort.packets) - dropped)
-            if len(runs) == 1:
-                ((cohort.spi, cohort.si), cohort.packets), = runs.items()
-                moving.append(cohort)
+                out_c.inc(len(kept))
+            if not kept:
                 continue
-            moving.extend(
-                _Cohort(packets, spi, si, cohort.excursions,
-                        cohort.switch_passes, cohort.budget)
-                for (spi, si), packets in runs.items()
-            )
+            # every device takes a packet's next coordinates from its
+            # table for the entry coordinates, so the survivors of a run
+            # go on as one run, in injection order
+            (cohort.spi, cohort.si), = set(map(_coords_of, kept))
+            cohort.packets = kept
+            moving.append(cohort)
         if spent:
             self._cycles_counter(device).inc(spent)
         return moving

@@ -415,7 +415,8 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
 def test_columnar_matches_scalar(label, spec, topo_kwargs, slo, seed):
     """Vectorized tier: the columnar fast path is bit-identical to the
     scalar batch path across all three platforms — including the branchy
-    chain (divergence re-split) and the stateful chain (scalar fallback)."""
+    chain (paths that meet again) and the stateful chain (scalar
+    fallback)."""
     _scalar_vs_columnar(spec, topo_kwargs, slo, seed)
 
 
@@ -554,8 +555,8 @@ def test_columnar_matches_scalar_property(scenario, seed, n_flows, batches,
     batch < flows (one packet per signature), batch >> flows, later batches
     replaying traced routes, several route classes in a batch (demux
     instances, an ACL dropping some flows mid-route, two service paths),
-    the branchy and stateful chains' 1-3-packet blocks, divergent next
-    coordinates and mid-flight fallback, templates that share a 5-tuple and
+    the branchy and stateful chains' 1-3-packet blocks, mid-flight
+    fallback, templates that share a 5-tuple and
     differ in payload, faults and the inter-rack hop, and the rack changing
     under its traces between batches (redeploys that reuse or rebuild
     devices, faults set and cleared, an inter-rack hop, queueing, a pickle
